@@ -258,8 +258,9 @@ class LearnedEvaluator:
         score array per group, in order. With a single group this is
         bitwise-identical to :meth:`score_tiles_batched`; multiple groups
         change the batch shape, which moves scores only at float32 BLAS
-        rounding level (the serving layer's sharded executor exploits
-        this to amortize per-forward fixed costs).
+        rounding level. The forward is ``model.predict``'s tape-free one,
+        whose fixed cost is a fraction of a millisecond; the serving
+        layer's sharded executor still fuses groups to share it.
         """
         items: list[BatchItem] = []
         counts: list[int] = []

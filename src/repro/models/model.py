@@ -21,7 +21,8 @@ from ..nn.graph_layers import GATLayer, GraphSAGELayer
 from ..nn.layers import Dense, Dropout, Embedding, MLP, Module
 from ..nn.rnn import LSTM
 from ..nn.sparse import segment_sum, spmm
-from ..nn.tensor import Tensor, no_grad
+from ..nn.tensor import Tensor
+from . import inference
 from .config import ModelConfig
 
 
@@ -185,14 +186,16 @@ class LearnedPerformanceModel(Module):
 
     # ------------------------------------------------------------- inference
     def predict(self, batch: GraphBatch) -> np.ndarray:
-        """Raw scores without recording gradients."""
-        was_training = self.training
-        self.eval()
-        try:
-            with no_grad():
-                return self.forward(batch).numpy().copy()
-        finally:
-            self.train(was_training)
+        """Raw scores: :meth:`forward` in eval mode under ``no_grad()``,
+        bitwise, computed tape-free on plain arrays.
+
+        Runs :func:`repro.models.inference.forward`; it builds no
+        :class:`Tensor` and neither reads nor writes ``self.training``, so
+        it is safe beside a training thread on the same module. Parameters
+        are read at call time: optimizer steps and ``load_state_dict`` show
+        in the next call.
+        """
+        return inference.forward(self, batch)
 
     def predict_runtimes(self, batch: GraphBatch) -> np.ndarray:
         """Absolute runtimes in seconds (fusion task: exp of log output)."""

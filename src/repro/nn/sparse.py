@@ -25,10 +25,11 @@ def spmm(matrix: sp.spmatrix, x: Tensor) -> Tensor:
     """
     csr = matrix.tocsr()
     out = csr @ x.data
-    csr_t = csr.T.tocsr()
 
     def backward(g: np.ndarray):
-        return (csr_t @ g,)
+        # Transposed only when a gradient is asked for: a forward that
+        # records no tape never pays for it.
+        return (csr.T.tocsr() @ g,)
 
     return x._make(np.asarray(out, dtype=np.float32), (x,), backward)
 

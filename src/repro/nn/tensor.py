@@ -74,7 +74,7 @@ class Tensor:
         if isinstance(data, Tensor):
             data = data.data
         arr = np.asarray(data)
-        if not np.issubdtype(arr.dtype, np.integer):
+        if arr.dtype.kind not in "iu":
             arr = arr.astype(np.float32, copy=False)
         self.data: np.ndarray = arr
         self.requires_grad = bool(requires_grad) and _grad_enabled()

@@ -113,7 +113,7 @@ class TestForwardPass:
         a = model.predict(batch)
         b = model.predict(batch)
         np.testing.assert_allclose(a, b)  # dropout disabled in predict
-        assert model.training  # restored afterwards
+        assert model.training  # predict leaves the mode flag alone
 
     def test_predict_runtimes_positive(self, batch):
         cfg = ModelConfig(task="fusion", reduction="column-wise", loss="mse", **SMALL)

@@ -5,6 +5,7 @@ import scipy.sparse as sp
 
 from repro.nn import (
     Tensor,
+    no_grad,
     normalized_adjacency,
     segment_softmax,
     segment_sum,
@@ -27,6 +28,32 @@ class TestSpmm:
         spmm(a, x).sum().backward()
         expected = a.T.toarray() @ np.ones((4, 2))
         np.testing.assert_allclose(x.grad, expected, rtol=1e-5)
+
+
+    def test_gradient_is_bitwise_the_transposed_product(self):
+        a = sp.random(9, 7, density=0.4, random_state=2, format="csr", dtype=np.float32)
+        x = Tensor(rng.normal(size=(7, 5)), requires_grad=True)
+        g = rng.normal(size=(9, 5)).astype(np.float32)
+        spmm(a, x).backward(g)
+        np.testing.assert_array_equal(x.grad, a.T.tocsr() @ g)
+
+    def test_forward_without_tape_builds_no_transpose(self):
+        class CountingCSR(sp.csr_matrix):
+            transposes = 0
+
+            def transpose(self, axes=None, copy=False):
+                CountingCSR.transposes += 1
+                return super().transpose(axes=axes, copy=copy)
+
+        a = CountingCSR(sp.random(6, 6, density=0.5, random_state=3, format="csr"))
+        x = Tensor(rng.normal(size=(6, 2)), requires_grad=True)
+        with no_grad():
+            spmm(a, x)
+        spmm(a, Tensor(x.data))  # nothing upstream requires a gradient
+        out = spmm(a, x)
+        assert CountingCSR.transposes == 0
+        out.sum().backward()
+        assert CountingCSR.transposes == 1
 
 
 class TestSegmentSum:

@@ -220,6 +220,31 @@ class TestEngine:
         t = Tensor(np.array([1, 2, 3]))
         assert np.issubdtype(t.data.dtype, np.integer)
 
+    @pytest.mark.parametrize(
+        "dtype",
+        [
+            np.int8, np.int16, np.int32, np.int64,
+            np.uint8, np.uint16, np.uint32, np.uint64,
+            np.bool_, np.float16, np.float32, np.float64,
+        ],
+    )
+    def test_dtype_table(self, dtype):
+        """Signed and unsigned integers are index carriers and keep their
+        dtype; everything else, bool included, becomes float32."""
+        data = Tensor(np.ones(3, dtype=dtype)).data
+        if np.issubdtype(dtype, np.integer):
+            assert data.dtype == dtype
+        else:
+            assert data.dtype == np.float32
+        np.testing.assert_array_equal(data, np.ones(3))
+
+    def test_dtype_of_python_values(self):
+        assert Tensor([1, 2, 3]).data.dtype.kind == "i"
+        assert Tensor(2).data.dtype.kind == "i"
+        assert Tensor([1.0, 2.0]).data.dtype == np.float32
+        assert Tensor(0.5).data.dtype == np.float32
+        assert Tensor([True, False]).data.dtype == np.float32
+
     def test_item_and_helpers(self):
         assert Tensor(np.array([3.5])).item() == pytest.approx(3.5)
         assert zeros((2, 2)).numpy().sum() == 0.0

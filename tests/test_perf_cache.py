@@ -204,11 +204,23 @@ class TestBatchedTileScoring:
         assert evaluator.feature_cache_hits >= 1
 
     def test_predict_preserves_eval_mode(self, tile_records, scalers, evaluator):
+        kernel = tile_records[0].kernel
+        tiles = enumerate_tile_sizes(kernel)[:2]
         assert not evaluator.model.training
-        evaluator.score_tiles_batched(
-            tile_records[0].kernel, enumerate_tile_sizes(tile_records[0].kernel)[:2]
+        evaluator.score_tiles_batched(kernel, tiles)
+        assert not evaluator.model.training
+        # A model left in train mode stays there, sub-modules included, and
+        # is still scored by the eval forward: its dropout does not show.
+        model = LearnedPerformanceModel(
+            ModelConfig.paper_best_tile().with_overrides(dropout=0.5), seed=0
         )
-        assert not evaluator.model.training  # predict restored eval mode
+        in_training = LearnedEvaluator(model, scalers)
+        model.eval()
+        expected = in_training.score_tiles_batched(kernel, tiles)
+        model.train()
+        got = in_training.score_tiles_batched(kernel, tiles)
+        assert model.training and model.dropout.training
+        np.testing.assert_array_equal(got, expected)
 
 
 class TestBatchedProgramScoring:
