@@ -25,8 +25,6 @@ import os
 import sys
 import time
 
-import numpy as np
-
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
 from repro.autotuner import LearnedEvaluator  # noqa: E402

@@ -6,8 +6,6 @@ graphs beat sequences, and a sequence reduction on top of a GNN helps.
 
 Run:  python examples/compare_architectures.py
 """
-import numpy as np
-
 from repro.data import build_tile_dataset
 from repro.evaluation import evaluate_tile_task, format_table
 from repro.models import ModelConfig, TrainConfig, predict_tile_scores, train_tile_model

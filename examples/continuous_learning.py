@@ -85,7 +85,7 @@ def main() -> None:
     _check(len(stream) >= 8, "workload stream too small to be meaningful")
 
     registry = ModelRegistry(retain=4)
-    active = registry.publish(result)
+    registry.publish(result)
     feedback = FeedbackCollector(window=512, retain_samples=4096)
     service_config = ServiceConfig(
         max_batch_size=32, replicas=2, result_cache_entries=0

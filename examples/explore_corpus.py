@@ -5,7 +5,7 @@ Run:  python examples/explore_corpus.py
 """
 import numpy as np
 
-from repro.compiler import default_tile, enumerate_tile_sizes, fuse_program
+from repro.compiler import enumerate_tile_sizes, fuse_program
 from repro.evaluation import format_table
 from repro.tpu import TPU_V2, TPU_V3, TpuSimulator
 from repro.workloads import build_corpus, manual_split, random_split

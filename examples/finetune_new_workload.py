@@ -11,8 +11,6 @@ program of that family and re-measures.
 
 Run:  python examples/finetune_new_workload.py
 """
-import numpy as np
-
 from repro.data import build_tile_dataset
 from repro.evaluation import evaluate_tile_task, format_table
 from repro.models import (

@@ -18,11 +18,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..compiler.fusion import FusionConfig, FusionParams, default_fusion, fuse_program, fusible_edges
-from ..hlo.graph import Graph, Program
+from ..compiler.fusion import FusionConfig, FusionParams, default_fusion, fuse_program
+from ..hlo.graph import Program
 from .evaluators import HardwareEvaluator, ProgramCostModel
 from .search import (
-    SearchResult,
     genetic_search,
     parallel_annealing,
     random_search,

@@ -45,7 +45,6 @@ def instruction_flops(inst: Instruction) -> float:
     if inst.opcode is Opcode.REDUCE:
         # One combine op per input element (approximately).
         out = inst.shape.num_elements
-        rdims = inst.attr("dims", ())
         factor = 1
         # Input elements = output elements * product of reduced extents; the
         # reduced extents are not recoverable from the output shape alone, so

@@ -15,7 +15,6 @@ land in the same consumer group.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 

@@ -9,7 +9,7 @@ kernels.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Iterable, Sequence
 
 from ..hlo.graph import Graph

@@ -146,14 +146,12 @@ def live_tensor_peak(graph: Graph) -> int:
     its last user. The peak live count drives the simulator's spill model.
     """
     order = graph.topological_order()
-    users = graph.users()
     last_use: dict[int, int] = {}
     for pos, inst in enumerate(order):
         for op in inst.operands:
             last_use[op] = pos
     live = 0
     peak = 0
-    dead_at: dict[int, list[int]] = {}
     for pos, inst in enumerate(order):
         if inst.opcode not in (Opcode.PARAMETER, Opcode.CONSTANT):
             live += 1

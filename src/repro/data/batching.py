@@ -27,7 +27,6 @@ from .dataset import FusionRecord, TileRecord
 from .features import (
     FeatureScaler,
     KernelFeatures,
-    STATIC_FEATURE_DIM,
     TILE_FEATURE_DIM,
 )
 

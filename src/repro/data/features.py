@@ -24,7 +24,6 @@ import numpy as np
 from ..compiler.analysis import StaticAnalysis, analyze
 from ..compiler.kernels import Kernel
 from ..compiler.tiling import TileConfig
-from ..hlo.graph import Graph
 from ..hlo.instruction import Instruction
 from ..hlo.opcodes import Opcode
 

@@ -39,7 +39,6 @@ def bar_chart(
         return title or ""
     vmax = max(max(all_values), baseline or 0.0, 1e-12)
     name_w = max(len(n) for n in series)
-    label_w = max(len(l) for l in labels)
     lines: list[str] = []
     if title:
         lines.append(title)

@@ -12,7 +12,7 @@ transcendental functional unit (static performance feature #4 in the paper).
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 
 class OpCategory(enum.Enum):

@@ -15,7 +15,7 @@ Every ablation axis of the paper is a field here:
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 GNN_CHOICES = ("graphsage", "gat", "none")
 REDUCTION_CHOICES = ("per-node", "column-wise", "lstm", "transformer")

@@ -20,7 +20,7 @@ from ..nn.attention import TransformerEncoder
 from ..nn.graph_layers import GATLayer, GraphSAGELayer
 from ..nn.layers import Dense, Dropout, Embedding, MLP, Module
 from ..nn.rnn import LSTM
-from ..nn.sparse import segment_sum, spmm
+from ..nn.sparse import segment_sum
 from ..nn.tensor import Tensor
 from . import inference
 from .config import ModelConfig

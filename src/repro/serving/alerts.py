@@ -321,6 +321,29 @@ class AlertEngine:
         for rule in rules:
             self.add_rule(rule)
 
+    def bind(self, service) -> None:
+        """Bind to a service (``service.attach_alerts`` calls this).
+
+        Fills in whatever the constructor left unset: the service's
+        telemetry snapshot as the source, its journal, a recent-trace
+        exemplar from its tracer — and hooks the service's incident
+        reporter, if one is attached, onto this engine's transitions.
+        """
+        if self._source is None:
+            self._source = service.telemetry.collect
+        if self.journal is None:
+            self.journal = service.journal
+        tracer = service.tracer
+        if self._exemplar is None and tracer is not None:
+
+            def _exemplar() -> str | None:
+                recent = tracer.recent(1)
+                return recent[0]["trace_id"] if recent else None
+
+            self._exemplar = _exemplar
+        if service.incidents is not None:
+            service.incidents.observe(self)
+
     def add_rule(self, rule) -> None:
         """Register a rule (name must be unique across the engine)."""
         with self._lock:

@@ -26,12 +26,13 @@ act on :class:`~repro.serving.placement.RebalancePlan`s via
 migration (spawn + blob-sync new workers, swap the map, drain retired
 workers).
 
-Both backends keep a small LRU of **live versions** (``max_live_versions``,
-default 2): a canary/shadow rollout alternates active- and staged-version
-batches every few milliseconds, and serving both from warm state — warm
-replica pools in-thread, per-version evaluators inside each worker
-process — is what makes a rollout cost a version *switch* instead of a
-version *rebuild* per batch.
+Both backends keep a small LRU of **live versions**
+(:data:`~repro.serving.workers.MAX_LIVE_VERSIONS`, 2): a canary/shadow
+rollout alternates active- and staged-version batches every few
+milliseconds, and serving both from warm state — warm replica pools
+in-thread, per-version evaluators inside each worker process — is what
+makes a rollout cost a version *switch* instead of a version *rebuild*
+per batch.
 """
 from __future__ import annotations
 
@@ -55,7 +56,12 @@ from .protocol import lru_touch
 from .registry import ModelRegistry
 from .replica import ReplicaPool, shard_of
 from .resilience import CrashLoopBackoff
-from .workers import shard_worker
+from .workers import MAX_LIVE_VERSIONS, shard_worker
+
+START_METHOD = "spawn"
+"""``multiprocessing`` start method of the shard workers: safe alongside
+the service's threads (``fork`` boots faster but inherits the parent's
+thread state)."""
 
 
 @dataclass(frozen=True)
@@ -142,6 +148,11 @@ class Executor(ABC):
     #: ``fingerprint % n`` routing.
     shard_map: ShardMap | None = None
 
+    #: Duck-typed ops journal, installed by the service; backends with a
+    #: lifecycle worth recording (worker respawns, crash-loop
+    #: suppressions) write to it when present (``None`` = free).
+    journal = None
+
     def shard_for(self, shard_key: str) -> int:
         """The shard owning ``shard_key`` (stable digest-slice routing)."""
         if self.shard_map is not None:
@@ -200,8 +211,6 @@ class InThreadExecutor(Executor):
         replicas: shard count — evaluator replicas in the pool.
         max_cached_kernels: per-shard precompute/feature memo bound.
         share_kernel_cache: one precompute cache for all replicas.
-        max_live_versions: warm replica pools kept concurrently (LRU).
-            2 covers a rollout (active + staged) without rebuild thrash.
         fuse_tile_commands: opt-in cross-kernel fusion — all of a shard's
             tile commands in one micro-batch execute as a single
             multi-kernel forward (``score_tile_groups``), the same
@@ -218,20 +227,16 @@ class InThreadExecutor(Executor):
         replicas: int = 1,
         max_cached_kernels: int = 1024,
         share_kernel_cache: bool = True,
-        max_live_versions: int = 2,
         fuse_tile_commands: bool = False,
         shard_map: ShardMap | None = None,
     ) -> None:
         if replicas < 1:
             raise ValueError("replicas must be >= 1")
-        if max_live_versions < 1:
-            raise ValueError("max_live_versions must be >= 1")
         self.registry = registry
         self.shard_map = shard_map or ShardMap.uniform(replicas)
         self.num_shards = self.shard_map.num_shards
         self.max_cached_kernels = max_cached_kernels
         self.share_kernel_cache = share_kernel_cache
-        self.max_live_versions = max_live_versions
         self.fuse_tile_commands = fuse_tile_commands
         # Guards _pools: the serving thread LRU-touches it every batch
         # while metrics scrapes iterate it from other threads.
@@ -242,7 +247,7 @@ class InThreadExecutor(Executor):
         with self._pools_lock:
             pool = self._pools.get(version)
             if pool is not None:
-                lru_touch(self._pools, version, pool, self.max_live_versions)
+                lru_touch(self._pools, version, pool, MAX_LIVE_VERSIONS)
                 return pool
         # Build outside the lock (deserializing a checkpoint is slow and
         # must not block metrics); a racing builder of the same version
@@ -258,7 +263,7 @@ class InThreadExecutor(Executor):
             existing = self._pools.get(version)
             if existing is not None:
                 pool = existing
-            lru_touch(self._pools, version, pool, self.max_live_versions)
+            lru_touch(self._pools, version, pool, MAX_LIVE_VERSIONS)
             return pool
 
     def _run_fused_tiles(
@@ -423,18 +428,11 @@ class ProcessShardExecutor(Executor):
         registry: source of checkpoint blobs shipped to workers.
         shards: worker process count.
         max_cached_kernels: per-worker evaluator cache / interning bound.
-        start_method: ``multiprocessing`` start method. ``spawn`` (the
-            default) is safe alongside the service's threads; ``fork`` is
-            faster to boot but inherits the parent's thread state.
         request_timeout_s: the dispatch watchdog — per-message reply
             deadline before a worker is declared *hung* and
             killed/respawned. Pipe reads always use this bounded poll
             (never a blocking ``recv``), so a stopped-but-alive worker
             can stall one batch for at most this long, not forever.
-        max_live_versions: warm per-version evaluators each worker keeps
-            (LRU). 2 covers a rollout (active + staged): alternating
-            versions between micro-batches costs a one-word ``use``
-            message instead of re-shipping and re-deserializing the blob.
         fault_injector: optional chaos harness
             (:class:`~repro.serving.faults.FaultInjector`). Fires
             ``executor.dispatch`` parent-side per shard per batch (kill =
@@ -469,22 +467,17 @@ class ProcessShardExecutor(Executor):
         registry: ModelRegistry,
         shards: int = 2,
         max_cached_kernels: int = 1024,
-        start_method: str = "spawn",
         request_timeout_s: float = 30.0,
-        max_live_versions: int = 2,
         shard_map: ShardMap | None = None,
         fault_injector: FaultInjector | None = None,
     ) -> None:
         if shards < 1:
             raise ValueError("shards must be >= 1")
-        if max_live_versions < 1:
-            raise ValueError("max_live_versions must be >= 1")
         self.registry = registry
         self.shard_map = shard_map or ShardMap.uniform(shards)
         self.num_shards = self.shard_map.num_shards
         self.max_cached_kernels = max_cached_kernels
         self.request_timeout_s = request_timeout_s
-        self.max_live_versions = max_live_versions
         self._faults = fault_injector
         worker_plan: FaultPlan | None = None
         if fault_injector is not None:
@@ -492,10 +485,7 @@ class ProcessShardExecutor(Executor):
             if not worker_plan.rules:
                 worker_plan = None
         self._worker_plan = worker_plan
-        #: Duck-typed ops journal; worker respawns and crash-loop
-        #: suppressions are recorded when present (``None`` = free).
-        self.journal = None
-        self._ctx = multiprocessing.get_context(start_method)
+        self._ctx = multiprocessing.get_context(START_METHOD)
         self._shards = [_Shard(index=i) for i in range(self.num_shards)]
         # Serializes migrations (the shard list and map are only mutated
         # under it); the slow spawn/sync phase runs with no shard lock
@@ -552,7 +542,6 @@ class ProcessShardExecutor(Executor):
             args=(
                 child_conn,
                 self.max_cached_kernels,
-                self.max_live_versions,
                 shard.index,
                 self._worker_plan,
             ),
@@ -634,7 +623,7 @@ class ProcessShardExecutor(Executor):
             reply = self._request_locked(shard, ("use", version))
             if reply[0] == "ok":
                 shard.version = version
-                lru_touch(shard.loaded, version, True, self.max_live_versions)
+                lru_touch(shard.loaded, version, True, MAX_LIVE_VERSIONS)
                 return
             # Worker-side eviction (or an older worker): reload in full.
             shard.loaded.pop(version, None)
@@ -649,7 +638,7 @@ class ProcessShardExecutor(Executor):
                 f"shard {shard.index} failed to load {version}: {reply[1]}"
             )
         shard.version = version
-        lru_touch(shard.loaded, version, True, self.max_live_versions)
+        lru_touch(shard.loaded, version, True, MAX_LIVE_VERSIONS)
 
     def _remember_known_locked(self, shard: _Shard, fingerprint: str) -> None:
         lru_touch(shard.known, fingerprint, True, self.max_cached_kernels)
@@ -708,6 +697,16 @@ class ProcessShardExecutor(Executor):
         """
         return message + (trace,) if trace is not None else message
 
+    def _tile_batch_message(self, shard: _Shard, commands, force: bool) -> tuple:
+        """The fused ``tile_batch`` message for ``commands`` (kernels
+        attached when ``force``, else only where the worker has not
+        interned them), tagged with the first traced command's token."""
+        trace = next((c.trace for c in commands if c.trace is not None), None)
+        return self._with_trace(
+            ("tile_batch", [self._tile_entry(c, shard, force) for c in commands]),
+            trace,
+        )
+
     @staticmethod
     def _reply_spans(reply) -> tuple:
         """Worker-recorded span dicts riding on an ``ok`` reply."""
@@ -716,35 +715,33 @@ class ProcessShardExecutor(Executor):
     def _execute_one_locked(self, shard: _Shard, command: Command):
         """Round-trip one command; returns the worker's reply tuple."""
         if isinstance(command, TileCommand):
-            shard.conn.send(self._with_trace(
-                ("tiles",) + self._tile_entry(command, shard, False),
-                command.trace,
-            ))
-            reply = self._recv_locked(shard)
+            # A one-entry ``tile_batch``: the worker has a single
+            # tile-scoring verb, and a fused forward over one kernel is
+            # bitwise the per-kernel forward.
+            reply = self._request_locked(
+                shard, self._tile_batch_message(shard, [command], False)
+            )
             if reply[0] == "miss":
                 # The worker evicted this kernel from its interning map;
                 # retry with the kernel attached.
-                shard.known.pop(command.kernel.fingerprint(), None)
-                shard.conn.send(self._with_trace(
-                    ("tiles",) + self._tile_entry(command, shard, True),
-                    command.trace,
-                ))
-                reply = self._recv_locked(shard)
+                self._forget_locked(shard, reply[1])
+                reply = self._request_locked(
+                    shard, self._tile_batch_message(shard, [command], True)
+                )
             if reply[0] == "ok":
                 self._remember_known_locked(shard, command.kernel.fingerprint())
+                reply = ("ok", reply[1][0]) + tuple(reply[2:])
             return reply
-        shard.conn.send(self._with_trace(
+        reply = self._request_locked(shard, self._with_trace(
             ("programs", self._program_entries(command, shard, False)),
             command.trace,
         ))
-        reply = self._recv_locked(shard)
         if reply[0] == "miss":
             self._forget_locked(shard, reply[1])
-            shard.conn.send(self._with_trace(
+            reply = self._request_locked(shard, self._with_trace(
                 ("programs", self._program_entries(command, shard, True)),
                 command.trace,
             ))
-            reply = self._recv_locked(shard)
         if reply[0] == "ok":
             self._remember_program_locked(shard, command)
         return reply
@@ -762,15 +759,8 @@ class ProcessShardExecutor(Executor):
             (i, c) for i, c in items if isinstance(c, ProgramCommand)
         ]
         if tile_items:
-            trace = next(
-                (c.trace for _, c in tile_items if c.trace is not None), None
-            )
-            shard.conn.send(self._with_trace(
-                (
-                    "tile_batch",
-                    [self._tile_entry(c, shard, False) for _, c in tile_items],
-                ),
-                trace,
+            shard.conn.send(self._tile_batch_message(
+                shard, [c for _, c in tile_items], False
             ))
         for _, command in program_items:
             shard.conn.send(self._with_trace(
@@ -859,15 +849,8 @@ class ProcessShardExecutor(Executor):
             # The worker evicted some referenced kernels: resend the whole
             # fused batch with every kernel attached.
             self._forget_locked(shard, tile_reply[1])
-            trace = next(
-                (c.trace for _, c in tile_items if c.trace is not None), None
-            )
-            shard.conn.send(self._with_trace(
-                (
-                    "tile_batch",
-                    [self._tile_entry(c, shard, True) for _, c in tile_items],
-                ),
-                trace,
+            shard.conn.send(self._tile_batch_message(
+                shard, [c for _, c in tile_items], True
             ))
         for index, command in deferred:
             shard.conn.send(self._with_trace(
@@ -1033,7 +1016,7 @@ class ProcessShardExecutor(Executor):
                 raise WorkerDiedError(
                     f"shard {shard.index} failed to warm {version}: {reply[1]}"
                 )
-            lru_touch(shard.loaded, version, True, self.max_live_versions)
+            lru_touch(shard.loaded, version, True, MAX_LIVE_VERSIONS)
             synced += 1
         self._sync_locked(shard, versions[0])
         return synced + 1

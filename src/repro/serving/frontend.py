@@ -316,7 +316,7 @@ class SocketFrontend(Frontend):
                     attrs={"transport": "socket", "bytes": len(body)},
                 )
                 request = replace(request, trace=ctx)
-            elif getattr(request, "trace", None) is not None:
+            elif request.trace is not None:
                 # Sampled out: strip the wire context so no downstream
                 # hook mistakes the request for a traced one.
                 request = replace(request, trace=None)

@@ -211,7 +211,7 @@ class MetricsGateway:
             if firing:
                 status = "degraded"
         try:
-            board = self.service._collect_breakers()["breakers"]
+            board = self.service.breaker_board()["breakers"]
         except Exception:
             board = {}
         open_breakers = sorted(

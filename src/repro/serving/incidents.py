@@ -114,8 +114,11 @@ class IncidentReporter:
     # ------------------------------------------------------------------ #
 
     def bind(self, service) -> None:
-        """Bind to a service (``service.attach_incidents`` calls this)."""
+        """Bind to a service (``service.attach_incidents`` calls this);
+        hooks onto its alert engine when one is already attached."""
         self._service = service
+        if service.alerts is not None:
+            self.observe(service.alerts)
 
     def observe(self, engine) -> None:
         """Hook this reporter onto an alert engine's transition stream."""
@@ -347,7 +350,7 @@ class IncidentReporter:
         if service is None:
             return []
         try:
-            board = service._collect_breakers()["breakers"]
+            board = service.breaker_board()["breakers"]
         except Exception:
             return []
         causes = []

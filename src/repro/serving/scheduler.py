@@ -47,6 +47,14 @@ class PendingRequest:
     the service sheds requests past it before dispatch with a typed
     ``deadline_exceeded`` instead of spending a forward on an answer the
     client has stopped waiting for.
+
+    ``shard`` is stamped when the service places the request in a
+    coalesced command group; a request that never reaches one (malformed,
+    shed, answered from the result cache) stays shard-less, which is
+    what keeps it out of the per-shard stats.
+
+    This is the one per-request record of the serving path: every hook
+    reads the request's ``trace`` / ``synthetic`` tags through it.
     """
 
     request: Request
@@ -55,6 +63,17 @@ class PendingRequest:
     routed_version: str | None = None
     shadowed_by: str | None = None
     expires_at: float | None = None
+    shard: int | None = None
+
+    @property
+    def trace(self):
+        """The request's sampled trace context, or ``None``."""
+        return self.request.trace
+
+    @property
+    def synthetic(self) -> bool:
+        """True for a prober probe (excluded from business observers)."""
+        return self.request.synthetic
 
 
 class MicroBatcher:
@@ -148,9 +167,7 @@ class MicroBatcher:
             RuntimeError: the scheduler is closed.
         """
         pending = PendingRequest(request=request, enqueued_at=time.perf_counter())
-        # getattr: foreign request-like objects (tests exercise the
-        # malformed-request path) may not carry the deadline field.
-        deadline = getattr(request, "deadline_s", None)
+        deadline = request.deadline_s
         if deadline is None:
             deadline = self.default_deadline_s
         if deadline is not None:

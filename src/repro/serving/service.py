@@ -14,32 +14,54 @@ The serving tier is three explicit layers:
   coalesced forwards run: in-thread replicas (default) or per-shard
   worker subprocesses with true parallel forwards.
 
-Requests from all frontends funnel through the micro-batcher and are
-reduced to as few coalesced forwards as possible:
+Every request takes the same eight steps, top to bottom in this module,
+carried by one mutable record
+(:class:`~repro.serving.scheduler.PendingRequest`: the request, its
+future, and the version / shadow / deadline / shard stamped on the way):
 
-* tile-score requests for the *same kernel* are merged into one
-  ``score_tiles_batched`` call (their candidate lists concatenated, the
-  score vector split back per request);
-* kernel-runtime requests are merged into one
-  ``program_runtimes_batched`` call over single-kernel programs;
-* program-population requests are merged into one
-  ``program_runtimes_batched`` call over the concatenated populations.
+1. **admit** (:meth:`CostModelService.submit`) — open the root span,
+   answer from the version-scoped result cache when it can, otherwise
+   enqueue on the micro-batcher (or shed at the door with a typed
+   ``Overloaded``).
+2. **shed** — at the batch cut, abandoned requests are dropped and
+   expired ones resolve with a typed ``deadline_exceeded`` before a
+   forward is spent on them.
+3. **route** — model selection is snapshotted **once per micro-batch**,
+   through the deployment control plane's version chooser: the active
+   :class:`~repro.serving.rollout.RolloutPolicy` names a version per
+   request, the batch is partitioned by chosen version, and every
+   partition executes as its own **version-pure** batch — so a registry
+   hot swap (:meth:`ModelRegistry.activate`) still takes effect at the
+   next batch cut, in-flight requests are never dropped, and no response
+   (and no executed batch) ever mixes two checkpoints, canary traffic
+   included. With the default
+   :class:`~repro.serving.rollout.FullActivation` policy the partition
+   step degenerates to the single active-version batch of PR 2/3 —
+   identical commands, identical order, identical numerics.
+4. **compose** — a partition is reduced to as few coalesced forwards as
+   possible, one shard-annotated command each:
 
-Model selection is snapshotted **once per micro-batch**, through the
-deployment control plane's version chooser: the active
-:class:`~repro.serving.rollout.RolloutPolicy` names a version per request,
-the batch is partitioned by chosen version, and every partition executes
-as its own **version-pure** batch — so a registry hot swap
-(:meth:`ModelRegistry.activate`) still takes effect at the next batch
-cut, in-flight requests are never dropped, and no response (and no
-executed batch) ever mixes two checkpoints, canary traffic included.
-Each response is stamped with the version that produced it. The executor
-syncs its shards to each partition's version before it executes, which
-extends the same guarantee across process boundaries.
+   * tile-score requests for the *same kernel* are merged into one
+     ``score_tiles_batched`` call (their candidate lists concatenated);
+   * kernel-runtime requests are merged into one
+     ``program_runtimes_batched`` call over single-kernel programs;
+   * program-population requests are merged into one
+     ``program_runtimes_batched`` call over the concatenated populations.
+5. **gate** — commands for a shard whose circuit breaker is open never
+   reach the executor; their requests degrade to the analytical model.
+6. **dispatch** — the executor syncs its shards to the partition's
+   version before it executes, which extends the version-purity
+   guarantee across process boundaries.
+7. **split** — each coalesced result is sliced back per request, in
+   submission order (the score vector split back per request).
+8. **finish** (:meth:`CostModelService._finish`) — the single resolution
+   site: answer | typed error | ``degraded=True``. It builds the
+   response (stamped with the version that produced it), keeps probes
+   out of every business observer with one predicate, feeds stats,
+   result cache, feedback and journal, and closes the root span.
 
-With the default :class:`~repro.serving.rollout.FullActivation` policy
-the partition step degenerates to the single active-version batch of
-PR 2/3 — identical commands, identical order, identical numerics.
+Shadow assignments execute after every response of the micro-batch has
+resolved — off the response path by construction.
 
 The service runs either with a background worker thread (:meth:`start`,
 for genuinely concurrent clients) or fully synchronously
@@ -51,7 +73,6 @@ from __future__ import annotations
 import threading
 import time
 import traceback
-from concurrent.futures import Future
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -67,7 +88,7 @@ from .executors import (
 )
 from .faults import FaultInjector
 from .feedback import FeedbackCollector, request_key
-from .placement import RebalancePlan, ShardMap
+from .placement import DEFAULT_BUCKETS, RebalancePlan, ShardMap
 from .protocol import (
     ERROR_DEADLINE_EXCEEDED,
     ERROR_UNAVAILABLE,
@@ -109,9 +130,6 @@ class ServiceConfig:
         replicas: fingerprint shards — evaluator replicas for the
             ``thread`` executor, worker subprocesses for ``process``.
         executor: one of :data:`EXECUTOR_CHOICES`.
-        executor_start_method: multiprocessing start method for the
-            ``process`` executor (``spawn`` is thread-safe; ``fork`` boots
-            faster).
         max_cached_kernels: per-shard precompute/feature memo bound.
         result_cache_entries: shared result-cache capacity (0 disables).
             The result cache always lives in the frontend process,
@@ -119,19 +137,12 @@ class ServiceConfig:
         share_kernel_cache: one precompute cache for all in-thread
             replicas (ignored by the ``process`` executor — worker caches
             are per-process by construction).
-        max_live_versions: warm checkpoint versions each executor keeps
-            concurrently (2 = active + staged, the rollout pair).
         fuse_tile_commands: opt-in cross-kernel fused forwards for the
             ``thread`` executor — a micro-batch's tile commands on one
             shard execute as a single multi-kernel forward (the batching
             policy the ``process`` executor already applies per worker).
             Changes batch shape, so scores move at float32 BLAS rounding
             level versus the per-kernel-forward default.
-        placement_buckets: bucket count of the executor's
-            :class:`~repro.serving.placement.ShardMap` — the granularity
-            rebalance plans move. The default uniform map routes
-            identically to the legacy ``fingerprint % n`` whenever the
-            bucket count is a multiple of the shard count.
         shadow_cache_hit_fraction: fraction of result-cache *hits*
             sampled into shadow batches during a rollout (deterministic
             by request hash). Cache hits bypass execution — and with it
@@ -170,13 +181,10 @@ class ServiceConfig:
     adaptive_flush: bool = True
     replicas: int = 1
     executor: str = "thread"
-    executor_start_method: str = "spawn"
     max_cached_kernels: int = 1024
     result_cache_entries: int = 4096
     share_kernel_cache: bool = True
-    max_live_versions: int = 2
     fuse_tile_commands: bool = False
-    placement_buckets: int = 64
     shadow_cache_hit_fraction: float = 0.0
     default_deadline_s: float | None = None
     max_pending: int = 0
@@ -269,7 +277,7 @@ class CostModelService:
             self.registry.publish(source)
         if self.registry.active_version is None:
             raise ValueError("registry has no published model to serve")
-        if journal is not None and getattr(self.registry, "journal", None) is None:
+        if journal is not None and self.registry.journal is None:
             self.registry.journal = journal
         self.scheduler = MicroBatcher(
             max_batch_size=self.config.max_batch_size,
@@ -286,7 +294,7 @@ class CostModelService:
         self._rollout = rollout or FullActivation()
         self._rollout_lock = threading.Lock()
         self.executor = executor or self._build_executor()
-        if journal is not None and hasattr(self.executor, "journal"):
+        if journal is not None:
             self.executor.journal = journal
         self._exec_lock = threading.Lock()
         self._breakers: dict[int, CircuitBreaker] = {}
@@ -306,9 +314,11 @@ class CostModelService:
     _SHADOW_BACKLOG_CAP = 512
 
     def _build_executor(self) -> Executor:
+        # The uniform map routes identically to the legacy
+        # ``fingerprint % n`` whenever the bucket count (the granularity
+        # rebalance plans move) is a multiple of the shard count.
         shard_map = ShardMap.uniform(
-            self.config.replicas, max(self.config.placement_buckets,
-                                      self.config.replicas)
+            self.config.replicas, max(DEFAULT_BUCKETS, self.config.replicas)
         )
         if self.config.executor == "thread":
             return InThreadExecutor(
@@ -316,7 +326,6 @@ class CostModelService:
                 replicas=self.config.replicas,
                 max_cached_kernels=self.config.max_cached_kernels,
                 share_kernel_cache=self.config.share_kernel_cache,
-                max_live_versions=self.config.max_live_versions,
                 fuse_tile_commands=self.config.fuse_tile_commands,
                 shard_map=shard_map,
             )
@@ -325,8 +334,6 @@ class CostModelService:
                 self.registry,
                 shards=self.config.replicas,
                 max_cached_kernels=self.config.max_cached_kernels,
-                start_method=self.config.executor_start_method,
-                max_live_versions=self.config.max_live_versions,
                 shard_map=shard_map,
                 request_timeout_s=self.config.dispatch_timeout_s,
                 fault_injector=self.faults,
@@ -343,7 +350,7 @@ class CostModelService:
     @property
     def shard_map(self) -> ShardMap | None:
         """The executor's versioned fingerprint → shard assignment."""
-        return getattr(self.executor, "shard_map", None)
+        return self.executor.shard_map
 
     def rebalance(self, plan: RebalancePlan) -> dict:
         """Apply a placement plan at a micro-batch boundary.
@@ -477,64 +484,51 @@ class CostModelService:
         tracer = self.tracer
         ctx = None
         if tracer is not None:
-            ctx = getattr(request, "trace", None)
+            ctx = request.trace
             if ctx is None:
                 # In-process ingress: open the root span here. (The
                 # socket frontend ingresses before submitting, so its
                 # requests arrive with a context already attached.)
                 ctx = tracer.ingress(request, process="frontend", name="request")
                 if ctx is not None:
-                    try:
-                        request = replace(request, trace=ctx)
-                    except TypeError:
-                        # Foreign request-like objects (tests) cannot
-                        # carry a context onward.
-                        ctx = None
+                    request = replace(request, trace=ctx)
         active = self.registry.active_version
         policy = self.get_rollout()
         version = self._route(policy, request, active)
         # Synthetic probes must exercise the full route (scheduler,
         # executor, worker) — a cached answer would verify nothing — and
         # must not touch the business result cache or counters.
-        synthetic = getattr(request, "synthetic", False)
         try:
-            key = None if synthetic else request.cache_key()
+            key = None if request.synthetic else request.cache_key()
         except Exception:
             # Malformed requests still get a future; the worker resolves
             # it with an error response instead of submit() throwing.
             key = None
-        if key is not None:
-            cached = self.result_cache.get((version, key))
-            if cached is not None:
-                if ctx is not None:
-                    tracer.event(ctx, "cache.hit", attrs={"version": version})
-                    tracer.finish(ctx, attrs={"cache_hit": True})
-                response = Response(
-                    value=cached,
-                    model_version=version,
-                    batch_size=1,
-                    cache_hit=True,
-                    canary=version != active,
-                    trace_id=ctx.trace_id if ctx is not None else None,
-                )
-                self.stats.record_response(0.0, cache_hit=True)
-                self.stats.record_route(version, canary=version != active)
-                self._maybe_shadow_cache_hit(policy, request, version)
-                future: Future = Future()
-                future.set_result(response)
-                return future
+        cached = None if key is None else self.result_cache.get((version, key))
+        if cached is not None:
+            pending = PendingRequest(request=request, enqueued_at=time.perf_counter())
+            self._finish(
+                pending, version, cached, cache_hit=True, canary=version != active
+            )
+            self._maybe_shadow_cache_hit(policy, pending, version)
+            return pending.future
         try:
             return self.scheduler.submit(request)
-        except Overloaded:
-            if not synthetic:
+        except Exception as exc:
+            # Shed at the door (a typed ``Overloaded``) or refused by a
+            # closed scheduler: no resolution will follow, so the root
+            # span this request opened must be closed here.
+            overloaded = isinstance(exc, Overloaded)
+            if overloaded and not request.synthetic:
                 self.stats.record_overload_rejection()
             if ctx is not None:
-                tracer.event(ctx, "overload.rejected")
+                if overloaded:
+                    tracer.event(ctx, "overload.rejected")
                 tracer.finish(ctx, status="error")
             raise
 
     def _maybe_shadow_cache_hit(
-        self, policy: RolloutPolicy, request: Request, routed: str
+        self, policy: RolloutPolicy, pending: PendingRequest, routed: str
     ) -> None:
         """Sample a result-cache hit into the shadow backlog.
 
@@ -551,11 +545,11 @@ class CostModelService:
         if staged is None or staged == routed or staged not in self.registry:
             return
         try:
-            if request_unit_hash(request, salt="cache-hit-shadow") >= fraction:
-                return
+            unit = request_unit_hash(pending.request, salt="cache-hit-shadow")
         except Exception:
             return
-        pending = PendingRequest(request=request, enqueued_at=time.perf_counter())
+        if unit >= fraction:
+            return
         with self._backlog_lock:
             if len(self._shadow_backlog) >= self._SHADOW_BACKLOG_CAP:
                 return
@@ -651,21 +645,8 @@ class CostModelService:
         stays *pulled* — call ``engine.evaluate()`` from the ops loop
         (or ``engine.start()`` it).
         """
-        if engine._source is None:
-            engine._source = self.telemetry.collect
-        if engine.journal is None and self.journal is not None:
-            engine.journal = self.journal
-        if engine._exemplar is None and self.tracer is not None:
-            tracer = self.tracer
-
-            def _exemplar() -> str | None:
-                recent = tracer.recent(1)
-                return recent[0]["trace_id"] if recent else None
-
-            engine._exemplar = _exemplar
+        engine.bind(self)
         engine.register_into(self.telemetry)
-        if self.incidents is not None:
-            self.incidents.observe(engine)
         self.alerts = engine
 
     def attach_prober(self, prober) -> None:
@@ -690,8 +671,6 @@ class CostModelService:
         self-assembles an incident report.
         """
         reporter.bind(self)
-        if self.alerts is not None:
-            reporter.observe(self.alerts)
         reporter.register_into(self.telemetry)
         self.incidents = reporter
 
@@ -708,7 +687,7 @@ class CostModelService:
         registry.register_collector("shards", self._collect_shards)
         registry.register_collector("versions", self._collect_versions)
         registry.register_collector("deployment", self._collect_deployment)
-        registry.register_collector("breakers", self._collect_breakers)
+        registry.register_collector("breakers", self.breaker_board)
         registry.register_collector("fallback", self._collect_fallback)
         registry.register_collector("placement", self._collect_placement)
         registry.register_collector("slo", self._collect_slo)
@@ -764,7 +743,10 @@ class CostModelService:
             ),
         }
 
-    def _collect_breakers(self) -> dict:
+    def breaker_board(self) -> dict:
+        """Every shard breaker's snapshot plus the summed open time (the
+        ``breakers`` part of :meth:`metrics`; the gateway's ``/healthz``
+        and incident reports read it directly)."""
         with self._breaker_lock:
             breakers = dict(self._breakers)
         return {
@@ -828,8 +810,8 @@ class CostModelService:
             message = traceback.format_exc()
             version = self.registry.active_version
             for pending in batch:
-                self._resolve_error(
-                    pending, version, message, code=ERROR_UNAVAILABLE
+                self._finish(
+                    pending, version, error=message, code=ERROR_UNAVAILABLE
                 )
 
     def _execute(self, batch: list[PendingRequest]) -> None:
@@ -847,56 +829,21 @@ class CostModelService:
             batch = self._shed(batch, active)
             if not batch:
                 return
-            tracer = self.tracer
-            profiler = self.profiler
-            if tracer is not None or profiler is not None:
-                cut_wall, cut_perf = time.time(), time.perf_counter()
             groups: dict[str, list[PendingRequest]] = {}
             shadow_groups: dict[str, list[PendingRequest]] = {}
             for pending in batch:
                 version = self._route(policy, pending.request, active)
                 # Probes never trigger shadow scoring: a shadow forward
                 # spent on synthetic traffic is wasted evidence budget.
-                if getattr(pending.request, "synthetic", False):
-                    shadow = None
-                else:
-                    shadow = self._shadow_target(
-                        policy, pending.request, active, version
-                    )
+                shadow = None if pending.synthetic else self._shadow_target(
+                    policy, pending.request, active, version
+                )
                 pending.routed_version = version
                 pending.shadowed_by = shadow
                 groups.setdefault(version, []).append(pending)
                 if shadow is not None:
                     shadow_groups.setdefault(shadow, []).append(pending)
-                if tracer is not None:
-                    ctx = getattr(pending.request, "trace", None)
-                    if ctx is not None:
-                        # Queue wait ends at the batch cut; span times are
-                        # wall-clock, so reconstruct the start from the
-                        # perf_counter enqueue stamp.
-                        tracer.record(
-                            ctx,
-                            "queue.wait",
-                            start=cut_wall - (cut_perf - pending.enqueued_at),
-                            end=cut_wall,
-                            process="scheduler",
-                        )
-                        tracer.event(
-                            ctx, "batch.cut", attrs={"batch_size": len(batch)}
-                        )
-                        route_attrs = {
-                            "version": version, "canary": version != active,
-                        }
-                        if shadow is not None:
-                            route_attrs["shadow"] = shadow
-                        tracer.event(ctx, "route", attrs=route_attrs)
-                if profiler is not None:
-                    ctx = getattr(pending.request, "trace", None)
-                    profiler.record_stage(
-                        "queue.wait",
-                        cut_perf - pending.enqueued_at,
-                        trace_id=ctx.trace_id if ctx is not None else None,
-                    )
+            self._observe_cut(batch, active)
             total_forwards = 0
             for version, sub_batch in groups.items():
                 try:
@@ -908,8 +855,8 @@ class CostModelService:
                     # check and execution (rolled back + retention-pruned
                     # by a concurrent publish): honor the degrade-to-
                     # active contract instead of failing the sub-batch.
-                    # _resolve/_resolve_error skip already-done futures,
-                    # so a partial first attempt retries safely.
+                    # _finish skips already-done futures, so a partial
+                    # first attempt retries safely.
                     if version != active and version not in self.registry:
                         try:
                             total_forwards += self._execute_version(
@@ -920,7 +867,10 @@ class CostModelService:
                             version = active
                     message = traceback.format_exc()
                     for pending in sub_batch:
-                        self._resolve_error(pending, version, message)
+                        # The backend itself failed, not the shard the
+                        # request was composed for.
+                        pending.shard = None
+                        self._finish(pending, version, error=message)
             self.stats.record_batch(len(batch), total_forwards)
             for version, sub_batch in shadow_groups.items():
                 self._execute_shadow(version, sub_batch)
@@ -939,23 +889,61 @@ class CostModelService:
         now = time.perf_counter()
         live: list[PendingRequest] = []
         for pending in batch:
-            synthetic = getattr(pending.request, "synthetic", False)
             if pending.future.done():
-                if not synthetic:
+                if not pending.synthetic:
                     self.stats.record_abandoned()
             elif pending.expires_at is not None and now >= pending.expires_at:
-                if not synthetic:
+                if not pending.synthetic:
                     self.stats.record_deadline_expired()
-                self._resolve_error(
+                self._finish(
                     pending,
                     active,
-                    f"deadline expired before dispatch "
+                    error=f"deadline expired before dispatch "
                     f"(queued {now - pending.enqueued_at:.3f}s)",
                     code=ERROR_DEADLINE_EXCEEDED,
                 )
             else:
                 live.append(pending)
         return live
+
+    def _observe_cut(self, batch: list[PendingRequest], active: str) -> None:
+        """Show one routed batch cut to the tracer and the profiler.
+
+        Per request: the ``queue.wait`` span and stage sample, and the
+        ``batch.cut`` / ``route`` events (read off the record the
+        routing loop just stamped).
+        """
+        tracer = self.tracer
+        profiler = self.profiler
+        if tracer is None and profiler is None:
+            return
+        cut_wall, cut_perf = time.time(), time.perf_counter()
+        for pending in batch:
+            ctx = pending.trace
+            waited = cut_perf - pending.enqueued_at
+            if tracer is not None and ctx is not None:
+                # Queue wait ends at the batch cut; span times are
+                # wall-clock, so reconstruct the start from the
+                # perf_counter enqueue stamp.
+                tracer.record(
+                    ctx,
+                    "queue.wait",
+                    start=cut_wall - waited,
+                    end=cut_wall,
+                    process="scheduler",
+                )
+                tracer.event(ctx, "batch.cut", attrs={"batch_size": len(batch)})
+                version = pending.routed_version
+                route_attrs = {"version": version, "canary": version != active}
+                if pending.shadowed_by is not None:
+                    route_attrs["shadow"] = pending.shadowed_by
+                tracer.event(ctx, "route", attrs=route_attrs)
+            if profiler is not None:
+                profiler.record_stage(
+                    "queue.wait",
+                    waited,
+                    trace_id=ctx.trace_id if ctx is not None else None,
+                )
 
     def _breaker(self, shard: int) -> CircuitBreaker:
         """The (lazily created) circuit breaker guarding one shard."""
@@ -983,7 +971,6 @@ class CostModelService:
         self,
         pending: PendingRequest,
         version: str,
-        shard: int | None,
         reason: str,
         code: str = ERROR_UNAVAILABLE,
     ) -> None:
@@ -998,50 +985,23 @@ class CostModelService:
         """
         if pending.future.done():
             return
-        synthetic = getattr(pending.request, "synthetic", False)
+        value = None
         if self._fallback is not None:
             try:
                 value = self._fallback.answer(pending.request)
             except Exception:
                 value = None
-            if value is not None:
-                latency = time.perf_counter() - pending.enqueued_at
-                if not synthetic:
-                    self.stats.record_response(
-                        latency, cache_hit=False, shard=shard
-                    )
-                    self.stats.record_degraded()
-                ctx = self._trace_ctx(pending)
-                if ctx is not None:
-                    self.tracer.event(ctx, "degraded", attrs={"reason": reason})
-                    self.tracer.finish(ctx, status="degraded")
-                if not synthetic:
-                    self._journal_event(
-                        "service.degraded",
-                        trace_id=ctx.trace_id if ctx is not None else None,
-                        shard=shard,
-                        version=version,
-                        reason=reason.splitlines()[0][:200] if reason else "",
-                    )
-                pending.future.set_result(
-                    Response(
-                        value=value,
-                        model_version=ANALYTICAL_VERSION,
-                        batch_size=1,
-                        latency_s=latency,
-                        degraded=True,
-                        trace_id=ctx.trace_id if ctx is not None else None,
-                        synthetic=synthetic,
-                    )
-                )
-                return
-        self._resolve_error(pending, version, reason, shard, code=code)
+        self._finish(
+            pending, version, value,
+            error=reason, code=code, degraded=value is not None,
+        )
 
     def _build_commands(self, batch: list[PendingRequest], on_malformed=None):
         """Coalesce a version-pure batch into shard-annotated commands.
 
         Returns ``(commands, groups)`` where ``groups[i]`` is the
-        ``(kind, shard, pendings)`` slice answered by ``commands[i]``.
+        ``(kind, pendings)`` slice answered by ``commands[i]``; every
+        grouped request is stamped with the command's shard.
         Malformed requests (e.g. fingerprinting raises) are reported to
         ``on_malformed(pending, message)`` and excluded — they must fail
         alone, not take their co-batched neighbours down.
@@ -1060,23 +1020,26 @@ class CostModelService:
                     runtime_groups.setdefault(shard, []).append(pending)
                 elif isinstance(request, ProgramRuntimesRequest):
                     program_groups.setdefault(shard, []).append(pending)
-                elif on_malformed is not None:
-                    on_malformed(
-                        pending,
-                        f"unknown request type {type(request).__name__}",
-                    )
+                else:
+                    if on_malformed is not None:
+                        on_malformed(
+                            pending,
+                            f"unknown request type {type(request).__name__}",
+                        )
+                    continue
+                pending.shard = shard
             except Exception:
                 if on_malformed is not None:
                     on_malformed(pending, traceback.format_exc())
 
         commands = []
-        groups: list[tuple[str, int, list[PendingRequest]]] = []
+        groups: list[tuple[str, list[PendingRequest]]] = []
         for (shard, _), group in tile_groups.items():
             merged = tuple(t for p in group for t in p.request.tiles)
             commands.append(
                 TileCommand(shard=shard, kernel=group[0].request.kernel, tiles=merged)
             )
-            groups.append(("tiles", shard, group))
+            groups.append(("tiles", group))
         for shard, group in runtime_groups.items():
             commands.append(
                 ProgramCommand(
@@ -1084,19 +1047,81 @@ class CostModelService:
                     programs=tuple((p.request.kernel,) for p in group),
                 )
             )
-            groups.append(("runtimes", shard, group))
+            groups.append(("runtimes", group))
         for shard, group in program_groups.items():
             merged_programs = tuple(
                 tuple(kernels) for p in group for kernels in p.request.programs
             )
             commands.append(ProgramCommand(shard=shard, programs=merged_programs))
-            groups.append(("programs", shard, group))
+            groups.append(("programs", group))
         return commands, groups
+
+    @staticmethod
+    def _split(kind: str, group: list[PendingRequest], value):
+        """Slice one coalesced result back per request, in group order.
+
+        Yields ``(pending, value)``: one float per request of a
+        ``runtimes`` group, otherwise the request's own contiguous slice
+        of the score vector (as long as the tiles / programs it sent).
+        The response path and shadow scoring share it, so a shadow
+        prediction always lines up with the response it shadows.
+        """
+        offset = 0
+        for pending in group:
+            if kind == "runtimes":
+                yield pending, float(value[offset])
+                offset += 1
+                continue
+            request = pending.request
+            n = len(request.tiles if kind == "tiles" else request.programs)
+            yield pending, np.asarray(value[offset:offset + n])
+            offset += n
+
+    def _open_dispatch_spans(self, command, kind: str, group, version: str):
+        """Open an ``executor.dispatch`` span per sampled request of one
+        command; returns the (trace-tagged) command and the open spans."""
+        if self.tracer is None:
+            return command, ()
+        attrs = {"shard": command.shard, "kind": kind, "version": version}
+        opened = tuple(
+            (
+                pending.trace,
+                self.tracer.start_span(
+                    pending.trace, "executor.dispatch",
+                    process="executor", attrs=attrs,
+                ),
+            )
+            for pending in group
+            if pending.trace is not None
+        )
+        if opened:
+            # One trace token per fused command: workers tag their
+            # forward span with it; closing the spans re-parents copies
+            # under every sampled request.
+            first_ctx, first_span = opened[0]
+            command = replace(command, trace=(first_ctx.trace_id, first_span))
+        return command, opened
+
+    def _close_dispatch_spans(self, spans, status="ok", forwards=()) -> None:
+        """End one command's dispatch spans (none when untraced).
+
+        ``forwards`` are the executor-reported spans (worker forwards)
+        of a successful command: each is re-parented under every sampled
+        request's dispatch span — each trace sees the shared forward it
+        rode in.
+        """
+        for ctx, span_id in spans:
+            for raw in forwards:
+                self.tracer.record_raw(
+                    dict(raw, trace_id=ctx.trace_id, parent_id=span_id)
+                )
+            self.tracer.end_span(ctx.trace_id, span_id, status=status)
 
     def _execute_version(
         self, version: str, batch: list[PendingRequest], canary: bool
     ) -> int:
-        """Run one version-pure batch: group, execute, split, resolve.
+        """Run one version-pure batch: compose, gate, dispatch, split,
+        finish.
 
         Returns the number of model forwards spent.
         """
@@ -1105,19 +1130,13 @@ class CostModelService:
             # One exemplar per batch: the first traced request links the
             # aggregate stage histograms back to a concrete trace tree.
             exemplar = next(
-                (
-                    ctx.trace_id
-                    for pending in batch
-                    if (ctx := getattr(pending.request, "trace", None))
-                    is not None
-                ),
-                None,
+                (p.trace.trace_id for p in batch if p.trace is not None), None
             )
             stage_start = time.perf_counter()
         commands, groups = self._build_commands(
             batch,
-            on_malformed=lambda pending, message: self._resolve_error(
-                pending, version, message
+            on_malformed=lambda pending, message: self._finish(
+                pending, version, error=message
             ),
         )
         if profiler is not None:
@@ -1132,60 +1151,27 @@ class CostModelService:
         run_commands = []
         run_groups = []
         dispatch_spans: list[tuple] = []  # parallel to run_groups
-        for command, group in zip(commands, groups):
-            if self._breaker(command.shard).allow():
-                spans: tuple = ()
-                if tracer is not None:
-                    kind, shard, pendings = group
-                    opened = []
-                    for pending in pendings:
-                        ctx = getattr(pending.request, "trace", None)
-                        if ctx is None:
-                            continue
-                        span_id = tracer.start_span(
-                            ctx,
-                            "executor.dispatch",
-                            process="executor",
-                            attrs={
-                                "shard": shard, "kind": kind,
-                                "version": version,
-                            },
-                        )
-                        opened.append((ctx, span_id))
-                    if opened:
-                        # One trace token per fused command: workers tag
-                        # their forward span with it; the result loop
-                        # re-parents copies under every sampled request.
-                        first_ctx, first_span = opened[0]
-                        command = replace(
-                            command, trace=(first_ctx.trace_id, first_span)
-                        )
-                    spans = tuple(opened)
-                run_commands.append(command)
-                run_groups.append(group)
-                dispatch_spans.append(spans)
-            else:
-                _, shard, pendings = group
-                blocked = sum(
-                    1
-                    for p in pendings
-                    if not getattr(p.request, "synthetic", False)
+        for command, (kind, group) in zip(commands, groups):
+            shard = command.shard
+            if self._breaker(shard).allow():
+                command, spans = self._open_dispatch_spans(
+                    command, kind, group, version
                 )
-                if blocked:
-                    self.stats.record_breaker_block(blocked)
-                for pending in pendings:
-                    if tracer is not None:
-                        ctx = getattr(pending.request, "trace", None)
-                        if ctx is not None:
-                            tracer.event(
-                                ctx, "breaker.block", attrs={"shard": shard}
-                            )
-                    self._degrade_or_fail(
-                        pending,
-                        version,
-                        shard,
-                        f"shard {shard} circuit breaker is open",
+                run_commands.append(command)
+                run_groups.append((kind, group))
+                dispatch_spans.append(spans)
+                continue
+            blocked = sum(1 for p in group if not p.synthetic)
+            if blocked:
+                self.stats.record_breaker_block(blocked)
+            for pending in group:
+                if tracer is not None and pending.trace is not None:
+                    tracer.event(
+                        pending.trace, "breaker.block", attrs={"shard": shard}
                     )
+                self._degrade_or_fail(
+                    pending, version, f"shard {shard} circuit breaker is open"
+                )
         if profiler is not None:
             stage_start = time.perf_counter()
         try:
@@ -1193,10 +1179,8 @@ class CostModelService:
                 self.executor.run(version, run_commands) if run_commands else []
             )
         except Exception:
-            if tracer is not None:
-                for spans in dispatch_spans:
-                    for ctx, span_id in spans:
-                        tracer.end_span(ctx.trace_id, span_id, status="error")
+            for spans in dispatch_spans:
+                self._close_dispatch_spans(spans, status="error")
             raise
         if profiler is not None:
             profiler.record_stage(
@@ -1208,82 +1192,37 @@ class CostModelService:
             stage_start = time.perf_counter()
 
         forwards = 0
-        for (kind, shard, group), result, spans in zip(
-            run_groups, results, dispatch_spans
+        for command, (kind, group), result, spans in zip(
+            run_commands, run_groups, results, dispatch_spans
         ):
             if result.error is not None:
-                for ctx, span_id in spans:
-                    tracer.end_span(ctx.trace_id, span_id, status="error")
+                self._close_dispatch_spans(spans, status="error")
                 if result.infra:
                     # Infrastructure failure (worker died / hung past the
                     # dispatch timeout / respawn suppressed): feed the
                     # breaker and degrade rather than surfacing worker
                     # tracebacks for a fault the client didn't cause.
-                    self._breaker(shard).record_failure()
+                    self._breaker(command.shard).record_failure()
                     for pending in group:
                         self._degrade_or_fail(
-                            pending,
-                            version,
-                            shard,
-                            result.error,
+                            pending, version, result.error,
                             code=ERROR_WORKER_FAILURE,
                         )
                 else:
                     for pending in group:
-                        self._resolve_error(pending, version, result.error, shard)
+                        self._finish(pending, version, error=result.error)
                 continue
-            self._breaker(shard).record_success()
-            if spans:
-                # Re-parent the executor-reported spans (worker forwards)
-                # under every sampled request's dispatch span — each
-                # trace sees the shared forward it rode in.
-                for ctx, span_id in spans:
-                    for raw in getattr(result, "spans", ()):
-                        tracer.record_raw(
-                            dict(
-                                raw,
-                                trace_id=ctx.trace_id,
-                                parent_id=span_id,
-                            )
-                        )
-                    tracer.end_span(ctx.trace_id, span_id)
+            self._breaker(command.shard).record_success()
+            self._close_dispatch_spans(spans, forwards=result.spans)
             # Executors report what each command actually cost: a
             # command fused into another's forward reports 0.
             forwards += result.forwards
-            self.stats.record_shard(shard, forwards=result.forwards)
-            value = result.value
-            if kind == "tiles":
-                offset = 0
-                for pending in group:
-                    n = len(pending.request.tiles)
-                    self._resolve(
-                        pending,
-                        np.asarray(value[offset:offset + n]),
-                        version,
-                        len(group),
-                        shard,
-                        canary=canary,
-                    )
-                    offset += n
-            elif kind == "runtimes":
-                for pending, runtime in zip(group, value):
-                    self._resolve(
-                        pending, float(runtime), version, len(group), shard,
-                        canary=canary,
-                    )
-            else:
-                offset = 0
-                for pending in group:
-                    n = len(pending.request.programs)
-                    self._resolve(
-                        pending,
-                        np.asarray(value[offset:offset + n]),
-                        version,
-                        len(group),
-                        shard,
-                        canary=canary,
-                    )
-                    offset += n
+            self.stats.record_shard(command.shard, forwards=result.forwards)
+            for pending, value in self._split(kind, group, result.value):
+                self._finish(
+                    pending, version, value,
+                    group_size=len(group), canary=canary,
+                )
         if profiler is not None:
             profiler.record_stage(
                 "serialize", time.perf_counter() - stage_start, trace_id=exemplar
@@ -1306,29 +1245,17 @@ class CostModelService:
         try:
             results = self.executor.run(version, commands)
         except Exception:
-            for _, _, group in groups:
+            for _, group in groups:
                 for _ in group:
                     self.stats.record_route(version, shadow=True, error=True)
             return
-        for (kind, _shard, group), result in zip(groups, results):
+        for (kind, group), result in zip(groups, results):
             if result.error is not None:
                 for _ in group:
                     self.stats.record_route(version, shadow=True, error=True)
                 continue
             self.stats.record_shadow_forwards(result.forwards)
-            value = result.value
-            offset = 0
-            for pending in group:
-                if kind == "tiles":
-                    n = len(pending.request.tiles)
-                    prediction = np.asarray(value[offset:offset + n])
-                elif kind == "runtimes":
-                    n = 1
-                    prediction = float(value[offset])
-                else:
-                    n = len(pending.request.programs)
-                    prediction = np.asarray(value[offset:offset + n])
-                offset += n
+            for pending, prediction in self._split(kind, group, result.value):
                 self.stats.record_route(version, shadow=True)
                 if self.feedback is not None:
                     self.feedback.record_prediction(
@@ -1339,97 +1266,93 @@ class CostModelService:
                         shadow=True,
                     )
 
-    def _trace_ctx(self, pending: PendingRequest):
-        """The pending request's trace context, if tracing saw it."""
-        if self.tracer is None:
-            return None
-        return getattr(pending.request, "trace", None)
-
-    def _resolve(
+    def _finish(
         self,
         pending: PendingRequest,
-        value,
         version: str,
-        group_size: int,
-        shard: int | None = None,
+        value=None,
+        *,
+        error: str | None = None,
+        code: str | None = None,
+        degraded: bool = False,
+        cache_hit: bool = False,
+        group_size: int = 1,
         canary: bool = False,
     ) -> None:
+        """Resolve one request — the single resolution site.
+
+        Exactly one of three outcomes, read off the arguments: an
+        *answer* (``value``, no ``error``; ``cache_hit`` when the result
+        cache produced it), a *degraded* answer (``degraded``: ``value``
+        is the analytical model's and ``error`` the reason the learned
+        one could not be asked), or a *typed error* (``error`` and
+        ``code``, no value). Already-resolved futures are left alone, so
+        every caller may retry safely.
+
+        Business requests feed the stats, the SLO window and the
+        per-version routing volume; a fresh learned answer also fills
+        the result cache and the feedback join, and a degradation is
+        journaled. Probes are excluded from all of it — the prober keeps
+        its own ``prober_*`` accounting — but still close their root
+        span and get the same response.
+        """
         if pending.future.done():
             return
-        latency = time.perf_counter() - pending.enqueued_at
-        synthetic = getattr(pending.request, "synthetic", False)
-        if synthetic:
-            # Probes are excluded from the result cache, business stats,
-            # the SLO window, and feedback joins; the prober keeps its
-            # own ``prober_*`` accounting.
-            key = None
-        else:
-            key = pending.request.cache_key()
-        if key is not None:
-            self.result_cache.put((version, key), value)
-        if not synthetic:
-            self.stats.record_response(latency, cache_hit=False, shard=shard)
-            self.stats.record_route(version, canary=canary)
-            if self.feedback is not None:
-                self.feedback.record_prediction(
-                    version,
-                    request_key(pending.request),
-                    value,
-                    request=pending.request,
-                )
-        ctx = self._trace_ctx(pending)
-        if ctx is not None:
-            self.tracer.finish(
-                ctx,
-                attrs={
-                    "version": version,
-                    "batch_size": group_size,
-                    "shard": shard,
-                },
+        latency = 0.0 if cache_hit else time.perf_counter() - pending.enqueued_at
+        request, shard = pending.request, pending.shard
+        answered = error is None
+        failed = not (answered or degraded)
+        ctx = pending.trace if self.tracer is not None else None
+        trace_id = ctx.trace_id if ctx is not None else None
+        if not pending.synthetic:
+            self.stats.record_response(
+                latency, cache_hit=cache_hit, error=failed, shard=shard
             )
+            if degraded:
+                self.stats.record_degraded()
+                self._journal_event(
+                    "service.degraded",
+                    trace_id=trace_id,
+                    shard=shard,
+                    version=version,
+                    reason=error.splitlines()[0][:200] if error else "",
+                )
+            else:
+                self.stats.record_route(version, canary=canary, error=failed)
+            if answered and not cache_hit:
+                key = request.cache_key()
+                if key is not None:
+                    self.result_cache.put((version, key), value)
+                if self.feedback is not None:
+                    self.feedback.record_prediction(
+                        version, request_key(request), value, request=request
+                    )
+        if ctx is not None:
+            if cache_hit:
+                self.tracer.event(ctx, "cache.hit", attrs={"version": version})
+                status, attrs = "ok", {"cache_hit": True}
+            elif degraded:
+                self.tracer.event(ctx, "degraded", attrs={"reason": error})
+                status, attrs = "degraded", None
+            elif failed:
+                status, attrs = "error", {"error_code": code or "error"}
+            else:
+                status = "ok"
+                attrs = {"version": version, "batch_size": group_size, "shard": shard}
+            self.tracer.finish(ctx, status=status, attrs=attrs)
         pending.future.set_result(
             Response(
                 value=value,
-                model_version=version,
+                model_version=ANALYTICAL_VERSION if degraded else version,
                 batch_size=group_size,
+                cache_hit=cache_hit,
                 latency_s=latency,
+                error=error if failed else None,
                 canary=canary,
-                shadowed_by=pending.shadowed_by,
-                trace_id=ctx.trace_id if ctx is not None else None,
-                synthetic=synthetic,
-            )
-        )
-
-    def _resolve_error(
-        self,
-        pending: PendingRequest,
-        version: str,
-        message: str,
-        shard: int | None = None,
-        code: str | None = None,
-    ) -> None:
-        if pending.future.done():
-            return
-        latency = time.perf_counter() - pending.enqueued_at
-        synthetic = getattr(pending.request, "synthetic", False)
-        if not synthetic:
-            self.stats.record_response(
-                latency, cache_hit=False, error=True, shard=shard
-            )
-            self.stats.record_route(version, error=True)
-        ctx = self._trace_ctx(pending)
-        if ctx is not None:
-            self.tracer.finish(
-                ctx, status="error", attrs={"error_code": code or "error"}
-            )
-        pending.future.set_result(
-            Response(
-                value=None,
-                model_version=version,
-                latency_s=latency,
-                error=message,
-                error_code=code,
-                trace_id=ctx.trace_id if ctx is not None else None,
-                synthetic=synthetic,
+                shadowed_by=pending.shadowed_by if answered else None,
+                error_code=code if failed else None,
+                degraded=degraded,
+                trace_id=trace_id,
+                synthetic=pending.synthetic,
             )
         )

@@ -8,7 +8,7 @@ the parent ships a new version. Workers communicate over a
 
 * ``("load", version, blob)`` — deserialize ``blob`` (the exact bytes of
   :meth:`ModelRegistry.blob`) and serve it; replies ``("ok", version)``.
-  Evaluators are kept per version in a small LRU (``max_live_versions``),
+  Evaluators are kept per version in a small LRU (``MAX_LIVE_VERSIONS``),
   so a rollout alternating active- and staged-version batches reuses
   warm state instead of rebuilding the model every switch.
 * ``("use", version)`` — switch to an already-loaded version's warm
@@ -21,34 +21,32 @@ the parent ships a new version. Workers communicate over a
   ``("ok", version)``. Placement migrations use this to sync a freshly
   spawned shard worker to every live (active + staged) version before
   the shard map swaps traffic onto it.
-* ``("tiles", fingerprint, kernel_or_None, dims_list)`` — score candidate
-  tiles (tile configs cross the pipe as raw dims tuples). Kernels are
-  *interned* by fingerprint on first sight so the steady-state request
-  carries only the fingerprint string instead of a re-pickled graph; a
-  worker that has evicted the kernel replies ``("miss", fingerprint)``
-  and the parent retries with the kernel attached.
 * ``("tile_batch", entries)`` — score several kernels' candidate tiles
   in **one** fused multi-kernel forward (``entries`` is a list of
-  ``(fingerprint, kernel_or_None, dims_list)``); replies
-  ``("ok", arrays)`` with one score array per entry, or
-  ``("miss", fingerprints)`` listing every unresolved kernel. This is
-  the shard's batching policy: a whole micro-batch slice costs one
-  forward and one pipe round trip.
+  ``(fingerprint, kernel_or_None, dims_list)``; tile configs cross the
+  pipe as raw dims tuples); replies ``("ok", arrays)`` with one score
+  array per entry. Kernels are *interned* by fingerprint on first sight
+  so the steady-state request carries only the fingerprint string
+  instead of a re-pickled graph; a worker that has evicted one replies
+  ``("miss", fingerprints)`` listing every unresolved kernel and the
+  parent retries with the kernels attached. This is the shard's
+  batching policy: a whole micro-batch slice costs one forward and one
+  pipe round trip (the post-crash retry sends one-entry batches).
 * ``("programs", entries)`` — price candidate programs; every kernel
   crosses as ``(fingerprint, kernel_or_None)`` through the same
   interning, with ``("miss", fingerprints)`` listing unresolved kernels.
 * ``("stats", )`` — evaluator cache counters + interning size.
 * ``("exit", )`` — clean shutdown.
 
-The three forward-executing ops (``tiles``, ``tile_batch``,
-``programs``) accept an optional trailing ``(trace_id, parent_span_id)``
-telemetry token; when present the reply carries a third element — a list
-of plain span dicts timing the forward inside this process — which the
-parent records into its tracer. Untraced messages and replies keep their
-exact pre-telemetry shapes.
+The two forward-executing ops (``tile_batch``, ``programs``) accept an
+optional trailing ``(trace_id, parent_span_id)`` telemetry token; when
+present the reply carries a third element — a list of plain span dicts
+timing the forward inside this process — which the parent records into
+its tracer. Untraced messages and replies keep their exact
+pre-telemetry shapes.
 
 Replies are ``("ok", value)`` / ``("err", traceback_string)`` /
-``("miss", fingerprint)``. Score arrays cross the pipe as pickled numpy
+``("miss", fingerprints)``. Score arrays cross the pipe as pickled numpy
 arrays — dtype and bytes preserved exactly, which is what keeps
 process-sharded serving bitwise-identical to in-thread serving at equal
 batch shape.
@@ -60,11 +58,16 @@ from __future__ import annotations
 
 from collections import OrderedDict
 
+MAX_LIVE_VERSIONS = 2
+"""Warm checkpoint versions kept concurrently (LRU) by each worker and
+each executor: active + staged, the rollout pair — alternating versions
+between micro-batches then costs a one-word ``use`` message (or a pool
+lookup) instead of re-shipping and re-deserializing the blob."""
+
 
 def shard_worker(
     conn,
     max_cached_kernels: int = 1024,
-    max_live_versions: int = 2,
     shard_index: int = 0,
     fault_plan=None,
 ) -> None:
@@ -74,8 +77,6 @@ def shard_worker(
         conn: child end of a ``multiprocessing.Pipe``.
         max_cached_kernels: evaluator cache bound, and the bound on the
             fingerprint -> kernel interning map.
-        max_live_versions: warm per-version evaluators kept (LRU); 2
-            serves a rollout's active + staged pair without thrash.
         shard_index: this worker's shard number (fault-rule targeting).
         fault_plan: optional :class:`~repro.serving.faults.FaultPlan`
             restricted to ``worker.`` hooks; a fresh injector is built
@@ -164,7 +165,7 @@ def shard_worker(
                 evaluator = LearnedEvaluator.from_checkpoint_bytes(
                     blob, max_cached_kernels=max_cached_kernels
                 )
-                lru_touch(evaluators, new_version, evaluator, max_live_versions)
+                lru_touch(evaluators, new_version, evaluator, MAX_LIVE_VERSIONS)
                 version = new_version
                 conn.send(("ok", version))
             elif op == "warm":
@@ -174,11 +175,11 @@ def shard_worker(
                     warmed = LearnedEvaluator.from_checkpoint_bytes(
                         blob, max_cached_kernels=max_cached_kernels
                     )
-                lru_touch(evaluators, warm_version, warmed, max_live_versions)
+                lru_touch(evaluators, warm_version, warmed, MAX_LIVE_VERSIONS)
                 if version is not None and version not in evaluators:
                     # Never let warming evict the version that is
                     # currently serving: re-touch it most-recent.
-                    lru_touch(evaluators, version, evaluator, max_live_versions)
+                    lru_touch(evaluators, version, evaluator, MAX_LIVE_VERSIONS)
                 conn.send(("ok", warm_version))
             elif op == "use":
                 _, target = message
@@ -186,30 +187,13 @@ def shard_worker(
                 if cached is None:
                     conn.send(("miss", target))
                     continue
-                lru_touch(evaluators, target, cached, max_live_versions)
+                lru_touch(evaluators, target, cached, MAX_LIVE_VERSIONS)
                 evaluator = cached
                 version = target
                 conn.send(("ok", version))
-            elif op == "tiles":
-                # A 5th element is the optional (trace_id, parent_span)
-                # token — absent on untraced messages (old shape).
-                _, fingerprint, kernel, dims_list = message[:4]
-                trace = message[4] if len(message) > 4 else None
-                kernel = intern(fingerprint, kernel)
-                if kernel is None:
-                    conn.send(("miss", fingerprint))
-                    continue
-                if evaluator is None:
-                    conn.send(("err", "no checkpoint loaded"))
-                    continue
-                if injector is not None:
-                    forward_fault()
-                started = time.time() if trace is not None else 0.0
-                scores = evaluator.score_tiles_batched(
-                    kernel, tile_configs(dims_list)
-                )
-                conn.send(ok_reply(np.asarray(scores), trace, started, op))
             elif op == "tile_batch":
+                # A 3rd element is the optional (trace_id, parent_span)
+                # token — absent on untraced messages (old shape).
                 _, entries = message[:2]
                 trace = message[2] if len(message) > 2 else None
                 resolved: list[tuple[object, list]] = []

@@ -19,7 +19,7 @@ def mlp_graph():
     b = GraphBuilder("mlp")
     x = b.parameter((8, 16))
     y = b.dense(x, 32)
-    z = b.dense(y, 4, activation="tanh")
+    b.dense(y, 4, activation="tanh")
     return b.build()
 
 
@@ -124,7 +124,7 @@ class TestDefaultFusion:
     def test_default_fusion_keeps_outputs_materialized(self):
         g = mlp_graph()
         config = default_fusion(g)
-        groups = apply_fusion(g, config)
+        apply_fusion(g, config)
         kernels = fuse_program(g, config=config)
         # Every program root appears as a root of some kernel.
         assert kernels

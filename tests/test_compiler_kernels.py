@@ -24,7 +24,7 @@ class TestClassification:
         b = GraphBuilder("g")
         x = b.parameter((4, 6))
         y = b.transpose(x, (1, 0))
-        z = b.reshape(y, (24,))
+        b.reshape(y, (24,))
         g = b.build()
         assert classify_kernel(g) == "data_formatting"
         k = Kernel(graph=g, kind=classify_kernel(g))
@@ -33,14 +33,14 @@ class TestClassification:
     def test_fusion_kernel(self):
         b = GraphBuilder("g")
         x = b.parameter((4,))
-        y = b.tanh(b.exp(x))
+        b.tanh(b.exp(x))
         g = b.build()
         assert classify_kernel(g) == "fusion"
 
     def test_single_op_is_other(self):
         b = GraphBuilder("g")
         x = b.parameter((4,))
-        y = b.tanh(x)
+        b.tanh(x)
         g = b.build()
         assert classify_kernel(g) == "other"
 

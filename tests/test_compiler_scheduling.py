@@ -10,7 +10,7 @@ from repro.compiler import (
     live_tensor_peak,
     operational_intensity,
 )
-from repro.hlo import GraphBuilder, Instruction, Opcode, Shape
+from repro.hlo import GraphBuilder
 
 
 def wide_graph(width=4):
@@ -120,7 +120,7 @@ class TestStaticAnalysis:
         x = b.parameter((64, 64))
         w = b.constant((64, 64))
         y = b.dot(x, w)
-        z = b.tanh(y)
+        b.tanh(y)
         g = b.build()
         a = analyze(g)
         assert a.flops >= 2 * 64 * 64 * 64  # dot flops
@@ -131,8 +131,8 @@ class TestStaticAnalysis:
 
     def test_large_constants_count_as_reads(self):
         b = GraphBuilder("g")
-        x = b.parameter((4, 4))
-        w = b.constant((1024, 1024))  # > 1024 elements
+        b.parameter((4, 4))
+        b.constant((1024, 1024))  # > 1024 elements
         g = b.build()
         a = analyze(g)
         assert a.bytes_read == 4 * 4 * 4 + 1024 * 1024 * 4
@@ -140,7 +140,7 @@ class TestStaticAnalysis:
     def test_reduce_flops_use_input_elements(self):
         b = GraphBuilder("g")
         x = b.parameter((128, 64))
-        r = b.reduce(x, [1], kind="sum")
+        b.reduce(x, [1], kind="sum")
         g = b.build()
         a = analyze(g)
         assert a.flops == pytest.approx(128 * 64)

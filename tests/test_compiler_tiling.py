@@ -1,6 +1,4 @@
 """Tests for tile enumeration, footprints and transfer estimates."""
-import numpy as np
-import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.compiler import (
@@ -20,7 +18,7 @@ def dense_kernel(m=64, k=32, n=128):
     b = GraphBuilder("dense")
     x = b.parameter((m, k))
     w = b.constant((k, n))
-    y = b.dot(x, w)
+    b.dot(x, w)
     g = b.build()
     return Kernel(graph=g, kind="other")
 

@@ -3,7 +3,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.compiler import Kernel, TileConfig, fuse_program
+from repro.compiler import TileConfig, fuse_program
 from repro.data import (
     MAX_DIMS,
     NODE_FEATURE_DIM,

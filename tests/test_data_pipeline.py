@@ -134,7 +134,6 @@ class TestSamplers:
     def test_tile_sampler_balances_families(self, tile_ds):
         sampler = TileBatchSampler(tile_ds.records, kernels_per_batch=8, tiles_per_kernel=2, seed=1)
         fams = {r.family for r in tile_ds.records}
-        seen = set()
         for _ in range(30):
             for f, _, _, _ in sampler.draw_items():
                 pass

@@ -7,7 +7,7 @@ from repro.workloads import vision
 def small_graph():
     b = GraphBuilder("g")
     x = b.parameter((4, 8))
-    y = b.dense(x, 16)
+    b.dense(x, 16)
     return b.build()
 
 

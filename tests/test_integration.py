@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from repro.autotuner import (
-    AnalyticalEvaluator,
     HardwareEvaluator,
     LearnedEvaluator,
     model_fusion_autotune,
@@ -21,7 +20,7 @@ from repro.models import (
     train_fusion_model,
     train_tile_model,
 )
-from repro.tpu import AnalyticalModel, TpuSimulator
+from repro.tpu import TpuSimulator
 from repro.workloads import sequence, vision
 
 SMALL = dict(hidden_dim=24, opcode_embedding_dim=12, gnn_layers=2, lstm_hidden=24)

@@ -6,7 +6,6 @@ plumbing end to end (features differ, predictions differ, and the layout
 pass can be driven by a learned evaluator's tile scores).
 """
 import numpy as np
-import pytest
 
 from repro.autotuner import LearnedEvaluator
 from repro.compiler import (

@@ -9,7 +9,6 @@ from repro.nn import (
     Dropout,
     Embedding,
     LayerNorm,
-    Module,
     SGD,
     Tensor,
     clip_global_norm,

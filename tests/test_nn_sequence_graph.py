@@ -42,7 +42,6 @@ class TestLSTM:
     def test_short_sequence_equals_truncated_run(self):
         lstm = LSTM(4, 8)
         x = rng.normal(size=(1, 6, 4)).astype(np.float32)
-        mask_full = np.ones((1, 6), dtype=bool)
         mask_short = np.zeros((1, 6), dtype=bool)
         mask_short[0, :3] = True
         out_short = lstm(Tensor(x), mask_short).numpy()

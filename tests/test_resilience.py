@@ -37,7 +37,6 @@ from repro.models import LearnedPerformanceModel, ModelConfig
 from repro.models.trainer import TrainResult
 from repro.serving import (
     ERROR_DEADLINE_EXCEEDED,
-    ERROR_DISCONNECTED,
     ERROR_OVERLOADED,
     ERROR_WORKER_FAILURE,
     ANALYTICAL_VERSION,

@@ -11,8 +11,6 @@ The load-bearing canary invariants:
   bitwise-identical to a no-rollout service;
 * all three policies work on both executors.
 """
-import threading
-
 import numpy as np
 import pytest
 
@@ -31,7 +29,6 @@ from repro.models import (
 from repro.models.trainer import TrainResult
 from repro.serving import (
     CANARY,
-    IDLE,
     PROMOTED,
     ROLLED_BACK,
     SHADOW,

@@ -595,6 +595,27 @@ class TestServiceTracing:
         finally:
             service.stop()
 
+    def test_refused_submission_closes_its_root_span(self, corpus, result_a):
+        """``submit`` opens the root span before enqueueing; when the
+        scheduler refuses (closed, not only overloaded) nothing will ever
+        resolve the request, so ``submit`` itself must close the span —
+        an open root would sit in the trace ring forever."""
+        records, _ = corpus
+        tracer = Tracer(sample_rate=1.0)
+        service = CostModelService(
+            result_a, ServiceConfig(result_cache_entries=0), tracer=tracer
+        )
+        service.stop()
+        with pytest.raises(RuntimeError, match="scheduler is closed"):
+            service.submit(_tile_request(records[0]))
+        (summary,) = tracer.recent(1)
+        assert summary["status"] == "error"
+        (root,) = tracer.trace(summary["trace_id"])["roots"]
+        assert root["name"] == "request" and root["end"] is not None
+        # A closed scheduler is not load shedding.
+        assert [kid["name"] for kid in root["children"]] == []
+        assert service.stats.snapshot()["overload_rejections"] == 0.0
+
 
 # ---------------------------------------------------------------------- #
 # HTTP gateway over a real socket

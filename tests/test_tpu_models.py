@@ -181,7 +181,6 @@ class TestSimulator:
         per_aligned = sim.breakdown(k, aligned)
         per_mis = sim.breakdown(k, misaligned)
         # Per-element cost should be worse for the misaligned tile.
-        a_cost = per_aligned.total * aligned.volume / aligned.volume
         assert per_mis.transfer_in / misaligned.volume > per_aligned.transfer_in / aligned.volume * 0.9
 
     def test_schedule_cache_consistency(self):

@@ -5,7 +5,6 @@ exist in the simulator, which are missing from the analytical model, and
 the invariances both must satisfy.
 """
 import numpy as np
-import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.compiler import Kernel, TileConfig, default_tile, enumerate_tile_sizes

@@ -103,7 +103,7 @@ class TestSequenceBlocks:
 
     def test_blocks_produce_valid_graphs(self, b):
         x = b.parameter((2, 8, 8, 3))
-        y = residual_block_v1(b, conv_block(b, x, 8), 16, (2, 2))
+        residual_block_v1(b, conv_block(b, x, 8), 16, (2, 2))
         g = b.build()
         g.validate()
         assert any(i.opcode is Opcode.CONVOLUTION for i in g)
