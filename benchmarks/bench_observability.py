@@ -117,7 +117,7 @@ from repro.serving import (  # noqa: E402
 )
 from repro.workloads import vision  # noqa: E402
 
-from harness import stamp_report  # noqa: E402
+from harness import interleaved_rounds, median_paired_ratio, stamp_report  # noqa: E402
 
 FAST = os.environ.get("REPRO_BENCH_FAST", "") not in ("", "0")
 
@@ -228,21 +228,6 @@ def _fleet_pass(service, stream) -> float:
     if any(t.is_alive() for t in threads):
         raise RuntimeError("hung client thread")
     return CLIENTS * len(stream) / elapsed if elapsed > 0 else 0.0
-
-
-def _median_paired_ratio(
-    mode_rates: list[float], baseline_rates: list[float]
-) -> float:
-    """Median over rounds of (mode rps / same-round baseline rps)."""
-    ratios = sorted(
-        m / b for m, b in zip(mode_rates, baseline_rates) if b > 0
-    )
-    if not ratios:
-        return 0.0
-    mid = len(ratios) // 2
-    if len(ratios) % 2:
-        return ratios[mid]
-    return 0.5 * (ratios[mid - 1] + ratios[mid])
 
 
 def _summary(rates: list[float], stream) -> dict:
@@ -686,10 +671,6 @@ def main() -> dict:
         prober.sweep()
         prober.start()
 
-        rates: dict[str, list[float]] = {
-            "baseline": [], "scraped": [], "sampled": [], "profiled": [],
-            "probed": [],
-        }
         scrapes = 0
         with MetricsGateway(plain) as gateway:
             host, port = gateway.address
@@ -701,19 +682,16 @@ def main() -> dict:
                 scrapes += scraper.scrapes
                 return rate
 
-            modes = [
-                ("baseline", lambda: _fleet_pass(plain, stream)),
-                ("scraped", scraped_pass),
-                ("sampled", lambda: _fleet_pass(sampled_svc, stream)),
-                ("profiled", lambda: _fleet_pass(profiled_svc, stream)),
-                ("probed", lambda: _fleet_pass(probed_svc, stream)),
-            ]
-            for round_idx in range(REPEATS):
-                # Rotate mode order each round so any positional effect
-                # (cache warmth, scheduler settling) biases no one mode.
-                shift = round_idx % len(modes)
-                for name, run in modes[shift:] + modes[:shift]:
-                    rates[name].append(run())
+            rates = interleaved_rounds(
+                {
+                    "baseline": lambda: _fleet_pass(plain, stream),
+                    "scraped": scraped_pass,
+                    "sampled": lambda: _fleet_pass(sampled_svc, stream),
+                    "profiled": lambda: _fleet_pass(profiled_svc, stream),
+                    "probed": lambda: _fleet_pass(probed_svc, stream),
+                },
+                REPEATS,
+            )
 
         report["baseline"] = _summary(rates["baseline"], stream)
         report["scraped"] = _summary(rates["scraped"], stream)
@@ -752,19 +730,19 @@ def main() -> dict:
         )
     )
 
-    report["scraped_ratio"] = _median_paired_ratio(
+    report["scraped_ratio"] = median_paired_ratio(
         report["scraped"]["all_passes_rps"],
         report["baseline"]["all_passes_rps"],
     )
-    report["sampled_ratio"] = _median_paired_ratio(
+    report["sampled_ratio"] = median_paired_ratio(
         report["sampled"]["all_passes_rps"],
         report["baseline"]["all_passes_rps"],
     )
-    report["profiled_ratio"] = _median_paired_ratio(
+    report["profiled_ratio"] = median_paired_ratio(
         report["profiled"]["all_passes_rps"],
         report["baseline"]["all_passes_rps"],
     )
-    report["probed_ratio"] = _median_paired_ratio(
+    report["probed_ratio"] = median_paired_ratio(
         report["probed"]["all_passes_rps"],
         report["baseline"]["all_passes_rps"],
     )

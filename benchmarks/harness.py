@@ -93,6 +93,43 @@ def stamp_report(report: dict) -> dict:
     return report
 
 
+# ------------------------------------------------- ratios on a noisy box
+def interleaved_rounds(modes: dict, rounds: int) -> dict[str, list[float]]:
+    """Measure every mode once per round; returns each mode's rates.
+
+    ``modes`` maps a name to a callable running one measured pass and
+    returning its rate. Back-to-back passes of one untouched service
+    spread by more than 10 % on the boxes these benches run on, and the
+    drift is slow: measuring mode after mode would fold it into every
+    ratio. Running all modes within each round keeps the passes being
+    compared close in time, and rotating the order each round keeps any
+    positional effect (cache warmth, scheduler settling) from biasing one
+    mode.
+    """
+    names = list(modes)
+    rates: dict[str, list[float]] = {name: [] for name in names}
+    for round_index in range(rounds):
+        shift = round_index % len(names)
+        for name in names[shift:] + names[:shift]:
+            rates[name].append(modes[name]())
+    return rates
+
+
+def median_paired_ratio(mode_rates: list[float], baseline_rates: list[float]) -> float:
+    """Median over rounds of (mode rate / same-round baseline rate).
+
+    Pairing against the baseline pass of the *same* round cancels slow
+    drift, and the median rejects rounds poisoned by a one-off stall.
+    """
+    ratios = sorted(m / b for m, b in zip(mode_rates, baseline_rates) if b > 0)
+    if not ratios:
+        return 0.0
+    mid = len(ratios) // 2
+    if len(ratios) % 2:
+        return ratios[mid]
+    return 0.5 * (ratios[mid - 1] + ratios[mid])
+
+
 # ------------------------------------------------------------------ caching
 _CORPUS = None
 _SPLITS: dict[str, Split] = {}

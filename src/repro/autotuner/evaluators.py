@@ -257,10 +257,10 @@ class LearnedEvaluator:
         N kernels' populations cost one forward instead of N. Returns one
         score array per group, in order. With a single group this is
         bitwise-identical to :meth:`score_tiles_batched`; multiple groups
-        change the batch shape, which moves scores only at float32 BLAS
-        rounding level. The forward is ``model.predict``'s tape-free one,
-        whose fixed cost is a fraction of a millisecond; the serving
-        layer's sharded executor still fuses groups to share it.
+        change the batch shape, which moves scores only at float32
+        rounding level. Both serving executors run a shard's slice of a
+        micro-batch through this, so the forward's fixed cost is paid
+        once per batch, not once per kernel.
         """
         items: list[BatchItem] = []
         counts: list[int] = []

@@ -2,9 +2,10 @@
 
 :func:`forward` computes exactly what
 :meth:`~repro.models.model.LearnedPerformanceModel.forward` computes in eval
-mode under ``no_grad()`` — same scores, same dtype, bitwise — but on plain
-``ndarray``s: no :class:`~repro.nn.tensor.Tensor` per intermediate, no
-backward closure per op, no mode flip on the module. It is what
+mode under ``no_grad()`` — same scores, same dtype, bitwise, with the one
+exception stated below — but on plain ``ndarray``s: no
+:class:`~repro.nn.tensor.Tensor` per intermediate, no backward closure per
+op, no mode flip on the module. It is what
 ``LearnedPerformanceModel.predict`` runs; the tape ``forward`` stays for
 training and as the oracle the tests compare this module against.
 
@@ -17,7 +18,15 @@ edited: every matmul, reduction and transcendental (``exp``, ``tanh``,
 on the tape, in the same order, because BLAS kernels, pairwise summation and
 SIMD math routines may round differently for a different layout. Only
 exactly-rounded elementwise arithmetic (``+ - * /``) and pure data movement
-are free to be hoisted or shared. Python scalars the tape lifts to float32
+are free to be hoisted or shared. There is one exception, and it is the only
+place the rule does not hold: the LSTM reduction on a batch whose graphs
+differ in node count. The tape steps every row to the longest graph;
+:func:`_lstm` steps a row only through its own nodes, so the gate matmul of
+a late step sees fewer rows than on the tape and BLAS may round it
+differently — scores there agree with the tape to ``rtol=1e-5``, not bit
+for bit. A batch whose graphs all have one node count (every single-kernel
+forward: tile search, a served batch holding one kernel) keeps the tape's
+shapes at every step, and every other reduction keeps them always. Python scalars the tape lifts to float32
 tensors are float32 constants here. Parameters are not always float32 —
 ``Adam.step`` leaves them float64 until the next ``load_state_dict`` — and
 the tape rounds every op result back to float32, so each op that reads a
@@ -127,16 +136,32 @@ def _gat(layer, x: np.ndarray, edges: np.ndarray, num_nodes: int) -> np.ndarray:
 
 
 # ----------------------------------------------------------------- reductions
-def _lstm(lstm, x: np.ndarray, mask: np.ndarray) -> np.ndarray:
-    """Final hidden state of ``nn.rnn.LSTM`` over a padded [b, t, d] batch."""
+def _lstm(lstm, nodes: np.ndarray, batch) -> np.ndarray:
+    """Final hidden state of ``nn.rnn.LSTM`` over each graph's node sequence.
+
+    The tape pads every graph to the longest one and freezes a row's state
+    once its sequence has ended, so a step only has to run the rows still
+    inside theirs. ``pad_mask`` rows are prefixes (True for a graph's
+    ``n`` nodes); gathered longest first, the rows alive at step ``t`` are
+    a prefix that shrinks with ``t``. Rows that have ended are written to
+    the result (in input order) and dropped; the loop body is the tape's on
+    the rows that remain. When every graph has the same node count no row
+    is ever dropped: the tape's shapes, the tape's bits.
+    """
     cell = lstm.cell
     hd = cell.hidden_dim
-    batch, time, _ = x.shape
+    order = np.argsort(-batch.pad_mask.sum(axis=1), kind="stable")
+    mask = batch.pad_mask[order]
+    x = nodes[batch.pad_index[order]]  # [b, t, d]; pad slots repeat node 0
     keep = mask.astype(np.float32)
     drop = _ONE - keep
-    h = np.zeros((batch, hd), dtype=np.float32)
-    c = np.zeros((batch, hd), dtype=np.float32)
-    for t in range(time):
+    out = np.empty((len(order), hd), dtype=np.float32)
+    h = np.zeros((len(order), hd), dtype=np.float32)
+    c = np.zeros((len(order), hd), dtype=np.float32)
+    for t, n in enumerate(mask.sum(axis=0).tolist()):  # n rows reach step t
+        if n < len(h):
+            out[order[n : len(h)]] = h[n:]
+            x, keep, drop, h, c = x[:n], keep[:n], drop[:n], h[:n], c[:n]
         z = _dense(cell.gates, np.concatenate([x[:, t, :], h], axis=-1))
         i = _sigmoid(z[:, 0 * hd : 1 * hd])
         f = _sigmoid(z[:, 1 * hd : 2 * hd] + _ONE)  # forget-gate bias of 1
@@ -144,10 +169,13 @@ def _lstm(lstm, x: np.ndarray, mask: np.ndarray) -> np.ndarray:
         o = _sigmoid(z[:, 3 * hd : 4 * hd])
         c_next = f * c + i * g
         h_next = o * np.tanh(c_next)
+        # All ones and all zeros on the rows that remain; kept because
+        # ``h * 0`` carries h's sign (and NaN) into the sum as on the tape.
         step, frozen = keep[:, t : t + 1], drop[:, t : t + 1]
         h = h_next * step + h * frozen
         c = c_next * step + c * frozen
-    return h
+    out[order[: len(h)]] = h
+    return out
 
 
 def _masked_softmax(x: np.ndarray, mask: np.ndarray) -> np.ndarray:
@@ -246,7 +274,7 @@ def forward(model, batch) -> np.ndarray:
             [mean, (_padded_view(x, batch) + floor).max(axis=1)], axis=-1
         )
     elif cfg.reduction == "lstm":
-        kernel_emb = _lstm(model.lstm, _padded_view(x, batch), batch.pad_mask)
+        kernel_emb = _lstm(model.lstm, x, batch)
     else:
         kernel_emb = _transformer(model.encoder, _padded_view(x, batch), batch.pad_mask)
 

@@ -5,10 +5,10 @@ reduces each micro-batch to a list of shard-annotated *commands* — one
 coalesced forward each — and hands them to an :class:`Executor`. Two
 placements implement the interface:
 
-* :class:`InThreadExecutor` — today's behaviour and the default: a
-  fingerprint-sharded :class:`~repro.serving.replica.ReplicaPool` in the
-  service's own process, commands executed sequentially on the worker
-  thread. Zero IPC cost; forwards serialize on the GIL.
+* :class:`InThreadExecutor` — the default: a fingerprint-sharded
+  :class:`~repro.serving.replica.ReplicaPool` in the service's own
+  process, one forward per shard per micro-batch on the worker thread.
+  Zero IPC cost; forwards serialize on the GIL.
 * :class:`ProcessShardExecutor` — each fingerprint-shard lives in its own
   worker subprocess fed over a pipe. Commands for different shards run
   truly in parallel (no GIL contention); checkpoints ship to workers as
@@ -206,19 +206,20 @@ class Executor(ABC):
 class InThreadExecutor(Executor):
     """Replica-pool backend in the service's own process (the default).
 
+    All of a shard's tile commands in one micro-batch execute as a single
+    multi-kernel forward (``score_tile_groups``) — the batching policy
+    :class:`ProcessShardExecutor` applies inside each worker. The
+    micro-batch, not the request, is the unit of work: a forward's fixed
+    cost is paid once per shard per batch. Fusing changes the forward's
+    batch shape, which moves scores only at float32 rounding level; a
+    batch holding a single tile command per shard keeps its exact batch
+    shape and is bitwise-identical to a direct ``score_tiles_batched``.
+
     Args:
         registry: source of checkpoints (the service shares its own).
         replicas: shard count — evaluator replicas in the pool.
         max_cached_kernels: per-shard precompute/feature memo bound.
         share_kernel_cache: one precompute cache for all replicas.
-        fuse_tile_commands: opt-in cross-kernel fusion — all of a shard's
-            tile commands in one micro-batch execute as a single
-            multi-kernel forward (``score_tile_groups``), the same
-            batching policy the process executor already applies inside
-            each worker. Fusing changes the forward's batch shape, which
-            moves scores only at float32 BLAS rounding level; a batch
-            holding a single tile command per shard keeps its exact
-            batch shape and stays bitwise-identical to the unfused path.
     """
 
     def __init__(
@@ -227,7 +228,6 @@ class InThreadExecutor(Executor):
         replicas: int = 1,
         max_cached_kernels: int = 1024,
         share_kernel_cache: bool = True,
-        fuse_tile_commands: bool = False,
         shard_map: ShardMap | None = None,
     ) -> None:
         if replicas < 1:
@@ -237,7 +237,6 @@ class InThreadExecutor(Executor):
         self.num_shards = self.shard_map.num_shards
         self.max_cached_kernels = max_cached_kernels
         self.share_kernel_cache = share_kernel_cache
-        self.fuse_tile_commands = fuse_tile_commands
         # Guards _pools: the serving thread LRU-touches it every batch
         # while metrics scrapes iterate it from other threads.
         self._pools_lock = threading.Lock()
@@ -266,77 +265,73 @@ class InThreadExecutor(Executor):
             lru_touch(self._pools, version, pool, MAX_LIVE_VERSIONS)
             return pool
 
-    def _run_fused_tiles(
+    def _run_tiles(
         self,
         pool: ReplicaPool,
         commands: list[Command],
+        indices: list[int],
         results: list[CommandResult | None],
     ) -> None:
-        """Execute all tile commands, one fused forward per shard."""
-        by_shard: dict[int, list[int]] = {}
-        for index, command in enumerate(commands):
-            if isinstance(command, TileCommand):
-                by_shard.setdefault(command.shard, []).append(index)
-        for shard, indices in by_shard.items():
-            evaluator = pool.replicas[shard]
-            groups = [
-                (commands[i].kernel, list(commands[i].tiles)) for i in indices
-            ]
-            trace = next(
-                (commands[i].trace for i in indices
-                 if commands[i].trace is not None),
-                None,
+        """One forward for the tile commands at ``indices`` (one shard's).
+
+        A model error is the request's own fault: when a forward shared
+        by several commands raises, each is re-run on its own, so only
+        the offender carries the traceback.
+        """
+        shard = commands[indices[0]].shard
+        trace = next(
+            (commands[i].trace for i in indices if commands[i].trace is not None),
+            None,
+        )
+        started = time.time() if trace is not None else 0.0
+        try:
+            arrays = pool.replicas[shard].score_tile_groups(
+                [(commands[i].kernel, list(commands[i].tiles)) for i in indices]
             )
-            started = time.time() if trace is not None else 0.0
-            try:
-                arrays = evaluator.score_tile_groups(groups)
-                spans: tuple = ()
-                if trace is not None:
-                    # One shared fused forward: every command in it gets
-                    # the span (it describes the forward each rode in).
-                    spans = (forward_span(trace, started, shard, "replica"),)
-                for position, (index, value) in enumerate(zip(indices, arrays)):
-                    results[index] = CommandResult(
-                        value=np.asarray(value),
-                        forwards=1 if position == 0 else 0,
-                        spans=spans,
-                    )
-            except Exception:
-                message = traceback.format_exc()
+        except Exception:
+            if len(indices) == 1:
+                results[indices[0]] = CommandResult(error=traceback.format_exc())
+            else:
                 for index in indices:
-                    results[index] = CommandResult(error=message)
+                    self._run_tiles(pool, commands, [index], results)
+            return
+        # Every command gets the span: it describes the forward each rode in.
+        spans = (
+            (forward_span(trace, started, shard, "replica"),)
+            if trace is not None
+            else ()
+        )
+        for position, (index, value) in enumerate(zip(indices, arrays)):
+            results[index] = CommandResult(
+                value=np.asarray(value),
+                forwards=1 if position == 0 else 0,
+                spans=spans,
+            )
 
     def run(self, version: str, commands: list[Command]) -> list[CommandResult]:
         pool = self._pool_for(version)
         results: list[CommandResult | None] = [None] * len(commands)
-        if self.fuse_tile_commands:
-            self._run_fused_tiles(pool, commands, results)
+        tiles_by_shard: dict[int, list[int]] = {}
         for index, command in enumerate(commands):
-            if results[index] is not None:
+            if isinstance(command, TileCommand):
+                tiles_by_shard.setdefault(command.shard, []).append(index)
                 continue
-            evaluator = pool.replicas[command.shard]
             started = time.time() if command.trace is not None else 0.0
             try:
-                if isinstance(command, TileCommand):
-                    value = evaluator.score_tiles_batched(
-                        command.kernel, list(command.tiles)
-                    )
-                else:
-                    value = evaluator.program_runtimes_batched(
-                        [list(kernels) for kernels in command.programs]
-                    )
-                spans = (
-                    (forward_span(
-                        command.trace, started, command.shard, "replica"
-                    ),)
-                    if command.trace is not None
-                    else ()
-                )
-                results[index] = CommandResult(
-                    value=np.asarray(value), spans=spans
+                value = pool.replicas[command.shard].program_runtimes_batched(
+                    [list(kernels) for kernels in command.programs]
                 )
             except Exception:
                 results[index] = CommandResult(error=traceback.format_exc())
+                continue
+            spans = (
+                (forward_span(command.trace, started, command.shard, "replica"),)
+                if command.trace is not None
+                else ()
+            )
+            results[index] = CommandResult(value=np.asarray(value), spans=spans)
+        for indices in tiles_by_shard.values():
+            self._run_tiles(pool, commands, indices, results)
         return results
 
     def stats(self) -> dict:
@@ -776,7 +771,13 @@ class ProcessShardExecutor(Executor):
         reply,
         results: list[CommandResult | None],
     ) -> None:
-        """Fan a fused tile_batch reply back out to per-command results."""
+        """Fan a fused tile_batch reply back out to per-command results.
+
+        A model error is the request's own fault: when the forward
+        several commands shared raised, each is round-tripped on its
+        own, so only the offender carries the traceback. Call with the
+        pipe drained — the re-runs are fresh round trips.
+        """
         if reply[0] == "ok":
             spans = self._reply_spans(reply)
             for position, ((index, command), value) in enumerate(
@@ -789,6 +790,12 @@ class ProcessShardExecutor(Executor):
                     spans=spans,
                 )
                 shard.commands += 1
+        elif reply[0] == "err" and len(tile_items) > 1:
+            for index, command in tile_items:
+                results[index] = self._single_result(
+                    self._execute_one_locked(shard, command)
+                )
+                shard.commands += 1
         else:
             message = (
                 str(reply[1])
@@ -798,6 +805,12 @@ class ProcessShardExecutor(Executor):
             for index, _ in tile_items:
                 results[index] = CommandResult(error=message)
                 shard.commands += 1
+
+    def _single_result(self, reply) -> CommandResult:
+        """The result of one :meth:`_execute_one_locked` round trip."""
+        if reply[0] == "ok":
+            return CommandResult(value=reply[1], spans=self._reply_spans(reply))
+        return CommandResult(error=str(reply[1]))
 
     def _resolve_program_locked(
         self,
@@ -859,11 +872,11 @@ class ProcessShardExecutor(Executor):
             ))
         if retry_tiles:
             tile_reply = self._recv_locked(shard)
-        if tile_items:
-            self._resolve_tile_batch_locked(shard, tile_items, tile_reply, results)
         for index, command in deferred:
             reply = self._recv_locked(shard)
             self._resolve_program_locked(shard, index, command, reply, results)
+        if tile_items:
+            self._resolve_tile_batch_locked(shard, tile_items, tile_reply, results)
 
     def _fallback_locked(
         self,
@@ -884,15 +897,11 @@ class ProcessShardExecutor(Executor):
                 continue  # completed before the pipe broke
             try:
                 self._sync_locked(shard, version)
-                reply = self._execute_one_locked(shard, command)
+                results[index] = self._single_result(
+                    self._execute_one_locked(shard, command)
+                )
                 shard.commands += 1
                 shard.backoff.record_success()
-                if reply[0] == "ok":
-                    results[index] = CommandResult(
-                        value=reply[1], spans=self._reply_spans(reply)
-                    )
-                else:
-                    results[index] = CommandResult(error=str(reply[1]))
             except _PIPE_ERRORS:
                 self._invalidate_locked(shard)
                 message = (

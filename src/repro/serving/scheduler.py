@@ -2,21 +2,32 @@
 
 Clients submit requests from any thread and immediately get a
 :class:`concurrent.futures.Future`. The scheduler holds the pending
-requests in arrival order and releases them in *micro-batches*: a batch is
-cut as soon as ``max_batch_size`` requests are pending, or once the oldest
-pending request has waited ``flush_interval_s`` — the classic
-latency/throughput dial of serving systems. The batch executor (the
-service's worker loop) turns each micro-batch into as few model forwards
-as possible.
+requests in arrival order and releases them in *micro-batches*. The batch
+executor (the service's worker loop) turns each micro-batch into as few
+model forwards as possible. A pending batch is cut on the first of three
+conditions:
 
-With ``adaptive_flush`` the age cutoff is derived from the observed
-request inter-arrival gap (an EMA) instead of being fixed: when arrivals
-are sparser than the flush window — a lone synchronous client whose next
-request only arrives after the current one resolves — waiting can never
-coalesce anything, so the batch is cut immediately; when arrivals are
-dense, the full window applies and coalescing wins. This removes the
-fixed-window latency tax in the 1-client regime while keeping the
-many-client throughput win.
+* **full** — ``max_batch_size`` requests are pending;
+* **aged** — the oldest pending request has waited ``flush_interval_s``,
+  the classic latency/throughput dial of serving systems and the upper
+  bound on what batching may cost a request;
+* **quiet** (``adaptive_flush`` only) — no request has arrived for a few
+  times the gap at which requests had been joining the queue: the burst
+  that was filling the batch is over, and the rest of the window would be
+  spent waiting for nobody. Closed-loop tuners refill their window within
+  a fraction of a millisecond of the previous answers and then block, so
+  their batch goes out when the refill ends instead of when the window
+  does; evenly spaced dense arrivals never fall quiet and keep the full
+  window.
+
+With ``adaptive_flush`` the age cutoff itself also follows the observed
+inter-arrival gap (an EMA over all arrivals): when arrivals are sparser
+than the flush window — a lone synchronous client whose next request only
+arrives after the current one resolves — waiting can never coalesce
+anything, so the batch is cut immediately; when arrivals are dense, the
+full window applies and coalescing wins. This removes the fixed-window
+latency tax in the 1-client regime while keeping the many-client
+throughput win.
 
 The scheduler is transport-agnostic and knows nothing about models; it is
 the scheduling core that every transport frontend (the in-process client
@@ -87,7 +98,8 @@ class MicroBatcher:
         adaptive_flush: derive the effective age cutoff from the observed
             inter-arrival EMA — collapse it to zero while arrivals are
             sparser than the window (waiting cannot coalesce), restore the
-            full window while they are dense.
+            full window while they are dense — and cut a batch early once
+            arrivals have stopped (see :meth:`cut_wait`).
         gap_ema_alpha: EMA smoothing weight for the inter-arrival gap.
             The first observed gap initializes the EMA directly (a lone
             synchronous client flips to the zero-wait regime on its
@@ -110,6 +122,12 @@ class MicroBatcher:
     #: (e.g. between benchmark phases) must not dominate the EMA for the
     #: first requests of the next burst.
     _GAP_CLAMP_S = 0.25
+
+    #: A pending batch is cut once the queue has been quiet for this many
+    #: within-burst gaps. Generous against scheduling jitter between two
+    #: requests of one burst, and still a small fraction of the window for
+    #: the tens-of-microseconds gaps of a refilling client window.
+    _QUIET_GAPS = 4.0
 
     #: Smoothing weight of the queue-pressure EMA (sampled at each batch
     #: cut as pending / max_batch_size — the placement controller's
@@ -140,6 +158,7 @@ class MicroBatcher:
         self.max_pending = max_pending
         self.default_deadline_s = default_deadline_s
         self._gap_ema: float | None = None
+        self._burst_gap_ema: float | None = None
         self._pressure_ema = 0.0
         self._last_arrival: float | None = None
         self._lock = threading.Lock()
@@ -181,18 +200,34 @@ class MicroBatcher:
                     f"scheduler backlog at {len(self._pending)} requests "
                     f"(max_pending={self.max_pending})"
                 )
-            if self._last_arrival is not None:
-                gap = min(pending.enqueued_at - self._last_arrival, self._GAP_CLAMP_S)
-                if self._gap_ema is None:
-                    self._gap_ema = gap
-                else:
-                    alpha = self.gap_ema_alpha
-                    self._gap_ema = (1.0 - alpha) * self._gap_ema + alpha * gap
-            self._last_arrival = pending.enqueued_at
+            self.observe_arrival(pending.enqueued_at, bool(self._pending))
             self._pending.append(pending)
             self.submitted += 1
             self._nonempty.notify()
         return pending.future
+
+    def observe_arrival(self, at: float, joins_pending: bool) -> None:
+        """Fold one arrival at time ``at`` into the gap estimates.
+
+        Every gap feeds the overall EMA behind the sparse-arrival rule. A
+        gap whose arrival ``joins_pending`` requests — the two waited in
+        the queue together — also feeds the *within-burst* EMA behind the
+        quiet rule; the gap in front of a burst's first request (it finds
+        the queue empty: the previous batch is out being executed) never
+        does, however long it is. :meth:`submit` calls this under the
+        lock; it reads no clock, so tests drive it with explicit times.
+        """
+        if self._last_arrival is not None:
+            gap = min(at - self._last_arrival, self._GAP_CLAMP_S)
+            self._gap_ema = self._smoothed(self._gap_ema, gap)
+            if joins_pending:
+                self._burst_gap_ema = self._smoothed(self._burst_gap_ema, gap)
+        self._last_arrival = at
+
+    def _smoothed(self, ema: float | None, gap: float) -> float:
+        if ema is None:
+            return gap
+        return (1.0 - self.gap_ema_alpha) * ema + self.gap_ema_alpha * gap
 
     @property
     def arrival_gap_ema_s(self) -> float | None:
@@ -216,13 +251,33 @@ class MicroBatcher:
             return 0.0
         return self.flush_interval_s
 
+    def cut_wait(self, now: float, oldest: float, last: float) -> float:
+        """Seconds until a pending, not yet full batch is due (<= 0: now).
+
+        Args:
+            now: the current time.
+            oldest: arrival time of the oldest pending request.
+            last: arrival time of the newest pending request.
+
+        The batch is due once it has *aged* — ``oldest`` is
+        :meth:`effective_flush_interval` in the past — or, with
+        ``adaptive_flush``, once the queue has been *quiet* for
+        ``_QUIET_GAPS`` within-burst gaps since ``last``, whichever comes
+        first; the window therefore stays the upper bound. Reads the gap
+        estimates :meth:`observe_arrival` maintains and no clock.
+        """
+        due = oldest + self.effective_flush_interval()
+        if self.adaptive_flush and self._burst_gap_ema is not None:
+            due = min(due, last + self._QUIET_GAPS * self._burst_gap_ema)
+        return due - now
+
     def next_batch(self, timeout: float | None = None) -> list[PendingRequest]:
         """Block until a batch is due, then return it (oldest first).
 
-        A batch is due when ``max_batch_size`` requests are pending or the
-        oldest has aged past ``flush_interval_s``. Returns ``[]`` on
-        ``timeout`` (the caller's chance to notice shutdown) and after
-        :meth:`close` once the queue has drained.
+        A batch is due when ``max_batch_size`` requests are pending or
+        :meth:`cut_wait` says so. Returns ``[]`` on ``timeout`` (the
+        caller's chance to notice shutdown) and after :meth:`close` once
+        the queue has drained.
         """
         deadline = None if timeout is None else time.perf_counter() + timeout
         with self._nonempty:
@@ -230,11 +285,13 @@ class MicroBatcher:
                 if self._pending:
                     if len(self._pending) >= self.max_batch_size or self._closed:
                         return self._cut()
-                    interval = self.effective_flush_interval()
-                    age = time.perf_counter() - self._pending[0].enqueued_at
-                    if age >= interval:
+                    wait = self.cut_wait(
+                        time.perf_counter(),
+                        self._pending[0].enqueued_at,
+                        self._pending[-1].enqueued_at,
+                    )
+                    if wait <= 0:
                         return self._cut()
-                    wait = interval - age
                 elif self._closed:
                     return []
                 else:

@@ -42,7 +42,9 @@ future, and the version / shadow / deadline / shard stamped on the way):
    possible, one shard-annotated command each:
 
    * tile-score requests for the *same kernel* are merged into one
-     ``score_tiles_batched`` call (their candidate lists concatenated);
+     command (their candidate lists concatenated), and both executors
+     run all of a shard's tile commands as one ``score_tile_groups``
+     forward — one forward per shard per micro-batch;
    * kernel-runtime requests are merged into one
      ``program_runtimes_batched`` call over single-kernel programs;
    * program-population requests are merged into one
@@ -126,7 +128,8 @@ class ServiceConfig:
         adaptive_flush: derive the effective flush cutoff from the
             observed inter-arrival EMA — zero wait while arrivals are
             sparser than the window (the lone-client regime), the full
-            window while they are dense.
+            window while they are dense — and cut a batch as soon as
+            the burst filling it has ended.
         replicas: fingerprint shards — evaluator replicas for the
             ``thread`` executor, worker subprocesses for ``process``.
         executor: one of :data:`EXECUTOR_CHOICES`.
@@ -137,12 +140,6 @@ class ServiceConfig:
         share_kernel_cache: one precompute cache for all in-thread
             replicas (ignored by the ``process`` executor — worker caches
             are per-process by construction).
-        fuse_tile_commands: opt-in cross-kernel fused forwards for the
-            ``thread`` executor — a micro-batch's tile commands on one
-            shard execute as a single multi-kernel forward (the batching
-            policy the ``process`` executor already applies per worker).
-            Changes batch shape, so scores move at float32 BLAS rounding
-            level versus the per-kernel-forward default.
         shadow_cache_hit_fraction: fraction of result-cache *hits*
             sampled into shadow batches during a rollout (deterministic
             by request hash). Cache hits bypass execution — and with it
@@ -184,7 +181,6 @@ class ServiceConfig:
     max_cached_kernels: int = 1024
     result_cache_entries: int = 4096
     share_kernel_cache: bool = True
-    fuse_tile_commands: bool = False
     shadow_cache_hit_fraction: float = 0.0
     default_deadline_s: float | None = None
     max_pending: int = 0
@@ -326,7 +322,6 @@ class CostModelService:
                 replicas=self.config.replicas,
                 max_cached_kernels=self.config.max_cached_kernels,
                 share_kernel_cache=self.config.share_kernel_cache,
-                fuse_tile_commands=self.config.fuse_tile_commands,
                 shard_map=shard_map,
             )
         if self.config.executor == "process":

@@ -1,19 +1,24 @@
 """The inference contract: ``predict`` ≡ tape ``forward`` (eval, no_grad), bitwise.
 
 ``repro.models.inference`` re-implements the forward pass on plain arrays;
-the autograd ``forward`` is the oracle. Every comparison here is exact:
-same dtype, same shape, ``np.array_equal``.
+the autograd ``forward`` is the oracle. Every comparison here is exact —
+same dtype, same shape, ``np.array_equal`` — with one stated exception: the
+LSTM reduction on a batch whose graphs differ in node count steps each row
+only through its own nodes, so its late gate matmuls see fewer rows than
+the tape's; there the contract is ``rtol=1e-5, atol=1e-7``.
 """
 import itertools
 import sys
 import threading
 import time
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.data import assemble_batch
+from repro.data.batching import _pad_views
 from repro.data.features import (
     NODE_FEATURE_DIM,
     STATIC_FEATURE_DIM,
@@ -21,8 +26,9 @@ from repro.data.features import (
     KernelFeatures,
 )
 from repro.hlo.opcodes import NUM_OPCODES
-from repro.models import LearnedPerformanceModel, ModelConfig
-from repro.nn import Adam, Module, no_grad
+from repro.models import LearnedPerformanceModel, ModelConfig, inference
+from repro.nn import Adam, Module, Tensor, no_grad
+from repro.nn.rnn import LSTM
 
 SMALL = dict(
     hidden_dim=16, opcode_embedding_dim=8, lstm_hidden=12, gnn_layers=2, node_final_layers=1
@@ -76,6 +82,22 @@ def assert_bitwise(got, expected):
     assert np.array_equal(got, expected)
 
 
+def assert_close(got, expected):
+    """The packed-LSTM tolerance (mixed node counts only)."""
+    assert got.dtype == expected.dtype == np.float32
+    assert got.shape == expected.shape
+    np.testing.assert_allclose(got, expected, rtol=1e-5, atol=1e-7)
+
+
+def assert_matches_tape(model, batch):
+    """Bitwise, except where the module docstring says otherwise."""
+    got, expected = model.predict(batch), tape_reference(model, batch)
+    if model.config.reduction == "lstm" and len(set(batch.context.sizes)) > 1:
+        assert_close(got, expected)
+    else:
+        assert_bitwise(got, expected)
+
+
 @pytest.fixture(scope="module")
 def batches():
     rng = np.random.default_rng(11)
@@ -108,14 +130,14 @@ class TestPredictEqualsTapeForward:
             )
             model = LearnedPerformanceModel(cfg, seed=1)
             for batch in batches:
-                assert_bitwise(model.predict(batch), tape_reference(model, batch))
+                assert_matches_tape(model, batch)
             # Adam.step leaves the parameters it updates float64; the tape
             # rounds each op back to float32 and predict must round with it.
             model(batches[1]).sum().backward()
             Adam(model.parameters(), lr=1e-2).step()
             assert any(p.data.dtype == np.float64 for p in model.parameters())
             for batch in batches:
-                assert_bitwise(model.predict(batch), tape_reference(model, batch))
+                assert_matches_tape(model, batch)
 
     def test_paper_presets_at_full_width(self, batches):
         for cfg in (
@@ -126,7 +148,7 @@ class TestPredictEqualsTapeForward:
         ):
             model = LearnedPerformanceModel(cfg, seed=0)
             for batch in batches:
-                assert_bitwise(model.predict(batch), tape_reference(model, batch))
+                assert_matches_tape(model, batch)
 
     @given(
         sizes=st.lists(st.integers(1, 12), min_size=1, max_size=4),
@@ -159,7 +181,106 @@ class TestPredictEqualsTapeForward:
             **SMALL,
         )
         model = LearnedPerformanceModel(cfg, seed=3)
-        assert_bitwise(model.predict(batch), tape_reference(model, batch))
+        assert_matches_tape(model, batch)
+
+
+def lstm_config(**overrides):
+    return ModelConfig(task="tile", reduction="lstm", **{**SMALL, **overrides})
+
+
+def after_adam_step(model, batch):
+    """Leave ``model``'s parameters float64, as ``Adam.step`` does."""
+    model(batch).sum().backward()
+    Adam(model.parameters(), lr=1e-2).step()
+    assert any(p.data.dtype == np.float64 for p in model.parameters())
+
+
+class TestPackedLstm:
+    """``_lstm`` runs each row only through its own nodes, longest rows
+    first, and puts the result back in input order."""
+
+    @staticmethod
+    def both(lengths, seed=0, dim=16, hidden=12):
+        """(packed, tape) final states for sequences of ``lengths``."""
+        rng = np.random.default_rng(seed)
+        lstm = LSTM(dim, hidden, rng=rng)
+        nodes = rng.standard_normal((max(sum(lengths), 1), dim)).astype(np.float32)
+        pad_index, pad_mask = _pad_views(list(lengths))
+        packed = inference._lstm(
+            lstm, nodes, SimpleNamespace(pad_index=pad_index, pad_mask=pad_mask)
+        )
+        with no_grad():
+            tape = lstm(Tensor(nodes[pad_index]), pad_mask).numpy()
+        return packed, tape
+
+    @pytest.mark.parametrize("lengths", [(1,), (7,), (5, 5, 5), (23,) * 64, (1, 1)])
+    def test_equal_lengths_are_the_tape_bit_for_bit(self, lengths):
+        packed, tape = self.both(lengths)
+        assert_bitwise(packed, tape)
+
+    @pytest.mark.parametrize(
+        "lengths",
+        [(3, 23), (23, 3), (1, 2, 3, 4, 5), (9, 1, 9, 1), (4, 0, 2), (0, 0), (0,)],
+    )
+    def test_mixed_and_empty_sequences_match_the_tape(self, lengths):
+        packed, tape = self.both(lengths)
+        assert_close(packed, tape)
+        for row, n in enumerate(lengths):
+            if n == 0:  # never stepped: the initial state
+                assert not packed[row].any()
+
+    def test_result_is_fresh_and_in_input_order(self):
+        lengths = (2, 9, 5, 9, 1)
+        first, tape = self.both(lengths)
+        assert_close(first, tape)  # row i of the result is sequence i
+        expected = first.copy()
+        first[:] = 0.0  # a caller scribbling on its result
+        again, _ = self.both(lengths)
+        assert_bitwise(again, expected)
+        assert again.flags.owndata and again.flags.writeable
+
+    @given(
+        sizes=st.lists(st.integers(1, 23), min_size=2, max_size=6),
+        rows=st.integers(1, 64),
+        stepped=st.booleans(),
+        data=st.data(),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_generated_mixed_batches_match_the_tape(self, sizes, rows, stepped, data):
+        kernel_of_row = data.draw(
+            st.lists(st.integers(0, len(sizes) - 1), min_size=rows, max_size=rows)
+        )
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**16)))
+        batch = make_batch(rng, sizes, rows, kernel_of_row=kernel_of_row)
+        model = LearnedPerformanceModel(lstm_config(), seed=5)
+        if stepped:
+            after_adam_step(model, batch)
+        assert_matches_tape(model, batch)
+
+    @given(
+        sizes=st.lists(st.integers(1, 23), min_size=2, max_size=6),
+        stepped=st.booleans(),
+        data=st.data(),
+    )
+    @settings(max_examples=25, deadline=None)
+    def test_a_row_scores_the_same_whatever_it_is_batched_with(self, sizes, stepped, data):
+        """Alone, among other kernels, or with the rows reordered."""
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**16)))
+        kernels = [make_kernel(rng, n) for n in sizes]
+        items = [
+            (kernel, rng.random(TILE_FEATURE_DIM).astype(np.float32), 0.0, k)
+            for k, kernel in enumerate(kernels)
+            for _ in range(2)
+        ]
+        model = LearnedPerformanceModel(lstm_config(), seed=7)
+        if stepped:
+            after_adam_step(model, assemble_batch(items))
+        together = model.predict(assemble_batch(items))
+        order = data.draw(st.permutations(range(len(items))))
+        shuffled = model.predict(assemble_batch([items[i] for i in order]))
+        assert_close(shuffled, together[list(order)])
+        for i, item in enumerate(items):
+            assert_close(model.predict(assemble_batch([item])), together[i : i + 1])
 
 
 class TestPredictReadsLiveWeights:
@@ -174,7 +295,7 @@ class TestPredictReadsLiveWeights:
         optimizer.step()
         stepped = model.predict(batch)
         assert not np.array_equal(stepped, before)
-        assert_bitwise(stepped, tape_reference(model, batch))
+        assert_matches_tape(model, batch)
 
         model.load_state_dict(initial_state)
         assert_bitwise(model.predict(batch), before)

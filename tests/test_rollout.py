@@ -1077,64 +1077,66 @@ class TestTwoLiveVersions:
 
 
 # ---------------------------------------------------------------------- #
-# in-thread cross-kernel fused forwards (opt-in)
+# in-thread cross-kernel fused forwards (the only tile path)
 # ---------------------------------------------------------------------- #
 
 
 class TestInThreadFusedForwards:
     def test_single_command_batch_is_bitwise(self, corpus, result_a):
-        """At equal batch shape (one tile command in the batch) the fused
-        path is bitwise-identical to the unfused default."""
-        records, _ = corpus
+        """At equal batch shape (one tile command in the batch) the served
+        scores are bitwise those of the direct evaluator."""
+        records, scalers = corpus
         kernel = records[0].kernel
         tiles = enumerate_tile_sizes(kernel)[:6]
-        fused = CostModelService(
-            result_a,
-            ServiceConfig(fuse_tile_commands=True, result_cache_entries=0),
-        )
-        plain = CostModelService(result_a, ServiceConfig(result_cache_entries=0))
+        service = CostModelService(result_a, ServiceConfig(result_cache_entries=0))
         try:
-            a = ServiceEvaluator(fused).score_tiles_batched(kernel, tiles)
-            b = ServiceEvaluator(plain).score_tiles_batched(kernel, tiles)
-            assert a.tobytes() == b.tobytes()
-        finally:
-            fused.stop()
-            plain.stop()
-
-    def test_multi_kernel_batch_costs_one_forward(self, corpus, result_a):
-        records, scalers = corpus
-        service = CostModelService(
-            result_a,
-            ServiceConfig(
-                fuse_tile_commands=True, max_batch_size=16, result_cache_entries=0
-            ),
-        )
-        try:
-            futures = [
-                service.submit(
-                    TileScoresRequest(
-                        kernel=r.kernel,
-                        tiles=tuple(enumerate_tile_sizes(r.kernel)[:4]),
-                    )
-                )
-                for r in records[:3]
-            ]
-            service.flush()
-            responses = [f.result(timeout=30) for f in futures]
-            assert all(r.error is None for r in responses)
-            assert service.stats.snapshot()["model_forwards"] == 1.0
-            # Fusion moves scores only at float32 BLAS rounding level.
-            for record, response in zip(records[:3], responses):
-                reference = LearnedEvaluator(
-                    result_a.model, scalers
-                ).score_tiles_batched(
-                    record.kernel, enumerate_tile_sizes(record.kernel)[:4]
-                )
-                np.testing.assert_allclose(
-                    response.value, reference, rtol=1e-4, atol=1e-7
-                )
+            served = ServiceEvaluator(service).score_tiles_batched(kernel, tiles)
+            direct = LearnedEvaluator(result_a.model, scalers).score_tiles_batched(
+                kernel, tiles
+            )
+            assert served.tobytes() == direct.tobytes()
         finally:
             service.stop()
+
+    def test_multi_kernel_batch_costs_one_forward(self, corpus, result_a):
+        """N distinct kernels in one flushed batch cost one forward per
+        shard they touch: 1 at ``replicas=1``, 2 at ``replicas=2``."""
+        records, scalers = corpus
+        direct = LearnedEvaluator(result_a.model, scalers)
+        for replicas in (1, 2):
+            service = CostModelService(
+                result_a,
+                ServiceConfig(
+                    max_batch_size=16, replicas=replicas, result_cache_entries=0
+                ),
+            )
+            try:
+                futures = [
+                    service.submit(
+                        TileScoresRequest(
+                            kernel=r.kernel,
+                            tiles=tuple(enumerate_tile_sizes(r.kernel)[:4]),
+                        )
+                    )
+                    for r in records
+                ]
+                service.flush()
+                responses = [f.result(timeout=30) for f in futures]
+                assert all(r.error is None for r in responses)
+                shards_touched = {
+                    service.executor.shard_for(r.kernel.fingerprint())
+                    for r in records
+                }
+                assert len(shards_touched) == replicas
+                assert service.stats.snapshot()["model_forwards"] == float(replicas)
+                # Fusion moves scores only at float32 rounding level.
+                for record, response in zip(records, responses):
+                    reference = direct.score_tiles_batched(
+                        record.kernel, enumerate_tile_sizes(record.kernel)[:4]
+                    )
+                    np.testing.assert_allclose(response.value, reference, rtol=1e-5)
+            finally:
+                service.stop()
 
 
 # ---------------------------------------------------------------------- #

@@ -281,7 +281,17 @@ class TestRegistrySpill:
 # ---------------------------------------------------------------------- #
 
 
+def _arrive(mb, times, first_joins=False):
+    """Feed ``mb`` arrivals at explicit ``times``: one burst, whose first
+    request finds the queue as ``first_joins`` says and whose later ones
+    join it."""
+    for i, at in enumerate(times):
+        mb.observe_arrival(at, joins_pending=first_joins or i > 0)
+
+
 class TestAdaptiveFlush:
+    """The batch-cut rule, driven with explicit timestamps: no wall clock."""
+
     def test_fixed_mode_keeps_configured_interval(self):
         mb = MicroBatcher(flush_interval_s=0.005, adaptive_flush=False)
         for _ in range(4):
@@ -290,9 +300,8 @@ class TestAdaptiveFlush:
 
     def test_sparse_arrivals_collapse_interval_to_zero(self):
         mb = MicroBatcher(flush_interval_s=0.002, adaptive_flush=True)
-        for _ in range(4):
-            mb.submit(KernelRuntimeRequest(kernel=None))
-            time.sleep(0.01)  # gap of ~10 ms >> 2 ms window
+        for at in (0.0, 0.01, 0.02, 0.03):  # gaps of 10 ms >> 2 ms window
+            mb.observe_arrival(at, joins_pending=False)
         assert mb.arrival_gap_ema_s > mb.flush_interval_s
         assert mb.effective_flush_interval() == 0.0
 
@@ -305,28 +314,81 @@ class TestAdaptiveFlush:
 
     def test_sparse_then_dense_recovers_batching(self):
         mb = MicroBatcher(flush_interval_s=0.05, adaptive_flush=True, gap_ema_alpha=0.5)
-        mb.submit(KernelRuntimeRequest(kernel=None))
-        time.sleep(0.08)
-        mb.submit(KernelRuntimeRequest(kernel=None))
+        _arrive(mb, (0.0, 0.08))
         assert mb.effective_flush_interval() == 0.0
-        for _ in range(8):
-            mb.submit(KernelRuntimeRequest(kernel=None))
+        _arrive(mb, [0.08 + 1e-5 * i for i in range(1, 9)], first_joins=True)
         assert mb.effective_flush_interval() == 0.05
 
     def test_adaptive_sparse_batch_cuts_immediately(self):
         mb = MicroBatcher(max_batch_size=100, flush_interval_s=0.05, adaptive_flush=True)
-        for _ in range(3):
-            mb.submit(KernelRuntimeRequest(kernel=None))
-            time.sleep(0.08)  # EMA gap ~80 ms >= 50 ms window: sparse regime
-        mb.drain()
+        for at in (0.0, 0.08, 0.16):  # EMA gap 80 ms >= 50 ms window: sparse
+            mb.observe_arrival(at, joins_pending=False)
+        # A lone synchronous client: zero wait, whenever it is asked.
+        assert mb.cut_wait(now=0.24, oldest=0.24, last=0.24) <= 0
+        # ... and through the real queue: a fixed 50 ms window would hold
+        # this lone request for the full window.
         mb.submit(KernelRuntimeRequest(kernel=None))
         start = time.perf_counter()
         batch = mb.next_batch(timeout=5.0)
         elapsed = time.perf_counter() - start
         assert len(batch) == 1
-        # A fixed 50 ms window would hold this lone request for the full
-        # window; the sparse-trained EMA cuts it with no added wait.
         assert elapsed < 0.04
+
+    def test_burst_then_silence_cuts_after_the_quiet_gap(self):
+        mb = MicroBatcher(flush_interval_s=0.002, adaptive_flush=True)
+        burst = [20e-6 * i for i in range(16)]  # a client window refilling
+        _arrive(mb, burst)
+        last = burst[-1]
+        quiet = mb._QUIET_GAPS * 20e-6
+        assert mb.cut_wait(now=last, oldest=0.0, last=last) == pytest.approx(quiet)
+        assert mb.cut_wait(now=last + quiet / 2, oldest=0.0, last=last) > 0
+        assert mb.cut_wait(now=last + quiet, oldest=0.0, last=last) <= 1e-12
+        assert last + quiet < mb.flush_interval_s / 4  # long before the window
+
+    def test_evenly_spaced_dense_arrivals_keep_the_full_window(self):
+        mb = MicroBatcher(max_batch_size=100, flush_interval_s=0.002, adaptive_flush=True)
+        times = [1e-4 * i for i in range(20)]  # every 0.1 ms, through the window
+        for i, at in enumerate(times):
+            mb.observe_arrival(at, joins_pending=i > 0)
+            # Never quiet: not on arrival, not just before the next one.
+            assert mb.cut_wait(now=at, oldest=0.0, last=at) > 0
+            assert mb.cut_wait(now=at + 0.99e-4, oldest=0.0, last=at) > 0
+        assert mb.cut_wait(now=0.002, oldest=0.0, last=times[-1]) <= 0  # aged
+
+    def test_lone_synchronous_client_never_learns_a_burst_gap(self):
+        mb = MicroBatcher(flush_interval_s=0.002, adaptive_flush=True)
+        for i in range(10):  # each request finds the queue empty
+            at = 0.005 * i
+            mb.observe_arrival(at, joins_pending=False)
+            if i:
+                assert mb.cut_wait(now=at, oldest=at, last=at) <= 0  # zero wait
+        assert mb._burst_gap_ema is None
+
+    def test_inter_burst_gap_does_not_poison_the_burst_estimate(self):
+        # Window of 1 s, so the 50 ms between bursts is not "sparse".
+        mb = MicroBatcher(flush_interval_s=1.0, adaptive_flush=True)
+        quiet = mb._QUIET_GAPS * 20e-6
+        for burst in range(5):
+            begin = 0.05 * burst
+            times = [begin + 20e-6 * i for i in range(16)]
+            _arrive(mb, times[:2])  # the first finds the queue empty
+            # Right after the long gap, where a polluted EMA would show most.
+            wait = mb.cut_wait(now=times[1], oldest=begin, last=times[1])
+            assert wait == pytest.approx(quiet)
+            _arrive(mb, times[2:], first_joins=True)
+        assert mb.arrival_gap_ema_s > 10 * 20e-6  # the overall EMA did see it
+
+    def test_window_is_the_upper_bound(self):
+        mb = MicroBatcher(flush_interval_s=0.002, adaptive_flush=True)
+        _arrive(mb, (0.0, 0.001, 0.002), first_joins=True)  # 1 ms burst gaps
+        # Quiet would be due 4 ms after the last arrival; aged comes first.
+        wait = mb.cut_wait(now=0.0025, oldest=0.0015, last=0.0025)
+        assert wait == pytest.approx(0.001)
+
+    def test_fixed_mode_has_no_quiet_cut(self):
+        mb = MicroBatcher(flush_interval_s=0.002, adaptive_flush=False)
+        _arrive(mb, [20e-6 * i for i in range(16)])
+        assert mb.cut_wait(now=0.001, oldest=0.0, last=0.0003) == pytest.approx(0.001)
 
     def test_service_exposes_effective_interval(self, result_a):
         service = CostModelService(
@@ -535,6 +597,64 @@ class TestProcessShardExecutor:
         assert good.result(timeout=30).error is None
         assert bad.result(timeout=30).error is not None
 
+    def test_model_error_in_a_shared_forward_fails_alone(
+        self, corpus, result_a, process_service
+    ):
+        """A kernel whose feature extraction raises inside the forward it
+        shares with healthy neighbours costs only its own request — a
+        model error, not an infrastructure failure — on both executors."""
+        records, scalers = corpus
+        direct = LearnedEvaluator(result_a.model, scalers)
+        in_thread = CostModelService(
+            result_a, ServiceConfig(replicas=2, result_cache_entries=0)
+        )
+        try:
+            for service in (in_thread, process_service):
+                shard = service.executor.shard_for(records[0].kernel.fingerprint())
+                neighbours = [
+                    r.kernel for r in records
+                    if service.executor.shard_for(r.kernel.fingerprint()) == shard
+                ]
+                assert len(neighbours) > 1
+                # Fingerprints (so it is routed and co-batched like any
+                # kernel), then raises in ``extract_kernel_features``.
+                poisoned = Kernel(graph=None)
+                poisoned._fingerprint = next(
+                    fp for fp in (f"{i:08x}".ljust(64, "0") for i in range(64))
+                    if service.executor.shard_for(fp) == shard
+                )
+                tiles = {k.fingerprint(): enumerate_tile_sizes(k)[:4] for k in neighbours}
+                good = [
+                    service.submit(
+                        TileScoresRequest(kernel=k, tiles=tuple(tiles[k.fingerprint()]))
+                    )
+                    for k in neighbours
+                ]
+                bad = service.submit(
+                    TileScoresRequest(
+                        kernel=poisoned, tiles=tuple(tiles[neighbours[0].fingerprint()])
+                    )
+                )
+                before = service.breaker_board()["breakers"].get(str(shard))
+                service.flush()
+                for kernel, future in zip(neighbours, good):
+                    response = future.result(timeout=60)
+                    assert response.error is None and not response.degraded
+                    np.testing.assert_allclose(
+                        response.value,
+                        direct.score_tiles_batched(kernel, tiles[kernel.fingerprint()]),
+                        rtol=1e-5,
+                    )
+                failed = bad.result(timeout=60)
+                assert failed.error is not None and "Traceback" in failed.error
+                assert not failed.degraded and failed.error_code is None
+                after = service.breaker_board()["breakers"][str(shard)]
+                assert after["state"] == "closed"
+                assert after["consecutive_failures"] == 0 and after["opens"] == 0
+                assert before is None or before["opens"] == 0
+        finally:
+            in_thread.stop()
+
     def test_fused_tile_groups_single_group_is_bitwise(self, corpus, result_a):
         """score_tile_groups with one group == score_tiles_batched exactly
         (the shape-preserving case the fused shard path relies on)."""
@@ -701,8 +821,10 @@ class TestSocketFrontend:
         for t in threads:
             t.join()
         assert len(outputs) == len(workload)
+        # Clients whose requests meet in one micro-batch share a forward
+        # (a different batch shape): float32 rounding level, not bitwise.
         for idx, scores in outputs.items():
-            np.testing.assert_array_equal(scores, references[idx])
+            np.testing.assert_allclose(scores, references[idx], rtol=1e-5)
 
     def test_error_responses_cross_the_wire(self, socket_setup):
         import socket as socketlib
