@@ -12,7 +12,11 @@ the :class:`repro.data.KernelCache`:
 * **autotuner tile scoring** — tiles/sec for repeated-kernel queries,
   cold (fresh feature extraction + normalization per query, per-candidate
   model calls) vs. cached+batched (``score_tiles_batched`` on a warm
-  evaluator).
+  evaluator);
+* **fusion search** — searches/sec and configs/sec of
+  ``model_fusion_autotune`` on one program with a fresh evaluator per
+  search, and the share of a configuration's kernels that the search's
+  ``ProgramFuser`` serves from its memo instead of re-extracting.
 
 Run with ``REPRO_BENCH_FAST=1`` for the CI smoke configuration. Output is
 a single JSON object on stdout so the numbers can be tracked PR-over-PR
@@ -20,20 +24,28 @@ a single JSON object on stdout so the numbers can be tracked PR-over-PR
 """
 from __future__ import annotations
 
+import itertools
 import json
 import os
 import sys
 import time
 
+import numpy as np
+
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
-from repro.autotuner import LearnedEvaluator  # noqa: E402
-from repro.compiler import enumerate_tile_sizes  # noqa: E402
+from repro.autotuner import (  # noqa: E402
+    HardwareEvaluator,
+    LearnedEvaluator,
+    model_fusion_autotune,
+)
+from repro.compiler import ProgramFuser, enumerate_tile_sizes, fuse_program  # noqa: E402
 from repro.data import (  # noqa: E402
     KernelCache,
     Scalers,
     TileBatchSampler,
     assemble_batch,
+    build_fusion_dataset,
     build_tile_dataset,
 )
 from repro.models import (  # noqa: E402
@@ -138,6 +150,55 @@ def bench_autotuner_scoring(records, scalers, queries: int) -> dict:
     }
 
 
+def bench_fusion_search(program, searches: int, budget: int) -> dict:
+    """Model-guided fusion searches of one program, a fresh evaluator each."""
+    # Before timing: along an annealing-shaped walk (1-3 flips per move) the
+    # fuser's kernels equal one-shot fuse_program's; count how many of them
+    # are shells over a body the fuser already held.
+    fuser = ProgramFuser(program.graph, program_name=program.name)
+    rng = np.random.default_rng(0)
+    config = fuser.default_config()
+    bodies: set[int] = set()
+    kernels_seen = kernels_from_memo = 0
+    for _ in range(budget):
+        kernels = fuser.fuse(config)
+        cold = fuse_program(program.graph, config=config, program_name=program.name)
+        if [(k.to_dict(), k.fingerprint()) for k in kernels] != [
+            (k.to_dict(), k.fingerprint()) for k in cold
+        ]:
+            raise RuntimeError(f"fuser and one-shot fuse_program disagree on {program.name}")
+        for kernel in kernels:
+            body = id(kernel.graph.instructions)  # kept alive by the fuser
+            kernels_from_memo += body in bodies
+            bodies.add(body)
+        kernels_seen += len(kernels)
+        config = config.mutate(rng, num_flips=int(rng.integers(1, 4)))
+
+    records = build_fusion_dataset([program], configs_per_program=2, seed=0).records
+    scalers = Scalers.fit_fusion(records)
+    model = LearnedPerformanceModel(ModelConfig.paper_best_fusion())
+    model.eval()
+    seeds = itertools.count()
+
+    def search():
+        model_fusion_autotune(
+            program, LearnedEvaluator(model, scalers), HardwareEvaluator(),
+            model_budget=budget, hardware_budget=5, seed=next(seeds),
+        )
+
+    elapsed = _timed(search, searches)
+    return {
+        "program": program.name,
+        "program_nodes": len(program.graph),
+        "searches": searches,
+        "configs_per_search": budget,
+        "searches_per_sec": searches / elapsed,
+        "configs_per_sec": searches * budget / elapsed,
+        "kernels_per_config": kernels_seen / budget,
+        "kernels_from_fuser_memo": kernels_from_memo / kernels_seen,
+    }
+
+
 def main() -> dict:
     programs = [vision.resnet_v1(0), vision.alexnet(0)]
     if not FAST:
@@ -151,6 +212,7 @@ def main() -> dict:
     assembly_steps = 30 if FAST else 150
     train_steps = 10 if FAST else 60
     scoring_queries = 60 if FAST else 400
+    fusion_searches, fusion_budget = (2, 20) if FAST else (6, 40)
 
     report = {
         "benchmark": "bench_throughput",
@@ -159,6 +221,7 @@ def main() -> dict:
         "training_assembly": bench_training_assembly(records, scalers, assembly_steps),
         "full_training": bench_full_training(records, train_steps),
         "autotuner_scoring": bench_autotuner_scoring(records, scalers, scoring_queries),
+        "fusion_search": bench_fusion_search(programs[0], fusion_searches, fusion_budget),
     }
     return report
 

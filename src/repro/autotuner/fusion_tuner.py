@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..compiler.fusion import FusionConfig, FusionParams, default_fusion, fuse_program
+from ..compiler.fusion import FusionConfig, FusionParams, ProgramFuser
 from ..hlo.graph import Program
 from .evaluators import HardwareEvaluator, ProgramCostModel
 from .search import (
@@ -54,9 +54,9 @@ class FusionTuningResult:
         return self.default_runtime / max(self.runtime, 1e-30)
 
 
-def _true_runtime(program: Program, config: FusionConfig | None, hardware: HardwareEvaluator, params: FusionParams) -> float:
-    kernels = fuse_program(program.graph, config=config, params=params, program_name=program.name)
-    return hardware.simulator.run_program(kernels)
+def _true_runtime(fuser: ProgramFuser, config: FusionConfig, hardware: HardwareEvaluator) -> float:
+    """Noise-free runtime of ``config`` — measured outside the budget."""
+    return hardware.simulator.run_program(fuser.fuse(config))
 
 
 def _neighbor(config: FusionConfig, rng: np.random.Generator) -> FusionConfig:
@@ -91,20 +91,22 @@ def hardware_fusion_autotune(
         start: starting configuration; default = compiler heuristic (the
             paper also reports starts from a random configuration).
     """
-    params = params or FusionParams()
+    # One fuser for every fuse of the search: program-wide views are
+    # derived once and a move re-extracts only the groups it changed.
+    fuser = ProgramFuser(program.graph, params, program.name)
     rng = np.random.default_rng(seed)
-    initial = start if start is not None else default_fusion(program.graph, params)
+    default = fuser.default_config()
+    initial = start if start is not None else default
     evaluations = 0
 
     def cost(config: FusionConfig) -> float:
         nonlocal evaluations
         evaluations += 1
-        kernels = fuse_program(program.graph, config=config, params=params, program_name=program.name)
-        return hardware.program_runtime(kernels)
+        return hardware.program_runtime(fuser.fuse(config))
 
     result = simulated_annealing(initial, cost, _neighbor, steps=budget - 1, rng=rng)
-    default_rt = _true_runtime(program, None, hardware, params)
-    best_rt = _true_runtime(program, result.best_state, hardware, params)
+    default_rt = _true_runtime(fuser, default, hardware)
+    best_rt = _true_runtime(fuser, result.best_state, hardware)
     return FusionTuningResult(
         config=result.best_state,
         runtime=best_rt,
@@ -150,23 +152,23 @@ def model_fusion_autotune(
     shared kernels across the population — much higher model-query
     throughput for the same total budget.
     """
-    params = params or FusionParams()
+    # One fuser for every fuse of the search (model pricing and hardware
+    # verification alike): see hardware_fusion_autotune.
+    fuser = ProgramFuser(program.graph, params, program.name)
     rng = np.random.default_rng(seed)
-    initial = start if start is not None else default_fusion(program.graph, params)
+    default = fuser.default_config()
+    initial = start if start is not None else default
     model_evals = 0
-
-    def _fused(config: FusionConfig):
-        return fuse_program(program.graph, config=config, params=params, program_name=program.name)
 
     def model_cost(config: FusionConfig) -> float:
         nonlocal model_evals
         model_evals += 1
-        return learned.program_runtime(_fused(config))
+        return learned.program_runtime(fuser.fuse(config))
 
     def model_cost_batch(configs: list[FusionConfig]) -> np.ndarray:
         nonlocal model_evals
         model_evals += len(configs)
-        return learned.program_runtimes_batched([_fused(c) for c in configs])
+        return learned.program_runtimes_batched([fuser.fuse(c) for c in configs])
 
     if strategy == "random" or (strategy == "genetic" and model_budget < 2):
         # A genetic population needs at least two members; below that the
@@ -226,22 +228,21 @@ def model_fusion_autotune(
     best_rt = float("inf")
     for decisions, _ in ranked:
         config = FusionConfig(decisions)
-        kernels = fuse_program(program.graph, config=config, params=params, program_name=program.name)
-        rt = hardware.program_runtime(kernels)
+        rt = hardware.program_runtime(fuser.fuse(config))
         hw_evals += 1
         if rt < best_rt:
             best_rt, best_config = rt, config
-    default_rt = _true_runtime(program, None, hardware, params)
+    default_rt = _true_runtime(fuser, default, hardware)
     # Never return a configuration verified to be worse than the starting
     # point — strategies seeded away from the compiler default ("random",
     # "genetic") can otherwise hand back a regression when the model
     # misranks and the hardware budget is small.
-    start_rt = default_rt if start is None else _true_runtime(program, start, hardware, params)
+    start_rt = default_rt if start is None else _true_runtime(fuser, start, hardware)
     if start_rt < best_rt:
         best_config, best_rt = initial, start_rt
     return FusionTuningResult(
         config=best_config,
-        runtime=_true_runtime(program, best_config, hardware, params),
+        runtime=_true_runtime(fuser, best_config, hardware),
         default_runtime=default_rt,
         hardware_program_evaluations=hw_evals,
         model_evaluations=model_evals,

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..compiler.kernels import Kernel
-from ..compiler.tiling import TileConfig, TilingParams, default_tile, enumerate_tile_sizes
+from ..compiler.tiling import TileConfig, TilingParams, enumerate_tile_sizes, largest_tile
 from .evaluators import HardwareEvaluator, TileScorer
 
 
@@ -45,12 +45,6 @@ class TileTuningResult:
         return self.default_runtime / max(self.program_runtime, 1e-30)
 
 
-def _default_runtime(kernels: list[Kernel], hardware: HardwareEvaluator) -> float:
-    """True runtime under default tiles — measured outside the budget."""
-    sim = hardware.simulator
-    return sum(sim.run(k, default_tile(k)) for k in kernels)
-
-
 def exhaustive_tile_autotune(
     kernels: list[Kernel],
     hardware: HardwareEvaluator,
@@ -59,16 +53,18 @@ def exhaustive_tile_autotune(
     """Evaluate all candidate tiles of every kernel on hardware."""
     chosen: list[TileConfig] = []
     total = 0.0
+    default_total = 0.0  # default tiles are measured outside the budget
     for kernel in kernels:
         candidates = enumerate_tile_sizes(kernel, tiling)
         runtimes = [hardware.kernel_runtime(kernel, t) for t in candidates]
         best = int(np.argmin(runtimes))
         chosen.append(candidates[best])
         total += hardware.simulator.run(kernel, candidates[best])
+        default_total += hardware.simulator.run(kernel, largest_tile(candidates))
     return TileTuningResult(
         tiles=chosen,
         program_runtime=total,
-        default_runtime=_default_runtime(kernels, hardware),
+        default_runtime=default_total,
         hardware_evaluations=hardware.evaluations,
     )
 
@@ -91,6 +87,7 @@ def model_tile_autotune(
     """
     chosen: list[TileConfig] = []
     total = 0.0
+    default_total = 0.0  # default tiles are measured outside the budget
     # Population-level scoring: one model forward per kernel's candidate set
     # (and cached graph features for learned evaluators).
     for kernel in kernels:
@@ -105,9 +102,10 @@ def model_tile_autotune(
             pick = candidates[int(order[int(np.argmin(runtimes))])]
         chosen.append(pick)
         total += hardware.simulator.run(kernel, pick)
+        default_total += hardware.simulator.run(kernel, largest_tile(candidates))
     return TileTuningResult(
         tiles=chosen,
         program_runtime=total,
-        default_runtime=_default_runtime(kernels, hardware),
+        default_runtime=default_total,
         hardware_evaluations=hardware.evaluations,
     )

@@ -9,8 +9,10 @@ from .analysis import StaticAnalysis, analyze, instruction_flops, operational_in
 from .fusion import (
     FusionConfig,
     FusionParams,
+    ProgramFuser,
     apply_fusion,
     default_fusion,
+    extract_kernels,
     fuse_program,
     fusible_edges,
 )
@@ -19,7 +21,7 @@ from .layouts import (
     enumerate_output_layouts,
     with_output_layout,
 )
-from .kernels import KERNEL_KINDS, Kernel, classify_kernel, extract_kernels
+from .kernels import KERNEL_KINDS, Kernel, classify_kernel
 from .scheduling import (
     ScheduleResult,
     critical_path,
@@ -42,6 +44,7 @@ __all__ = [
     "FusionConfig",
     "FusionParams",
     "Kernel",
+    "ProgramFuser",
     "ScheduleResult",
     "StaticAnalysis",
     "TileConfig",

@@ -11,16 +11,24 @@ Program runtime is additive over kernels (one kernel executes at a time on a
 TPU), so group convexity does not affect costing; the default heuristic
 nevertheless produces convex groups by only fusing producers whose users all
 land in the same consumer group.
+
+The program, not the configuration, is the unit of compilation: a
+:class:`ProgramFuser` derives a program's graph-wide views once and turns
+any number of configurations into kernels. :func:`fuse_program`,
+:func:`apply_fusion`, :func:`default_fusion` and :func:`extract_kernels` are
+one-shot calls into it.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterable, Sequence
 
 import numpy as np
 
 from ..hlo.graph import Graph
+from ..hlo.instruction import Instruction
 from ..hlo.opcodes import OpCategory, Opcode, opcode_info
-from .kernels import Kernel, extract_kernels
+from .kernels import Kernel, classify_kernel
 
 
 @dataclass(frozen=True)
@@ -51,9 +59,15 @@ def fusible_edges(graph: Graph) -> list[tuple[int, int]]:
     inputs by definition). Everything else is a candidate; legality of the
     resulting *groups* is enforced when a configuration is applied.
     """
+    return _fusible_edges(graph.topological_order(), graph.users())
+
+
+def _fusible_edges(
+    order: list[Instruction], users: dict[int, list[int]]
+) -> list[tuple[int, int]]:
+    """:func:`fusible_edges` over views of the graph already in hand."""
     edges: list[tuple[int, int]] = []
-    users = graph.users()
-    for inst in graph.topological_order():
+    for inst in order:
         if not opcode_info(inst.opcode).fusible:
             continue
         for user in sorted(users[inst.id]):
@@ -106,16 +120,12 @@ class FusionConfig:
 class _UnionFind:
     """Union-find over instruction ids with legality bookkeeping."""
 
-    def __init__(self, graph: Graph, params: FusionParams) -> None:
-        self.parent = {i: i for i in graph.instructions}
-        self.size = {
-            i: (0 if inst.opcode in (Opcode.PARAMETER, Opcode.CONSTANT) else 1)
-            for i, inst in graph.instructions.items()
-        }
-        self.contractions = {
-            i: (1 if opcode_info(inst.opcode).category is OpCategory.CONTRACTION else 0)
-            for i, inst in graph.instructions.items()
-        }
+    def __init__(
+        self, sizes: dict[int, int], contractions: dict[int, int], params: FusionParams
+    ) -> None:
+        self.parent = {i: i for i in sizes}
+        self.size = dict(sizes)
+        self.contractions = dict(contractions)
         self.params = params
 
     def find(self, x: int) -> int:
@@ -159,6 +169,141 @@ class _UnionFind:
         return [by_root[k] for k in sorted(by_root)]
 
 
+class ProgramFuser:
+    """Turns fusion configurations of *one* program into kernels.
+
+    Everything that depends on the program alone is derived once, at
+    construction: the fusible edges, topological order and positions, the
+    ``users`` map, the leaf set, each constant's first user and the
+    union-find's starting sizes. A group's extracted body depends only on
+    its member set, so bodies are memoised by member set: a search move
+    that flips a few edges re-extracts only the groups those edges touch,
+    and every other kernel of the new configuration is a
+    :meth:`Kernel.shell` over a body (and fingerprint) already in hand.
+
+    Hold one fuser for all the configurations of a search or a dataset
+    build; for a single configuration use :func:`fuse_program`. The memo
+    lives and dies with the fuser, so it is unbounded by design. The graph
+    must not be mutated while a fuser over it is in use.
+
+    Args:
+        graph: whole-program graph.
+        params: legality knobs.
+        program_name: recorded on kernels; defaults to the graph's name.
+    """
+
+    def __init__(
+        self,
+        graph: Graph,
+        params: FusionParams | None = None,
+        program_name: str = "",
+    ) -> None:
+        self.graph = graph
+        self.params = params or FusionParams()
+        self.program_name = program_name or graph.name
+        self._order = graph.topological_order()
+        self._users = graph.users()
+        self._position = {inst.id: k for k, inst in enumerate(self._order)}
+        self.edges = _fusible_edges(self._order, self._users)
+        leaf_opcodes = (Opcode.PARAMETER, Opcode.CONSTANT)
+        self._leaves = frozenset(i.id for i in self._order if i.opcode in leaf_opcodes)
+        self._sizes = {i: int(i not in self._leaves) for i in graph.instructions}
+        self._contractions = {
+            i: int(opcode_info(inst.opcode).category is OpCategory.CONTRACTION)
+            for i, inst in graph.instructions.items()
+        }
+        # A constant joins the group of one consumer (its lowest-id user) so
+        # that kernel holds it; extraction imports it into any other kernel
+        # it feeds as a fresh parameter automatically.
+        self._constant_first_user = [
+            (inst.id, min(self._users[inst.id]))
+            for inst in self._order
+            if inst.opcode is Opcode.CONSTANT and self._users[inst.id]
+        ]
+        self._bodies: dict[frozenset[int], Kernel] = {}
+
+    def _union_find(self) -> _UnionFind:
+        return _UnionFind(self._sizes, self._contractions, self.params)
+
+    def groups(self, config: FusionConfig) -> list[set[int]]:
+        """Realize ``config`` into legal groups (see :func:`apply_fusion`)."""
+        if len(config.decisions) != len(self.edges):
+            raise ValueError(
+                f"config has {len(config.decisions)} decisions for {len(self.edges)} edges"
+            )
+        uf = self._union_find()
+        for (producer, consumer), fuse in zip(self.edges, config.decisions):
+            if fuse:
+                uf.union(producer, consumer)
+        for constant, user in self._constant_first_user:
+            uf.union(constant, user)
+        return uf.groups()
+
+    def default_config(self) -> FusionConfig:
+        """The compiler's greedy heuristic (see :func:`default_fusion`)."""
+        params = self.params
+        edge_index = {e: k for k, e in enumerate(self.edges)}
+        decisions = [False] * len(self.edges)
+        uf = self._union_find()
+        users = self._users
+        for inst in reversed(self._order):
+            info = opcode_info(inst.opcode)
+            if not info.fusible or inst.opcode is Opcode.CONSTANT:
+                continue
+            consumer_ids = users[inst.id]
+            if not consumer_ids or inst.is_root:
+                continue  # outputs must be materialized anyway
+            # All users must already share one group for a traffic saving.
+            roots = {uf.find(u) for u in consumer_ids}
+            if len(roots) != 1:
+                continue
+            saved = inst.shape.byte_size
+            if saved < params.min_saved_bytes:
+                continue
+            target = consumer_ids[0]
+            if not uf.can_union(inst.id, target):
+                continue
+            # Scratchpad footprint guard: group inputs + outputs must fit.
+            if _group_footprint(self.graph, users, uf, inst.id, target) > params.scratchpad_bytes:
+                continue
+            uf.union(inst.id, target)
+            for u in consumer_ids:
+                key = (inst.id, u)
+                if key in edge_index:
+                    decisions[edge_index[key]] = True
+        return FusionConfig(tuple(decisions))
+
+    def extract(self, groups: Iterable[Iterable[int]]) -> list[Kernel]:
+        """One kernel per executing group (see :func:`extract_kernels`)."""
+        position = self._position
+        material: list[tuple[int, frozenset[int]]] = []
+        for group in groups:
+            ids = frozenset(group)
+            if ids <= self._leaves:  # nothing to execute (or empty)
+                continue
+            material.append((min(position[i] for i in ids), ids))
+        material.sort(key=lambda t: t[0])
+        kernels = []
+        for index, (_, ids) in enumerate(material):
+            name = f"{self.graph.name}.k{index}"
+            body = self._bodies.get(ids)
+            if body is None:
+                members = [self.graph.get(i) for i in sorted(ids, key=position.__getitem__)]
+                sub = self.graph.induced_subgraph(members, ids, self._users, name)
+                kernel = Kernel(sub, classify_kernel(sub), self.program_name, index)
+                self._bodies[ids] = kernel
+            else:
+                kernel = body.shell(name, index)
+            kernels.append(kernel)
+        return kernels
+
+    def fuse(self, config: FusionConfig | None = None) -> list[Kernel]:
+        """Kernels of ``config`` (default: :meth:`default_config`)."""
+        if config is None:
+            config = self.default_config()
+        return self.extract(self.groups(config))
+
+
 def apply_fusion(
     graph: Graph,
     config: FusionConfig,
@@ -175,27 +320,7 @@ def apply_fusion(
         A partition of all instruction ids (leaf-only groups included; the
         kernel extractor skips those).
     """
-    params = params or FusionParams()
-    edges = fusible_edges(graph)
-    if len(config.decisions) != len(edges):
-        raise ValueError(
-            f"config has {len(config.decisions)} decisions for {len(edges)} edges"
-        )
-    uf = _UnionFind(graph, params)
-    for (producer, consumer), fuse in zip(edges, config.decisions):
-        if fuse:
-            uf.union(producer, consumer)
-    # Attach leaf nodes (params/constants) to the group of one consumer so
-    # kernels receive their inputs; a leaf feeding several groups stays where
-    # the first (topological) consumer put it — extraction imports it into
-    # other kernels as a fresh parameter automatically.
-    users = graph.users()
-    for inst in graph.topological_order():
-        if inst.opcode is Opcode.CONSTANT:
-            for user in sorted(users[inst.id]):
-                uf.union(inst.id, user)
-                break
-    return uf.groups()
+    return ProgramFuser(graph, params).groups(config)
 
 
 def default_fusion(
@@ -211,42 +336,12 @@ def default_fusion(
     ``min_saved_bytes``. This mirrors XLA's "will it save memory access
     time" estimate (Sec. 2.3).
     """
-    params = params or FusionParams()
-    edges = fusible_edges(graph)
-    edge_index = {e: k for k, e in enumerate(edges)}
-    decisions = [False] * len(edges)
-    uf = _UnionFind(graph, params)
-    users = graph.users()
-    order = graph.topological_order()
-    for inst in reversed(order):
-        info = opcode_info(inst.opcode)
-        if not info.fusible or inst.opcode is Opcode.CONSTANT:
-            continue
-        consumer_ids = users[inst.id]
-        if not consumer_ids or inst.is_root:
-            continue  # outputs must be materialized anyway
-        # All users must already share one group for a traffic saving.
-        roots = {uf.find(u) for u in consumer_ids}
-        if len(roots) != 1:
-            continue
-        saved = inst.shape.byte_size
-        if saved < params.min_saved_bytes:
-            continue
-        target = consumer_ids[0]
-        if not uf.can_union(inst.id, target):
-            continue
-        # Scratchpad footprint guard: group inputs + outputs must fit.
-        if _group_footprint(graph, uf, inst.id, target) > params.scratchpad_bytes:
-            continue
-        uf.union(inst.id, target)
-        for u in consumer_ids:
-            key = (inst.id, u)
-            if key in edge_index:
-                decisions[edge_index[key]] = True
-    return FusionConfig(tuple(decisions))
+    return ProgramFuser(graph, params).default_config()
 
 
-def _group_footprint(graph: Graph, uf: _UnionFind, a: int, b: int) -> int:
+def _group_footprint(
+    graph: Graph, users: dict[int, list[int]], uf: _UnionFind, a: int, b: int
+) -> int:
     """Bytes the merged group of ``a`` and ``b`` would move across HBM.
 
     Counts the boundary tensors of the merged group: operands produced
@@ -257,7 +352,6 @@ def _group_footprint(graph: Graph, uf: _UnionFind, a: int, b: int) -> int:
     """
     ra, rb = uf.find(a), uf.find(b)
     members = {i for i in graph.instructions if uf.find(i) in (ra, rb)}
-    users = graph.users()
     footprint = 0
     for i in members:
         inst = graph.get(i)
@@ -269,13 +363,39 @@ def _group_footprint(graph: Graph, uf: _UnionFind, a: int, b: int) -> int:
     return footprint
 
 
+def extract_kernels(
+    graph: Graph,
+    groups: Sequence[Iterable[int]],
+    program_name: str = "",
+) -> list[Kernel]:
+    """Extract one kernel per fusion group, in topological group order.
+
+    Args:
+        graph: the whole-program graph.
+        groups: a partition of (a subset of) instruction ids. Groups made
+            solely of PARAMETER/CONSTANT nodes are skipped — they do not
+            execute.
+        program_name: recorded on every kernel.
+
+    Returns:
+        Kernels ordered by the earliest topological position of any member.
+    """
+    return ProgramFuser(graph, program_name=program_name).extract(groups)
+
+
 def fuse_program(
     graph: Graph,
     config: FusionConfig | None = None,
     params: FusionParams | None = None,
     program_name: str = "",
 ) -> list[Kernel]:
-    """Fuse and extract kernels in one step.
+    """Fuse and extract kernels in one step — the one-shot form.
+
+    Builds a :class:`ProgramFuser`, fuses one configuration and drops it.
+    Code that fuses many configurations of the same program (a search, a
+    dataset build) should hold one ``ProgramFuser`` instead and call
+    :meth:`ProgramFuser.fuse` per configuration: the kernels are equal, and
+    the program-wide views and unchanged group bodies are not recomputed.
 
     Args:
         graph: whole-program graph.
@@ -283,8 +403,4 @@ def fuse_program(
         params: legality knobs.
         program_name: recorded on kernels.
     """
-    params = params or FusionParams()
-    if config is None:
-        config = default_fusion(graph, params)
-    groups = apply_fusion(graph, config, params)
-    return extract_kernels(graph, groups, program_name=program_name or graph.name)
+    return ProgramFuser(graph, params, program_name).fuse(config)

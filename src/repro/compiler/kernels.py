@@ -1,16 +1,16 @@
 """Kernels: the unit of execution, costing and learning.
 
 After the fusion pass partitions a program graph into groups, each group is
-extracted into a :class:`Kernel` — a small self-contained graph whose inputs
-are PARAMETER nodes and whose outputs are marked ``is_root`` (paper Fig. 2).
-The learned model, the analytical model and the simulator all consume
-kernels.
+extracted (by :class:`repro.compiler.fusion.ProgramFuser`) into a
+:class:`Kernel` — a small self-contained graph whose inputs are PARAMETER
+nodes and whose outputs are marked ``is_root`` (paper Fig. 2). The learned
+model, the analytical model and the simulator all consume kernels.
 """
 from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
-from typing import Any, Iterable, Sequence
+from typing import Any
 
 from ..hlo.graph import Graph
 from ..hlo.opcodes import OpCategory, Opcode, opcode_info
@@ -26,6 +26,13 @@ carve-out (data formatting)."""
 @dataclass
 class Kernel:
     """One executable kernel.
+
+    A kernel body is immutable after extraction: :meth:`fingerprint` caches
+    on that assumption, and kernels that different fusion configurations of
+    one program have in common share one body (the same ``Instruction``
+    objects under per-kernel ``Graph`` names, see :meth:`shell`). To change
+    a kernel, build a new one (as ``with_output_layout`` does); never assign
+    into ``kernel.graph.instructions`` or an instruction of it.
 
     Attributes:
         graph: the kernel body; inputs are PARAMETER nodes, outputs are
@@ -75,6 +82,22 @@ class Kernel:
                 )
             self._fingerprint = h.hexdigest()
         return self._fingerprint
+
+    def shell(self, graph_name: str, index: int) -> "Kernel":
+        """This kernel at another position of its program's kernel sequence.
+
+        The new kernel has its own ``index`` and graph name but *shares*
+        this kernel's body, and carries its fingerprint (a function of the
+        body only) instead of hashing the body again.
+        """
+        other = Kernel(
+            graph=Graph(graph_name, self.graph.instructions),
+            kind=self.kind,
+            program_name=self.program_name,
+            index=index,
+        )
+        other._fingerprint = self.fingerprint()
+        return other
 
     def to_dict(self) -> dict[str, Any]:
         """JSON-compatible form of the kernel (graph + metadata).
@@ -129,48 +152,3 @@ def classify_kernel(graph: Graph) -> str:
     if len(non_leaf) > 1:
         return "fusion"
     return "other"
-
-
-def extract_kernels(
-    graph: Graph,
-    groups: Sequence[Iterable[int]],
-    program_name: str = "",
-) -> list[Kernel]:
-    """Extract one kernel per fusion group, in topological group order.
-
-    Args:
-        graph: the whole-program graph.
-        groups: a partition of (a subset of) instruction ids. Groups made
-            solely of PARAMETER/CONSTANT nodes are skipped — they do not
-            execute.
-        program_name: recorded on every kernel.
-
-    Returns:
-        Kernels ordered by the earliest topological position of any member.
-    """
-    topo_pos = {inst.id: k for k, inst in enumerate(graph.topological_order())}
-    material: list[tuple[int, set[int]]] = []
-    for group in groups:
-        ids = set(group)
-        if not ids:
-            continue
-        executes = any(
-            graph.get(i).opcode not in (Opcode.PARAMETER, Opcode.CONSTANT)
-            for i in ids
-        )
-        if not executes:
-            continue
-        material.append((min(topo_pos[i] for i in ids), ids))
-    material.sort(key=lambda t: t[0])
-    kernels = []
-    for index, (_, ids) in enumerate(material):
-        sub = graph.subgraph(ids, name=f"{graph.name}.k{index}")
-        kernels.append(
-            Kernel(
-                graph=sub,
-                kind=classify_kernel(sub),
-                program_name=program_name or graph.name,
-                index=index,
-            )
-        )
-    return kernels

@@ -90,6 +90,79 @@ def candidate_block_sizes(dim: int, cap: int) -> list[int]:
     return sorted({ordered[i] for i in idx})
 
 
+_ALIGNED, _MINOR, _STRIPE = range(3)
+"""How an input's per-tile slice shrinks: with the whole tile, with the
+tile's minor extent, or one full stripe per tile row."""
+
+
+@dataclass(frozen=True)
+class _FootprintTerms:
+    """The tile-independent part of a kernel's scratchpad footprint.
+
+    Walking the kernel graph (primary output, parameters) costs far more
+    than the footprint arithmetic, and enumeration prices thousands of
+    tiles per kernel: the walk happens once, in :meth:`of`, and
+    :meth:`bytes` is arithmetic on the tile alone.
+
+    Attributes:
+        output: shape of the kernel's primary output.
+        element_size: bytes per output element.
+        elements, minor, lead: the output's element count, last extent and
+            first extent, each floored at 1 (the divisors of :meth:`bytes`;
+            ``lead`` is ``None`` for a scalar output).
+        inputs: per kernel parameter ``(alignment, byte size, element byte
+            size)``.
+    """
+
+    output: Shape
+    element_size: int
+    elements: int
+    minor: int | None
+    lead: int | None
+    inputs: tuple[tuple[int, int, int], ...]
+
+    @classmethod
+    def of(cls, kernel: Kernel) -> "_FootprintTerms":
+        output = kernel.primary_output().shape
+        inputs = []
+        for param in kernel.graph.parameters():
+            s = param.shape
+            if s.dims == output.dims:
+                alignment = _ALIGNED
+            elif s.rank >= 2 and output.rank >= 2 and s.dims[-1] == output.dims[-1]:
+                alignment = _MINOR
+            else:
+                alignment = _STRIPE
+            inputs.append((alignment, s.byte_size, s.dtype.byte_size))
+        return cls(
+            output=output,
+            element_size=output.dtype.byte_size,
+            elements=max(output.num_elements, 1),
+            minor=max(output.dims[-1], 1) if output.dims else None,
+            lead=max(output.dims[0], 1) if output.dims else None,
+            inputs=tuple(inputs),
+        )
+
+    def bytes(self, dims: tuple[int, ...]) -> int:
+        """Scratchpad bytes one iteration of the tile ``dims`` keeps live."""
+        tile_elems = int(math.prod(dims)) if dims else 1
+        total = tile_elems * self.element_size
+        shrink = tile_elems / self.elements
+        for alignment, byte_size, element_size in self.inputs:
+            if alignment == _ALIGNED:
+                # Elementwise-aligned input: slice shrinks with the tile.
+                total += int(byte_size * shrink) or element_size
+            elif alignment == _MINOR:
+                # Shares the minor dimension (e.g. weights [k, n] for out
+                # [m, n]): the slice shrinks with the minor tile extent only.
+                total += int(byte_size * (dims[-1] / self.minor)) or element_size
+            else:
+                # Contraction-style operand: one full stripe per tile row.
+                lead = dims[0] / self.lead if self.lead else 1.0
+                total += int(byte_size * min(1.0, lead * 4)) or element_size
+        return total
+
+
 def tile_footprint_bytes(kernel: Kernel, tile: TileConfig) -> int:
     """Scratchpad bytes one iteration of ``tile`` keeps live.
 
@@ -98,25 +171,7 @@ def tile_footprint_bytes(kernel: Kernel, tile: TileConfig) -> int:
     dimensions contribute proportionally-shrunk slices; mismatched inputs
     (e.g. full contraction operands) contribute a tile-by-full-depth slice.
     """
-    output = kernel.primary_output().shape
-    tile_elems = tile.volume
-    total = tile_elems * output.dtype.byte_size
-    shrink = tile_elems / max(output.num_elements, 1)
-    for param in kernel.graph.parameters():
-        s = param.shape
-        if s.dims == output.dims:
-            # Elementwise-aligned input: slice shrinks with the tile.
-            total += int(s.byte_size * shrink) or s.dtype.byte_size
-        elif s.rank >= 2 and output.rank >= 2 and s.dims[-1] == output.dims[-1]:
-            # Shares the minor dimension (e.g. weights [k, n] for out [m, n]):
-            # the slice shrinks with the minor tile extent only.
-            frac = tile.dims[-1] / max(output.dims[-1], 1)
-            total += int(s.byte_size * frac) or s.dtype.byte_size
-        else:
-            # Contraction-style operand: one full stripe per tile row.
-            lead = tile.dims[0] / max(output.dims[0], 1) if output.dims else 1.0
-            total += int(s.byte_size * min(1.0, lead * 4)) or s.dtype.byte_size
-    return total
+    return _FootprintTerms.of(kernel).bytes(tile.dims)
 
 
 def tile_transfer_bytes(kernel: Kernel, tile: TileConfig) -> tuple[int, int]:
@@ -128,9 +183,9 @@ def tile_transfer_bytes(kernel: Kernel, tile: TileConfig) -> tuple[int, int]:
     are re-streamed once per output stripe, which is exactly why tile choice
     changes total data movement (Appendix A, point 1).
     """
-    output = kernel.primary_output().shape
-    out_bytes = tile.volume * output.dtype.byte_size
-    in_bytes = tile_footprint_bytes(kernel, tile) - out_bytes
+    terms = _FootprintTerms.of(kernel)
+    out_bytes = tile.volume * terms.element_size
+    in_bytes = terms.bytes(tile.dims) - out_bytes
     return max(in_bytes, 0), out_bytes
 
 
@@ -145,7 +200,8 @@ def enumerate_tile_sizes(
     without tile options (data formatting) get the single trivial config.
     """
     params = params or TilingParams()
-    output = kernel.primary_output().shape
+    terms = _FootprintTerms.of(kernel)
+    output = terms.output
     if not kernel.has_tile_options() or output.rank == 0:
         return [TileConfig(tuple(output.dims))]
     budget = int(params.scratchpad_bytes * params.scratchpad_fraction)
@@ -158,8 +214,10 @@ def enumerate_tile_sizes(
     if total <= params.max_configs * 4:
         combos = product(*per_dim)
     else:
-        # Deterministic subsample of the cross product via a seeded generator.
-        rng = np.random.default_rng(abs(hash(kernel.fingerprint())) % (2**32))
+        # Deterministic subsample of the cross product via a generator
+        # seeded from the fingerprint's own digits (``hash(str)`` is salted
+        # per interpreter, so it would differ between worker processes).
+        rng = np.random.default_rng(int(kernel.fingerprint()[:8], 16))
         combos = (
             tuple(c[rng.integers(0, len(c))] for c in per_dim)
             for _ in range(params.max_configs * 4)
@@ -170,32 +228,34 @@ def enumerate_tile_sizes(
         if dims in seen:
             continue
         seen.add(dims)
-        tile = TileConfig(dims)
-        if tile_footprint_bytes(kernel, tile) <= budget:
-            configs.append(tile)
+        if terms.bytes(dims) <= budget:
+            configs.append(TileConfig(dims))
         if len(configs) >= params.max_configs:
             break
     if not configs:
-        configs.append(_clamped_full_tile(kernel, budget))
+        configs.append(_clamped_full_tile(terms, budget))
     return configs
 
 
-def _clamped_full_tile(kernel: Kernel, budget: int) -> TileConfig:
+def _clamped_full_tile(terms: _FootprintTerms, budget: int) -> TileConfig:
     """Whole-output tile, halved along its largest dim until it fits."""
-    dims = list(kernel.primary_output().shape.dims)
-    tile = TileConfig(tuple(dims))
-    while tile_footprint_bytes(kernel, tile) > budget and max(dims) > 1:
+    dims = list(terms.output.dims)
+    while terms.bytes(tuple(dims)) > budget and max(dims) > 1:
         i = int(np.argmax(dims))
         dims[i] = max(1, dims[i] // 2)
-        tile = TileConfig(tuple(dims))
-    return tile
+    return TileConfig(tuple(dims))
+
+
+def largest_tile(options: list[TileConfig]) -> TileConfig:
+    """The compiler-default pick among enumerated tiles: largest by volume."""
+    return max(options, key=lambda t: (t.volume, t.dims))
 
 
 def default_tile(kernel: Kernel, params: TilingParams | None = None) -> TileConfig:
     """A reasonable default tile: the largest valid one by volume.
 
     This stands in for the compiler's pre-model default; the analytical or
-    learned model then picks among :func:`enumerate_tile_sizes`.
+    learned model then picks among :func:`enumerate_tile_sizes`. A caller
+    that already holds the enumerated list uses :func:`largest_tile` on it.
     """
-    options = enumerate_tile_sizes(kernel, params)
-    return max(options, key=lambda t: (t.volume, t.dims))
+    return largest_tile(enumerate_tile_sizes(kernel, params))

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..compiler.fusion import FusionConfig, FusionParams, fuse_program, fusible_edges
+from ..compiler.fusion import FusionConfig, FusionParams, ProgramFuser, fuse_program
 from ..compiler.kernels import Kernel
 from ..compiler.tiling import (
     TileConfig,
@@ -182,16 +182,15 @@ def build_fusion_dataset(
     ds = FusionDataset()
     seen: set[str] = set()
     for program in programs:
-        num_edges = len(fusible_edges(program.graph))
+        fuser = ProgramFuser(program.graph, params, program.name)
+        num_edges = len(fuser.edges)
         configs: list[FusionConfig | None] = [None]  # None = default heuristic
         for _ in range(configs_per_program):
             configs.append(
                 FusionConfig.random(num_edges, rng, p=float(rng.uniform(0.2, 0.9)))
             )
         for config in configs:
-            kernels = fuse_program(
-                program.graph, config=config, params=params, program_name=program.name
-            )
+            kernels = fuser.fuse(config)
             if len(kernels) > max_kernels_per_config:
                 idx = np.linspace(0, len(kernels) - 1, max_kernels_per_config)
                 kernels = [kernels[int(i)] for i in idx.round()]

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator
+from typing import Collection, Iterable, Iterator
 
 import numpy as np
 
@@ -171,12 +171,33 @@ class Graph:
         graph roots) get ``is_root=True``.
         """
         ids = set(ids)
-        users = self.users()
-        order = [i for i in self.topological_order() if i.id in ids]
+        members = [inst for inst in self.topological_order() if inst.id in ids]
+        return self.induced_subgraph(members, ids, self.users(), name)
+
+    def induced_subgraph(
+        self,
+        members: Iterable[Instruction],
+        ids: Collection[int],
+        users: dict[int, list[int]],
+        name: str | None = None,
+    ) -> "Graph":
+        """:meth:`subgraph` over views the caller already holds.
+
+        A caller that cuts many subgraphs out of one graph (kernel
+        extraction) computes the graph-wide views once and passes them in,
+        so each cut costs the size of the cut, not of the graph.
+
+        Args:
+            members: the instructions to extract, in a topological order of
+                this graph.
+            ids: their ids, as a set (membership is tested per operand).
+            users: this graph's :meth:`users` map.
+            name: name of the result.
+        """
         remap: dict[int, int] = {}
         sub = Graph(name or f"{self.name}.sub")
         next_id = 0
-        for inst in order:
+        for inst in members:
             new_operands = []
             for op in inst.operands:
                 if op in ids:

@@ -148,6 +148,32 @@ class TestTileAutotuner:
         assert res.speedup >= 1.0  # exhaustive includes the default tile
 
 
+    def test_each_kernel_enumerated_once(self, kernels, monkeypatch):
+        """The default tile comes from the candidate list already in hand."""
+        from repro.autotuner import tile as tile_tuner
+        from repro.compiler import tiling
+
+        calls = []
+
+        def counting(kernel, params=None, _original=tiling.enumerate_tile_sizes):
+            calls.append(kernel)
+            return _original(kernel, params)
+
+        expected_default = sum(TpuSimulator().run(k, default_tile(k)) for k in kernels)
+        monkeypatch.setattr(tiling, "enumerate_tile_sizes", counting)
+        monkeypatch.setattr(tile_tuner, "enumerate_tile_sizes", counting)
+        for tune in (
+            lambda: exhaustive_tile_autotune(kernels, HardwareEvaluator(TpuSimulator())),
+            lambda: model_tile_autotune(
+                kernels, AnalyticalEvaluator(), HardwareEvaluator(TpuSimulator()), top_k=1
+            ),
+        ):
+            calls.clear()
+            result = tune()
+            assert len(calls) == len(kernels)
+            assert result.default_runtime == expected_default
+
+
 class TestFusionAutotuner:
     def test_hardware_autotuner_improves_or_matches_default(self):
         p = sequence.char2feats(0)

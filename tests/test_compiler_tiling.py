@@ -1,4 +1,12 @@
 """Tests for tile enumeration, footprints and transfer estimates."""
+import hashlib
+import math
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.compiler import (
@@ -8,10 +16,12 @@ from repro.compiler import (
     candidate_block_sizes,
     default_tile,
     enumerate_tile_sizes,
+    fuse_program,
     tile_footprint_bytes,
 )
 from repro.compiler.tiling import tile_transfer_bytes
 from repro.hlo import GraphBuilder, Shape
+from repro.workloads import build_corpus
 
 
 def dense_kernel(m=64, k=32, n=128):
@@ -134,3 +144,137 @@ class TestFootprintAndTransfer:
         out = k.primary_output().shape
         for t in enumerate_tile_sizes(k, TilingParams(max_configs=8)):
             assert t.iterations(out) * t.volume >= out.num_elements
+
+
+def footprint_by_graph_walk(kernel, tile):
+    """Reference: the footprint derived from the kernel graph per tile, as
+    it was before the tile-independent terms were hoisted."""
+    output = kernel.primary_output().shape
+    tile_elems = tile.volume
+    total = tile_elems * output.dtype.byte_size
+    shrink = tile_elems / max(output.num_elements, 1)
+    for param in kernel.graph.parameters():
+        s = param.shape
+        if s.dims == output.dims:
+            total += int(s.byte_size * shrink) or s.dtype.byte_size
+        elif s.rank >= 2 and output.rank >= 2 and s.dims[-1] == output.dims[-1]:
+            frac = tile.dims[-1] / max(output.dims[-1], 1)
+            total += int(s.byte_size * frac) or s.dtype.byte_size
+        else:
+            lead = tile.dims[0] / max(output.dims[0], 1) if output.dims else 1.0
+            total += int(s.byte_size * min(1.0, lead * 4)) or s.dtype.byte_size
+    return total
+
+
+def wide_kernel():
+    """Rank-4 output whose candidate cross product (3 969) exceeds
+    ``4 * max_configs``, so enumeration takes the seeded-subsample branch."""
+    b = GraphBuilder("wide")
+    x = b.parameter((64, 224, 224, 64))
+    b.tanh(x)
+    return Kernel(graph=b.build(), kind="other")
+
+
+@pytest.fixture(scope="module")
+def corpus_kernels():
+    """Every corpus kernel under the compiler-default fusion."""
+    return [
+        (p.name, k)
+        for p in build_corpus()
+        for k in fuse_program(p.graph, program_name=p.name)
+    ]
+
+
+class TestHoistedFootprint:
+    def test_equals_graph_walk_on_every_enumerated_tile(self, corpus_kernels):
+        kernels = [k for _, k in corpus_kernels[::9]] + [dense_kernel(), wide_kernel()]
+        checked = 0
+        for k in kernels:
+            for t in enumerate_tile_sizes(k):
+                got = tile_footprint_bytes(k, t)
+                assert type(got) is int and got == footprint_by_graph_walk(k, t)
+                in_bytes, out_bytes = tile_transfer_bytes(k, t)
+                assert in_bytes + out_bytes == got
+                checked += 1
+        assert checked > 10_000
+
+    def test_scalar_output(self):
+        b = GraphBuilder("s")
+        x = b.parameter((8,))
+        b.reduce(x, dims=(0,))
+        k = Kernel(graph=b.build(), kind="other")
+        t = TileConfig(())
+        assert enumerate_tile_sizes(k) == [t]
+        assert tile_footprint_bytes(k, t) == footprint_by_graph_walk(k, t)
+
+    def test_clamped_full_tile_fits_where_possible(self):
+        k = dense_kernel(m=4096, k=2048, n=4096)
+        params = TilingParams(scratchpad_bytes=64 * 1024)
+        (tile,) = enumerate_tile_sizes(k, params)
+        assert max(tile.dims) == 1 or footprint_by_graph_walk(k, tile) <= 32 * 1024
+
+    def test_corpus_enumeration_unchanged(self, corpus_kernels):
+        """Digest of every corpus kernel's tile list and default tile,
+        recorded at the commit before the hoist (06d58ba)."""
+        h = hashlib.sha256()
+        for name, k in corpus_kernels:
+            tiles = enumerate_tile_sizes(k)
+            h.update(repr((name, k.index, [t.dims for t in tiles], default_tile(k).dims)).encode())
+        assert len(corpus_kernels) == 2011
+        assert h.hexdigest() == "a326aebd7aba37055428b775e5804ef51a467f57afd746321f13279cfdae96b2"
+
+    def test_one_graph_walk_per_enumeration(self, monkeypatch):
+        """Complexity pin: the kernel graph is walked once per enumeration,
+        not once per candidate tile."""
+        calls = []
+        original = Kernel.primary_output
+        monkeypatch.setattr(
+            Kernel, "primary_output", lambda self: calls.append(self) or original(self)
+        )
+        for kernel in (dense_kernel(m=8, k=4, n=8), dense_kernel(m=512, k=64, n=512), wide_kernel()):
+            calls.clear()
+            assert len(enumerate_tile_sizes(kernel)) >= 1
+            assert len(calls) == 1
+
+
+class TestSubsampleSeed:
+    PARAMS = TilingParams()
+
+    def candidate_product(self, kernel):
+        dims = kernel.primary_output().shape.dims
+        return math.prod(
+            len(candidate_block_sizes(d, self.PARAMS.max_candidates_per_dim)) for d in dims
+        )
+
+    def test_same_tiles_under_any_hash_seed(self):
+        """``hash(str)`` is salted per interpreter; the subsample must not be."""
+        assert self.candidate_product(wide_kernel()) == 3969 > 4 * self.PARAMS.max_configs
+        script = (
+            "from repro.compiler import Kernel, enumerate_tile_sizes\n"
+            "from repro.hlo import GraphBuilder\n"
+            "b = GraphBuilder('wide')\n"
+            "b.tanh(b.parameter((64, 224, 224, 64)))\n"
+            "kernel = Kernel(graph=b.build(), kind='other')\n"
+            "print([t.dims for t in enumerate_tile_sizes(kernel)])\n"
+        )
+        root = Path(__file__).resolve().parent.parent
+        outputs = []
+        for hash_seed in ("1", "2"):
+            env = dict(
+                os.environ,
+                PYTHONHASHSEED=hash_seed,
+                PYTHONPATH=str(root / "src"),
+            )
+            done = subprocess.run(
+                [sys.executable, "-c", script],
+                env=env, capture_output=True, text=True, timeout=120, check=True,
+            )
+            outputs.append(done.stdout)
+        assert outputs[0] == outputs[1]
+        assert outputs[0] == f"{[t.dims for t in enumerate_tile_sizes(wide_kernel())]}\n"
+
+    def test_corpus_stays_off_the_subsample_branch(self, corpus_kernels):
+        """So the seed fix moves no fixture, dataset or benchmark input."""
+        tileable = [k for _, k in corpus_kernels if k.has_tile_options()]
+        assert len(tileable) > 1900
+        assert max(self.candidate_product(k) for k in tileable) <= 4 * self.PARAMS.max_configs
