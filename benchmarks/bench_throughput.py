@@ -16,7 +16,11 @@ the :class:`repro.data.KernelCache`:
 * **fusion search** — searches/sec and configs/sec of
   ``model_fusion_autotune`` on one program with a fresh evaluator per
   search, and the share of a configuration's kernels that the search's
-  ``ProgramFuser`` serves from its memo instead of re-extracting.
+  ``ProgramFuser`` serves from its memo instead of re-extracting;
+* **operator build** — µs per first-sight kernel to build its three
+  mean-aggregation operators: :class:`repro.nn.graph_layers.GraphOperators`
+  (index arithmetic) vs. the ``normalized_adjacency`` x3 SciPy oracle, after
+  checking that the two agree bitwise on every kernel.
 
 Run with ``REPRO_BENCH_FAST=1`` for the CI smoke configuration. Output is
 a single JSON object on stdout so the numbers can be tracked PR-over-PR
@@ -31,6 +35,7 @@ import sys
 import time
 
 import numpy as np
+import scipy.sparse as sp
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
@@ -55,6 +60,8 @@ from repro.models import (  # noqa: E402
     train_tile_model,
 )
 from repro.models.trainer import compile_step_plan  # noqa: E402
+from repro.nn import normalized_adjacency  # noqa: E402
+from repro.nn.graph_layers import GraphOperators  # noqa: E402
 from repro.workloads import vision  # noqa: E402
 
 from harness import stamp_report  # noqa: E402
@@ -199,6 +206,43 @@ def bench_fusion_search(program, searches: int, budget: int) -> dict:
     }
 
 
+def bench_operator_build(records, repeat: int) -> dict:
+    """GraphOperators by index arithmetic vs. normalized_adjacency x3."""
+    cap = ModelConfig.paper_best_tile().neighbor_cap
+    adjacencies = [r.features.adjacency for r in records]
+
+    def oracle(adjacency):
+        a = sp.csr_matrix(adjacency)
+        return [normalized_adjacency(a, d, cap=cap) for d in ("in", "out", "both")]
+
+    # Before timing: the same stored entries, bit for bit, on every kernel.
+    for record, adjacency in zip(records, adjacencies):
+        ops = GraphOperators(adjacency, neighbor_cap=cap)
+        for got, want in zip((ops.adj_in, ops.adj_out, ops.adj_sym), oracle(adjacency)):
+            same = (
+                got.dtype == want.dtype
+                and np.array_equal(got.indptr, want.indptr)
+                and np.array_equal(got.indices, want.indices)
+                and np.array_equal(got.data.view(np.uint32), want.data.view(np.uint32))
+            )
+            if not same:
+                raise RuntimeError(
+                    f"GraphOperators and normalized_adjacency disagree on "
+                    f"{record.kernel.program_name} kernel {record.kernel.index}"
+                )
+
+    builder_s = _timed(lambda: [GraphOperators(a, neighbor_cap=cap) for a in adjacencies], repeat)
+    oracle_s = _timed(lambda: [oracle(a) for a in adjacencies], repeat)
+    built = repeat * len(adjacencies)
+    return {
+        "kernels": len(adjacencies),
+        "mean_nodes": float(np.mean([len(a) for a in adjacencies])),
+        "builder_us_per_kernel": builder_s / built * 1e6,
+        "oracle_us_per_kernel": oracle_s / built * 1e6,
+        "speedup": oracle_s / builder_s,
+    }
+
+
 def main() -> dict:
     programs = [vision.resnet_v1(0), vision.alexnet(0)]
     if not FAST:
@@ -222,6 +266,7 @@ def main() -> dict:
         "full_training": bench_full_training(records, train_steps),
         "autotuner_scoring": bench_autotuner_scoring(records, scalers, scoring_queries),
         "fusion_search": bench_fusion_search(programs[0], fusion_searches, fusion_budget),
+        "operator_build": bench_operator_build(records, 2 if FAST else 10),
     }
     return report
 
@@ -232,5 +277,6 @@ if __name__ == "__main__":
     ok = (
         report["training_assembly"]["speedup"] >= 1.0
         and report["autotuner_scoring"]["speedup"] >= 1.0
+        and report["operator_build"]["speedup"] >= 3.0
     )
     sys.exit(0 if ok else 1)

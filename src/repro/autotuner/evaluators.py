@@ -285,6 +285,7 @@ class LearnedEvaluator:
         fp = kernel.fingerprint() if self.cache else None
         if fp is not None and fp in self._memo:
             self.prediction_memo_hits += 1
+            self._memo.move_to_end(fp)
             return self._memo[fp]
         items = [(self._features(kernel), None, 0.0, 0)]
         value = float(self.model.predict_runtimes(self._assemble(items))[0])
@@ -309,6 +310,7 @@ class LearnedEvaluator:
             cached = self._memo.get(fp) if self.cache else None
             if cached is not None:
                 self.prediction_memo_hits += 1
+                self._memo.move_to_end(fp)
                 prices[fp] = cached
             else:
                 if self.cache:

@@ -51,6 +51,9 @@ class Kernel:
         if self.kind not in KERNEL_KINDS:
             raise ValueError(f"unknown kernel kind {self.kind!r}")
         self._fingerprint: str | None = None
+        # Results that depend on the body only (the default tile, see
+        # ``tiling.default_tile``); one dict per body, shared by its shells.
+        self._body_memo: dict[str, Any] = {}
 
     @property
     def num_nodes(self) -> int:
@@ -87,8 +90,10 @@ class Kernel:
         """This kernel at another position of its program's kernel sequence.
 
         The new kernel has its own ``index`` and graph name but *shares*
-        this kernel's body, and carries its fingerprint (a function of the
-        body only) instead of hashing the body again.
+        this kernel's body, and carries what is a function of the body
+        only: its fingerprint, instead of hashing the body again, and the
+        body memo (one dict shared by every shell of a body), so the
+        default tile is enumerated once per body whichever shell asks first.
         """
         other = Kernel(
             graph=Graph(graph_name, self.graph.instructions),
@@ -97,6 +102,7 @@ class Kernel:
             index=index,
         )
         other._fingerprint = self.fingerprint()
+        other._body_memo = self._body_memo
         return other
 
     def to_dict(self) -> dict[str, Any]:

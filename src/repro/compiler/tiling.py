@@ -257,5 +257,16 @@ def default_tile(kernel: Kernel, params: TilingParams | None = None) -> TileConf
     This stands in for the compiler's pre-model default; the analytical or
     learned model then picks among :func:`enumerate_tile_sizes`. A caller
     that already holds the enumerated list uses :func:`largest_tile` on it.
+
+    Under the default :class:`TilingParams` (``params=None``) the answer is
+    memoised per kernel body and shared by every :meth:`Kernel.shell` of
+    it, so pricing many fusion configs of one program enumerates each
+    distinct body once. An explicit ``params`` always enumerates.
     """
-    return largest_tile(enumerate_tile_sizes(kernel, params))
+    if params is not None:
+        return largest_tile(enumerate_tile_sizes(kernel, params))
+    memo = kernel._body_memo
+    tile = memo.get("default_tile")
+    if tile is None:
+        tile = memo["default_tile"] = largest_tile(enumerate_tile_sizes(kernel))
+    return tile

@@ -151,14 +151,11 @@ def assemble_batch(
 
 def _pad_views(sizes: list[int]) -> tuple[np.ndarray, np.ndarray]:
     """Padded [batch, max_nodes] index/mask views over the node axis."""
-    max_nodes = max(sizes)
-    pad_index = np.zeros((len(sizes), max_nodes), dtype=np.int64)
-    pad_mask = np.zeros((len(sizes), max_nodes), dtype=bool)
-    offset = 0
-    for row, n in enumerate(sizes):
-        pad_index[row, :n] = np.arange(offset, offset + n)
-        pad_mask[row, :n] = True
-        offset += n
+    sizes = np.asarray(sizes, dtype=np.int64)
+    column = np.arange(sizes.max(), dtype=np.int64)
+    pad_mask = column < sizes[:, None]
+    offsets = np.cumsum(sizes) - sizes
+    pad_index = np.where(pad_mask, offsets[:, None] + column, 0)
     return pad_index, pad_mask
 
 
@@ -167,7 +164,9 @@ class KernelCacheEntry:
 
     Holds everything about one kernel that does not depend on the batch it
     lands in: scaled node features, opcode ids, the scaled static-feature
-    row, and the three pre-normalized single-graph adjacency operators.
+    row, and the three pre-normalized single-graph adjacency operators
+    (built from the dense adjacency by index arithmetic, see
+    :class:`~repro.nn.graph_layers.GraphOperators`).
     The strong reference to ``features`` pins the object (and therefore its
     ``id()``, which keys the cache) for the lifetime of the entry.
     """
@@ -189,9 +188,7 @@ class KernelCacheEntry:
             static_row = scalers.static.transform(static_row)
         self.node_feats = node_feats.astype(np.float32)
         self.static_feats = np.asarray(static_row[0], dtype=np.float32)
-        self.operators = GraphOperators(
-            sp.csr_matrix(features.adjacency), neighbor_cap=neighbor_cap
-        )
+        self.operators = GraphOperators(features.adjacency, neighbor_cap=neighbor_cap)
 
 
 class KernelCache:
@@ -202,8 +199,11 @@ class KernelCache:
     :meth:`assemble` returns a batch bitwise-identical to
     :func:`assemble_batch` on the same items, but re-does only the
     per-batch work (tile scaling, targets, index arithmetic) — the
-    expensive per-kernel work (feature scaling, three adjacency
-    normalizations) is computed once per unique kernel and reused.
+    per-kernel work (feature scaling, three mean-aggregation operators by
+    index arithmetic) is computed once per unique kernel and reused. No
+    SciPy constructor other than ``csr_matrix((data, indices, indptr))``
+    runs on this path; ``assemble_batch`` keeps the SciPy normalization as
+    the reference.
 
     Cache invariants — an entry is valid only for the exact configuration
     the cache was constructed with. Invalidate (i.e. build a fresh cache)
@@ -218,7 +218,9 @@ class KernelCache:
     are additionally memoized per kernel-composition tuple (LRU, bounded
     by ``max_contexts``), so repeated batches over the same kernels — the
     autotuner scoring one kernel under many tiles, epoch plans bucketing
-    identical draws — skip even the index arithmetic.
+    identical draws — skip even the index arithmetic. A composed context
+    stacks each batch-level operator the first time the model reads it, so
+    a memoized context carries only the operators its model uses.
 
     Entries pin real memory (scaled features + three CSR operators per
     kernel): pass ``max_entries`` to bound the entry store with LRU

@@ -19,37 +19,58 @@ import numpy as np
 import scipy.sparse as sp
 
 from .layers import Dense, Module, l2_normalize
-from .sparse import normalized_adjacency, segment_softmax, segment_sum, spmm, stack_csr
+from .sparse import (
+    mean_aggregation_csr,
+    normalized_adjacency,
+    segment_softmax,
+    segment_sum,
+    spmm,
+    stack_csr,
+)
 from .tensor import Tensor
 
 
 class GraphOperators:
     """Pre-normalized structural operators of a *single* graph.
 
+    Built from the dense 0/1 adjacency by plain index arithmetic
+    (:func:`repro.nn.sparse.mean_aggregation_csr`: ``np.nonzero``,
+    ``bincount`` degrees, neighbor-cap truncation, ``1/deg`` data, one
+    ``csr_matrix((data, indices, indptr))`` per operator) — no SciPy format
+    conversion or sparse product. Each operator equals
+    :func:`~repro.nn.sparse.normalized_adjacency` of the same graph in
+    stored entry order and ``data`` bits, which is what keeps the cached
+    and the cold paths bitwise-identical.
+
     Normalization (neighbor-cap truncation + degree scaling) is row-local,
     so the normalized operators of individual graphs compose exactly into
     the batch-level block-diagonal operators: stacking per-graph normalized
     blocks equals normalizing the stacked raw blocks, bitwise. This is the
-    invariant :class:`repro.data.batching.KernelCache` relies on.
+    invariant :class:`repro.data.batching.KernelCache` relies on. All three
+    operators are built eagerly and never mutated, so one instance can be
+    shared between threads.
+
+    Args:
+        adjacency: dense [n, n] array, nonzero at ``[i, j]`` iff edge i -> j.
+        neighbor_cap: neighbor-list truncation (paper App. B: 20).
 
     Attributes:
         adj_in / adj_out / adj_sym: normalized single-graph CSR operators.
-        edges: [e, 2] local (src, dst) pairs of raw forward edges, in the
-            CSR row-major order ``block.tocoo()`` would produce.
+        edges: [e, 2] local (src, dst) pairs of raw forward edges, in
+            row-major order.
         num_nodes: node count of this graph.
         neighbor_cap: the truncation the operators were built with.
     """
 
     __slots__ = ("adj_in", "adj_out", "adj_sym", "edges", "num_nodes", "neighbor_cap")
 
-    def __init__(self, adjacency: sp.spmatrix, neighbor_cap: int | None = 20) -> None:
-        a = sp.csr_matrix(adjacency)
-        self.adj_in = normalized_adjacency(a, "in", cap=neighbor_cap)
-        self.adj_out = normalized_adjacency(a, "out", cap=neighbor_cap)
-        self.adj_sym = normalized_adjacency(a, "both", cap=neighbor_cap)
-        coo = a.tocoo()
-        self.edges = np.stack([coo.row, coo.col], axis=1).astype(np.int64)
-        self.num_nodes = int(a.shape[0])
+    def __init__(self, adjacency: np.ndarray, neighbor_cap: int | None = 20) -> None:
+        out = np.asarray(adjacency) != 0
+        self.adj_in = mean_aggregation_csr(out.T, neighbor_cap)
+        self.adj_out = mean_aggregation_csr(out, neighbor_cap)
+        self.adj_sym = mean_aggregation_csr(out | out.T, neighbor_cap)
+        self.edges = np.argwhere(out)
+        self.num_nodes = int(out.shape[0])
         self.neighbor_cap = neighbor_cap
 
 
@@ -172,6 +193,11 @@ class BatchedGraphContext:
             included for GAT.
         graph_ids: [n] graph index of each node.
         num_graphs: batch size.
+
+    A context built by :meth:`compose` stacks each of ``adj_in`` /
+    ``adj_out`` / ``adj_sym`` / ``edges`` the first time it is read and
+    keeps it; one built by the constructor (the cold SciPy reference path)
+    holds all four from the start.
     """
 
     def __init__(
@@ -200,27 +226,42 @@ class BatchedGraphContext:
         """Compose pre-normalized single-graph operators into a batch context.
 
         Zero-copy fast path: no ``sp.block_diag`` and no re-normalization —
-        the batch operators are stacked from the per-graph normalized CSR
+        a batch operator is stacked from the per-graph normalized CSR
         blocks by direct ``indptr``/``indices`` arithmetic (normalization is
         row-local, so the result is bitwise-identical to normalizing the
         full block-diagonal matrix). The same :class:`GraphOperators` object
         may appear several times (e.g. one kernel scored under many tiles).
+
+        Each of ``adj_in`` / ``adj_out`` / ``adj_sym`` / ``edges`` is
+        stacked on first read and then kept on the context: a directed
+        GraphSAGE model reads only ``adj_in`` / ``adj_out``, an undirected
+        one only ``adj_sym``, GAT only ``edges``. A field is a pure
+        function of the (immutable) operators, so two threads racing on a
+        shared context's first read store equal values.
         """
         if not operators:
             raise ValueError("empty batch")
         ctx = cls.__new__(cls)
-        ctx.adj_in = stack_csr([op.adj_in for op in operators])
-        ctx.adj_out = stack_csr([op.adj_out for op in operators])
-        ctx.adj_sym = stack_csr([op.adj_sym for op in operators])
+        ctx._operators = list(operators)
         sizes = [op.num_nodes for op in operators]
-        offsets = np.cumsum([0] + sizes[:-1])
-        fwd = np.concatenate(
-            [op.edges + off for op, off in zip(operators, offsets)], axis=0
-        )
-        rev = fwd[:, ::-1]
-        ctx.edges = np.concatenate([fwd, rev], axis=0).astype(np.int64)
         ctx.graph_ids = np.repeat(np.arange(len(sizes)), sizes)
         ctx.num_graphs = len(sizes)
         ctx.num_nodes = int(sum(sizes))
         ctx.sizes = sizes
         return ctx
+
+    def __getattr__(self, name: str):
+        # Reached only for an attribute not set yet: the lazily stacked
+        # fields of a composed context.
+        if name not in ("adj_in", "adj_out", "adj_sym", "edges"):
+            raise AttributeError(name)
+        operators = self._operators
+        if name == "edges":
+            counts = [len(op.edges) for op in operators]
+            fwd = np.concatenate([op.edges for op in operators], axis=0)
+            fwd += np.repeat(np.cumsum(self.sizes) - self.sizes, counts)[:, None]
+            value = np.concatenate([fwd, fwd[:, ::-1]], axis=0)
+        else:
+            value = stack_csr([getattr(op, name) for op in operators])
+        setattr(self, name, value)
+        return value

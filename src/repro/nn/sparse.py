@@ -90,32 +90,70 @@ def stack_csr(blocks: list[sp.csr_matrix]) -> sp.csr_matrix:
     """Block-diagonal stack of CSR matrices by direct index arithmetic.
 
     Equivalent to ``sp.block_diag(blocks, format="csr")`` but built from the
-    blocks' ``data``/``indices``/``indptr`` arrays directly, with no
-    intermediate COO conversion. Each block's per-row stored entry order is
-    preserved verbatim (scipy products such as ``normalized_adjacency``'s
-    ``d @ m`` emit *unsorted* per-row layouts — the flag is left for scipy
-    to determine), so downstream ``@`` products traverse entries in the
-    same order as the ``block_diag``-then-normalize path and produce
-    bitwise-identical results. The result never aliases a block's arrays:
-    callers may mutate it without corrupting cached inputs.
+    blocks' ``data``/``indices``/``indptr`` arrays directly: one
+    ``np.concatenate`` per array, then one ``np.repeat`` offset add each
+    for the columns and the row pointers, whatever the number of blocks —
+    no COO conversion and no per-block Python arithmetic. Each block's per-row
+    stored entry order is preserved verbatim (:func:`mean_aggregation_csr`
+    and ``normalized_adjacency``'s ``d @ m`` both emit *descending* columns
+    within a row — the sorted flag is left for scipy to determine), so
+    downstream ``@`` products traverse entries in the same order as the
+    ``block_diag``-then-normalize path and produce bitwise-identical
+    results. The same block may appear several times. The result never
+    aliases a block's arrays: callers may mutate it without corrupting
+    cached inputs.
     """
     if not blocks:
         raise ValueError("stack_csr needs at least one block")
     if len(blocks) == 1:
         return blocks[0].copy()
-    n_rows = sum(b.shape[0] for b in blocks)
-    n_cols = sum(b.shape[1] for b in blocks)
+    rows = np.asarray([b.shape[0] for b in blocks])
+    cols = np.asarray([b.shape[1] for b in blocks])
+    nnz = np.asarray([len(b.data) for b in blocks])
     data = np.concatenate([b.data for b in blocks])
-    col_offsets = np.cumsum([0] + [b.shape[1] for b in blocks[:-1]])
-    indices = np.concatenate(
-        [b.indices + off for b, off in zip(blocks, col_offsets)]
-    )
-    nnz_offsets = np.cumsum([0] + [b.nnz for b in blocks[:-1]])
-    indptr = np.concatenate(
-        [np.asarray([0], dtype=np.int64)]
-        + [b.indptr[1:].astype(np.int64) + off for b, off in zip(blocks, nnz_offsets)]
-    )
-    return sp.csr_matrix((data, indices, indptr), shape=(n_rows, n_cols))
+    indices = np.concatenate([b.indices for b in blocks])
+    indices += np.repeat((np.cumsum(cols) - cols).astype(indices.dtype), nnz)
+    n_rows = int(rows.sum())
+    indptr = np.zeros(n_rows + 1, dtype=np.int64)
+    np.concatenate([b.indptr[1:] for b in blocks], out=indptr[1:])
+    indptr[1:] += np.repeat(np.cumsum(nnz) - nnz, rows)
+    return sp.csr_matrix((data, indices, indptr), shape=(n_rows, int(cols.sum())))
+
+
+def mean_aggregation_csr(neighbors: np.ndarray, cap: int | None) -> sp.csr_matrix:
+    """Mean-aggregation operator of one small graph, by index arithmetic.
+
+    What :func:`normalized_adjacency` computes through ``tocsr`` / ``tolil``
+    / ``diags @ m``, built from ``np.nonzero`` and ``bincount`` with a
+    single ``csr_matrix((data, indices, indptr))`` at the end — for a
+    kernel-sized graph the SciPy constructors, not the arithmetic, were the
+    cost. The result equals the oracle's in ``indptr``, stored ``indices``
+    order (descending column within a row, as SciPy's ``d @ m`` emits),
+    ``data`` bits and dtypes, so ``M @ x`` is bitwise the same.
+
+    Args:
+        neighbors: [n, n] boolean, ``neighbors[i, j]`` iff j is aggregated
+            into i (the adjacency transposed for "in", as is for "out",
+            symmetrised for "both").
+        cap: keep the ``cap`` lowest-numbered neighbors per row (``None``
+            keeps all); the mean is over the kept ones.
+    """
+    n = neighbors.shape[0]
+    # Row-major nonzeros of the column-reversed mask: columns come out
+    # descending within a row, the order the oracle stores.
+    rows, reversed_cols = np.nonzero(neighbors[:, ::-1])
+    degree = np.bincount(rows, minlength=n)
+    indptr = np.zeros(n + 1, dtype=np.int32)
+    np.cumsum(degree, out=indptr[1:])
+    if cap is not None and degree.max() > cap:
+        # The lowest-numbered neighbors are the last ``cap`` of each row.
+        keep = indptr[rows + 1] - np.arange(len(rows)) <= cap
+        rows, reversed_cols = rows[keep], reversed_cols[keep]
+        degree = np.minimum(degree, cap)
+        np.cumsum(degree, out=indptr[1:])
+    data = np.float32(1.0) / degree[rows].astype(np.float32)
+    indices = (n - 1 - reversed_cols).astype(np.int32)
+    return sp.csr_matrix((data, indices, indptr), shape=(n, n))
 
 
 def normalized_adjacency(

@@ -218,3 +218,29 @@ class TestGraphWalksPerFuser:
         )
         assert result.model_evaluations == 40
         assert counts == self.WALKS_PER_FUSER
+
+
+class TestDefaultTilePerBody:
+    def test_forty_config_search_enumerates_each_body_once(self, corpus, monkeypatch):
+        """Complexity pin: the truth model, the hardware verification and
+        the default-config baseline all price shells; tiles are enumerated
+        once per distinct body, not once per shell."""
+        from repro.compiler import tiling
+
+        bodies = []  # the instruction dicts themselves, so no id is reused
+        original = tiling.enumerate_tile_sizes
+
+        def counting(kernel, params=None):
+            bodies.append(kernel.graph.instructions)
+            return original(kernel, params)
+
+        monkeypatch.setattr(tiling, "enumerate_tile_sizes", counting)
+        hardware = HardwareEvaluator(TpuSimulator())
+        result = model_fusion_autotune(
+            corpus["char2feats_0"], _FingerprintBentTruth(), hardware,
+            model_budget=40, hardware_budget=5, seed=0,
+        )
+        assert result.model_evaluations == 40 and hardware.evaluations == 35
+        # 376 default tiles are asked for in this search, of 50 bodies.
+        assert len(bodies) > 5
+        assert len({id(b) for b in bodies}) == len(bodies)

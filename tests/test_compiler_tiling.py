@@ -19,7 +19,7 @@ from repro.compiler import (
     fuse_program,
     tile_footprint_bytes,
 )
-from repro.compiler.tiling import tile_transfer_bytes
+from repro.compiler.tiling import largest_tile, tile_transfer_bytes
 from repro.hlo import GraphBuilder, Shape
 from repro.workloads import build_corpus
 
@@ -235,6 +235,42 @@ class TestHoistedFootprint:
             calls.clear()
             assert len(enumerate_tile_sizes(kernel)) >= 1
             assert len(calls) == 1
+
+
+class TestDefaultTileMemo:
+    @pytest.fixture
+    def enumerations(self, monkeypatch):
+        from repro.compiler import tiling
+
+        calls = []
+        original = tiling.enumerate_tile_sizes
+        monkeypatch.setattr(
+            tiling, "enumerate_tile_sizes",
+            lambda kernel, params=None: calls.append(params) or original(kernel, params),
+        )
+        return calls
+
+    def test_once_per_body_across_shells(self, enumerations):
+        body = dense_kernel()
+        shells = [body.shell(f"g.k{i}", i) for i in range(3)]
+        first = default_tile(shells[1])  # whichever shell asks first
+        assert all(default_tile(k) is first for k in [body, *shells])
+        assert enumerations == [None]
+        assert first == largest_tile(enumerate_tile_sizes(body))
+        # Another body, even an equal one, has its own memo.
+        assert default_tile(dense_kernel()) == first
+        assert len(enumerations) == 2
+
+    def test_explicit_params_bypass_the_memo(self, enumerations):
+        k = dense_kernel()
+        small = TilingParams(scratchpad_bytes=64 * 1024)
+        wide = default_tile(k)
+        for _ in range(2):
+            assert default_tile(k, small) == largest_tile(enumerate_tile_sizes(k, small))
+        assert default_tile(k, small) != wide
+        assert default_tile(k, TilingParams()) == wide  # equal to the default, still enumerated
+        assert default_tile(k) is wide  # and the memo holds the default answer only
+        assert enumerations == [None, small, small, small, TilingParams()]
 
 
 class TestSubsampleSeed:

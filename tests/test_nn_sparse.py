@@ -2,6 +2,7 @@
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import given, settings, strategies as st
 
 from repro.nn import (
     Tensor,
@@ -11,6 +12,9 @@ from repro.nn import (
     segment_sum,
     spmm,
 )
+
+from repro.nn.graph_layers import BatchedGraphContext, GraphOperators
+from repro.nn.sparse import mean_aggregation_csr, stack_csr
 
 rng = np.random.default_rng(7)
 
@@ -157,3 +161,107 @@ class TestNormalizedAdjacency:
     def test_unknown_direction_rejected(self):
         with pytest.raises(ValueError):
             normalized_adjacency(self.chain(), "sideways")
+
+
+@st.composite
+def adjacencies(draw, max_nodes=80):
+    """Dense 0/1 adjacency: a DAG (strict upper triangle) or a general
+    digraph with cycles and self-loops; density 0 gives the edgeless graph."""
+    n = draw(st.integers(1, max_nodes))
+    density = draw(st.sampled_from([0.0, 0.02, 0.1, 0.5, 1.0]))
+    seed = draw(st.integers(0, 2**31 - 1))
+    a = (np.random.default_rng(seed).random((n, n)) < density).astype(np.float32)
+    return np.triu(a, 1) if draw(st.booleans()) else a
+
+
+def assert_same_csr(got, want):
+    """Equal as stored: row pointers, per-row entry order, value bits, dtypes."""
+    assert got.shape == want.shape and got.dtype == want.dtype == np.float32
+    np.testing.assert_array_equal(got.indptr, want.indptr)
+    np.testing.assert_array_equal(got.indices, want.indices)
+    np.testing.assert_array_equal(got.data.view(np.uint32), want.data.view(np.uint32))
+
+
+def stack_block_by_block(blocks):
+    """Reference for ``stack_csr``: one Python-level offset add per block."""
+    data = np.concatenate([b.data for b in blocks])
+    col_offsets = np.cumsum([0] + [b.shape[1] for b in blocks[:-1]])
+    indices = np.concatenate([b.indices + off for b, off in zip(blocks, col_offsets)])
+    nnz_offsets = np.cumsum([0] + [b.nnz for b in blocks[:-1]])
+    indptr = np.concatenate(
+        [np.zeros(1, dtype=np.int64)]
+        + [b.indptr[1:].astype(np.int64) + off for b, off in zip(blocks, nnz_offsets)]
+    )
+    shape = (sum(b.shape[0] for b in blocks), sum(b.shape[1] for b in blocks))
+    return sp.csr_matrix((data, indices, indptr), shape=shape)
+
+
+class TestOperatorBuilderEqualsOracle:
+    """The index-arithmetic builder against ``normalized_adjacency`` (SciPy
+    ``tolil`` / ``diags @ m``), and lazy ``compose`` against the cold
+    ``BatchedGraphContext``."""
+
+    @given(adjacencies(), st.sampled_from([None, 1, 2, 20]), st.integers(0, 2**31 - 1))
+    @settings(max_examples=120, deadline=None)
+    def test_single_graph_operators(self, a, cap, seed):
+        ops = GraphOperators(a, neighbor_cap=cap)
+        x = np.random.default_rng(seed).standard_normal((len(a), 5)).astype(np.float32)
+        masks = {"in": a.T != 0, "out": a != 0, "both": (a != 0) | (a.T != 0)}
+        for direction, got in (("in", ops.adj_in), ("out", ops.adj_out), ("both", ops.adj_sym)):
+            want = normalized_adjacency(sp.csr_matrix(a), direction, cap=cap)
+            assert_same_csr(got, want)
+            assert_same_csr(mean_aggregation_csr(masks[direction], cap), want)
+            assert got.indices.dtype == want.indices.dtype
+            assert got.indptr.dtype == want.indptr.dtype
+            np.testing.assert_array_equal(
+                (got @ x).view(np.uint32), (want @ x).view(np.uint32)
+            )
+        coo = sp.csr_matrix(a).tocoo()
+        np.testing.assert_array_equal(ops.edges, np.stack([coo.row, coo.col], axis=1))
+        assert ops.edges.dtype == np.int64 and ops.num_nodes == len(a)
+
+    @given(
+        st.lists(adjacencies(max_nodes=24), min_size=1, max_size=5),
+        st.sampled_from([None, 1, 2, 20]),
+        st.data(),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_lazy_compose(self, graphs, cap, data):
+        unique = [GraphOperators(a, neighbor_cap=cap) for a in graphs]
+        picks = data.draw(
+            st.lists(st.integers(0, len(unique) - 1), min_size=1, max_size=8)
+        )
+        operators = [unique[i] for i in picks]  # repeats allowed
+        fields = ["adj_in", "adj_out", "adj_sym", "edges"]
+        order = data.draw(st.permutations(fields))
+        cold = BatchedGraphContext(
+            [sp.csr_matrix(graphs[i]) for i in picks], neighbor_cap=cap
+        )
+        ctx = BatchedGraphContext.compose(operators)
+        assert not set(fields) & set(vars(ctx))
+        x = np.random.default_rng(0).standard_normal((cold.num_nodes, 3)).astype(np.float32)
+        for name in order:
+            got = getattr(ctx, name)
+            assert getattr(ctx, name) is got  # kept, not stacked again
+            if name == "edges":
+                np.testing.assert_array_equal(got, cold.edges)
+                assert got.dtype == cold.edges.dtype
+                continue
+            blocks = [getattr(op, name) for op in operators]
+            assert_same_csr(got, stack_csr(blocks))
+            assert_same_csr(got, stack_block_by_block(blocks))
+            want = getattr(cold, name)
+            assert_same_csr(got, want)
+            np.testing.assert_array_equal(
+                (got @ x).view(np.uint32), (want @ x).view(np.uint32)
+            )
+            assert not any(np.shares_memory(got.data, b.data) for b in blocks)
+        np.testing.assert_array_equal(ctx.graph_ids, cold.graph_ids)
+        assert (ctx.sizes, ctx.num_nodes, ctx.num_graphs) == (
+            cold.sizes, cold.num_nodes, cold.num_graphs
+        )
+
+    def test_unknown_attribute_still_raises(self):
+        ctx = BatchedGraphContext.compose([GraphOperators(np.zeros((2, 2)))])
+        with pytest.raises(AttributeError):
+            ctx.adj_typo

@@ -240,6 +240,92 @@ class TestBatchedProgramScoring:
         np.testing.assert_allclose(got, expected, rtol=1e-5)
 
 
+class TestPredictionMemoIsLru:
+    @pytest.fixture()
+    def evaluator(self, fusion_records):
+        model = LearnedPerformanceModel(ModelConfig.paper_best_fusion(), seed=0)
+        model.eval()
+        return LearnedEvaluator(
+            model, Scalers.fit_fusion(fusion_records), max_cached_predictions=2
+        )
+
+    @pytest.fixture()
+    def kernels(self, fusion_records):
+        distinct = {r.kernel.fingerprint(): r.kernel for r in fusion_records}
+        return list(distinct.values())[:3]
+
+    @pytest.mark.parametrize("read", ["kernel_runtime", "program_runtime"])
+    def test_reread_kernel_survives_the_next_insertion(self, evaluator, kernels, read):
+        a, b, c = kernels
+        price = (
+            evaluator.kernel_runtime if read == "kernel_runtime"
+            else lambda k: evaluator.program_runtime([k])
+        )
+        price(a), price(b)
+        price(a)  # a hit: a is now the most recently used
+        price(c)  # evicts the least recently used, which is b
+        assert list(evaluator._memo) == [a.fingerprint(), c.fingerprint()]
+        misses = evaluator.prediction_memo_misses
+        price(a)
+        assert evaluator.prediction_memo_misses == misses
+
+
+class TestNoSciPyConstructorsOnTheCachedPath:
+    """Count pins: what the cached path must not call, and what a model
+    must not make the context stack. No clock involved."""
+
+    def test_assemble_builds_operators_without_scipy_conversions(
+        self, tile_records, scalers, monkeypatch
+    ):
+        import scipy.sparse as sp
+
+        from repro.nn import graph_layers, sparse
+
+        sampler = TileBatchSampler(tile_records, kernels_per_batch=4, tiles_per_kernel=2, seed=11)
+        items = sampler.draw_items()
+        expected = assemble_batch(items, scalers)
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("SciPy conversion on the KernelCache.assemble path")
+
+        for module in (sparse, graph_layers):
+            monkeypatch.setattr(module, "normalized_adjacency", forbidden)
+        monkeypatch.setattr(sp, "diags", forbidden)
+        monkeypatch.setattr(sp, "block_diag", forbidden)
+        for cls in (sp.csr_matrix, sp.csc_matrix, sp.coo_matrix, sp.lil_matrix, sp.dia_matrix):
+            for conversion in ("tolil", "tocoo", "tocsc", "todia"):
+                monkeypatch.setattr(cls, conversion, forbidden)
+        got = KernelCache(scalers).assemble(items)
+        for name in ("adj_in", "adj_out", "adj_sym", "edges"):
+            getattr(got.context, name)  # stacking is on the same path
+        monkeypatch.undo()
+        assert_batches_identical(expected, got)
+
+    @pytest.mark.parametrize(
+        "overrides, read, unread",
+        [
+            ({}, {"adj_in", "adj_out"}, {"adj_sym", "edges"}),
+            ({"directed": False}, {"adj_sym"}, {"adj_in", "adj_out", "edges"}),
+            ({"gnn": "gat"}, {"edges"}, {"adj_in", "adj_out", "adj_sym"}),
+            ({"gnn": "none"}, set(), {"adj_in", "adj_out", "adj_sym", "edges"}),
+        ],
+    )
+    def test_predict_stacks_only_the_operators_the_model_reads(
+        self, tile_records, scalers, overrides, read, unread
+    ):
+        config = ModelConfig.paper_best_tile().with_overrides(**overrides)
+        model = LearnedPerformanceModel(config, seed=0)
+        model.eval()
+        sampler = TileBatchSampler(tile_records, kernels_per_batch=3, tiles_per_kernel=2, seed=1)
+        items = sampler.draw_items()
+        batch = KernelCache(scalers).assemble(items)
+        assert not {"adj_in", "adj_out", "adj_sym", "edges"} & set(vars(batch.context))
+        scores = model.predict(batch)
+        materialised = {"adj_in", "adj_out", "adj_sym", "edges"} & set(vars(batch.context))
+        assert materialised == read and not materialised & unread
+        np.testing.assert_array_equal(scores, model.predict(assemble_batch(items, scalers)))
+
+
 class TestBatchedSearch:
     @staticmethod
     def _cost(state):
