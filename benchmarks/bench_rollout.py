@@ -57,6 +57,13 @@ import sys
 import threading
 import time
 
+# One BLAS thread per process, set before NumPy loads (spawned workers
+# inherit it), as bench_serving.py and the spine benchmark do: with two,
+# the small forwards' spin-waiting BLAS thread takes a core from the
+# client threads and the A/B ratios below measure that instead.
+for _variable in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_variable, "1")
+
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
 from repro.autotuner import LearnedEvaluator  # noqa: E402

@@ -86,19 +86,24 @@ class _ShardStats:
         self.forwards = 0
         self.latencies: deque[float] = deque(maxlen=_SHARD_LATENCY_WINDOW)
 
+    def to_dict(self) -> dict[str, float]:
+        latency = latency_percentiles(self.latencies)
+        return {
+            "requests": float(self.requests),
+            "errors": float(self.errors),
+            "forwards": float(self.forwards),
+            "requests_per_forward": (
+                self.requests / self.forwards if self.forwards else 0.0
+            ),
+            "latency_p50_s": latency.p50,
+            "latency_p99_s": latency.p99,
+            "latency_max_s": latency.max,
+        }
 
-class _VersionStats:
-    """Per-checkpoint routing accumulator (the rollout control plane's
-    volume counters: response-path, canary slice, shadow scores)."""
 
-    __slots__ = ("served", "canary", "shadow", "errors", "shadow_errors")
-
-    def __init__(self) -> None:
-        self.served = 0
-        self.canary = 0
-        self.shadow = 0
-        self.errors = 0
-        self.shadow_errors = 0
+#: Per-checkpoint routing counters (the rollout control plane's volume
+#: counters: response-path, canary slice, shadow scores).
+_VERSION_KEYS = ("served", "canary", "shadow", "errors", "shadow_errors")
 
 
 class ServingStats:
@@ -117,39 +122,40 @@ class ServingStats:
     #: gauges' low-cost trend signal; the deque still holds the window).
     _LATENCY_EWMA_ALPHA = 0.05
 
+    #: The counter attributes: each is an int on the object, a float in
+    #: :meth:`snapshot`, and a counter-typed (``_total``) series.
+    _COUNTERS = (
+        "requests",
+        "errors",
+        "cache_hits",
+        "batches",
+        "model_forwards",
+        "shadow_forwards",
+        "cache_hit_shadows",
+        "placement_changes",
+        "placement_moves",
+        "degraded",
+        "deadline_expired",
+        "overload_rejections",
+        "abandoned",
+        "breaker_blocks",
+    )
+
     def __init__(self) -> None:
         self._lock = threading.Lock()
         self._started = time.perf_counter()
         self._latency_ewma: float | None = None
-        self.requests = 0
-        self.errors = 0
-        self.cache_hits = 0
-        self.batches = 0
+        for name in self._COUNTERS:
+            setattr(self, name, 0)
         self.batched_requests = 0
-        self.model_forwards = 0
-        self.shadow_forwards = 0
-        self.cache_hit_shadows = 0
-        self.placement_changes = 0
-        self.placement_moves = 0
-        self.degraded = 0
-        self.deadline_expired = 0
-        self.overload_rejections = 0
-        self.abandoned = 0
-        self.breaker_blocks = 0
         self._latencies: deque[float] = deque(maxlen=_LATENCY_WINDOW)
         self._shards: dict[int, _ShardStats] = {}
-        self._versions: dict[str, _VersionStats] = {}
+        self._versions: dict[str, dict[str, int]] = {}
 
     def _shard(self, shard: int) -> _ShardStats:
         stats = self._shards.get(shard)
         if stats is None:
             stats = self._shards[shard] = _ShardStats()
-        return stats
-
-    def _version(self, version: str) -> _VersionStats:
-        stats = self._versions.get(version)
-        if stats is None:
-            stats = self._versions[version] = _VersionStats()
         return stats
 
     def record_response(
@@ -158,8 +164,14 @@ class ServingStats:
         cache_hit: bool,
         error: bool = False,
         shard: int | None = None,
+        version: str | None = None,
+        canary: bool = False,
     ) -> None:
-        """Account one resolved request (``shard`` = executing shard)."""
+        """Account one resolved request (``shard`` = executing shard).
+
+        With a ``version`` the response-path routing decision (see
+        :meth:`record_route`) is accounted in the same lock acquisition.
+        """
         with self._lock:
             self.requests += 1
             if cache_hit:
@@ -180,6 +192,8 @@ class ServingStats:
                 if error:
                     stats.errors += 1
                 stats.latencies.append(latency_s)
+            if version is not None:
+                self._route_locked(version, canary, False, error)
 
     def record_batch(self, size: int, forwards: int = 1) -> None:
         """Account one executed micro-batch of ``size`` coalesced requests
@@ -213,68 +227,52 @@ class ServingStats:
         if version is None:
             return
         with self._lock:
-            stats = self._version(version)
-            if shadow:
-                if error:
-                    stats.shadow_errors += 1
-                else:
-                    stats.shadow += 1
-                return
-            stats.served += 1
-            if canary:
-                stats.canary += 1
-            if error:
-                stats.errors += 1
+            self._route_locked(version, canary, shadow, error)
 
-    def record_shadow_forwards(self, forwards: int = 1) -> None:
-        """Account forward passes spent on off-response-path shadow
-        scoring (kept out of ``model_forwards`` so occupancy ratios keep
-        describing the response path)."""
+    def _route_locked(
+        self, version: str, canary: bool, shadow: bool, error: bool
+    ) -> None:
+        stats = self._versions.get(version)
+        if stats is None:
+            stats = self._versions[version] = dict.fromkeys(_VERSION_KEYS, 0)
+        if shadow:
+            stats["shadow_errors" if error else "shadow"] += 1
+            return
+        stats["served"] += 1
+        if canary:
+            stats["canary"] += 1
+        if error:
+            stats["errors"] += 1
+
+    def count(self, name: str, amount: int = 1) -> None:
+        """Add ``amount`` to one of the :attr:`_COUNTERS` that no other
+        recorder moves.
+
+        * ``shadow_forwards`` — forward passes spent on off-response-path
+          shadow scoring (kept out of ``model_forwards`` so occupancy
+          ratios keep describing the response path).
+        * ``cache_hit_shadows`` — a result-cache hit sampled into a
+          shadow batch (the rollout-aware cache: hits bypass execution,
+          so a sampled fraction is re-scored off-path to keep staged
+          evidence flowing).
+        * ``degraded`` — a response answered by the analytical fallback
+          (tagged ``degraded=True`` on the wire — served, but not by a
+          published checkpoint).
+        * ``deadline_expired`` — a request shed before dispatch because
+          its deadline had already elapsed.
+        * ``overload_rejections`` — a submission shed by admission
+          control (the scheduler queue was at its ``max_pending`` bound).
+        * ``abandoned`` — a queued request whose future was already
+          resolved at dispatch time (its client disconnected); no forward
+          was spent on it.
+        * ``breaker_blocks`` — requests diverted by an open circuit
+          breaker (they resolve via the degradation path, not the
+          executor).
+        """
+        if name not in self._COUNTERS:
+            raise ValueError(f"unknown serving counter {name!r}")
         with self._lock:
-            self.shadow_forwards += forwards
-
-    def record_cache_hit_shadow(self) -> None:
-        """Account one result-cache hit sampled into a shadow batch (the
-        rollout-aware cache: hits bypass execution, so a sampled fraction
-        is re-scored off-path to keep staged evidence flowing)."""
-        with self._lock:
-            self.cache_hit_shadows += 1
-
-    # ------------------------------------------------------------------ #
-    # resilience
-    # ------------------------------------------------------------------ #
-
-    def record_degraded(self) -> None:
-        """Account one response answered by the analytical fallback
-        (tagged ``degraded=True`` on the wire — served, but not by a
-        published checkpoint)."""
-        with self._lock:
-            self.degraded += 1
-
-    def record_deadline_expired(self) -> None:
-        """Account one request shed before dispatch because its deadline
-        had already elapsed."""
-        with self._lock:
-            self.deadline_expired += 1
-
-    def record_overload_rejection(self) -> None:
-        """Account one submission shed by admission control (the
-        scheduler queue was at its ``max_pending`` bound)."""
-        with self._lock:
-            self.overload_rejections += 1
-
-    def record_abandoned(self) -> None:
-        """Account one queued request whose future was already resolved
-        at dispatch time (its client disconnected); no forward was spent
-        on it."""
-        with self._lock:
-            self.abandoned += 1
-
-    def record_breaker_block(self, requests: int = 1) -> None:
-        """Account requests diverted by an open circuit breaker (they
-        resolve via the degradation path, not the executor)."""
-        with self._lock:
-            self.breaker_blocks += requests
+            setattr(self, name, getattr(self, name) + amount)
 
     # ------------------------------------------------------------------ #
     # placement transitions
@@ -320,13 +318,7 @@ class ServingStats:
     @staticmethod
     def empty_version_entry() -> dict[str, float]:
         """A zeroed per-version entry (versions with no routed traffic)."""
-        return {
-            "served": 0.0,
-            "canary": 0.0,
-            "shadow": 0.0,
-            "errors": 0.0,
-            "shadow_errors": 0.0,
-        }
+        return dict.fromkeys(_VERSION_KEYS, 0.0)
 
     def version_snapshot(self) -> dict[str, dict[str, float]]:
         """Per-version routing volume: ``served`` (response path),
@@ -334,28 +326,14 @@ class ServingStats:
         scores), and their error counts."""
         with self._lock:
             return {
-                version: {
-                    "served": float(stats.served),
-                    "canary": float(stats.canary),
-                    "shadow": float(stats.shadow),
-                    "errors": float(stats.errors),
-                    "shadow_errors": float(stats.shadow_errors),
-                }
+                version: {key: float(value) for key, value in stats.items()}
                 for version, stats in sorted(self._versions.items())
             }
 
     @staticmethod
     def empty_shard_entry() -> dict[str, float]:
         """A zeroed per-shard entry (shards that saw no traffic yet)."""
-        return {
-            "requests": 0.0,
-            "errors": 0.0,
-            "forwards": 0.0,
-            "requests_per_forward": 0.0,
-            "latency_p50_s": 0.0,
-            "latency_p99_s": 0.0,
-            "latency_max_s": 0.0,
-        }
+        return _ShardStats().to_dict()
 
     def shard_snapshot(self) -> dict[str, dict[str, float]]:
         """Per-shard metrics: volume, occupancy, and latency tails.
@@ -366,22 +344,10 @@ class ServingStats:
         ``latency_{p50,p99,max}_s``.
         """
         with self._lock:
-            out: dict[str, dict[str, float]] = {}
-            for shard in sorted(self._shards):
-                stats = self._shards[shard]
-                latency = latency_percentiles(stats.latencies)
-                out[str(shard)] = {
-                    "requests": float(stats.requests),
-                    "errors": float(stats.errors),
-                    "forwards": float(stats.forwards),
-                    "requests_per_forward": (
-                        stats.requests / stats.forwards if stats.forwards else 0.0
-                    ),
-                    "latency_p50_s": latency.p50,
-                    "latency_p99_s": latency.p99,
-                    "latency_max_s": latency.max,
-                }
-            return out
+            return {
+                str(shard): self._shards[shard].to_dict()
+                for shard in sorted(self._shards)
+            }
 
     def slo_window(self, target_s: float) -> dict[str, float]:
         """The raw SLO inputs over the retained latency window.
@@ -405,29 +371,15 @@ class ServingStats:
     def register_into(self, registry) -> None:
         """Contribute the flat serving snapshot to a telemetry registry.
 
-        Duck-typed (``register_collector`` / ``mark_counter``) so the
-        evaluation layer keeps zero imports on the serving package. The
-        resilience counters (``degraded``, ``deadline_expired``,
-        ``overload_rejections``, ``breaker_blocks``) become first-class
-        counter-typed series instead of dict entries consumers must dig
-        out of nested snapshots.
+        Duck-typed (``register_collector``) so the evaluation layer keeps
+        zero imports on the serving package. The resilience counters
+        (``degraded``, ``deadline_expired``, ``overload_rejections``,
+        ``breaker_blocks``) become first-class counter-typed series
+        instead of dict entries consumers must dig out of nested
+        snapshots.
         """
-        registry.register_collector("serving_stats", self.snapshot)
-        registry.mark_counter(
-            "requests",
-            "errors",
-            "cache_hits",
-            "batches",
-            "model_forwards",
-            "shadow_forwards",
-            "cache_hit_shadows",
-            "placement_changes",
-            "placement_moves",
-            "degraded",
-            "deadline_expired",
-            "overload_rejections",
-            "abandoned",
-            "breaker_blocks",
+        registry.register_collector(
+            "serving_stats", self.snapshot, counters=self._COUNTERS
         )
 
     def snapshot(self) -> dict[str, float]:
@@ -436,29 +388,17 @@ class ServingStats:
         Keys: ``requests``, ``errors``, ``qps`` (over the stats object's
         lifetime), ``cache_hit_rate``, ``batches``, ``batch_occupancy``
         (mean coalesced requests per micro-batch), ``model_forwards``,
-        ``requests_per_forward``, and ``latency_{mean,p50,p90,p99,max}_s``.
+        ``requests_per_forward``, and ``latency_{mean,p50,p90,p99,max}_s``
+        — plus every other name in :attr:`_COUNTERS`.
         """
         with self._lock:
             elapsed = max(time.perf_counter() - self._started, 1e-9)
             latency = latency_percentiles(self._latencies)
             return {
-                "requests": float(self.requests),
-                "errors": float(self.errors),
+                **{name: float(getattr(self, name)) for name in self._COUNTERS},
                 "qps": self.requests / elapsed,
-                "cache_hits": float(self.cache_hits),
                 "cache_hit_rate": self.cache_hits / self.requests if self.requests else 0.0,
-                "batches": float(self.batches),
                 "batch_occupancy": self.batched_requests / self.batches if self.batches else 0.0,
-                "model_forwards": float(self.model_forwards),
-                "shadow_forwards": float(self.shadow_forwards),
-                "cache_hit_shadows": float(self.cache_hit_shadows),
-                "placement_changes": float(self.placement_changes),
-                "placement_moves": float(self.placement_moves),
-                "degraded": float(self.degraded),
-                "deadline_expired": float(self.deadline_expired),
-                "overload_rejections": float(self.overload_rejections),
-                "abandoned": float(self.abandoned),
-                "breaker_blocks": float(self.breaker_blocks),
                 "requests_per_forward": (
                     self.batched_requests / self.model_forwards if self.model_forwards else 0.0
                 ),

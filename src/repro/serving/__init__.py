@@ -178,8 +178,6 @@ from .rollout import (
 from .scheduler import MicroBatcher, PendingRequest
 from .service import EXECUTOR_CHOICES, CostModelService, ServiceConfig
 from .telemetry import (
-    Counter,
-    Gauge,
     Histogram,
     Span,
     TelemetryRegistry,
@@ -220,12 +218,10 @@ __all__ = [
     "ConnectionLost",
     "ContinuousProfiler",
     "CostModelService",
-    "Counter",
     "CrashLoopBackoff",
     "DeadlineExceeded",
     "EvaluatorClient",
     "Executor",
-    "Gauge",
     "Histogram",
     "IncidentReporter",
     "FaultInjector",

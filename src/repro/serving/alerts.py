@@ -30,12 +30,11 @@ Three rule kinds, mirroring what production alerting actually runs on:
   lives in the engine.
 
 The engine is **pulled**, like the rollout and placement controllers:
-call :meth:`AlertEngine.evaluate` from the ops loop (or let the optional
-daemon thread do it) — the clock is injectable, so the whole state
-machine is deterministic under test. Every transition is counted,
-journaled (``alert.transition`` events, duck-typed journal), exemplar-
-linked to a recent trace id when a tracer is attached, and visible at
-``/alerts`` on the gateway.
+call :meth:`AlertEngine.evaluate` from the ops loop — the clock is
+injectable, so the whole state machine is deterministic under test.
+Every transition is counted, journaled (``alert.transition`` events,
+duck-typed journal), exemplar-linked to a recent trace id when a tracer
+is attached, and visible at ``/alerts`` on the gateway.
 """
 from __future__ import annotations
 
@@ -289,10 +288,8 @@ class AlertEngine:
             ``lambda: next(iter(tracer.recent(1)), {}).get("trace_id")``
             or let the service do it.
 
-    ``evaluate()`` returns the transitions it made, ``alerts()`` is the
-    gateway's ``/alerts`` payload, and :meth:`start`/:meth:`stop` run an
-    optional background evaluation thread for deployments without an
-    ops loop to pull from.
+    ``evaluate()`` returns the transitions it made and ``alerts()`` is
+    the gateway's ``/alerts`` payload.
     """
 
     def __init__(
@@ -314,8 +311,6 @@ class AlertEngine:
         #: incident reporter hooks here; observer exceptions are
         #: swallowed — a broken reporter must never break alerting.
         self.observers: list = []
-        self._thread: threading.Thread | None = None
-        self._stop = threading.Event()
         self.evaluations = 0
         self.transitions_total = 0
         for rule in rules:
@@ -544,39 +539,8 @@ class AlertEngine:
 
     def register_into(self, registry) -> None:
         """Contribute alert accounting to a telemetry registry."""
-        registry.register_collector("alerts", self.snapshot)
-        registry.mark_counter("alert_evaluations", "alert_transitions")
-
-    # ------------------------------------------------------------------ #
-    # optional background evaluation
-    # ------------------------------------------------------------------ #
-
-    def start(self, interval_s: float = 5.0) -> None:
-        """Spawn a daemon thread evaluating every ``interval_s``. The
-        pulled :meth:`evaluate` stays available — deployments with an
-        ops loop should prefer it (deterministic ordering)."""
-        if interval_s <= 0:
-            raise ValueError("interval_s must be > 0")
-        if self._thread is not None:
-            return
-        self._stop.clear()
-
-        def run() -> None:
-            while not self._stop.wait(interval_s):
-                try:
-                    self.evaluate()
-                except Exception:
-                    pass  # an alerting crash must never kill evaluation
-
-        self._thread = threading.Thread(
-            target=run, name="alert-engine", daemon=True
+        registry.register_collector(
+            "alerts",
+            self.snapshot,
+            counters=("alert_evaluations", "alert_transitions"),
         )
-        self._thread.start()
-
-    def stop(self) -> None:
-        """Stop the background thread (no-op when not running)."""
-        if self._thread is None:
-            return
-        self._stop.set()
-        self._thread.join(timeout=5.0)
-        self._thread = None

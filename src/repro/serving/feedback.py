@@ -319,13 +319,16 @@ class FeedbackCollector:
                 if key != "versions"
             }
 
-        registry.register_collector("feedback", _snapshot)
-        registry.mark_counter(
-            "feedback_predictions",
-            "feedback_measurements",
-            "feedback_joined",
-            "feedback_unmatched_measurements",
-            "feedback_dropped_pending",
+        registry.register_collector(
+            "feedback",
+            _snapshot,
+            counters=(
+                "feedback_predictions",
+                "feedback_measurements",
+                "feedback_joined",
+                "feedback_unmatched_measurements",
+                "feedback_dropped_pending",
+            ),
         )
 
     def snapshot(self) -> dict:

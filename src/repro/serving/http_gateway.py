@@ -61,7 +61,13 @@ import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from urllib.parse import parse_qs, urlparse
 
+from .telemetry import Histogram
+
 PROMETHEUS_CONTENT_TYPE = "text/plain; version=0.0.4; charset=utf-8"
+
+
+def _format(query: dict) -> str:
+    return query.get("format", [""])[0]
 
 
 class MetricsGateway:
@@ -70,7 +76,7 @@ class MetricsGateway:
     Args:
         service: the :class:`CostModelService` to expose. Its lazy
             ``telemetry`` registry is built on construction (the gateway
-            exists to read it) and the gateway's own instruments are
+            exists to read it) and the gateway's own metrics are
             registered into it.
         host: bind address (default loopback — an ops surface should
             not listen on all interfaces unless asked to).
@@ -89,23 +95,22 @@ class MetricsGateway:
         port: int = 0,
     ) -> None:
         self.service = service
-        registry = service.telemetry
-        self._requests = registry.counter(
-            "gateway_requests", help="HTTP requests the ops gateway served"
-        )
-        self._errors = registry.counter(
-            "gateway_errors", help="gateway responses with status >= 400"
-        )
-        self._latency = registry.histogram(
-            "gateway_latency_s", help="gateway request handling latency"
-        )
-        # Per-endpoint access counts, exposed as a labeled family
+        # The gateway's own metrics: plain numbers under one lock, like
+        # every other component's. Accesses are broken down per endpoint
+        # and exposed as a labeled family
         # (``gateway_accesses{endpoint="..."}``) so gateway load is
         # attributable, not just a single total.
+        self._metrics_lock = threading.Lock()
+        self._requests = 0
+        self._errors = 0
+        self._latency = Histogram()
         self._accesses: dict[str, int] = {}
-        self._access_lock = threading.Lock()
-        registry.register_collector("gateway_accesses", self._access_snapshot)
-        registry.mark_counter("gateway_accesses")
+        service.telemetry.register_collector(
+            "gateway",
+            self._snapshot,
+            counters=("gateway_requests", "gateway_errors", "gateway_accesses"),
+            families={"gateway_accesses": "endpoint"},
+        )
         gateway = self
 
         class _Handler(BaseHTTPRequestHandler):
@@ -145,37 +150,26 @@ class MetricsGateway:
                 )
             except OSError:
                 pass
-        self._requests.inc()
-        if status >= 400:
-            self._errors.inc()
-        self._latency.observe(time.perf_counter() - started)
+        with self._metrics_lock:
+            self._requests += 1
+            if status >= 400:
+                self._errors += 1
+            self._latency.observe(time.perf_counter() - started)
 
-    def _access_snapshot(self) -> dict:
-        with self._access_lock:
+    def _snapshot(self) -> dict:
+        """Gateway accounting for the metrics registry: HTTP requests
+        served, responses with status >= 400, request handling latency,
+        and the per-endpoint access breakdown."""
+        with self._metrics_lock:
             return {
+                "gateway_requests": float(self._requests),
+                "gateway_errors": float(self._errors),
+                "gateway_latency_s": self._latency.snapshot(),
                 "gateway_accesses": {
                     endpoint: float(count)
                     for endpoint, count in self._accesses.items()
-                }
+                },
             }
-
-    #: Route families used as the access-counter label — a fixed
-    #: vocabulary, so label cardinality stays bounded no matter what
-    #: paths clients probe.
-    _ENDPOINTS = (
-        "healthz",
-        "metrics",
-        "traces",
-        "profile",
-        "alerts",
-        "events",
-        "probes",
-        "incidents",
-    )
-
-    def _count_access(self, family: str) -> None:
-        with self._access_lock:
-            self._accesses[family] = self._accesses.get(family, 0) + 1
 
     #: Bounds for the ``?n=`` limit on the ``/recent`` endpoints — large
     #: enough for any console, small enough that a scrape can't ask the
@@ -204,7 +198,7 @@ class MetricsGateway:
         """
         detail: dict = {}
         status = "ok"
-        alerts = getattr(self.service, "alerts", None)
+        alerts = self.service.alerts
         if alerts is not None:
             firing = int(alerts.snapshot()["alerts_firing"])
             detail["alerts_firing"] = firing
@@ -222,7 +216,7 @@ class MetricsGateway:
         detail["breakers_open"] = open_breakers
         if open_breakers:
             status = "degraded"
-        prober = getattr(self.service, "prober", None)
+        prober = self.service.prober
         if prober is not None:
             health = prober.health()
             detail["probe_failing_routes"] = health["failing_routes"]
@@ -231,173 +225,144 @@ class MetricsGateway:
                 status = "failing"
         return status, detail
 
+    # ------------------------------------------------------------------ #
+    # routes: ``(self, component, rest, query)`` → ``(status, payload)``
+    # or ``(status, payload, content type)``; ``None`` = no such route.
+    # ``rest`` is the path below the family; a ``str`` payload is text.
+    # ------------------------------------------------------------------ #
+
+    def _healthz(self, registry, rest, query):
+        status, detail = self._health_verdict()
+        return 503 if status == "failing" else 200, {
+            "status": status,
+            "running": bool(self.service.is_running),
+            "active_version": registry.active_version,
+            "tracing": self.service.tracer is not None,
+            **detail,
+        }
+
+    def _metrics(self, telemetry, rest, query):
+        if _format(query) == "json":
+            return 200, telemetry.json(), "application/json"
+        return 200, telemetry.prometheus(), PROMETHEUS_CONTENT_TYPE
+
+    def _traces(self, tracer, rest, query):
+        if len(rest) != 1:
+            return None
+        if rest[0] == "recent":
+            n, error = self._parse_n(query, default=20)
+            if error is not None:
+                return 400, {"error": error}
+            return 200, {"traces": tracer.recent(n)}
+        trace_id = rest[0]
+        fmt = _format(query)
+        if fmt == "text":
+            rendered = tracer.render(trace_id)
+            status = 404 if rendered.endswith("not retained") else 200
+            return status, rendered + "\n"
+        if fmt == "chrome":
+            document = tracer.chrome_trace(trace_id)
+        else:
+            document = tracer.trace(trace_id)
+        if document is None:
+            return 404, {"error": f"trace {trace_id} not retained"}
+        return 200, document
+
+    def _profile(self, profiler, rest, query):
+        fmt = _format(query)
+        if fmt == "text":
+            return 200, profiler.render() + "\n"
+        if fmt == "folded":
+            return 200, profiler.flame_folded() + "\n"
+        return 200, profiler.profile()
+
+    def _alerts(self, alerts, rest, query):
+        if _format(query) == "text":
+            return 200, alerts.render() + "\n"
+        return 200, alerts.alerts()
+
+    def _events(self, journal, rest, query):
+        n, error = self._parse_n(query, default=50)
+        if error is not None:
+            return 400, {"error": error}
+        return 200, {"events": journal.recent(n)}
+
+    def _probes(self, prober, rest, query):
+        return 200, prober.board()
+
+    def _incidents(self, incidents, rest, query):
+        if not rest:
+            return 200, {"incidents": incidents.reports()}
+        if len(rest) != 1:
+            return None
+        incident_id = rest[0]
+        if _format(query) == "text":
+            rendered = incidents.render(incident_id)
+            status = 404 if rendered.endswith("unknown") else 200
+            return status, rendered + "\n"
+        report = incidents.report(incident_id)
+        if report is None:
+            return 404, {"error": f"incident {incident_id} not retained"}
+        return 200, report
+
+    #: Route family → (the one path it answers, or ``None`` for every
+    #: path under ``/<family>``; the service attribute it reads; the 503
+    #: message when that attribute is ``None``; the route). The families
+    #: are also the access-counter label — a fixed vocabulary, so label
+    #: cardinality stays bounded no matter what paths clients probe.
+    _ROUTES = {
+        "healthz": ("/healthz", "registry", "", _healthz),
+        "metrics": ("/metrics", "telemetry", "", _metrics),
+        "traces": (None, "tracer", "tracing is not enabled", _traces),
+        "profile": ("/profile", "profiler", "profiling is not enabled", _profile),
+        "alerts": ("/alerts", "alerts", "alerting is not enabled", _alerts),
+        "events": (
+            "/events/recent", "journal", "ops journal is not enabled", _events
+        ),
+        "probes": (
+            "/probes", "prober", "synthetic probing is not enabled", _probes
+        ),
+        "incidents": (
+            None, "incidents", "incident reporting is not enabled", _incidents
+        ),
+    }
+
     def _route(self, handler: BaseHTTPRequestHandler) -> int:
         url = urlparse(handler.path)
-        query = parse_qs(url.query)
         parts = [p for p in url.path.split("/") if p]
         family = parts[0] if parts else ""
-        self._count_access(family if family in self._ENDPOINTS else "other")
-        if url.path == "/healthz":
-            status, detail = self._health_verdict()
-            return self._send(
-                handler,
-                503 if status == "failing" else 200,
-                {
-                    "status": status,
-                    "running": bool(self.service.is_running),
-                    "active_version": self.service.registry.active_version,
-                    "tracing": self.service.tracer is not None,
-                    **detail,
-                },
-            )
-        if url.path == "/metrics":
-            registry = self.service.telemetry
-            if query.get("format", [""])[0] == "json":
-                return self._send_raw(
-                    handler, 200, registry.json().encode(), "application/json"
-                )
-            return self._send_raw(
-                handler,
-                200,
-                registry.prometheus().encode(),
-                PROMETHEUS_CONTENT_TYPE,
-            )
-        if parts and parts[0] == "traces":
-            tracer = self.service.tracer
-            if tracer is None:
-                return self._send(
-                    handler, 503, {"error": "tracing is not enabled"}
-                )
-            if len(parts) == 2 and parts[1] == "recent":
-                n, error = self._parse_n(query, default=20)
-                if error is not None:
-                    return self._send(handler, 400, {"error": error})
-                return self._send(handler, 200, {"traces": tracer.recent(n)})
-            if len(parts) == 2:
-                trace_id = parts[1]
-                fmt = query.get("format", [""])[0]
-                if fmt == "text":
-                    rendered = tracer.render(trace_id)
-                    status = 404 if rendered.endswith("not retained") else 200
-                    return self._send_raw(
-                        handler,
-                        status,
-                        (rendered + "\n").encode(),
-                        "text/plain; charset=utf-8",
-                    )
-                if fmt == "chrome":
-                    document = tracer.chrome_trace(trace_id)
-                    if document is None:
-                        return self._send(
-                            handler,
-                            404,
-                            {"error": f"trace {trace_id} not retained"},
-                        )
-                    return self._send(handler, 200, document)
-                tree = tracer.trace(trace_id)
-                if tree is None:
-                    return self._send(
-                        handler, 404, {"error": f"trace {trace_id} not retained"}
-                    )
-                return self._send(handler, 200, tree)
-        if url.path == "/profile":
-            profiler = getattr(self.service, "profiler", None)
-            if profiler is None:
-                return self._send(
-                    handler, 503, {"error": "profiling is not enabled"}
-                )
-            fmt = query.get("format", [""])[0]
-            if fmt == "text":
-                return self._send_raw(
-                    handler,
-                    200,
-                    (profiler.render() + "\n").encode(),
-                    "text/plain; charset=utf-8",
-                )
-            if fmt == "folded":
-                return self._send_raw(
-                    handler,
-                    200,
-                    (profiler.flame_folded() + "\n").encode(),
-                    "text/plain; charset=utf-8",
-                )
-            return self._send(handler, 200, profiler.profile())
-        if url.path == "/alerts":
-            alerts = getattr(self.service, "alerts", None)
-            if alerts is None:
-                return self._send(
-                    handler, 503, {"error": "alerting is not enabled"}
-                )
-            if query.get("format", [""])[0] == "text":
-                return self._send_raw(
-                    handler,
-                    200,
-                    (alerts.render() + "\n").encode(),
-                    "text/plain; charset=utf-8",
-                )
-            return self._send(handler, 200, alerts.alerts())
-        if url.path == "/events/recent":
-            journal = getattr(self.service, "journal", None)
-            if journal is None:
-                return self._send(
-                    handler, 503, {"error": "ops journal is not enabled"}
-                )
-            n, error = self._parse_n(query, default=50)
-            if error is not None:
-                return self._send(handler, 400, {"error": error})
-            return self._send(handler, 200, {"events": journal.recent(n)})
-        if url.path == "/probes":
-            prober = getattr(self.service, "prober", None)
-            if prober is None:
-                return self._send(
-                    handler, 503, {"error": "synthetic probing is not enabled"}
-                )
-            return self._send(handler, 200, prober.board())
-        if parts and parts[0] == "incidents":
-            incidents = getattr(self.service, "incidents", None)
-            if incidents is None:
-                return self._send(
-                    handler, 503, {"error": "incident reporting is not enabled"}
-                )
-            if len(parts) == 1:
-                return self._send(
-                    handler, 200, {"incidents": incidents.reports()}
-                )
-            if len(parts) == 2:
-                incident_id = parts[1]
-                if query.get("format", [""])[0] == "text":
-                    rendered = incidents.render(incident_id)
-                    status = 404 if rendered.endswith("unknown") else 200
-                    return self._send_raw(
-                        handler,
-                        status,
-                        (rendered + "\n").encode(),
-                        "text/plain; charset=utf-8",
-                    )
-                report = incidents.report(incident_id)
-                if report is None:
-                    return self._send(
-                        handler,
-                        404,
-                        {"error": f"incident {incident_id} not retained"},
-                    )
-                return self._send(handler, 200, report)
-        return self._send(handler, 404, {"error": f"no route for {url.path}"})
+        entry = self._ROUTES.get(family)
+        # Counted before routing: a first /metrics scrape sees itself.
+        with self._metrics_lock:
+            label = family if entry is not None else "other"
+            self._accesses[label] = self._accesses.get(label, 0) + 1
+        answer = None
+        if entry is not None:
+            path, attribute, absent, route = entry
+            if path is None or path == url.path:
+                component = getattr(self.service, attribute)
+                if component is None:
+                    answer = 503, {"error": absent}
+                else:
+                    answer = route(self, component, parts[1:], parse_qs(url.query))
+        if answer is None:
+            answer = 404, {"error": f"no route for {url.path}"}
+        return self._send(handler, *answer)
 
     @staticmethod
-    def _send(handler: BaseHTTPRequestHandler, status: int, payload: dict) -> int:
-        body = json.dumps(payload, default=str).encode()
-        return MetricsGateway._send_raw(
-            handler, status, body, "application/json"
-        )
-
-    @staticmethod
-    def _send_raw(
+    def _send(
         handler: BaseHTTPRequestHandler,
         status: int,
-        body: bytes,
-        content_type: str,
+        payload,
+        content_type: str | None = None,
     ) -> int:
+        """Answer with a text (``str``) or JSON (anything else) body."""
+        if isinstance(payload, str):
+            body = payload.encode()
+            content_type = content_type or "text/plain; charset=utf-8"
+        else:
+            body = json.dumps(payload, default=str).encode()
+            content_type = "application/json"
         handler.send_response(status)
         handler.send_header("Content-Type", content_type)
         handler.send_header("Content-Length", str(len(body)))

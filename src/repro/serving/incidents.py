@@ -104,6 +104,7 @@ class IncidentReporter:
         self.journal_window = journal_window
         self._clock = clock
         self._service = None
+        self._engine = None
         self._lock = threading.Lock()
         self._reports: deque[dict] = deque(maxlen=max_reports)
         self._counter = 0
@@ -167,33 +168,30 @@ class IncidentReporter:
             return {"error": f"{type(exc).__name__}: {exc}"}
 
     def _rule_series(self, move: dict) -> list[dict]:
-        engine = getattr(self, "_engine", None)
-        if engine is None:
+        if self._engine is None:
             return []
-        return engine.series(move["name"])
+        return self._engine.series(move["name"])
 
     def _probe_evidence(self) -> dict:
-        prober = getattr(self._service, "prober", None) if self._service else None
-        if prober is None:
+        if self._service is None or self._service.prober is None:
             return {}
+        prober = self._service.prober
         return {
             "failing_routes": prober.failing_routes(),
             "recent": prober.recent(10),
         }
 
     def _journal_evidence(self) -> list[dict]:
-        journal = getattr(self._service, "journal", None) if self._service else None
-        if journal is None:
+        if self._service is None or self._service.journal is None:
             return []
         # Newest-first from the in-memory tail; the report stores it
         # oldest-first, the way a post-mortem reads.
-        return list(reversed(journal.recent(self.journal_window)))
+        return list(reversed(self._service.journal.recent(self.journal_window)))
 
     def _profile_evidence(self) -> dict:
-        profiler = getattr(self._service, "profiler", None) if self._service else None
-        if profiler is None:
+        if self._service is None or self._service.profiler is None:
             return {}
-        stages = profiler.profile().get("stages", {})
+        stages = self._service.profiler.profile().get("stages", {})
         return {
             stage: {
                 "count": entry.get("count"),
@@ -204,10 +202,9 @@ class IncidentReporter:
         }
 
     def _zscore_evidence(self) -> dict:
-        stats = getattr(self._service, "stats", None) if self._service else None
-        if stats is None:
+        if self._service is None:
             return {}
-        return _shard_zscores(stats.shard_snapshot())
+        return _shard_zscores(self._service.stats.shard_snapshot())
 
     # ------------------------------------------------------------------ #
     # cause ranking
@@ -403,9 +400,9 @@ class IncidentReporter:
     # ------------------------------------------------------------------ #
 
     def _journal_report(self, report: dict) -> None:
-        journal = getattr(self._service, "journal", None) if self._service else None
-        if journal is None:
+        if self._service is None or self._service.journal is None:
             return
+        journal = self._service.journal
         top = report["causes"][0] if report["causes"] else None
         try:
             journal.record(
@@ -487,5 +484,6 @@ class IncidentReporter:
 
     def register_into(self, registry) -> None:
         """Contribute incident accounting to a telemetry registry."""
-        registry.register_collector("incidents", self.snapshot)
-        registry.mark_counter("incidents_opened")
+        registry.register_collector(
+            "incidents", self.snapshot, counters=("incidents_opened",)
+        )

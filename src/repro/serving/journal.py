@@ -106,6 +106,7 @@ class OpsJournal:
         self.rotations = 0
         self.torn_lines_skipped = 0
         self.invalid_lines_skipped = 0
+        self.write_errors = 0
         self._open()
 
     # ------------------------------------------------------------------ #
@@ -156,13 +157,14 @@ class OpsJournal:
         if trace_id is not None:
             entry["trace_id"] = trace_id
         entry.update(fields)
-        line = (json.dumps(entry, default=str) + "\n").encode()
         with self._lock:
             if self._closed:
                 return entry
-            self._seq += 1
-            entry["seq"] = self._seq
+            # Encoded once, here, where ``seq`` is known; an entry that
+            # cannot be encoded raises before it consumes a number.
+            entry["seq"] = self._seq + 1
             line = (json.dumps(entry, default=str) + "\n").encode()
+            self._seq += 1
             try:
                 if (
                     self.max_bytes
@@ -178,7 +180,7 @@ class OpsJournal:
                 self.bytes_written += len(line)
                 self.events_recorded += 1
             except OSError:
-                self.write_errors = getattr(self, "write_errors", 0) + 1
+                self.write_errors += 1
             self._recent.append(entry)
         return entry
 
@@ -274,19 +276,22 @@ class OpsJournal:
                 "journal_rotations": float(self.rotations),
                 "journal_torn_lines_skipped": float(self.torn_lines_skipped),
                 "journal_size_bytes": float(self._size),
-                "journal_write_errors": float(getattr(self, "write_errors", 0)),
+                "journal_write_errors": float(self.write_errors),
             }
 
     def register_into(self, registry) -> None:
         """Contribute journal accounting to a telemetry registry
         (duck-typed, like every other component's ``register_into``)."""
-        registry.register_collector("journal", self.snapshot)
-        registry.mark_counter(
-            "journal_events",
-            "journal_bytes_written",
-            "journal_rotations",
-            "journal_torn_lines_skipped",
-            "journal_write_errors",
+        registry.register_collector(
+            "journal",
+            self.snapshot,
+            counters=(
+                "journal_events",
+                "journal_bytes_written",
+                "journal_rotations",
+                "journal_torn_lines_skipped",
+                "journal_write_errors",
+            ),
         )
 
     # ------------------------------------------------------------------ #

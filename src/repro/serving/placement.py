@@ -330,6 +330,10 @@ class PlacementController:
                 registry.register_collector(
                     "placement_controller",
                     lambda: {"placement_controller": self.describe()},
+                    families={
+                        "shard_load_ewma": "shard",
+                        "shard_latency_ewma": "shard",
+                    },
                 )
         except Exception:
             pass

@@ -549,7 +549,9 @@ class SyntheticProber:
 
     def register_into(self, registry) -> None:
         """Contribute the ``prober_*`` family to a telemetry registry."""
-        registry.register_collector("prober", self.snapshot)
-        registry.mark_counter(
-            "prober_probes", "prober_failures", "prober_sweeps"
+        registry.register_collector(
+            "prober",
+            self.snapshot,
+            counters=("prober_probes", "prober_failures", "prober_sweeps"),
+            families={"prober_route": "route"},
         )

@@ -17,8 +17,8 @@ forward    executor round-trip for one version group
 serialize  result resolution + per-request response fan-out
 ========== ==========================================================
 
-Each stage feeds a cumulative-bucket histogram (Prometheus semantics,
-same shape as :class:`~repro.serving.telemetry.Histogram`) that is
+Each stage feeds a cumulative-bucket histogram (the registry's
+:class:`~repro.serving.telemetry.Histogram` itself) that is
 additionally **exemplar-linked**: alongside the aggregate it keeps the
 trace id of the most recent sample and of the worst (max-duration)
 sample, so a spike in ``/profile`` jumps straight to a concrete
@@ -41,8 +41,9 @@ from __future__ import annotations
 
 import threading
 import time
-from bisect import bisect_left
 from collections import OrderedDict, deque
+
+from .telemetry import Histogram
 
 __all__ = ["ContinuousProfiler", "STAGES"]
 
@@ -64,50 +65,31 @@ STAGE_BUCKETS = (
 _DEFAULT_PATHS = {stage: f"request;{stage}" for stage in STAGES}
 
 
-class _StageStats:
-    """One stage's running aggregate: cumulative buckets + exemplars."""
+class _StageStats(Histogram):
+    """One stage's running aggregate: the histogram + exemplars."""
 
-    __slots__ = (
-        "count", "total_s", "max_s", "counts",
-        "last_trace_id", "max_trace_id",
-    )
+    __slots__ = ("max_s", "last_trace_id", "max_trace_id")
 
     def __init__(self) -> None:
-        self.count = 0
-        self.total_s = 0.0
+        super().__init__(STAGE_BUCKETS)
         self.max_s = 0.0
-        self.counts = [0] * len(STAGE_BUCKETS)
         self.last_trace_id: str | None = None
         self.max_trace_id: str | None = None
 
-    def observe(self, duration_s: float, trace_id: str | None) -> None:
-        self.count += 1
-        self.total_s += duration_s
+    def observe(self, duration_s: float, trace_id: str | None = None) -> None:
+        super().observe(duration_s)
         if trace_id is not None:
             self.last_trace_id = trace_id
         if duration_s >= self.max_s:
             self.max_s = duration_s
             if trace_id is not None:
                 self.max_trace_id = trace_id
-        # counts is stored non-cumulative (one increment per observe);
-        # to_dict() exposes the running-sum cumulative view.
-        idx = bisect_left(STAGE_BUCKETS, duration_s)
-        if idx < len(self.counts):
-            self.counts[idx] += 1
 
     def to_dict(self) -> dict:
-        mean = self.total_s / self.count if self.count else 0.0
-        buckets = {}
-        running = 0
-        for i, bound in enumerate(STAGE_BUCKETS):
-            running += self.counts[i]
-            buckets[str(bound)] = float(running)
         return {
-            "count": float(self.count),
-            "sum": self.total_s,
-            "mean_s": mean,
+            **self.snapshot(),
+            "mean_s": self.sum / self.count if self.count else 0.0,
             "max_s": self.max_s,
-            "buckets": buckets,
             "exemplar": self.last_trace_id,
             "worst_exemplar": self.max_trace_id,
         }
@@ -319,7 +301,7 @@ class ContinuousProfiler:
             per_stage = {
                 stage: {
                     "count": float(stats.count),
-                    "seconds": stats.total_s,
+                    "seconds": stats.sum,
                 }
                 for stage, stats in self._stages.items()
                 if stats.count
@@ -332,5 +314,9 @@ class ContinuousProfiler:
 
     def register_into(self, registry) -> None:
         """Contribute profiler accounting to a telemetry registry."""
-        registry.register_collector("profiler", self.snapshot)
-        registry.mark_counter("profiler_samples", "profiler_samples_skipped")
+        registry.register_collector(
+            "profiler",
+            self.snapshot,
+            counters=("profiler_samples", "profiler_samples_skipped"),
+            families={"profiler_stage": "stage"},
+        )

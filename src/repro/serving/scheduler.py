@@ -324,9 +324,8 @@ class MicroBatcher:
     def register_into(self, registry) -> None:
         """Contribute queue accounting to a telemetry registry.
 
-        Duck-typed (any object with ``register_collector`` /
-        ``mark_counter``) so the scheduling core keeps zero imports on
-        the telemetry module.
+        Duck-typed (any object with ``register_collector``) so the
+        scheduling core keeps zero imports on the telemetry module.
         """
 
         def _snapshot() -> dict:
@@ -338,8 +337,11 @@ class MicroBatcher:
                     "scheduler_max_pending": float(self.max_pending),
                 }
 
-        registry.register_collector("scheduler", _snapshot)
-        registry.mark_counter("scheduler_submitted", "scheduler_rejected")
+        registry.register_collector(
+            "scheduler",
+            _snapshot,
+            counters=("scheduler_submitted", "scheduler_rejected"),
+        )
 
     def queue_pressure(self) -> float:
         """Smoothed backlog at batch-cut time, in units of batch capacity.

@@ -515,7 +515,7 @@ class CostModelService:
             # span this request opened must be closed here.
             overloaded = isinstance(exc, Overloaded)
             if overloaded and not request.synthetic:
-                self.stats.record_overload_rejection()
+                self.stats.count("overload_rejections")
             if ctx is not None:
                 if overloaded:
                     tracer.event(ctx, "overload.rejected")
@@ -549,7 +549,7 @@ class CostModelService:
             if len(self._shadow_backlog) >= self._SHADOW_BACKLOG_CAP:
                 return
             self._shadow_backlog.append((staged, pending))
-        self.stats.record_cache_hit_shadow()
+        self.stats.count("cache_hit_shadows")
 
     def _drain_shadow_backlog(self) -> None:
         """Execute sampled cache-hit shadows, off the response path.
@@ -637,8 +637,7 @@ class CostModelService:
         Wires the engine to this service's telemetry snapshot (when it
         has no source of its own), to the attached journal, to a recent-
         trace exemplar source, and into the metrics registry. The engine
-        stays *pulled* — call ``engine.evaluate()`` from the ops loop
-        (or ``engine.start()`` it).
+        stays *pulled* — call ``engine.evaluate()`` from the ops loop.
         """
         engine.bind(self)
         engine.register_into(self.telemetry)
@@ -671,7 +670,15 @@ class CostModelService:
 
     def _build_telemetry(self) -> TelemetryRegistry:
         registry = TelemetryRegistry()
-        self.stats.register_into(registry)
+        # Read through ``self.stats`` at scrape time, like the shard /
+        # version / SLO collectors below: benches swap in a fresh
+        # ``ServingStats`` after warm-up, and one scrape must describe
+        # one stats object.
+        registry.register_collector(
+            "serving_stats",
+            lambda: self.stats.snapshot(),
+            counters=ServingStats._COUNTERS,
+        )
         self.scheduler.register_into(registry)
         registry.register_collector("result_cache", lambda: {
             f"result_cache_{k}": v for k, v in self.result_cache.stats().items()
@@ -679,23 +686,32 @@ class CostModelService:
         registry.register_collector("executor", lambda: {
             f"evaluator_{k}": v for k, v in self.executor.stats().items()
         })
-        registry.register_collector("shards", self._collect_shards)
-        registry.register_collector("versions", self._collect_versions)
+        registry.register_collector(
+            "shards", self._collect_shards, families={"per_shard": "shard"}
+        )
+        registry.register_collector(
+            "versions", self._collect_versions, families={"per_version": "version"}
+        )
         registry.register_collector("deployment", self._collect_deployment)
-        registry.register_collector("breakers", self.breaker_board)
+        registry.register_collector(
+            "breakers", self.breaker_board, families={"breakers": "shard"}
+        )
         registry.register_collector("fallback", self._collect_fallback)
         registry.register_collector("placement", self._collect_placement)
         registry.register_collector("slo", self._collect_slo)
         if self.feedback is not None:
             self.feedback.register_into(registry)
         if self.tracer is not None:
-            registry.register_collector("tracer", self.tracer.snapshot)
-            registry.mark_counter(
-                "traces_started",
-                "traces_evicted",
-                "trace_ring_evicted",
-                "traces_unsampled",
-                "spans_recorded",
+            registry.register_collector(
+                "tracer",
+                self.tracer.snapshot,
+                counters=(
+                    "traces_started",
+                    "traces_evicted",
+                    "trace_ring_evicted",
+                    "traces_unsampled",
+                    "spans_recorded",
+                ),
             )
         if self.profiler is not None:
             self.profiler.register_into(registry)
@@ -886,10 +902,10 @@ class CostModelService:
         for pending in batch:
             if pending.future.done():
                 if not pending.synthetic:
-                    self.stats.record_abandoned()
+                    self.stats.count("abandoned")
             elif pending.expires_at is not None and now >= pending.expires_at:
                 if not pending.synthetic:
-                    self.stats.record_deadline_expired()
+                    self.stats.count("deadline_expired")
                 self._finish(
                     pending,
                     active,
@@ -1158,7 +1174,7 @@ class CostModelService:
                 continue
             blocked = sum(1 for p in group if not p.synthetic)
             if blocked:
-                self.stats.record_breaker_block(blocked)
+                self.stats.count("breaker_blocks", blocked)
             for pending in group:
                 if tracer is not None and pending.trace is not None:
                     tracer.event(
@@ -1249,7 +1265,7 @@ class CostModelService:
                 for _ in group:
                     self.stats.record_route(version, shadow=True, error=True)
                 continue
-            self.stats.record_shadow_forwards(result.forwards)
+            self.stats.count("shadow_forwards", result.forwards)
             for pending, prediction in self._split(kind, group, result.value):
                 self.stats.record_route(version, shadow=True)
                 if self.feedback is not None:
@@ -1300,11 +1316,17 @@ class CostModelService:
         ctx = pending.trace if self.tracer is not None else None
         trace_id = ctx.trace_id if ctx is not None else None
         if not pending.synthetic:
+            # A degraded answer was served by no published version.
             self.stats.record_response(
-                latency, cache_hit=cache_hit, error=failed, shard=shard
+                latency,
+                cache_hit=cache_hit,
+                error=failed,
+                shard=shard,
+                version=None if degraded else version,
+                canary=canary,
             )
             if degraded:
-                self.stats.record_degraded()
+                self.stats.count("degraded")
                 self._journal_event(
                     "service.degraded",
                     trace_id=trace_id,
@@ -1312,8 +1334,6 @@ class CostModelService:
                     version=version,
                     reason=error.splitlines()[0][:200] if error else "",
                 )
-            else:
-                self.stats.record_route(version, canary=canary, error=failed)
             if answered and not cache_hit:
                 key = request.cache_key()
                 if key is not None:

@@ -23,15 +23,20 @@ components hold ``None`` by default and every hook site is a single
 ``is not None`` check. An *unsampled* request costs one hash at ingress
 and nothing after (its context is never attached).
 
-**Metrics.** A :class:`TelemetryRegistry` of named counters, gauges, and
-histograms plus *collectors* — callbacks that contribute a component's
-snapshot (``ServingStats``, ``MicroBatcher``, ``PlacementController``,
-``RolloutController``, circuit breakers, ``FeedbackCollector``) — read
-out in one lock-consistent pass by :meth:`TelemetryRegistry.collect`.
-The same snapshot renders as Prometheus text exposition
-(:meth:`TelemetryRegistry.prometheus`), with known per-shard /
-per-version families emitted as labeled series and counters suffixed
-``_total``. SLO burn-rate gauges (:func:`slo_burn_rate`) derive from the
+**Metrics.** One model, pull only. A component (``ServingStats``,
+``MicroBatcher``, ``PlacementController``, ``RolloutController``, circuit
+breakers, ``FeedbackCollector``, the profiler, journal, prober, alert
+engine, incident reporter, the gateway itself) owns its numbers and the
+lock that guards them, renders them with a ``snapshot()``, and registers
+that callback with a :class:`TelemetryRegistry` *together with its
+exposition schema* — which of its keys are counters, which of its
+sub-dicts are labeled families. :meth:`TelemetryRegistry.collect` calls
+every collector once and merges the dicts; the same snapshot renders as
+Prometheus text exposition (:meth:`TelemetryRegistry.prometheus`), with
+the declared families emitted as labeled series and the declared
+counters suffixed ``_total``. There are no registry-owned instruments:
+the one :class:`Histogram` is a plain value a component embeds under its
+own lock. SLO burn-rate gauges (:func:`slo_burn_rate`) derive from the
 serving layer's latency windows/EWMAs.
 """
 from __future__ import annotations
@@ -42,13 +47,12 @@ import json
 import os
 import threading
 import time
+from bisect import bisect_left
 from collections import OrderedDict
 from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 
 __all__ = [
-    "Counter",
-    "Gauge",
     "Histogram",
     "Span",
     "TelemetryRegistry",
@@ -551,53 +555,6 @@ class Tracer:
 # ---------------------------------------------------------------------- #
 
 
-class Counter:
-    """A monotonically increasing named value (thread-safe)."""
-
-    __slots__ = ("name", "help", "_value", "_lock")
-
-    def __init__(self, name: str, help: str = "") -> None:
-        self.name = name
-        self.help = help
-        self._value = 0.0
-        self._lock = threading.Lock()
-
-    def inc(self, amount: float = 1.0) -> None:
-        if amount < 0:
-            raise ValueError("counters only go up")
-        with self._lock:
-            self._value += amount
-
-    @property
-    def value(self) -> float:
-        with self._lock:
-            return self._value
-
-
-class Gauge:
-    """A named value that can go either way; optionally callback-backed."""
-
-    __slots__ = ("name", "help", "fn", "_value", "_lock")
-
-    def __init__(self, name: str, help: str = "", fn=None) -> None:
-        self.name = name
-        self.help = help
-        self.fn = fn
-        self._value = 0.0
-        self._lock = threading.Lock()
-
-    def set(self, value: float) -> None:
-        with self._lock:
-            self._value = float(value)
-
-    @property
-    def value(self) -> float:
-        if self.fn is not None:
-            return float(self.fn())
-        with self._lock:
-            return self._value
-
-
 #: Default histogram buckets: latency-shaped, in seconds.
 DEFAULT_BUCKETS = (
     0.001, 0.0025, 0.005, 0.01, 0.025, 0.05,
@@ -606,39 +563,38 @@ DEFAULT_BUCKETS = (
 
 
 class Histogram:
-    """Cumulative-bucket histogram (Prometheus semantics, thread-safe)."""
+    """Cumulative-bucket histogram (Prometheus ``le`` semantics).
 
-    __slots__ = ("name", "help", "buckets", "_counts", "_sum", "_count", "_lock")
+    Not locked: a histogram lives inside a component that already
+    serialises its record path (the profiler's stage lock, the gateway's
+    metric lock), and its snapshot is read under that same lock.
+    """
 
-    def __init__(self, name: str, help: str = "", buckets=DEFAULT_BUCKETS) -> None:
-        self.name = name
-        self.help = help
+    __slots__ = ("buckets", "counts", "count", "sum")
+
+    def __init__(self, buckets=DEFAULT_BUCKETS) -> None:
         self.buckets = tuple(sorted(buckets))
-        self._counts = [0] * len(self.buckets)
-        self._sum = 0.0
-        self._count = 0
-        self._lock = threading.Lock()
+        self.counts = [0] * len(self.buckets)
+        self.count = 0
+        self.sum = 0.0
 
     def observe(self, value: float) -> None:
-        with self._lock:
-            self._sum += value
-            self._count += 1
-            for i, bound in enumerate(self.buckets):
-                if value <= bound:
-                    self._counts[i] += 1
+        self.count += 1
+        self.sum += value
+        # counts is stored non-cumulative (one increment per observe, in
+        # the first bucket whose bound is >= value); snapshot() exposes
+        # the running-sum cumulative view.
+        idx = bisect_left(self.buckets, value)
+        if idx < len(self.counts):
+            self.counts[idx] += 1
 
     def snapshot(self) -> dict:
-        # observe() bumps every bucket whose bound >= value, so _counts is
-        # already cumulative — Prometheus bucket semantics directly.
-        with self._lock:
-            return {
-                "count": float(self._count),
-                "sum": self._sum,
-                "buckets": {
-                    str(bound): float(self._counts[i])
-                    for i, bound in enumerate(self.buckets)
-                },
-            }
+        buckets = {}
+        running = 0
+        for bound, count in zip(self.buckets, self.counts):
+            running += count
+            buckets[str(bound)] = float(running)
+        return {"count": float(self.count), "sum": self.sum, "buckets": buckets}
 
 
 def slo_burn_rate(violation_fraction: float, objective: float) -> float:
@@ -656,94 +612,65 @@ def slo_burn_rate(violation_fraction: float, objective: float) -> float:
 
 
 class TelemetryRegistry:
-    """Named instruments + component collectors, read in one pass.
+    """Component collectors, read in one pass, plus their exposition.
 
-    Components either create owned instruments (:meth:`counter`,
-    :meth:`gauge`, :meth:`histogram`) or register a *collector* — a
-    callback returning a dict merged into the snapshot. ``collect()``
-    runs everything under one lock, so a scrape sees a single
-    consistent point in time (each component's snapshot is additionally
-    internally consistent under its own lock).
-
-    ``mark_counter()`` records which snapshot keys are semantically
-    counters so the Prometheus exposition can type them and add the
-    conventional ``_total`` suffix.
+    A component keeps its own numbers under its own lock and registers a
+    *collector* — a callback returning a dict merged into the snapshot —
+    together with the schema the exposition needs for that dict: which
+    keys are counters, and which sub-dicts are labeled families.
+    ``collect()`` calls every collector once, in registration order;
+    each component's contribution is internally consistent under its
+    lock. Nothing is pushed, so the registry costs nothing until someone
+    reads it.
     """
 
     def __init__(self, namespace: str = "repro") -> None:
         self.namespace = namespace
         self._lock = threading.RLock()
-        self._instruments: "OrderedDict[str, Counter | Gauge | Histogram]" = (
-            OrderedDict()
-        )
         self._collectors: "OrderedDict[str, object]" = OrderedDict()
         self._counter_keys: set[str] = set()
+        self._families: dict[str, str] = {}
         self.collector_errors = 0
 
     # ------------------------------------------------------------------ #
     # registration
     # ------------------------------------------------------------------ #
 
-    def _instrument(self, cls, name: str, help: str, **kwargs):
-        with self._lock:
-            existing = self._instruments.get(name)
-            if existing is not None:
-                if not isinstance(existing, cls):
-                    raise ValueError(
-                        f"metric {name!r} already registered as "
-                        f"{type(existing).__name__}"
-                    )
-                return existing
-            instrument = cls(name, help=help, **kwargs)
-            self._instruments[name] = instrument
-            return instrument
+    def register_collector(
+        self, name: str, fn, counters=(), families: dict | None = None
+    ) -> None:
+        """Register (or replace) the named snapshot contributor.
 
-    def counter(self, name: str, help: str = "") -> Counter:
-        """Get-or-create the named counter."""
-        counter = self._instrument(Counter, name, help)
-        self.mark_counter(name)
-        return counter
-
-    def gauge(self, name: str, help: str = "", fn=None) -> Gauge:
-        """Get-or-create the named gauge (optionally callback-backed)."""
-        gauge = self._instrument(Gauge, name, help)
-        if fn is not None:
-            gauge.fn = fn
-        return gauge
-
-    def histogram(
-        self, name: str, help: str = "", buckets=DEFAULT_BUCKETS
-    ) -> Histogram:
-        """Get-or-create the named histogram."""
-        return self._instrument(Histogram, name, help, buckets=buckets)
-
-    def register_collector(self, name: str, fn) -> None:
-        """Register (or replace) the named snapshot contributor."""
+        ``counters`` names the snapshot keys that are semantically
+        counters, so the exposition types them and adds the conventional
+        ``_total`` suffix — by leaf key, wherever it appears in the
+        merged snapshot (``requests`` also types ``per_shard``'s
+        ``requests``). ``families`` maps a snapshot key whose value is a
+        dict of members to the label name for them: the family renders
+        as labeled series (``per_shard`` → ``{shard="0"}``) instead of
+        one flattened metric name per member. Both are unions over every
+        registration.
+        """
         with self._lock:
             self._collectors[name] = fn
-
-    def mark_counter(self, *names: str) -> None:
-        """Declare snapshot keys as counter-typed for the exposition."""
-        with self._lock:
-            self._counter_keys.update(names)
+            self._counter_keys.update(counters)
+            self._families.update(families or {})
 
     # ------------------------------------------------------------------ #
     # readout
     # ------------------------------------------------------------------ #
 
     def collect(self) -> dict:
-        """One lock-consistent snapshot of every collector + instrument.
+        """One snapshot of every collector.
 
         Collector dicts merge in registration order (later wins on key
-        collisions); instruments land under their own names. A failing
-        collector is skipped and counted — a metrics scrape must never
-        take the serving path down with it.
+        collisions). A failing collector is skipped and counted — a
+        metrics scrape must never take the serving path down with it.
         """
         with self._lock:
-            collectors = list(self._collectors.items())
-            instruments = list(self._instruments.items())
+            collectors = list(self._collectors.values())
         out: dict = {}
-        for _, fn in collectors:
+        for fn in collectors:
             try:
                 data = fn()
             except Exception:
@@ -751,11 +678,6 @@ class TelemetryRegistry:
                 continue
             if data:
                 out.update(data)
-        for name, instrument in instruments:
-            if isinstance(instrument, Histogram):
-                out[name] = instrument.snapshot()
-            else:
-                out[name] = instrument.value
         if self.collector_errors:
             out["telemetry_collector_errors"] = float(self.collector_errors)
         return out
@@ -765,19 +687,6 @@ class TelemetryRegistry:
     # ------------------------------------------------------------------ #
     # Prometheus text exposition
     # ------------------------------------------------------------------ #
-
-    #: Snapshot families rendered as labeled series instead of flattened
-    #: metric names: family key -> label name for its sub-keys.
-    _LABELED_FAMILIES = {
-        "per_shard": "shard",
-        "per_version": "version",
-        "breakers": "shard",
-        "shard_load_ewma": "shard",
-        "shard_latency_ewma": "shard",
-        "gateway_accesses": "endpoint",
-        "profiler_stage": "stage",
-        "prober_route": "route",
-    }
 
     @staticmethod
     def _sanitize(name: str) -> str:
@@ -841,7 +750,7 @@ class TelemetryRegistry:
                 if "buckets" in value and "count" in value and "sum" in value:
                     self._emit_histogram(samples, types, name, labels, value)
                     return
-                family = self._LABELED_FAMILIES.get(key)
+                family = self._families.get(key)
                 if family is not None:
                     for member, entry in value.items():
                         member_labels = {**labels, family: member}

@@ -430,3 +430,39 @@ class TestConcurrentReaders:
         finally:
             stop.set()
             service.stop()
+
+
+class TestStatsSwap:
+    def test_swapped_in_stats_object_is_read_whole(self, corpus, result_a):
+        """``service.stats = ServingStats()`` after warm-up (the benches'
+        idiom) must not tear the merged snapshot: once the registry is
+        built, every flat counter, the per-shard breakdown and the SLO
+        window have to describe the *same* stats object."""
+        records, _ = corpus
+        service = CostModelService(
+            result_a, ServiceConfig(replicas=1, result_cache_entries=0)
+        )
+        try:
+            client = ServiceEvaluator(service)
+
+            def score(record) -> None:
+                client.score_tiles_batched(
+                    record.kernel, enumerate_tile_sizes(record.kernel)[:4]
+                )
+
+            score(records[0])
+            assert service.metrics()["requests"] == 1.0  # registry built
+            service.stats = ServingStats()
+            score(records[1])
+            score(records[2])
+            metrics = service.metrics()
+            for key, value in service.stats.snapshot().items():
+                if key != "qps":  # a rate over wall time, never equal twice
+                    assert metrics[key] == value, key
+            assert metrics["requests"] == 2.0
+            assert metrics["batches"] == 2.0
+            assert metrics["per_shard"]["0"]["requests"] == 2.0
+            assert metrics["per_version"]["v1"]["served"] == 2.0
+            assert metrics["slo_window_samples"] == 2.0
+        finally:
+            service.stop()

@@ -16,6 +16,7 @@ import urllib.error
 import urllib.request
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.compiler import enumerate_tile_sizes
 from repro.data import Scalers, build_tile_dataset
@@ -25,6 +26,7 @@ from repro.serving import (
     AlertEngine,
     ContinuousProfiler,
     CostModelService,
+    Histogram,
     MetricsGateway,
     OpsJournal,
     ServiceConfig,
@@ -39,6 +41,7 @@ from repro.serving import (
     trace_unit_hash,
 )
 from repro.serving.http_gateway import PROMETHEUS_CONTENT_TYPE
+from repro.serving.profiler import STAGE_BUCKETS, _StageStats
 from repro.serving.protocol import TileScoresRequest
 from repro.workloads import vision
 
@@ -270,8 +273,9 @@ class TestTraceAssembly:
             ctx = tracer.ingress(type("R", (), {"trace": None})())
             tracer.finish(ctx)
         registry = TelemetryRegistry()
-        registry.register_collector("tracer", tracer.snapshot)
-        registry.mark_counter("trace_ring_evicted")
+        registry.register_collector(
+            "tracer", tracer.snapshot, counters=("trace_ring_evicted",)
+        )
         text = registry.prometheus()
         assert "repro_trace_ring_evicted_total 2" in text
 
@@ -308,16 +312,6 @@ class TestTraceAssembly:
 
 
 class TestRegistry:
-    def test_instruments_are_deduplicated_by_name(self):
-        registry = TelemetryRegistry()
-        assert registry.counter("hits") is registry.counter("hits")
-        with pytest.raises(ValueError):
-            registry.gauge("hits")
-
-    def test_counters_refuse_to_go_down(self):
-        with pytest.raises(ValueError):
-            TelemetryRegistry().counter("c").inc(-1)
-
     def test_collectors_merge_in_registration_order(self):
         registry = TelemetryRegistry()
         registry.register_collector("a", lambda: {"x": 1.0, "shared": "a"})
@@ -335,21 +329,26 @@ class TestRegistry:
         assert snap["telemetry_collector_errors"] == 1.0
 
     def test_snapshot_consistent_under_concurrent_writers(self):
-        """Writers hammer instruments and a collector-backed component
-        while readers collect: no reader may raise, per-snapshot
-        monotonicity holds for counters, and the final totals are
-        exact."""
+        """Writers hammer a collector-backed component (a counter and a
+        histogram under the component's own lock) while readers collect:
+        no reader may raise, per-snapshot monotonicity holds for
+        counters, and the final totals are exact."""
         registry = TelemetryRegistry()
-        counter = registry.counter("writes")
-        histogram = registry.histogram("lat", buckets=(0.5, 1.0))
+        histogram = Histogram(buckets=(0.5, 1.0))
         component = {"value": 0}
         component_lock = threading.Lock()
 
         def component_snapshot():
             with component_lock:
-                return {"component_value": float(component["value"])}
+                return {
+                    "writes": float(component["value"]),
+                    "lat": histogram.snapshot(),
+                    "component_value": float(component["value"]),
+                }
 
-        registry.register_collector("component", component_snapshot)
+        registry.register_collector(
+            "component", component_snapshot, counters=("writes",)
+        )
         writers, per_writer = 4, 500
         stop = threading.Event()
         errors: list[BaseException] = []
@@ -368,9 +367,8 @@ class TestRegistry:
 
         def write():
             for i in range(per_writer):
-                counter.inc()
-                histogram.observe(0.25 if i % 2 else 0.75)
                 with component_lock:
+                    histogram.observe(0.25 if i % 2 else 0.75)
                     component["value"] += 1
 
         readers = [threading.Thread(target=read) for _ in range(2)]
@@ -397,11 +395,105 @@ class TestRegistry:
         assert slo_burn_rate(0.001, 1.0) == 1e9
 
 
+class TestHistogram:
+    """The one ``le``-bucket implementation, against its definition: a
+    bucket counts the samples ``<=`` its bound — a sample *equal* to a
+    bound included, which is where a ``bisect_right`` slip would show."""
+
+    durations = st.floats(min_value=0.0, max_value=1e4, allow_nan=False)
+
+    @given(
+        st.lists(st.floats(min_value=0.0, max_value=1e3, allow_nan=False),
+                 min_size=1, max_size=8).map(tuple),
+        st.data(),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_buckets_count_samples_at_or_below_each_bound(self, buckets, data):
+        samples = data.draw(
+            st.lists(st.one_of(self.durations, st.sampled_from(buckets)), max_size=40)
+        )
+        histogram = Histogram(buckets)  # sorted or not
+        running = 0.0
+        for value in samples:
+            histogram.observe(value)
+            running += value
+        snap = histogram.snapshot()
+        assert set(snap["buckets"]) == {str(bound) for bound in buckets}
+        for bound in buckets:
+            assert snap["buckets"][str(bound)] == sum(v <= bound for v in samples)
+        assert snap["count"] == len(samples)
+        assert snap["sum"] == running
+        registry = TelemetryRegistry()
+        registry.register_collector("h", lambda: {"h": snap})
+        lines = registry.prometheus().splitlines()
+        assert f'repro_h_bucket{{le="+Inf"}} {len(samples)}' in lines
+        assert f"repro_h_count {len(samples)}" in lines
+
+    @given(
+        st.lists(
+            st.tuples(
+                st.one_of(durations, st.sampled_from(STAGE_BUCKETS)),
+                st.sampled_from([None, "t-1", "t-2", "t-3"]),
+            ),
+            max_size=40,
+        )
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_stage_stats_are_that_histogram_plus_exemplars(self, samples):
+        stats = _StageStats()
+        running, max_s, last, worst = 0.0, 0.0, None, None
+        for duration, trace_id in samples:
+            stats.observe(duration, trace_id)
+            running += duration
+            last = trace_id or last
+            if duration >= max_s:
+                max_s, worst = duration, trace_id or worst
+        durations = [duration for duration, _ in samples]
+        assert stats.to_dict() == {
+            "count": float(len(samples)),
+            "sum": running,
+            "mean_s": running / len(samples) if samples else 0.0,
+            "max_s": max(durations, default=0.0),
+            "buckets": {
+                str(bound): float(sum(d <= bound for d in durations))
+                for bound in STAGE_BUCKETS
+            },
+            "exemplar": last,
+            "worst_exemplar": worst,
+        }
+
+
+class TestJournalEncodesOnce:
+    def test_one_json_dumps_per_record(self, tmp_path, monkeypatch):
+        """Complexity pin: an event is serialised once, where its ``seq``
+        is known — not once more before the lock with a placeholder."""
+        from repro.serving import journal as journal_module
+
+        calls = []
+
+        class CountingJson:
+            loads = staticmethod(json.loads)
+
+            @staticmethod
+            def dumps(obj, **kwargs):
+                calls.append(dict(obj))
+                return json.dumps(obj, **kwargs)
+
+        monkeypatch.setattr(journal_module, "json", CountingJson)
+        with OpsJournal(tmp_path / "ops.jsonl") as journal:
+            assert journal.snapshot()["journal_write_errors"] == 0.0
+            for n in range(3):
+                journal.record("pin.event", n=n)
+            assert [entry["seq"] for entry in calls] == [1, 2, 3]
+            assert [e["n"] for e in journal.replay()] == [0, 1, 2]
+
+
 class TestPrometheusExposition:
     def test_counters_get_total_suffix_and_type_lines(self):
         registry = TelemetryRegistry()
-        registry.counter("requests").inc(3)
-        registry.gauge("depth").set(2.5)
+        registry.register_collector(
+            "c", lambda: {"requests": 3.0, "depth": 2.5}, counters=("requests",)
+        )
         text = registry.prometheus()
         assert "# TYPE repro_requests_total counter" in text
         assert "repro_requests_total 3" in text
@@ -417,6 +509,7 @@ class TestPrometheusExposition:
                 "per_shard": {"0": {"requests": 5.0}, "1": {"requests": 7.0}},
                 "per_version": {"v1": {"served": 2.0}},
             },
+            families={"per_shard": "shard", "per_version": "version"},
         )
         text = registry.prometheus()
         assert 'repro_per_shard_requests{shard="0"} 5' in text
@@ -425,9 +518,10 @@ class TestPrometheusExposition:
 
     def test_histogram_buckets_are_cumulative_with_inf(self):
         registry = TelemetryRegistry()
-        histogram = registry.histogram("lat", buckets=(0.1, 1.0))
+        histogram = Histogram(buckets=(0.1, 1.0))
         for value in (0.05, 0.5, 0.5, 5.0):
             histogram.observe(value)
+        registry.register_collector("c", lambda: {"lat": histogram.snapshot()})
         text = registry.prometheus()
         assert 'repro_lat_bucket{le="0.1"} 1' in text
         assert 'repro_lat_bucket{le="1.0"} 3' in text
@@ -457,6 +551,7 @@ class TestPrometheusExposition:
         registry.register_collector(
             "meta",
             lambda: {"per_shard": {"bad\nname": {"x": 1.0}}},
+            families={"per_shard": "shard"},
         )
         text = registry.prometheus()
         assert 'shard="bad\\nname"' in text
@@ -470,9 +565,14 @@ class TestPrometheusExposition:
         """Prometheus parsers accept NaN/+Inf/-Inf, not Python's
         nan/inf spellings."""
         registry = TelemetryRegistry()
-        registry.gauge("g_nan").set(float("nan"))
-        registry.gauge("g_pinf").set(float("inf"))
-        registry.gauge("g_ninf").set(float("-inf"))
+        registry.register_collector(
+            "c",
+            lambda: {
+                "g_nan": float("nan"),
+                "g_pinf": float("inf"),
+                "g_ninf": float("-inf"),
+            },
+        )
         text = registry.prometheus()
         assert "repro_g_nan NaN" in text
         assert "repro_g_pinf +Inf" in text
@@ -483,10 +583,18 @@ class TestPrometheusExposition:
         """Every non-comment line must be `name{labels} value` with a
         float-parsable value — the format Prometheus actually scrapes."""
         registry = TelemetryRegistry()
-        registry.counter("a").inc()
-        registry.histogram("b").observe(0.2)
+        histogram = Histogram()
+        histogram.observe(0.2)
         registry.register_collector(
-            "s", lambda: {"per_shard": {"0": {"x": 1.0}}, "note": "hello world"}
+            "s",
+            lambda: {
+                "a": 1.0,
+                "b": histogram.snapshot(),
+                "per_shard": {"0": {"x": 1.0}},
+                "note": "hello world",
+            },
+            counters=("a",),
+            families={"per_shard": "shard"},
         )
         for line in registry.prometheus().strip().splitlines():
             if line.startswith("#"):
