@@ -121,14 +121,17 @@ class BurnRateRule:
     """Breach when the SLO error budget burns faster than ``threshold``.
 
     Reads the registry's ``slo_burn_rate`` gauge (1.0 = exactly on
-    budget) and gates on ``min_samples`` in the latency window — a burn
-    rate computed over three requests is noise, not a page.
+    budget) and gates on ``min_samples`` in the latency window
+    (``slo_window_samples``) — a burn rate computed over three requests
+    is noise, not a page.
     """
+
+    #: The gauge counting the samples behind ``metric``'s window.
+    SAMPLES_METRIC = "slo_window_samples"
 
     name: str
     threshold: float = 2.0
     metric: str = "slo_burn_rate"
-    samples_metric: str = "slo_window_samples"
     min_samples: int = 32
     for_s: float = 0.0
     keep_s: float = 0.0
@@ -142,7 +145,7 @@ class BurnRateRule:
             raise ValueError("for_s and keep_s must be >= 0")
 
     def value(self, snapshot: dict, state: dict) -> float | None:
-        samples = _resolve(snapshot, self.samples_metric)
+        samples = _resolve(snapshot, self.SAMPLES_METRIC)
         if samples is not None and samples < self.min_samples:
             return None  # under-populated window: no verdict either way
         return _resolve(snapshot, self.metric)

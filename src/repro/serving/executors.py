@@ -15,6 +15,13 @@ placements implement the interface:
   the registry's blob bytes, and a worker that dies is respawned and
   resynced to the in-flight version before it serves anything.
 
+Both execute a shard's *slice* of a micro-batch — its tile commands, then
+its program commands — through one function,
+:func:`~repro.serving.workers.run_slice`: in-thread on the shard's
+replica, in a worker behind the one forward-executing pipe verb
+(``slice``). What shares a forward, what a traced forward reports and how
+a model error is isolated are decided there and nowhere else.
+
 Both backends route through the same versioned
 :class:`~repro.serving.placement.ShardMap` (whose uniform default matches
 the legacy stable digest-slice function), so a request lands on the same
@@ -40,7 +47,6 @@ import multiprocessing
 import os
 import signal
 import threading
-import time
 import traceback
 from abc import ABC, abstractmethod
 from collections import OrderedDict
@@ -56,7 +62,7 @@ from .protocol import lru_touch
 from .registry import ModelRegistry
 from .replica import ReplicaPool, shard_of
 from .resilience import CrashLoopBackoff
-from .workers import MAX_LIVE_VERSIONS, shard_worker
+from .workers import MAX_LIVE_VERSIONS, run_slice, shard_worker
 
 START_METHOD = "spawn"
 """``multiprocessing`` start method of the shard workers: safe alongside
@@ -122,19 +128,39 @@ class CommandResult:
     spans: tuple = ()
 
 
-def forward_span(trace: tuple, start: float, shard: int, process: str) -> dict:
-    """A plain span dict for one traced forward (``(trace_id, parent)``
-    token in, :attr:`CommandResult.spans` entry out — the same shape the
-    shard workers ship over the pipe)."""
-    return {
-        "trace_id": trace[0],
-        "parent_id": trace[1],
-        "name": "worker.forward",
-        "start": start,
-        "end": time.time(),
-        "process": process,
-        "attrs": {"shard": shard, "pid": os.getpid()},
-    }
+def _slices(commands: list) -> dict[int, list]:
+    """A micro-batch's commands grouped into per-shard slices.
+
+    ``{shard: [(index, command), ...]}``, each shard's tile commands
+    first, then its program commands — the order
+    :func:`~repro.serving.workers.run_slice` takes them and returns their
+    outcomes in.
+    """
+    per_shard: dict[int, list] = {}
+    for index, command in enumerate(commands):
+        per_shard.setdefault(command.shard, []).append((index, command))
+    for items in per_shard.values():
+        items.sort(key=lambda item: isinstance(item[1], ProgramCommand))
+    return per_shard
+
+
+def _slice_parts(ordered: list) -> tuple[list, tuple | None, list]:
+    """``(tile commands, their trace token, program commands)`` of a slice.
+
+    The tile commands share one forward, so they share one token: the
+    first traced command's.
+    """
+    tiles = [c for _, c in ordered if isinstance(c, TileCommand)]
+    trace = next((c.trace for c in tiles if c.trace is not None), None)
+    return tiles, trace, [c for _, c in ordered[len(tiles):]]
+
+
+def _store_outcomes(ordered: list, outcomes, results: list) -> None:
+    """Turn a slice's ``run_slice`` outcomes into its commands' results."""
+    for (index, _), (value, error, forwards, spans) in zip(ordered, outcomes):
+        results[index] = CommandResult(
+            value=value, error=error, forwards=forwards, spans=spans
+        )
 
 
 class Executor(ABC):
@@ -206,14 +232,18 @@ class Executor(ABC):
 class InThreadExecutor(Executor):
     """Replica-pool backend in the service's own process (the default).
 
-    All of a shard's tile commands in one micro-batch execute as a single
-    multi-kernel forward (``score_tile_groups``) — the batching policy
-    :class:`ProcessShardExecutor` applies inside each worker. The
-    micro-batch, not the request, is the unit of work: a forward's fixed
-    cost is paid once per shard per batch. Fusing changes the forward's
-    batch shape, which moves scores only at float32 rounding level; a
-    batch holding a single tile command per shard keeps its exact batch
-    shape and is bitwise-identical to a direct ``score_tiles_batched``.
+    :meth:`run` groups a micro-batch's commands by shard and executes each
+    shard's slice on that shard's replica through
+    :func:`~repro.serving.workers.run_slice` — the function a
+    :class:`ProcessShardExecutor` worker runs behind its ``slice`` verb,
+    so the slice policy (all of a shard's tile commands share one
+    ``score_tile_groups`` forward, each program command is one forward, a
+    model error fails alone) exists once. The micro-batch, not the
+    request, is the unit of work: a forward's fixed cost is paid once per
+    shard per batch. Fusing changes the forward's batch shape, which moves
+    scores only at float32 rounding level; a batch holding a single tile
+    command per shard keeps its exact batch shape and is
+    bitwise-identical to a direct ``score_tiles_batched``.
 
     Args:
         registry: source of checkpoints (the service shares its own).
@@ -265,73 +295,20 @@ class InThreadExecutor(Executor):
             lru_touch(self._pools, version, pool, MAX_LIVE_VERSIONS)
             return pool
 
-    def _run_tiles(
-        self,
-        pool: ReplicaPool,
-        commands: list[Command],
-        indices: list[int],
-        results: list[CommandResult | None],
-    ) -> None:
-        """One forward for the tile commands at ``indices`` (one shard's).
-
-        A model error is the request's own fault: when a forward shared
-        by several commands raises, each is re-run on its own, so only
-        the offender carries the traceback.
-        """
-        shard = commands[indices[0]].shard
-        trace = next(
-            (commands[i].trace for i in indices if commands[i].trace is not None),
-            None,
-        )
-        started = time.time() if trace is not None else 0.0
-        try:
-            arrays = pool.replicas[shard].score_tile_groups(
-                [(commands[i].kernel, list(commands[i].tiles)) for i in indices]
-            )
-        except Exception:
-            if len(indices) == 1:
-                results[indices[0]] = CommandResult(error=traceback.format_exc())
-            else:
-                for index in indices:
-                    self._run_tiles(pool, commands, [index], results)
-            return
-        # Every command gets the span: it describes the forward each rode in.
-        spans = (
-            (forward_span(trace, started, shard, "replica"),)
-            if trace is not None
-            else ()
-        )
-        for position, (index, value) in enumerate(zip(indices, arrays)):
-            results[index] = CommandResult(
-                value=np.asarray(value),
-                forwards=1 if position == 0 else 0,
-                spans=spans,
-            )
-
     def run(self, version: str, commands: list[Command]) -> list[CommandResult]:
         pool = self._pool_for(version)
         results: list[CommandResult | None] = [None] * len(commands)
-        tiles_by_shard: dict[int, list[int]] = {}
-        for index, command in enumerate(commands):
-            if isinstance(command, TileCommand):
-                tiles_by_shard.setdefault(command.shard, []).append(index)
-                continue
-            started = time.time() if command.trace is not None else 0.0
-            try:
-                value = pool.replicas[command.shard].program_runtimes_batched(
-                    [list(kernels) for kernels in command.programs]
-                )
-            except Exception:
-                results[index] = CommandResult(error=traceback.format_exc())
-                continue
-            spans = (
-                (forward_span(command.trace, started, command.shard, "replica"),)
-                if command.trace is not None
-                else ()
+        for shard, ordered in _slices(commands).items():
+            tiles, tile_trace, programs = _slice_parts(ordered)
+            outcomes = run_slice(
+                pool.replicas[shard],
+                [(c.kernel, list(c.tiles)) for c in tiles],
+                tile_trace,
+                [([list(k) for k in c.programs], c.trace) for c in programs],
+                "replica",
+                shard=shard,
             )
-            results[index] = CommandResult(value=np.asarray(value), spans=spans)
-        for indices in tiles_by_shard.values():
-            self._run_tiles(pool, commands, indices, results)
+            _store_outcomes(ordered, outcomes, results)
         return results
 
     def stats(self) -> dict:
@@ -445,16 +422,20 @@ class ProcessShardExecutor(Executor):
     guarantee.
 
     Dispatch is two-phase per batch: every involved shard's whole slice
-    is written to its pipe first (workers start computing immediately, in
-    parallel), then replies are collected. A shard's tile commands are
-    *fused* into one multi-kernel forward (``tile_batch``) — one pipe
-    round trip and one forward per shard per batch, which is what
-    amortizes the process boundary. Fusing changes the forward's batch
-    shape, which moves scores only at float32 BLAS rounding level (the
-    same trade micro-batch coalescing already makes); a batch holding a
-    single tile command keeps its exact in-thread batch shape and stays
-    bitwise-identical. Messages and replies are small relative to the
-    pipe buffer, so the unacknowledged sends cannot deadlock.
+    is written to its pipe first as one ``slice`` message (workers start
+    computing immediately, in parallel), then one reply per shard is
+    collected. The worker executes the slice through
+    :func:`~repro.serving.workers.run_slice` — the function
+    :class:`InThreadExecutor` calls — so a shard's tile commands are
+    *fused* into one multi-kernel forward and a model error is isolated
+    where the forward ran: one pipe round trip per shard per batch,
+    which is what amortizes the process boundary. Fusing changes the
+    forward's batch shape, which moves scores only at float32 BLAS
+    rounding level (the same trade micro-batch coalescing already
+    makes); a batch holding a single tile command keeps its exact
+    in-thread batch shape and stays bitwise-identical. Messages and
+    replies are small relative to the pipe buffer, so the
+    unacknowledged sends cannot deadlock.
     """
 
     def __init__(
@@ -622,21 +603,23 @@ class ProcessShardExecutor(Executor):
                 return
             # Worker-side eviction (or an older worker): reload in full.
             shard.loaded.pop(version, None)
+        self._ship_locked(shard, "load", version)
+        shard.version = version
+
+    def _ship_locked(self, shard: _Shard, verb: str, version: str) -> None:
+        """Ship ``version``'s blob to the worker: ``load`` (deserialize and
+        serve it) or ``warm`` (deserialize without switching)."""
         blob = self.registry.blob(version)
         if self._faults is not None:
             blob = self._faults.filter_blob(
                 "registry.load", blob, shard=shard.index
             )
-        reply = self._request_locked(shard, ("load", version, blob))
+        reply = self._request_locked(shard, (verb, version, blob))
         if reply[0] != "ok":
             raise WorkerDiedError(
-                f"shard {shard.index} failed to load {version}: {reply[1]}"
+                f"shard {shard.index} failed to {verb} {version}: {reply[1]}"
             )
-        shard.version = version
         lru_touch(shard.loaded, version, True, MAX_LIVE_VERSIONS)
-
-    def _remember_known_locked(self, shard: _Shard, fingerprint: str) -> None:
-        lru_touch(shard.known, fingerprint, True, self.max_cached_kernels)
 
     # ------------------------------------------------------------------ #
     # execution
@@ -673,234 +656,76 @@ class ProcessShardExecutor(Executor):
             for kernels in command.programs
         )
 
-    def _remember_program_locked(self, shard: _Shard, command: ProgramCommand) -> None:
-        for kernels in command.programs:
-            for kernel in kernels:
-                self._remember_known_locked(shard, kernel.fingerprint())
+    def _send_slice_locked(self, shard: _Shard, ordered, force: bool = False) -> None:
+        """Write a shard's whole slice to its pipe as one ``slice`` message.
 
-    def _forget_locked(self, shard: _Shard, fingerprints) -> None:
-        for fingerprint in fingerprints:
-            shard.known.pop(fingerprint, None)
-
-    @staticmethod
-    def _with_trace(message: tuple, trace: tuple | None) -> tuple:
-        """Append a ``(trace_id, parent_span_id)`` pipe token, if any.
-
-        Untraced messages keep their exact pre-telemetry shape (and the
-        worker keeps its exact pre-telemetry replies), which is what the
-        bitwise-identity gate relies on.
-        """
-        return message + (trace,) if trace is not None else message
-
-    def _tile_batch_message(self, shard: _Shard, commands, force: bool) -> tuple:
-        """The fused ``tile_batch`` message for ``commands`` (kernels
-        attached when ``force``, else only where the worker has not
-        interned them), tagged with the first traced command's token."""
-        trace = next((c.trace for c in commands if c.trace is not None), None)
-        return self._with_trace(
-            ("tile_batch", [self._tile_entry(c, shard, force) for c in commands]),
-            trace,
-        )
-
-    @staticmethod
-    def _reply_spans(reply) -> tuple:
-        """Worker-recorded span dicts riding on an ``ok`` reply."""
-        return tuple(reply[2]) if len(reply) > 2 else ()
-
-    def _execute_one_locked(self, shard: _Shard, command: Command):
-        """Round-trip one command; returns the worker's reply tuple."""
-        if isinstance(command, TileCommand):
-            # A one-entry ``tile_batch``: the worker has a single
-            # tile-scoring verb, and a fused forward over one kernel is
-            # bitwise the per-kernel forward.
-            reply = self._request_locked(
-                shard, self._tile_batch_message(shard, [command], False)
-            )
-            if reply[0] == "miss":
-                # The worker evicted this kernel from its interning map;
-                # retry with the kernel attached.
-                self._forget_locked(shard, reply[1])
-                reply = self._request_locked(
-                    shard, self._tile_batch_message(shard, [command], True)
-                )
-            if reply[0] == "ok":
-                self._remember_known_locked(shard, command.kernel.fingerprint())
-                reply = ("ok", reply[1][0]) + tuple(reply[2:])
-            return reply
-        reply = self._request_locked(shard, self._with_trace(
-            ("programs", self._program_entries(command, shard, False)),
-            command.trace,
-        ))
-        if reply[0] == "miss":
-            self._forget_locked(shard, reply[1])
-            reply = self._request_locked(shard, self._with_trace(
-                ("programs", self._program_entries(command, shard, True)),
-                command.trace,
-            ))
-        if reply[0] == "ok":
-            self._remember_program_locked(shard, command)
-        return reply
-
-    def _send_batch_locked(self, shard: _Shard, items) -> tuple:
-        """Phase A: write a shard's whole batch slice to its pipe.
-
-        Tile commands fuse into one ``tile_batch`` message (one forward,
-        one round trip); program commands follow individually and are
-        answered in order. Nothing is awaited here, so every involved
+        Kernels ride along when ``force``, else only where the worker has
+        not interned them. Nothing is awaited here, so every involved
         shard's worker starts computing before any reply is read.
         """
-        tile_items = [(i, c) for i, c in items if isinstance(c, TileCommand)]
-        program_items = [
-            (i, c) for i, c in items if isinstance(c, ProgramCommand)
-        ]
-        if tile_items:
-            shard.conn.send(self._tile_batch_message(
-                shard, [c for _, c in tile_items], False
-            ))
-        for _, command in program_items:
-            shard.conn.send(self._with_trace(
-                ("programs", self._program_entries(command, shard, False)),
-                command.trace,
-            ))
-        return tile_items, program_items
+        tiles, tile_trace, programs = _slice_parts(ordered)
+        shard.conn.send((
+            "slice",
+            [self._tile_entry(c, shard, force) for c in tiles],
+            tile_trace,
+            [(self._program_entries(c, shard, force), c.trace) for c in programs],
+        ))
 
-    def _resolve_tile_batch_locked(
-        self,
-        shard: _Shard,
-        tile_items,
-        reply,
-        results: list[CommandResult | None],
+    def _recv_slice_locked(
+        self, shard: _Shard, ordered, results: list[CommandResult | None]
     ) -> None:
-        """Fan a fused tile_batch reply back out to per-command results.
-
-        A model error is the request's own fault: when the forward
-        several commands shared raised, each is round-tripped on its
-        own, so only the offender carries the traceback. Call with the
-        pipe drained — the re-runs are fresh round trips.
-        """
+        """Collect the reply to a sent slice into its commands' results."""
+        reply = self._recv_locked(shard)
+        if reply[0] == "miss":
+            # The worker evicted some referenced kernels from its
+            # interning map: resend the whole slice, every kernel attached.
+            for fingerprint in reply[1]:
+                shard.known.pop(fingerprint, None)
+            self._send_slice_locked(shard, ordered, force=True)
+            reply = self._recv_locked(shard)
         if reply[0] == "ok":
-            spans = self._reply_spans(reply)
-            for position, ((index, command), value) in enumerate(
-                zip(tile_items, reply[1])
-            ):
-                self._remember_known_locked(shard, command.kernel.fingerprint())
-                results[index] = CommandResult(
-                    value=value,
-                    forwards=1 if position == 0 else 0,
-                    spans=spans,
+            outcomes = reply[1]
+            # Mirror the worker's interning LRU: same kernels, same order.
+            for _, command in ordered:
+                programs = (
+                    ((command.kernel,),)
+                    if isinstance(command, TileCommand)
+                    else command.programs
                 )
-                shard.commands += 1
-        elif reply[0] == "err" and len(tile_items) > 1:
-            for index, command in tile_items:
-                results[index] = self._single_result(
-                    self._execute_one_locked(shard, command)
-                )
-                shard.commands += 1
+                for kernel in (k for kernels in programs for k in kernels):
+                    lru_touch(
+                        shard.known, kernel.fingerprint(), True,
+                        self.max_cached_kernels,
+                    )
         else:
             message = (
                 str(reply[1])
                 if reply[0] == "err"
                 else f"kernel interning retry failed: {reply[1]!r}"
             )
-            for index, _ in tile_items:
-                results[index] = CommandResult(error=message)
-                shard.commands += 1
-
-    def _single_result(self, reply) -> CommandResult:
-        """The result of one :meth:`_execute_one_locked` round trip."""
-        if reply[0] == "ok":
-            return CommandResult(value=reply[1], spans=self._reply_spans(reply))
-        return CommandResult(error=str(reply[1]))
-
-    def _resolve_program_locked(
-        self,
-        shard: _Shard,
-        index: int,
-        command: ProgramCommand,
-        reply,
-        results: list[CommandResult | None],
-    ) -> None:
-        shard.commands += 1
-        if reply[0] == "ok":
-            self._remember_program_locked(shard, command)
-            results[index] = CommandResult(
-                value=reply[1], spans=self._reply_spans(reply)
-            )
-        else:
-            message = (
-                str(reply[1])
-                if reply[0] == "err"
-                else f"kernel interning retry failed: {reply[1]!r}"
-            )
-            results[index] = CommandResult(error=message)
-
-    def _recv_batch_locked(
-        self,
-        shard: _Shard,
-        plan: tuple,
-        results: list[CommandResult | None],
-    ) -> None:
-        """Phase B: collect one shard's replies (send order == reply order).
-
-        Interning misses are retried only *after* every phase-A reply is
-        drained: the worker is a FIFO loop, so a retry enqueued earlier
-        would interleave with — and desync — the remaining phase-A
-        replies.
-        """
-        tile_items, program_items = plan
-        tile_reply = self._recv_locked(shard) if tile_items else None
-        deferred: list[tuple[int, ProgramCommand]] = []
-        for index, command in program_items:
-            reply = self._recv_locked(shard)
-            if reply[0] == "miss":
-                self._forget_locked(shard, reply[1])
-                deferred.append((index, command))
-                continue
-            self._resolve_program_locked(shard, index, command, reply, results)
-        retry_tiles = tile_items and tile_reply[0] == "miss"
-        if retry_tiles:
-            # The worker evicted some referenced kernels: resend the whole
-            # fused batch with every kernel attached.
-            self._forget_locked(shard, tile_reply[1])
-            shard.conn.send(self._tile_batch_message(
-                shard, [c for _, c in tile_items], True
-            ))
-        for index, command in deferred:
-            shard.conn.send(self._with_trace(
-                ("programs", self._program_entries(command, shard, True)),
-                command.trace,
-            ))
-        if retry_tiles:
-            tile_reply = self._recv_locked(shard)
-        for index, command in deferred:
-            reply = self._recv_locked(shard)
-            self._resolve_program_locked(shard, index, command, reply, results)
-        if tile_items:
-            self._resolve_tile_batch_locked(shard, tile_items, tile_reply, results)
+            outcomes = [(None, message, 0, ())] * len(ordered)
+        _store_outcomes(ordered, outcomes, results)
+        shard.commands += len(ordered)
 
     def _fallback_locked(
         self,
         shard: _Shard,
         version: str,
-        items,
+        ordered,
         results: list[CommandResult | None],
     ) -> None:
         """Second attempt, one command at a time on a fresh worker.
 
         Entered after a pipe failure: the worker died (or was killed)
-        mid-flight. Each retry resyncs the respawned worker to `version`
-        first, so a killed worker can never come back serving a stale
-        checkpoint.
+        mid-flight, so none of the slice's replies arrived. Each retry
+        resyncs the respawned worker to `version` first, so a killed
+        worker can never come back serving a stale checkpoint.
         """
-        for position, (index, command) in enumerate(items):
-            if results[index] is not None:
-                continue  # completed before the pipe broke
+        for position, item in enumerate(ordered):
             try:
                 self._sync_locked(shard, version)
-                results[index] = self._single_result(
-                    self._execute_one_locked(shard, command)
-                )
-                shard.commands += 1
+                self._send_slice_locked(shard, [item])
+                self._recv_slice_locked(shard, [item], results)
                 shard.backoff.record_success()
             except _PIPE_ERRORS:
                 self._invalidate_locked(shard)
@@ -908,19 +733,14 @@ class ProcessShardExecutor(Executor):
                     f"shard {shard.index} worker died twice on one "
                     f"batch:\n{traceback.format_exc()}"
                 )
-                for remaining_index, _ in items[position:]:
-                    if results[remaining_index] is None:
-                        results[remaining_index] = CommandResult(
-                            error=message, infra=True
-                        )
+                for index, _ in ordered[position:]:
+                    results[index] = CommandResult(error=message, infra=True)
                 return
 
     def run(self, version: str, commands: list[Command]) -> list[CommandResult]:
         if self._closed:
             raise RuntimeError("executor is closed")
-        per_shard: dict[int, list[tuple[int, Command]]] = {}
-        for index, command in enumerate(commands):
-            per_shard.setdefault(command.shard, []).append((index, command))
+        per_shard = _slices(commands)
         results: list[CommandResult | None] = [None] * len(commands)
         # Two-phase dispatch on the caller's thread: send every shard its
         # whole slice first (workers start computing immediately, in
@@ -928,38 +748,34 @@ class ProcessShardExecutor(Executor):
         # threads, no cross-thread signaling — the caller only blocks on
         # pipe IO, with the GIL released, while workers compute.
         # Locks are taken in shard order (deadlock-free vs. stats()).
-        ordered = sorted(per_shard)
         acquired: list[_Shard] = []
         try:
-            for shard_index in ordered:
+            for shard_index in sorted(per_shard):
                 shard = self._shards[shard_index]
                 shard.lock.acquire()
                 acquired.append(shard)
-            plans: dict[int, tuple | None] = {}
-            for shard_index in ordered:
-                shard = self._shards[shard_index]
+            sent: set[int] = set()
+            for shard in acquired:
                 try:
                     self._sync_locked(shard, version)
                     if self._faults is not None:
                         self._dispatch_fault_locked(shard)
-                    plans[shard_index] = self._send_batch_locked(
-                        shard, per_shard[shard_index]
-                    )
+                    self._send_slice_locked(shard, per_shard[shard.index])
+                    sent.add(shard.index)
                 except _PIPE_ERRORS:
                     self._invalidate_locked(shard)
-                    plans[shard_index] = None
-            for shard_index in ordered:
-                shard = self._shards[shard_index]
-                plan = plans[shard_index]
-                if plan is not None:
+            for shard in acquired:
+                if shard.index in sent:
                     try:
-                        self._recv_batch_locked(shard, plan, results)
+                        self._recv_slice_locked(
+                            shard, per_shard[shard.index], results
+                        )
                         shard.backoff.record_success()
                         continue
                     except _PIPE_ERRORS:
                         self._invalidate_locked(shard)
                 self._fallback_locked(
-                    shard, version, per_shard[shard_index], results
+                    shard, version, per_shard[shard.index], results
                 )
         finally:
             for shard in acquired:
@@ -1013,22 +829,10 @@ class ProcessShardExecutor(Executor):
         if not versions:
             return 0
         self._spawn_locked(shard)
-        synced = 0
         for version in versions[1:]:
-            blob = self.registry.blob(version)
-            if self._faults is not None:
-                blob = self._faults.filter_blob(
-                    "registry.load", blob, shard=shard.index
-                )
-            reply = self._request_locked(shard, ("warm", version, blob))
-            if reply[0] != "ok":
-                raise WorkerDiedError(
-                    f"shard {shard.index} failed to warm {version}: {reply[1]}"
-                )
-            lru_touch(shard.loaded, version, True, MAX_LIVE_VERSIONS)
-            synced += 1
+            self._ship_locked(shard, "warm", version)
         self._sync_locked(shard, versions[0])
-        return synced + 1
+        return len(versions)
 
     def _retire_shard_locked(self, shard: _Shard) -> None:
         """Drain and stop a shard whose assignment the plan removed.
@@ -1178,15 +982,4 @@ class ProcessShardExecutor(Executor):
         self._closed = True
         for shard in list(self._shards):
             with shard.lock:
-                if shard.process is None:
-                    continue
-                try:
-                    shard.conn.send(("exit",))
-                except (BrokenPipeError, OSError):
-                    pass
-                shard.process.join(timeout=2)
-                self._stop_process(shard.process)
-                try:
-                    shard.conn.close()
-                except OSError:
-                    pass
+                self._retire_shard_locked(shard)

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .protocol import KernelRuntimeRequest, Request, TileScoresRequest
+from .protocol import Request, TileScoresRequest
 
 
 def request_key(request: Request) -> tuple:
@@ -367,8 +367,3 @@ def tile_measurement(simulator, kernel, tiles) -> np.ndarray:
 def is_tile_sample(sample: FeedbackSample) -> bool:
     """True when the sample joins tile scores with tile runtimes."""
     return isinstance(sample.request, TileScoresRequest)
-
-
-def is_runtime_sample(sample: FeedbackSample) -> bool:
-    """True when the sample joins one kernel-runtime prediction."""
-    return isinstance(sample.request, KernelRuntimeRequest)

@@ -118,7 +118,6 @@ class SocketFrontend(Frontend):
         service: the scheduler core to feed.
         host: bind address (default loopback).
         port: bind port; 0 picks a free one (read :attr:`address`).
-        backlog: listen backlog.
         max_interned_kernels: per-connection kernel-interner bound.
         fault_injector: optional chaos injector; its ``frontend.recv``
             rules apply to inbound socket reads (``drop`` severs the
@@ -139,12 +138,14 @@ class SocketFrontend(Frontend):
     #: Max total wait for one response write before the peer is dropped.
     _SEND_DEADLINE_S = 10.0
 
+    #: Listen backlog.
+    _BACKLOG = 64
+
     def __init__(
         self,
         service: CostModelService,
         host: str = "127.0.0.1",
         port: int = 0,
-        backlog: int = 64,
         max_interned_kernels: int = 4096,
         fault_injector: FaultInjector | None = None,
     ) -> None:
@@ -154,7 +155,7 @@ class SocketFrontend(Frontend):
         self._listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
         self._listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
         self._listener.bind((host, port))
-        self._listener.listen(backlog)
+        self._listener.listen(self._BACKLOG)
         self._listener.setblocking(False)
         self.address: tuple[str, int] = self._listener.getsockname()
         self._lock = threading.Lock()

@@ -80,12 +80,10 @@ class SyntheticProber:
             :meth:`bind`.
         interval_s: sweep cadence for :meth:`start` / :meth:`maybe_sweep`.
         timeout_s: per-probe response wait.
-        probe_deadline_s: optional deadline stamped on probe requests.
         rtol / atol: the ``allclose`` tolerance used when coalescing or
             fusion changed the probe's batch shape (float32 BLAS
             rounding); a regressed or corrupt checkpoint moves scores
             orders of magnitude past it.
-        history: bound on the retained verdict ring (:meth:`recent`).
         clock: injectable wall clock — the schedule and every verdict
             timestamp are deterministic under a fake clock.
         journal: optional ops journal; defaults to the bound service's.
@@ -94,15 +92,16 @@ class SyntheticProber:
     self-scheduled (:meth:`start` a daemon thread at ``interval_s``).
     """
 
+    #: Bound on the retained verdict ring (:meth:`recent`).
+    _HISTORY = 256
+
     def __init__(
         self,
         corpus,
         interval_s: float = 1.0,
         timeout_s: float = 30.0,
-        probe_deadline_s: float | None = None,
         rtol: float = 1e-3,
         atol: float = 1e-6,
-        history: int = 256,
         clock=time.time,
         journal=None,
     ) -> None:
@@ -120,7 +119,6 @@ class SyntheticProber:
         self.corpus: tuple[GoldenProbe, ...] = tuple(probes)
         self.interval_s = interval_s
         self.timeout_s = timeout_s
-        self.probe_deadline_s = probe_deadline_s
         self.rtol = rtol
         self.atol = atol
         self._clock = clock
@@ -131,7 +129,7 @@ class SyntheticProber:
         self._ref_lock = threading.Lock()
         self._evaluators: "OrderedDict[str, LearnedEvaluator]" = OrderedDict()
         self._references: dict[tuple, np.ndarray] = {}
-        self._recent: deque[dict] = deque(maxlen=history)
+        self._recent: deque[dict] = deque(maxlen=self._HISTORY)
         self._routes: "OrderedDict[str, dict]" = OrderedDict()
         self.probes = 0
         self.failures = 0
@@ -248,7 +246,6 @@ class SyntheticProber:
                 request = TileScoresRequest(
                     kernel=probe.kernel,
                     tiles=probe.tiles,
-                    deadline_s=self.probe_deadline_s,
                     synthetic=True,
                 )
                 try:

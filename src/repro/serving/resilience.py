@@ -164,21 +164,22 @@ class RetryPolicy:
         base_backoff_s: backoff before the first retry (then doubled).
         max_backoff_s: cap on any single backoff.
         multiplier: geometric growth factor between retries.
-        retryable_codes: wire error codes worth retrying — transient
-            transport/capacity faults. Deadline expiry is deliberately
-            not in the default set: the budget is already spent.
     """
 
-    max_attempts: int = 4
-    base_backoff_s: float = 0.02
-    max_backoff_s: float = 1.0
-    multiplier: float = 2.0
-    retryable_codes: tuple[str, ...] = (
+    #: Wire error codes worth retrying — transient transport/capacity
+    #: faults. Deadline expiry is deliberately not among them: the budget
+    #: is already spent.
+    RETRYABLE_CODES = (
         ERROR_OVERLOADED,
         ERROR_DISCONNECTED,
         ERROR_UNAVAILABLE,
         ERROR_WORKER_FAILURE,
     )
+
+    max_attempts: int = 4
+    base_backoff_s: float = 0.02
+    max_backoff_s: float = 1.0
+    multiplier: float = 2.0
 
     def backoff_s(self, retry: int, key: str) -> float:
         """Backoff before the ``retry``-th retry (0-based) of request ``key``.
@@ -195,7 +196,7 @@ class RetryPolicy:
         return cap * (0.5 + 0.5 * unit)
 
     def retryable(self, code: str | None) -> bool:
-        return code is not None and code in self.retryable_codes
+        return code is not None and code in self.RETRYABLE_CODES
 
 
 # ---------------------------------------------------------------------- #

@@ -53,6 +53,9 @@ ROLLED_BACK = "rolled_back"
 
 ROLLOUT_STATES = (IDLE, SHADOW, CANARY, PROMOTED, ROLLED_BACK)
 
+_SHADOW_FRACTION = 1.0
+"""Traffic share the shadow phase scores off-path."""
+
 
 def regressed_checkpoint(result):
     """A deterministically *regressed* copy of a checkpoint, for drills.
@@ -195,7 +198,6 @@ class RolloutConfig:
     Attributes:
         canary_fraction: request share the canary phase routes to the
             staged version.
-        shadow_fraction: traffic share the shadow phase scores off-path.
         min_samples: joined feedback observations the staged version
             needs *within the current phase* before any decision.
         max_samples_per_phase: decision budget — a staged version still
@@ -219,7 +221,6 @@ class RolloutConfig:
     """
 
     canary_fraction: float = 0.25
-    shadow_fraction: float = 1.0
     min_samples: int = 24
     max_samples_per_phase: int = 200
     promote_margin: float = 0.05
@@ -335,9 +336,7 @@ class RolloutController:
                 )
                 next_state = CANARY
             else:
-                policy = ShadowScore(
-                    staged, self.config.shadow_fraction, salt=staged
-                )
+                policy = ShadowScore(staged, _SHADOW_FRACTION, salt=staged)
                 next_state = SHADOW
             self.service.set_rollout(policy)
             self._phase_entry_count = self.feedback.error_window(staged).total

@@ -42,18 +42,22 @@ future, and the version / shadow / deadline / shard stamped on the way):
    possible, one shard-annotated command each:
 
    * tile-score requests for the *same kernel* are merged into one
-     command (their candidate lists concatenated), and both executors
-     run all of a shard's tile commands as one ``score_tile_groups``
-     forward — one forward per shard per micro-batch;
+     command (their candidate lists concatenated), and a shard's tile
+     commands share one ``score_tile_groups`` forward;
    * kernel-runtime requests are merged into one
      ``program_runtimes_batched`` call over single-kernel programs;
    * program-population requests are merged into one
      ``program_runtimes_batched`` call over the concatenated populations.
+
+   A shard's commands are its **slice** of the micro-batch — one slice
+   per shard, executed by one function on both executors
+   (:func:`~repro.serving.workers.run_slice`).
 5. **gate** — commands for a shard whose circuit breaker is open never
    reach the executor; their requests degrade to the analytical model.
-6. **dispatch** — the executor syncs its shards to the partition's
-   version before it executes, which extends the version-purity
-   guarantee across process boundaries.
+6. **dispatch** — one slice per shard: the executor syncs each shard to
+   the partition's version before it executes that shard's slice (one
+   pipe message and one reply when the shard is a worker subprocess),
+   which extends the version-purity guarantee across process boundaries.
 7. **split** — each coalesced result is sliced back per request, in
    submission order (the score vector split back per request).
 8. **finish** (:meth:`CostModelService._finish`) — the single resolution

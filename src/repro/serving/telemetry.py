@@ -624,8 +624,10 @@ class TelemetryRegistry:
     reads it.
     """
 
-    def __init__(self, namespace: str = "repro") -> None:
-        self.namespace = namespace
+    #: Prefix of every exposed metric name.
+    NAMESPACE = "repro"
+
+    def __init__(self) -> None:
         self._lock = threading.RLock()
         self._collectors: "OrderedDict[str, object]" = OrderedDict()
         self._counter_keys: set[str] = set()
@@ -682,8 +684,6 @@ class TelemetryRegistry:
             out["telemetry_collector_errors"] = float(self.collector_errors)
         return out
 
-    snapshot = collect
-
     # ------------------------------------------------------------------ #
     # Prometheus text exposition
     # ------------------------------------------------------------------ #
@@ -694,7 +694,7 @@ class TelemetryRegistry:
         return out if not out[:1].isdigit() else f"_{out}"
 
     def _series_name(self, *parts: str) -> str:
-        return self._sanitize("_".join((self.namespace, *parts)))
+        return self._sanitize("_".join((self.NAMESPACE, *parts)))
 
     @staticmethod
     def _format_labels(labels: dict) -> str:

@@ -21,48 +21,154 @@ the parent ships a new version. Workers communicate over a
   ``("ok", version)``. Placement migrations use this to sync a freshly
   spawned shard worker to every live (active + staged) version before
   the shard map swaps traffic onto it.
-* ``("tile_batch", entries)`` — score several kernels' candidate tiles
-  in **one** fused multi-kernel forward (``entries`` is a list of
-  ``(fingerprint, kernel_or_None, dims_list)``; tile configs cross the
-  pipe as raw dims tuples); replies ``("ok", arrays)`` with one score
-  array per entry. Kernels are *interned* by fingerprint on first sight
-  so the steady-state request carries only the fingerprint string
-  instead of a re-pickled graph; a worker that has evicted one replies
-  ``("miss", fingerprints)`` listing every unresolved kernel and the
-  parent retries with the kernels attached. This is the shard's
-  batching policy: a whole micro-batch slice costs one forward and one
-  pipe round trip (the post-crash retry sends one-entry batches).
-* ``("programs", entries)`` — price candidate programs; every kernel
-  crosses as ``(fingerprint, kernel_or_None)`` through the same
-  interning, with ``("miss", fingerprints)`` listing unresolved kernels.
+* ``("slice", tile_entries, tile_trace, program_sets)`` — execute one
+  shard's whole slice of a micro-batch through :func:`run_slice`, the
+  only forward-executing verb. ``tile_entries`` is a list of
+  ``(fingerprint, kernel_or_None, dims_list)`` (tile configs cross the
+  pipe as raw dims tuples) scored in **one** fused multi-kernel forward;
+  ``program_sets`` is a list of ``(program_entries, trace)``, one forward
+  each, every kernel crossing as ``(fingerprint, kernel_or_None)``.
+  Kernels are *interned* by fingerprint on first sight, so the
+  steady-state request carries only the fingerprint string instead of a
+  re-pickled graph. Every entry is resolved through the interning map
+  before any fault hook or forward runs: a worker that has evicted one
+  replies ``("miss", fingerprints)`` listing every unresolved kernel, and
+  the parent resends the whole slice with every kernel attached.
+  Otherwise the reply is ``("ok", outcomes)``: one
+  ``(value, error, forwards, spans)`` per tile entry, then one per
+  program set — the fields of a ``CommandResult``. A model error is an
+  *outcome*, not an ``err`` reply: it costs only the entry that raised.
+  This is the shard's batching policy: a micro-batch costs a shard one
+  message and one reply (the post-crash retry sends one-command slices).
 * ``("stats", )`` — evaluator cache counters + interning size.
 * ``("exit", )`` — clean shutdown.
 
-The two forward-executing ops (``tile_batch``, ``programs``) accept an
-optional trailing ``(trace_id, parent_span_id)`` telemetry token; when
-present the reply carries a third element — a list of plain span dicts
-timing the forward inside this process — which the parent records into
-its tracer. Untraced messages and replies keep their exact
-pre-telemetry shapes.
+``tile_trace`` and each program set's ``trace`` are optional
+``(trace_id, parent_span_id)`` telemetry tokens; a traced forward's
+outcomes carry one plain span dict timing the forward inside this process
+(:func:`forward_span`), which the parent records into its tracer.
 
-Replies are ``("ok", value)`` / ``("err", traceback_string)`` /
-``("miss", fingerprints)``. Score arrays cross the pipe as pickled numpy
-arrays — dtype and bytes preserved exactly, which is what keeps
-process-sharded serving bitwise-identical to in-thread serving at equal
-batch shape.
+Other replies are ``("ok", value)`` / ``("err", traceback_string)`` — an
+``err`` to a ``slice`` means the slice as a whole could not run (no
+checkpoint loaded, a malformed message). Score arrays cross the pipe as
+pickled numpy arrays — dtype and bytes preserved exactly, which is what
+keeps process-sharded serving bitwise-identical to in-thread serving at
+equal batch shape.
 
-The module is import-light at top level so a ``spawn``-started worker
-boots quickly; heavyweight imports happen inside :func:`shard_worker`.
+Both executors execute a slice through :func:`run_slice` — in a worker
+behind the ``slice`` verb, in-thread on the shard's replica — so the
+slice policy (what shares a forward, what a traced forward reports, who
+accounts for it, how a model error is isolated) is written once.
 """
 from __future__ import annotations
 
+import os
+import time
+import traceback
 from collections import OrderedDict
+
+import numpy as np
+
+from ..autotuner.evaluators import LearnedEvaluator
+from ..compiler.tiling import TileConfig
+from .faults import FaultInjector
+from .protocol import lru_touch
 
 MAX_LIVE_VERSIONS = 2
 """Warm checkpoint versions kept concurrently (LRU) by each worker and
 each executor: active + staged, the rollout pair — alternating versions
 between micro-batches then costs a one-word ``use`` message (or a pool
 lookup) instead of re-shipping and re-deserializing the blob."""
+
+
+def forward_span(trace: tuple, started: float, process: str, **attrs) -> dict:
+    """A plain span dict for one traced forward, ending now.
+
+    ``trace`` is the ``(trace_id, parent_span_id)`` token of a command;
+    the dict is a :attr:`CommandResult.spans` entry, which the service
+    re-parents into each sampled request's trace (a worker never holds a
+    tracer). ``process`` says where the forward ran: ``"replica"``
+    in-thread, ``"worker-N"`` in a shard subprocess.
+    """
+    return {
+        "trace_id": trace[0],
+        "parent_id": trace[1],
+        "name": "worker.forward",
+        "start": started,
+        "end": time.time(),
+        "process": process,
+        "attrs": {"pid": os.getpid(), **attrs},
+    }
+
+
+def run_slice(
+    evaluator,
+    tile_groups,
+    tile_trace,
+    program_sets,
+    process: str,
+    before_forward=None,
+    **span_attrs,
+) -> list[tuple]:
+    """Execute one shard's slice of a micro-batch on ``evaluator``.
+
+    All ``(kernel, tiles)`` entries of ``tile_groups`` share one
+    ``score_tile_groups`` forward; each ``(programs, trace)`` entry of
+    ``program_sets`` is one ``program_runtimes_batched`` forward. Returns
+    one ``(value, error, forwards, spans)`` outcome per tile group, then
+    one per program set — the fields of a ``CommandResult``:
+
+    * the first group of a shared forward accounts for it (``forwards``
+      1, the rest 0); an outcome carrying an error accounts for none;
+    * a forward traced by ``tile_trace`` / a set's ``trace`` reports one
+      :func:`forward_span` (``process``, ``span_attrs``), and every group
+      that rode in the forward carries it;
+    * a model error is the request's own fault: a shared forward that
+      raises is re-run group by group, so only the offender carries the
+      traceback.
+
+    ``before_forward`` (the worker's ``worker.forward`` fault hook) runs
+    before every forward attempted, isolation re-runs included; what it
+    raises is not a model error and propagates.
+    """
+
+    def attempt(trace, forward):
+        """One forward: ``(value, None, spans)`` or ``(None, traceback, ())``."""
+        if before_forward is not None:
+            before_forward()
+        started = time.time() if trace is not None else 0.0
+        try:
+            value = forward()
+        except Exception:
+            return None, traceback.format_exc(), ()
+        if trace is None:
+            return value, None, ()
+        return value, None, (forward_span(trace, started, process, **span_attrs),)
+
+    def score(groups):
+        arrays, error, spans = attempt(
+            tile_trace, lambda: evaluator.score_tile_groups(groups)
+        )
+        if error is None:
+            return [
+                (np.asarray(array), None, 1 if position == 0 else 0, spans)
+                for position, array in enumerate(arrays)
+            ]
+        if len(groups) == 1:
+            return [(None, error, 0, ())]
+        return [outcome for group in groups for outcome in score([group])]
+
+    outcomes = score(list(tile_groups)) if tile_groups else []
+    for programs, trace in program_sets:
+        value, error, spans = attempt(
+            trace, lambda: evaluator.program_runtimes_batched(programs)
+        )
+        outcomes.append(
+            (np.asarray(value), None, 1, spans)
+            if error is None
+            else (None, error, 0, ())
+        )
+    return outcomes
 
 
 def shard_worker(
@@ -83,27 +189,15 @@ def shard_worker(
             per process (counters restart with each respawn — exact
             cross-respawn fault counts belong on the parent-side hooks).
     """
-    import os
-    import time
-    import traceback
-
-    import numpy as np
-
-    from ..autotuner.evaluators import LearnedEvaluator
-    from ..compiler.tiling import TileConfig
-    from .protocol import lru_touch
-
     injector = None
     if fault_plan is not None and fault_plan.rules:
-        from .faults import FaultInjector
-
         injector = FaultInjector(fault_plan)
 
     def forward_fault() -> None:
-        """Fire ``worker.forward`` before a forward-executing op: ``kill``
-        exits the process mid-request (the parent sees a dead pipe),
-        ``hang`` sleeps ``delay_s`` (or effectively forever — the
-        parent's watchdog resolves it), ``delay`` adds latency."""
+        """Fire ``worker.forward`` before a forward: ``kill`` exits the
+        process mid-request (the parent sees a dead pipe), ``hang``
+        sleeps ``delay_s`` (or effectively forever — the parent's
+        watchdog resolves it), ``delay`` adds latency."""
         rule = injector.fire("worker.forward", shard=shard_index)
         if rule is None:
             return
@@ -114,41 +208,19 @@ def shard_worker(
         elif rule.kind == "delay" and rule.delay_s > 0:
             time.sleep(rule.delay_s)
 
-    def tile_configs(dims_list):
-        """Rebuild TileConfigs from the raw dims tuples on the wire."""
-        return [TileConfig(dims=tuple(d)) for d in dims_list]
-
-    def forward_span(trace, started, op):
-        """A plain span dict for one traced forward — the worker never
-        holds a tracer; the parent re-parents this into each sampled
-        request's trace via ``Tracer.record_raw``."""
-        return {
-            "trace_id": trace[0],
-            "parent_id": trace[1],
-            "name": "worker.forward",
-            "start": started,
-            "end": time.time(),
-            "process": f"worker-{shard_index}",
-            "attrs": {"pid": os.getpid(), "op": op},
-        }
-
-    def ok_reply(value, trace, started, op):
-        """``("ok", value)`` — plus the forward span for traced messages.
-        Untraced replies keep the exact pre-telemetry two-tuple shape."""
-        if trace is None:
-            return ("ok", value)
-        return ("ok", value, [forward_span(trace, started, op)])
-
     evaluator: LearnedEvaluator | None = None
     version: str | None = None
     evaluators: OrderedDict[str, LearnedEvaluator] = OrderedDict()
     interned: OrderedDict[str, object] = OrderedDict()
 
-    def intern(fingerprint, kernel):
-        """Remember ``kernel`` under ``fingerprint`` (LRU-bounded)."""
+    def intern(fingerprint, kernel, missing):
+        """``kernel``, remembered under ``fingerprint`` (LRU-bounded) — or
+        the one remembered there; an unresolved fingerprint joins
+        ``missing``."""
         if kernel is None:
             kernel = interned.get(fingerprint)
             if kernel is None:
+                missing.append(fingerprint)
                 return None
         lru_touch(interned, fingerprint, kernel, max_cached_kernels)
         return kernel
@@ -191,57 +263,40 @@ def shard_worker(
                 evaluator = cached
                 version = target
                 conn.send(("ok", version))
-            elif op == "tile_batch":
-                # A 3rd element is the optional (trace_id, parent_span)
-                # token — absent on untraced messages (old shape).
-                _, entries = message[:2]
-                trace = message[2] if len(message) > 2 else None
-                resolved: list[tuple[object, list]] = []
+            elif op == "slice":
+                _, tile_entries, tile_trace, program_entries = message
                 missing: list[str] = []
-                for fingerprint, kernel, dims_list in entries:
-                    kernel = intern(fingerprint, kernel)
-                    if kernel is None:
-                        missing.append(fingerprint)
-                    else:
-                        resolved.append((kernel, tile_configs(dims_list)))
+                tile_groups = [
+                    (
+                        intern(fingerprint, kernel, missing),
+                        [TileConfig(dims=tuple(d)) for d in dims_list],
+                    )
+                    for fingerprint, kernel, dims_list in tile_entries
+                ]
+                program_sets = [
+                    (
+                        [
+                            [intern(fingerprint, k, missing) for fingerprint, k in kernels]
+                            for kernels in programs
+                        ],
+                        trace,
+                    )
+                    for programs, trace in program_entries
+                ]
                 if missing:
                     conn.send(("miss", missing))
-                    continue
-                if evaluator is None:
+                elif evaluator is None:
                     conn.send(("err", "no checkpoint loaded"))
-                    continue
-                if injector is not None:
-                    forward_fault()
-                started = time.time() if trace is not None else 0.0
-                arrays = evaluator.score_tile_groups(resolved)
-                conn.send(ok_reply(
-                    [np.asarray(a) for a in arrays], trace, started, op
-                ))
-            elif op == "programs":
-                _, entries = message[:2]
-                trace = message[2] if len(message) > 2 else None
-                programs = []
-                missing: list[str] = []
-                for kernel_entries in entries:
-                    resolved = []
-                    for fingerprint, kernel in kernel_entries:
-                        kernel = intern(fingerprint, kernel)
-                        if kernel is None:
-                            missing.append(fingerprint)
-                        else:
-                            resolved.append(kernel)
-                    programs.append(resolved)
-                if missing:
-                    conn.send(("miss", missing))
-                    continue
-                if evaluator is None:
-                    conn.send(("err", "no checkpoint loaded"))
-                    continue
-                if injector is not None:
-                    forward_fault()
-                started = time.time() if trace is not None else 0.0
-                runtimes = evaluator.program_runtimes_batched(programs)
-                conn.send(ok_reply(np.asarray(runtimes), trace, started, op))
+                else:
+                    conn.send(("ok", run_slice(
+                        evaluator,
+                        tile_groups,
+                        tile_trace,
+                        program_sets,
+                        f"worker-{shard_index}",
+                        before_forward=forward_fault if injector is not None else None,
+                        shard=shard_index,
+                    )))
             elif op == "stats":
                 payload = dict(evaluator.stats()) if evaluator is not None else {}
                 payload["interned_kernels"] = len(interned)

@@ -782,9 +782,18 @@ class TestGateway:
                 )
                 assert status == 200 and b"request" in body
 
-                # The gateway's own instruments land in the registry.
+                # The gateway's own instruments land in the registry. An
+                # access is counted before routing, so all seven GETs (this
+                # one included) are in; a request is counted after its
+                # response is written, on the handler's own thread, so the
+                # sixth's increment may still be racing this snapshot.
                 status, _, body = _get(gateway.address, "/metrics?format=json")
-                assert json.loads(body)["gateway_requests"] >= 6.0
+                snap = json.loads(body)
+                assert snap["gateway_accesses"] == {
+                    "healthz": 1.0, "metrics": 3.0, "traces": 3.0
+                }
+                assert 0.0 <= snap["gateway_requests"] <= 6.0
+                assert snap["gateway_errors"] == 0.0
         finally:
             service.stop()
 
