@@ -160,7 +160,6 @@ def _service(result, hot_kernels: int) -> CostModelService:
             replicas=SHARDS,
             result_cache_entries=0,
             max_cached_kernels=per_shard_cache,
-            share_kernel_cache=False,
         ),
     )
 

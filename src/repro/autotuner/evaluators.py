@@ -9,7 +9,7 @@ evaluations.
 from __future__ import annotations
 
 from collections import OrderedDict
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Protocol, runtime_checkable
 
 import numpy as np
@@ -129,12 +129,10 @@ class LearnedEvaluator:
     #: 16x ``max_cached_kernels`` (entries are tiny relative to precompute
     #: entries, but re-pricing an evicted kernel costs a model forward).
     max_cached_predictions: int | None = None
-    #: Externally shared :class:`~repro.data.batching.KernelCache`; ``None``
-    #: builds a private one. Sharing lets several evaluators (e.g. serving
-    #: replicas over one checkpoint) reuse each other's per-kernel
-    #: precomputes — the cache must have been built with these ``scalers``
-    #: and this model's ``neighbor_cap``.
-    batch_cache: KernelCache | None = None
+    #: This evaluator's own :class:`~repro.data.batching.KernelCache`
+    #: (entries are keyed by the feature objects of its feature memo, so
+    #: no two evaluators could share one).
+    batch_cache: KernelCache = field(init=False)
 
     def __post_init__(self) -> None:
         # Prediction memo: entries are tiny (fingerprint -> float) but the
@@ -145,12 +143,11 @@ class LearnedEvaluator:
             self.max_cached_predictions = 16 * self.max_cached_kernels
         self._memo_cap = self.max_cached_predictions
         self._features_memo: "OrderedDict[str, KernelFeatures]" = OrderedDict()
-        if self.batch_cache is None:
-            self.batch_cache = KernelCache(
-                self.scalers,
-                neighbor_cap=self.model.config.neighbor_cap,
-                max_entries=self.max_cached_kernels,
-            )
+        self.batch_cache = KernelCache(
+            self.scalers,
+            neighbor_cap=self.model.config.neighbor_cap,
+            max_entries=self.max_cached_kernels,
+        )
         self.feature_cache_hits = 0
         self.feature_cache_misses = 0
         self.feature_cache_evictions = 0
@@ -227,9 +224,7 @@ class LearnedEvaluator:
 
     def tile_scores(self, kernel: Kernel, tiles: list[TileConfig]) -> np.ndarray:
         """Rank scores for candidate tiles of one kernel (lower = faster)."""
-        features = self._features(kernel)
-        items = [(features, tile_features(t), 0.0, 0) for t in tiles]
-        return self.model.predict(self._assemble(items))
+        return self.score_tile_groups([(kernel, tiles)])[0]
 
     def score_tiles_batched(self, kernel: Kernel, tiles: list[TileConfig]) -> np.ndarray:
         """Population-level tile scoring entry point (empty-safe).
@@ -282,17 +277,7 @@ class LearnedEvaluator:
 
     def kernel_runtime(self, kernel: Kernel, tile: TileConfig | None = None) -> float:
         """Predicted absolute runtime in seconds (fusion-task models)."""
-        fp = kernel.fingerprint() if self.cache else None
-        if fp is not None and fp in self._memo:
-            self.prediction_memo_hits += 1
-            self._memo.move_to_end(fp)
-            return self._memo[fp]
-        items = [(self._features(kernel), None, 0.0, 0)]
-        value = float(self.model.predict_runtimes(self._assemble(items))[0])
-        if fp is not None:
-            self.prediction_memo_misses += 1
-            self._remember(fp, value)
-        return value
+        return self._price_kernels([kernel])[kernel.fingerprint()]
 
     def _price_kernels(self, kernels: list[Kernel]) -> dict[str, float]:
         """Predicted runtime per unique kernel fingerprint.

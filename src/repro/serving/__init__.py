@@ -141,7 +141,7 @@ from .protocol import (
 from .prober import GoldenProbe, SyntheticProber
 from .profiler import ContinuousProfiler
 from .registry import ModelRegistry
-from .replica import ReplicaPool, ResultCache, shard_of
+from .replica import ResultCache, shard_of
 from .resilience import (
     ANALYTICAL_VERSION,
     AnalyticalFallback,
@@ -156,7 +156,6 @@ from .resilience import (
     WorkerFailure,
     fault_for,
     idempotency_key,
-    raise_for,
 )
 from .rollout import (
     CANARY,
@@ -247,7 +246,6 @@ __all__ = [
     "ProgramCommand",
     "ProgramRuntimesRequest",
     "RebalancePlan",
-    "ReplicaPool",
     "Request",
     "Response",
     "ResultCache",
@@ -284,7 +282,6 @@ __all__ = [
     "idempotency_key",
     "kernel_interner",
     "prediction_error",
-    "raise_for",
     "recv_frame",
     "regressed_checkpoint",
     "request_key",

@@ -5,20 +5,20 @@ reduces each micro-batch to a list of shard-annotated *commands* — one
 coalesced forward each — and hands them to an :class:`Executor`. Two
 placements implement the interface:
 
-* :class:`InThreadExecutor` — the default: a fingerprint-sharded
-  :class:`~repro.serving.replica.ReplicaPool` in the service's own
-  process, one forward per shard per micro-batch on the worker thread.
-  Zero IPC cost; forwards serialize on the GIL.
+* :class:`InThreadExecutor` — the default: one
+  :class:`~repro.autotuner.LearnedEvaluator` per fingerprint shard in the
+  service's own process, one forward per shard per micro-batch on the
+  worker thread. Zero IPC cost; forwards serialize on the GIL.
 * :class:`ProcessShardExecutor` — each fingerprint-shard lives in its own
   worker subprocess fed over a pipe. Commands for different shards run
   truly in parallel (no GIL contention); checkpoints ship to workers as
   the registry's blob bytes, and a worker that dies is respawned and
-  resynced to the in-flight version before it serves anything.
+  shipped the in-flight version before it serves anything.
 
 Both execute a shard's *slice* of a micro-batch — its tile commands, then
 its program commands — through one function,
 :func:`~repro.serving.workers.run_slice`: in-thread on the shard's
-replica, in a worker behind the one forward-executing pipe verb
+evaluator, in a worker behind the one forward-executing pipe verb
 (``slice``). What shares a forward, what a traced forward reports and how
 a model error is isolated are decided there and nowhere else.
 
@@ -28,18 +28,21 @@ the legacy stable digest-slice function), so a request lands on the same
 shard regardless of placement — what makes the two backends
 interchangeable (and bitwise-identical at equal batch shape). Both also
 act on :class:`~repro.serving.placement.RebalancePlan`s via
-:meth:`Executor.apply_plan`: the in-thread pool resizes its replicas
-(autoscaling), the process executor performs a version-safe live
-migration (spawn + blob-sync new workers, swap the map, drain retired
-workers).
+:meth:`Executor.apply_plan`: the in-thread executor grows or shrinks its
+evaluator lists (autoscaling), the process executor performs a
+version-safe live migration (spawn + blob-sync new workers, swap the map,
+drain retired workers).
 
-Both backends keep a small LRU of **live versions**
-(:data:`~repro.serving.workers.MAX_LIVE_VERSIONS`, 2): a canary/shadow
-rollout alternates active- and staged-version batches every few
-milliseconds, and serving both from warm state — warm replica pools
-in-thread, per-version evaluators inside each worker process — is what
-makes a rollout cost a version *switch* instead of a version *rebuild*
-per batch.
+Both backends keep ``{version: warm evaluators}`` for a small LRU of
+**live versions** (:data:`~repro.serving.workers.MAX_LIVE_VERSIONS`, 2)
+and nothing else about versions: :meth:`Executor.run` names the version
+of every batch, and the evaluator that runs a shard's slice is one lookup
+by ``(version, shard)`` — a list index in-thread, a dictionary inside the
+worker, keyed by the version every ``slice`` message carries. No backend
+has a *current* version to switch, so a canary/shadow rollout alternating
+active- and staged-version batches every few milliseconds costs what one
+version costs, and a slice cannot run on a checkpoint other than the one
+it names.
 """
 from __future__ import annotations
 
@@ -54,13 +57,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ..autotuner.evaluators import LearnedEvaluator
 from ..compiler.kernels import Kernel
 from ..compiler.tiling import TileConfig
 from .faults import FaultInjector, FaultPlan
 from .placement import RebalancePlan, ShardMap
 from .protocol import lru_touch
 from .registry import ModelRegistry
-from .replica import ReplicaPool, shard_of
+from .replica import shard_of
 from .resilience import CrashLoopBackoff
 from .workers import MAX_LIVE_VERSIONS, run_slice, shard_worker
 
@@ -230,10 +234,12 @@ class Executor(ABC):
 
 
 class InThreadExecutor(Executor):
-    """Replica-pool backend in the service's own process (the default).
+    """One evaluator per shard in the service's own process (the default).
 
-    :meth:`run` groups a micro-batch's commands by shard and executes each
-    shard's slice on that shard's replica through
+    A live version is a list of evaluators, one per shard, each with its
+    own memos and precompute cache. :meth:`run` groups a micro-batch's
+    commands by shard and executes each shard's slice on
+    ``evaluators[shard]`` through
     :func:`~repro.serving.workers.run_slice` — the function a
     :class:`ProcessShardExecutor` worker runs behind its ``slice`` verb,
     so the slice policy (all of a shard's tile commands share one
@@ -247,9 +253,8 @@ class InThreadExecutor(Executor):
 
     Args:
         registry: source of checkpoints (the service shares its own).
-        replicas: shard count — evaluator replicas in the pool.
+        replicas: shard count — evaluators per live version.
         max_cached_kernels: per-shard precompute/feature memo bound.
-        share_kernel_cache: one precompute cache for all replicas.
     """
 
     def __init__(
@@ -257,7 +262,6 @@ class InThreadExecutor(Executor):
         registry: ModelRegistry,
         replicas: int = 1,
         max_cached_kernels: int = 1024,
-        share_kernel_cache: bool = True,
         shard_map: ShardMap | None = None,
     ) -> None:
         if replicas < 1:
@@ -266,13 +270,25 @@ class InThreadExecutor(Executor):
         self.shard_map = shard_map or ShardMap.uniform(replicas)
         self.num_shards = self.shard_map.num_shards
         self.max_cached_kernels = max_cached_kernels
-        self.share_kernel_cache = share_kernel_cache
         # Guards _pools: the serving thread LRU-touches it every batch
         # while metrics scrapes iterate it from other threads.
         self._pools_lock = threading.Lock()
-        self._pools: OrderedDict[str, ReplicaPool] = OrderedDict()
+        self._pools: OrderedDict[str, list[LearnedEvaluator]] = OrderedDict()
 
-    def _pool_for(self, version: str) -> ReplicaPool:
+    def _replicas(self, checkpoint, count: int) -> list[LearnedEvaluator]:
+        """``count`` fresh evaluators over ``checkpoint``'s ``model`` and
+        ``scalers`` (a ``TrainResult``, or an evaluator already serving
+        it), each with its own memos and precompute cache."""
+        return [
+            LearnedEvaluator(
+                checkpoint.model,
+                checkpoint.scalers,
+                max_cached_kernels=self.max_cached_kernels,
+            )
+            for _ in range(count)
+        ]
+
+    def _pool_for(self, version: str) -> list[LearnedEvaluator]:
         with self._pools_lock:
             pool = self._pools.get(version)
             if pool is not None:
@@ -281,17 +297,9 @@ class InThreadExecutor(Executor):
         # Build outside the lock (deserializing a checkpoint is slow and
         # must not block metrics); a racing builder of the same version
         # just wastes one construction.
-        pool = ReplicaPool(
-            self.registry.get(version),
-            version,
-            replicas=self.num_shards,
-            max_cached_kernels=self.max_cached_kernels,
-            share_kernel_cache=self.share_kernel_cache,
-        )
+        pool = self._replicas(self.registry.get(version), self.num_shards)
         with self._pools_lock:
-            existing = self._pools.get(version)
-            if existing is not None:
-                pool = existing
+            pool = self._pools.get(version, pool)
             lru_touch(self._pools, version, pool, MAX_LIVE_VERSIONS)
             return pool
 
@@ -301,7 +309,7 @@ class InThreadExecutor(Executor):
         for shard, ordered in _slices(commands).items():
             tiles, tile_trace, programs = _slice_parts(ordered)
             outcomes = run_slice(
-                pool.replicas[shard],
+                pool[shard],
                 [(c.kernel, list(c.tiles)) for c in tiles],
                 tile_trace,
                 [([list(k) for k in c.programs], c.trace) for c in programs],
@@ -313,17 +321,18 @@ class InThreadExecutor(Executor):
 
     def stats(self) -> dict:
         with self._pools_lock:
-            pools = list(self._pools.values())
+            live = len(self._pools)
+            evaluators = [e for pool in self._pools.values() for e in pool]
         total: dict[str, int] = {}
-        for pool in pools:
-            for key, value in pool.stats().items():
+        for evaluator in evaluators:
+            for key, value in evaluator.stats().items():
                 total[key] = total.get(key, 0) + value
-        total["live_versions"] = len(pools)
+        total["live_versions"] = live
         return total
 
     def shard_stats(self) -> list[dict]:
         with self._pools_lock:
-            # Most-recently-used pool = the version that served last.
+            # Most-recently-used version = the one that served last.
             current = next(reversed(self._pools)) if self._pools else None
             live = len(self._pools)
         return [
@@ -333,21 +342,22 @@ class InThreadExecutor(Executor):
         ]
 
     def apply_plan(self, plan: RebalancePlan) -> dict:
-        """Replica autoscaling + bucket moves for the in-thread pool.
+        """Replica autoscaling + bucket moves for the in-thread executor.
 
-        Every live version's pool is resized to the plan's shard count
-        (new replicas share the kernel cache, whose bound rescales with
-        the pool), then the map swaps. Callers serialize against
+        Every live version's evaluator list is cut or extended to the
+        plan's shard count (a dropped replica takes its private memos
+        with it), then the map swaps. Callers serialize against
         :meth:`run` (the service holds its execution lock for both), so
         a command annotated under one map never executes under another.
         """
         new_map = self._check_plan(plan)
         with self._pools_lock:
             pools = list(self._pools.values())
-        # Resizing builds evaluators (slow) — do it before taking the
-        # map forward, outside the pools lock so metrics stay live.
+        # Growing builds evaluators (slow) — do it before taking the map
+        # forward, outside the pools lock so metrics stay live.
         for pool in pools:
-            pool.resize(new_map.num_shards)
+            del pool[new_map.num_shards:]
+            pool.extend(self._replicas(pool[0], new_map.num_shards - len(pool)))
         with self._pools_lock:
             self.shard_map = new_map
             self.num_shards = new_map.num_shards
@@ -367,22 +377,28 @@ class _Shard:
     index: int
     process: object = None
     conn: object = None
-    #: Version the worker's *current* evaluator serves.
-    version: str | None = None
     restarts: int = 0
     commands: int = 0
     #: Fingerprints the worker currently interns — steady-state requests
     #: for these ship without the (re-pickled) kernel graph attached.
     known: OrderedDict = field(default_factory=OrderedDict)
-    #: Versions the worker holds a warm evaluator for (parent-side mirror
-    #: of the worker's per-version LRU); switching to one of these is a
-    #: cheap ``use`` message instead of a blob reload.
+    #: Versions the worker holds a warm evaluator for, least recently
+    #: used first (parent-side mirror of the worker's per-version LRU): a
+    #: slice naming one of these is sent without shipping the blob first.
+    #: The worker has no current version; every slice names its own.
     loaded: OrderedDict = field(default_factory=OrderedDict)
     lock: threading.Lock = field(default_factory=threading.Lock)
     #: Respawn suppression: a worker that dies on every boot must fail
     #: fast (the service degrades its requests) instead of spinning the
     #: spawn path hot. One successful round trip resets it.
     backoff: CrashLoopBackoff = field(default_factory=CrashLoopBackoff)
+
+    @property
+    def version(self) -> str | None:
+        """The most recently used held version: what the worker last
+        served (or, before its first slice, was last shipped)."""
+        held = list(self.loaded)
+        return held[-1] if held else None
 
 
 class WorkerDiedError(RuntimeError):
@@ -415,10 +431,11 @@ class ProcessShardExecutor(Executor):
             spawned worker. ``None`` (default) adds zero overhead.
 
     Workers are lazy: nothing is spawned until the first :meth:`run`, so
-    constructing a service with this backend is cheap. Version sync is
-    per-run: :meth:`run` ships the target version's blob to any shard not
-    already on it (including a freshly respawned one) *before* that shard
-    executes a command — the cross-process half of the hot-swap atomicity
+    constructing a service with this backend is cheap. :meth:`run` ships
+    the batch's version to any shard not holding it (including a freshly
+    respawned one) before that shard's slice, and the slice itself names
+    the version, so a worker cannot execute a command on another
+    checkpoint — the cross-process half of the hot-swap atomicity
     guarantee.
 
     Dispatch is two-phase per batch: every involved shard's whole slice
@@ -528,7 +545,6 @@ class ProcessShardExecutor(Executor):
         child_conn.close()
         shard.process = process
         shard.conn = parent_conn
-        shard.version = None
         shard.known.clear()
         shard.loaded.clear()
         if respawn:
@@ -558,7 +574,6 @@ class ProcessShardExecutor(Executor):
         fresh process and a fresh pipe. Every invalidation also feeds
         the shard's crash-loop backoff — the respawn suppressor.
         """
-        shard.version = None
         shard.loaded.clear()
         shard.backoff.record_failure()
         self._stop_process(shard.process)
@@ -569,18 +584,8 @@ class ProcessShardExecutor(Executor):
         return self._recv_locked(shard)
 
     def _sync_locked(self, shard: _Shard, version: str) -> None:
-        """Bring ``shard`` onto ``version``, respawning if needed.
-
-        A version the worker already holds a warm evaluator for switches
-        with a ``use`` message (no blob, no deserialize) — the fast path
-        a rollout's per-batch version alternation rides on. A ``use``
-        miss (the worker's per-version LRU evicted it) falls back to a
-        full blob load, exactly like a kernel-interning miss.
-        """
-        alive = shard.process is not None and shard.process.is_alive()
-        if alive and shard.version == version:
-            return
-        if not alive:
+        """Make ``shard``'s worker alive and holding ``version``."""
+        if shard.process is None or not shard.process.is_alive():
             suppressed = shard.backoff.remaining()
             if suppressed > 0:
                 self._journal(
@@ -595,29 +600,20 @@ class ProcessShardExecutor(Executor):
                     f"{shard.backoff.failures} consecutive failures)"
                 )
             self._spawn_locked(shard)
-        if version in shard.loaded:
-            reply = self._request_locked(shard, ("use", version))
-            if reply[0] == "ok":
-                shard.version = version
-                lru_touch(shard.loaded, version, True, MAX_LIVE_VERSIONS)
-                return
-            # Worker-side eviction (or an older worker): reload in full.
-            shard.loaded.pop(version, None)
-        self._ship_locked(shard, "load", version)
-        shard.version = version
+        if version not in shard.loaded:
+            self._ship_locked(shard, version)
 
-    def _ship_locked(self, shard: _Shard, verb: str, version: str) -> None:
-        """Ship ``version``'s blob to the worker: ``load`` (deserialize and
-        serve it) or ``warm`` (deserialize without switching)."""
+    def _ship_locked(self, shard: _Shard, version: str) -> None:
+        """Ship ``version``'s blob for the worker to hold warm (``load``)."""
         blob = self.registry.blob(version)
         if self._faults is not None:
             blob = self._faults.filter_blob(
                 "registry.load", blob, shard=shard.index
             )
-        reply = self._request_locked(shard, (verb, version, blob))
+        reply = self._request_locked(shard, ("load", version, blob))
         if reply[0] != "ok":
             raise WorkerDiedError(
-                f"shard {shard.index} failed to {verb} {version}: {reply[1]}"
+                f"shard {shard.index} failed to load {version}: {reply[1]}"
             )
         lru_touch(shard.loaded, version, True, MAX_LIVE_VERSIONS)
 
@@ -656,8 +652,11 @@ class ProcessShardExecutor(Executor):
             for kernels in command.programs
         )
 
-    def _send_slice_locked(self, shard: _Shard, ordered, force: bool = False) -> None:
-        """Write a shard's whole slice to its pipe as one ``slice`` message.
+    def _send_slice_locked(
+        self, shard: _Shard, version: str, ordered, force: bool = False
+    ) -> None:
+        """Write a shard's whole slice to its pipe as one ``slice`` message
+        naming the ``version`` that runs it.
 
         Kernels ride along when ``force``, else only where the worker has
         not interned them. Nothing is awaited here, so every involved
@@ -666,25 +665,38 @@ class ProcessShardExecutor(Executor):
         tiles, tile_trace, programs = _slice_parts(ordered)
         shard.conn.send((
             "slice",
+            version,
             [self._tile_entry(c, shard, force) for c in tiles],
             tile_trace,
             [(self._program_entries(c, shard, force), c.trace) for c in programs],
         ))
 
     def _recv_slice_locked(
-        self, shard: _Shard, ordered, results: list[CommandResult | None]
+        self,
+        shard: _Shard,
+        version: str,
+        ordered,
+        results: list[CommandResult | None],
     ) -> None:
         """Collect the reply to a sent slice into its commands' results."""
         reply = self._recv_locked(shard)
+        if reply[0] == "stale":
+            # The worker's per-version LRU no longer holds the version:
+            # ship it and resend the slice as it was.
+            shard.loaded.pop(version, None)
+            self._ship_locked(shard, version)
+            self._send_slice_locked(shard, version, ordered)
+            reply = self._recv_locked(shard)
         if reply[0] == "miss":
             # The worker evicted some referenced kernels from its
             # interning map: resend the whole slice, every kernel attached.
             for fingerprint in reply[1]:
                 shard.known.pop(fingerprint, None)
-            self._send_slice_locked(shard, ordered, force=True)
+            self._send_slice_locked(shard, version, ordered, force=True)
             reply = self._recv_locked(shard)
         if reply[0] == "ok":
             outcomes = reply[1]
+            lru_touch(shard.loaded, version, True, MAX_LIVE_VERSIONS)
             # Mirror the worker's interning LRU: same kernels, same order.
             for _, command in ordered:
                 programs = (
@@ -701,7 +713,7 @@ class ProcessShardExecutor(Executor):
             message = (
                 str(reply[1])
                 if reply[0] == "err"
-                else f"kernel interning retry failed: {reply[1]!r}"
+                else f"slice retry failed: {reply[0]} {reply[1]!r}"
             )
             outcomes = [(None, message, 0, ())] * len(ordered)
         _store_outcomes(ordered, outcomes, results)
@@ -718,14 +730,15 @@ class ProcessShardExecutor(Executor):
 
         Entered after a pipe failure: the worker died (or was killed)
         mid-flight, so none of the slice's replies arrived. Each retry
-        resyncs the respawned worker to `version` first, so a killed
-        worker can never come back serving a stale checkpoint.
+        ships `version` to the respawned worker first and names it in the
+        slice, so a killed worker can never come back serving a stale
+        checkpoint.
         """
         for position, item in enumerate(ordered):
             try:
                 self._sync_locked(shard, version)
-                self._send_slice_locked(shard, [item])
-                self._recv_slice_locked(shard, [item], results)
+                self._send_slice_locked(shard, version, [item])
+                self._recv_slice_locked(shard, version, [item], results)
                 shard.backoff.record_success()
             except _PIPE_ERRORS:
                 self._invalidate_locked(shard)
@@ -760,7 +773,9 @@ class ProcessShardExecutor(Executor):
                     self._sync_locked(shard, version)
                     if self._faults is not None:
                         self._dispatch_fault_locked(shard)
-                    self._send_slice_locked(shard, per_shard[shard.index])
+                    self._send_slice_locked(
+                        shard, version, per_shard[shard.index]
+                    )
                     sent.add(shard.index)
                 except _PIPE_ERRORS:
                     self._invalidate_locked(shard)
@@ -768,7 +783,7 @@ class ProcessShardExecutor(Executor):
                 if shard.index in sent:
                     try:
                         self._recv_slice_locked(
-                            shard, per_shard[shard.index], results
+                            shard, version, per_shard[shard.index], results
                         )
                         shard.backoff.record_success()
                         continue
@@ -790,7 +805,7 @@ class ProcessShardExecutor(Executor):
     def _dispatch_fault_locked(self, shard: _Shard) -> None:
         """Fire the ``executor.dispatch`` chaos hook against one shard.
 
-        Runs parent-side, between version sync and batch send: ``kill``
+        Runs parent-side, between version ship and batch send: ``kill``
         SIGKILLs the worker mid-batch (the send/recv path then sees a
         dead pipe), ``hang`` SIGSTOPs it — alive but unresponsive, the
         exact failure the bounded-poll watchdog exists for (teardown
@@ -816,22 +831,18 @@ class ProcessShardExecutor(Executor):
     # ------------------------------------------------------------------ #
 
     def _sync_new_shard_locked(self, shard: _Shard) -> int:
-        """Spawn ``shard``'s worker and sync every live registry version.
+        """Spawn ``shard``'s worker and ship it every live registry version.
 
-        The staged version (and any other non-active live version) ships
-        as a ``warm`` message — loaded into the worker's per-version LRU
-        without switching — and the active version as a normal ``load``,
-        so the worker ends exactly like a long-lived one mid-rollout:
-        serving active, staged warm. Returns the number of checkpoint
-        blobs shipped.
+        Staged first, active last, so the worker's per-version LRU ends
+        like a long-lived one's mid-rollout: both warm, active the most
+        recently used. Returns the number of checkpoint blobs shipped.
         """
         versions = self.registry.live_versions
         if not versions:
             return 0
         self._spawn_locked(shard)
-        for version in versions[1:]:
-            self._ship_locked(shard, "warm", version)
-        self._sync_locked(shard, versions[0])
+        for version in reversed(versions):
+            self._ship_locked(shard, version)
         return len(versions)
 
     def _retire_shard_locked(self, shard: _Shard) -> None:
@@ -855,7 +866,6 @@ class ProcessShardExecutor(Executor):
             pass
         shard.process = None
         shard.conn = None
-        shard.version = None
         shard.known.clear()
         shard.loaded.clear()
 
@@ -864,8 +874,8 @@ class ProcessShardExecutor(Executor):
 
         Ordering is what makes this safe — and cheap — under traffic:
 
-        1. shards the plan adds are spawned and synced to every live
-           registry version (active loaded, staged warmed) with **no
+        1. shards the plan adds are spawned and shipped every live
+           registry version (active and staged) with **no
            serving lock held**: they are unroutable until the map swaps,
            so the old placement keeps serving while the slow work
            (process boot, blob deserialize) happens off to the side;
@@ -878,7 +888,7 @@ class ProcessShardExecutor(Executor):
            under the held locks) and stopped.
 
         No response is dropped (nothing in flight crosses the swap), no
-        batch mixes versions (per-run version sync is untouched), and
+        batch mixes versions (every slice names its own), and
         numerics cannot move: every worker serves the same checkpoint
         bytes, so *which* worker executes a command is unobservable in
         the scores.
@@ -956,6 +966,9 @@ class ProcessShardExecutor(Executor):
             for key, value in payload.items():
                 if isinstance(value, (int, float)):
                     total[key] = total.get(key, 0) + value
+        # Held versions are the same few on every shard: count them, do
+        # not add them up (the in-thread executor reads the same number).
+        total["live_versions"] = len({v for s in shards for v in list(s.loaded)})
         total["worker_restarts"] = sum(s.restarts for s in shards)
         return total
 

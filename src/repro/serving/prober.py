@@ -1,6 +1,6 @@
 """Synthetic probing: known-answer verification of every live route.
 
-Passive observability (PR 7/8) can only describe traffic that already
+Passive observability can only describe traffic that already
 happened; a silently-corrupt checkpoint on one shard or a dead route is
 discovered by the first *real* request that hits it. Production
 detectors close this gap with continuous known-source calibration
@@ -35,7 +35,7 @@ Probe verdicts land in their own ``prober_*`` telemetry family
 (labeled per-route members), failures are journaled (``probe.failure``
 with the journal seq the incident reporter correlates on), and the
 whole prober follows the stack's ``None``-hook discipline: a service
-without one is bitwise-identical to the pre-prober stack.
+without one answers bitwise-identically.
 """
 from __future__ import annotations
 
@@ -125,6 +125,7 @@ class SyntheticProber:
         self.journal = journal
         self._service = None
         self._frontends: "OrderedDict[str, object]" = OrderedDict()
+        self._sockets: list = []
         self._lock = threading.Lock()
         self._ref_lock = threading.Lock()
         self._evaluators: "OrderedDict[str, LearnedEvaluator]" = OrderedDict()
@@ -165,6 +166,7 @@ class SyntheticProber:
         from .client import SocketEvaluator
 
         client = SocketEvaluator(address, timeout_s=self.timeout_s)
+        self._sockets.append(client)
         self._frontends[name] = client._call_once
 
     def _submit_inprocess(self, request):
@@ -434,11 +436,14 @@ class SyntheticProber:
         return self
 
     def stop(self) -> None:
-        """Stop the sweep thread; idempotent."""
+        """Stop the sweep thread and hang up the socket connections
+        (a later sweep reconnects); idempotent."""
         self._stop.set()
         if self._thread is not None:
             self._thread.join(timeout=10.0)
             self._thread = None
+        for client in self._sockets:
+            client.close()
 
     # ------------------------------------------------------------------ #
     # readout

@@ -63,8 +63,8 @@ class ModelRegistry:
 
     Versions are auto-assigned (``v1``, ``v2``, ...) unless the caller
     names them. Deserialized checkpoints are memoized per version, so
-    repeated :meth:`get` calls (every replica-pool rebuild) pay the npz
-    decode once.
+    repeated :meth:`get` calls (every executor building a live version)
+    pay the npz decode once.
 
     Args:
         retain: keep at most this many published versions; publishing

@@ -1,16 +1,12 @@
-"""Replica pool: fingerprint-sharded evaluators over one checkpoint.
+"""Fingerprint routing and the response cache in front of the replicas.
 
 One checkpoint is served by N :class:`~repro.autotuner.LearnedEvaluator`
-replicas. Requests are routed by kernel fingerprint (stable content hash),
-so each replica's prediction memo and feature memo only ever see its own
-shard of the kernel population — N replicas give N times the effective
-memo capacity without duplication, the in-process analogue of
+replicas — in-thread evaluators or worker subprocesses. Requests are
+routed by kernel fingerprint (stable content hash), so each replica's
+prediction memo, feature memo and per-kernel precompute cache only ever
+see its own shard of the kernel population — N replicas give N times the
+effective cache capacity without duplication, the in-process analogue of
 cache-affinity placement in a multi-node serving tier.
-
-The expensive per-kernel *precomputes* (scaled features, normalized
-adjacency operators) live in one :class:`~repro.data.batching.KernelCache`
-shared by every replica: precomputes are read-mostly and identical across
-replicas, so sharing them trades no correctness for memory.
 
 A :class:`ResultCache` — fingerprint-keyed, LRU, shared across replicas
 and versions — short-circuits repeated identical requests before they
@@ -20,10 +16,6 @@ from __future__ import annotations
 
 import threading
 from collections import OrderedDict
-
-from ..autotuner.evaluators import LearnedEvaluator
-from ..data.batching import KernelCache
-from ..models.trainer import TrainResult
 
 
 def shard_of(shard_key: str, num_shards: int) -> int:
@@ -91,95 +83,3 @@ class ResultCache:
                 "misses": self.misses,
                 "evictions": self.evictions,
             }
-
-
-class ReplicaPool:
-    """N fingerprint-sharded evaluator replicas over one checkpoint.
-
-    Args:
-        result: the checkpoint to serve.
-        version: registry version string (stamped on every response).
-        replicas: shard count.
-        max_cached_kernels: per-shard precompute/feature memo bound.
-        share_kernel_cache: keep one :class:`KernelCache` for all replicas
-            (the default — precomputes are identical across replicas).
-            When sharing, the cache bound scales with the replica count so
-            total capacity matches the unshared configuration.
-    """
-
-    def __init__(
-        self,
-        result: TrainResult,
-        version: str,
-        replicas: int = 1,
-        max_cached_kernels: int = 1024,
-        share_kernel_cache: bool = True,
-    ) -> None:
-        if replicas < 1:
-            raise ValueError("replicas must be >= 1")
-        self.version = version
-        self.result = result
-        self.max_cached_kernels = max_cached_kernels
-        self._shared_cache = None
-        if share_kernel_cache:
-            self._shared_cache = KernelCache(
-                result.scalers,
-                neighbor_cap=result.model.config.neighbor_cap,
-                max_entries=replicas * max_cached_kernels,
-            )
-        self.replicas = [self._build_replica() for _ in range(replicas)]
-
-    def _build_replica(self) -> LearnedEvaluator:
-        return LearnedEvaluator(
-            self.result.model,
-            self.result.scalers,
-            cache=True,
-            max_cached_kernels=self.max_cached_kernels,
-            batch_cache=self._shared_cache,
-        )
-
-    def resize(self, replicas: int) -> None:
-        """Grow or shrink the pool to ``replicas`` shards in place.
-
-        The replica-autoscaling hook: new replicas share the model and
-        (when sharing) the kernel cache, whose bound rescales with the
-        pool so total precompute capacity keeps matching the unshared
-        configuration; shrinking simply drops the tail replicas (their
-        private memos with them). Callers must not run commands
-        concurrently with a resize — the serving layer serializes both
-        under its execution lock.
-        """
-        if replicas < 1:
-            raise ValueError("replicas must be >= 1")
-        if replicas < len(self.replicas):
-            del self.replicas[replicas:]
-        else:
-            while len(self.replicas) < replicas:
-                self.replicas.append(self._build_replica())
-        if self._shared_cache is not None:
-            self._shared_cache.max_entries = replicas * self.max_cached_kernels
-
-    def __len__(self) -> int:
-        return len(self.replicas)
-
-    def route(self, shard_key: str) -> LearnedEvaluator:
-        """The replica owning ``shard_key`` (stable fingerprint hash)."""
-        return self.replicas[shard_of(shard_key, len(self.replicas))]
-
-    def stats(self) -> dict[str, int]:
-        """Summed evaluator cache counters across replicas.
-
-        A shared :class:`KernelCache` is counted once, not per replica.
-        """
-        total: dict[str, int] = {}
-        seen_caches: set[int] = set()
-        for evaluator in self.replicas:
-            for key, value in evaluator.stats().items():
-                if not key.startswith("batch_"):
-                    total[key] = total.get(key, 0) + value
-            cache = evaluator.batch_cache
-            if id(cache) not in seen_caches:
-                seen_caches.add(id(cache))
-                for key, value in cache.stats().items():
-                    total[f"batch_{key}"] = total.get(f"batch_{key}", 0) + value
-        return total

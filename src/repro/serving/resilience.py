@@ -126,14 +126,6 @@ def fault_for(response: Response) -> ServingFault | None:
     return cls(response.error or response.error_code)
 
 
-def raise_for(response: Response) -> Response:
-    """Raise the typed fault carried by ``response``, if any."""
-    fault = fault_for(response)
-    if fault is not None:
-        raise fault
-    return response
-
-
 # ---------------------------------------------------------------------- #
 # retry policy
 # ---------------------------------------------------------------------- #
@@ -496,5 +488,4 @@ __all__ = [
     "WorkerFailure",
     "fault_for",
     "idempotency_key",
-    "raise_for",
 ]

@@ -36,8 +36,7 @@ future, and the version / shadow / deadline / shard stamped on the way):
    (and no executed batch) ever mixes two checkpoints, canary traffic
    included. With the default
    :class:`~repro.serving.rollout.FullActivation` policy the partition
-   step degenerates to the single active-version batch of PR 2/3 —
-   identical commands, identical order, identical numerics.
+   step degenerates to a single active-version batch.
 4. **compose** — a partition is reduced to as few coalesced forwards as
    possible, one shard-annotated command each:
 
@@ -54,8 +53,8 @@ future, and the version / shadow / deadline / shard stamped on the way):
    (:func:`~repro.serving.workers.run_slice`).
 5. **gate** — commands for a shard whose circuit breaker is open never
    reach the executor; their requests degrade to the analytical model.
-6. **dispatch** — one slice per shard: the executor syncs each shard to
-   the partition's version before it executes that shard's slice (one
+6. **dispatch** — one slice per shard: every slice names the
+   partition's version and runs on that version's warm evaluator (one
    pipe message and one reply when the shard is a worker subprocess),
    which extends the version-purity guarantee across process boundaries.
 7. **split** — each coalesced result is sliced back per request, in
@@ -118,7 +117,7 @@ from .scheduler import MicroBatcher, PendingRequest
 from .telemetry import TelemetryRegistry, Tracer, slo_burn_rate
 
 EXECUTOR_CHOICES = ("thread", "process")
-"""Execution backends: in-thread replica pool, or per-shard subprocesses."""
+"""Execution backends: in-thread replicas, or per-shard subprocesses."""
 
 
 @dataclass(frozen=True)
@@ -141,9 +140,6 @@ class ServiceConfig:
         result_cache_entries: shared result-cache capacity (0 disables).
             The result cache always lives in the frontend process,
             whichever executor runs the forwards.
-        share_kernel_cache: one precompute cache for all in-thread
-            replicas (ignored by the ``process`` executor — worker caches
-            are per-process by construction).
         shadow_cache_hit_fraction: fraction of result-cache *hits*
             sampled into shadow batches during a rollout (deterministic
             by request hash). Cache hits bypass execution — and with it
@@ -184,7 +180,6 @@ class ServiceConfig:
     executor: str = "thread"
     max_cached_kernels: int = 1024
     result_cache_entries: int = 4096
-    share_kernel_cache: bool = True
     shadow_cache_hit_fraction: float = 0.0
     default_deadline_s: float | None = None
     max_pending: int = 0
@@ -209,9 +204,8 @@ class CostModelService:
             and custom placements).
         rollout: the deployment control plane's version chooser; defaults
             to :class:`~repro.serving.rollout.FullActivation` (serve the
-            active version, exactly the pre-rollout behaviour). Swap at
-            runtime with :meth:`set_rollout` — takes effect at the next
-            batch cut, like a registry hot swap.
+            active version). Swap at runtime with :meth:`set_rollout` —
+            takes effect at the next batch cut, like a registry hot swap.
         feedback: optional :class:`~repro.serving.feedback.FeedbackCollector`;
             when attached, every served (and shadow-scored) prediction is
             recorded for joining with measured runtimes — the signal the
@@ -223,8 +217,7 @@ class CostModelService:
             attached, sampled requests record spans at every layer
             boundary (frontend, scheduler, executor, worker subprocess).
             ``None`` (default) follows the fault injector's discipline —
-            every tracing hook is a single ``is not None`` check, so the
-            untraced path is byte-for-byte the pre-tracing path.
+            every tracing hook is a single ``is not None`` check.
         profiler: optional
             :class:`~repro.serving.profiler.ContinuousProfiler`; when
             attached, every pipeline stage (queue wait, batch cut,
@@ -325,7 +318,6 @@ class CostModelService:
                 self.registry,
                 replicas=self.config.replicas,
                 max_cached_kernels=self.config.max_cached_kernels,
-                share_kernel_cache=self.config.share_kernel_cache,
                 shard_map=shard_map,
             )
         if self.config.executor == "process":

@@ -1,29 +1,26 @@
 """Shard worker: the subprocess half of :class:`ProcessShardExecutor`.
 
-Each worker owns one fingerprint-shard of the kernel population: a private
-:class:`~repro.autotuner.LearnedEvaluator` (with its feature/prediction
-memos and precompute cache) rebuilt from checkpoint blob bytes whenever
-the parent ships a new version. Workers communicate over a
+Each worker owns one fingerprint-shard of the kernel population: per
+checkpoint version a private :class:`~repro.autotuner.LearnedEvaluator`
+(with its feature/prediction memos and precompute cache), built from the
+blob bytes the parent ships and kept in a small LRU
+(``MAX_LIVE_VERSIONS``). A worker has no *current* version: every slice
+names the version that runs it. Workers communicate over a
 ``multiprocessing`` pipe with small tagged tuples:
 
-* ``("load", version, blob)`` — deserialize ``blob`` (the exact bytes of
-  :meth:`ModelRegistry.blob`) and serve it; replies ``("ok", version)``.
-  Evaluators are kept per version in a small LRU (``MAX_LIVE_VERSIONS``),
-  so a rollout alternating active- and staged-version batches reuses
-  warm state instead of rebuilding the model every switch.
-* ``("use", version)`` — switch to an already-loaded version's warm
-  evaluator without shipping the blob again; replies ``("ok", version)``
-  or ``("miss", version)`` when the LRU evicted it (the parent then falls
-  back to a full ``load`` — the same miss/retry contract as kernel
-  interning).
-* ``("warm", version, blob)`` — deserialize ``blob`` into the per-version
-  LRU **without** switching the current evaluator; replies
-  ``("ok", version)``. Placement migrations use this to sync a freshly
-  spawned shard worker to every live (active + staged) version before
-  the shard map swaps traffic onto it.
-* ``("slice", tile_entries, tile_trace, program_sets)`` — execute one
-  shard's whole slice of a micro-batch through :func:`run_slice`, the
-  only forward-executing verb. ``tile_entries`` is a list of
+* ``("load", version, blob)`` — hold a warm evaluator for ``version``:
+  deserialize ``blob`` (the exact bytes of :meth:`ModelRegistry.blob`)
+  unless the LRU already holds that version, mark it most recently used,
+  reply ``("ok", version)``.
+* ``("slice", version, tile_entries, tile_trace, program_sets)`` — execute
+  one shard's whole slice of a micro-batch on ``version``'s evaluator
+  through :func:`run_slice`, the only forward-executing verb. A version
+  the LRU does not hold (never loaded, or evicted) is answered with the
+  tag ``stale`` and the version before anything else happens — nothing
+  interned, no fault hook, no forward — and the parent ships the blob and
+  resends the slice as it was: the same miss → resend contract as a
+  kernel.
+  ``tile_entries`` is a list of
   ``(fingerprint, kernel_or_None, dims_list)`` (tile configs cross the
   pipe as raw dims tuples) scored in **one** fused multi-kernel forward;
   ``program_sets`` is a list of ``(program_entries, trace)``, one forward
@@ -39,8 +36,10 @@ the parent ships a new version. Workers communicate over a
   program set — the fields of a ``CommandResult``. A model error is an
   *outcome*, not an ``err`` reply: it costs only the entry that raised.
   This is the shard's batching policy: a micro-batch costs a shard one
-  message and one reply (the post-crash retry sends one-command slices).
-* ``("stats", )`` — evaluator cache counters + interning size.
+  message and one reply, whichever version the previous batch ran on
+  (the post-crash retry sends one-command slices).
+* ``("stats", )`` — cache counters of the evaluator that served last,
+  its version, the interning size and the number of versions held.
 * ``("exit", )`` — clean shutdown.
 
 ``tile_trace`` and each program set's ``trace`` are optional
@@ -49,14 +48,14 @@ outcomes carry one plain span dict timing the forward inside this process
 (:func:`forward_span`), which the parent records into its tracer.
 
 Other replies are ``("ok", value)`` / ``("err", traceback_string)`` — an
-``err`` to a ``slice`` means the slice as a whole could not run (no
-checkpoint loaded, a malformed message). Score arrays cross the pipe as
+``err`` to a ``slice`` means the slice as a whole could not run (a
+malformed message, a fault hook raising). Score arrays cross the pipe as
 pickled numpy arrays — dtype and bytes preserved exactly, which is what
 keeps process-sharded serving bitwise-identical to in-thread serving at
 equal batch shape.
 
 Both executors execute a slice through :func:`run_slice` — in a worker
-behind the ``slice`` verb, in-thread on the shard's replica — so the
+behind the ``slice`` verb, in-thread on the shard's evaluator — so the
 slice policy (what shares a forward, what a traced forward reports, who
 accounts for it, how a model error is isolated) is written once.
 """
@@ -77,8 +76,8 @@ from .protocol import lru_touch
 MAX_LIVE_VERSIONS = 2
 """Warm checkpoint versions kept concurrently (LRU) by each worker and
 each executor: active + staged, the rollout pair — alternating versions
-between micro-batches then costs a one-word ``use`` message (or a pool
-lookup) instead of re-shipping and re-deserializing the blob."""
+between micro-batches then costs a dictionary lookup instead of
+re-shipping and re-deserializing the blob."""
 
 
 def forward_span(trace: tuple, started: float, process: str, **attrs) -> dict:
@@ -208,7 +207,7 @@ def shard_worker(
         elif rule.kind == "delay" and rule.delay_s > 0:
             time.sleep(rule.delay_s)
 
-    evaluator: LearnedEvaluator | None = None
+    #: The version the last executed slice ran on (a statistic).
     version: str | None = None
     evaluators: OrderedDict[str, LearnedEvaluator] = OrderedDict()
     interned: OrderedDict[str, object] = OrderedDict()
@@ -233,38 +232,21 @@ def shard_worker(
         op = message[0]
         try:
             if op == "load":
-                _, new_version, blob = message
-                evaluator = LearnedEvaluator.from_checkpoint_bytes(
-                    blob, max_cached_kernels=max_cached_kernels
-                )
-                lru_touch(evaluators, new_version, evaluator, MAX_LIVE_VERSIONS)
-                version = new_version
-                conn.send(("ok", version))
-            elif op == "warm":
-                _, warm_version, blob = message
-                warmed = evaluators.get(warm_version)
-                if warmed is None:
-                    warmed = LearnedEvaluator.from_checkpoint_bytes(
+                _, loaded, blob = message
+                held = evaluators.get(loaded)
+                if held is None:
+                    held = LearnedEvaluator.from_checkpoint_bytes(
                         blob, max_cached_kernels=max_cached_kernels
                     )
-                lru_touch(evaluators, warm_version, warmed, MAX_LIVE_VERSIONS)
-                if version is not None and version not in evaluators:
-                    # Never let warming evict the version that is
-                    # currently serving: re-touch it most-recent.
-                    lru_touch(evaluators, version, evaluator, MAX_LIVE_VERSIONS)
-                conn.send(("ok", warm_version))
-            elif op == "use":
-                _, target = message
-                cached = evaluators.get(target)
-                if cached is None:
-                    conn.send(("miss", target))
-                    continue
-                lru_touch(evaluators, target, cached, MAX_LIVE_VERSIONS)
-                evaluator = cached
-                version = target
-                conn.send(("ok", version))
+                lru_touch(evaluators, loaded, held, MAX_LIVE_VERSIONS)
+                conn.send(("ok", loaded))
             elif op == "slice":
-                _, tile_entries, tile_trace, program_entries = message
+                _, asked, tile_entries, tile_trace, program_entries = message
+                evaluator = evaluators.get(asked)
+                if evaluator is None:
+                    conn.send(("stale", asked))
+                    continue
+                lru_touch(evaluators, asked, evaluator, MAX_LIVE_VERSIONS)
                 missing: list[str] = []
                 tile_groups = [
                     (
@@ -285,9 +267,8 @@ def shard_worker(
                 ]
                 if missing:
                     conn.send(("miss", missing))
-                elif evaluator is None:
-                    conn.send(("err", "no checkpoint loaded"))
                 else:
+                    version = asked
                     conn.send(("ok", run_slice(
                         evaluator,
                         tile_groups,
@@ -298,7 +279,8 @@ def shard_worker(
                         shard=shard_index,
                     )))
             elif op == "stats":
-                payload = dict(evaluator.stats()) if evaluator is not None else {}
+                served = evaluators.get(version)
+                payload = dict(served.stats()) if served is not None else {}
                 payload["interned_kernels"] = len(interned)
                 payload["version"] = version
                 payload["live_versions"] = len(evaluators)

@@ -17,6 +17,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.autotuner import LearnedEvaluator
 from repro.compiler import enumerate_tile_sizes
 from repro.compiler.kernels import Kernel
 from repro.data import Scalers, build_tile_dataset
@@ -45,13 +46,22 @@ def corpus():
     return ds.records, Scalers.fit_tile(ds.records)
 
 
-@pytest.fixture(scope="module")
-def result_a(corpus):
+def _result(corpus, seed):
     model = LearnedPerformanceModel(
-        ModelConfig(task="tile", reduction="column-wise", **SMALL), seed=0
+        ModelConfig(task="tile", reduction="column-wise", **SMALL), seed=seed
     )
     model.eval()
     return TrainResult(model=model, scalers=corpus[1], loss_history=[])
+
+
+@pytest.fixture(scope="module")
+def result_a(corpus):
+    return _result(corpus, seed=0)
+
+
+@pytest.fixture(scope="module")
+def result_b(corpus):
+    return _result(corpus, seed=1)
 
 
 # ---------------------------------------------------------------------- #
@@ -100,10 +110,33 @@ def _commands(records, executor):
     return commands
 
 
-def test_executors_agree_command_by_command(corpus, result_a):
+def _direct(result, commands):
+    """``commands`` (none poisoned) on fresh evaluators over ``result``,
+    one per shard: a shard's tile commands as one ``score_tile_groups``
+    forward, then each program command."""
+    values = [None] * len(commands)
+    for shard in {c.shard for c in commands}:
+        evaluator = LearnedEvaluator(result.model, result.scalers)
+        mine = [(i, c) for i, c in enumerate(commands) if c.shard == shard]
+        tiles = [(i, c) for i, c in mine if isinstance(c, TileCommand)]
+        scores = evaluator.score_tile_groups(
+            [(c.kernel, list(c.tiles)) for _, c in tiles]
+        )
+        for (i, _), array in zip(tiles, scores):
+            values[i] = array
+        for i, c in mine:
+            if isinstance(c, ProgramCommand):
+                values[i] = evaluator.program_runtimes_batched(
+                    [list(kernels) for kernels in c.programs]
+                )
+    return values
+
+
+def test_executors_agree_command_by_command(corpus, result_a, result_b):
     records, _ = corpus
     registry = ModelRegistry()
     version = registry.publish(result_a)
+    other = registry.stage(result_b)
     in_thread = InThreadExecutor(registry, replicas=2)
     process = ProcessShardExecutor(registry, shards=2)
     try:
@@ -115,6 +148,20 @@ def test_executors_agree_command_by_command(corpus, result_a):
         )
         threaded = in_thread.run(version, commands)
         sharded = process.run(version, commands)
+        # Batches alternating two checkpoints: each batch is served by the
+        # version it names, on both executors, bitwise.
+        clean = commands[:1] + commands[2:]
+        direct = {version: _direct(result_a, clean), other: _direct(result_b, clean)}
+        for asked in (version, other, version, other):
+            for served in (in_thread.run(asked, clean), process.run(asked, clean)):
+                for result, expected in zip(served, direct[asked]):
+                    assert result.error is None and not result.infra
+                    assert result.value.dtype == expected.dtype
+                    np.testing.assert_array_equal(result.value, expected)
+        assert any(
+            not np.array_equal(a, b)
+            for a, b in zip(direct[version], direct[other])
+        )
     finally:
         in_thread.close()
         process.close()
@@ -217,6 +264,154 @@ def test_a_micro_batch_is_one_pipe_message_per_shard(
         service.stop()
 
 
+def _tile_commands(records, count=2):
+    return [
+        TileCommand(shard=0, kernel=r.kernel, tiles=tuple(enumerate_tile_sizes(r.kernel)[:4]))
+        for r in records[:count]
+    ]
+
+
+def test_alternating_warm_versions_cost_one_message_per_batch(corpus, result_a, result_b):
+    """A slice names its version, so nothing is switched between batches."""
+    records, _ = corpus
+    registry = ModelRegistry()
+    versions = [registry.publish(result_a), registry.stage(result_b)]
+    executor = ProcessShardExecutor(registry, shards=1)
+    commands = _tile_commands(records)
+    try:
+        warm = {v: executor.run(v, commands) for v in versions}  # spawn, load both
+        shard = executor._shards[0]
+        shard.conn = counting = _CountingConn(shard.conn)
+        for batch in range(10):
+            version = versions[batch % 2]
+            for result, expected in zip(executor.run(version, commands), warm[version]):
+                np.testing.assert_array_equal(result.value, expected.value)
+        assert counting.sent == ["slice"] * 10
+        assert counting.received == 10
+    finally:
+        executor.close()
+
+
+def test_an_evicted_version_is_shipped_again_and_nothing_else_shows(corpus, result_a, result_b):
+    """Three versions through one worker's LRU of two: every batch is
+    served by the version it names, each re-entry costs one ``load``."""
+    records, scalers = corpus
+    results = {"a": result_a, "b": result_b, "c": _result(corpus, seed=2)}
+    registry = ModelRegistry()
+    for name, result in results.items():
+        registry.publish(result, version=name)
+    service = CostModelService(
+        registry, ServiceConfig(executor="process", result_cache_entries=0)
+    )
+    kernel = records[0].kernel
+    tiles = tuple(enumerate_tile_sizes(kernel)[:4])
+    direct = {
+        name: LearnedEvaluator(result.model, scalers).score_tiles_batched(kernel, list(tiles))
+        for name, result in results.items()
+    }
+
+    def serve(version):
+        registry.activate(version)
+        future = service.submit(TileScoresRequest(kernel=kernel, tiles=tiles))
+        service.flush()
+        response = future.result(timeout=60)
+        assert response.error is None and response.model_version == version
+        np.testing.assert_array_equal(response.value, direct[version])
+
+    try:
+        serve("a")  # spawn
+        shard = service.executor._shards[0]
+        shard.conn = counting = _CountingConn(shard.conn)
+        for version in "bcabca":
+            serve(version)
+        assert counting.sent == ["load", "slice"] * 6
+        # The parent's mirror claims a version the worker has evicted: the
+        # worker says so, and the slice is resent after one more load.
+        del counting.sent[:]
+        shard.loaded["b"] = True
+        serve("b")
+        assert counting.sent == ["slice", "load", "slice"]
+        assert service.executor.shard_stats()[0]["restarts"] == 0
+    finally:
+        service.stop()
+
+
+class _Pipe:
+    """The parent end of a pipe whose child end a thread serves."""
+
+    def __init__(self, monkeypatch, built):
+        import multiprocessing
+        import threading
+        from types import SimpleNamespace
+
+        from repro.serving import workers
+
+        def build(blob, **kwargs):
+            built.append(blob)
+            return _StubEvaluator(poisoned=())
+
+        monkeypatch.setattr(
+            workers, "LearnedEvaluator", SimpleNamespace(from_checkpoint_bytes=build)
+        )
+        self.conn, child = multiprocessing.Pipe()
+        self.thread = threading.Thread(target=workers.shard_worker, args=(child,))
+        self.thread.start()
+
+    def ask(self, *message):
+        self.conn.send(message)
+        assert self.conn.poll(30)
+        return self.conn.recv()
+
+    def close(self):
+        self.conn.send(("exit",))
+        self.thread.join(timeout=30)
+        assert not self.thread.is_alive()
+
+
+def test_a_slice_for_a_version_the_worker_does_not_hold_is_stale(monkeypatch):
+    built = []
+    pipe = _Pipe(monkeypatch, built)
+    try:
+        message = ("slice", "v1", [("fp", 3, [(1,), (2,)])], None, [])
+        assert pipe.ask(*message) == ("stale", "v1")
+        assert built == []
+        # Nothing was interned either: the kernel-less form still misses.
+        assert pipe.ask("load", "v1", b"blob-1") == ("ok", "v1")
+        assert pipe.ask("slice", "v1", [("fp", None, [(1,)])], None, []) == ("miss", ["fp"])
+        status, outcomes = pipe.ask(*message)
+        assert status == "ok" and len(outcomes) == 1
+        np.testing.assert_array_equal(outcomes[0][0], np.full(2, 3.0, np.float32))
+        assert pipe.ask("load", "v1", b"blob-1") == ("ok", "v1")
+        assert built == [b"blob-1"]  # a held version is not rebuilt
+        # A stale slice does not become "the version last served".
+        assert pipe.ask("slice", "v2", [], None, []) == ("stale", "v2")
+        status, stats = pipe.ask("stats")
+        assert stats["version"] == "v1" and stats["live_versions"] == 1
+        assert stats["attempted"] == 1
+    finally:
+        pipe.close()
+
+
+def test_in_thread_stats_are_the_sum_of_the_replicas(corpus, result_a):
+    """Each replica owns its caches; the executor's counters add them up."""
+    records, _ = corpus
+    registry = ModelRegistry()
+    version = registry.publish(result_a)
+    executor = InThreadExecutor(registry, replicas=2)
+    commands = [c for i, c in enumerate(_commands(records, executor)) if i != 1]
+    for _ in range(2):
+        assert all(r.error is None for r in executor.run(version, commands))
+    replicas = executor._pools[version]
+    assert len(replicas) == 2
+    total = executor.stats()
+    assert total.pop("live_versions") == 1
+    assert total == {
+        key: sum(replica.stats()[key] for replica in replicas)
+        for key in replicas[0].stats()
+    }
+    assert total["batch_entries"] == total["feature_entries"] > 0
+
+
 # ---------------------------------------------------------------------- #
 # the slice policy
 # ---------------------------------------------------------------------- #
@@ -240,6 +435,9 @@ class _StubEvaluator:
         arrays = [self._score(kernel, len(tiles)) for kernel, tiles in groups]
         self.succeeded += 1
         return arrays
+
+    def stats(self):
+        return {"attempted": self.attempted}
 
     def program_runtimes_batched(self, programs):
         self.attempted += 1

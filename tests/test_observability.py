@@ -10,6 +10,7 @@ lifecycle events end to end.
 """
 import json
 import threading
+import time
 import urllib.error
 import urllib.request
 
@@ -33,6 +34,7 @@ from repro.serving import (
     Response,
     ServiceConfig,
     ServiceEvaluator,
+    SocketFrontend,
     SyntheticProber,
     TelemetryRegistry,
     ThresholdRule,
@@ -607,19 +609,27 @@ def _corrupt_live_model(service):
 
 
 class TestSyntheticProber:
+    @pytest.mark.parametrize("frontends", [("inprocess",), ("inprocess", "socket")])
     def test_known_answers_pass_bitwise_and_probes_stay_out_of_business_stats(
-        self, corpus, result_a
+        self, corpus, result_a, frontends
     ):
         records, _ = corpus
         service = CostModelService(
             result_a, ServiceConfig(replicas=2, result_cache_entries=64)
         ).start()
+        socket_frontend = SocketFrontend(service) if "socket" in frontends else None
         try:
             prober = SyntheticProber(_golden_probes(records))
             service.attach_prober(prober)
+            if socket_frontend is not None:
+                prober.add_socket(socket_frontend.address)
             summary = prober.sweep()
             assert summary["failures"] == 0
-            assert summary["probes"] == 3
+            assert summary["probes"] == 3 * len(frontends)
+            # frontend x 2 shards x 1 live version, all reached.
+            assert summary["routes_expected"] == 2 * len(frontends)
+            assert summary["routes_covered"] == 2 * len(frontends)
+            assert {v["frontend"] for v in prober.recent(10)} == set(frontends)
             # Equal batch shape => bitwise-identical to the direct
             # evaluator over the version's own sealed blob.
             assert all(v["exact"] is True for v in prober.recent(10))
@@ -630,9 +640,17 @@ class TestSyntheticProber:
             assert service.stats.slo_window(0.1)["window"] == 0.0
             # ... but they live in their own telemetry family.
             snap = service.telemetry.collect()
-            assert snap["prober_probes"] == 3.0
+            assert snap["prober_probes"] == 3.0 * len(frontends)
             assert snap["prober_failures"] == 0.0
             assert snap["prober_routes_failing"] == 0.0
+            if socket_frontend is not None:
+                # stop() hangs up the connection add_socket opened.
+                assert socket_frontend.stats()["open_connections"] == 1
+                prober.stop()
+                deadline = time.time() + 10.0
+                while socket_frontend.stats()["open_connections"] and time.time() < deadline:
+                    time.sleep(0.01)
+                assert socket_frontend.stats()["open_connections"] == 0
             # A business request afterwards is counted normally and is
             # not tagged synthetic.
             client = ServiceEvaluator(service, timeout_s=120.0)
@@ -642,6 +660,8 @@ class TestSyntheticProber:
             )
             assert service.stats.requests == 1
         finally:
+            if socket_frontend is not None:
+                socket_frontend.close()
             service.stop()
 
     def test_probe_responses_are_tagged_synthetic(self, corpus, result_a):

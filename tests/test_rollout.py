@@ -1040,12 +1040,18 @@ class TestPoliciesOnBothExecutors:
 
 
 class TestTwoLiveVersions:
-    def test_thread_executor_keeps_both_pools_warm(self, corpus, result_a, result_bad):
+    @pytest.mark.parametrize(
+        "executor, replicas", [("thread", 1), ("thread", 2), ("process", 2)]
+    )
+    def test_thread_executor_keeps_both_pools_warm(
+        self, corpus, result_a, result_bad, executor, replicas
+    ):
+        """Two live versions read 2 whatever the executor or shard count."""
         records, _ = corpus
         registry = _canary_registry(result_a, result_bad)
         service = CostModelService(
             registry,
-            ServiceConfig(result_cache_entries=0),
+            ServiceConfig(executor=executor, replicas=replicas, result_cache_entries=0),
             rollout=CanaryFraction("bad", 0.5),
         )
         try:
@@ -1060,7 +1066,7 @@ class TestTwoLiveVersions:
         self, corpus, rollout_process_service
     ):
         """Alternating active/staged batches must ride the warm per-version
-        evaluators (a `use` message), never a worker restart."""
+        evaluators, never a worker restart."""
         records, _ = corpus
         service = rollout_process_service
         service.set_rollout(CanaryFraction("bad", 0.5))

@@ -483,13 +483,13 @@ class TestServiceLifecycleAndErrors:
 
     def test_replica_sharding_is_stable(self, corpus, result_a):
         records, _ = corpus
-        from repro.serving import ReplicaPool
+        from repro.serving import InThreadExecutor
 
-        pool = ReplicaPool(result_a, "v1", replicas=3)
+        executor = InThreadExecutor(ModelRegistry(), replicas=3)
         for record in records:
             fp = record.kernel.fingerprint()
-            assert pool.route(fp) is pool.route(fp)
-        assert len({id(pool.route(r.kernel.fingerprint())) for r in records}) > 1
+            assert executor.shard_for(fp) == executor.shard_for(fp)
+        assert len({executor.shard_for(r.kernel.fingerprint()) for r in records}) > 1
 
 
 class TestStatsSurfaces:
