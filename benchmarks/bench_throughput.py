@@ -133,7 +133,7 @@ def bench_autotuner_scoring(records, scalers, queries: int) -> dict:
         # every candidate is a fresh query with its own feature
         # extraction, normalization, and single-item forward pass.
         for tile in tiles:
-            cold_eval.tile_scores(kernel, [tile])
+            cold_eval.score_tiles_batched(kernel, [tile])
 
     warm_eval = LearnedEvaluator(model, scalers, cache=True)
     warm_eval.score_tiles_batched(kernel, tiles)  # warm the caches

@@ -11,13 +11,7 @@ from .fusion_tuner import (
     hardware_fusion_autotune,
     model_fusion_autotune,
 )
-from .search import (
-    SearchResult,
-    genetic_search,
-    parallel_annealing,
-    random_search,
-    simulated_annealing,
-)
+from .search import SearchResult, genetic_search, random_search, simulated_annealing
 from .tile import TileTuningResult, exhaustive_tile_autotune, model_tile_autotune
 
 __all__ = [
@@ -34,7 +28,6 @@ __all__ = [
     "hardware_fusion_autotune",
     "model_fusion_autotune",
     "model_tile_autotune",
-    "parallel_annealing",
     "random_search",
     "simulated_annealing",
 ]

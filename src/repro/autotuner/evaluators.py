@@ -27,13 +27,13 @@ from ..tpu.simulator import TpuSimulator
 class TileScorer(Protocol):
     """Anything that can rank candidate tiles of one kernel.
 
-    The tuners dispatch on this shape (``model_tile_autotune`` prefers
-    :meth:`score_tiles_batched` when present) — satisfied by
-    :class:`LearnedEvaluator`, :class:`AnalyticalEvaluator`, and the
-    serving layer's ``ServiceEvaluator``.
+    ``model_tile_autotune`` scores each kernel's whole candidate set with
+    one :meth:`score_tiles_batched` call (lower = faster; an empty list
+    scores empty) — satisfied by :class:`LearnedEvaluator`,
+    :class:`AnalyticalEvaluator`, and the serving layer's clients.
     """
 
-    def tile_scores(self, kernel: Kernel, tiles: list[TileConfig]) -> np.ndarray: ...
+    def score_tiles_batched(self, kernel: Kernel, tiles: list[TileConfig]) -> np.ndarray: ...
 
 
 @runtime_checkable
@@ -82,13 +82,9 @@ class AnalyticalEvaluator:
     def __init__(self, model: AnalyticalModel | CalibratedAnalyticalModel | None = None) -> None:
         self.model = model or AnalyticalModel()
 
-    def tile_scores(self, kernel: Kernel, tiles: list[TileConfig]) -> np.ndarray:
+    def score_tiles_batched(self, kernel: Kernel, tiles: list[TileConfig]) -> np.ndarray:
         """Estimated runtimes (ranking scores) for candidate tiles."""
         return np.asarray([self.model.estimate(kernel, t) for t in tiles])
-
-    def score_tiles_batched(self, kernel: Kernel, tiles: list[TileConfig]) -> np.ndarray:
-        """Population-level scoring hook (same result as :meth:`tile_scores`)."""
-        return self.tile_scores(kernel, tiles)
 
     def kernel_runtime(self, kernel: Kernel, tile: TileConfig | None = None) -> float:
         """Absolute estimate (only meaningful for a calibrated model)."""
@@ -222,24 +218,17 @@ class LearnedEvaluator:
             return self.batch_cache.assemble(items)
         return assemble_batch(items, self.scalers, neighbor_cap=self.model.config.neighbor_cap)
 
-    def tile_scores(self, kernel: Kernel, tiles: list[TileConfig]) -> np.ndarray:
-        """Rank scores for candidate tiles of one kernel (lower = faster)."""
-        return self.score_tile_groups([(kernel, tiles)])[0]
-
     def score_tiles_batched(self, kernel: Kernel, tiles: list[TileConfig]) -> np.ndarray:
-        """Population-level tile scoring entry point (empty-safe).
+        """Rank scores for candidate tiles of one kernel (lower = faster).
 
-        Delegates to :meth:`tile_scores`, which already implements the
-        batched path — graph features extracted/scaled/normalized once per
-        kernel via the caches, all candidate tiles in one forward pass
-        sharing the cached adjacency blocks. This name is the stable
-        protocol hook search strategies dispatch on (see
-        ``model_tile_autotune``) and additionally accepts an empty
-        candidate list.
+        Graph features are extracted/scaled/normalized once per kernel via
+        the caches and all candidate tiles go through one forward pass
+        sharing the cached adjacency blocks. An empty candidate list
+        scores empty without touching the caches.
         """
         if not tiles:
             return np.zeros(0, dtype=np.float32)
-        return self.tile_scores(kernel, tiles)
+        return self.score_tile_groups([(kernel, tiles)])[0]
 
     def score_tile_groups(
         self, groups: list[tuple[Kernel, list[TileConfig]]]

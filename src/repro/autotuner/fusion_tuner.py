@@ -21,12 +21,7 @@ import numpy as np
 from ..compiler.fusion import FusionConfig, FusionParams, ProgramFuser
 from ..hlo.graph import Program
 from .evaluators import HardwareEvaluator, ProgramCostModel
-from .search import (
-    genetic_search,
-    parallel_annealing,
-    random_search,
-    simulated_annealing,
-)
+from .search import genetic_search, random_search, simulated_annealing
 
 
 @dataclass
@@ -99,12 +94,12 @@ def hardware_fusion_autotune(
     initial = start if start is not None else default
     evaluations = 0
 
-    def cost(config: FusionConfig) -> float:
+    def cost(configs: list[FusionConfig]) -> list[float]:
         nonlocal evaluations
-        evaluations += 1
-        return hardware.program_runtime(fuser.fuse(config))
+        evaluations += len(configs)
+        return [hardware.program_runtime(fuser.fuse(c)) for c in configs]
 
-    result = simulated_annealing(initial, cost, _neighbor, steps=budget - 1, rng=rng)
+    result = simulated_annealing([initial], cost, _neighbor, steps=budget - 1, rng=rng)
     default_rt = _true_runtime(fuser, default, hardware)
     best_rt = _true_runtime(fuser, result.best_state, hardware)
     return FusionTuningResult(
@@ -138,17 +133,15 @@ def model_fusion_autotune(
     ``strategy`` selects the explorer (paper Fig. 1 lists all three):
 
     * ``"annealing"`` (default) — simulated annealing from the compiler
-      default. With ``chains > 1`` the budget is spent by
-      :func:`repro.autotuner.search.parallel_annealing`: independent
-      chains step in lockstep and every step's proposals are priced in a
-      single batched model call.
+      default; ``chains > 1`` adds chains started one move away from it,
+      stepped in lockstep, every step's proposals priced in one call.
     * ``"genetic"`` — elitist genetic search over edge decisions, each
-      generation's offspring priced in one batched call.
-    * ``"random"`` — independent random configurations, priced in one
-      batched call.
+      generation's offspring priced in one call.
+    * ``"random"`` — independent random configurations, priced in one call.
 
-    All batched paths go through
-    :meth:`LearnedEvaluator.program_runtimes_batched`, which dedupes
+    A one-config population (one annealing chain) is priced by
+    :meth:`~ProgramCostModel.program_runtime`, a larger one by
+    :meth:`~ProgramCostModel.program_runtimes_batched`, which dedupes
     shared kernels across the population — much higher model-query
     throughput for the same total budget.
     """
@@ -160,61 +153,43 @@ def model_fusion_autotune(
     initial = start if start is not None else default
     model_evals = 0
 
-    def model_cost(config: FusionConfig) -> float:
-        nonlocal model_evals
-        model_evals += 1
-        return learned.program_runtime(fuser.fuse(config))
-
-    def model_cost_batch(configs: list[FusionConfig]) -> np.ndarray:
+    def model_cost(configs: list[FusionConfig]):
         nonlocal model_evals
         model_evals += len(configs)
-        return learned.program_runtimes_batched([fuser.fuse(c) for c in configs])
+        programs = [fuser.fuse(c) for c in configs]
+        if len(programs) == 1:
+            return [learned.program_runtime(programs[0])]
+        return learned.program_runtimes_batched(programs)
+
+    def sample(r: np.random.Generator) -> FusionConfig:
+        return FusionConfig.random(len(initial.decisions), r)
 
     if strategy == "random" or (strategy == "genetic" and model_budget < 2):
         # A genetic population needs at least two members; below that the
         # budget only buys independent samples anyway.
-        num_edges = len(initial.decisions)
-        search = random_search(
-            lambda r: FusionConfig.random(num_edges, r),
-            model_cost,
-            steps=model_budget,
-            rng=rng,
-            batch_cost_fn=model_cost_batch,
-        )
+        search = random_search(sample, model_cost, steps=model_budget, rng=rng)
     elif strategy == "genetic":
         # Spend at most model_budget evaluations: the initial population
         # costs `population`, every later generation `population - elite`.
         population = min(16, max(model_budget, 2))
         elite = max(population // 4, 1)
-        num_edges = len(initial.decisions)
         generations = max((model_budget - population) // (population - elite), 0)
         search = genetic_search(
-            lambda r: FusionConfig.random(num_edges, r),
-            model_cost,
-            _crossover,
-            _neighbor,
-            rng=rng,
-            population=population,
-            generations=generations,
-            elite=elite,
-            batch_cost_fn=model_cost_batch,
+            sample, model_cost, _crossover, _neighbor, rng=rng,
+            population=population, generations=generations, elite=elite,
         )
     elif strategy != "annealing":
         raise ValueError(f"unknown strategy {strategy!r}")
-    elif chains > 1:
+    else:
         # Never overspend the metered budget: each chain costs one initial
         # evaluation plus one per step, so cap the chain count at the budget
         # and round the remaining budget down to a whole number of steps
         # (with chains > 1 up to chains-1 evaluations of a non-divisible
         # budget go unspent; model_evaluations reports the exact spend).
-        n_chains = min(chains, max(model_budget, 1))
+        n_chains = max(min(chains, model_budget), 1)
         initials = [initial] + [_neighbor(initial, rng) for _ in range(n_chains - 1)]
         steps = max(model_budget // n_chains - 1, 0)
-        search = parallel_annealing(
-            initials, model_cost_batch, _neighbor, steps=steps, rng=rng
-        )
-    else:
-        search = simulated_annealing(initial, model_cost, _neighbor, steps=model_budget - 1, rng=rng)
+        search = simulated_annealing(initials, model_cost, _neighbor, steps=steps, rng=rng)
 
     # Rank distinct visited configs by predicted cost; verify top ones on HW.
     seen: dict[tuple[bool, ...], float] = {}

@@ -1,18 +1,13 @@
 """Generic search strategies for the autotuner (paper Fig. 1 lists random,
-genetic, simulated annealing...; the fusion autotuner uses simulated
-annealing, the dataset generator uses random search).
+genetic, simulated annealing...; the fusion autotuner offers all three and
+anneals by default).
 
-All strategies support *population-level batched scoring*: pass
-``batch_cost_fn`` (a ``list[state] -> sequence[float]`` callable) and
-candidates are priced in bulk — one model forward per population instead
-of one per candidate — which is how a learned cost model amortizes batch
-assembly (see :meth:`repro.autotuner.LearnedEvaluator.score_tiles_batched`
-/ ``program_runtimes_batched``). Because ``cost_fn`` never consumes the
-rng, batched runs visit the exact same states and return the exact same
-results as sequential runs. Simulated annealing is inherently sequential
-(each acceptance gates the next proposal), so its batched counterpart is
-:func:`parallel_annealing` — independent chains stepped in lockstep with
-one batched scoring call per step.
+Every strategy prices *populations*: ``cost_fn`` maps a list of states to
+their costs in one call, so a learned cost model pays one forward per
+population instead of one per candidate (see
+:meth:`repro.autotuner.LearnedEvaluator.program_runtimes_batched`).
+``cost_fn`` never consumes the rng, so how a strategy groups candidates
+into calls does not change which states it visits.
 """
 from __future__ import annotations
 
@@ -23,8 +18,8 @@ import numpy as np
 
 S = TypeVar("S")
 
-#: Bulk scorer: prices a population of states in one call.
-BatchCostFn = Callable[[list[S]], "Sequence[float] | np.ndarray"]
+#: Population scorer: prices a list of states in one call (lower is better).
+CostFn = Callable[[list[S]], "Sequence[float] | np.ndarray"]
 
 
 @dataclass
@@ -45,119 +40,58 @@ class SearchResult(Generic[S]):
     visited: list[tuple[S, float]] = field(default_factory=list)
 
 
+def _costs(cost_fn: CostFn, states: list[S]) -> list[float]:
+    return [float(c) for c in cost_fn(states)]
+
+
 def random_search(
     sample: Callable[[np.random.Generator], S],
-    cost_fn: Callable[[S], float],
+    cost_fn: CostFn,
     steps: int,
     rng: np.random.Generator,
-    batch_cost_fn: BatchCostFn | None = None,
 ) -> SearchResult[S]:
-    """Independent random sampling.
-
-    With ``batch_cost_fn`` all states are drawn first and priced in one
-    call; results are identical to the sequential path (``cost_fn`` does
-    not consume the rng, so the draw sequence is unchanged).
-    """
-    best_state: S | None = None
-    best_cost = float("inf")
-    result: SearchResult[S] = SearchResult(best_state, best_cost)  # type: ignore[arg-type]
-    if batch_cost_fn is not None:
-        states = [sample(rng) for _ in range(steps)]
-        costs = [float(c) for c in batch_cost_fn(states)]
-    else:
-        states, costs = [], []
-        for _ in range(steps):
-            state = sample(rng)
-            states.append(state)
-            costs.append(cost_fn(state))
-    for step, (state, cost) in enumerate(zip(states, costs)):
+    """Independent random sampling: ``steps`` states drawn, then priced in
+    one call."""
+    states = [sample(rng) for _ in range(steps)]
+    result: SearchResult[S] = SearchResult(None, float("inf"))  # type: ignore[arg-type]
+    for step, (state, cost) in enumerate(zip(states, _costs(cost_fn, states))):
         result.visited.append((state, cost))
-        if cost < best_cost:
-            best_state, best_cost = state, cost
+        if cost < result.best_cost:
+            result.best_state, result.best_cost = state, cost
             result.history.append((step, cost))
-    result.best_state = best_state  # type: ignore[assignment]
-    result.best_cost = best_cost
     return result
 
 
 def simulated_annealing(
-    initial: S,
-    cost_fn: Callable[[S], float],
-    neighbor_fn: Callable[[S, np.random.Generator], S],
-    steps: int,
-    rng: np.random.Generator,
-    initial_temperature: float = 1.0,
-    final_temperature: float = 1e-3,
-) -> SearchResult[S]:
-    """Simulated annealing with geometric cooling.
-
-    Costs are normalized by the initial cost so temperatures are scale-free.
-
-    Args:
-        initial: starting state (the compiler default or a random config).
-        cost_fn: state -> cost (lower is better).
-        neighbor_fn: proposal distribution.
-        steps: proposal count (evaluation budget).
-        rng: randomness source.
-        initial_temperature / final_temperature: cooling endpoints.
-    """
-    current = initial
-    current_cost = cost_fn(current)
-    scale = max(abs(current_cost), 1e-30)
-    best_state, best_cost = current, current_cost
-    result: SearchResult[S] = SearchResult(best_state, best_cost)
-    result.visited.append((current, current_cost))
-    if steps <= 0:
-        return result
-    alpha = (final_temperature / initial_temperature) ** (1.0 / steps)
-    temp = initial_temperature
-    for step in range(steps):
-        candidate = neighbor_fn(current, rng)
-        cost = cost_fn(candidate)
-        result.visited.append((candidate, cost))
-        delta = (cost - current_cost) / scale
-        if delta <= 0 or rng.random() < np.exp(-delta / max(temp, 1e-12)):
-            current, current_cost = candidate, cost
-            result.history.append((step, cost))
-        if cost < best_cost:
-            best_state, best_cost = candidate, cost
-        temp *= alpha
-    result.best_state = best_state
-    result.best_cost = best_cost
-    return result
-
-
-def parallel_annealing(
     initials: list[S],
-    batch_cost_fn: BatchCostFn,
+    cost_fn: CostFn,
     neighbor_fn: Callable[[S, np.random.Generator], S],
     steps: int,
     rng: np.random.Generator,
     initial_temperature: float = 1.0,
     final_temperature: float = 1e-3,
 ) -> SearchResult[S]:
-    """Batched simulated annealing: independent chains in lockstep.
+    """Simulated annealing with geometric cooling, one chain per initial state.
 
-    Sequential annealing cannot batch within a chain (each acceptance
-    gates the next proposal), so this runs ``len(initials)`` independent
-    chains and prices all per-step proposals with **one**
-    ``batch_cost_fn`` call — with a learned evaluator that is one model
-    forward per step for the whole population. Each chain normalizes
-    costs by its own initial cost and follows the same geometric cooling
-    as :func:`simulated_annealing`.
+    A chain cannot batch within itself (each acceptance gates the next
+    proposal), so ``len(initials)`` independent chains step in lockstep
+    and every step's proposals are priced with **one** ``cost_fn`` call.
+    One chain is the classic annealer. Each chain normalizes costs by its
+    own initial cost, so temperatures are scale-free.
 
     Args:
-        initials: starting state per chain (diversify for coverage).
-        batch_cost_fn: bulk scorer over a population of states.
+        initials: starting state per chain (the compiler default or a
+            random config; diversify extra chains for coverage).
+        cost_fn: population scorer.
         neighbor_fn: proposal distribution.
-        steps: proposals *per chain*.
-        rng: randomness source (shared; consumed chain-by-chain per step).
+        steps: proposals *per chain* (evaluation budget).
+        rng: randomness source (shared; consumed chain by chain per step).
         initial_temperature / final_temperature: cooling endpoints.
     """
     if not initials:
-        raise ValueError("parallel_annealing needs at least one chain")
+        raise ValueError("simulated_annealing needs at least one chain")
     current = list(initials)
-    current_costs = [float(c) for c in batch_cost_fn(current)]
+    current_costs = _costs(cost_fn, current)
     scales = [max(abs(c), 1e-30) for c in current_costs]
     best = int(np.argmin(current_costs))
     result: SearchResult[S] = SearchResult(current[best], current_costs[best])
@@ -168,7 +102,7 @@ def parallel_annealing(
     temp = initial_temperature
     for step in range(steps):
         proposals = [neighbor_fn(s, rng) for s in current]
-        costs = [float(c) for c in batch_cost_fn(proposals)]
+        costs = _costs(cost_fn, proposals)
         result.visited.extend(zip(proposals, costs))
         for i, (candidate, cost) in enumerate(zip(proposals, costs)):
             delta = (cost - current_costs[i]) / scales[i]
@@ -183,30 +117,18 @@ def parallel_annealing(
 
 def genetic_search(
     sample: Callable[[np.random.Generator], S],
-    cost_fn: Callable[[S], float],
+    cost_fn: CostFn,
     crossover: Callable[[S, S, np.random.Generator], S],
     mutate: Callable[[S, np.random.Generator], S],
     rng: np.random.Generator,
     population: int = 16,
     generations: int = 10,
     elite: int = 4,
-    batch_cost_fn: BatchCostFn | None = None,
 ) -> SearchResult[S]:
-    """Simple elitist genetic algorithm.
-
-    With ``batch_cost_fn`` the initial population and each generation's
-    offspring are priced in one call per generation instead of one per
-    individual; selection/crossover/mutation draw from the rng in the same
-    order either way, so the search trajectory is identical.
-    """
-
-    def score(states: list[S]) -> list[float]:
-        if batch_cost_fn is not None:
-            return [float(c) for c in batch_cost_fn(states)]
-        return [cost_fn(s) for s in states]
-
+    """Simple elitist genetic algorithm; the initial population and each
+    generation's offspring are priced in one call each."""
     seeds = [sample(rng) for _ in range(population)]
-    pop = list(zip(seeds, score(seeds)))
+    pop = list(zip(seeds, _costs(cost_fn, seeds)))
     result: SearchResult[S] = SearchResult(pop[0][0], pop[0][1])
     result.visited.extend(pop)
     for gen in range(generations):
@@ -219,7 +141,7 @@ def genetic_search(
             a = parents[rng.integers(0, elite)][0]
             b = parents[rng.integers(0, elite)][0]
             offspring.append(mutate(crossover(a, b, rng), rng))
-        scored = list(zip(offspring, score(offspring)))
+        scored = list(zip(offspring, _costs(cost_fn, offspring)))
         children.extend(scored)
         result.visited.extend(scored)
         pop = children

@@ -92,8 +92,7 @@ def model_tile_autotune(
     # (and cached graph features for learned evaluators).
     for kernel in kernels:
         candidates = enumerate_tile_sizes(kernel, tiling)
-        scorer = getattr(model, "score_tiles_batched", model.tile_scores)
-        scores = np.asarray(scorer(kernel, candidates))
+        scores = np.asarray(model.score_tiles_batched(kernel, candidates))
         order = np.argsort(scores, kind="stable")[: max(top_k, 1)]
         if top_k <= 1:
             pick = candidates[int(order[0])]

@@ -1,23 +1,22 @@
 """Persistence for trained performance models.
 
 A trained model is (config, parameters, feature scalers); all three are
-saved into one ``.npz`` archive so a model trained once can be shipped to
-the compiler/autotuner without retraining — the deployment mode the paper
+saved into one npz archive so a model trained once can be shipped to the
+compiler/autotuner without retraining — the deployment mode the paper
 targets (the model is trained offline and queried at compile time).
 
-Two transports share one format: :func:`save_model` / :func:`load_model`
-write and read files, :func:`save_model_bytes` / :func:`load_model_bytes`
-round-trip the same archive through memory. The in-memory form is what the
-serving layer's model registry uses to hold versioned checkpoints,
-hot-swap them, spill them to disk, and ship them to worker processes and
-remote nodes.
+There is one checkpoint format, the sealed blob of
+:func:`save_model_bytes` / :func:`load_model_bytes`: the npz archive in an
+integrity envelope of a magic tag, the payload length and a SHA-256
+digest. :func:`save_model` / :func:`load_model` write and read exactly
+those bytes as a file. The in-memory form is what the serving layer's
+model registry uses to hold versioned checkpoints, hot-swap them, spill
+them to disk, and ship them to worker processes and remote nodes.
 
-Because checkpoint blobs cross sockets, pipes and disk, the bytes form
-carries an integrity envelope: a magic tag, the payload length, and a
-SHA-256 digest. :func:`load_model_bytes` (and :func:`validate_model_blob`)
-detect truncated or corrupted blobs up front and raise the typed
-:class:`ModelBlobError` instead of failing deep inside npz deserialization.
-Bare npz blobs from before the envelope still load.
+Because checkpoints cross sockets, pipes and disk, every load
+(and :func:`validate_model_blob`) detects truncated or corrupted bytes up
+front and raises the typed :class:`ModelBlobError` instead of failing
+deep inside npz deserialization.
 """
 from __future__ import annotations
 
@@ -61,32 +60,24 @@ def _seal_blob(payload: bytes) -> bytes:
 
 
 def _unseal_blob(data: bytes) -> bytes:
-    """Validate the envelope and return the npz payload.
-
-    Accepts legacy bare npz bytes (``PK`` zip magic) unchecked, for blobs
-    produced before the envelope existed.
-    """
-    if data[: len(BLOB_MAGIC)] == BLOB_MAGIC:
-        offset = len(BLOB_MAGIC)
-        if len(data) < offset + _BLOB_HEADER.size:
-            raise ModelBlobError(
-                f"truncated model blob: {len(data)} bytes is shorter than the envelope"
-            )
-        length, digest = _BLOB_HEADER.unpack_from(data, offset)
-        payload = data[offset + _BLOB_HEADER.size:]
-        if len(payload) != length:
-            raise ModelBlobError(
-                f"truncated model blob: envelope declares {length} payload bytes, "
-                f"got {len(payload)}"
-            )
-        if hashlib.sha256(payload).digest() != digest:
-            raise ModelBlobError("corrupt model blob: SHA-256 checksum mismatch")
-        return payload
-    if data[:2] == b"PK":  # legacy bare npz archive
-        return data
-    raise ModelBlobError(
-        "not a model blob: missing checkpoint envelope and npz magic"
-    )
+    """Validate the envelope and return the npz payload."""
+    if data[: len(BLOB_MAGIC)] != BLOB_MAGIC:
+        raise ModelBlobError("not a model blob: missing checkpoint envelope")
+    offset = len(BLOB_MAGIC)
+    if len(data) < offset + _BLOB_HEADER.size:
+        raise ModelBlobError(
+            f"truncated model blob: {len(data)} bytes is shorter than the envelope"
+        )
+    length, digest = _BLOB_HEADER.unpack_from(data, offset)
+    payload = data[offset + _BLOB_HEADER.size:]
+    if len(payload) != length:
+        raise ModelBlobError(
+            f"truncated model blob: envelope declares {length} payload bytes, "
+            f"got {len(payload)}"
+        )
+    if hashlib.sha256(payload).digest() != digest:
+        raise ModelBlobError("corrupt model blob: SHA-256 checksum mismatch")
+    return payload
 
 
 def validate_model_blob(data: bytes) -> None:
@@ -140,33 +131,27 @@ def _from_archive(archive) -> TrainResult:
 
 
 def save_model(path: str | Path, result: TrainResult) -> None:
-    """Save a trained model + scalers to ``path`` (.npz).
+    """Write :func:`save_model_bytes` of ``result`` to exactly ``path``.
 
     Args:
         path: destination file; parent directories must exist.
         result: the :class:`TrainResult` from training.
     """
-    np.savez_compressed(Path(path), **_payload(result))
+    Path(path).write_bytes(save_model_bytes(result))
 
 
 def load_model(path: str | Path) -> TrainResult:
-    """Load a model saved by :func:`save_model`.
+    """Load a checkpoint file — one written by :func:`save_model` or a
+    registry spill — with :func:`load_model_bytes`.
 
     Returns:
         A :class:`TrainResult` with the restored model (in eval mode) and
         scalers; ``loss_history`` is empty.
 
     Raises:
-        KeyError: if the archive is missing required entries.
+        ModelBlobError: on truncated, corrupted, or undecodable bytes.
     """
-    path = Path(path)
-    with path.open("rb") as handle:
-        head = handle.read(len(BLOB_MAGIC))
-    if head == BLOB_MAGIC:
-        # A spilled checkpoint blob (envelope form) written straight to disk.
-        return load_model_bytes(path.read_bytes())
-    with np.load(path) as archive:
-        return _from_archive(archive)
+    return load_model_bytes(Path(path).read_bytes())
 
 
 def save_model_bytes(result: TrainResult) -> bytes:

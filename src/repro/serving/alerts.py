@@ -44,6 +44,8 @@ from collections import deque
 from dataclasses import dataclass, field
 from math import sqrt
 
+from .journal import record_event
+
 __all__ = [
     "Alert",
     "AlertEngine",
@@ -376,13 +378,13 @@ class AlertEngine:
             self.transitions_total += len(transitions)
         # Journal outside the lock: the journal takes its own lock and
         # does IO; holding ours across that invites ordering deadlocks.
-        if self.journal is not None:
-            for move in transitions:
-                self.journal.record(
-                    "alert.transition",
-                    trace_id=move.get("trace_id"),
-                    **{k: v for k, v in move.items() if k != "trace_id"},
-                )
+        for move in transitions:
+            record_event(
+                self.journal,
+                "alert.transition",
+                trace_id=move.get("trace_id"),
+                **{k: v for k, v in move.items() if k != "trace_id"},
+            )
         # Observers also run outside the lock (they may call back into
         # alerts()/series()); journal first so an incident report can
         # already see its own triggering transition in the journal.

@@ -1,12 +1,14 @@
 """Clients: the existing evaluator interface, served over any transport.
 
 Both clients speak the same protocol as
-:class:`~repro.autotuner.LearnedEvaluator` (they satisfy
-:class:`~repro.autotuner.TileScorer` and
-:class:`~repro.autotuner.ProgramCostModel`), so ``model_tile_autotune``
+:class:`~repro.autotuner.LearnedEvaluator` — ``score_tiles_batched``
+(:class:`~repro.autotuner.TileScorer`), ``kernel_runtime``,
+``program_runtime`` and ``program_runtimes_batched``
+(:class:`~repro.autotuner.ProgramCostModel`) — so ``model_tile_autotune``
 and ``model_fusion_autotune`` run against a shared service unchanged —
 point N tuner threads or processes at one service and their queries
-coalesce into the same micro-batches.
+coalesce into the same micro-batches. A tile query travels as a
+``TileScoresRequest``.
 
 * :class:`ServiceEvaluator` — the in-process path: submits straight into
   the service's scheduler. Against a service without a worker thread it
@@ -164,16 +166,13 @@ class EvaluatorClient:
         under a canary rollout policy."""
         return bool(self.last_response and self.last_response.canary)
 
-    def tile_scores(self, kernel: Kernel, tiles: list[TileConfig]) -> np.ndarray:
-        """Rank scores for candidate tiles of one kernel (lower = faster)."""
-        response = self._call(TileScoresRequest(kernel=kernel, tiles=tuple(tiles)))
-        return np.asarray(response.unwrap())
-
     def score_tiles_batched(self, kernel: Kernel, tiles: list[TileConfig]) -> np.ndarray:
-        """Population-level tile scoring entry point (empty-safe)."""
+        """Rank scores for candidate tiles of one kernel (lower = faster;
+        an empty list scores empty without a round trip)."""
         if not tiles:
             return np.zeros(0, dtype=np.float32)
-        return self.tile_scores(kernel, tiles)
+        response = self._call(TileScoresRequest(kernel=kernel, tiles=tuple(tiles)))
+        return np.asarray(response.unwrap())
 
     def kernel_runtime(self, kernel: Kernel, tile: TileConfig | None = None) -> float:
         """Predicted absolute runtime in seconds (``tile`` ignored, as in

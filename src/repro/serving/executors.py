@@ -61,6 +61,7 @@ from ..autotuner.evaluators import LearnedEvaluator
 from ..compiler.kernels import Kernel
 from ..compiler.tiling import TileConfig
 from .faults import FaultInjector, FaultPlan
+from .journal import record_event
 from .placement import RebalancePlan, ShardMap
 from .protocol import lru_touch
 from .registry import ModelRegistry
@@ -508,17 +509,6 @@ class ProcessShardExecutor(Executor):
             process.kill()
             process.join(timeout=5)
 
-    def _journal(self, kind: str, **fields) -> None:
-        """Record a worker lifecycle event; never allowed to fail a
-        dispatch (the journal only takes its own lock, so calling under
-        a shard lock cannot deadlock)."""
-        if self.journal is None:
-            return
-        try:
-            self.journal.record(kind, **fields)
-        except Exception:
-            pass
-
     def _spawn_locked(self, shard: _Shard) -> None:
         """(Re)start ``shard``'s worker; caller holds ``shard.lock``."""
         respawn = shard.process is not None
@@ -548,7 +538,8 @@ class ProcessShardExecutor(Executor):
         shard.known.clear()
         shard.loaded.clear()
         if respawn:
-            self._journal(
+            record_event(
+                self.journal,
                 "worker.respawn",
                 shard=shard.index,
                 restarts=shard.restarts,
@@ -588,7 +579,8 @@ class ProcessShardExecutor(Executor):
         if shard.process is None or not shard.process.is_alive():
             suppressed = shard.backoff.remaining()
             if suppressed > 0:
-                self._journal(
+                record_event(
+                    self.journal,
                     "worker.respawn_suppressed",
                     shard=shard.index,
                     remaining_s=suppressed,

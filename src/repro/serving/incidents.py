@@ -37,6 +37,8 @@ import time
 from collections import deque
 from math import sqrt
 
+from .journal import record_event
+
 __all__ = ["IncidentReporter"]
 
 #: Journal kinds that describe *operator-visible state changes* — the
@@ -400,29 +402,24 @@ class IncidentReporter:
     # ------------------------------------------------------------------ #
 
     def _journal_report(self, report: dict) -> None:
-        if self._service is None or self._service.journal is None:
+        if self._service is None:
             return
         journal = self._service.journal
+        trace_id = report["rule"].get("trace_id")
         top = report["causes"][0] if report["causes"] else None
-        try:
-            journal.record(
-                "incident.open",
-                trace_id=report["rule"].get("trace_id"),
-                id=report["id"],
-                rule=report["rule"].get("name"),
-                severity=report["rule"].get("severity"),
-                top_cause=top["cause"] if top else None,
-                causes=len(report["causes"]),
-            )
-            # The full payload too: a replayed journal carries its own
-            # post-mortems (reports are bounded, journals rotate).
-            journal.record(
-                "incident.report",
-                trace_id=report["rule"].get("trace_id"),
-                **{k: v for k, v in report.items()},
-            )
-        except Exception:
-            pass
+        record_event(
+            journal,
+            "incident.open",
+            trace_id=trace_id,
+            id=report["id"],
+            rule=report["rule"].get("name"),
+            severity=report["rule"].get("severity"),
+            top_cause=top["cause"] if top else None,
+            causes=len(report["causes"]),
+        )
+        # The full payload too: a replayed journal carries its own
+        # post-mortems (reports are bounded, journals rotate).
+        record_event(journal, "incident.report", trace_id=trace_id, **report)
 
     # ------------------------------------------------------------------ #
     # readout

@@ -26,10 +26,11 @@ Design rules:
   rotated generations oldest-first, so event order is preserved across
   rotation.
 * **Zero overhead when absent.** Components hold ``journal = None`` by
-  default and every hook site is a single ``is not None`` check — the
-  same discipline as the fault injector and the tracer. The journal is
-  duck-typed at those sites: anything with a ``record(kind, **fields)``
-  method works (tests use in-memory fakes).
+  default and record through :func:`record_event`, whose first act is
+  one ``is None`` check — the same discipline as the fault injector and
+  the tracer. The journal is duck-typed there: anything with a
+  ``record(kind, trace_id=None, **fields)`` method works (tests use
+  in-memory fakes), and a journal that raises never fails its caller.
 
 Events are plain dicts with reserved keys ``seq`` (monotone per journal
 lineage, survives reopen), ``ts`` (wall clock, injectable), ``kind``
@@ -47,7 +48,22 @@ import time
 from collections import deque
 from pathlib import Path
 
-__all__ = ["OpsJournal"]
+__all__ = ["OpsJournal", "record_event"]
+
+
+def record_event(journal, kind: str, trace_id: str | None = None, **fields) -> dict | None:
+    """Record one event in ``journal`` if one is attached; returns the
+    entry as written, or ``None`` when there is no journal or it failed.
+
+    Observability must never fail the operation it observes, so whatever
+    ``journal.record`` raises is swallowed here.
+    """
+    if journal is None:
+        return None
+    try:
+        return journal.record(kind, trace_id=trace_id, **fields)
+    except Exception:
+        return None
 
 
 class OpsJournal:

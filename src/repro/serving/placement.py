@@ -44,6 +44,7 @@ import threading
 import time
 from dataclasses import dataclass, field
 
+from .journal import record_event
 from .replica import shard_of
 
 #: Default bucket count: enough granularity to split any realistic hot
@@ -282,7 +283,9 @@ class PlacementController:
     scrape). Each step ingests one stats interval; a plan is only
     emitted when skew persisted for ``hysteresis`` consecutive
     intervals *and* the cooldown expired, and it is applied through the
-    service so the map swap lands at a micro-batch boundary.
+    service so the map swap lands at a micro-batch boundary and recorded
+    in the service's ops journal (when one is attached) as a
+    ``placement.rebalance`` event.
     """
 
     def __init__(
@@ -290,13 +293,9 @@ class PlacementController:
         service,
         config: PlacementConfig | None = None,
         clock=time.monotonic,
-        journal=None,
     ) -> None:
         self.service = service
         self.config = config or PlacementConfig()
-        #: Duck-typed ops journal; every applied rebalance plan lands as
-        #: a ``placement.rebalance`` event when present.
-        self.journal = journal
         self._clock = clock
         self._lock = threading.Lock()
         # Serializes whole step() cycles: two concurrent steppers must
@@ -551,17 +550,14 @@ class PlacementController:
         if plan is None:
             return None
         summary = self.service.rebalance(plan)
-        if self.journal is not None:
-            try:
-                self.journal.record(
-                    "placement.rebalance",
-                    reason=plan.reason,
-                    moves=len(plan.moves),
-                    num_shards=plan.new_map.num_shards,
-                    map_version=plan.new_map.version,
-                )
-            except Exception:
-                pass
+        record_event(
+            self.service.journal,
+            "placement.rebalance",
+            reason=plan.reason,
+            moves=len(plan.moves),
+            num_shards=plan.new_map.num_shards,
+            map_version=plan.new_map.version,
+        )
         with self._lock:
             self._last_rebalance_at = self._clock()
             self._skewed_streak = 0

@@ -49,6 +49,7 @@ import numpy as np
 from ..autotuner.evaluators import LearnedEvaluator
 from ..compiler.kernels import Kernel
 from ..compiler.tiling import TileConfig
+from .journal import record_event
 from .protocol import TileScoresRequest
 
 __all__ = ["GoldenProbe", "SyntheticProber"]
@@ -283,7 +284,8 @@ class SyntheticProber:
             self.sweeps += 1
             self.last_sweep = summary
             self._next_due = started + self.interval_s
-        self._journal(
+        record_event(
+            self.journal,
             "probe.sweep",
             probes=len(verdicts),
             failures=failures,
@@ -343,7 +345,8 @@ class SyntheticProber:
         }
         entry = None
         if outcome == "fail":
-            entry = self._journal(
+            entry = record_event(
+                self.journal,
                 "probe.failure",
                 trace_id=trace_id,
                 frontend=frontend,
@@ -391,14 +394,6 @@ class SyntheticProber:
                     unknown["first_failure_seq"] = None
             self._recent.append(verdict)
         return verdict
-
-    def _journal(self, kind: str, trace_id=None, **fields):
-        if self.journal is None:
-            return None
-        try:
-            return self.journal.record(kind, trace_id=trace_id, **fields)
-        except Exception:
-            return None
 
     # ------------------------------------------------------------------ #
     # schedule

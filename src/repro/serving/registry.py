@@ -37,6 +37,7 @@ from ..models.serialize import (
     validate_model_blob,
 )
 from ..models.trainer import TrainResult
+from .journal import record_event
 
 #: Version names double as spill file names, so they are restricted to
 #: filesystem-safe characters.
@@ -87,19 +88,9 @@ class ModelRegistry:
         self._active: str | None = None
         self._staged: str | None = None
         self._counter = 0
-        #: Duck-typed ops journal (anything with ``record(kind, **f)``);
+        #: Duck-typed ops journal, written through ``record_event``;
         #: ``None`` by default — every hook below is one None-check.
         self.journal = None
-
-    def _journal(self, kind: str, **fields) -> None:
-        """Record a lifecycle event; never under the registry lock, and
-        never allowed to fail a registry operation."""
-        if self.journal is None:
-            return
-        try:
-            self.journal.record(kind, **fields)
-        except Exception:
-            pass
 
     def publish(
         self,
@@ -163,7 +154,8 @@ class ModelRegistry:
                 self._staged = version
             self._prune_materialized_locked()
             self._prune_retention_locked()
-        self._journal(
+        record_event(
+            self.journal,
             "registry.publish", version=version, activated=activate, staged=stage
         )
         return version
@@ -184,7 +176,8 @@ class ModelRegistry:
                 self._staged = None
             self._prune_materialized_locked()
             self._prune_retention_locked()
-        self._journal(
+        record_event(
+            self.journal,
             "registry.activate",
             version=version,
             previous=previous,
@@ -223,7 +216,7 @@ class ModelRegistry:
                         "both active and staged"
                     )
                 self._staged = result
-            self._journal("registry.stage", version=result)
+            record_event(self.journal, "registry.stage", version=result)
             return result
         return self.publish(result, version=version, activate=False, stage=True)
 
@@ -236,7 +229,7 @@ class ModelRegistry:
             self._prune_materialized_locked()
             self._prune_retention_locked()
         if cleared is not None:
-            self._journal("registry.clear_staged", version=cleared)
+            record_event(self.journal, "registry.clear_staged", version=cleared)
 
     @property
     def staged_version(self) -> str | None:
@@ -363,7 +356,8 @@ class ModelRegistry:
             directory / _MANIFEST_NAME,
             json.dumps(manifest, indent=2).encode(),
         )
-        self._journal(
+        record_event(
+            self.journal,
             "registry.spill",
             directory=str(directory),
             versions=len(order),
@@ -415,7 +409,8 @@ class ModelRegistry:
         # Attach the journal only after the interior publish/activate
         # replays — the restore is one event, not a re-run of history.
         registry.journal = journal
-        registry._journal(
+        record_event(
+            registry.journal,
             "registry.load",
             directory=str(directory),
             versions=len(registry.versions),

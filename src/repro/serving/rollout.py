@@ -42,6 +42,7 @@ from abc import ABC, abstractmethod
 from dataclasses import dataclass
 
 from .feedback import FeedbackCollector, request_key
+from .journal import record_event
 from .protocol import Request
 
 #: Rollout state-machine states (module constants, JSON-friendly).
@@ -268,7 +269,9 @@ class RolloutController:
     The controller is intentionally *pulled*, not threaded: callers
     invoke :meth:`step` at their own cadence (per request, per batch,
     per tick) and get the current state back. All transitions are
-    serialized under one lock, so concurrent steppers are safe.
+    serialized under one lock, so concurrent steppers are safe, and each
+    is recorded in the service's ops journal (when one is attached) as a
+    ``rollout.transition`` event.
     """
 
     def __init__(
@@ -277,14 +280,10 @@ class RolloutController:
         feedback: FeedbackCollector,
         config: RolloutConfig | None = None,
         clock=time.monotonic,
-        journal=None,
     ) -> None:
         self.service = service
         self.feedback = feedback
         self.config = config or RolloutConfig()
-        #: Duck-typed ops journal; every phase transition is recorded as
-        #: a ``rollout.transition`` event when present.
-        self.journal = journal
         self._clock = clock
         self._lock = threading.Lock()
         self.state = IDLE
@@ -448,19 +447,16 @@ class RolloutController:
             at=time.time(),
         )
         self.transitions.append(transition)
-        if self.journal is not None:
-            # Safe under our lock: the journal only takes its own lock
-            # and never calls back out. Never allowed to fail a rollout.
-            try:
-                self.journal.record(
-                    "rollout.transition",
-                    state=state,
-                    reason=reason,
-                    staged_version=self.staged,
-                    staged_samples=transition.staged_samples,
-                )
-            except Exception:
-                pass
+        # Safe under our lock: the journal only takes its own lock and
+        # never calls back out.
+        record_event(
+            self.service.journal,
+            "rollout.transition",
+            state=state,
+            reason=reason,
+            staged_version=self.staged,
+            staged_samples=transition.staged_samples,
+        )
         return state
 
     def describe(self) -> dict:

@@ -100,14 +100,6 @@ class MicroBatcher:
             sparser than the window (waiting cannot coalesce), restore the
             full window while they are dense — and cut a batch early once
             arrivals have stopped (see :meth:`cut_wait`).
-        gap_ema_alpha: EMA smoothing weight for the inter-arrival gap.
-            The first observed gap initializes the EMA directly (a lone
-            synchronous client flips to the zero-wait regime on its
-            second request); afterwards a small weight keeps one long
-            inter-burst gap — e.g. the execution time of the previous
-            batch, during which every client was blocked — from spiking
-            the estimate above the window and prematurely cutting the
-            next batch.
         max_pending: admission-control bound on the queue — a submission
             arriving with this many requests already pending is shed
             immediately with a typed :class:`~.resilience.Overloaded`
@@ -117,6 +109,15 @@ class MicroBatcher:
             of their own (``None`` = no default; such requests never
             expire).
     """
+
+    #: Smoothing weight of the inter-arrival gap EMAs. The first observed
+    #: gap initializes an EMA directly (a lone synchronous client flips to
+    #: the zero-wait regime on its second request); afterwards a small
+    #: weight keeps one long inter-burst gap — e.g. the execution time of
+    #: the previous batch, during which every client was blocked — from
+    #: spiking the estimate above the window and prematurely cutting the
+    #: next batch.
+    _GAP_EMA_ALPHA = 0.1
 
     #: Cap on one observed inter-arrival gap: a single long idle pause
     #: (e.g. between benchmark phases) must not dominate the EMA for the
@@ -139,7 +140,6 @@ class MicroBatcher:
         max_batch_size: int = 64,
         flush_interval_s: float = 0.002,
         adaptive_flush: bool = False,
-        gap_ema_alpha: float = 0.1,
         max_pending: int = 0,
         default_deadline_s: float | None = None,
     ) -> None:
@@ -147,14 +147,11 @@ class MicroBatcher:
             raise ValueError("max_batch_size must be >= 1")
         if flush_interval_s < 0:
             raise ValueError("flush_interval_s must be >= 0")
-        if not 0.0 < gap_ema_alpha <= 1.0:
-            raise ValueError("gap_ema_alpha must be in (0, 1]")
         if max_pending < 0:
             raise ValueError("max_pending must be >= 0 (0 = unbounded)")
         self.max_batch_size = max_batch_size
         self.flush_interval_s = flush_interval_s
         self.adaptive_flush = adaptive_flush
-        self.gap_ema_alpha = gap_ema_alpha
         self.max_pending = max_pending
         self.default_deadline_s = default_deadline_s
         self._gap_ema: float | None = None
@@ -227,7 +224,7 @@ class MicroBatcher:
     def _smoothed(self, ema: float | None, gap: float) -> float:
         if ema is None:
             return gap
-        return (1.0 - self.gap_ema_alpha) * ema + self.gap_ema_alpha * gap
+        return (1.0 - self._GAP_EMA_ALPHA) * ema + self._GAP_EMA_ALPHA * gap
 
     @property
     def arrival_gap_ema_s(self) -> float | None:

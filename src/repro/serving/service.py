@@ -93,6 +93,7 @@ from .executors import (
 )
 from .faults import FaultInjector
 from .feedback import FeedbackCollector, request_key
+from .journal import record_event
 from .placement import DEFAULT_BUCKETS, RebalancePlan, ShardMap
 from .protocol import (
     ERROR_DEADLINE_EXCEEDED,
@@ -614,19 +615,6 @@ class CostModelService:
                 self._telemetry = self._build_telemetry()
             return self._telemetry
 
-    def _journal_event(self, kind: str, trace_id: str | None = None, **fields):
-        """Record a lifecycle event in the attached ops journal.
-
-        One ``None``-check on the hot path; a journal failure is
-        swallowed — observability must never fail a request.
-        """
-        if self.journal is None:
-            return
-        try:
-            self.journal.record(kind, trace_id=trace_id, **fields)
-        except Exception:
-            pass
-
     def attach_alerts(self, engine) -> None:
         """Install an :class:`~repro.serving.alerts.AlertEngine`.
 
@@ -960,7 +948,8 @@ class CostModelService:
                 on_transition = None
                 if self.journal is not None:
                     on_transition = (
-                        lambda frm, to, _shard=shard: self._journal_event(
+                        lambda frm, to, _shard=shard: record_event(
+                            self.journal,
                             "breaker.transition",
                             shard=_shard,
                             **{"from": frm, "to": to},
@@ -1323,7 +1312,8 @@ class CostModelService:
             )
             if degraded:
                 self.stats.count("degraded")
-                self._journal_event(
+                record_event(
+                    self.journal,
                     "service.degraded",
                     trace_id=trace_id,
                     shard=shard,

@@ -1,11 +1,13 @@
 """Tests for search strategies, evaluators, and the tile/fusion autotuners."""
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.autotuner import (
     AnalyticalEvaluator,
     HardwareEvaluator,
     LearnedEvaluator,
+    SearchResult,
     exhaustive_tile_autotune,
     genetic_search,
     hardware_fusion_autotune,
@@ -42,30 +44,33 @@ class TestSearchStrategies:
     def cost(self, x):
         return (x - 3.0) ** 2
 
+    def costs(self, xs):
+        return [self.cost(x) for x in xs]
+
     def test_random_search_finds_low_cost(self):
         rng = np.random.default_rng(0)
-        res = random_search(lambda r: float(r.uniform(-10, 10)), self.cost, 200, rng)
+        res = random_search(lambda r: float(r.uniform(-10, 10)), self.costs, 200, rng)
         assert res.best_cost < 0.5
         assert len(res.visited) == 200
 
     def test_simulated_annealing_improves(self):
         rng = np.random.default_rng(0)
         res = simulated_annealing(
-            10.0, self.cost, lambda x, r: x + float(r.normal(0, 0.5)), 300, rng
+            [10.0], self.costs, lambda x, r: x + float(r.normal(0, 0.5)), 300, rng
         )
         assert res.best_cost < self.cost(10.0)
         assert res.best_cost <= min(c for _, c in res.visited) + 1e-12
 
     def test_simulated_annealing_zero_steps(self):
         rng = np.random.default_rng(0)
-        res = simulated_annealing(5.0, self.cost, lambda x, r: x, 0, rng)
+        res = simulated_annealing([5.0], self.costs, lambda x, r: x, 0, rng)
         assert res.best_state == 5.0
 
     def test_genetic_search(self):
         rng = np.random.default_rng(0)
         res = genetic_search(
             sample=lambda r: float(r.uniform(-10, 10)),
-            cost_fn=self.cost,
+            cost_fn=self.costs,
             crossover=lambda a, b, r: (a + b) / 2,
             mutate=lambda x, r: x + float(r.normal(0, 0.2)),
             rng=rng,
@@ -73,6 +78,70 @@ class TestSearchStrategies:
             generations=8,
         )
         assert res.best_cost < 1.0
+
+
+def _scalar_annealing(initial, cost_fn, neighbor_fn, steps, rng,
+                      initial_temperature=1.0, final_temperature=1e-3):
+    """The scalar simulated annealing the population annealer replaced,
+    kept verbatim as the reference its one-chain run must repeat."""
+    current = initial
+    current_cost = cost_fn(current)
+    scale = max(abs(current_cost), 1e-30)
+    best_state, best_cost = current, current_cost
+    result = SearchResult(best_state, best_cost)
+    result.visited.append((current, current_cost))
+    if steps <= 0:
+        return result
+    alpha = (final_temperature / initial_temperature) ** (1.0 / steps)
+    temp = initial_temperature
+    for step in range(steps):
+        candidate = neighbor_fn(current, rng)
+        cost = cost_fn(candidate)
+        result.visited.append((candidate, cost))
+        delta = (cost - current_cost) / scale
+        if delta <= 0 or rng.random() < np.exp(-delta / max(temp, 1e-12)):
+            current, current_cost = candidate, cost
+            result.history.append((step, cost))
+        if cost < best_cost:
+            best_state, best_cost = candidate, cost
+        temp *= alpha
+    result.best_state = best_state
+    result.best_cost = best_cost
+    return result
+
+
+class TestOneChainAnnealing:
+    """One chain of the population annealer is the scalar annealer: same
+    states visited, same acceptances, same best, bit for bit."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+        steps=st.integers(min_value=0, max_value=60),
+        x0=st.floats(-10, 10),
+        centre=st.floats(-5, 5),
+        curvature=st.floats(0.01, 4.0),
+        ripple=st.floats(0.0, 2.0),
+        frequency=st.floats(0.1, 5.0),
+        sigma=st.floats(0.01, 3.0),
+    )
+    def test_matches_the_scalar_reference(
+        self, seed, steps, x0, centre, curvature, ripple, frequency, sigma
+    ):
+        def cost(x):
+            return curvature * (x - centre) ** 2 + ripple * float(np.sin(frequency * x))
+
+        def neighbor(x, r):
+            return x + sigma * float(r.normal())
+
+        expected = _scalar_annealing(x0, cost, neighbor, steps, np.random.default_rng(seed))
+        got = simulated_annealing(
+            [x0], lambda xs: [cost(x) for x in xs], neighbor, steps, np.random.default_rng(seed)
+        )
+        assert got.best_state == expected.best_state
+        assert got.best_cost == expected.best_cost
+        assert got.history == expected.history
+        assert got.visited == expected.visited
 
 
 class TestEvaluators:
@@ -95,7 +164,7 @@ class TestEvaluators:
         ev = AnalyticalEvaluator()
         k = kernels[0]
         tiles = enumerate_tile_sizes(k)[:5]
-        scores = ev.tile_scores(k, tiles)
+        scores = ev.score_tiles_batched(k, tiles)
         assert scores.shape == (len(tiles),)
         assert (scores > 0).all()
 

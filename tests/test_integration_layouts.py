@@ -50,7 +50,7 @@ class TestLayoutModelIntegration:
         ev = LearnedEvaluator(res.model, res.scalers)
         k = skinny_kernel()
         layout, cost = best_output_layout(
-            k, lambda kk: float(ev.tile_scores(kk, [default_tile(kk)])[0]), cap=2
+            k, lambda kk: float(ev.score_tiles_batched(kk, [default_tile(kk)])[0]), cap=2
         )
         assert np.isfinite(cost)
         assert layout in (Layout((1, 0)), Layout((0, 1)))

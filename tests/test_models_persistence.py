@@ -4,6 +4,7 @@ import pytest
 
 from repro.data import build_fusion_dataset, build_tile_dataset
 from repro.models import (
+    ModelBlobError,
     ModelConfig,
     TrainConfig,
     fine_tune,
@@ -15,6 +16,7 @@ from repro.models import (
     save_model_bytes,
     train_fusion_model,
     train_tile_model,
+    validate_model_blob,
 )
 from repro.workloads import sequence, vision
 
@@ -96,6 +98,17 @@ class TestSaveLoad:
         # The two transports must agree exactly — same archive format.
         for name, arr in via_bytes.model.state_dict().items():
             np.testing.assert_array_equal(arr, via_file.model.state_dict()[name])
+
+    def test_model_file_is_the_sealed_blob(self, tile_result, tmp_path):
+        _, res = tile_result
+        path = tmp_path / "m.ckpt"
+        save_model(path, res)
+        data = bytearray(path.read_bytes())
+        validate_model_blob(bytes(data))
+        data[len(data) // 2] ^= 0xFF
+        path.write_bytes(bytes(data))
+        with pytest.raises(ModelBlobError, match="checksum"):
+            load_model(path)
 
     def test_scaler_state_preserved(self, tile_result, tmp_path):
         _, res = tile_result

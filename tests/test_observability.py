@@ -370,6 +370,22 @@ class TestAlertStateMachine:
         assert events[0]["trace_id"] == "t-exemplar-1"
         assert events[0]["name"] == "depth"
 
+    def test_raising_journal_neither_escapes_nor_starves_observers(self):
+        class _BrokenJournal:
+            def record(self, kind, trace_id=None, **fields):
+                raise OSError("disk gone")
+
+        engine = AlertEngine(
+            rules=[ThresholdRule(name="depth", metric="queue_depth", threshold=10.0)],
+            clock=FakeClock(),
+            journal=_BrokenJournal(),
+        )
+        observed = []
+        engine.observers.append(observed.append)
+        moves = engine.evaluate({"queue_depth": 50.0})
+        assert [(m["from"], m["to"]) for m in moves] == [("inactive", "firing")]
+        assert observed == moves
+
     def test_duplicate_rule_name_rejected(self):
         engine = AlertEngine(
             rules=[ThresholdRule(name="x", metric="m", threshold=1.0)]

@@ -10,8 +10,8 @@ import pytest
 from repro.autotuner import (
     LearnedEvaluator,
     genetic_search,
-    parallel_annealing,
     random_search,
+    simulated_annealing,
 )
 from repro.compiler import enumerate_tile_sizes
 from repro.data import (
@@ -174,7 +174,7 @@ class TestBatchedTileScoring:
         tiles = enumerate_tile_sizes(record.kernel)[:12]
         cold = LearnedEvaluator(evaluator.model, scalers, cache=False)
         np.testing.assert_array_equal(
-            cold.tile_scores(record.kernel, tiles),
+            cold.score_tiles_batched(record.kernel, tiles),
             evaluator.score_tiles_batched(record.kernel, tiles),
         )
 
@@ -185,7 +185,7 @@ class TestBatchedTileScoring:
         tiles = enumerate_tile_sizes(record.kernel)[:12]
         cold = LearnedEvaluator(evaluator.model, scalers, cache=False)
         per_tile = np.concatenate(
-            [cold.tile_scores(record.kernel, [t]) for t in tiles]
+            [cold.score_tiles_batched(record.kernel, [t]) for t in tiles]
         )
         batched = evaluator.score_tiles_batched(record.kernel, tiles)
         np.testing.assert_allclose(per_tile, batched, rtol=1e-4, atol=1e-7)
@@ -326,44 +326,77 @@ class TestNoSciPyConstructorsOnTheCachedPath:
         np.testing.assert_array_equal(scores, model.predict(assemble_batch(items, scalers)))
 
 
+def _scalar_random_search(sample, cost_fn, steps, rng):
+    """Reference: one draw, one scalar price, in turn."""
+    best_state, best_cost = None, float("inf")
+    visited, history = [], []
+    for step in range(steps):
+        state = sample(rng)
+        cost = cost_fn(state)
+        visited.append((state, cost))
+        if cost < best_cost:
+            best_state, best_cost = state, cost
+            history.append((step, cost))
+    return best_state, best_cost, visited, history
+
+
+def _scalar_genetic_search(sample, cost_fn, crossover, mutate, rng, population, generations, elite):
+    """Reference: the elitist genetic search pricing one individual at a time."""
+    pop = [(s, cost_fn(s)) for s in [sample(rng) for _ in range(population)]]
+    visited = list(pop)
+    for _ in range(generations):
+        pop.sort(key=lambda t: t[1])
+        parents = pop[:elite]
+        children = list(parents)
+        offspring = []
+        while len(children) + len(offspring) < population:
+            a = parents[rng.integers(0, elite)][0]
+            b = parents[rng.integers(0, elite)][0]
+            offspring.append(mutate(crossover(a, b, rng), rng))
+        scored = [(s, cost_fn(s)) for s in offspring]
+        children.extend(scored)
+        visited.extend(scored)
+        pop = children
+    pop.sort(key=lambda t: t[1])
+    return pop[0][0], pop[0][1], visited
+
+
 class TestBatchedSearch:
     @staticmethod
     def _cost(state):
         return float((state - 3.7) ** 2)
 
+    def _costs(self, states):
+        return [self._cost(s) for s in states]
+
     def test_random_search_batched_identical(self):
         sample = lambda rng: float(rng.normal())
-        seq = random_search(sample, self._cost, 40, np.random.default_rng(0))
-        bat = random_search(
-            sample,
-            self._cost,
-            40,
-            np.random.default_rng(0),
-            batch_cost_fn=lambda states: [self._cost(s) for s in states],
+        best_state, best_cost, visited, history = _scalar_random_search(
+            sample, self._cost, 40, np.random.default_rng(0)
         )
-        assert seq.best_state == bat.best_state
-        assert seq.best_cost == bat.best_cost
-        assert seq.visited == bat.visited
-        assert seq.history == bat.history
+        bat = random_search(sample, self._costs, 40, np.random.default_rng(0))
+        assert bat.best_state == best_state
+        assert bat.best_cost == best_cost
+        assert bat.visited == visited
+        assert bat.history == history
 
     def test_genetic_search_batched_identical(self):
         sample = lambda rng: float(rng.normal())
         crossover = lambda a, b, rng: (a + b) / 2
         mutate = lambda s, rng: s + float(rng.normal()) * 0.1
-        seq = genetic_search(
+        best_state, best_cost, visited = _scalar_genetic_search(
             sample, self._cost, crossover, mutate, np.random.default_rng(1),
             population=8, generations=4, elite=2,
         )
         bat = genetic_search(
-            sample, self._cost, crossover, mutate, np.random.default_rng(1),
+            sample, self._costs, crossover, mutate, np.random.default_rng(1),
             population=8, generations=4, elite=2,
-            batch_cost_fn=lambda states: [self._cost(s) for s in states],
         )
-        assert seq.best_state == bat.best_state
-        assert seq.best_cost == bat.best_cost
-        assert seq.visited == bat.visited
+        assert bat.best_state == best_state
+        assert bat.best_cost == best_cost
+        assert bat.visited == visited
 
-    def test_parallel_annealing_improves_and_batches(self):
+    def test_annealing_chains_improve_and_batch(self):
         calls = []
 
         def batch_cost(states):
@@ -371,7 +404,7 @@ class TestBatchedSearch:
             return [self._cost(s) for s in states]
 
         neighbor = lambda s, rng: s + float(rng.normal()) * 0.5
-        result = parallel_annealing(
+        result = simulated_annealing(
             [0.0, 10.0, -5.0], batch_cost, neighbor, steps=50,
             rng=np.random.default_rng(2),
         )
@@ -379,9 +412,9 @@ class TestBatchedSearch:
         assert len(result.visited) == 3 * 51
         assert all(n == 3 for n in calls)  # one batched call per step
 
-    def test_parallel_annealing_rejects_empty(self):
+    def test_annealing_rejects_no_chains(self):
         with pytest.raises(ValueError):
-            parallel_annealing(
+            simulated_annealing(
                 [], lambda s: [], lambda s, r: s, steps=1,
                 rng=np.random.default_rng(0),
             )

@@ -203,6 +203,7 @@ class _FakeService:
         self.stats = ServingStats()
         self.pressure = 0.0
         self.applied = []
+        self.journal = None
         outer = self
 
         class _Scheduler:
@@ -290,6 +291,29 @@ class TestPlacementController:
         assert len(buckets_kept) < 4  # uniform 16/4 = 4 before
         assert controller.rebalances == 1
         assert service.stats.snapshot()["placement_changes"] == 1.0
+
+    def test_applied_plan_is_journaled_through_the_service(self):
+        class _Journal:
+            def __init__(self):
+                self.events = []
+
+            def record(self, kind, trace_id=None, **fields):
+                self.events.append({"kind": kind, **fields})
+
+        service = _FakeService()
+        service.journal = _Journal()
+        controller = _controller(service)
+        for _ in range(2):
+            service.drive({0: 48, 1: 4, 2: 4, 3: 4})
+            controller.step()
+        plan = service.applied[0]
+        assert service.journal.events == [{
+            "kind": "placement.rebalance",
+            "reason": plan.reason,
+            "moves": len(plan.moves),
+            "num_shards": plan.new_map.num_shards,
+            "map_version": plan.new_map.version,
+        }]
 
     def test_cooldown_blocks_back_to_back_rebalances(self):
         clock = _FakeClock()

@@ -38,6 +38,7 @@ from repro.serving import (
     FullActivation,
     InThreadExecutor,
     ModelRegistry,
+    OpsJournal,
     Response,
     RolloutConfig,
     RolloutController,
@@ -459,7 +460,7 @@ class TestCanaryServing:
         try:
             client = ServiceEvaluator(service)
             for request in _request_stream(records, 40):
-                client.tile_scores(request.kernel, list(request.tiles))
+                client.score_tiles_batched(request.kernel, list(request.tiles))
                 expected = policy.route(request, "good")
                 assert client.model_version == expected
                 assert client.served_by_canary == (expected == "bad")
@@ -540,8 +541,8 @@ class TestCanaryServing:
             budget = 200
             requests_used = None
             for i, request in enumerate(_request_stream(records, budget)):
-                scores = client.tile_scores(request.kernel, list(request.tiles))
-                reference = plain_client.tile_scores(
+                scores = client.score_tiles_batched(request.kernel, list(request.tiles))
+                reference = plain_client.score_tiles_batched(
                     request.kernel, list(request.tiles)
                 )
                 if client.model_version == "good":
@@ -566,7 +567,7 @@ class TestCanaryServing:
             assert isinstance(service.get_rollout(), FullActivation)
             post = ServiceEvaluator(service)
             for request in _request_stream(records, 8):
-                post.tile_scores(request.kernel, list(request.tiles))
+                post.score_tiles_batched(request.kernel, list(request.tiles))
                 assert post.model_version == "good"
             per_version = service.metrics()["per_version"]
             assert per_version["bad"]["canary"] > 0
@@ -605,7 +606,7 @@ class TestCanaryServing:
             client = ServiceEvaluator(service)
             states = {SHADOW}
             for request in _request_stream(records, 120):
-                client.tile_scores(request.kernel, list(request.tiles))
+                client.score_tiles_batched(request.kernel, list(request.tiles))
                 if controller.state == SHADOW:
                     assert client.model_version == "good"  # shadow never serves
                 feedback.record_measurement(
@@ -619,7 +620,7 @@ class TestCanaryServing:
             assert registry.active_version == staged
             assert registry.staged_version is None
             after = ServiceEvaluator(service)
-            after.tile_scores(records[0].kernel, enumerate_tile_sizes(records[0].kernel)[:4])
+            after.score_tiles_batched(records[0].kernel, enumerate_tile_sizes(records[0].kernel)[:4])
             assert after.model_version == staged
         finally:
             service.stop()
@@ -638,6 +639,23 @@ class TestCanaryServing:
             assert controller.step() == ROLLED_BACK  # idempotent once settled
         finally:
             service.stop()
+
+    def test_transitions_are_journaled_through_the_service(self, result_a, tmp_path):
+        registry = ModelRegistry()
+        registry.publish(result_a, version="good")
+        feedback = FeedbackCollector()
+        with OpsJournal(tmp_path / "ops.jsonl") as journal:
+            service = CostModelService(
+                registry, ServiceConfig(), feedback=feedback, journal=journal
+            )
+            try:
+                RolloutController(service, feedback).stage(result_a, version="next")
+            finally:
+                service.stop()
+            events = journal.timeline(("rollout.",))
+        assert [(e["kind"], e["state"], e["staged_version"]) for e in events] == [
+            ("rollout.transition", SHADOW, "next")
+        ]
 
     def test_undecided_rollout_rolls_back_after_budget(self, corpus, result_a):
         """A staged version stuck between the margins must not limp
@@ -989,7 +1007,7 @@ class TestPoliciesOnBothExecutors:
         rollout_service.set_rollout(FullActivation())
         client = ServiceEvaluator(rollout_service, timeout_s=120.0)
         for request in _request_stream(records, 8):
-            client.tile_scores(request.kernel, list(request.tiles))
+            client.score_tiles_batched(request.kernel, list(request.tiles))
             assert client.model_version == "good"
             assert not client.served_by_canary
 
@@ -999,7 +1017,7 @@ class TestPoliciesOnBothExecutors:
         rollout_service.set_rollout(policy)
         client = ServiceEvaluator(rollout_service, timeout_s=120.0)
         for request in _request_stream(records, 24):
-            client.tile_scores(request.kernel, list(request.tiles))
+            client.score_tiles_batched(request.kernel, list(request.tiles))
             assert client.model_version == policy.route(request, "good")
         assert set(client.version_counts) == {"good", "bad"}
 
@@ -1010,7 +1028,7 @@ class TestPoliciesOnBothExecutors:
         rollout_service.set_rollout(ShadowScore("bad", 1.0))
         client = ServiceEvaluator(rollout_service, timeout_s=120.0)
         for request in _request_stream(records, 10):
-            scores = client.tile_scores(request.kernel, list(request.tiles))
+            scores = client.score_tiles_batched(request.kernel, list(request.tiles))
             assert client.model_version == "good"  # responses: active only
             assert client.last_response.shadowed_by == "bad"
             # Ground truth = the active model's own ranking: the negated
@@ -1030,7 +1048,7 @@ class TestPoliciesOnBothExecutors:
         rollout_service.set_rollout(CanaryFraction("bad", 1.0))
         client = ServiceEvaluator(rollout_service, timeout_s=120.0)
         for request in _request_stream(records, 6):
-            scores = client.tile_scores(request.kernel, list(request.tiles))
+            scores = client.score_tiles_batched(request.kernel, list(request.tiles))
             assert client.model_version == "bad"
             assert client.served_by_canary
             reference = staged_direct.score_tiles_batched(
@@ -1057,7 +1075,7 @@ class TestTwoLiveVersions:
         try:
             client = ServiceEvaluator(service)
             for request in _request_stream(records, 24):
-                client.tile_scores(request.kernel, list(request.tiles))
+                client.score_tiles_batched(request.kernel, list(request.tiles))
             assert service.metrics()["evaluator_live_versions"] == 2
         finally:
             service.stop()
@@ -1073,7 +1091,7 @@ class TestTwoLiveVersions:
         try:
             client = ServiceEvaluator(service, timeout_s=120.0)
             for request in _request_stream(records, 32):
-                client.tile_scores(request.kernel, list(request.tiles))
+                client.score_tiles_batched(request.kernel, list(request.tiles))
             details = service.executor.shard_stats()
             assert all(d["restarts"] == 0 for d in details)
             assert any(d["live_versions"] == 2 for d in details)
@@ -1163,7 +1181,7 @@ class TestContinuousLearningHook:
         try:
             client = ServiceEvaluator(service)
             for request in _request_stream(records, n):
-                client.tile_scores(request.kernel, list(request.tiles))
+                client.score_tiles_batched(request.kernel, list(request.tiles))
                 feedback.record_measurement(
                     request_key(request),
                     tile_measurement(simulator, request.kernel, request.tiles),

@@ -313,7 +313,8 @@ class TestAdaptiveFlush:
         assert mb.effective_flush_interval() == 0.05
 
     def test_sparse_then_dense_recovers_batching(self):
-        mb = MicroBatcher(flush_interval_s=0.05, adaptive_flush=True, gap_ema_alpha=0.5)
+        mb = MicroBatcher(flush_interval_s=0.05, adaptive_flush=True)
+        mb._GAP_EMA_ALPHA = 0.5
         _arrive(mb, (0.0, 0.08))
         assert mb.effective_flush_interval() == 0.0
         _arrive(mb, [0.08 + 1e-5 * i for i in range(1, 9)], first_joins=True)
