@@ -2,10 +2,9 @@
 
 :func:`forward` computes exactly what
 :meth:`~repro.models.model.LearnedPerformanceModel.forward` computes in eval
-mode under ``no_grad()`` — same scores, same dtype, bitwise, with the one
-exception stated below — but on plain ``ndarray``s: no
-:class:`~repro.nn.tensor.Tensor` per intermediate, no backward closure per
-op, no mode flip on the module. It is what
+mode under ``no_grad()`` — same scores, same dtype, bitwise — but on plain
+``ndarray``s: no :class:`~repro.nn.tensor.Tensor` per intermediate, no
+backward closure per op, no mode flip on the module. It is what
 ``LearnedPerformanceModel.predict`` runs; the tape ``forward`` stays for
 training and as the oracle the tests compare this module against.
 
@@ -18,21 +17,13 @@ edited: every matmul, reduction and transcendental (``exp``, ``tanh``,
 on the tape, in the same order, because BLAS kernels, pairwise summation and
 SIMD math routines may round differently for a different layout. Only
 exactly-rounded elementwise arithmetic (``+ - * /``) and pure data movement
-are free to be hoisted or shared. There is one exception, and it is the only
-place the rule does not hold: the LSTM reduction on a batch whose graphs
-differ in node count. The tape steps every row to the longest graph;
-:func:`_lstm` steps a row only through its own nodes, so the gate matmul of
-a late step sees fewer rows than on the tape and BLAS may round it
-differently — scores there agree with the tape to ``rtol=1e-5``, not bit
-for bit. A batch whose graphs all have one node count (every single-kernel
-forward: tile search, a served batch holding one kernel) keeps the tape's
-shapes at every step, and every other reduction keeps them always. Python scalars the tape lifts to float32
-tensors are float32 constants here. Parameters are not always float32 —
-``Adam.step`` leaves them float64 until the next ``load_state_dict`` — and
-the tape rounds every op result back to float32, so each op that reads a
-parameter is followed by the same rounding (:func:`_f32`, free when the
-parameter is float32 already). Dropout is the identity in eval mode and does
-not appear.
+are free to be hoisted or shared. Where the tape already runs one ndarray
+function, this module calls that function rather than restating it: the
+relu kernel (``nn.tensor.relu_array``) and the whole LSTM reduction
+(``nn.rnn.lstm_final_state``, which steps each graph only through its own
+nodes on both paths). Python scalars the tape lifts to float32 tensors are
+float32 constants here. Dropout is the identity in eval mode and does not
+appear.
 """
 from __future__ import annotations
 
@@ -40,42 +31,24 @@ import math
 
 import numpy as np
 
-_ZERO = np.float32(0.0)
-_ONE = np.float32(1.0)
+from ..nn.rnn import lstm_final_state
+from ..nn.tensor import relu_array, sigmoid_array
+
 _LEAKY_SLOPE = np.float32(0.2)  # GATLayer's LeakyReLU
 _L2_EPS = np.float32(1e-12)  # nn.layers.l2_normalize default
 
 
-def _f32(x: np.ndarray) -> np.ndarray:
-    """What ``Tensor(x).data`` holds for a float array."""
-    return x.astype(np.float32, copy=False)
-
-
 # ------------------------------------------------------------------ nn.layers
-def _relu(x: np.ndarray) -> np.ndarray:
-    """``np.where(x > 0, x, 0.0)`` — the tape's relu — for every float32 bit
-    pattern, at a tenth of the cost on a large array: ``fmax`` drops NaN
-    as ``NaN > 0`` does, and adding +0.0 turns a surviving -0.0 into the
-    +0.0 ``where`` writes while changing nothing else."""
-    y = np.fmax(x, _ZERO)
-    y += _ZERO
-    return y
-
-
-def _sigmoid(x: np.ndarray) -> np.ndarray:
-    return 1.0 / (1.0 + np.exp(-x))
-
-
 def _dense(layer, x: np.ndarray) -> np.ndarray:
-    y = _f32(x @ layer.weight.data)
+    y = x @ layer.weight.data
     if layer.bias is not None:
-        y = _f32(y + layer.bias.data)
+        y = y + layer.bias.data
     if layer.activation == "relu":
-        return _relu(y)
+        return relu_array(y)
     if layer.activation == "tanh":
         return np.tanh(y)
     if layer.activation == "sigmoid":
-        return _sigmoid(y)
+        return sigmoid_array(y)
     return y
 
 
@@ -87,7 +60,7 @@ def _layer_norm(layer, x: np.ndarray) -> np.ndarray:
     centered = x - _mean_last(x)
     var = _mean_last(centered * centered)
     inv = (var + np.float32(layer.eps)) ** -0.5
-    return _f32(_f32(centered * inv * layer.gain.data) + layer.shift.data)
+    return centered * inv * layer.gain.data + layer.shift.data
 
 
 # ------------------------------------------------------------------ nn.sparse
@@ -122,7 +95,7 @@ def _graphsage(layer, x: np.ndarray, adj_in, adj_out) -> np.ndarray:
 def _gat(layer, x: np.ndarray, edges: np.ndarray, num_nodes: int) -> np.ndarray:
     h = _dense(layer.proj, x)
     if len(edges) == 0:
-        return _relu(h)
+        return relu_array(h)
     src, dst = edges[:, 0], edges[:, 1]
     scores = _dense(layer.attn_src, x)[src] + _dense(layer.attn_dst, x)[dst]
     scores = np.maximum(scores, scores * _LEAKY_SLOPE)
@@ -132,52 +105,10 @@ def _gat(layer, x: np.ndarray, edges: np.ndarray, num_nodes: int) -> np.ndarray:
     agg = _segment_sum(
         weighted.reshape(len(edges), layer.heads * layer.head_dim), dst, num_nodes
     )
-    return _relu(agg)
+    return relu_array(agg)
 
 
 # ----------------------------------------------------------------- reductions
-def _lstm(lstm, nodes: np.ndarray, batch) -> np.ndarray:
-    """Final hidden state of ``nn.rnn.LSTM`` over each graph's node sequence.
-
-    The tape pads every graph to the longest one and freezes a row's state
-    once its sequence has ended, so a step only has to run the rows still
-    inside theirs. ``pad_mask`` rows are prefixes (True for a graph's
-    ``n`` nodes); gathered longest first, the rows alive at step ``t`` are
-    a prefix that shrinks with ``t``. Rows that have ended are written to
-    the result (in input order) and dropped; the loop body is the tape's on
-    the rows that remain. When every graph has the same node count no row
-    is ever dropped: the tape's shapes, the tape's bits.
-    """
-    cell = lstm.cell
-    hd = cell.hidden_dim
-    order = np.argsort(-batch.pad_mask.sum(axis=1), kind="stable")
-    mask = batch.pad_mask[order]
-    x = nodes[batch.pad_index[order]]  # [b, t, d]; pad slots repeat node 0
-    keep = mask.astype(np.float32)
-    drop = _ONE - keep
-    out = np.empty((len(order), hd), dtype=np.float32)
-    h = np.zeros((len(order), hd), dtype=np.float32)
-    c = np.zeros((len(order), hd), dtype=np.float32)
-    for t, n in enumerate(mask.sum(axis=0).tolist()):  # n rows reach step t
-        if n < len(h):
-            out[order[n : len(h)]] = h[n:]
-            x, keep, drop, h, c = x[:n], keep[:n], drop[:n], h[:n], c[:n]
-        z = _dense(cell.gates, np.concatenate([x[:, t, :], h], axis=-1))
-        i = _sigmoid(z[:, 0 * hd : 1 * hd])
-        f = _sigmoid(z[:, 1 * hd : 2 * hd] + _ONE)  # forget-gate bias of 1
-        g = np.tanh(z[:, 2 * hd : 3 * hd])
-        o = _sigmoid(z[:, 3 * hd : 4 * hd])
-        c_next = f * c + i * g
-        h_next = o * np.tanh(c_next)
-        # All ones and all zeros on the rows that remain; kept because
-        # ``h * 0`` carries h's sign (and NaN) into the sum as on the tape.
-        step, frozen = keep[:, t : t + 1], drop[:, t : t + 1]
-        h = h_next * step + h * frozen
-        c = c_next * step + c * frozen
-    out[order[: len(h)]] = h
-    return out
-
-
 def _masked_softmax(x: np.ndarray, mask: np.ndarray) -> np.ndarray:
     x = np.where(mask, x, -1e30)
     x = x - x.max(axis=-1, keepdims=True)
@@ -234,7 +165,7 @@ def forward(model, batch) -> np.ndarray:
     static = cfg.use_static_features
 
     parts = [
-        _f32(model.opcode_embedding.table.data[np.asarray(batch.opcodes, dtype=np.int64)]),
+        model.opcode_embedding.table.data[np.asarray(batch.opcodes, dtype=np.int64)],
         batch.node_feats,
     ]
     if tile and cfg.tile_placement == "node":
@@ -274,7 +205,9 @@ def forward(model, batch) -> np.ndarray:
             [mean, (_padded_view(x, batch) + floor).max(axis=1)], axis=-1
         )
     elif cfg.reduction == "lstm":
-        kernel_emb = _lstm(model.lstm, x, batch)
+        kernel_emb, _ = lstm_final_state(
+            model.lstm.cell.gates.weight.data, _padded_view(x, batch), batch.pad_mask
+        )
     else:
         kernel_emb = _transformer(model.encoder, _padded_view(x, batch), batch.pad_mask)
 

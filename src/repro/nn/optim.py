@@ -6,6 +6,8 @@ dropout; the optimizer surface here mirrors those knobs.
 """
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .tensor import Tensor
@@ -97,9 +99,10 @@ class Adam(Optimizer):
     def step(self) -> None:
         self.step_count += 1
         t = self.step_count
-        lr = self.lr
         b1, b2 = self.beta1, self.beta2
-        correction = np.sqrt(1.0 - b2**t) / (1.0 - b1**t)
+        # A Python float, so parameters stay float32: a NumPy double-precision
+        # scalar would promote every parameter it multiplies.
+        step_size = self.lr * math.sqrt(1.0 - b2**t) / (1.0 - b1**t)
         for p, m, v in zip(self.params, self.m, self.v):
             if p.grad is None:
                 continue
@@ -108,4 +111,4 @@ class Adam(Optimizer):
             m += (1.0 - b1) * g
             v *= b2
             v += (1.0 - b2) * (g * g)
-            p.data = p.data - lr * correction * m / (np.sqrt(v) + self.eps)
+            p.data = p.data - step_size * m / (np.sqrt(v) + self.eps)

@@ -1,10 +1,113 @@
-"""LSTM sequence modules (kernel-embedding reduction option 2 in the paper)."""
+"""LSTM sequence modules (kernel-embedding reduction option 2 in the paper).
+
+:func:`lstm_final_state` is the reduction's one implementation: the tape's
+:class:`LSTM` records it as a single node whose backward is
+:func:`lstm_final_state_backward`, and ``models.inference`` calls it
+directly, so ``predict`` and the training forward run the same arithmetic
+on the same shapes and agree bit for bit on every batch.
+"""
 from __future__ import annotations
 
 import numpy as np
 
 from .layers import Dense, Module
-from .tensor import Tensor
+from .tensor import Tensor, recording, sigmoid_array
+
+
+def lstm_final_state(
+    weight: np.ndarray, x: np.ndarray, mask: np.ndarray, record: bool = False
+) -> tuple[np.ndarray, tuple | None]:
+    """Final hidden state of each row of a padded batch of sequences.
+
+    Each row is stepped only through its own elements. Rows are taken
+    longest first, so the rows still inside their sequence at step ``t`` are
+    a prefix that shrinks with ``t``; a row whose sequence has ended is
+    written to the result (in input order) and dropped. When every row has
+    the same length no row is ever dropped and every step sees the whole
+    batch. The cell is :class:`LSTMCell`'s: ``[x_t, h] @ weight`` split into
+    input, forget (bias 1), cell and output gates.
+
+    Args:
+        weight: [dim + hidden, 4 * hidden] gate projection.
+        x: [batch, time, dim] padded inputs; pad slots are never read.
+        mask: [batch, time] boolean, True on a prefix of each row (the
+            row's sequence).
+        record: keep the per-step activations
+            :func:`lstm_final_state_backward` needs; off, nothing outlives
+            its step.
+
+    Returns:
+        ``(h, saved)``: a fresh float32 [batch, hidden] array, and the
+        backward's state (``None`` unless ``record``).
+    """
+    hd = weight.shape[1] // 4
+    order = np.argsort(-mask.sum(axis=1), kind="stable")
+    x = x[order]
+    out = np.empty((len(order), hd), dtype=np.float32)
+    h = np.zeros((len(order), hd), dtype=np.float32)
+    c = np.zeros((len(order), hd), dtype=np.float32)
+    steps = []
+    for t, n in enumerate(mask.sum(axis=0).tolist()):  # n rows reach step t
+        if n < len(h):
+            out[order[n : len(h)]] = h[n:]
+            h, c = h[:n], c[:n]
+        xh = np.concatenate([x[:n, t, :], h], axis=-1)
+        z = xh @ weight
+        i = sigmoid_array(z[:, 0 * hd : 1 * hd])
+        f = sigmoid_array(z[:, 1 * hd : 2 * hd] + 1.0)  # forget-gate bias of 1
+        g = np.tanh(z[:, 2 * hd : 3 * hd])
+        o = sigmoid_array(z[:, 3 * hd : 4 * hd])
+        c_prev, c = c, f * c + i * g
+        tc = np.tanh(c)
+        h = o * tc
+        if record:
+            steps.append((xh, i, f, g, o, c_prev, tc))
+    out[order[: len(h)]] = h
+    return out, ((weight, x.shape, order, steps) if record else None)
+
+
+def lstm_final_state_backward(saved: tuple, grad: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Backpropagation through time for :func:`lstm_final_state`.
+
+    Args:
+        saved: the second value :func:`lstm_final_state` returned under
+            ``record=True``.
+        grad: [batch, hidden] gradient of the final states.
+
+    Returns:
+        ``(dx, dweight)``: [batch, time, dim], zero on pad slots, and the
+        gate projection's [dim + hidden, 4 * hidden].
+    """
+    weight, shape, order, steps = saved
+    dim = shape[2]
+    dh = np.asarray(grad, dtype=np.float32)[order]
+    dc = np.zeros_like(dh)
+    dx = np.zeros(shape, dtype=np.float32)
+    dweight = np.zeros(weight.shape, dtype=np.float32)
+    for t in reversed(range(len(steps))):
+        xh, i, f, g, o, c_prev, tc = steps[t]
+        n = len(xh)
+        dh_t = dh[:n]
+        # Every product runs in the order the chain rule over LSTMCell's
+        # tape ops multiplies, so equal-length batches get its bits.
+        dc_t = dc[:n] + dh_t * o * (1.0 - tc * tc)
+        dz = np.concatenate(
+            [
+                dc_t * g * i * (1.0 - i),
+                dc_t * c_prev * f * (1.0 - f),
+                dc_t * i * (1.0 - g * g),
+                dh_t * tc * o * (1.0 - o),
+            ],
+            axis=-1,
+        )
+        dweight += xh.T @ dz
+        dxh = dz @ weight.T
+        dx[:n, t, :] = dxh[:, :dim]
+        dh[:n] = dxh[:, dim:]
+        dc[:n] = dc_t * f
+    unsorted = np.empty_like(dx)
+    unsorted[order] = dx
+    return unsorted, dweight
 
 
 class LSTMCell(Module):
@@ -32,9 +135,10 @@ class LSTM(Module):
     """Batched LSTM over padded sequences, returning the final state.
 
     The paper's LSTM reduction runs over topologically sorted node
-    embeddings and keeps the final state as the kernel embedding; sequences
-    in a batch have different lengths, so a boolean mask freezes (h, c)
-    after each sequence's end.
+    embeddings and keeps the final state as the kernel embedding. One tape
+    node: the forward is :func:`lstm_final_state` over ``cell``'s gate
+    weight, which steps each sequence only through its own elements, and
+    the backward is :func:`lstm_final_state_backward`.
     """
 
     def __init__(self, input_dim: int, hidden_dim: int, rng: np.random.Generator | None = None) -> None:
@@ -47,18 +151,14 @@ class LSTM(Module):
 
         Args:
             x: [batch, time, dim] padded inputs.
-            mask: [batch, time] boolean; True where a real element exists.
+            mask: [batch, time] boolean; True where a real element exists
+                (a prefix of each row).
 
         Returns:
             [batch, hidden] final hidden state of each sequence.
         """
-        batch, time, _ = x.shape
-        h = Tensor(np.zeros((batch, self.hidden_dim), dtype=np.float32))
-        c = Tensor(np.zeros((batch, self.hidden_dim), dtype=np.float32))
-        for t in range(time):
-            xt = x[:, t, :]
-            h_new, c_new = self.cell(xt, h, c)
-            step = Tensor(mask[:, t : t + 1].astype(np.float32))
-            h = h_new * step + h * (1.0 - step)
-            c = c_new * step + c * (1.0 - step)
-        return h
+        weight = self.cell.gates.weight
+        h, saved = lstm_final_state(
+            weight.data, x.data, mask, record=recording(x, weight)
+        )
+        return x._make(h, (x, weight), lambda g: lstm_final_state_backward(saved, g))

@@ -1,23 +1,21 @@
 """The inference contract: ``predict`` ≡ tape ``forward`` (eval, no_grad), bitwise.
 
 ``repro.models.inference`` re-implements the forward pass on plain arrays;
-the autograd ``forward`` is the oracle. Every comparison here is exact —
-same dtype, same shape, ``np.array_equal`` — with one stated exception: the
-LSTM reduction on a batch whose graphs differ in node count steps each row
-only through its own nodes, so its late gate matmuls see fewer rows than
-the tape's; there the contract is ``rtol=1e-5, atol=1e-7``.
+the autograd ``forward`` is the oracle. Every comparison of the two is
+exact — same dtype, same shape, ``np.array_equal`` — for every reduction
+and every batch. Only one row scored in two different batches is compared
+by tolerance: a matmul over a different row count may round differently.
 """
 import itertools
 import sys
 import threading
 import time
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.data import assemble_batch
+from repro.data import KernelCache, assemble_batch, build_tile_dataset
 from repro.data.batching import _pad_views
 from repro.data.features import (
     NODE_FEATURE_DIM,
@@ -26,9 +24,18 @@ from repro.data.features import (
     KernelFeatures,
 )
 from repro.hlo.opcodes import NUM_OPCODES
-from repro.models import LearnedPerformanceModel, ModelConfig, inference
-from repro.nn import Adam, Module, Tensor, no_grad
-from repro.nn.rnn import LSTM
+from repro.models import (
+    LearnedPerformanceModel,
+    ModelConfig,
+    TrainConfig,
+    fine_tune,
+    load_model_bytes,
+    save_model_bytes,
+    train_tile_model,
+)
+from repro.nn import SGD, Adam, Module, Tensor, no_grad
+from repro.nn.rnn import LSTM, lstm_final_state
+from repro.workloads import vision
 
 SMALL = dict(
     hidden_dim=16, opcode_embedding_dim=8, lstm_hidden=12, gnn_layers=2, node_final_layers=1
@@ -83,19 +90,18 @@ def assert_bitwise(got, expected):
 
 
 def assert_close(got, expected):
-    """The packed-LSTM tolerance (mixed node counts only)."""
+    """One row scored in two batches of different shapes."""
     assert got.dtype == expected.dtype == np.float32
     assert got.shape == expected.shape
     np.testing.assert_allclose(got, expected, rtol=1e-5, atol=1e-7)
 
 
 def assert_matches_tape(model, batch):
-    """Bitwise, except where the module docstring says otherwise."""
-    got, expected = model.predict(batch), tape_reference(model, batch)
-    if model.config.reduction == "lstm" and len(set(batch.context.sizes)) > 1:
-        assert_close(got, expected)
-    else:
-        assert_bitwise(got, expected)
+    assert_bitwise(model.predict(batch), tape_reference(model, batch))
+
+
+def assert_float32(model):
+    assert {p.data.dtype for p in model.parameters()} == {np.dtype(np.float32)}
 
 
 @pytest.fixture(scope="module")
@@ -131,11 +137,10 @@ class TestPredictEqualsTapeForward:
             model = LearnedPerformanceModel(cfg, seed=1)
             for batch in batches:
                 assert_matches_tape(model, batch)
-            # Adam.step leaves the parameters it updates float64; the tape
-            # rounds each op back to float32 and predict must round with it.
+            # Trained weights, still float32: predict reads them live.
             model(batches[1]).sum().backward()
             Adam(model.parameters(), lr=1e-2).step()
-            assert any(p.data.dtype == np.float64 for p in model.parameters())
+            assert_float32(model)
             for batch in batches:
                 assert_matches_tape(model, batch)
 
@@ -189,29 +194,31 @@ def lstm_config(**overrides):
 
 
 def after_adam_step(model, batch):
-    """Leave ``model``'s parameters float64, as ``Adam.step`` does."""
+    """One ``Adam.step`` on ``model``: trained weights, still float32."""
     model(batch).sum().backward()
     Adam(model.parameters(), lr=1e-2).step()
-    assert any(p.data.dtype == np.float64 for p in model.parameters())
+    assert_float32(model)
 
 
 class TestPackedLstm:
-    """``_lstm`` runs each row only through its own nodes, longest rows
-    first, and puts the result back in input order."""
+    """``lstm_final_state`` runs each row only through its own nodes,
+    longest rows first, and puts the result back in input order — on the
+    recording tape exactly as without it."""
 
     @staticmethod
     def both(lengths, seed=0, dim=16, hidden=12):
-        """(packed, tape) final states for sequences of ``lengths``."""
+        """(untraced, traced) final states for sequences of ``lengths``."""
         rng = np.random.default_rng(seed)
         lstm = LSTM(dim, hidden, rng=rng)
         nodes = rng.standard_normal((max(sum(lengths), 1), dim)).astype(np.float32)
         pad_index, pad_mask = _pad_views(list(lengths))
-        packed = inference._lstm(
-            lstm, nodes, SimpleNamespace(pad_index=pad_index, pad_mask=pad_mask)
+        packed, saved = lstm_final_state(
+            lstm.cell.gates.weight.data, nodes[pad_index], pad_mask
         )
-        with no_grad():
-            tape = lstm(Tensor(nodes[pad_index]), pad_mask).numpy()
-        return packed, tape
+        assert saved is None
+        traced = lstm(Tensor(nodes[pad_index], requires_grad=True), pad_mask)
+        assert traced.requires_grad
+        return packed, traced.numpy()
 
     @pytest.mark.parametrize("lengths", [(1,), (7,), (5, 5, 5), (23,) * 64, (1, 1)])
     def test_equal_lengths_are_the_tape_bit_for_bit(self, lengths):
@@ -224,7 +231,7 @@ class TestPackedLstm:
     )
     def test_mixed_and_empty_sequences_match_the_tape(self, lengths):
         packed, tape = self.both(lengths)
-        assert_close(packed, tape)
+        assert_bitwise(packed, tape)
         for row, n in enumerate(lengths):
             if n == 0:  # never stepped: the initial state
                 assert not packed[row].any()
@@ -232,7 +239,9 @@ class TestPackedLstm:
     def test_result_is_fresh_and_in_input_order(self):
         lengths = (2, 9, 5, 9, 1)
         first, tape = self.both(lengths)
-        assert_close(first, tape)  # row i of the result is sequence i
+        # Row i is sequence i: test_nn_sequence_graph checks the order
+        # against the stepwise tape, which never reorders.
+        assert_bitwise(first, tape)
         expected = first.copy()
         first[:] = 0.0  # a caller scribbling on its result
         again, _ = self.both(lengths)
@@ -306,6 +315,73 @@ class TestPredictReadsLiveWeights:
         expected = first.copy()
         first[:] = 0.0  # a caller scribbling on its result
         assert_bitwise(model.predict(batches[1]), expected)
+
+
+class TestParametersStayFloat32:
+    def test_training_keeps_float32_and_the_checkpoint_format(self):
+        ds = build_tile_dataset(
+            [vision.image_embed(0)], max_kernels_per_program=3, max_tiles_per_kernel=4, seed=0
+        )
+        cfg = ModelConfig.paper_best_tile().with_overrides(**SMALL)
+        result = train_tile_model(ds.records, cfg, TrainConfig(steps=50, log_every=25))
+        model = result.model
+        assert_float32(model)  # after 50 Adam steps
+
+        model.train()
+        batch = KernelCache(result.scalers).assemble(
+            [(r.features, r.tile_feats[0], float(r.runtimes[0]), 0) for r in ds.records]
+        )
+        optimizer = SGD(model.parameters(), lr=1e-4, momentum=0.9)
+        for _ in range(50):
+            optimizer.zero_grad()
+            model(batch).sum().backward()
+            optimizer.step()
+        assert_float32(model)
+
+        result = fine_tune(result, ds.records, TrainConfig(steps=5, log_every=5))
+        assert_float32(result.model)
+
+        state = result.model.state_dict()
+        loaded = load_model_bytes(save_model_bytes(result)).model.state_dict()
+        assert list(loaded) == list(state)
+        for name, array in state.items():
+            assert_bitwise(loaded[name], array)
+
+        # The parameter names every sealed checkpoint is keyed by.
+        backbone = [
+            "opcode_embedding.table",
+            "input_proj.weight",
+            "gnn_layers.0.agg_in.weight",
+            "gnn_layers.0.agg_out.weight",
+            "gnn_layers.0.update.weight",
+            "gnn_layers.1.agg_in.weight",
+            "gnn_layers.1.agg_out.weight",
+            "gnn_layers.1.update.weight",
+            "gnn_layers.2.agg_in.weight",
+            "gnn_layers.2.agg_out.weight",
+            "gnn_layers.2.update.weight",
+            "node_final.layers.0.weight",
+            "node_final.layers.1.weight",
+        ]
+        tile = LearnedPerformanceModel(ModelConfig.paper_best_tile())
+        assert list(tile.state_dict()) == [*backbone, "lstm.cell.gates.weight", "head.weight"]
+        fusion = LearnedPerformanceModel(ModelConfig.paper_best_fusion())
+        assert list(fusion.state_dict()) == [
+            *backbone,
+            "encoder.blocks.0.norm1.gain",
+            "encoder.blocks.0.norm1.shift",
+            "encoder.blocks.0.attn.wq.weight",
+            "encoder.blocks.0.attn.wk.weight",
+            "encoder.blocks.0.attn.wv.weight",
+            "encoder.blocks.0.attn.wo.weight",
+            "encoder.blocks.0.norm2.gain",
+            "encoder.blocks.0.norm2.shift",
+            "encoder.blocks.0.ff1.weight",
+            "encoder.blocks.0.ff2.weight",
+            "encoder.final_norm.gain",
+            "encoder.final_norm.shift",
+            "head.weight",
+        ]
 
 
 class TestPredictBesideTraining:

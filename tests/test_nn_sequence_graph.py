@@ -2,6 +2,7 @@
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import given, settings, strategies as st
 
 from repro.nn import (
     LSTM,
@@ -12,9 +13,40 @@ from repro.nn import (
     MultiHeadAttention,
     Tensor,
     TransformerEncoder,
+    no_grad,
 )
 
 rng = np.random.default_rng(3)
+
+
+def _tape_lstm(lstm, x, mask):
+    """The stepwise tape LSTM: ``LSTMCell`` looped over every time step of
+    the padded batch, (h, c) frozen by a mask blend after a row's end. The
+    one-node :class:`LSTM` is checked against it."""
+    batch, time, _ = x.shape
+    h = Tensor(np.zeros((batch, lstm.hidden_dim), dtype=np.float32))
+    c = Tensor(np.zeros((batch, lstm.hidden_dim), dtype=np.float32))
+    for t in range(time):
+        xt = x[:, t, :]
+        h_new, c_new = lstm.cell(xt, h, c)
+        step = Tensor(mask[:, t : t + 1].astype(np.float32))
+        h = h_new * step + h * (1.0 - step)
+        c = c_new * step + c * (1.0 - step)
+    return h
+
+
+def _padded(lengths, dim, seed):
+    """Random [batch, max(lengths), dim] inputs and their prefix mask; pad
+    slots hold values of their own, which no output may see."""
+    r = np.random.default_rng(seed)
+    lengths = np.asarray(lengths)
+    x = r.normal(size=(len(lengths), int(lengths.max()), dim)).astype(np.float32)
+    mask = np.arange(x.shape[1])[None, :] < lengths[:, None]
+    return x, mask
+
+
+def _grad(p):
+    return p.grad if p.grad is not None else np.zeros_like(p.data)
 
 
 class TestLSTM:
@@ -54,6 +86,83 @@ class TestLSTM:
         lstm(x, np.ones((2, 3), dtype=bool)).sum().backward()
         assert x.grad is not None
         assert any(p.grad is not None for p in lstm.parameters())
+
+
+class TestLstmAgainstTheStepwiseTape:
+    """:class:`LSTM` against :func:`_tape_lstm`: forward bitwise when every
+    row has one length (the same matmul shapes at every step), within
+    float32 rounding otherwise; ``x.grad`` and the gate weight's gradient
+    within float32 rounding always."""
+
+    @given(
+        lengths=st.one_of(
+            st.lists(st.integers(0, 23), min_size=1, max_size=9),
+            st.tuples(st.integers(0, 23), st.integers(1, 9)).map(lambda nb: [nb[0]] * nb[1]),
+        ),
+        traced=st.booleans(),
+        seed=st.integers(0, 2**16),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_matches_the_stepwise_tape(self, lengths, traced, seed):
+        dim, hidden = 5, 6
+        x_data, mask = _padded(lengths, dim, seed)
+        upstream = np.random.default_rng(seed + 1).normal(size=(len(lengths), hidden))
+        outs, grads = [], []
+        for run in (lambda lstm, x: lstm(x, mask), lambda lstm, x: _tape_lstm(lstm, x, mask)):
+            lstm = LSTM(dim, hidden, rng=np.random.default_rng(seed))
+            x = Tensor(x_data, requires_grad=True)
+            if traced:
+                out = run(lstm, x)
+                (out * Tensor(upstream)).sum().backward()
+                grads.append((_grad(x), _grad(lstm.cell.gates.weight)))
+            else:
+                with no_grad():
+                    out = run(lstm, x)
+                assert not out.requires_grad
+            outs.append(out.numpy())
+        (got, want) = outs
+        assert got.dtype == want.dtype == np.float32
+        if len(set(lengths)) == 1:
+            assert np.array_equal(got, want)
+        else:
+            np.testing.assert_allclose(got, want, rtol=1e-5, atol=1e-7)
+        for row, n in enumerate(lengths):
+            if n == 0:  # never stepped: the initial state
+                assert not got[row].any()
+        if traced:
+            (dx, dw), (dx_want, dw_want) = grads
+            assert dx.dtype == dw.dtype == np.float32
+            np.testing.assert_allclose(dx, dx_want, rtol=1e-5, atol=1e-6)
+            np.testing.assert_allclose(dw, dw_want, rtol=1e-5, atol=1e-6)
+            assert not dx[~mask].any()  # pad slots get no gradient
+
+    def test_gradients_match_central_differences(self):
+        lengths, dim, hidden = (3, 1, 2), 3, 4
+        x_data, mask = _padded(lengths, dim, seed=17)
+        upstream = np.random.default_rng(18).normal(size=(len(lengths), hidden))
+        lstm = LSTM(dim, hidden, rng=np.random.default_rng(19))
+        weight = lstm.cell.gates.weight
+        x = Tensor(x_data, requires_grad=True)
+        (lstm(x, mask) * Tensor(upstream)).sum().backward()
+
+        def loss():
+            with no_grad():
+                out = lstm(Tensor(x_data), mask).numpy()
+            return float((out.astype(np.float64) * upstream).sum())
+
+        eps = 1e-2
+        for array, grad in ((x_data, x.grad), (weight.data, weight.grad)):
+            numeric = np.zeros(array.shape)
+            for idx in np.ndindex(array.shape):
+                old = array[idx]
+                array[idx] = old + eps
+                plus = loss()
+                array[idx] = old - eps
+                minus = loss()
+                array[idx] = old
+                numeric[idx] = (plus - minus) / (2 * eps)
+            np.testing.assert_allclose(grad, numeric, rtol=1e-2, atol=1e-3)
+        assert not x.grad[~mask].any()
 
 
 class TestAttention:

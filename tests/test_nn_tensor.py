@@ -1,10 +1,19 @@
 """Gradient-correctness and semantics tests for the autodiff engine."""
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
 from repro.nn import Tensor, no_grad, ones, zeros
+from repro.nn.tensor import relu_array
+
+#: float32 bit patterns: NaNs (quiet, signalling, negative), ±0, ±inf,
+#: smallest and largest subnormals of both signs, ±1.
+SPECIAL_BITS = [
+    0x7FC00000, 0x7F800001, 0xFFC00001, 0x00000000, 0x80000000, 0x7F800000,
+    0xFF800000, 0x00000001, 0x007FFFFF, 0x80000001, 0x807FFFFF, 0x3F800000,
+    0xBF800000,
+]
 
 
 def numeric_grad(f, x: np.ndarray, eps: float = 1e-3) -> np.ndarray:
@@ -59,6 +68,18 @@ class TestElementwiseGrads:
 
     def test_relu(self):
         check_grad(lambda x: x.relu() * 2.0, rng.normal(size=(6,)) + 0.3)
+
+    @given(st.lists(st.integers(0, 2**32 - 1), min_size=1, max_size=64))
+    @example(SPECIAL_BITS)
+    @settings(max_examples=200, deadline=None)
+    def test_relu_kernel_is_where_for_every_bit_pattern(self, bits):
+        x = np.asarray(bits, dtype=np.uint32).view(np.float32)
+        expected = np.where(x > 0, x, 0.0)
+        with np.errstate(invalid="ignore"):  # quieting a signalling NaN flags it
+            got, taped = relu_array(x), Tensor(x).relu().data
+        assert got.dtype == taped.dtype == expected.dtype == np.float32
+        assert np.array_equal(got.view(np.uint32), expected.view(np.uint32))
+        assert np.array_equal(taped.view(np.uint32), expected.view(np.uint32))
 
     def test_sqrt_abs(self):
         check_grad(lambda x: (x.abs() + 1.0).sqrt(), rng.normal(size=(4,)))
