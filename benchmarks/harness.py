@@ -1,9 +1,11 @@
-"""Shared infrastructure for the paper-reproduction benchmarks.
+"""Shared infrastructure for the benchmarks.
 
-Every ``bench_*.py`` file regenerates one table or figure of the paper.
-This module centralizes dataset construction, model training and
-per-program evaluation so benches share cached artifacts within one pytest
-session (Table 2's trained models are reused by Figures 4/5, etc.).
+``bench_paper.py`` regenerates the paper's tables and figures in one
+process. This module centralizes dataset construction, model training and
+per-program evaluation, and caches every dataset and trained model for the
+life of the process, so a model one table trains is reused by the next
+(Table 2's trained models by Figures 4/5, etc.). The JSON benches import
+only :func:`stamp_report` and the interleaved-round helpers from here.
 
 Scale: the paper trains for 3-5M steps on 25M/208M samples; these benches
 train the same architectures for a few thousand steps on a synthetic corpus,
@@ -23,12 +25,7 @@ import numpy as np
 
 from repro.compiler import default_tile, fuse_program
 from repro.data import build_fusion_dataset, build_tile_dataset
-from repro.evaluation import (
-    evaluate_fusion_task,
-    evaluate_tile_task,
-    format_table,
-    summarize,
-)
+from repro.evaluation import evaluate_fusion_task, evaluate_tile_task
 from repro.models import (
     ModelConfig,
     TrainConfig,
@@ -39,9 +36,11 @@ from repro.models import (
     train_tile_model,
 )
 from repro.tpu import (
+    TPU_V2,
     AnalyticalModel,
     CalibratedAnalyticalModel,
     TpuSimulator,
+    TpuTarget,
     calibrate_kind_scales,
 )
 from repro.workloads import Split, build_corpus, manual_split, random_split
@@ -151,9 +150,10 @@ def split(name: str) -> Split:
     return _SPLITS[name]
 
 
-def tile_data(split_name: str, subset: str, seed: int = 0):
-    """Tile dataset for one subset ('train'/'validation'/'test') of a split."""
-    key = (split_name, subset, seed, FAST)
+def tile_data(split_name: str, subset: str, seed: int = 0, target: TpuTarget = TPU_V2):
+    """Tile dataset for one subset ('train'/'validation'/'test') of a split,
+    measured on ``target``."""
+    key = (split_name, subset, seed, FAST, target)
     if key not in _TILE_DS:
         s = split(split_name)
         programs = getattr(s, subset)
@@ -161,6 +161,7 @@ def tile_data(split_name: str, subset: str, seed: int = 0):
             programs = programs[::4]
         _TILE_DS[key] = build_tile_dataset(
             programs,
+            simulator=TpuSimulator(target),
             max_kernels_per_program=scale(10, 6),
             max_tiles_per_kernel=scale(16, 8),
             seed=seed + (0 if subset == "train" else 1),
@@ -203,11 +204,16 @@ def default_fusion_train(steps: int | None = None) -> TrainConfig:
     )
 
 
-def trained_tile_model(split_name: str, config: ModelConfig, steps: int | None = None) -> TrainResult:
+def trained_tile_model(
+    split_name: str,
+    config: ModelConfig,
+    steps: int | None = None,
+    target: TpuTarget = TPU_V2,
+) -> TrainResult:
     """Train (or fetch a cached) tile model on a split's training set."""
-    key = ("tile", split_name, config, steps, FAST)
+    key = ("tile", split_name, config, steps, FAST, target)
     if key not in _MODELS:
-        ds = tile_data(split_name, "train")
+        ds = tile_data(split_name, "train", target=target)
         _MODELS[key] = train_tile_model(ds.records, config, default_tile_train(steps))
     return _MODELS[key]
 
@@ -244,10 +250,12 @@ class FusionRow:
     analytical_tau: float
 
 
-def eval_tile_split(split_name: str, result: TrainResult) -> list[TileRow]:
+def eval_tile_split(
+    split_name: str, result: TrainResult, target: TpuTarget = TPU_V2
+) -> list[TileRow]:
     """Per-application tile metrics for the split's named test programs."""
     s = split(split_name)
-    ds = tile_data(split_name, "test")
+    ds = tile_data(split_name, "test", target=target)
     by_prog = ds.by_program()
     ana = AnalyticalModel()
     rows = []
@@ -284,7 +292,11 @@ def calibrated_analytical(split_name: str) -> CalibratedAnalyticalModel:
 def eval_fusion_split(
     split_name: str, result: TrainResult, min_runtime: float = 5e-6
 ) -> list[FusionRow]:
-    """Per-application fusion metrics (kernels >= min_runtime)."""
+    """Per-application fusion metrics (kernels >= min_runtime).
+
+    Both models are scored on the same kernels: those with tile options,
+    the only ones the calibrated analytical model can estimate.
+    """
     s = split(split_name)
     ds = fusion_data(split_name, "test")
     by_prog = ds.by_program()
@@ -296,53 +308,11 @@ def eval_fusion_split(
             continue
         truths = np.asarray([r.runtime for r in recs])
         preds = predict_fusion_runtimes(result.model, result.scalers, recs)
-        lm = evaluate_fusion_task(truths, preds, min_runtime)
         keep = [i for i, r in enumerate(recs) if r.kernel.has_tile_options()]
         ana_preds = np.asarray([cal.estimate(recs[i].kernel) for i in keep])
+        lm = evaluate_fusion_task(truths[keep], preds[keep], min_runtime)
         am = evaluate_fusion_task(truths[keep], ana_preds, min_runtime)
         if lm.num_kernels == 0:
             continue
         rows.append(FusionRow(display, lm.mape, am.mape, lm.kendall, am.kendall))
     return rows
-
-
-def print_tile_table(rows: list[TileRow], title: str, paper_note: str = "") -> None:
-    body = [
-        [r.application, r.learned_ape, r.analytical_ape, r.learned_tau, r.analytical_tau]
-        for r in rows
-    ]
-    la = summarize([r.learned_ape for r in rows])
-    aa = summarize([r.analytical_ape for r in rows])
-    lt = summarize([r.learned_tau for r in rows])
-    at = summarize([r.analytical_tau for r in rows])
-    body.append(["Median", la["median"], aa["median"], lt["median"], at["median"]])
-    body.append(["Mean", la["mean"], aa["mean"], lt["mean"], at["mean"]])
-    print()
-    print(
-        format_table(
-            ["Application", "APE(L)", "APE(A)", "tau(L)", "tau(A)"], body, title=title
-        )
-    )
-    if paper_note:
-        print(paper_note)
-
-
-def print_fusion_table(rows: list[FusionRow], title: str, paper_note: str = "") -> None:
-    body = [
-        [r.application, r.learned_mape, r.analytical_mape, r.learned_tau, r.analytical_tau]
-        for r in rows
-    ]
-    lm = summarize([r.learned_mape for r in rows])
-    am = summarize([r.analytical_mape for r in rows])
-    lt = summarize([r.learned_tau for r in rows])
-    at = summarize([r.analytical_tau for r in rows])
-    body.append(["Median", lm["median"], am["median"], lt["median"], at["median"]])
-    body.append(["Mean", lm["mean"], am["mean"], lt["mean"], at["mean"]])
-    print()
-    print(
-        format_table(
-            ["Application", "MAPE(L)", "MAPE(A)", "tau(L)", "tau(A)"], body, title=title
-        )
-    )
-    if paper_note:
-        print(paper_note)

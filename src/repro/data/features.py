@@ -196,9 +196,6 @@ class FeatureScaler:
         span = np.where(span > 0, span, 1.0)
         return np.clip((rows - self.lo) / span, 0.0, 1.0)
 
-    def fit_transform(self, rows: np.ndarray) -> np.ndarray:
-        return self.fit(rows).transform(rows)
-
     def state(self) -> dict[str, np.ndarray]:
         """Serializable snapshot (for saving trained models)."""
         if self.lo is None or self.hi is None:

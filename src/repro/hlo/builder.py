@@ -99,9 +99,6 @@ class GraphBuilder:
         out = sa if dtype is None else sa.with_dtype(dtype)
         return self._emit(opcode, out, [a, b])
 
-    def negate(self, x: int) -> int:
-        return self._unary(Opcode.NEGATE, x)
-
     def abs(self, x: int) -> int:
         return self._unary(Opcode.ABS, x)
 
@@ -129,9 +126,6 @@ class GraphBuilder:
     def floor(self, x: int) -> int:
         return self._unary(Opcode.FLOOR, x)
 
-    def cos(self, x: int) -> int:
-        return self._unary(Opcode.COS, x)
-
     def sin(self, x: int) -> int:
         return self._unary(Opcode.SIN, x)
 
@@ -156,9 +150,6 @@ class GraphBuilder:
     def minimum(self, a: int, b: int) -> int:
         return self._binary(Opcode.MINIMUM, a, b)
 
-    def power(self, a: int, b: int) -> int:
-        return self._binary(Opcode.POWER, a, b)
-
     def compare(self, a: int, b: int, direction: str = "GT") -> int:
         s = self.shape_of(a)
         if s.dims != self.shape_of(b).dims:
@@ -175,10 +166,6 @@ class GraphBuilder:
         if not (sp.dims == st.dims == sf.dims):
             raise GraphError("select: shape mismatch")
         return self._emit(Opcode.SELECT, st, [pred, on_true, on_false])
-
-    def clamp(self, lo: int, x: int, hi: int) -> int:
-        s = self.shape_of(x)
-        return self._emit(Opcode.CLAMP, s, [lo, x, hi])
 
     # ---------------------------------------------------------- data movement
     def broadcast(self, x: int, dims: Sequence[int], broadcast_dims: Sequence[int] = ()) -> int:
@@ -290,15 +277,6 @@ class GraphBuilder:
         s = self.shape_of(x)
         return self._emit(Opcode.REVERSE, s, [x], attrs={"dims": tuple(dims)})
 
-    def dynamic_slice(self, x: int, start_indices: int, sizes: Sequence[int]) -> int:
-        s = self.shape_of(x)
-        return self._emit(
-            Opcode.DYNAMIC_SLICE,
-            Shape(tuple(sizes), s.dtype),
-            [x, start_indices],
-            attrs={"sizes": tuple(sizes)},
-        )
-
     def copy(self, x: int, layout: Layout | None = None) -> int:
         s = self.shape_of(x)
         out = s if layout is None else s.with_layout(layout)
@@ -359,11 +337,6 @@ class GraphBuilder:
         return self._emit(
             Opcode.ARGMAX, Shape(out_dims, DType.S32), [x], attrs={"dim": dim}
         )
-
-    def softmax_xent(self, logits: int, labels: int) -> int:
-        s = self.shape_of(logits)
-        out_dims = s.dims[:-1]
-        return self._emit(Opcode.SOFTMAX_XENT, Shape(out_dims, s.dtype), [logits, labels])
 
     # ------------------------------------------------------------ contractions
     def dot(self, a: int, b: int) -> int:
@@ -449,10 +422,6 @@ class GraphBuilder:
             raise GraphError("gather: table must be rank 2 [vocab, dim]")
         out_dims = si.dims + (st.dims[1],)
         return self._emit(Opcode.GATHER, Shape(out_dims, st.dtype), [table, indices])
-
-    def scatter(self, operand: int, indices: int, updates: int) -> int:
-        s = self.shape_of(operand)
-        return self._emit(Opcode.SCATTER, s, [operand, indices, updates])
 
     # ------------------------------------------------------ composite helpers
     def relu(self, x: int) -> int:

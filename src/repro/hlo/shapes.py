@@ -121,8 +121,3 @@ class Shape:
 def scalar(dtype: DType = DType.F32) -> Shape:
     """Convenience constructor for a rank-0 shape."""
     return Shape((), dtype)
-
-
-def broadcast_compatible(a: Shape, b: Shape) -> bool:
-    """True if two shapes have identical dims (XLA requires explicit broadcast)."""
-    return a.dims == b.dims

@@ -117,6 +117,7 @@ from .placement import (
     PlacementController,
     RebalancePlan,
     ShardMap,
+    shard_of,
 )
 from .protocol import (
     ERROR_DEADLINE_EXCEEDED,
@@ -141,7 +142,6 @@ from .protocol import (
 from .prober import GoldenProbe, SyntheticProber
 from .profiler import ContinuousProfiler
 from .registry import ModelRegistry
-from .replica import ResultCache, shard_of
 from .resilience import (
     ANALYTICAL_VERSION,
     AnalyticalFallback,
@@ -175,7 +175,7 @@ from .rollout import (
     request_unit_hash,
 )
 from .scheduler import MicroBatcher, PendingRequest
-from .service import EXECUTOR_CHOICES, CostModelService, ServiceConfig
+from .service import EXECUTOR_CHOICES, CostModelService, ResultCache, ServiceConfig
 from .telemetry import (
     Histogram,
     Span,

@@ -62,10 +62,9 @@ from ..compiler.kernels import Kernel
 from ..compiler.tiling import TileConfig
 from .faults import FaultInjector, FaultPlan
 from .journal import record_event
-from .placement import RebalancePlan, ShardMap
+from .placement import RebalancePlan, ShardMap, shard_of
 from .protocol import lru_touch
 from .registry import ModelRegistry
-from .replica import shard_of
 from .resilience import CrashLoopBackoff
 from .workers import MAX_LIVE_VERSIONS, run_slice, shard_worker
 

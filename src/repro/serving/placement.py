@@ -10,7 +10,7 @@ better — this module closes that loop:
 
 * :class:`ShardMap` — an explicit, **versioned** fingerprint → shard
   assignment table. Fingerprints hash into a fixed number of *buckets*
-  (a stable digest slice, like :func:`~repro.serving.replica.shard_of`),
+  (a stable digest slice, like :func:`shard_of`),
   and each bucket is assigned to a shard. The uniform map routes
   identically to the legacy ``fingerprint % n`` function whenever the
   bucket count is a multiple of the shard count, so adopting the table
@@ -45,11 +45,25 @@ import time
 from dataclasses import dataclass, field
 
 from .journal import record_event
-from .replica import shard_of
 
 #: Default bucket count: enough granularity to split any realistic hot
 #: set across shards, small enough that the table is a trivial tuple.
 DEFAULT_BUCKETS = 64
+
+
+def shard_of(shard_key: str, num_shards: int) -> int:
+    """Stable shard index for a routing key (a hex fingerprint digest).
+
+    Kernel fingerprints are sha256 hex digests — uniformly distributed
+    already, so a slice of the digest is a fair shard id, and (unlike
+    ``hash()``) stable across processes and machines. Every execution
+    backend routes through this one function, which is why a request
+    lands on the same shard whether the shard is an in-process replica or
+    a worker subprocess.
+    """
+    if num_shards <= 1 or not shard_key:
+        return 0
+    return int(shard_key[:8], 16) % num_shards
 
 
 class ShardMap:
@@ -64,7 +78,7 @@ class ShardMap:
             the executor rejects stale plans on that basis.
 
     Routing is a stable digest slice, exactly like
-    :func:`~repro.serving.replica.shard_of`: ``bucket = int(key[:8], 16)
+    :func:`shard_of`: ``bucket = int(key[:8], 16)
     % num_buckets``, ``shard = table[bucket]``. Because ``x % B % n ==
     x % n`` whenever ``n`` divides ``B``, :meth:`uniform` maps route
     identically to the legacy static function for power-of-two-ish shard

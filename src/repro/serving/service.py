@@ -78,6 +78,7 @@ from __future__ import annotations
 import threading
 import time
 import traceback
+from collections import OrderedDict
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -106,7 +107,6 @@ from .protocol import (
     TileScoresRequest,
 )
 from .registry import ModelRegistry
-from .replica import ResultCache
 from .resilience import (
     ANALYTICAL_VERSION,
     AnalyticalFallback,
@@ -119,6 +119,58 @@ from .telemetry import TelemetryRegistry, Tracer, slo_burn_rate
 
 EXECUTOR_CHOICES = ("thread", "process")
 """Execution backends: in-thread replicas, or per-shard subprocesses."""
+
+
+class ResultCache:
+    """Thread-safe LRU cache of finished responses, keyed by request.
+
+    Keys are ``(model_version, request.cache_key())`` so a hot swap never
+    serves a stale checkpoint's result. Counters feed the serving metrics.
+    """
+
+    def __init__(self, max_entries: int = 4096) -> None:
+        self.max_entries = max_entries
+        self._lock = threading.Lock()
+        self._entries: OrderedDict[tuple, object] = OrderedDict()
+        self.hits = 0
+        self.misses = 0
+        self.evictions = 0
+
+    def __len__(self) -> int:
+        with self._lock:
+            return len(self._entries)
+
+    def get(self, key: tuple | None):
+        """The cached value, or ``None`` (uncacheable keys always miss)."""
+        if key is None:
+            return None
+        with self._lock:
+            value = self._entries.get(key)
+            if value is None:
+                self.misses += 1
+                return None
+            self.hits += 1
+            self._entries.move_to_end(key)
+            return value
+
+    def put(self, key: tuple | None, value) -> None:
+        if key is None or self.max_entries <= 0:
+            return
+        with self._lock:
+            self._entries[key] = value
+            self._entries.move_to_end(key)
+            while len(self._entries) > self.max_entries:
+                self._entries.popitem(last=False)
+                self.evictions += 1
+
+    def stats(self) -> dict[str, int]:
+        with self._lock:
+            return {
+                "entries": len(self._entries),
+                "hits": self.hits,
+                "misses": self.misses,
+                "evictions": self.evictions,
+            }
 
 
 @dataclass(frozen=True)

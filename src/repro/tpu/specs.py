@@ -44,11 +44,6 @@ class TpuTarget:
         return self.mxu_count * 2.0 * 128 * 128 * self.clock_ghz * 1e9
 
     @property
-    def peak_vector_flops(self) -> float:
-        """Peak VPU FLOP/s."""
-        return self.vector_lanes * self.sublanes * self.clock_ghz * 1e9
-
-    @property
     def hbm_bandwidth_bps(self) -> float:
         """Nominal HBM bandwidth in bytes/second."""
         return self.hbm_bandwidth_gbps * 1e9
