@@ -20,6 +20,19 @@ micro-batch and share the same forward.
   micro-batches resolve, correlated by request id, so a pipelining
   client gets replies in completion order.
 
+  Each open connection is an attached caller of the scheduler
+  (:meth:`~repro.serving.scheduler.MicroBatcher.attach_caller`, from
+  accept until the connection is dropped), so under ``adaptive_flush`` a
+  batch is cut as soon as every open connection has a request pending:
+  two synchronous tuners no longer hold the first one's request for the
+  flush window after the second one's has arrived. The set is *open*
+  connections, not busy ones — an idle connection can still send — so
+  one idle connection keeps the rule off. ``SyntheticProber.add_socket``
+  holds such a connection between sweeps, so a socket-probed service
+  batches as it did without the rule. A pipelining peer counts once
+  however many requests it has pending; the rule can only cut a batch
+  earlier than the age and quiet rules would, never later.
+
 Pick the in-process frontend whenever the client can import the service
 object (same interpreter, lowest latency). Pick the socket frontend when
 clients live in other processes or hosts — its cost is one serialize +
@@ -216,6 +229,9 @@ class SocketFrontend(Frontend):
                 if self._closed:
                     sock.close()
                     return
+                # Under the lock: close() drops (and detaches) exactly the
+                # connections it finds here.
+                self.service.scheduler.attach_caller(connection)
                 self._connections.add(connection)
                 self.connections += 1
             self._selector.register(sock, selectors.EVENT_READ, connection)
@@ -322,7 +338,7 @@ class SocketFrontend(Frontend):
                 # hook mistakes the request for a traced one.
                 request = replace(request, trace=None)
         try:
-            future = self.service.submit(request)
+            future = self.service.submit(request, caller=connection)
         except Overloaded as exc:
             # Admission control shed the request at the door: a typed,
             # retryable answer the client can back off on.
@@ -432,6 +448,7 @@ class SocketFrontend(Frontend):
 
     def _drop(self, connection: _Connection) -> None:
         connection.broken = True
+        self.service.scheduler.detach_caller(connection)
         try:
             self._selector.unregister(connection.sock)
         except (KeyError, ValueError, OSError):

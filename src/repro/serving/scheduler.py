@@ -4,7 +4,7 @@ Clients submit requests from any thread and immediately get a
 :class:`concurrent.futures.Future`. The scheduler holds the pending
 requests in arrival order and releases them in *micro-batches*. The batch
 executor (the service's worker loop) turns each micro-batch into as few
-model forwards as possible. A pending batch is cut on the first of three
+model forwards as possible. A pending batch is cut on the first of four
 conditions:
 
 * **full** — ``max_batch_size`` requests are pending;
@@ -18,7 +18,13 @@ conditions:
   a fraction of a millisecond of the previous answers and then block, so
   their batch goes out when the refill ends instead of when the window
   does; evenly spaced dense arrivals never fall quiet and keep the full
-  window.
+  window;
+* **complete** (``adaptive_flush`` only) — every caller a frontend has
+  attached (:meth:`MicroBatcher.attach_caller`; the socket frontend
+  attaches each open connection) has a request pending. Nobody else can
+  send, so the rest of the window would be spent waiting for nobody. With
+  no caller attached — the in-process frontend attaches none — the rule
+  never fires, and one idle attached caller keeps it off.
 
 With ``adaptive_flush`` the age cutoff itself also follows the observed
 inter-arrival gap (an EMA over all arrivals): when arrivals are sparser
@@ -37,6 +43,7 @@ from __future__ import annotations
 
 import threading
 import time
+from collections.abc import Hashable, Iterable
 from concurrent.futures import Future
 from dataclasses import dataclass, field
 
@@ -64,6 +71,10 @@ class PendingRequest:
     shed, answered from the result cache) stays shard-less, which is
     what keeps it out of the per-shard stats.
 
+    ``caller`` is the token of the attached caller that sent the request
+    (the socket frontend passes its connection), or ``None`` for a
+    request nobody attached — those never complete the caller set.
+
     This is the one per-request record of the serving path: every hook
     reads the request's ``trace`` / ``synthetic`` tags through it.
     """
@@ -75,6 +86,7 @@ class PendingRequest:
     shadowed_by: str | None = None
     expires_at: float | None = None
     shard: int | None = None
+    caller: Hashable | None = field(default=None, repr=False)
 
     @property
     def trace(self):
@@ -99,7 +111,8 @@ class MicroBatcher:
             inter-arrival EMA — collapse it to zero while arrivals are
             sparser than the window (waiting cannot coalesce), restore the
             full window while they are dense — and cut a batch early once
-            arrivals have stopped (see :meth:`cut_wait`).
+            arrivals have stopped (see :meth:`cut_wait`) or every
+            attached caller is waiting (see :meth:`complete`).
         max_pending: admission-control bound on the queue — a submission
             arriving with this many requests already pending is shed
             immediately with a typed :class:`~.resilience.Overloaded`
@@ -161,6 +174,7 @@ class MicroBatcher:
         self._lock = threading.Lock()
         self._nonempty = threading.Condition(self._lock)
         self._pending: list[PendingRequest] = []
+        self._callers: set = set()
         self._closed = False
         self.submitted = 0
         self.rejected = 0
@@ -174,15 +188,20 @@ class MicroBatcher:
         with self._lock:
             return len(self._pending)
 
-    def submit(self, request: Request) -> Future:
+    def submit(self, request: Request, caller: Hashable | None = None) -> Future:
         """Enqueue a request; returns the future its response resolves.
+
+        ``caller`` names the attached caller that sent it (see
+        :meth:`attach_caller`); ``None`` for anyone else.
 
         Raises:
             Overloaded: the queue is at ``max_pending`` (admission
                 control sheds at the door, not after queueing).
             RuntimeError: the scheduler is closed.
         """
-        pending = PendingRequest(request=request, enqueued_at=time.perf_counter())
+        pending = PendingRequest(
+            request=request, enqueued_at=time.perf_counter(), caller=caller
+        )
         deadline = request.deadline_s
         if deadline is None:
             deadline = self.default_deadline_s
@@ -268,10 +287,40 @@ class MicroBatcher:
             due = min(due, last + self._QUIET_GAPS * self._burst_gap_ema)
         return due - now
 
+    def attach_caller(self, token: Hashable) -> None:
+        """Count ``token`` (not ``None``) among the callers that can still
+        send: while it is attached and idle, :meth:`complete` stays off."""
+        with self._lock:
+            self._callers.add(token)
+
+    def detach_caller(self, token: Hashable) -> None:
+        """Stop counting ``token``; idempotent. Wakes :meth:`next_batch`:
+        the callers left may all be waiting already."""
+        with self._nonempty:
+            self._callers.discard(token)
+            self._nonempty.notify()
+
+    def complete(self, callers: Iterable[Hashable | None]) -> bool:
+        """True when the pending batch is due because nobody else can send.
+
+        ``callers`` are the ``caller`` tokens of the pending requests. With
+        ``adaptive_flush`` and at least one caller attached, the batch is
+        *complete* once every attached caller is among them; a caller
+        with several requests pending counts once, and ``None`` (a request
+        no frontend attached) never stands in for anyone. Fixed mode never
+        completes. Reads no clock, so tests drive it with explicit state.
+        """
+        return (
+            self.adaptive_flush
+            and bool(self._callers)
+            and self._callers.issubset(callers)
+        )
+
     def next_batch(self, timeout: float | None = None) -> list[PendingRequest]:
         """Block until a batch is due, then return it (oldest first).
 
-        A batch is due when ``max_batch_size`` requests are pending or
+        A batch is due when ``max_batch_size`` requests are pending, when
+        :meth:`complete` says every attached caller is waiting, or when
         :meth:`cut_wait` says so. Returns ``[]`` on ``timeout`` (the
         caller's chance to notice shutdown) and after :meth:`close` once
         the queue has drained.
@@ -280,7 +329,11 @@ class MicroBatcher:
         with self._nonempty:
             while True:
                 if self._pending:
-                    if len(self._pending) >= self.max_batch_size or self._closed:
+                    if (
+                        len(self._pending) >= self.max_batch_size
+                        or self._closed
+                        or self.complete(p.caller for p in self._pending)
+                    ):
                         return self._cut()
                     wait = self.cut_wait(
                         time.perf_counter(),

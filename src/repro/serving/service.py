@@ -185,7 +185,10 @@ class ServiceConfig:
             observed inter-arrival EMA — zero wait while arrivals are
             sparser than the window (the lone-client regime), the full
             window while they are dense — and cut a batch as soon as
-            the burst filling it has ended.
+            the burst filling it has ended, or as soon as every caller a
+            frontend has attached (each open socket connection) has a
+            request pending. In-process callers are never attached, so
+            that last rule never fires for them.
         replicas: fingerprint shards — evaluator replicas for the
             ``thread`` executor, worker subprocesses for ``process``.
         executor: one of :data:`EXECUTOR_CHOICES`.
@@ -513,11 +516,15 @@ class CostModelService:
     # request path
     # ------------------------------------------------------------------ #
 
-    def submit(self, request: Request):
+    def submit(self, request: Request, caller=None):
         """Enqueue a request; returns a Future resolving to a Response.
 
+        ``caller`` is the token a frontend attached to the scheduler for
+        the sender (see :meth:`MicroBatcher.attach_caller`), or ``None``.
+
         Repeated identical requests are answered straight from the shared
-        result cache without queueing (latency ~0, no forward). The cache
+        result cache without queueing (latency ~0, no forward), so a hit
+        never counts towards its caller being pending. The cache
         lookup follows the rollout routing — a canary-routed request only
         ever hits the staged version's cache slice, so cached responses
         obey the same version-purity as executed ones. During a rollout a
@@ -557,7 +564,7 @@ class CostModelService:
             self._maybe_shadow_cache_hit(policy, pending, version)
             return pending.future
         try:
-            return self.scheduler.submit(request)
+            return self.scheduler.submit(request, caller=caller)
         except Exception as exc:
             # Shed at the door (a typed ``Overloaded``) or refused by a
             # closed scheduler: no resolution will follow, so the root

@@ -20,6 +20,7 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.autotuner import LearnedEvaluator
 from repro.compiler import enumerate_tile_sizes
@@ -396,6 +397,158 @@ class TestAdaptiveFlush:
             result_a, ServiceConfig(adaptive_flush=True, result_cache_entries=0)
         )
         assert "flush_interval_effective_s" in service.metrics()
+
+
+class TestCompleteCut:
+    """The *complete* rule — every attached caller has a request pending —
+    driven with explicit caller lists: no wall clock."""
+
+    def test_no_attached_caller_never_completes(self):
+        mb = MicroBatcher(flush_interval_s=5.0, adaptive_flush=True)
+        assert not mb.complete([])
+        assert not mb.complete([None, None])
+        assert not mb.complete(["a", "b"])  # tokens nobody attached
+
+    def test_due_once_every_attached_caller_is_pending(self):
+        mb = MicroBatcher(flush_interval_s=5.0, adaptive_flush=True)
+        mb.attach_caller("a")
+        mb.attach_caller("b")
+        assert not mb.complete(["a"])
+        assert not mb.complete(["b", None])
+        assert mb.complete(["a", "b"])
+        assert mb.complete(["b", None, "a"])
+
+    def test_anonymous_requests_never_complete_the_set(self):
+        mb = MicroBatcher(flush_interval_s=5.0, adaptive_flush=True)
+        mb.attach_caller("a")
+        assert not mb.complete([None] * 8)
+
+    def test_a_pipelining_caller_does_not_stand_in_for_an_idle_one(self):
+        mb = MicroBatcher(flush_interval_s=5.0, adaptive_flush=True)
+        mb.attach_caller("a")
+        mb.attach_caller("b")
+        assert not mb.complete(["a", "a", "a"])
+
+    def test_detach_leaves_the_rest_complete(self):
+        mb = MicroBatcher(flush_interval_s=5.0, adaptive_flush=True)
+        for token in ("a", "b"):
+            mb.attach_caller(token)
+        mb.detach_caller("b")
+        mb.detach_caller("b")  # idempotent
+        assert mb.complete(["a"])
+        mb.detach_caller("a")
+        assert not mb.complete(["a"])  # nobody attached: the rule is off
+
+    def test_fixed_mode_ignores_callers(self):
+        mb = MicroBatcher(flush_interval_s=0.3, adaptive_flush=False)
+        mb.attach_caller("a")
+        assert not mb.complete(["a"])
+
+    def test_detach_wakes_a_blocked_next_batch(self):
+        import threading
+
+        mb = MicroBatcher(flush_interval_s=5.0, adaptive_flush=True)
+        mb.attach_caller("a")
+        mb.attach_caller("idle")
+        mb.submit(KernelRuntimeRequest(kernel=None), caller="a")
+        # The first request of a fresh batcher waits out the 5 s window
+        # unless the idle caller leaving completes the set.
+        timer = threading.Timer(0.1, mb.detach_caller, args=("idle",))
+        start = time.perf_counter()
+        timer.start()
+        try:
+            batch = mb.next_batch(timeout=10.0)
+        finally:
+            timer.cancel()
+        assert [p.caller for p in batch] == ["a"]
+        assert time.perf_counter() - start < 1.5
+
+    def test_concurrent_callers_lose_no_request(self):
+        """Callers attaching, submitting and detaching on their own threads
+        (more threads than cores, switching every 10 µs) while a consumer
+        cuts batches: every request comes out once, nobody stays attached."""
+        import sys
+        import threading
+
+        mb = MicroBatcher(max_batch_size=8, flush_interval_s=0.002, adaptive_flush=True)
+
+        def caller(token: int) -> None:
+            mb.attach_caller(token)
+            for _ in range(50):
+                mb.submit(KernelRuntimeRequest(kernel=None), caller=token)
+            mb.detach_caller(token)
+
+        threads = [threading.Thread(target=caller, args=(i,)) for i in range(6)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in threads:
+                thread.start()
+            seen = 0
+            deadline = time.monotonic() + 30
+            while seen < 300 and time.monotonic() < deadline:
+                seen += len(mb.next_batch(timeout=0.1))
+            for thread in threads:
+                thread.join(timeout=10)
+                assert not thread.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
+        assert seen == 300 and len(mb) == 0
+        assert not mb.complete(range(6))  # every caller detached: rule off
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        adaptive=st.booleans(),
+        ops=st.lists(
+            st.one_of(
+                st.tuples(st.just("attach"), st.integers(0, 3)),
+                st.tuples(st.just("detach"), st.integers(0, 3)),
+                st.tuples(st.just("submit"), st.none() | st.integers(0, 3)),
+                st.tuples(st.just("advance"), st.floats(0.0, 0.004)),
+            ),
+            max_size=60,
+        ),
+    )
+    def test_callers_only_ever_cut_earlier(self, adaptive, ops):
+        """Beside a twin batcher no caller is ever attached to, fed the same
+        arrivals: the clocked rules read the same, fixed mode decides the
+        same, and under ``adaptive_flush`` a batch is complete exactly when
+        every attached caller has a request pending."""
+        mb = MicroBatcher(flush_interval_s=0.002, adaptive_flush=adaptive)
+        twin = MicroBatcher(flush_interval_s=0.002, adaptive_flush=adaptive)
+        attached: set[int] = set()
+        pending: list[tuple[float, int | None]] = []  # (arrival, caller)
+        now = 0.0
+        for op, arg in ops:
+            if op == "attach":
+                mb.attach_caller(arg)
+                attached.add(arg)
+            elif op == "detach":
+                mb.detach_caller(arg)
+                attached.discard(arg)
+            elif op == "submit":
+                for batcher in (mb, twin):
+                    batcher.observe_arrival(now, joins_pending=bool(pending))
+                pending.append((now, arg))
+            else:
+                now += arg
+            if not pending:
+                continue
+            oldest, last = pending[0][0], pending[-1][0]
+            callers = [caller for _, caller in pending]
+            wait = mb.cut_wait(now, oldest, last)
+            twin_wait = twin.cut_wait(now, oldest, last)
+            assert wait == twin_wait
+            complete = mb.complete(callers)
+            assert not twin.complete(callers)
+            due = complete or wait <= 0
+            assert due or twin_wait > 0  # never later than without callers
+            if adaptive:
+                assert complete == (bool(attached) and attached.issubset(callers))
+            else:
+                assert due == (twin_wait <= 0)
+            if due:
+                pending.clear()  # the batch is cut
 
 
 # ---------------------------------------------------------------------- #
@@ -895,3 +1048,93 @@ class TestSocketFrontend:
                         remote.score_tiles_batched(record.kernel, tiles),
                         direct.score_tiles_batched(record.kernel, tiles),
                     )
+
+
+@pytest.fixture
+def held_service(result_a):
+    """A fresh adaptive service whose window (5 s) would hold a first
+    request far longer than any assertion below allows."""
+    service = CostModelService(
+        result_a, ServiceConfig(flush_interval_s=5.0, result_cache_entries=0)
+    ).start()
+    yield service
+    service.stop()
+
+
+def _until(predicate, timeout_s: float = 5.0) -> None:
+    deadline = time.monotonic() + timeout_s
+    while not predicate():
+        if time.monotonic() > deadline:
+            pytest.fail("condition not reached in time")
+        time.sleep(0.01)
+
+
+class TestSocketCompleteCut:
+    """Each open connection is an attached caller: a batch goes out as soon
+    as every one of them has a request pending, not when the window ends."""
+
+    def test_lone_connection_is_answered_without_the_window(self, corpus, held_service):
+        records, _ = corpus
+        with SocketFrontend(held_service) as frontend:
+            with SocketEvaluator(frontend.address, timeout_s=30.0) as remote:
+                start = time.perf_counter()
+                for record in records[:3]:
+                    remote.score_tiles_batched(
+                        record.kernel, enumerate_tile_sizes(record.kernel)[:4]
+                    )
+                assert time.perf_counter() - start < 1.5
+
+    def test_two_connections_share_one_batch(self, corpus, held_service):
+        import threading
+
+        records, _ = corpus
+        workload = [
+            (r.kernel, enumerate_tile_sizes(r.kernel)[:4]) for r in records[:2]
+        ]
+        with SocketFrontend(held_service) as frontend:
+            with SocketEvaluator(frontend.address, timeout_s=30.0) as first, \
+                    SocketEvaluator(frontend.address, timeout_s=30.0) as second:
+                _until(lambda: frontend.stats()["open_connections"] == 2)
+                before = held_service.metrics()["batches"]
+                assert before == 0  # a fresh service: occupancy is this batch's
+                thread = threading.Thread(
+                    target=first.score_tiles_batched, args=workload[0]
+                )
+                thread.start()
+                _until(lambda: len(held_service.scheduler) == 1)
+                # A gap the quiet rule would multiply: without the complete
+                # rule the second request would wait 4 x 0.25 s for company.
+                time.sleep(0.3)
+                start = time.perf_counter()
+                second.score_tiles_batched(*workload[1])
+                assert time.perf_counter() - start < 0.5
+                thread.join(timeout=10)
+                assert first.last_response is not None
+                # The batch is counted just after its responses resolve.
+                _until(lambda: held_service.metrics()["batches"] > before)
+                metrics = held_service.metrics()
+                assert metrics["batches"] == before + 1
+                assert metrics["batch_occupancy"] == 2.0  # both requests
+
+    def test_closing_an_idle_connection_releases_the_held_request(
+        self, corpus, held_service
+    ):
+        import socket as socketlib
+
+        records, _ = corpus
+        kernel = records[0].kernel
+        request = TileScoresRequest(
+            kernel=kernel, tiles=tuple(enumerate_tile_sizes(kernel)[:4])
+        )
+        with SocketFrontend(held_service) as frontend:
+            idle = socketlib.create_connection(frontend.address, timeout=10)
+            with socketlib.create_connection(frontend.address, timeout=10) as busy:
+                _until(lambda: frontend.stats()["open_connections"] == 2)
+                send_frame(busy, 1, encode_request(request))
+                _until(lambda: len(held_service.scheduler) == 1)
+                start = time.perf_counter()
+                idle.close()  # the only caller not waiting leaves
+                frame = recv_frame(busy)
+                assert time.perf_counter() - start < 1.5
+                assert frame is not None and frame[0] == 1
+                assert Response.from_bytes(frame[1]).error is None
