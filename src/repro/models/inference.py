@@ -17,13 +17,18 @@ edited: every matmul, reduction and transcendental (``exp``, ``tanh``,
 on the tape, in the same order, because BLAS kernels, pairwise summation and
 SIMD math routines may round differently for a different layout. Only
 exactly-rounded elementwise arithmetic (``+ - * /``) and pure data movement
-are free to be hoisted or shared. Where the tape already runs one ndarray
-function, this module calls that function rather than restating it: the
-relu kernel (``nn.tensor.relu_array``) and the whole LSTM reduction
-(``nn.rnn.lstm_final_state``, which steps each graph only through its own
-nodes on both paths). Python scalars the tape lifts to float32 tensors are
-float32 constants here. Dropout is the identity in eval mode and does not
-appear.
+are free to be hoisted or shared. Where the tape runs one ndarray function,
+this module calls that function rather than restating it: every ``Dense``
+(``Dense.apply`` → ``nn.layers.dense``), every GraphSAGE hop
+(``GraphSAGELayer.apply`` → ``nn.graph_layers.graphsage_hop``), the whole
+LSTM reduction (``nn.rnn.lstm_final_state``, which steps each graph only
+through its own nodes on both paths), the segment sum
+(``nn.tensor.scatter_add_rows``) and the relu kernel
+(``nn.tensor.relu_array``). What is restated here — layer norm, the GAT
+hop, attention, the reductions' glue — is checked against the tape by
+``tests/test_models_inference.py``. Python scalars the tape lifts to float32
+tensors are float32 constants here. Dropout is the identity in eval mode and
+does not appear.
 """
 from __future__ import annotations
 
@@ -32,26 +37,12 @@ import math
 import numpy as np
 
 from ..nn.rnn import lstm_final_state
-from ..nn.tensor import relu_array, sigmoid_array
+from ..nn.tensor import relu_array, scatter_add_rows
 
 _LEAKY_SLOPE = np.float32(0.2)  # GATLayer's LeakyReLU
-_L2_EPS = np.float32(1e-12)  # nn.layers.l2_normalize default
 
 
 # ------------------------------------------------------------------ nn.layers
-def _dense(layer, x: np.ndarray) -> np.ndarray:
-    y = x @ layer.weight.data
-    if layer.bias is not None:
-        y = y + layer.bias.data
-    if layer.activation == "relu":
-        return relu_array(y)
-    if layer.activation == "tanh":
-        return np.tanh(y)
-    if layer.activation == "sigmoid":
-        return sigmoid_array(y)
-    return y
-
-
 def _mean_last(x: np.ndarray) -> np.ndarray:
     return x.sum(axis=-1, keepdims=True) * np.float32(1.0 / x.shape[-1])
 
@@ -64,12 +55,6 @@ def _layer_norm(layer, x: np.ndarray) -> np.ndarray:
 
 
 # ------------------------------------------------------------------ nn.sparse
-def _segment_sum(x: np.ndarray, ids: np.ndarray, num_segments: int) -> np.ndarray:
-    out = np.zeros((num_segments,) + x.shape[1:], dtype=np.float32)
-    np.add.at(out, ids, x)
-    return out
-
-
 def _segment_softmax(scores: np.ndarray, ids: np.ndarray, num_segments: int) -> np.ndarray:
     shape = (num_segments,) + scores.shape[1:]
     seg_max = np.full(shape, -np.inf, dtype=np.float32)
@@ -81,29 +66,18 @@ def _segment_softmax(scores: np.ndarray, ids: np.ndarray, num_segments: int) -> 
 
 
 # ------------------------------------------------------------ nn.graph_layers
-def _graphsage(layer, x: np.ndarray, adj_in, adj_out) -> np.ndarray:
-    parts = [x, np.asarray(adj_in @ _dense(layer.agg_in, x), dtype=np.float32)]
-    if layer.directed:
-        parts.append(np.asarray(adj_out @ _dense(layer.agg_out, x), dtype=np.float32))
-    h = _dense(layer.update, np.concatenate(parts, axis=-1))
-    if layer.l2_norm:
-        sq = (h * h).sum(axis=-1, keepdims=True)
-        h = h * ((sq + _L2_EPS) ** -0.5)
-    return h
-
-
 def _gat(layer, x: np.ndarray, edges: np.ndarray, num_nodes: int) -> np.ndarray:
-    h = _dense(layer.proj, x)
+    h = layer.proj.apply(x)
     if len(edges) == 0:
         return relu_array(h)
     src, dst = edges[:, 0], edges[:, 1]
-    scores = _dense(layer.attn_src, x)[src] + _dense(layer.attn_dst, x)[dst]
+    scores = layer.attn_src.apply(x)[src] + layer.attn_dst.apply(x)[dst]
     scores = np.maximum(scores, scores * _LEAKY_SLOPE)
     alpha = _segment_softmax(scores, dst, num_nodes)
     src_h = h[src].reshape(len(edges), layer.heads, layer.head_dim)
     weighted = src_h * alpha.reshape(len(edges), layer.heads, 1)
-    agg = _segment_sum(
-        weighted.reshape(len(edges), layer.heads * layer.head_dim), dst, num_nodes
+    agg = scatter_add_rows(
+        dst, weighted.reshape(len(edges), layer.heads * layer.head_dim), num_nodes
     )
     return relu_array(agg)
 
@@ -122,21 +96,21 @@ def _attention(attn, x: np.ndarray, mask: np.ndarray) -> np.ndarray:
     def split(y: np.ndarray) -> np.ndarray:  # [b, t, d] -> [b, h, t, hd]
         return y.reshape(batch, time, attn.heads, attn.head_dim).transpose(0, 2, 1, 3)
 
-    q = split(_dense(attn.wq, x))
-    k = split(_dense(attn.wk, x))
-    v = split(_dense(attn.wv, x))
+    q = split(attn.wq.apply(x))
+    k = split(attn.wk.apply(x))
+    v = split(attn.wv.apply(x))
     scores = (q @ k.transpose(0, 1, 3, 2)) * np.float32(1.0 / math.sqrt(attn.head_dim))
     pair_mask = mask[:, None, None, :] & mask[:, None, :, None]
     weights = _masked_softmax(scores, np.broadcast_to(pair_mask, scores.shape))
     merged = (weights @ v).transpose(0, 2, 1, 3).reshape(batch, time, attn.dim)
-    return _dense(attn.wo, merged)
+    return attn.wo.apply(merged)
 
 
 def _transformer(encoder, x: np.ndarray, mask: np.ndarray) -> np.ndarray:
     """``nn.attention.TransformerEncoder``: blocks, masked sum, final norm."""
     for block in encoder.blocks:
         x = x + _attention(block.attn, _layer_norm(block.norm1, x), mask)
-        x = x + _dense(block.ff2, _dense(block.ff1, _layer_norm(block.norm2, x)))
+        x = x + block.ff2.apply(block.ff1.apply(_layer_norm(block.norm2, x)))
     pooled = (x * mask[:, :, None].astype(np.float32)).sum(axis=1)
     return _layer_norm(encoder.final_norm, pooled)
 
@@ -172,17 +146,17 @@ def forward(model, batch) -> np.ndarray:
         parts.append(batch.tile_feats[gids])
     if static and cfg.static_placement == "node":
         parts.append(batch.static_feats[gids])
-    x = _dense(model.input_proj, np.concatenate(parts, axis=-1, dtype=np.float32))
+    x = model.input_proj.apply(np.concatenate(parts, axis=-1, dtype=np.float32))
 
     for layer in model.gnn_layers:
         if cfg.gnn == "gat":
             x = _gat(layer, x, ctx.edges, ctx.num_nodes)
         elif cfg.directed:
-            x = _graphsage(layer, x, ctx.adj_in, ctx.adj_out)
+            x = layer.apply(x, ctx.adj_in, ctx.adj_out)
         else:
-            x = _graphsage(layer, x, ctx.adj_sym, ctx.adj_sym)
+            x = layer.apply(x, ctx.adj_sym, ctx.adj_sym)
     for layer in model.node_final.layers:
-        x = _dense(layer, x)
+        x = layer.apply(x)
 
     extras = []
     if tile and cfg.tile_placement == "kernel":
@@ -191,15 +165,15 @@ def forward(model, batch) -> np.ndarray:
         extras.append(batch.static_feats)
 
     if cfg.reduction == "per-node":
-        pred = _segment_sum(_dense(model.node_head, x), gids, nb).reshape(nb)
+        pred = scatter_add_rows(gids, model.node_head.apply(x), nb).reshape(nb)
         if extras:
             kernel_feats = np.concatenate(extras, axis=-1, dtype=np.float32)
-            pred = pred + _dense(model.kernel_correction, kernel_feats).reshape(nb)
+            pred = pred + model.kernel_correction.apply(kernel_feats).reshape(nb)
         return pred
 
     if cfg.reduction == "column-wise":
         counts = np.bincount(gids, minlength=nb).astype(np.float32)
-        mean = _segment_sum(x, gids, nb) * (1.0 / counts[:, None])
+        mean = scatter_add_rows(gids, x, nb) * (1.0 / counts[:, None])
         floor = np.where(batch.pad_mask[:, :, None], 0.0, -1e30).astype(np.float32)
         kernel_emb = np.concatenate(
             [mean, (_padded_view(x, batch) + floor).max(axis=1)], axis=-1
@@ -213,4 +187,4 @@ def forward(model, batch) -> np.ndarray:
 
     if extras:
         kernel_emb = np.concatenate([kernel_emb, *extras], axis=-1, dtype=np.float32)
-    return _dense(model.head, kernel_emb).reshape(nb)
+    return model.head.apply(kernel_emb).reshape(nb)

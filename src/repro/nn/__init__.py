@@ -9,7 +9,6 @@ from .layers import (
     LayerNorm,
     Module,
     glorot,
-    l2_normalize,
 )
 from .losses import log_mse_loss, pairwise_rank_loss
 from .optim import Adam, Optimizer, SGD, clip_global_norm
@@ -38,7 +37,6 @@ __all__ = [
     "TransformerEncoderLayer",
     "clip_global_norm",
     "glorot",
-    "l2_normalize",
     "log_mse_loss",
     "no_grad",
     "normalized_adjacency",

@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 
-from .tensor import Tensor
+from .tensor import Tensor, relu_array, sigmoid_array
 
 
 class Module:
@@ -95,8 +95,62 @@ def glorot(rng: np.random.Generator, fan_in: int, fan_out: int, shape=None) -> T
     return Tensor(rng.uniform(-limit, limit, size=shape), requires_grad=True)
 
 
+def dense(
+    x: np.ndarray,
+    weight: np.ndarray,
+    bias: np.ndarray | None = None,
+    activation: str | None = None,
+) -> np.ndarray:
+    """``activation(x @ weight + bias)`` on plain arrays: the forward of
+    :class:`Dense` on the tape and on the inference path."""
+    y = x @ weight
+    if bias is not None:
+        y = y + bias
+    if activation == "relu":
+        return relu_array(y)
+    if activation == "tanh":
+        return np.tanh(y)
+    if activation == "sigmoid":
+        return sigmoid_array(y)
+    return y
+
+
+def dense_backward(
+    grad: np.ndarray,
+    x: np.ndarray,
+    weight: np.ndarray,
+    y: np.ndarray,
+    activation: str | None,
+    want_x: bool = True,
+) -> tuple[np.ndarray | None, np.ndarray, np.ndarray]:
+    """Gradients of :func:`dense` for the output ``y`` it returned.
+
+    Every product is the one the chain rule over the separate matmul, bias
+    and activation tape ops computes, in the same order, so the bits are
+    theirs. The weight and bias gradients come back unreduced (for a 3-D
+    ``x``, one [dim, out] slice per batch row; the bias gradient is
+    ``grad`` itself): ``Tensor._dispatch`` sums them to the parameter's
+    shape exactly as it summed the separate ops' contributions.
+
+    Returns:
+        ``(dx, dweight, dbias)``; ``dx`` is ``None`` unless ``want_x``.
+    """
+    if activation == "relu":
+        grad = grad * (y > 0)  # y > 0 exactly where the pre-activation is
+    elif activation == "tanh":
+        grad = grad * (1.0 - y * y)
+    elif activation == "sigmoid":
+        grad = grad * y * (1.0 - y)
+    dx = grad @ np.swapaxes(weight, -1, -2) if want_x else None
+    return dx, np.swapaxes(x, -1, -2) @ grad, grad
+
+
 class Dense(Module):
     """Affine layer ``x @ W + b`` with optional activation.
+
+    One tape node: the forward is :func:`dense`, which ``predict`` calls
+    too, and the backward is :func:`dense_backward`. Inputs are 2-D or
+    batched (``[..., in_features]``).
 
     Args:
         in_features / out_features: matrix dimensions.
@@ -127,16 +181,17 @@ class Dense(Module):
         self.activation = activation
 
     def forward(self, x: Tensor) -> Tensor:
-        y = x @ self.weight
-        if self.bias is not None:
-            y = y + self.bias
-        if self.activation == "relu":
-            y = y.relu()
-        elif self.activation == "tanh":
-            y = y.tanh()
-        elif self.activation == "sigmoid":
-            y = y.sigmoid()
-        return y
+        parents = (x, self.weight) if self.bias is None else (x, self.weight, self.bias)
+        x_data, weight, activation, want_x = x.data, self.weight.data, self.activation, x.requires_grad
+        y = self.apply(x_data)
+        return x._make(
+            y, parents, lambda g: dense_backward(g, x_data, weight, y, activation, want_x)
+        )
+
+    def apply(self, x: np.ndarray) -> np.ndarray:
+        """The forward on a plain array (what ``predict`` runs)."""
+        bias = None if self.bias is None else self.bias.data
+        return dense(x, self.weight.data, bias, self.activation)
 
 
 class MLP(Module):
@@ -221,9 +276,3 @@ class Dropout(Module):
         keep = 1.0 - self.rate
         mask = (self.rng.random(x.shape) < keep).astype(np.float32) / keep
         return x * Tensor(mask)
-
-
-def l2_normalize(x: Tensor, axis: int = -1, eps: float = 1e-12) -> Tensor:
-    """L2-normalize along an axis (GraphSAGE's per-layer normalization)."""
-    sq = (x * x).sum(axis=axis, keepdims=True)
-    return x * ((sq + eps) ** -0.5)

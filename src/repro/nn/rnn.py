@@ -53,15 +53,17 @@ def lstm_final_state(
             h, c = h[:n], c[:n]
         xh = np.concatenate([x[:n, t, :], h], axis=-1)
         z = xh @ weight
-        i = sigmoid_array(z[:, 0 * hd : 1 * hd])
-        f = sigmoid_array(z[:, 1 * hd : 2 * hd] + 1.0)  # forget-gate bias of 1
+        z[:, hd : 2 * hd] += 1.0  # forget-gate bias of 1
+        # One sigmoid over the whole block: the i, f and o gates (the g
+        # columns are computed and never read).
+        s = sigmoid_array(z)
+        i, f, o = s[:, :hd], s[:, hd : 2 * hd], s[:, 3 * hd :]
         g = np.tanh(z[:, 2 * hd : 3 * hd])
-        o = sigmoid_array(z[:, 3 * hd : 4 * hd])
         c_prev, c = c, f * c + i * g
         tc = np.tanh(c)
         h = o * tc
         if record:
-            steps.append((xh, i, f, g, o, c_prev, tc))
+            steps.append((xh, s, g, c_prev, tc))
     out[order[: len(h)]] = h
     return out, ((weight, x.shape, order, steps) if record else None)
 
@@ -80,26 +82,25 @@ def lstm_final_state_backward(saved: tuple, grad: np.ndarray) -> tuple[np.ndarra
     """
     weight, shape, order, steps = saved
     dim = shape[2]
+    hd = weight.shape[1] // 4
     dh = np.asarray(grad, dtype=np.float32)[order]
     dc = np.zeros_like(dh)
     dx = np.zeros(shape, dtype=np.float32)
     dweight = np.zeros(weight.shape, dtype=np.float32)
     for t in reversed(range(len(steps))):
-        xh, i, f, g, o, c_prev, tc = steps[t]
+        xh, s, g, c_prev, tc = steps[t]
+        i, f, o = s[:, :hd], s[:, hd : 2 * hd], s[:, 3 * hd :]
         n = len(xh)
         dh_t = dh[:n]
         # Every product runs in the order the chain rule over LSTMCell's
-        # tape ops multiplies, so equal-length batches get its bits.
+        # tape ops multiplies, so equal-length batches get its bits: a
+        # sigmoid gate's is (a * s) * (1 - s), taken over the whole block,
+        # and the g columns are then overwritten with tanh's.
         dc_t = dc[:n] + dh_t * o * (1.0 - tc * tc)
-        dz = np.concatenate(
-            [
-                dc_t * g * i * (1.0 - i),
-                dc_t * c_prev * f * (1.0 - f),
-                dc_t * i * (1.0 - g * g),
-                dh_t * tc * o * (1.0 - o),
-            ],
-            axis=-1,
-        )
+        a = np.concatenate([dc_t * g, dc_t * c_prev, dc_t * i, dh_t * tc], axis=-1)
+        dz = a * s
+        dz *= 1.0 - s
+        np.multiply(a[:, 2 * hd : 3 * hd], 1.0 - g * g, out=dz[:, 2 * hd : 3 * hd])
         dweight += xh.T @ dz
         dxh = dz @ weight.T
         dx[:n, t, :] = dxh[:, :dim]

@@ -10,7 +10,25 @@ from __future__ import annotations
 import numpy as np
 import scipy.sparse as sp
 
-from .tensor import Tensor
+from .tensor import Tensor, scatter_add_rows
+
+
+def transposed(csr: sp.csr_matrix) -> sp.csr_matrix:
+    """``csr.T.tocsr()``, built on the first call and kept on ``csr``.
+
+    The backward of every GraphSAGE hop multiplies by the transposes of its
+    batch context's operators; keeping each transpose on the operator the
+    context stacked builds it once per context, on the first backward, for
+    all hops and every later step over the same context. A forward that
+    records no tape never calls this, so no transpose exists without a
+    backward. The per-kernel operators of ``GraphOperators`` never get one:
+    ``BatchedGraphContext.compose`` stacks copies of them. Two threads racing
+    on one operator store equal transposes.
+    """
+    transpose = csr.__dict__.get("transposed")
+    if transpose is None:
+        transpose = csr.transposed = csr.T.tocsr()
+    return transpose
 
 
 def spmm(matrix: sp.spmatrix, x: Tensor) -> Tensor:
@@ -25,13 +43,9 @@ def spmm(matrix: sp.spmatrix, x: Tensor) -> Tensor:
     """
     csr = matrix.tocsr()
     out = csr @ x.data
-
-    def backward(g: np.ndarray):
-        # Transposed only when a gradient is asked for: a forward that
-        # records no tape never pays for it.
-        return (csr.T.tocsr() @ g,)
-
-    return x._make(np.asarray(out, dtype=np.float32), (x,), backward)
+    return x._make(
+        np.asarray(out, dtype=np.float32), (x,), lambda g: (transposed(csr) @ g,)
+    )
 
 
 def segment_sum(x: Tensor, segment_ids: np.ndarray, num_segments: int) -> Tensor:
@@ -46,13 +60,8 @@ def segment_sum(x: Tensor, segment_ids: np.ndarray, num_segments: int) -> Tensor
         [num_segments, d]; gradient gathers back per row.
     """
     ids = np.asarray(segment_ids)
-    out = np.zeros((num_segments,) + x.data.shape[1:], dtype=np.float32)
-    np.add.at(out, ids, x.data)
-
-    def backward(g: np.ndarray):
-        return (g[ids],)
-
-    return x._make(out, (x,), backward)
+    out = scatter_add_rows(ids, x.data, num_segments)
+    return x._make(out, (x,), lambda g: (g[ids],))
 
 
 def segment_softmax(scores: Tensor, segment_ids: np.ndarray, num_segments: int) -> Tensor:

@@ -13,10 +13,12 @@ broadcast axes.
 from __future__ import annotations
 
 import contextlib
+import math
 import threading
 from typing import Callable, Sequence
 
 import numpy as np
+import scipy.sparse as sp
 
 # Thread-local so a serving thread running inference under no_grad() never
 # turns off tape recording for a training loop on another thread (the
@@ -70,6 +72,39 @@ def sigmoid_array(x: np.ndarray) -> np.ndarray:
     """The logistic function: the forward of :meth:`Tensor.sigmoid`, of the
     LSTM gates and of the tape-free inference path."""
     return 1.0 / (1.0 + np.exp(-x))
+
+
+def scatter_add_rows(index: np.ndarray, values: np.ndarray, num_rows: int) -> np.ndarray:
+    """``np.add.at(zeros, index, values)`` into ``num_rows`` rows, bit for
+    bit, as one sparse product.
+
+    ``np.add.at`` adds the entries of ``values`` into their rows one at a
+    time in index order, each row starting from +0.0. A 0/1 CSR matrix whose
+    row r lists, ascending, the positions k with ``index[k] == r`` makes
+    SciPy's ``@`` do the same additions in the same order (it accumulates
+    each output row left to right from zero, and ``1.0 * v`` is exact) —
+    without ``ufunc.at``'s per-element cost. The backward of
+    :meth:`Tensor.take_rows` and ``Tensor.__getitem__``, and the forward of
+    ``segment_sum`` on both the tape and the inference path.
+
+    Args:
+        index: non-negative row numbers, any shape.
+        values: ``index.shape + trailing``.
+        num_rows: rows of the result.
+
+    Returns:
+        A fresh ``[num_rows, *trailing]`` array of ``values``' dtype.
+    """
+    index = np.asarray(index)
+    trailing = values.shape[index.ndim :]
+    flat = index.reshape(-1)
+    indptr = np.zeros(num_rows + 1, dtype=np.int64)
+    np.cumsum(np.bincount(flat, minlength=num_rows), out=indptr[1:])
+    rows = sp.csr_matrix(
+        (np.ones(flat.size, dtype=values.dtype), np.argsort(flat, kind="stable"), indptr),
+        shape=(num_rows, flat.size),
+    )
+    return (rows @ values.reshape(flat.size, math.prod(trailing))).reshape(num_rows, *trailing)
 
 
 def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
@@ -383,9 +418,11 @@ class Tensor:
         shape = self.data.shape
 
         def backward(g: np.ndarray):
-            full = np.zeros(shape, dtype=np.float32)
-            np.add.at(full, key, g)
-            return (full,)
+            # The flat position of every selected element, in the order
+            # np.add.at would visit them.
+            size = math.prod(shape)
+            positions = np.arange(size).reshape(shape)[key]
+            return (scatter_add_rows(positions, g, size).reshape(shape),)
 
         return self._make(out, (self,), backward)
 
@@ -417,17 +454,13 @@ class Tensor:
 
     # ------------------------------------------------------------- indexing
     def take_rows(self, indices: np.ndarray) -> "Tensor":
-        """Gather rows (axis 0); gradient scatter-adds back (embeddings)."""
+        """Gather rows (axis 0) at non-negative ``indices``; the gradient
+        scatter-adds back (embeddings, the padded node view)."""
         idx = np.asarray(indices)
-        out = self.data[idx]
-        shape = self.data.shape
-
-        def backward(g: np.ndarray):
-            full = np.zeros(shape, dtype=np.float32)
-            np.add.at(full, idx, g)
-            return (full,)
-
-        return self._make(out, (self,), backward)
+        rows = len(self.data)
+        return self._make(
+            self.data[idx], (self,), lambda g: (scatter_add_rows(idx, g, rows),)
+        )
 
     # -------------------------------------------------------------- softmax
     def softmax(self, axis: int = -1, mask: np.ndarray | None = None) -> "Tensor":

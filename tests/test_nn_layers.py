@@ -1,6 +1,7 @@
 """Tests for modules, layers, optimizers and losses."""
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.nn import (
     MLP,
@@ -12,7 +13,6 @@ from repro.nn import (
     SGD,
     Tensor,
     clip_global_norm,
-    l2_normalize,
     log_mse_loss,
     pairwise_rank_loss,
 )
@@ -82,6 +82,58 @@ class TestDense:
         assert len(Dense(4, 3, bias=False).parameters()) == 1
 
 
+def _tape_dense(layer, x):
+    """``Dense`` as the separate tape ops it used to record: matmul, bias
+    add, activation. The one-node :class:`Dense` is checked against it."""
+    y = x @ layer.weight
+    if layer.bias is not None:
+        y = y + layer.bias
+    if layer.activation is None:
+        return y
+    return getattr(y, layer.activation)()
+
+
+class TestDenseAgainstTheCompositeTape:
+    """One node, the same bits: output, ``x.grad``, weight and bias
+    gradients, for every activation, with and without a bias, on 2-D rows
+    and the Transformer's 3-D [batch, time, dim] inputs."""
+
+    @given(
+        leading=st.sampled_from([(1,), (6,), (33,), (1, 1), (3, 5), (2, 17)]),
+        dims=st.tuples(st.integers(1, 9), st.integers(1, 9)),
+        activation=st.sampled_from([None, "relu", "tanh", "sigmoid"]),
+        bias=st.booleans(),
+        x_grad=st.booleans(),
+        seed=st.integers(0, 2**16),
+    )
+    @settings(max_examples=120, deadline=None)
+    def test_matches_the_composite_tape(self, leading, dims, activation, bias, x_grad, seed):
+        r = np.random.default_rng(seed)
+        in_dim, out_dim = dims
+        x_data = (r.normal(size=leading + (in_dim,)) * 3).astype(np.float32)
+        upstream = r.normal(size=leading + (out_dim,)).astype(np.float32)
+        upstream[r.random(upstream.shape) < 0.2] = -0.0
+        bias_data = r.normal(size=out_dim).astype(np.float32)
+        runs = []
+        for forward in (Dense.__call__, _tape_dense):
+            layer = Dense(
+                in_dim, out_dim, activation=activation, bias=bias, rng=np.random.default_rng(seed)
+            )
+            if bias:
+                layer.bias.data = bias_data.copy()
+            x = Tensor(x_data, requires_grad=x_grad)
+            out = forward(layer, x)
+            (out * Tensor(upstream)).sum().backward()
+            runs.append([out.numpy(), x.grad, *(p.grad for p in layer.parameters())])
+        (got, want) = runs
+        assert (got[1] is None) == (want[1] is None) == (not x_grad)
+        for a, b in zip(got, want):
+            if b is not None:
+                assert a.dtype == b.dtype == np.float32 and a.shape == b.shape
+                assert a.tobytes() == b.tobytes()
+        assert layer.apply(x_data).tobytes() == want[0].tobytes()  # predict's path
+
+
 class TestEmbedding:
     def test_lookup_shape(self):
         e = Embedding(10, 6)
@@ -122,11 +174,6 @@ class TestLayerNormAndDropout:
     def test_dropout_rate_validation(self):
         with pytest.raises(ValueError):
             Dropout(1.0)
-
-    def test_l2_normalize(self):
-        x = Tensor(rng.normal(size=(5, 8)))
-        y = l2_normalize(x).numpy()
-        np.testing.assert_allclose(np.linalg.norm(y, axis=-1), 1.0, rtol=1e-4)
 
 
 class TestOptimizers:

@@ -4,8 +4,8 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
-from repro.nn import Tensor, no_grad, ones, zeros
-from repro.nn.tensor import relu_array
+from repro.nn import Tensor, no_grad, ones, segment_sum, zeros
+from repro.nn.tensor import relu_array, scatter_add_rows
 
 #: float32 bit patterns: NaNs (quiet, signalling, negative), ±0, ±inf,
 #: smallest and largest subnormals of both signs, ±1.
@@ -287,3 +287,91 @@ class TestEngine:
         x = Tensor(arr, requires_grad=True)
         x.sum().backward()
         np.testing.assert_allclose(x.grad, np.ones_like(x.data), rtol=1e-6)
+
+
+#: float32 values whose sums depend on the order they are added in, and
+#: both zeros (np.add.at turns a lone -0.0 into +0.0: it adds into +0.0).
+SCATTER_VALUES = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.0, -1.0, 3e7, -3e7]),
+    st.floats(-1e4, 1e4, width=32),
+)
+
+
+def add_at(shape, key, values) -> np.ndarray:
+    """The oracle: ``np.add.at`` into float32 zeros."""
+    full = np.zeros(shape, dtype=np.float32)
+    np.add.at(full, key, values)
+    return full
+
+
+def assert_same_bits(got: np.ndarray, want: np.ndarray) -> None:
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
+@st.composite
+def scatters(draw):
+    """(num_rows, index, values): duplicate indices, unused rows, empty
+    and 2-D indices, and values with 0 to 2 trailing axes."""
+    num_rows = draw(st.integers(1, 9))
+    index_shape = draw(st.sampled_from([(0,), (1,), (7,), (23,), (3, 4)]))
+    index = draw(hnp.arrays(np.int64, index_shape, elements=st.integers(0, num_rows - 1)))
+    trailing = draw(st.sampled_from([(), (1,), (3,), (2, 3)]))
+    values = draw(hnp.arrays(np.float32, index_shape + trailing, elements=SCATTER_VALUES))
+    return num_rows, index, values
+
+
+class TestScatterIsAddAt:
+    """``scatter_add_rows`` — the backward of ``take_rows`` and
+    ``__getitem__`` and the forward of ``segment_sum`` — equals
+    ``np.add.at`` bit for bit, signs of zero included."""
+
+    @given(scatters())
+    @settings(max_examples=150, deadline=None)
+    @example((3, np.array([1, 1, 2]), np.array([-0.0, -0.0, -0.0], dtype=np.float32)))
+    @example((2, np.array([0, 0, 0]), np.array([3e7, 1.0, -3e7], dtype=np.float32)))
+    def test_scatter_add_rows(self, case):
+        num_rows, index, values = case
+        want = add_at((num_rows,) + values.shape[index.ndim :], index, values)
+        got = scatter_add_rows(index, values, num_rows)
+        assert_same_bits(got, want)
+        assert not np.shares_memory(got, values)
+
+    @given(scatters())
+    @settings(max_examples=60, deadline=None)
+    def test_take_rows_backward(self, case):
+        num_rows, index, grad = case
+        x = Tensor(np.ones((num_rows,) + grad.shape[index.ndim :]), requires_grad=True)
+        out = x.take_rows(index)
+        out.backward(grad)
+        assert_same_bits(x.grad, add_at(x.shape, index, grad))
+
+    @given(scatters())
+    @settings(max_examples=60, deadline=None)
+    def test_segment_sum_forward(self, case):
+        num_rows, index, values = case
+        if index.ndim != 1:
+            index, values = index.reshape(-1), values.reshape((-1,) + values.shape[2:])
+        out = segment_sum(Tensor(values), index, num_rows).numpy()
+        assert_same_bits(out, add_at((num_rows,) + values.shape[1:], index, values))
+
+    @pytest.mark.parametrize(
+        "key",
+        [
+            (slice(1, None), slice(None, 2)),
+            np.array([2, 0, 2, 2]),
+            (np.array([0, 1, 1]), np.array([3, 3, 3])),
+            (slice(None), np.array([1, 1, 0])),
+            (np.array([[1, 1], [0, 1]]), slice(None), np.array([[2, 2], [0, 2]])),
+            np.array([True, False, True]),
+            (Ellipsis, 1),
+        ],
+    )
+    def test_getitem_backward(self, key):
+        r = np.random.default_rng(5)
+        x = Tensor(r.normal(size=(3, 4, 3)), requires_grad=True)
+        out = x[key]
+        grad = (r.normal(size=out.shape) * 1e4).astype(np.float32)
+        grad.reshape(-1)[::3] = -0.0
+        out.backward(grad)
+        assert_same_bits(x.grad, add_at(x.shape, key, grad))
