@@ -56,8 +56,8 @@ of the training programs, a few hundred steps per model).
 """
 from __future__ import annotations
 
+import functools
 import json
-import operator
 import os
 import sys
 import time
@@ -75,6 +75,7 @@ import numpy as np  # noqa: E402
 
 from harness import (  # noqa: E402
     FAST,
+    check_record,
     eval_fusion_split,
     eval_tile_split,
     fusion_data,
@@ -448,9 +449,6 @@ SECTIONS = {
 
 
 # ------------------------------------------------------------------- checks
-_OPS = {"<": operator.lt, "<=": operator.le, ">": operator.gt, ">=": operator.ge}
-
-
 def evaluate(report: dict) -> dict:
     """The 14 shape checks over a report's numbers, and their conjunction.
 
@@ -458,15 +456,7 @@ def evaluate(report: dict) -> dict:
     any report. Each check's value is ``report[section][name]``.
     """
     t1, t2, t8, f5, t3 = (report[s] for s in ("table1", "table2", "table8", "fig5", "table3"))
-
-    def check(section: str, name: str, op: str, bound: float) -> dict:
-        value = report[section][name]
-        passed = bool(_OPS[op](value, bound))
-        return {
-            "section": section, "name": name, "value": value,
-            "op": op, "bound": bound, "passed": passed,
-        }
-
+    check = functools.partial(check_record, report)
     vanilla = t3["variants"]["Vanilla"]
     checks = [
         check("table1", "random_train_programs", ">", t1["random_validation_programs"]),

@@ -4,8 +4,10 @@
 process. This module centralizes dataset construction, model training and
 per-program evaluation, and caches every dataset and trained model for the
 life of the process, so a model one table trains is reused by the next
-(Table 2's trained models by Figures 4/5, etc.). The JSON benches import
-only :func:`stamp_report` and the interleaved-round helpers from here.
+(Table 2's trained models by Figures 4/5, etc.). ``bench_paper.py`` and
+``bench_serving.py`` share :func:`check_record`, the named check their exit
+codes are made of; the serving runner also uses the interleaved-round
+helpers, and every bench :func:`stamp_report`.
 
 Scale: the paper trains for 3-5M steps on 25M/208M samples; these benches
 train the same architectures for a few thousand steps on a synthetic corpus,
@@ -15,6 +17,7 @@ several-times-smaller smoke configuration.
 """
 from __future__ import annotations
 
+import operator
 import os
 import platform
 import subprocess
@@ -92,12 +95,33 @@ def stamp_report(report: dict) -> dict:
     return report
 
 
+# ------------------------------------------------------------------ checks
+OPS = {
+    "<": operator.lt, "<=": operator.le, ">": operator.gt, ">=": operator.ge,
+    "==": operator.eq,
+}
+
+
+def check_record(report: dict, section: str, name: str, op: str, bound) -> dict:
+    """One named check, ``report[section][name] op bound``.
+
+    ``==`` is for boolean and string values. A value the section lacks —
+    it raised before producing one — is null and fails, so a runner
+    reports the same checks whichever of its sections ran.
+    """
+    value = report[section].get(name)
+    return {
+        "section": section, "name": name, "value": value, "op": op, "bound": bound,
+        "passed": value is not None and bool(OPS[op](value, bound)),
+    }
+
+
 # ------------------------------------------------- ratios on a noisy box
-def interleaved_rounds(modes: dict, rounds: int) -> dict[str, list[float]]:
-    """Measure every mode once per round; returns each mode's rates.
+def interleaved_rounds(modes: dict, rounds: int) -> dict[str, list]:
+    """Measure every mode once per round; returns each mode's results.
 
     ``modes`` maps a name to a callable running one measured pass and
-    returning its rate. Back-to-back passes of one untouched service
+    returning its result. Back-to-back passes of one untouched service
     spread by more than 10 % on the boxes these benches run on, and the
     drift is slow: measuring mode after mode would fold it into every
     ratio. Running all modes within each round keeps the passes being
@@ -106,12 +130,12 @@ def interleaved_rounds(modes: dict, rounds: int) -> dict[str, list[float]]:
     mode.
     """
     names = list(modes)
-    rates: dict[str, list[float]] = {name: [] for name in names}
+    results: dict[str, list] = {name: [] for name in names}
     for round_index in range(rounds):
         shift = round_index % len(names)
         for name in names[shift:] + names[:shift]:
-            rates[name].append(modes[name]())
-    return rates
+            results[name].append(modes[name]())
+    return results
 
 
 def median_paired_ratio(mode_rates: list[float], baseline_rates: list[float]) -> float:

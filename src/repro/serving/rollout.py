@@ -65,8 +65,9 @@ def regressed_checkpoint(result):
     original is untouched) and negates the readout head: every score
     ranking is exactly reversed — the worst regression a rollout can
     face, and a reproducible one. This is the injection used by the
-    rollback tests, ``benchmarks/bench_rollout.py``'s detection-latency
-    gate, and the example's canary-rollback demo; production analogues
+    rollback tests, the detection-latency checks of
+    ``benchmarks/bench_serving.py``'s rollout section, and the example's
+    canary-rollback demo; production analogues
     are the periodic rollback drills that prove the abort path still
     works.
 
