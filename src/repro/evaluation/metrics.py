@@ -14,11 +14,17 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats
 
 
 def kendall_tau(truth: np.ndarray, pred: np.ndarray) -> float:
-    """Kendall rank correlation; 0.0 for degenerate (constant) inputs."""
+    """Kendall rank correlation; 0.0 for degenerate (constant) inputs.
+
+    ``scipy.stats`` is imported here, not at module level: it is half of
+    what ``import repro`` would otherwise cost in memory and start-up, and
+    no training, tuning or serving path calls this function.
+    """
+    from scipy import stats
+
     truth = np.asarray(truth, dtype=np.float64)
     pred = np.asarray(pred, dtype=np.float64)
     if len(truth) < 2 or np.all(truth == truth[0]) or np.all(pred == pred[0]):

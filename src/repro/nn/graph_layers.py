@@ -31,7 +31,7 @@ from .sparse import (
     stack_csr,
     transposed,
 )
-from .tensor import Tensor, recording, relu_array
+from .tensor import Tensor, recording, relu_inplace
 
 _L2_EPS = np.float32(1e-12)  # the per-row L2 step's epsilon
 
@@ -70,21 +70,22 @@ def graphsage_hop(
     *aggregators, w_update = weights
     parts, branches = [x], []
     for adj, weight in zip((adj_in, adj_out), aggregators):
-        agg = relu_array(x @ weight)
+        agg = relu_inplace(x @ weight)
         parts.append(np.asarray(adj @ agg, dtype=np.float32))
         if record:
             branches.append((adj, weight, agg > 0))
         del agg
     h = np.concatenate(parts, axis=-1)
     del parts
-    u = relu_array(h @ w_update)
+    u = relu_inplace(h @ w_update)
     if not record:
         del h
     out, scale, sq_eps = u, None, None
     if l2_norm:
         sq_eps = (u * u).sum(axis=-1, keepdims=True) + _L2_EPS
         scale = sq_eps**-0.5
-        out = u * scale
+        # The backward keeps u, so only a forward alone scales it in place.
+        out = u * scale if record else np.multiply(u, scale, out=u)
     return out, ((x, branches, h, w_update, u, scale, sq_eps) if record else None)
 
 

@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 
-from .tensor import Tensor, relu_array, sigmoid_array
+from .tensor import Tensor, relu_inplace, sigmoid_array
 
 
 class Module:
@@ -103,11 +103,11 @@ def dense(
 ) -> np.ndarray:
     """``activation(x @ weight + bias)`` on plain arrays: the forward of
     :class:`Dense` on the tape and on the inference path."""
-    y = x @ weight
+    y = x @ weight  # fresh, so the bias and relu write over it
     if bias is not None:
-        y = y + bias
+        y += bias
     if activation == "relu":
-        return relu_array(y)
+        return relu_inplace(y)
     if activation == "tanh":
         return np.tanh(y)
     if activation == "sigmoid":

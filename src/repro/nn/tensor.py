@@ -68,6 +68,16 @@ def relu_array(x: np.ndarray) -> np.ndarray:
     return y
 
 
+def relu_inplace(y: np.ndarray) -> np.ndarray:
+    """:func:`relu_array` written over ``y`` (the same ``+0.0`` then
+    ``fmax``, so the same bits) for a fresh array nothing else holds: the
+    forward of :func:`~repro.nn.layers.dense` and of a GraphSAGE hop, which
+    would otherwise allocate a second array per activation."""
+    np.add(y, _ZERO, out=y)
+    np.fmax(y, _ZERO, out=y)
+    return y
+
+
 def sigmoid_array(x: np.ndarray) -> np.ndarray:
     """The logistic function: the forward of :meth:`Tensor.sigmoid`, of the
     LSTM gates and of the tape-free inference path."""

@@ -2,6 +2,7 @@
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy import stats
 
 from repro.evaluation import (
     evaluate_fusion_task,
@@ -14,6 +15,11 @@ from repro.evaluation import (
     summarize,
     tile_size_ape,
 )
+
+
+def _tied(n: int):
+    """Float lists of length ``n`` drawn from five values, so most hold ties."""
+    return st.lists(st.sampled_from([0.5, 1.0, 2.0, 3.5, 7.0]), min_size=n, max_size=n)
 
 
 class TestKendall:
@@ -33,6 +39,17 @@ class TestKendall:
         arr = np.array(values)
         tau = kendall_tau(arr, arr**2)  # monotone transform
         assert tau == pytest.approx(1.0)
+
+    @given(st.integers(2, 30).flatmap(lambda n: st.tuples(_tied(n), _tied(n))))
+    @settings(max_examples=200, deadline=None)
+    def test_matches_scipy_with_ties(self, pair):
+        # A constant side is the degenerate case SciPy answers with NaN.
+        truth, pred = np.array(pair[0]), np.array(pair[1])
+        tau = kendall_tau(truth, pred)
+        if np.all(truth == truth[0]) or np.all(pred == pred[0]):
+            assert tau == 0.0
+        else:
+            assert tau == stats.kendalltau(truth, pred).statistic
 
 
 class TestMape:

@@ -5,7 +5,7 @@ from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
 from repro.nn import Tensor, no_grad, ones, segment_sum, zeros
-from repro.nn.tensor import relu_array, scatter_add_rows
+from repro.nn.tensor import relu_array, relu_inplace, scatter_add_rows
 
 #: float32 bit patterns: NaNs (quiet, signalling, negative), ±0, ±inf,
 #: smallest and largest subnormals of both signs, ±1.
@@ -77,9 +77,12 @@ class TestElementwiseGrads:
         expected = np.where(x > 0, x, 0.0)
         with np.errstate(invalid="ignore"):  # quieting a signalling NaN flags it
             got, taped = relu_array(x), Tensor(x).relu().data
-        assert got.dtype == taped.dtype == expected.dtype == np.float32
-        assert np.array_equal(got.view(np.uint32), expected.view(np.uint32))
-        assert np.array_equal(taped.view(np.uint32), expected.view(np.uint32))
+            buffer = x.copy()
+            written = relu_inplace(buffer)
+        assert written is buffer
+        assert got.dtype == taped.dtype == written.dtype == expected.dtype == np.float32
+        for result in (got, taped, written):
+            assert np.array_equal(result.view(np.uint32), expected.view(np.uint32))
 
     def test_sqrt_abs(self):
         check_grad(lambda x: (x.abs() + 1.0).sqrt(), rng.normal(size=(4,)))
