@@ -16,7 +16,7 @@ import numpy as np
 
 from ..compiler.kernels import Kernel
 from ..compiler.tiling import TileConfig, default_tile
-from ..data.batching import BatchItem, GraphBatch, KernelCache, Scalers, assemble_batch
+from ..data.batching import BatchItem, KernelCache, Scalers
 from ..data.features import KernelFeatures, extract_kernel_features, tile_features
 from ..models.model import LearnedPerformanceModel
 from ..tpu.analytical import AnalyticalModel, CalibratedAnalyticalModel
@@ -99,12 +99,14 @@ class LearnedEvaluator:
     Args:
         model: trained :class:`LearnedPerformanceModel`.
         scalers: the feature scalers fitted at training time.
-        cache: memoize per-kernel predictions by fingerprint (the fusion
-            autotuner re-visits the same kernels across configurations
-            constantly). Also enables the fingerprint-keyed feature memo
-            and the :class:`~repro.data.batching.KernelCache` fast path —
-            scaled features and normalized adjacencies are computed once
-            per distinct kernel, not once per query batch.
+
+    The autotuners revisit the same kernels constantly, so every query
+    reads through LRU-bounded caches: a fingerprint -> features memo and a
+    :class:`~repro.data.batching.KernelCache` (scaled features and
+    normalized adjacencies are computed once per distinct kernel, not once
+    per query batch), plus, for kernel and program pricing, a fingerprint
+    -> predicted-runtime memo. A batch composed through them is bitwise
+    the cold :func:`~repro.data.batching.assemble_batch` of the same items.
 
     Cache-hit metering (for the Fig. 4/5 budget accounting — model queries
     are "free" relative to hardware runs, but cached queries are *freer*):
@@ -115,7 +117,6 @@ class LearnedEvaluator:
 
     model: LearnedPerformanceModel
     scalers: Scalers
-    cache: bool = True
     #: Bound on cached per-kernel precomputes/features. The fusion tuner
     #: feeds an open-ended stream of distinct fused kernels, so unbounded
     #: caches would grow with the search budget; LRU-evicted kernels are
@@ -188,9 +189,7 @@ class LearnedEvaluator:
         }
 
     def _features(self, kernel: Kernel) -> KernelFeatures:
-        """Extract kernel features, deduped by fingerprint when caching."""
-        if not self.cache:
-            return extract_kernel_features(kernel)
+        """Extract kernel features, deduped by fingerprint."""
         fp = kernel.fingerprint()
         features = self._features_memo.get(fp)
         if features is not None:
@@ -211,12 +210,6 @@ class LearnedEvaluator:
         while len(self._memo) > self._memo_cap:
             self._memo.popitem(last=False)
             self.prediction_memo_evictions += 1
-
-    def _assemble(self, items: list[BatchItem]) -> GraphBatch:
-        """Compose a batch via the kernel cache (or cold when disabled)."""
-        if self.cache:
-            return self.batch_cache.assemble(items)
-        return assemble_batch(items, self.scalers, neighbor_cap=self.model.config.neighbor_cap)
 
     def score_tiles_batched(self, kernel: Kernel, tiles: list[TileConfig]) -> np.ndarray:
         """Rank scores for candidate tiles of one kernel (lower = faster).
@@ -256,7 +249,7 @@ class LearnedEvaluator:
             counts.append(len(tiles))
         if not items:
             return [np.zeros(0, dtype=np.float32) for _ in groups]
-        scores = self.model.predict(self._assemble(items))
+        scores = self.model.predict(self.batch_cache.assemble(items))
         out: list[np.ndarray] = []
         offset = 0
         for n in counts:
@@ -281,23 +274,21 @@ class LearnedEvaluator:
             fp = k.fingerprint()
             if fp in prices or fp in unique:
                 continue
-            cached = self._memo.get(fp) if self.cache else None
+            cached = self._memo.get(fp)
             if cached is not None:
                 self.prediction_memo_hits += 1
                 self._memo.move_to_end(fp)
                 prices[fp] = cached
             else:
-                if self.cache:
-                    self.prediction_memo_misses += 1
+                self.prediction_memo_misses += 1
                 unique[fp] = k
         if unique:
             missing = list(unique.values())
             items = [(self._features(k), None, 0.0, i) for i, k in enumerate(missing)]
-            preds = self.model.predict_runtimes(self._assemble(items))
+            preds = self.model.predict_runtimes(self.batch_cache.assemble(items))
             for k, p in zip(missing, preds):
                 prices[k.fingerprint()] = float(p)
-                if self.cache:
-                    self._remember(k.fingerprint(), float(p))
+                self._remember(k.fingerprint(), float(p))
         return prices
 
     def program_runtime(self, kernels: list[Kernel]) -> float:
@@ -311,8 +302,8 @@ class LearnedEvaluator:
         Deduplicates kernels by fingerprint across the whole population
         (fusion configurations overwhelmingly share kernels), prices every
         still-unpriced kernel in a single batched forward pass, then sums
-        per program. With ``cache=True`` the per-kernel prices persist in
-        the prediction memo across calls.
+        per program. The per-kernel prices persist in the prediction memo
+        across calls.
         """
         if not programs:
             return np.zeros(0, dtype=np.float64)

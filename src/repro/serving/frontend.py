@@ -49,7 +49,6 @@ import time
 from concurrent.futures import Future, InvalidStateError
 from dataclasses import dataclass, field, replace
 
-from .client import ServiceEvaluator
 from .faults import FaultInjector, corrupt_bytes
 from .protocol import (
     ERROR_DISCONNECTED,
@@ -94,10 +93,6 @@ class InProcessFrontend(Frontend):
     def submit(self, request):
         """Enqueue a request; returns the response future."""
         return self.service.submit(request)
-
-    def evaluator(self, timeout_s: float = 60.0) -> ServiceEvaluator:
-        """A client speaking the standard evaluator protocol."""
-        return ServiceEvaluator(self.service, timeout_s=timeout_s)
 
 
 @dataclass(eq=False)  # identity hashing: connections live in a set

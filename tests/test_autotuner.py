@@ -16,7 +16,8 @@ from repro.autotuner import (
     random_search,
     simulated_annealing,
 )
-from repro.compiler import default_tile, enumerate_tile_sizes, fuse_program
+from repro.autotuner.fusion_tuner import _crossover
+from repro.compiler import FusionConfig, default_tile, enumerate_tile_sizes, fuse_program
 from repro.data import build_fusion_dataset
 from repro.models import ModelConfig, TrainConfig, train_fusion_model
 from repro.tpu import TpuSimulator
@@ -292,17 +293,34 @@ class TestFusionAutotuner:
     def test_model_autotuner_alternate_strategies(self, trained_fusion):
         p = sequence.char2feats(0)
         hw = HardwareEvaluator(TpuSimulator())
-        for strategy in ("random", "genetic"):
+        # A genetic budget of 20 buys only the population of 16 and
+        # (20 - 16) // 12 = 0 generations; 40 buys two bred generations.
+        for strategy, budget, spent in (("random", 20, 20), ("genetic", 20, 16), ("genetic", 40, 40)):
             ev = LearnedEvaluator(trained_fusion.model, trained_fusion.scalers)
             res = model_fusion_autotune(
-                p, ev, hw, model_budget=20, hardware_budget=2, seed=0,
+                p, ev, hw, model_budget=budget, hardware_budget=2, seed=0,
                 strategy=strategy,
             )
-            assert res.model_evaluations <= 20, strategy
+            assert res.model_evaluations == spent, (strategy, budget)
             assert res.runtime > 0
             # Strategies seeded away from the default fall back to it
             # rather than returning a verified regression.
-            assert res.runtime <= res.default_runtime * 1.001, strategy
+            assert res.runtime <= res.default_runtime * 1.001, (strategy, budget)
+
+    def test_crossover_child_decisions_come_from_parents(self):
+        rng = np.random.default_rng(0)
+        for _ in range(20):
+            a = FusionConfig.random(12, rng)
+            b = FusionConfig.random(12, rng)
+            child = _crossover(a, b, rng)
+            assert len(child.decisions) == 12
+            # Where the parents agree the child has no other choice.
+            for c, da, db in zip(child.decisions, a.decisions, b.decisions):
+                if da == db:
+                    assert c == da
+        # Opposite parents: the child takes decisions from both.
+        child = _crossover(FusionConfig((True,) * 12), FusionConfig((False,) * 12), rng)
+        assert set(child.decisions) == {True, False}
 
     def test_genetic_tiny_budget_never_overspends(self, trained_fusion):
         ev = LearnedEvaluator(trained_fusion.model, trained_fusion.scalers)

@@ -21,6 +21,8 @@ from repro.data import (
     assemble_batch,
     build_fusion_dataset,
     build_tile_dataset,
+    extract_kernel_features,
+    tile_features,
 )
 from repro.models import LearnedPerformanceModel, ModelConfig
 from repro.workloads import vision
@@ -169,13 +171,20 @@ class TestBatchedTileScoring:
         return LearnedEvaluator(model, scalers)
 
     def test_matches_cold_path_bitwise(self, tile_records, scalers, evaluator):
-        """Cached composition changes nothing: same batch, same bits."""
+        """Cached composition changes nothing: the warm evaluator's scores
+        are the model's forward over the cold ``assemble_batch``, bit for
+        bit."""
         record = max(tile_records, key=lambda r: len(enumerate_tile_sizes(r.kernel)))
         tiles = enumerate_tile_sizes(record.kernel)[:12]
-        cold = LearnedEvaluator(evaluator.model, scalers, cache=False)
+        features = extract_kernel_features(record.kernel)
+        items = [(features, tile_features(t), 0.0, 0) for t in tiles]
+        model = evaluator.model
+        cold = model.predict(
+            assemble_batch(items, scalers, neighbor_cap=model.config.neighbor_cap)
+        )
+        evaluator.score_tiles_batched(record.kernel, tiles)  # warm the caches
         np.testing.assert_array_equal(
-            cold.score_tiles_batched(record.kernel, tiles),
-            evaluator.score_tiles_batched(record.kernel, tiles),
+            cold, evaluator.score_tiles_batched(record.kernel, tiles)
         )
 
     def test_matches_per_tile_scoring(self, tile_records, scalers, evaluator):
@@ -183,9 +192,8 @@ class TestBatchedTileScoring:
         shape-dependent rounding, which differs across batch sizes)."""
         record = max(tile_records, key=lambda r: len(enumerate_tile_sizes(r.kernel)))
         tiles = enumerate_tile_sizes(record.kernel)[:12]
-        cold = LearnedEvaluator(evaluator.model, scalers, cache=False)
         per_tile = np.concatenate(
-            [cold.score_tiles_batched(record.kernel, [t]) for t in tiles]
+            [evaluator.score_tiles_batched(record.kernel, [t]) for t in tiles]
         )
         batched = evaluator.score_tiles_batched(record.kernel, tiles)
         np.testing.assert_allclose(per_tile, batched, rtol=1e-4, atol=1e-7)

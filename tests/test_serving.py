@@ -19,10 +19,11 @@ from repro.autotuner import (
     LearnedEvaluator,
     ProgramCostModel,
     TileScorer,
+    model_fusion_autotune,
     model_tile_autotune,
 )
 from repro.compiler import enumerate_tile_sizes
-from repro.data import KernelCache, Scalers, build_tile_dataset
+from repro.data import KernelCache, Scalers, build_fusion_dataset, build_tile_dataset
 from repro.evaluation import ServingStats, latency_percentiles
 from repro.models import LearnedPerformanceModel, ModelConfig
 from repro.models.trainer import TrainResult
@@ -294,6 +295,34 @@ class TestServiceEquivalence:
         tuned_served = model_tile_autotune(kernels, client, HardwareEvaluator(), top_k=1)
         assert tuned_direct.tiles == tuned_served.tiles
         assert tuned_served.hardware_evaluations == 0
+
+    @pytest.mark.parametrize("executor", ["thread", "process"])
+    @pytest.mark.parametrize("chains", [1, 4])
+    def test_fusion_autotuner_runs_unchanged_against_service(self, executor, chains):
+        """One chain prices through ``program_runtime``, four through
+        ``program_runtimes_batched``; either way the served search makes
+        the direct search's decisions, bit for bit."""
+        program = vision.image_embed(0)
+        records = build_fusion_dataset([program], configs_per_program=2, seed=0).records
+        cfg = ModelConfig(task="fusion", reduction="column-wise", **SMALL)
+        model = LearnedPerformanceModel(cfg, seed=0)
+        model.eval()
+        result = TrainResult(model=model, scalers=Scalers.fit_fusion(records), loss_history=[])
+
+        def tune(learned):
+            return model_fusion_autotune(
+                program, learned, HardwareEvaluator(), model_budget=24, seed=3, chains=chains
+            )
+
+        direct = tune(LearnedEvaluator(result.model, result.scalers))
+        service = sync_service(result, executor=executor)
+        try:
+            served = tune(ServiceEvaluator(service))
+        finally:
+            service.stop()
+        assert served.config.decisions == direct.config.decisions
+        assert served.runtime == direct.runtime
+        assert served.model_evaluations == direct.model_evaluations == 24
 
 
 class TestResultCacheInService:
