@@ -21,6 +21,7 @@ one-shot calls into it.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import compress
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -118,55 +119,72 @@ class FusionConfig:
 
 
 class _UnionFind:
-    """Union-find over instruction ids with legality bookkeeping."""
+    """Union-find over dense instruction indices with legality bookkeeping.
+
+    Index ``k`` stands for the fuser's ``k``-th instruction; parent, size
+    and contraction count are plain lists, copied from the fuser's once
+    per configuration. With ``members`` (the instruction id of each index)
+    it also keeps each root's member ids, so a caller can read one group
+    without scanning the program.
+    """
+
+    __slots__ = ("parent", "size", "contractions", "max_ops", "max_contractions", "members")
 
     def __init__(
-        self, sizes: dict[int, int], contractions: dict[int, int], params: FusionParams
+        self,
+        sizes: list[int],
+        contractions: list[int],
+        params: FusionParams,
+        members: list[int] | None = None,
     ) -> None:
-        self.parent = {i: i for i in sizes}
-        self.size = dict(sizes)
-        self.contractions = dict(contractions)
-        self.params = params
+        self.parent = list(range(len(sizes)))
+        self.size = sizes.copy()
+        self.contractions = contractions.copy()
+        self.max_ops = params.max_ops_per_kernel
+        self.max_contractions = params.max_contractions_per_kernel
+        self.members = None if members is None else [[i] for i in members]
 
     def find(self, x: int) -> int:
-        root = x
-        while self.parent[root] != root:
-            root = self.parent[root]
-        while self.parent[x] != root:
-            self.parent[x], x = root, self.parent[x]
-        return root
+        parent = self.parent
+        while parent[x] != x:
+            x = parent[x]
+        return x
 
-    def can_union(self, a: int, b: int) -> bool:
-        ra, rb = self.find(a), self.find(b)
-        if ra == rb:
-            return True
-        if self.size[ra] + self.size[rb] > self.params.max_ops_per_kernel:
-            return False
-        if (
-            self.contractions[ra] + self.contractions[rb]
-            > self.params.max_contractions_per_kernel
-        ):
-            return False
-        return True
+    def roots(self) -> list[int]:
+        """The root of every index, by pointer jumping over whole lists."""
+        roots = self.parent
+        while True:
+            jumped = [roots[r] for r in roots]
+            if jumped == roots:
+                return roots
+            roots = jumped
 
-    def union(self, a: int, b: int) -> bool:
-        if not self.can_union(a, b):
-            return False
-        ra, rb = self.find(a), self.find(b)
-        if ra == rb:
-            return True
-        if self.size[ra] < self.size[rb]:
-            ra, rb = rb, ra
-        self.parent[rb] = ra
-        self.size[ra] += self.size[rb]
-        self.contractions[ra] += self.contractions[rb]
-        return True
+    def can_union(self, ra: int, rb: int) -> bool:
+        """Whether the groups rooted at ``ra`` and ``rb`` may merge."""
+        return ra == rb or (
+            self.size[ra] + self.size[rb] <= self.max_ops
+            and self.contractions[ra] + self.contractions[rb] <= self.max_contractions
+        )
 
-    def groups(self) -> list[set[int]]:
-        by_root: dict[int, set[int]] = {}
-        for i in self.parent:
-            by_root.setdefault(self.find(i), set()).add(i)
-        return [by_root[k] for k in sorted(by_root)]
+    def union(self, a: int, b: int) -> None:
+        """Merge the groups of ``a`` and ``b`` if legal; the larger group's
+        root survives, ``a``'s on a tie. Union by size keeps the trees
+        shallow, so :meth:`find` needs no path compression."""
+        parent = self.parent
+        while parent[a] != a:
+            a = parent[a]
+        while parent[b] != b:
+            b = parent[b]
+        if a == b or not self.can_union(a, b):
+            return
+        size = self.size
+        if size[a] < size[b]:
+            a, b = b, a
+        parent[b] = a
+        size[a] += size[b]
+        self.contractions[a] += self.contractions[b]
+        if self.members is not None:
+            self.members[a] += self.members[b]
 
 
 class ProgramFuser:
@@ -174,12 +192,12 @@ class ProgramFuser:
 
     Everything that depends on the program alone is derived once, at
     construction: the fusible edges, topological order and positions, the
-    ``users`` map, the leaf set, each constant's first user and the
-    union-find's starting sizes. A group's extracted body depends only on
-    its member set, so bodies are memoised by member set: a search move
-    that flips a few edges re-extracts only the groups those edges touch,
-    and every other kernel of the new configuration is a
-    :meth:`Kernel.shell` over a body (and fingerprint) already in hand.
+    ``users`` map, the leaf set, each constant's first user, and the
+    union-find's dense indices and starting sizes. A group's extracted
+    body depends only on its member set, so bodies are memoised by member
+    set: a search move that flips a few edges re-extracts only the groups
+    those edges touch, and every other kernel of the new configuration is
+    a :meth:`Kernel.shell` over a body (and fingerprint) already in hand.
 
     Hold one fuser for all the configurations of a search or a dataset
     build; for a single configuration use :func:`fuse_program`. The memo
@@ -207,23 +225,26 @@ class ProgramFuser:
         self.edges = _fusible_edges(self._order, self._users)
         leaf_opcodes = (Opcode.PARAMETER, Opcode.CONSTANT)
         self._leaves = frozenset(i.id for i in self._order if i.opcode in leaf_opcodes)
-        self._sizes = {i: int(i not in self._leaves) for i in graph.instructions}
-        self._contractions = {
-            i: int(opcode_info(inst.opcode).category is OpCategory.CONTRACTION)
-            for i, inst in graph.instructions.items()
-        }
+        # The union-find runs on dense indices: index k is the k-th id of
+        # ``graph.instructions``.
+        self._ids = list(graph.instructions)
+        index = {i: k for k, i in enumerate(self._ids)}
+        self._index = index
+        self._edge_pairs = [(index[p], index[c]) for p, c in self.edges]
+        self._sizes = [int(i not in self._leaves) for i in self._ids]
+        self._contractions = [
+            int(opcode_info(inst.opcode).category is OpCategory.CONTRACTION)
+            for inst in graph.instructions.values()
+        ]
         # A constant joins the group of one consumer (its lowest-id user) so
         # that kernel holds it; extraction imports it into any other kernel
         # it feeds as a fresh parameter automatically.
         self._constant_first_user = [
-            (inst.id, min(self._users[inst.id]))
+            (index[inst.id], index[min(self._users[inst.id])])
             for inst in self._order
             if inst.opcode is Opcode.CONSTANT and self._users[inst.id]
         ]
         self._bodies: dict[frozenset[int], Kernel] = {}
-
-    def _union_find(self) -> _UnionFind:
-        return _UnionFind(self._sizes, self._contractions, self.params)
 
     def groups(self, config: FusionConfig) -> list[set[int]]:
         """Realize ``config`` into legal groups (see :func:`apply_fusion`)."""
@@ -231,20 +252,25 @@ class ProgramFuser:
             raise ValueError(
                 f"config has {len(config.decisions)} decisions for {len(self.edges)} edges"
             )
-        uf = self._union_find()
-        for (producer, consumer), fuse in zip(self.edges, config.decisions):
-            if fuse:
-                uf.union(producer, consumer)
+        uf = _UnionFind(self._sizes, self._contractions, self.params)
+        union = uf.union
+        for producer, consumer in compress(self._edge_pairs, config.decisions):
+            union(producer, consumer)
         for constant, user in self._constant_first_user:
-            uf.union(constant, user)
-        return uf.groups()
+            union(constant, user)
+        ids = self._ids
+        by_root: dict[int, list[int]] = {}
+        for inst_id, root in zip(ids, uf.roots()):
+            by_root.setdefault(root, []).append(inst_id)
+        return [set(by_root[root]) for root in sorted(by_root, key=ids.__getitem__)]
 
     def default_config(self) -> FusionConfig:
         """The compiler's greedy heuristic (see :func:`default_fusion`)."""
         params = self.params
+        index = self._index
         edge_index = {e: k for k, e in enumerate(self.edges)}
         decisions = [False] * len(self.edges)
-        uf = self._union_find()
+        uf = _UnionFind(self._sizes, self._contractions, params, members=self._ids)
         users = self._users
         for inst in reversed(self._order):
             info = opcode_info(inst.opcode)
@@ -254,24 +280,47 @@ class ProgramFuser:
             if not consumer_ids or inst.is_root:
                 continue  # outputs must be materialized anyway
             # All users must already share one group for a traffic saving.
-            roots = {uf.find(u) for u in consumer_ids}
+            roots = {uf.find(index[u]) for u in consumer_ids}
             if len(roots) != 1:
                 continue
             saved = inst.shape.byte_size
             if saved < params.min_saved_bytes:
                 continue
-            target = consumer_ids[0]
-            if not uf.can_union(inst.id, target):
+            producer, target = index[inst.id], index[consumer_ids[0]]
+            ra, rb = uf.find(producer), uf.find(target)
+            if not uf.can_union(ra, rb):
                 continue
             # Scratchpad footprint guard: group inputs + outputs must fit.
-            if _group_footprint(self.graph, users, uf, inst.id, target) > params.scratchpad_bytes:
+            merged = uf.members[ra] if ra == rb else uf.members[ra] + uf.members[rb]
+            if self._footprint(merged) > params.scratchpad_bytes:
                 continue
-            uf.union(inst.id, target)
+            uf.union(producer, target)
             for u in consumer_ids:
                 key = (inst.id, u)
                 if key in edge_index:
                     decisions[edge_index[key]] = True
         return FusionConfig(tuple(decisions))
+
+    def _footprint(self, members: list[int]) -> int:
+        """Bytes the group of instruction ids ``members`` would move across HBM.
+
+        Counts the boundary tensors of the group: operands produced outside
+        it plus group outputs consumed outside (or program roots). This is
+        the working set the tiling machinery must stream through
+        scratchpad; one full tile of each boundary tensor being resident is
+        the constraint the default heuristic guards.
+        """
+        instructions, users = self.graph.instructions, self._users
+        inside = set(members)
+        footprint = 0
+        for i in members:
+            inst = instructions[i]
+            for op in inst.operands:
+                if op not in inside:
+                    footprint += instructions[op].shape.byte_size
+            if inst.is_root or any(u not in inside for u in users[i]):
+                footprint += inst.shape.byte_size
+        return footprint
 
     def extract(self, groups: Iterable[Iterable[int]]) -> list[Kernel]:
         """One kernel per executing group (see :func:`extract_kernels`)."""
@@ -337,30 +386,6 @@ def default_fusion(
     time" estimate (Sec. 2.3).
     """
     return ProgramFuser(graph, params).default_config()
-
-
-def _group_footprint(
-    graph: Graph, users: dict[int, list[int]], uf: _UnionFind, a: int, b: int
-) -> int:
-    """Bytes the merged group of ``a`` and ``b`` would move across HBM.
-
-    Counts the boundary tensors of the merged group: operands produced
-    outside the group plus group outputs consumed outside (or program
-    roots). This is the working set the tiling machinery must stream
-    through scratchpad; one full tile of each boundary tensor being
-    resident is the constraint the default heuristic guards.
-    """
-    ra, rb = uf.find(a), uf.find(b)
-    members = {i for i in graph.instructions if uf.find(i) in (ra, rb)}
-    footprint = 0
-    for i in members:
-        inst = graph.get(i)
-        for op in inst.operands:
-            if op not in members:
-                footprint += graph.get(op).shape.byte_size
-        if inst.is_root or any(u not in members for u in users[i]):
-            footprint += inst.shape.byte_size
-    return footprint
 
 
 def extract_kernels(

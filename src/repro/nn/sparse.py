@@ -95,6 +95,47 @@ def segment_softmax(scores: Tensor, segment_ids: np.ndarray, num_segments: int) 
     return scores._make(out, (scores,), backward)
 
 
+_INT32_MAX = np.iinfo(np.int32).max
+
+#: What SciPy's constructor sets on a matrix besides its shape and arrays.
+_CSR_STATE = {"maxprint": sp.csr_matrix((1, 1)).maxprint}
+
+
+def _csr(
+    data: np.ndarray, indices: np.ndarray, indptr: np.ndarray, shape: tuple[int, int]
+) -> sp.csr_matrix:
+    """``csr_matrix((data, indices, indptr), shape=shape)``, minus SciPy's
+    generic constructor.
+
+    The arrays are stored as given: no index-dtype selection, no copy, no
+    cast (each caller builds the dtypes SciPy would pick). The O(1) checks
+    of SciPy's ``check_format(full_check=False)`` stay, each a
+    ``ValueError``: 1-D arrays, integer index dtypes, ``len(indptr) ==
+    rows + 1``, ``indptr[0] == 0`` and ``len(indices) == len(data) ==
+    indptr[-1]``. Products go through SciPy's compiled kernels as before.
+    """
+    if data.ndim != 1 or indices.ndim != 1 or indptr.ndim != 1:
+        raise ValueError("data, indices, and indptr should be 1-D")
+    if indices.dtype.kind != "i" or indptr.dtype.kind != "i":
+        raise ValueError(
+            f"index arrays need integer dtypes, got {indices.dtype} and {indptr.dtype}"
+        )
+    if len(indptr) != shape[0] + 1:
+        raise ValueError(f"index pointer size {len(indptr)} should be {shape[0] + 1}")
+    if indptr[0] != 0:
+        raise ValueError("index pointer should start with 0")
+    if not len(indices) == len(data) == indptr[-1]:
+        raise ValueError(
+            f"{len(indices)} indices and {len(data)} values for {indptr[-1]} stored entries"
+        )
+    matrix = sp.csr_matrix.__new__(sp.csr_matrix)
+    matrix.__dict__.update(
+        _CSR_STATE, _shape=(int(shape[0]), int(shape[1])),
+        data=data, indices=indices, indptr=indptr,
+    )
+    return matrix
+
+
 def stack_csr(blocks: list[sp.csr_matrix]) -> sp.csr_matrix:
     """Block-diagonal stack of CSR matrices by direct index arithmetic.
 
@@ -115,26 +156,30 @@ def stack_csr(blocks: list[sp.csr_matrix]) -> sp.csr_matrix:
     if not blocks:
         raise ValueError("stack_csr needs at least one block")
     if len(blocks) == 1:
-        return blocks[0].copy()
+        b = blocks[0]
+        return _csr(b.data.copy(), b.indices.copy(), b.indptr.copy(), b.shape)
     rows = np.asarray([b.shape[0] for b in blocks])
     cols = np.asarray([b.shape[1] for b in blocks])
     nnz = np.asarray([len(b.data) for b in blocks])
+    shape = (int(rows.sum()), int(cols.sum()))
     data = np.concatenate([b.data for b in blocks])
-    indices = np.concatenate([b.indices for b in blocks])
-    indices += np.repeat((np.cumsum(cols) - cols).astype(indices.dtype), nnz)
-    n_rows = int(rows.sum())
-    indptr = np.zeros(n_rows + 1, dtype=np.int64)
+    # SciPy's constructor picks int32 indices whenever the shape and the
+    # entry count fit; so does this.
+    index_dtype = np.int32 if max(*shape, len(data)) <= _INT32_MAX else np.int64
+    indices = np.concatenate([b.indices for b in blocks]).astype(index_dtype, copy=False)
+    indices += np.repeat((np.cumsum(cols) - cols).astype(index_dtype), nnz)
+    indptr = np.zeros(shape[0] + 1, dtype=index_dtype)
     np.concatenate([b.indptr[1:] for b in blocks], out=indptr[1:])
     indptr[1:] += np.repeat(np.cumsum(nnz) - nnz, rows)
-    return sp.csr_matrix((data, indices, indptr), shape=(n_rows, int(cols.sum())))
+    return _csr(data, indices, indptr, shape)
 
 
 def mean_aggregation_csr(neighbors: np.ndarray, cap: int | None) -> sp.csr_matrix:
     """Mean-aggregation operator of one small graph, by index arithmetic.
 
     What :func:`normalized_adjacency` computes through ``tocsr`` / ``tolil``
-    / ``diags @ m``, built from ``np.nonzero`` and ``bincount`` with a
-    single ``csr_matrix((data, indices, indptr))`` at the end — for a
+    / ``diags @ m``, built from ``np.nonzero`` and ``bincount`` and wrapped
+    by :func:`_csr` without SciPy's generic constructor — for a
     kernel-sized graph the SciPy constructors, not the arithmetic, were the
     cost. The result equals the oracle's in ``indptr``, stored ``indices``
     order (descending column within a row, as SciPy's ``d @ m`` emits),
@@ -162,7 +207,7 @@ def mean_aggregation_csr(neighbors: np.ndarray, cap: int | None) -> sp.csr_matri
         np.cumsum(degree, out=indptr[1:])
     data = np.float32(1.0) / degree[rows].astype(np.float32)
     indices = (n - 1 - reversed_cols).astype(np.int32)
-    return sp.csr_matrix((data, indices, indptr), shape=(n, n))
+    return _csr(data, indices, indptr, (n, n))
 
 
 def normalized_adjacency(

@@ -230,9 +230,21 @@ class TpuSimulator:
         )
 
     def run(self, kernel: Kernel, tile: TileConfig | None = None) -> float:
-        """Noise-free runtime in seconds (deterministic)."""
+        """Noise-free runtime in seconds (deterministic).
+
+        A pure function of the body, the simulator and the tile, so it is
+        memoised per kernel body (shared by every :meth:`Kernel.shell`),
+        keyed on (simulator class, target, quirk amplitude, tile): a fusion
+        search that meets a body again in another configuration does not
+        simulate it again.
+        """
         tile = tile or default_tile(kernel)
-        return self.breakdown(kernel, tile).total
+        runs = kernel._body_memo.setdefault("simulated", {})
+        key = (type(self), self.target, self.quirk_amplitude, tile)
+        total = runs.get(key)
+        if total is None:
+            total = runs[key] = self.breakdown(kernel, tile).total
+        return total
 
     def measure(
         self,

@@ -6,13 +6,14 @@ from hypothesis import given, settings, strategies as st
 from repro.compiler import (
     FusionConfig,
     FusionParams,
+    ProgramFuser,
     apply_fusion,
     default_fusion,
     fuse_program,
     fusible_edges,
 )
-from repro.hlo import GraphBuilder, Opcode
-from repro.workloads import vision
+from repro.hlo import GraphBuilder, OpCategory, Opcode, opcode_info
+from repro.workloads import build_corpus, vision
 
 
 def mlp_graph():
@@ -167,3 +168,160 @@ class TestFuseProgram:
             1 for i in g if i.opcode not in (Opcode.PARAMETER, Opcode.CONSTANT)
         )
         assert total == program_total
+
+
+class _ReferenceUnionFind:
+    """The fuser's original union-find over instruction ids (dicts, path
+    compression): the reference :class:`ProgramFuser` must equal."""
+
+    def __init__(self, sizes, contractions, params):
+        self.parent = {i: i for i in sizes}
+        self.size = dict(sizes)
+        self.contractions = dict(contractions)
+        self.params = params
+
+    def find(self, x):
+        root = x
+        while self.parent[root] != root:
+            root = self.parent[root]
+        while self.parent[x] != root:
+            self.parent[x], x = root, self.parent[x]
+        return root
+
+    def can_union(self, a, b):
+        ra, rb = self.find(a), self.find(b)
+        if ra == rb:
+            return True
+        if self.size[ra] + self.size[rb] > self.params.max_ops_per_kernel:
+            return False
+        return (
+            self.contractions[ra] + self.contractions[rb]
+            <= self.params.max_contractions_per_kernel
+        )
+
+    def union(self, a, b):
+        if not self.can_union(a, b):
+            return
+        ra, rb = self.find(a), self.find(b)
+        if ra == rb:
+            return
+        if self.size[ra] < self.size[rb]:
+            ra, rb = rb, ra
+        self.parent[rb] = ra
+        self.size[ra] += self.size[rb]
+        self.contractions[ra] += self.contractions[rb]
+
+    def groups(self):
+        by_root = {}
+        for i in self.parent:
+            by_root.setdefault(self.find(i), set()).add(i)
+        return [by_root[k] for k in sorted(by_root)]
+
+
+def _reference_union_find(graph, params):
+    leaves = {i.id for i in graph if i.opcode in (Opcode.PARAMETER, Opcode.CONSTANT)}
+    sizes = {i: int(i not in leaves) for i in graph.instructions}
+    contractions = {
+        i: int(opcode_info(inst.opcode).category is OpCategory.CONTRACTION)
+        for i, inst in graph.instructions.items()
+    }
+    return _ReferenceUnionFind(sizes, contractions, params)
+
+
+def reference_groups(graph, config, params):
+    """Groups of ``config`` as the dict union-find formed them."""
+    users = graph.users()
+    uf = _reference_union_find(graph, params)
+    for (producer, consumer), fuse in zip(fusible_edges(graph), config.decisions):
+        if fuse:
+            uf.union(producer, consumer)
+    for inst in graph.topological_order():
+        if inst.opcode is Opcode.CONSTANT and users[inst.id]:
+            uf.union(inst.id, min(users[inst.id]))
+    return uf.groups()
+
+
+def _reference_footprint(graph, users, uf, a, b):
+    """Boundary bytes of the merged group, found by scanning every node."""
+    ra, rb = uf.find(a), uf.find(b)
+    members = {i for i in graph.instructions if uf.find(i) in (ra, rb)}
+    footprint = 0
+    for i in members:
+        inst = graph.get(i)
+        for op in inst.operands:
+            if op not in members:
+                footprint += graph.get(op).shape.byte_size
+        if inst.is_root or any(u not in members for u in users[i]):
+            footprint += inst.shape.byte_size
+    return footprint
+
+
+def reference_default_config(graph, params):
+    """The greedy heuristic over the dict union-find and a whole-program
+    footprint scan per candidate."""
+    edges = fusible_edges(graph)
+    edge_index = {e: k for k, e in enumerate(edges)}
+    decisions = [False] * len(edges)
+    uf = _reference_union_find(graph, params)
+    users = graph.users()
+    for inst in reversed(graph.topological_order()):
+        if not opcode_info(inst.opcode).fusible or inst.opcode is Opcode.CONSTANT:
+            continue
+        consumer_ids = users[inst.id]
+        if not consumer_ids or inst.is_root:
+            continue
+        if len({uf.find(u) for u in consumer_ids}) != 1:
+            continue
+        if inst.shape.byte_size < params.min_saved_bytes:
+            continue
+        target = consumer_ids[0]
+        if not uf.can_union(inst.id, target):
+            continue
+        if _reference_footprint(graph, users, uf, inst.id, target) > params.scratchpad_bytes:
+            continue
+        uf.union(inst.id, target)
+        for u in consumer_ids:
+            if (inst.id, u) in edge_index:
+                decisions[edge_index[(inst.id, u)]] = True
+    return FusionConfig(tuple(decisions))
+
+
+@pytest.fixture(scope="module")
+def reference_programs():
+    """Five corpus programs of different families, 69 to 438 nodes."""
+    names = ("dlrm_0", "char2feats_0", "resnet_v1_0", "transformer_1", "inception_3")
+    programs = [p for p in build_corpus() if p.name in names]
+    assert len(programs) == len(names)
+    return programs
+
+
+fusion_params = st.builds(
+    FusionParams,
+    max_ops_per_kernel=st.sampled_from([1, 2, 3, 5, 8, 64]),
+    max_contractions_per_kernel=st.integers(0, 2),
+    scratchpad_bytes=st.sampled_from([1 << 12, 1 << 16, 1 << 20, 16 * 1024 * 1024]),
+    min_saved_bytes=st.sampled_from([0, 1024, 1 << 16]),
+)
+
+
+class TestFuserEqualsReferenceUnionFind:
+    """The dense union-find forms the partitions, and the default heuristic
+    the decisions, that the dict union-find formed — tight legality caps
+    (which reject unions) included."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(data=st.data(), params=fusion_params)
+    def test_groups_and_default_config(self, reference_programs, data, params):
+        program = data.draw(st.sampled_from(reference_programs), label="program")
+        graph = program.graph
+        fuser = ProgramFuser(graph, params)
+        default = fuser.default_config()
+        assert default == reference_default_config(graph, params)
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+        configs = [default, FusionConfig.all(len(fuser.edges))] + [
+            FusionConfig.random(len(fuser.edges), rng, p=p) for p in (0.2, 0.5, 0.9)
+        ]
+        for config in configs:
+            got, want = fuser.groups(config), reference_groups(graph, config, params)
+            assert got == want
+            assert [list(g) for g in got] == [list(g) for g in want]  # iteration order too

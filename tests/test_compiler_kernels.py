@@ -1,8 +1,11 @@
 """Tests for kernel extraction, classification and fingerprints."""
+import hashlib
+
 import pytest
 
-from repro.compiler import Kernel, classify_kernel, extract_kernels
+from repro.compiler import Kernel, classify_kernel, extract_kernels, fuse_program
 from repro.hlo import GraphBuilder, Opcode
+from repro.workloads import build_corpus
 
 
 def conv_graph():
@@ -98,6 +101,23 @@ class TestKernelAPI:
         b.conv2d(x, kk)
         k3 = Kernel(graph=b.build(), kind="convolution")
         assert k3.fingerprint() != k1.fingerprint()
+
+    def test_corpus_fingerprints_pinned(self):
+        """Hashing a non-default layout moved no existing fingerprint: no
+        corpus instruction has one, and the default-fusion kernels of all
+        104 programs hash to the digest recorded before layouts were hashed.
+        Tile subsampling, hardware quirks and every recorded search are
+        seeded from these fingerprints."""
+        corpus = build_corpus()
+        assert all(inst.shape.layout.is_default() for p in corpus for inst in p.graph)
+        digest = hashlib.sha256()
+        for program in corpus:
+            for kernel in fuse_program(program.graph, program_name=program.name):
+                digest.update(kernel.fingerprint().encode())
+        assert len(corpus) == 104
+        assert digest.hexdigest() == (
+            "03f5dc06475779c46624e4205d7f366b585ee1ef41cc7e93136dd55d325f5a32"
+        )
 
     def test_num_nodes_and_output_shapes(self):
         g, y, z = conv_graph()

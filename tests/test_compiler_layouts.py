@@ -61,14 +61,15 @@ class TestWithOutputLayout:
         k = skinny_kernel()
         with_output_layout(k, Layout((0, 1))).graph.validate()
 
-    def test_fingerprint_is_layout_blind(self):
-        """Kernel identity is *logical* content: relaying out the output
-        does not change the fingerprint (so the simulator's per-kernel
-        quirk is shared across layouts, while layout still changes runtime
-        through the alignment terms -- see TestLayoutCost)."""
+    def test_fingerprint_tells_layouts_apart(self):
+        """Relaying out the output makes another kernel: every
+        fingerprint-keyed memo (features, predictions, the serving result
+        cache) must keep the two apart. Spelling out the default layout
+        leaves the fingerprint as it was."""
         k = skinny_kernel()
         flipped = with_output_layout(k, Layout((0, 1)))
-        assert flipped.fingerprint() == k.fingerprint()
+        assert flipped.fingerprint() != k.fingerprint()
+        assert with_output_layout(k, Layout.default(2)).fingerprint() == k.fingerprint()
 
     def test_invalid_layout_rejected(self):
         k = skinny_kernel()

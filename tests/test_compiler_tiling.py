@@ -1,11 +1,13 @@
 """Tests for tile enumeration, footprints and transfer estimates."""
 import hashlib
+import itertools
 import math
 import os
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -19,7 +21,7 @@ from repro.compiler import (
     fuse_program,
     tile_footprint_bytes,
 )
-from repro.compiler.tiling import largest_tile, tile_transfer_bytes
+from repro.compiler.tiling import _FootprintTerms, largest_tile, tile_transfer_bytes
 from repro.hlo import GraphBuilder, Shape
 from repro.workloads import build_corpus
 
@@ -166,6 +168,40 @@ def footprint_by_graph_walk(kernel, tile):
     return total
 
 
+def enumerate_by_loop(kernel, params):
+    """Reference: enumeration as one loop over the candidates, testing each
+    footprint by the graph walk and stopping at ``max_configs`` fits."""
+    output = kernel.primary_output().shape
+    if not kernel.has_tile_options() or output.rank == 0:
+        return [TileConfig(tuple(output.dims))]
+    budget = int(params.scratchpad_bytes * params.scratchpad_fraction)
+    per_dim = [candidate_block_sizes(d, params.max_candidates_per_dim) for d in output.dims]
+    if math.prod(len(c) for c in per_dim) <= params.max_configs * 4:
+        combos = itertools.product(*per_dim)
+    else:
+        rng = np.random.default_rng(int(kernel.fingerprint()[:8], 16))
+        combos = (
+            tuple(c[rng.integers(0, len(c))] for c in per_dim)
+            for _ in range(params.max_configs * 4)
+        )
+    configs, seen = [], set()
+    for dims in combos:
+        if dims in seen:
+            continue
+        seen.add(dims)
+        if footprint_by_graph_walk(kernel, TileConfig(dims)) <= budget:
+            configs.append(TileConfig(dims))
+        if len(configs) >= params.max_configs:
+            break
+    if not configs:
+        dims = list(output.dims)
+        while footprint_by_graph_walk(kernel, TileConfig(tuple(dims))) > budget and max(dims) > 1:
+            i = int(np.argmax(dims))
+            dims[i] = max(1, dims[i] // 2)
+        configs.append(TileConfig(tuple(dims)))
+    return configs
+
+
 def wide_kernel():
     """Rank-4 output whose candidate cross product (3 969) exceeds
     ``4 * max_configs``, so enumeration takes the seeded-subsample branch."""
@@ -222,6 +258,32 @@ class TestHoistedFootprint:
             h.update(repr((name, k.index, [t.dims for t in tiles], default_tile(k).dims)).encode())
         assert len(corpus_kernels) == 2011
         assert h.hexdigest() == "a326aebd7aba37055428b775e5804ef51a467f57afd746321f13279cfdae96b2"
+
+    @pytest.mark.parametrize("params", [
+        TilingParams(),
+        TilingParams(max_configs=8),
+        TilingParams(scratchpad_bytes=256 * 1024, max_candidates_per_dim=6),
+        TilingParams(scratchpad_bytes=4 * 1024, max_configs=16),
+    ])
+    def test_vectorised_test_equals_the_loop(self, corpus_kernels, params):
+        """One vectorised footprint pass keeps the loop's tiles, in its
+        order: the cap, the subsample branch (``wide_kernel``, and every
+        rank-3 kernel under ``max_configs=8``) and the clamped fallback."""
+        kernels = [k for _, k in corpus_kernels[::7]] + [
+            dense_kernel(), wide_kernel(), dense_kernel(m=4096, k=2048, n=4096)
+        ]
+        for k in kernels:
+            assert enumerate_tile_sizes(k, params) == enumerate_by_loop(k, params)
+
+    def test_row_footprints_equal_the_scalar_ones(self, corpus_kernels):
+        """``bytes_of_rows`` truncates like ``int`` on every candidate,
+        not only on those near a budget."""
+        for k in [k for _, k in corpus_kernels[::25]] + [dense_kernel(), wide_kernel()]:
+            terms = _FootprintTerms.of(k)
+            per_dim = [candidate_block_sizes(d, 6) for d in terms.output.dims]
+            rows = [tuple(dims) for dims in itertools.product(*per_dim)]
+            got = terms.bytes_of_rows(np.asarray(rows, dtype=np.int64).reshape(len(rows), -1))
+            assert got.tolist() == [terms.bytes(dims) for dims in rows]
 
     def test_one_graph_walk_per_enumeration(self, monkeypatch):
         """Complexity pin: the kernel graph is walked once per enumeration,

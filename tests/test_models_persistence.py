@@ -1,4 +1,7 @@
 """Tests for model save/load and fine-tuning."""
+import io
+import zipfile
+
 import numpy as np
 import pytest
 
@@ -18,6 +21,7 @@ from repro.models import (
     train_tile_model,
     validate_model_blob,
 )
+from repro.models import serialize
 from repro.workloads import sequence, vision
 
 SMALL = dict(hidden_dim=16, opcode_embedding_dim=8, gnn_layers=2, lstm_hidden=16)
@@ -117,6 +121,41 @@ class TestSaveLoad:
         loaded = load_model(path)
         np.testing.assert_allclose(res.scalers.node.lo, loaded.scalers.node.lo)
         np.testing.assert_allclose(res.scalers.tile.hi, loaded.scalers.tile.hi)
+
+
+def _assert_same_checkpoint(a, b):
+    assert a.model.config == b.model.config
+    want, got = a.model.state_dict(), b.model.state_dict()
+    assert want.keys() == got.keys()
+    for name, arr in want.items():
+        assert got[name].dtype == arr.dtype and got[name].tobytes() == arr.tobytes(), name
+    for block in ("node", "tile", "static"):
+        for key, arr in getattr(a.scalers, block).state().items():
+            other = getattr(b.scalers, block).state()[key]
+            assert other.dtype == arr.dtype and other.tobytes() == arr.tobytes(), (block, key)
+
+
+class TestPayloadFormat:
+    def test_payload_is_stored_uncompressed(self, tile_result):
+        _, res = tile_result
+        blob = save_model_bytes(res)
+        payload = blob[len(serialize.BLOB_MAGIC) + serialize._BLOB_HEADER.size:]
+        with zipfile.ZipFile(io.BytesIO(payload)) as archive:
+            assert {info.compress_type for info in archive.infolist()} == {zipfile.ZIP_STORED}
+
+    @pytest.mark.parametrize("which", ["tile", "fusion"])
+    def test_compressed_blobs_still_load_bitwise(self, which, tile_result, fusion_result):
+        """Blobs sealed before the payload stopped being deflated (a
+        ``savez_compressed`` archive in the same envelope) load to the same
+        state dict and scalers, bit for bit."""
+        _, res = {"tile": tile_result, "fusion": fusion_result}[which]
+        buffer = io.BytesIO()
+        np.savez_compressed(buffer, **serialize._payload(res))
+        old_blob = serialize._seal_blob(buffer.getvalue())
+        validate_model_blob(old_blob)
+        from_old = load_model_bytes(old_blob)
+        _assert_same_checkpoint(res, from_old)
+        _assert_same_checkpoint(load_model_bytes(save_model_bytes(res)), from_old)
 
 
 class TestFineTune:

@@ -190,3 +190,19 @@ class TestSimulator:
         first = [sim.run(k, t) for t in tiles]
         second = [sim.run(k, t) for t in tiles]  # cached path
         assert first == second
+
+    def test_runs_memoised_per_body_and_simulator(self):
+        """A body's simulated runtimes are kept in its memo, shared by its
+        shells, and keyed on everything the answer depends on besides the
+        body: another target, quirk amplitude or tile is simulated afresh."""
+        body = dense_kernel()
+        shell = body.shell("g.k1", 1)
+        tiles = enumerate_tile_sizes(body)[:3]
+        sims = [TpuSimulator(), TpuSimulator(quirk_amplitude=0.0), TpuSimulator(TPU_V3)]
+        for sim in sims:
+            for t in tiles:
+                expected = sim.breakdown(dense_kernel(), t).total
+                assert sim.run(shell, t) == expected
+                assert sim.run(body, t) == expected
+        assert len(body._body_memo["simulated"]) == len(sims) * len(tiles)
+        assert len({sim.run(body, tiles[0]) for sim in sims}) == len(sims)
