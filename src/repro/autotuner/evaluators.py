@@ -86,11 +86,6 @@ class AnalyticalEvaluator:
         """Estimated runtimes (ranking scores) for candidate tiles."""
         return np.asarray([self.model.estimate(kernel, t) for t in tiles])
 
-    def kernel_runtime(self, kernel: Kernel, tile: TileConfig | None = None) -> float:
-        """Absolute estimate (only meaningful for a calibrated model)."""
-        tile = tile or default_tile(kernel)
-        return float(self.model.estimate(kernel, tile))
-
 
 @dataclass
 class LearnedEvaluator:

@@ -10,9 +10,7 @@ from .fusion import (
     FusionConfig,
     FusionParams,
     ProgramFuser,
-    apply_fusion,
     default_fusion,
-    extract_kernels,
     fuse_program,
     fusible_edges,
 )
@@ -50,7 +48,6 @@ __all__ = [
     "TileConfig",
     "TilingParams",
     "analyze",
-    "apply_fusion",
     "best_output_layout",
     "candidate_block_sizes",
     "classify_kernel",
@@ -59,7 +56,6 @@ __all__ = [
     "default_tile",
     "enumerate_output_layouts",
     "enumerate_tile_sizes",
-    "extract_kernels",
     "functional_unit",
     "fuse_program",
     "fusible_edges",

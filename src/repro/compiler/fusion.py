@@ -14,15 +14,14 @@ land in the same consumer group.
 
 The program, not the configuration, is the unit of compilation: a
 :class:`ProgramFuser` derives a program's graph-wide views once and turns
-any number of configurations into kernels. :func:`fuse_program`,
-:func:`apply_fusion`, :func:`default_fusion` and :func:`extract_kernels` are
-one-shot calls into it.
+any number of configurations into kernels. :func:`fuse_program` and
+:func:`default_fusion` are one-shot calls into it.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import compress
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -247,7 +246,17 @@ class ProgramFuser:
         self._bodies: dict[frozenset[int], Kernel] = {}
 
     def groups(self, config: FusionConfig) -> list[set[int]]:
-        """Realize ``config`` into legal groups (see :func:`apply_fusion`)."""
+        """Realize ``config`` into legal groups.
+
+        Chosen edges are processed in stable order; an edge whose union would
+        break a legality constraint (kernel size cap, one-contraction cap) is
+        silently dropped, making every configuration in the search space
+        legal — the autotuner can therefore mutate freely.
+
+        Returns:
+            A partition of all instruction ids (leaf-only groups included;
+            :meth:`extract` skips those).
+        """
         if len(config.decisions) != len(self.edges):
             raise ValueError(
                 f"config has {len(config.decisions)} decisions for {len(self.edges)} edges"
@@ -323,7 +332,17 @@ class ProgramFuser:
         return footprint
 
     def extract(self, groups: Iterable[Iterable[int]]) -> list[Kernel]:
-        """One kernel per executing group (see :func:`extract_kernels`)."""
+        """Extract one kernel per fusion group, in topological group order.
+
+        Args:
+            groups: a partition of (a subset of) instruction ids. Groups made
+                solely of PARAMETER/CONSTANT nodes are skipped — they do not
+                execute.
+
+        Returns:
+            Kernels ordered by the earliest topological position of any
+            member, each recorded under the fuser's ``program_name``.
+        """
         position = self._position
         material: list[tuple[int, frozenset[int]]] = []
         for group in groups:
@@ -353,25 +372,6 @@ class ProgramFuser:
         return self.extract(self.groups(config))
 
 
-def apply_fusion(
-    graph: Graph,
-    config: FusionConfig,
-    params: FusionParams | None = None,
-) -> list[set[int]]:
-    """Realize a fusion configuration into legal groups.
-
-    Chosen edges are processed in stable order; an edge whose union would
-    break a legality constraint (kernel size cap, one-contraction cap) is
-    silently dropped, making every configuration in the search space legal —
-    the autotuner can therefore mutate freely.
-
-    Returns:
-        A partition of all instruction ids (leaf-only groups included; the
-        kernel extractor skips those).
-    """
-    return ProgramFuser(graph, params).groups(config)
-
-
 def default_fusion(
     graph: Graph,
     params: FusionParams | None = None,
@@ -386,26 +386,6 @@ def default_fusion(
     time" estimate (Sec. 2.3).
     """
     return ProgramFuser(graph, params).default_config()
-
-
-def extract_kernels(
-    graph: Graph,
-    groups: Sequence[Iterable[int]],
-    program_name: str = "",
-) -> list[Kernel]:
-    """Extract one kernel per fusion group, in topological group order.
-
-    Args:
-        graph: the whole-program graph.
-        groups: a partition of (a subset of) instruction ids. Groups made
-            solely of PARAMETER/CONSTANT nodes are skipped — they do not
-            execute.
-        program_name: recorded on every kernel.
-
-    Returns:
-        Kernels ordered by the earliest topological position of any member.
-    """
-    return ProgramFuser(graph, program_name=program_name).extract(groups)
 
 
 def fuse_program(

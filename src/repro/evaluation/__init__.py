@@ -11,7 +11,7 @@ from .metrics import (
     tile_size_ape,
 )
 from .plots import bar_chart
-from .reports import format_comparison, format_table
+from .reports import format_table
 from .service import LatencySummary, ServingStats, latency_percentiles
 
 __all__ = [
@@ -22,7 +22,6 @@ __all__ = [
     "TileTaskResult",
     "evaluate_fusion_task",
     "evaluate_tile_task",
-    "format_comparison",
     "format_table",
     "geometric_mean",
     "kendall_tau",

@@ -42,14 +42,3 @@ def format_table(
         lines.append("  ".join(c.ljust(w) for c, w in zip(row, widths)))
     return "\n".join(lines)
 
-
-def format_comparison(
-    title: str,
-    paper_value: float,
-    measured_value: float,
-    unit: str = "",
-) -> str:
-    """One-line paper-vs-measured comparison."""
-    return (
-        f"{title}: paper={paper_value:g}{unit} measured={measured_value:.2f}{unit}"
-    )

@@ -17,13 +17,7 @@ from .opcodes import (
     is_transcendental,
     opcode_info,
 )
-from .printer import to_dot
-from .serialize import (
-    graph_from_dict,
-    graph_to_dict,
-    program_from_json,
-    program_to_json,
-)
+from .serialize import graph_from_dict, graph_to_dict
 from .shapes import DType, Layout, Shape, scalar
 
 __all__ = [
@@ -45,8 +39,5 @@ __all__ = [
     "is_elementwise",
     "is_transcendental",
     "opcode_info",
-    "program_from_json",
-    "program_to_json",
     "scalar",
-    "to_dot",
 ]

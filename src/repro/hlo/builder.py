@@ -1,9 +1,9 @@
 """Graph construction API with shape inference.
 
-:class:`GraphBuilder` provides one method per primitive opcode (plus a few
-composite helpers such as ``relu``/``softmax``/``layer_norm`` that expand
-into primitives), performing full shape inference and attribute validation.
-All workload generators are written against this builder.
+:class:`GraphBuilder` provides a method for each primitive opcode the
+workloads build (plus composite helpers such as ``relu``/``softmax``/
+``layer_norm`` that expand into primitives), with full shape inference and
+attribute validation. All workload generators are written against it.
 
 Methods return instruction ids (ints), which are accepted wherever an
 operand is expected.
@@ -16,7 +16,7 @@ from typing import Sequence
 from .graph import Graph, GraphError
 from .instruction import Instruction
 from .opcodes import Opcode
-from .shapes import DType, Layout, Shape
+from .shapes import DType, Shape
 
 
 class GraphBuilder:
@@ -99,35 +99,17 @@ class GraphBuilder:
         out = sa if dtype is None else sa.with_dtype(dtype)
         return self._emit(opcode, out, [a, b])
 
-    def abs(self, x: int) -> int:
-        return self._unary(Opcode.ABS, x)
-
-    def sign(self, x: int) -> int:
-        return self._unary(Opcode.SIGN, x)
-
     def exp(self, x: int) -> int:
         return self._unary(Opcode.EXP, x)
 
-    def log(self, x: int) -> int:
-        return self._unary(Opcode.LOG, x)
-
     def tanh(self, x: int) -> int:
         return self._unary(Opcode.TANH, x)
-
-    def sqrt(self, x: int) -> int:
-        return self._unary(Opcode.SQRT, x)
 
     def rsqrt(self, x: int) -> int:
         return self._unary(Opcode.RSQRT, x)
 
     def logistic(self, x: int) -> int:
         return self._unary(Opcode.LOGISTIC, x)
-
-    def floor(self, x: int) -> int:
-        return self._unary(Opcode.FLOOR, x)
-
-    def sin(self, x: int) -> int:
-        return self._unary(Opcode.SIN, x)
 
     def convert(self, x: int, dtype: DType) -> int:
         return self._unary(Opcode.CONVERT, x, dtype=dtype)
@@ -146,9 +128,6 @@ class GraphBuilder:
 
     def maximum(self, a: int, b: int) -> int:
         return self._binary(Opcode.MAXIMUM, a, b)
-
-    def minimum(self, a: int, b: int) -> int:
-        return self._binary(Opcode.MINIMUM, a, b)
 
     def compare(self, a: int, b: int, direction: str = "GT") -> int:
         s = self.shape_of(a)
@@ -272,15 +251,6 @@ class GraphBuilder:
             [x, pad_value],
             attrs={"low": low, "high": high},
         )
-
-    def reverse(self, x: int, dims: Sequence[int]) -> int:
-        s = self.shape_of(x)
-        return self._emit(Opcode.REVERSE, s, [x], attrs={"dims": tuple(dims)})
-
-    def copy(self, x: int, layout: Layout | None = None) -> int:
-        s = self.shape_of(x)
-        out = s if layout is None else s.with_layout(layout)
-        return self._emit(Opcode.COPY, out, [x])
 
     # -------------------------------------------------------------- reductions
     def reduce(self, x: int, dims: Sequence[int], kind: str = "sum") -> int:

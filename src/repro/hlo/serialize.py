@@ -1,4 +1,4 @@
-"""JSON (de)serialization for graphs and programs.
+"""JSON-safe (de)serialization for graphs.
 
 The wire format is intentionally simple: a graph is a list of instruction
 records in topological order. Attribute values survive a JSON round-trip as
@@ -6,10 +6,9 @@ lists, so tuples are normalized back on load.
 """
 from __future__ import annotations
 
-import json
 from typing import Any
 
-from .graph import Graph, Program
+from .graph import Graph
 from .instruction import Instruction
 from .opcodes import Opcode
 from .shapes import DType, Layout, Shape
@@ -79,19 +78,3 @@ def graph_from_dict(d: dict[str, Any]) -> Graph:
     g.validate()
     return g
 
-
-def program_to_json(program: Program) -> str:
-    """Serialize a program (graph + metadata) to a JSON string."""
-    return json.dumps(
-        {
-            "name": program.name,
-            "family": program.family,
-            "graph": graph_to_dict(program.graph),
-        }
-    )
-
-
-def program_from_json(text: str) -> Program:
-    """Inverse of :func:`program_to_json`."""
-    d = json.loads(text)
-    return Program(name=d["name"], family=d["family"], graph=graph_from_dict(d["graph"]))

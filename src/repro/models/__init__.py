@@ -10,9 +10,7 @@ from .config import (
 from .model import LearnedPerformanceModel
 from .serialize import (
     ModelBlobError,
-    load_model,
     load_model_bytes,
-    save_model,
     save_model_bytes,
     validate_model_blob,
 )
@@ -40,11 +38,9 @@ __all__ = [
     "feedback_to_tile_records",
     "fine_tune",
     "fine_tune_on_feedback",
-    "load_model",
     "load_model_bytes",
     "predict_fusion_runtimes",
     "predict_tile_scores",
-    "save_model",
     "save_model_bytes",
     "train_fusion_model",
     "train_tile_model",

@@ -8,10 +8,10 @@ targets (the model is trained offline and queried at compile time).
 There is one checkpoint format, the sealed blob of
 :func:`save_model_bytes` / :func:`load_model_bytes`: the npz archive in an
 integrity envelope of a magic tag, the payload length and a SHA-256
-digest. :func:`save_model` / :func:`load_model` write and read exactly
-those bytes as a file. The in-memory form is what the serving layer's
-model registry uses to hold versioned checkpoints, hot-swap them, spill
-them to disk, and ship them to worker processes and remote nodes.
+digest. A checkpoint file holds exactly those bytes. The in-memory form
+is what the serving layer's model registry uses to hold versioned
+checkpoints, hot-swap them, spill them to disk, and ship them to worker
+processes and remote nodes.
 
 Because checkpoints cross sockets, pipes and disk, every load
 (and :func:`validate_model_blob`) detects truncated or corrupted bytes up
@@ -25,7 +25,6 @@ import hashlib
 import io
 import json
 import struct
-from pathlib import Path
 
 import numpy as np
 
@@ -128,30 +127,6 @@ def _from_archive(archive) -> TrainResult:
     )
     model.eval()
     return TrainResult(model=model, scalers=scalers, loss_history=[])
-
-
-def save_model(path: str | Path, result: TrainResult) -> None:
-    """Write :func:`save_model_bytes` of ``result`` to exactly ``path``.
-
-    Args:
-        path: destination file; parent directories must exist.
-        result: the :class:`TrainResult` from training.
-    """
-    Path(path).write_bytes(save_model_bytes(result))
-
-
-def load_model(path: str | Path) -> TrainResult:
-    """Load a checkpoint file — one written by :func:`save_model` or a
-    registry spill — with :func:`load_model_bytes`.
-
-    Returns:
-        A :class:`TrainResult` with the restored model (in eval mode) and
-        scalers; ``loss_history`` is empty.
-
-    Raises:
-        ModelBlobError: on truncated, corrupted, or undecodable bytes.
-    """
-    return load_model_bytes(Path(path).read_bytes())
 
 
 def save_model_bytes(result: TrainResult) -> bytes:

@@ -11,7 +11,7 @@ from .layers import (
     glorot,
 )
 from .losses import log_mse_loss, pairwise_rank_loss
-from .optim import Adam, Optimizer, SGD, clip_global_norm
+from .optim import Adam, clip_global_norm
 from .rnn import LSTM, LSTMCell
 from .sparse import normalized_adjacency, segment_softmax, segment_sum, spmm
 from .tensor import Tensor, no_grad, ones, zeros
@@ -30,8 +30,6 @@ __all__ = [
     "LayerNorm",
     "Module",
     "MultiHeadAttention",
-    "Optimizer",
-    "SGD",
     "Tensor",
     "TransformerEncoder",
     "TransformerEncoderLayer",

@@ -42,10 +42,6 @@ class Module:
             out.extend(m.named_parameters(prefix=f"{prefix}{name}."))
         return out
 
-    def zero_grad(self) -> None:
-        for p in self.parameters():
-            p.zero_grad()
-
     def train(self, mode: bool = True) -> "Module":
         """Set training mode recursively (affects dropout)."""
         self.training = mode

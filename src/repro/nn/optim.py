@@ -1,4 +1,4 @@
-"""Optimizers: SGD and Adam with learning-rate decay and gradient clipping.
+"""The optimizer: Adam with learning-rate decay, and gradient clipping.
 
 The paper's training hyperparameters (App. B) include a learning rate, an
 exponential learning-rate decay, an optional gradient-norm clip, and
@@ -32,10 +32,24 @@ def clip_global_norm(params: list[Tensor], max_norm: float) -> float:
     return norm
 
 
-class Optimizer:
-    """Base optimizer over a fixed parameter list."""
+class Adam:
+    """Adam with bias correction (Kingma & Ba) over a fixed parameter list.
 
-    def __init__(self, params: list[Tensor], lr: float, decay: float = 1.0, decay_every: int = 1000) -> None:
+    The learning rate decays exponentially: it is multiplied by ``decay``
+    once every ``decay_every`` steps.
+    """
+
+    def __init__(
+        self,
+        params: list[Tensor],
+        lr: float = 1e-3,
+        beta1: float = 0.9,
+        beta2: float = 0.999,
+        eps: float = 1e-8,
+        *,
+        decay: float = 1.0,
+        decay_every: int = 1000,
+    ) -> None:
         if lr <= 0:
             raise ValueError(f"learning rate must be positive, got {lr}")
         self.params = list(params)
@@ -43,6 +57,9 @@ class Optimizer:
         self.decay = decay
         self.decay_every = decay_every
         self.step_count = 0
+        self.beta1, self.beta2, self.eps = beta1, beta2, eps
+        self.m = [np.zeros_like(p.data) for p in self.params]
+        self.v = [np.zeros_like(p.data) for p in self.params]
 
     @property
     def lr(self) -> float:
@@ -52,49 +69,6 @@ class Optimizer:
     def zero_grad(self) -> None:
         for p in self.params:
             p.zero_grad()
-
-    def step(self) -> None:  # pragma: no cover - abstract
-        raise NotImplementedError
-
-
-class SGD(Optimizer):
-    """Stochastic gradient descent with optional momentum."""
-
-    def __init__(self, params, lr: float, momentum: float = 0.0, **kwargs) -> None:
-        super().__init__(params, lr, **kwargs)
-        self.momentum = momentum
-        self.velocity = [np.zeros_like(p.data) for p in self.params]
-
-    def step(self) -> None:
-        lr = self.lr
-        for p, v in zip(self.params, self.velocity):
-            if p.grad is None:
-                continue
-            if self.momentum > 0:
-                v *= self.momentum
-                v += p.grad
-                p.data = p.data - lr * v
-            else:
-                p.data = p.data - lr * p.grad
-        self.step_count += 1
-
-
-class Adam(Optimizer):
-    """Adam with bias correction (Kingma & Ba)."""
-
-    def __init__(
-        self,
-        params,
-        lr: float = 1e-3,
-        beta1: float = 0.9,
-        beta2: float = 0.999,
-        eps: float = 1e-8,
-        **kwargs,
-    ) -> None:
-        super().__init__(params, lr, **kwargs)
-        self.beta1, self.beta2, self.eps = beta1, beta2, eps
-        self.m = [np.zeros_like(p.data) for p in self.params]
-        self.v = [np.zeros_like(p.data) for p in self.params]
 
     def step(self) -> None:
         self.step_count += 1

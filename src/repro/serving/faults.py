@@ -210,12 +210,8 @@ class FaultInjector:
     def filter_blob(self, hook: str, blob: bytes, shard: int | None = None) -> bytes:
         """Apply any ``corrupt`` / ``delay`` rule at ``hook`` to ``blob``."""
         rule = self.fire(hook, shard=shard)
-        if rule is None:
-            return blob
-        if rule.kind == "delay" and rule.delay_s > 0:
-            time.sleep(rule.delay_s)
-            return blob
-        if rule.kind == "corrupt":
+        self.maybe_delay(rule)
+        if rule is not None and rule.kind == "corrupt":
             return corrupt_bytes(blob)
         return blob
 

@@ -7,7 +7,6 @@ from repro.compiler import (
     FusionConfig,
     FusionParams,
     ProgramFuser,
-    apply_fusion,
     default_fusion,
     fuse_program,
     fusible_edges,
@@ -66,21 +65,21 @@ class TestFusionConfig:
     def test_wrong_length_rejected(self):
         g = mlp_graph()
         with pytest.raises(ValueError):
-            apply_fusion(g, FusionConfig.none(1))
+            ProgramFuser(g).groups(FusionConfig.none(1))
 
 
-class TestApplyFusion:
+class TestFuserGroups:
     def test_groups_partition_all_nodes(self):
         g = mlp_graph()
         edges = fusible_edges(g)
-        groups = apply_fusion(g, FusionConfig.all(len(edges)))
+        groups = ProgramFuser(g).groups(FusionConfig.all(len(edges)))
         all_ids = sorted(i for grp in groups for i in grp)
         assert all_ids == sorted(g.instructions)
 
     def test_none_config_gives_singleton_compute_groups(self):
         g = mlp_graph()
         edges = fusible_edges(g)
-        groups = apply_fusion(g, FusionConfig.none(len(edges)))
+        groups = ProgramFuser(g).groups(FusionConfig.none(len(edges)))
         # Non-leaf nodes stay alone (constants may attach to consumers).
         for grp in groups:
             non_leaf = [
@@ -94,7 +93,7 @@ class TestApplyFusion:
         g = mlp_graph()
         edges = fusible_edges(g)
         params = FusionParams(max_contractions_per_kernel=1)
-        groups = apply_fusion(g, FusionConfig.all(len(edges)), params)
+        groups = ProgramFuser(g, params).groups(FusionConfig.all(len(edges)))
         from repro.hlo import is_contraction
 
         for grp in groups:
@@ -105,7 +104,7 @@ class TestApplyFusion:
         g = mlp_graph()
         edges = fusible_edges(g)
         params = FusionParams(max_ops_per_kernel=3)
-        groups = apply_fusion(g, FusionConfig.all(len(edges)), params)
+        groups = ProgramFuser(g, params).groups(FusionConfig.all(len(edges)))
         for grp in groups:
             non_leaf = [
                 i
@@ -125,7 +124,7 @@ class TestDefaultFusion:
     def test_default_fusion_keeps_outputs_materialized(self):
         g = mlp_graph()
         config = default_fusion(g)
-        apply_fusion(g, config)
+        ProgramFuser(g).groups(config)
         kernels = fuse_program(g, config=config)
         # Every program root appears as a root of some kernel.
         assert kernels

@@ -3,7 +3,7 @@ import hashlib
 
 import pytest
 
-from repro.compiler import Kernel, classify_kernel, extract_kernels, fuse_program
+from repro.compiler import Kernel, ProgramFuser, classify_kernel, fuse_program
 from repro.hlo import GraphBuilder, Opcode
 from repro.workloads import build_corpus
 
@@ -59,7 +59,7 @@ class TestExtraction:
         g, y, z = conv_graph()
         params = [i.id for i in g.parameters()]
         groups = [set(params), set(g.instructions) - set(params)]
-        kernels = extract_kernels(g, groups)
+        kernels = ProgramFuser(g).extract(groups)
         assert len(kernels) == 1
 
     def test_kernels_ordered_topologically(self):
@@ -68,12 +68,12 @@ class TestExtraction:
         a = b.tanh(x)
         c = b.exp(a)
         g = b.build()
-        kernels = extract_kernels(g, [{c}, {a}])
+        kernels = ProgramFuser(g).extract([{c}, {a}])
         assert kernels[0].graph.get(kernels[0].graph.roots()[0].id).opcode is Opcode.TANH
 
     def test_empty_groups_ignored(self):
         g, y, z = conv_graph()
-        kernels = extract_kernels(g, [set(), set(g.instructions)])
+        kernels = ProgramFuser(g).extract([set(), set(g.instructions)])
         assert len(kernels) == 1
 
 

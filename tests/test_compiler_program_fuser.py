@@ -16,7 +16,6 @@ from repro.compiler import (
     FusionParams,
     Kernel,
     ProgramFuser,
-    apply_fusion,
     classify_kernel,
     default_fusion,
     fuse_program,
@@ -44,7 +43,7 @@ def cold_kernels(program, config, params=None):
     position = {inst.id: k for k, inst in enumerate(graph.topological_order())}
     leaves = (Opcode.PARAMETER, Opcode.CONSTANT)
     executing = [
-        ids for ids in apply_fusion(graph, config, params)
+        ids for ids in ProgramFuser(graph, params).groups(config)
         if any(graph.get(i).opcode not in leaves for i in ids)
     ]
     executing.sort(key=lambda ids: min(position[i] for i in ids))

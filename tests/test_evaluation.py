@@ -7,7 +7,6 @@ from scipy import stats
 from repro.evaluation import (
     evaluate_fusion_task,
     evaluate_tile_task,
-    format_comparison,
     format_table,
     geometric_mean,
     kendall_tau,
@@ -132,7 +131,3 @@ class TestFormatting:
         out = format_table(["h1", "h2"], [["long-cell", 1.0]])
         lines = out.splitlines()
         assert len(lines[0]) >= len("h1  h2")
-
-    def test_format_comparison(self):
-        s = format_comparison("metric", 3.7, 4.21, unit="%")
-        assert "paper=3.7%" in s and "4.21%" in s

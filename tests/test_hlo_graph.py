@@ -66,6 +66,12 @@ class TestGraphBasics:
         g.add(make_inst(2, Opcode.ADD, (3, 1), dims=(4,)))
         assert [p.id for p in g.parameters()] == [1, 3]
 
+    def test_str_lists_instructions(self):
+        g = chain_graph(3)
+        s = str(g)
+        assert s.startswith("graph chain {") and s.endswith("}")
+        assert s.count("%") >= len(g)
+
 
 class TestTopology:
     def test_topological_order_respects_edges(self):

@@ -62,3 +62,10 @@ class TestOpcodeMetadata:
         assert opcode_info(Opcode.REDUCE).category is OpCategory.REDUCTION
         assert opcode_info(Opcode.GATHER).category is OpCategory.SCATTER_GATHER
         assert set(OPCODE_INFO) == set(Opcode)
+
+    def test_vocabulary_keeps_ops_no_builder_emits(self):
+        # The opcode embedding has NUM_OPCODES rows, so a saved checkpoint's
+        # shape depends on it: ops the builder no longer emits stay in the enum.
+        for name in ("ABS", "SIGN", "LOG", "SQRT", "FLOOR", "SIN", "MINIMUM", "REVERSE", "COPY"):
+            assert name in Opcode.__members__
+        assert NUM_OPCODES == 121

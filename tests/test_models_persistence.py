@@ -11,11 +11,9 @@ from repro.models import (
     ModelConfig,
     TrainConfig,
     fine_tune,
-    load_model,
     load_model_bytes,
     predict_fusion_runtimes,
     predict_tile_scores,
-    save_model,
     save_model_bytes,
     train_fusion_model,
     train_tile_model,
@@ -49,8 +47,8 @@ class TestSaveLoad:
     def test_tile_roundtrip(self, tile_result, tmp_path):
         ds, res = tile_result
         path = tmp_path / "tile_model.npz"
-        save_model(path, res)
-        loaded = load_model(path)
+        path.write_bytes(save_model_bytes(res))
+        loaded = load_model_bytes(path.read_bytes())
         assert loaded.model.config == res.model.config
         r = ds.records[0]
         np.testing.assert_allclose(
@@ -62,8 +60,8 @@ class TestSaveLoad:
     def test_fusion_roundtrip(self, fusion_result, tmp_path):
         ds, res = fusion_result
         path = tmp_path / "fusion_model.npz"
-        save_model(path, res)
-        loaded = load_model(path)
+        path.write_bytes(save_model_bytes(res))
+        loaded = load_model_bytes(path.read_bytes())
         np.testing.assert_allclose(
             predict_fusion_runtimes(res.model, res.scalers, ds.records[:4]),
             predict_fusion_runtimes(loaded.model, loaded.scalers, ds.records[:4]),
@@ -73,8 +71,8 @@ class TestSaveLoad:
     def test_loaded_model_in_eval_mode(self, tile_result, tmp_path):
         _, res = tile_result
         path = tmp_path / "m.npz"
-        save_model(path, res)
-        assert not load_model(path).model.training
+        path.write_bytes(save_model_bytes(res))
+        assert not load_model_bytes(path.read_bytes()).model.training
 
     def test_bytes_roundtrip_no_disk(self, tile_result):
         ds, res = tile_result
@@ -97,7 +95,7 @@ class TestSaveLoad:
         _, res = tile_result
         path = tmp_path / "m.npz"
         path.write_bytes(save_model_bytes(res))
-        via_file = load_model(path)
+        via_file = load_model_bytes(path.read_bytes())
         via_bytes = load_model_bytes(save_model_bytes(res))
         # The two transports must agree exactly — same archive format.
         for name, arr in via_bytes.model.state_dict().items():
@@ -106,19 +104,19 @@ class TestSaveLoad:
     def test_model_file_is_the_sealed_blob(self, tile_result, tmp_path):
         _, res = tile_result
         path = tmp_path / "m.ckpt"
-        save_model(path, res)
+        path.write_bytes(save_model_bytes(res))
         data = bytearray(path.read_bytes())
         validate_model_blob(bytes(data))
         data[len(data) // 2] ^= 0xFF
         path.write_bytes(bytes(data))
         with pytest.raises(ModelBlobError, match="checksum"):
-            load_model(path)
+            load_model_bytes(path.read_bytes())
 
     def test_scaler_state_preserved(self, tile_result, tmp_path):
         _, res = tile_result
         path = tmp_path / "m.npz"
-        save_model(path, res)
-        loaded = load_model(path)
+        path.write_bytes(save_model_bytes(res))
+        loaded = load_model_bytes(path.read_bytes())
         np.testing.assert_allclose(res.scalers.node.lo, loaded.scalers.node.lo)
         np.testing.assert_allclose(res.scalers.tile.hi, loaded.scalers.tile.hi)
 

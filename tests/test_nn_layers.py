@@ -10,7 +10,6 @@ from repro.nn import (
     Dropout,
     Embedding,
     LayerNorm,
-    SGD,
     Tensor,
     clip_global_norm,
     log_mse_loss,
@@ -187,14 +186,35 @@ class TestOptimizers:
             opt.step()
         return np.abs(x.data).max()
 
-    def test_sgd_converges(self):
-        assert self.quadratic(SGD, lr=0.1) < 1e-3
-
-    def test_sgd_momentum_converges(self):
-        assert self.quadratic(SGD, lr=0.05, momentum=0.9) < 1e-3
-
     def test_adam_converges(self):
         assert self.quadratic(Adam, lr=0.3) < 1e-2
+
+    def test_adam_first_step_moves_each_coordinate_by_lr(self):
+        # Bias correction makes step one lr * g / (|g| + eps) per coordinate.
+        x = Tensor(np.array([5.0, -3.0], dtype=np.float32), requires_grad=True)
+        opt = Adam([x], lr=0.1)
+        (x * x).sum().backward()
+        opt.step()
+        np.testing.assert_allclose(x.data, [4.9, -2.9], rtol=1e-6)
+        assert x.data.dtype == np.float32
+
+    def test_adam_skips_parameters_without_grad(self):
+        a = Tensor(np.ones(2, dtype=np.float32), requires_grad=True)
+        b = Tensor(np.ones(2, dtype=np.float32), requires_grad=True)
+        opt = Adam([a, b], lr=0.1)
+        (a * a).sum().backward()
+        opt.step()
+        np.testing.assert_array_equal(b.data, [1.0, 1.0])
+        assert not np.array_equal(a.data, [1.0, 1.0])
+        assert opt.step_count == 1
+
+    def test_adam_zero_grad_clears_every_parameter(self):
+        params = [Tensor(np.ones(2), requires_grad=True) for _ in range(2)]
+        opt = Adam(params)
+        sum((p * p).sum() for p in params).backward()
+        assert all(p.grad is not None for p in params)
+        opt.zero_grad()
+        assert all(p.grad is None for p in params)
 
     def test_lr_decay_schedule(self):
         x = Tensor(np.zeros(1), requires_grad=True)
@@ -207,7 +227,7 @@ class TestOptimizers:
 
     def test_invalid_lr(self):
         with pytest.raises(ValueError):
-            SGD([Tensor(np.zeros(1), requires_grad=True)], lr=0.0)
+            Adam([Tensor(np.zeros(1), requires_grad=True)], lr=0.0)
 
     def test_clip_global_norm(self):
         a = Tensor(np.zeros(3), requires_grad=True)

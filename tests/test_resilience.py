@@ -213,6 +213,26 @@ class TestFaultHarness:
         # Both rules' event counters advance even though only one fired.
         assert [s["events"] for s in injector.snapshot()] == [1, 1]
 
+    def test_filter_blob_sleeps_delay_rule_and_passes_blob(self, monkeypatch):
+        slept = []
+        monkeypatch.setattr(time, "sleep", slept.append)
+        rule = FaultRule(hook="registry.load", kind="delay", delay_s=0.01, count=1)
+        injector = FaultInjector(FaultPlan(rules=(rule,)))
+        blob = bytes(range(16))
+        assert injector.filter_blob("registry.load", blob) == blob
+        assert injector.filter_blob("registry.load", blob) == blob  # count spent
+        assert slept == [0.01]
+        assert injector.snapshot()[0]["fired"] == 1
+
+    def test_filter_blob_corrupts_without_sleeping(self, monkeypatch):
+        slept = []
+        monkeypatch.setattr(time, "sleep", slept.append)
+        rule = FaultRule(hook="registry.load", kind="corrupt", delay_s=0.01, count=1)
+        injector = FaultInjector(FaultPlan(rules=(rule,)))
+        blob = bytes(range(16))
+        assert injector.filter_blob("registry.load", blob) == corrupt_bytes(blob)
+        assert slept == []
+
 
 # ---------------------------------------------------------------------- #
 # retry policy / idempotency
@@ -820,6 +840,30 @@ class TestFrontendResilience:
                 )
                 assert remote.reconnects == 1 and remote.retries == 1
 
+    def test_recv_delay_fires_once_and_changes_no_score(
+        self, corpus, result_a, thread_service
+    ):
+        """A ``delay`` rule at ``frontend.recv`` only sleeps ingestion: it
+        fires once, and every request resolves ok with the scores of the
+        same frontend without faults, bitwise."""
+        records, _ = corpus
+        rule = FaultRule(hook="frontend.recv", kind="delay", delay_s=0.01)
+        injector = FaultInjector(FaultPlan(rules=(rule,)))
+        runs = []
+        for faults in (None, injector):
+            with SocketFrontend(thread_service, fault_injector=faults) as frontend:
+                with SocketEvaluator(frontend.address, timeout_s=30) as remote:
+                    runs.append([
+                        remote.score_tiles_batched(
+                            record.kernel, enumerate_tile_sizes(record.kernel)[:4]
+                        )
+                        for record in records[:3]
+                    ])
+                    assert remote.retries == remote.reconnects == remote.degraded_responses == 0
+        assert [entry["fired"] for entry in injector.snapshot()] == [1]
+        plain, delayed = runs
+        assert [s.tobytes() for s in delayed] == [s.tobytes() for s in plain]
+
     def test_overload_crosses_wire_typed_and_retry_recovers(
         self, corpus, result_a
     ):
@@ -901,6 +945,29 @@ class TestProcessExecutorChaos:
             assert service.executor._shards[0].restarts >= 1
         finally:
             service.stop()
+
+    def test_dispatch_delay_fires_once_and_changes_no_score(self, corpus, result_a):
+        """A ``delay`` rule at ``executor.dispatch`` only sleeps the
+        dispatcher: it fires once, and every request resolves ok with the
+        scores of the same service without faults, bitwise."""
+        requests = [_tile_request(corpus, index) for index in range(3)]
+        rule = FaultRule(hook="executor.dispatch", kind="delay", delay_s=0.01)
+        runs = []
+        for plan in (None, FaultPlan(rules=(rule,))):
+            service = _chaos_service(result_a, plan)
+            try:
+                responses = []
+                for request in requests:
+                    future = service.submit(request)
+                    service.flush()
+                    responses.append(future.result(timeout=60))
+            finally:
+                service.stop()
+            assert all(r.error is None and not r.degraded for r in responses)
+            runs.append([r.value.tobytes() for r in responses])
+        assert [entry["fired"] for entry in service.faults.snapshot()] == [1]
+        plain, delayed = runs
+        assert delayed == plain
 
     def test_hung_worker_is_detected_and_replaced(self, corpus, result_a):
         """SIGSTOP (alive but unresponsive) must be caught by the bounded

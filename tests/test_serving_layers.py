@@ -30,7 +30,7 @@ from repro.models import (
     LearnedPerformanceModel,
     ModelBlobError,
     ModelConfig,
-    load_model,
+    load_model_bytes,
     save_model_bytes,
     validate_model_blob,
 )
@@ -261,7 +261,7 @@ class TestRegistrySpill:
         registry = ModelRegistry()
         registry.publish(result_a)
         registry.spill(tmp_path / "reg")
-        loaded = load_model(tmp_path / "reg" / "v1.ckpt")
+        loaded = load_model_bytes((tmp_path / "reg" / "v1.ckpt").read_bytes())
         for name, arr in result_a.model.state_dict().items():
             np.testing.assert_array_equal(arr, loaded.model.state_dict()[name])
 
