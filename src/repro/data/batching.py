@@ -20,7 +20,6 @@ from collections import OrderedDict
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 
 from ..nn.graph_layers import BatchedGraphContext, GraphOperators
 from .dataset import FusionRecord, TileRecord
@@ -115,6 +114,8 @@ def assemble_batch(
         scalers: fitted scalers; None = identity.
         neighbor_cap: GNN neighbor-list truncation (paper App. B: 20).
     """
+    import scipy.sparse as sp  # the cold reference path; KernelCache needs none
+
     if not items:
         raise ValueError("cannot assemble an empty batch")
     adjacencies = [sp.csr_matrix(f.adjacency) for f, _, _, _ in items]

@@ -19,9 +19,11 @@ A hop is one function on plain arrays, :func:`graphsage_hop`: the tape's
 """
 from __future__ import annotations
 
-import numpy as np
-import scipy.sparse as sp
+from typing import TYPE_CHECKING
 
+import numpy as np
+
+from .csr import CSR
 from .layers import Dense, Module
 from .sparse import (
     mean_aggregation_csr,
@@ -29,17 +31,19 @@ from .sparse import (
     segment_softmax,
     segment_sum,
     stack_csr,
-    transposed,
 )
 from .tensor import Tensor, recording, relu_inplace
+
+if TYPE_CHECKING:
+    import scipy.sparse as sp
 
 _L2_EPS = np.float32(1e-12)  # the per-row L2 step's epsilon
 
 
 def graphsage_hop(
     x: np.ndarray,
-    adj_in: sp.csr_matrix,
-    adj_out: sp.csr_matrix,
+    adj_in: CSR,
+    adj_out: CSR,
     weights: list[np.ndarray],
     l2_norm: bool,
     record: bool = False,
@@ -120,7 +124,7 @@ def graphsage_hop_backward(saved: tuple, grad: np.ndarray) -> tuple[np.ndarray, 
     dx = dh[:, :dim]
     dweights = []
     for k, (adj, weight, positive) in enumerate(branches, start=1):
-        dagg = (transposed(adj) @ dh[:, k * dim : (k + 1) * dim]) * positive
+        dagg = (adj.T @ dh[:, k * dim : (k + 1) * dim]) * positive
         dx = dx + dagg @ weight.T
         dweights.append(x.T @ dagg)
     return (dx, *dweights, dw_update)
@@ -132,7 +136,7 @@ class GraphOperators:
     Built from the dense 0/1 adjacency by plain index arithmetic
     (:func:`repro.nn.sparse.mean_aggregation_csr`: ``np.nonzero``,
     ``bincount`` degrees, neighbor-cap truncation, ``1/deg`` data, the
-    three arrays wrapped after SciPy's O(1) format checks) — no SciPy
+    three arrays held by a :class:`~repro.nn.csr.CSR`) — no SciPy
     constructor, format conversion or sparse product. Each operator equals
     :func:`~repro.nn.sparse.normalized_adjacency` of the same graph in
     stored entry order and ``data`` bits, which is what keeps the cached
@@ -205,7 +209,7 @@ class GraphSAGELayer(Module):
         self.update = Dense(concat_dim, out_dim, activation="relu", rng=rng)
 
     def forward(
-        self, x: Tensor, adj_in: sp.spmatrix, adj_out: sp.spmatrix
+        self, x: Tensor, adj_in: CSR, adj_out: CSR
     ) -> Tensor:
         """One message-passing hop.
 
@@ -227,7 +231,7 @@ class GraphSAGELayer(Module):
         )
         return x._make(out, (x, *weights), lambda g: graphsage_hop_backward(saved, g))
 
-    def apply(self, x: np.ndarray, adj_in: sp.csr_matrix, adj_out: sp.csr_matrix) -> np.ndarray:
+    def apply(self, x: np.ndarray, adj_in: CSR, adj_out: CSR) -> np.ndarray:
         """The hop on a plain array (what ``predict`` runs)."""
         weights = [w.data for w in self._weights()]
         return graphsage_hop(x, adj_in, adj_out, weights, self.l2_norm)[0]
@@ -307,7 +311,8 @@ class BatchedGraphContext:
     A context built by :meth:`compose` stacks each of ``adj_in`` /
     ``adj_out`` / ``adj_sym`` / ``edges`` the first time it is read and
     keeps it; one built by the constructor (the cold SciPy reference path)
-    holds all four from the start.
+    holds all four from the start. Either way the operators are
+    :class:`~repro.nn.csr.CSR` matrices.
     """
 
     def __init__(
@@ -315,12 +320,14 @@ class BatchedGraphContext:
         adjacencies: list[sp.spmatrix],
         neighbor_cap: int | None = 20,
     ) -> None:
+        import scipy.sparse as sp
+
         if not adjacencies:
             raise ValueError("empty batch")
         block = sp.block_diag([a.tocsr() for a in adjacencies], format="csr")
-        self.adj_in = normalized_adjacency(block, "in", cap=neighbor_cap)
-        self.adj_out = normalized_adjacency(block, "out", cap=neighbor_cap)
-        self.adj_sym = normalized_adjacency(block, "both", cap=neighbor_cap)
+        for name, direction in (("adj_in", "in"), ("adj_out", "out"), ("adj_sym", "both")):
+            m = normalized_adjacency(block, direction, cap=neighbor_cap)
+            setattr(self, name, CSR(m.data, m.indices, m.indptr, m.shape))
         coo = block.tocoo()
         fwd = np.stack([coo.row, coo.col], axis=1)
         rev = fwd[:, ::-1]

@@ -2,50 +2,35 @@
 
 Batched GNN layers multiply node-feature matrices by (block-diagonal)
 adjacency matrices. Those matrices are constants of a batch — they carry no
-gradient — so they are kept as ``scipy.sparse`` CSR matrices and wrapped in
-a differentiable ``spmm`` whose backward multiplies by the transpose.
+gradient — so they are kept as :class:`~repro.nn.csr.CSR` matrices and
+wrapped in a differentiable ``spmm`` whose backward multiplies by the
+transpose.
 """
 from __future__ import annotations
 
-import numpy as np
-import scipy.sparse as sp
+from typing import TYPE_CHECKING
 
+import numpy as np
+
+from .csr import CSR, index_dtype
 from .tensor import Tensor, scatter_add_rows
 
-
-def transposed(csr: sp.csr_matrix) -> sp.csr_matrix:
-    """``csr.T.tocsr()``, built on the first call and kept on ``csr``.
-
-    The backward of every GraphSAGE hop multiplies by the transposes of its
-    batch context's operators; keeping each transpose on the operator the
-    context stacked builds it once per context, on the first backward, for
-    all hops and every later step over the same context. A forward that
-    records no tape never calls this, so no transpose exists without a
-    backward. The per-kernel operators of ``GraphOperators`` never get one:
-    ``BatchedGraphContext.compose`` stacks copies of them. Two threads racing
-    on one operator store equal transposes.
-    """
-    transpose = csr.__dict__.get("transposed")
-    if transpose is None:
-        transpose = csr.transposed = csr.T.tocsr()
-    return transpose
+if TYPE_CHECKING:
+    import scipy.sparse as sp
 
 
-def spmm(matrix: sp.spmatrix, x: Tensor) -> Tensor:
+def spmm(matrix: CSR, x: Tensor) -> Tensor:
     """Differentiable ``matrix @ x`` for a constant sparse ``matrix``.
 
     Args:
-        matrix: [m, n] scipy sparse matrix (no gradient).
+        matrix: [m, n] CSR matrix (no gradient).
         x: [n, d] dense tensor.
 
     Returns:
         [m, d] tensor; gradient w.r.t. ``x`` is ``matrix.T @ grad``.
     """
-    csr = matrix.tocsr()
-    out = csr @ x.data
-    return x._make(
-        np.asarray(out, dtype=np.float32), (x,), lambda g: (transposed(csr) @ g,)
-    )
+    out = matrix @ x.data
+    return x._make(np.asarray(out, dtype=np.float32), (x,), lambda g: (matrix.T @ g,))
 
 
 def segment_sum(x: Tensor, segment_ids: np.ndarray, num_segments: int) -> Tensor:
@@ -95,48 +80,7 @@ def segment_softmax(scores: Tensor, segment_ids: np.ndarray, num_segments: int) 
     return scores._make(out, (scores,), backward)
 
 
-_INT32_MAX = np.iinfo(np.int32).max
-
-#: What SciPy's constructor sets on a matrix besides its shape and arrays.
-_CSR_STATE = {"maxprint": sp.csr_matrix((1, 1)).maxprint}
-
-
-def _csr(
-    data: np.ndarray, indices: np.ndarray, indptr: np.ndarray, shape: tuple[int, int]
-) -> sp.csr_matrix:
-    """``csr_matrix((data, indices, indptr), shape=shape)``, minus SciPy's
-    generic constructor.
-
-    The arrays are stored as given: no index-dtype selection, no copy, no
-    cast (each caller builds the dtypes SciPy would pick). The O(1) checks
-    of SciPy's ``check_format(full_check=False)`` stay, each a
-    ``ValueError``: 1-D arrays, integer index dtypes, ``len(indptr) ==
-    rows + 1``, ``indptr[0] == 0`` and ``len(indices) == len(data) ==
-    indptr[-1]``. Products go through SciPy's compiled kernels as before.
-    """
-    if data.ndim != 1 or indices.ndim != 1 or indptr.ndim != 1:
-        raise ValueError("data, indices, and indptr should be 1-D")
-    if indices.dtype.kind != "i" or indptr.dtype.kind != "i":
-        raise ValueError(
-            f"index arrays need integer dtypes, got {indices.dtype} and {indptr.dtype}"
-        )
-    if len(indptr) != shape[0] + 1:
-        raise ValueError(f"index pointer size {len(indptr)} should be {shape[0] + 1}")
-    if indptr[0] != 0:
-        raise ValueError("index pointer should start with 0")
-    if not len(indices) == len(data) == indptr[-1]:
-        raise ValueError(
-            f"{len(indices)} indices and {len(data)} values for {indptr[-1]} stored entries"
-        )
-    matrix = sp.csr_matrix.__new__(sp.csr_matrix)
-    matrix.__dict__.update(
-        _CSR_STATE, _shape=(int(shape[0]), int(shape[1])),
-        data=data, indices=indices, indptr=indptr,
-    )
-    return matrix
-
-
-def stack_csr(blocks: list[sp.csr_matrix]) -> sp.csr_matrix:
+def stack_csr(blocks: list[CSR]) -> CSR:
     """Block-diagonal stack of CSR matrices by direct index arithmetic.
 
     Equivalent to ``sp.block_diag(blocks, format="csr")`` but built from the
@@ -146,10 +90,9 @@ def stack_csr(blocks: list[sp.csr_matrix]) -> sp.csr_matrix:
     no COO conversion and no per-block Python arithmetic. Each block's per-row
     stored entry order is preserved verbatim (:func:`mean_aggregation_csr`
     and ``normalized_adjacency``'s ``d @ m`` both emit *descending* columns
-    within a row — the sorted flag is left for scipy to determine), so
-    downstream ``@`` products traverse entries in the same order as the
-    ``block_diag``-then-normalize path and produce bitwise-identical
-    results. The same block may appear several times. The result never
+    within a row), so downstream ``@`` products traverse entries in the
+    same order as the ``block_diag``-then-normalize path and produce
+    bitwise-identical results. The same block may appear several times. The result never
     aliases a block's arrays: callers may mutate it without corrupting
     cached inputs.
     """
@@ -157,33 +100,31 @@ def stack_csr(blocks: list[sp.csr_matrix]) -> sp.csr_matrix:
         raise ValueError("stack_csr needs at least one block")
     if len(blocks) == 1:
         b = blocks[0]
-        return _csr(b.data.copy(), b.indices.copy(), b.indptr.copy(), b.shape)
+        return CSR(b.data.copy(), b.indices.copy(), b.indptr.copy(), b.shape)
     rows = np.asarray([b.shape[0] for b in blocks])
     cols = np.asarray([b.shape[1] for b in blocks])
     nnz = np.asarray([len(b.data) for b in blocks])
     shape = (int(rows.sum()), int(cols.sum()))
     data = np.concatenate([b.data for b in blocks])
-    # SciPy's constructor picks int32 indices whenever the shape and the
-    # entry count fit; so does this.
-    index_dtype = np.int32 if max(*shape, len(data)) <= _INT32_MAX else np.int64
-    indices = np.concatenate([b.indices for b in blocks]).astype(index_dtype, copy=False)
-    indices += np.repeat((np.cumsum(cols) - cols).astype(index_dtype), nnz)
-    indptr = np.zeros(shape[0] + 1, dtype=index_dtype)
+    dtype = index_dtype(*shape, len(data))
+    indices = np.concatenate([b.indices for b in blocks]).astype(dtype, copy=False)
+    indices += np.repeat((np.cumsum(cols) - cols).astype(dtype), nnz)
+    indptr = np.zeros(shape[0] + 1, dtype=dtype)
     np.concatenate([b.indptr[1:] for b in blocks], out=indptr[1:])
     indptr[1:] += np.repeat(np.cumsum(nnz) - nnz, rows)
-    return _csr(data, indices, indptr, shape)
+    return CSR(data, indices, indptr, shape)
 
 
-def mean_aggregation_csr(neighbors: np.ndarray, cap: int | None) -> sp.csr_matrix:
+def mean_aggregation_csr(neighbors: np.ndarray, cap: int | None) -> CSR:
     """Mean-aggregation operator of one small graph, by index arithmetic.
 
     What :func:`normalized_adjacency` computes through ``tocsr`` / ``tolil``
-    / ``diags @ m``, built from ``np.nonzero`` and ``bincount`` and wrapped
-    by :func:`_csr` without SciPy's generic constructor — for a
-    kernel-sized graph the SciPy constructors, not the arithmetic, were the
-    cost. The result equals the oracle's in ``indptr``, stored ``indices``
-    order (descending column within a row, as SciPy's ``d @ m`` emits),
-    ``data`` bits and dtypes, so ``M @ x`` is bitwise the same.
+    / ``diags @ m``, built from ``np.nonzero`` and ``bincount`` into a
+    :class:`CSR` — for a kernel-sized graph the SciPy constructors, not the
+    arithmetic, were the cost. The result equals the oracle's in
+    ``indptr``, stored ``indices`` order (descending column within a row,
+    as SciPy's ``d @ m`` emits), ``data`` bits and dtypes, so ``M @ x`` is
+    bitwise the same.
 
     Args:
         neighbors: [n, n] boolean, ``neighbors[i, j]`` iff j is aggregated
@@ -207,7 +148,7 @@ def mean_aggregation_csr(neighbors: np.ndarray, cap: int | None) -> sp.csr_matri
         np.cumsum(degree, out=indptr[1:])
     data = np.float32(1.0) / degree[rows].astype(np.float32)
     indices = (n - 1 - reversed_cols).astype(np.int32)
-    return _csr(data, indices, indptr, (n, n))
+    return CSR(data, indices, indptr, (n, n))
 
 
 def normalized_adjacency(
@@ -223,8 +164,12 @@ def normalized_adjacency(
             at 20); degree normalization uses the capped degree.
 
     Returns:
-        CSR matrix ``M`` with ``(M @ H)[i]`` = mean over i's neighbors of H.
+        ``csr_matrix`` ``M`` with ``(M @ H)[i]`` = mean over i's neighbors
+        of H. SciPy is imported here: this is the reference the per-kernel
+        builder :func:`mean_aggregation_csr` must equal, not a model path.
     """
+    import scipy.sparse as sp
+
     a = adjacency.tocsr().astype(np.float32)
     if direction == "in":
         m = a.T.tocsr()

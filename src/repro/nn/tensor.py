@@ -18,7 +18,8 @@ import threading
 from typing import Callable, Sequence
 
 import numpy as np
-import scipy.sparse as sp
+
+from .csr import CSR, index_dtype
 
 # Thread-local so a serving thread running inference under no_grad() never
 # turns off tape recording for a training loop on another thread (the
@@ -89,13 +90,14 @@ def scatter_add_rows(index: np.ndarray, values: np.ndarray, num_rows: int) -> np
     bit, as one sparse product.
 
     ``np.add.at`` adds the entries of ``values`` into their rows one at a
-    time in index order, each row starting from +0.0. A 0/1 CSR matrix whose
-    row r lists, ascending, the positions k with ``index[k] == r`` makes
-    SciPy's ``@`` do the same additions in the same order (it accumulates
-    each output row left to right from zero, and ``1.0 * v`` is exact) —
-    without ``ufunc.at``'s per-element cost. The backward of
-    :meth:`Tensor.take_rows` and ``Tensor.__getitem__``, and the forward of
-    ``segment_sum`` on both the tape and the inference path.
+    time in index order, each row starting from +0.0. A 0/1
+    :class:`~repro.nn.csr.CSR` matrix whose row r lists, ascending, the
+    positions k with ``index[k] == r`` makes SciPy's ``@`` kernel do the
+    same additions in the same order (it accumulates each output row left
+    to right from zero, and ``1.0 * v`` is exact) — without ``ufunc.at``'s
+    per-element cost. The backward of :meth:`Tensor.take_rows` and
+    ``Tensor.__getitem__``, and the forward of ``segment_sum`` on both the
+    tape and the inference path.
 
     Args:
         index: non-negative row numbers, any shape.
@@ -107,14 +109,23 @@ def scatter_add_rows(index: np.ndarray, values: np.ndarray, num_rows: int) -> np
     """
     index = np.asarray(index)
     trailing = values.shape[index.ndim :]
-    flat = index.reshape(-1)
-    indptr = np.zeros(num_rows + 1, dtype=np.int64)
-    np.cumsum(np.bincount(flat, minlength=num_rows), out=indptr[1:])
-    rows = sp.csr_matrix(
-        (np.ones(flat.size, dtype=values.dtype), np.argsort(flat, kind="stable"), indptr),
-        shape=(num_rows, flat.size),
+    rows = scatter_matrix(index.reshape(-1), num_rows, values.dtype)
+    return (rows @ values.reshape(index.size, math.prod(trailing))).reshape(num_rows, *trailing)
+
+
+def scatter_matrix(index: np.ndarray, num_rows: int, dtype: np.dtype) -> CSR:
+    """The 0/1 ``[num_rows, len(index)]`` operator of :func:`scatter_add_rows`:
+    row r holds ones of ``dtype`` at the positions k with ``index[k] == r``,
+    ascending, and int32 index arrays whenever they fit."""
+    itype = index_dtype(num_rows, index.size)
+    indptr = np.zeros(num_rows + 1, dtype=itype)
+    np.cumsum(np.bincount(index, minlength=num_rows), out=indptr[1:])
+    return CSR(
+        np.ones(index.size, dtype=dtype),
+        np.argsort(index, kind="stable").astype(itype, copy=False),
+        indptr,
+        (num_rows, index.size),
     )
-    return (rows @ values.reshape(flat.size, math.prod(trailing))).reshape(num_rows, *trailing)
 
 
 def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:

@@ -37,9 +37,11 @@ def _tape_lstm(lstm, x, mask):
 
 
 def _tape_spmm(matrix, x):
-    """``matrix @ x`` as one tape op whose backward builds ``matrix.T`` afresh."""
+    """``matrix @ x`` as one tape op on SciPy's own matrix of the same
+    arrays, whose backward builds ``matrix.T`` afresh."""
+    ref = sp.csr_matrix((matrix.data, matrix.indices, matrix.indptr), shape=matrix.shape)
     return x._make(
-        np.asarray(matrix @ x.data, dtype=np.float32), (x,), lambda g: (matrix.T.tocsr() @ g,)
+        np.asarray(ref @ x.data, dtype=np.float32), (x,), lambda g: (ref.T.tocsr() @ g,)
     )
 
 

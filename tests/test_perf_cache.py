@@ -2,10 +2,11 @@
 
 The contract under test is *exact* equivalence: the cached/composed fast
 paths must be bitwise-identical to the cold reference paths — features,
-adjacency operators (via ``.toarray()``), pad views, and model scores.
+adjacency operators (dense, through SciPy), pad views, and model scores.
 """
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from repro.autotuner import (
     LearnedEvaluator,
@@ -64,10 +65,12 @@ def assert_batches_identical(ref, got):
     assert ref.context.num_nodes == got.context.num_nodes
     for name in ("adj_in", "adj_out", "adj_sym"):
         np.testing.assert_array_equal(
-            getattr(ref.context, name).toarray(),
-            getattr(got.context, name).toarray(),
-            err_msg=name,
+            dense(getattr(ref.context, name)), dense(getattr(got.context, name)), err_msg=name
         )
+
+
+def dense(m):
+    return sp.csr_matrix((m.data, m.indices, m.indptr), shape=m.shape).toarray()
 
 
 class TestKernelCacheEquivalence:
@@ -285,8 +288,6 @@ class TestNoSciPyConstructorsOnTheCachedPath:
     def test_assemble_builds_operators_without_scipy_conversions(
         self, tile_records, scalers, monkeypatch
     ):
-        import scipy.sparse as sp
-
         from repro.nn import graph_layers, sparse
 
         sampler = TileBatchSampler(tile_records, kernels_per_batch=4, tiles_per_kernel=2, seed=11)

@@ -26,6 +26,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from repro.data import KernelCache, Scalers, TileBatchSampler, build_fusion_dataset, build_tile_dataset
 from repro.models import (
@@ -221,9 +222,9 @@ class TestTapeNodesPerStep:
 
 class TestTransposesOnlyForABackward:
     """The spmm backward's transposed operators are built on a batch
-    context's first backward, kept on the context's operators and shared by
-    every hop; a forward that records no tape builds none, and the
-    per-kernel operators a :class:`KernelCache` holds never carry one."""
+    context's first backward, kept on the context's operators (``CSR.T``)
+    and shared by every hop; a forward that records no tape builds none, and
+    the per-kernel operators a :class:`KernelCache` holds never carry one."""
 
     @pytest.mark.parametrize("directed", (True, False))
     def test_built_once_per_context_by_the_first_backward(self, directed):
@@ -238,7 +239,7 @@ class TestTransposesOnlyForABackward:
         names = ("adj_in", "adj_out") if directed else ("adj_sym",)
 
         def transposes():
-            return [vars(getattr(ctx, name)).get("transposed") for name in names]
+            return [getattr(ctx, name)._transpose for name in names]
 
         model.predict(batch)
         model(batch).sum()  # recorded, never differentiated
@@ -248,8 +249,12 @@ class TestTransposesOnlyForABackward:
         first = transposes()
         for name, transpose in zip(names, first):
             operator = getattr(ctx, name)
-            assert transpose is not None
-            assert (transpose != operator.T).nnz == 0
+            assert transpose is not None and operator.T is transpose
+            want = sp.csr_matrix(
+                (operator.data, operator.indices, operator.indptr), shape=operator.shape
+            ).T.tocsr()
+            for field in ("data", "indices", "indptr"):
+                np.testing.assert_array_equal(getattr(transpose, field), getattr(want, field))
         model(batch).sum().backward()
         assert all(a is b for a, b in zip(transposes(), first))
 
@@ -257,7 +262,7 @@ class TestTransposesOnlyForABackward:
         for record in records:
             operators = cache.entry(record.features).operators
             for name in ("adj_in", "adj_out", "adj_sym"):
-                assert "transposed" not in vars(getattr(operators, name))
+                assert getattr(operators, name)._transpose is None
 
 
 if __name__ == "__main__":
