@@ -34,7 +34,6 @@ from .tiling import (
     candidate_block_sizes,
     default_tile,
     enumerate_tile_sizes,
-    tile_footprint_bytes,
 )
 
 __all__ = [
@@ -64,6 +63,5 @@ __all__ = [
     "list_schedule",
     "live_tensor_peak",
     "operational_intensity",
-    "tile_footprint_bytes",
     "with_output_layout",
 ]

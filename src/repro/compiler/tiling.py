@@ -98,6 +98,12 @@ tile's minor extent, or one full stripe per tile row."""
 class _FootprintTerms:
     """The tile-independent part of a kernel's scratchpad footprint.
 
+    One iteration of a tile keeps the output tile resident, plus — for each
+    kernel input — the slice of it needed for one output tile. Inputs whose
+    dimensions align with output dimensions contribute proportionally-shrunk
+    slices; mismatched inputs (e.g. full contraction operands) contribute a
+    tile-by-full-depth slice.
+
     Walking the kernel graph (primary output, parameters) costs far more
     than the footprint arithmetic, and enumeration prices thousands of
     tiles per kernel: the walk happens once, in :meth:`of`, and
@@ -193,25 +199,15 @@ class _FootprintTerms:
         return total
 
 
-def tile_footprint_bytes(kernel: Kernel, tile: TileConfig) -> int:
-    """Scratchpad bytes one iteration of ``tile`` keeps live.
-
-    The output tile is resident, plus — for each kernel input — the slice of
-    it needed for one output tile. Inputs whose dimensions align with output
-    dimensions contribute proportionally-shrunk slices; mismatched inputs
-    (e.g. full contraction operands) contribute a tile-by-full-depth slice.
-    """
-    return _FootprintTerms.of(kernel).bytes(tile.dims)
-
-
 def tile_transfer_bytes(kernel: Kernel, tile: TileConfig) -> tuple[int, int]:
     """Per-iteration (copy-in, copy-out) HBM traffic for one tile.
 
-    Copy-out is the output tile itself; copy-in is the per-tile input slice
-    estimate of :func:`tile_footprint_bytes`. Note the *total* copy-in over
-    all iterations may exceed the input tensor sizes — contraction operands
-    are re-streamed once per output stripe, which is exactly why tile choice
-    changes total data movement (Appendix A, point 1).
+    Copy-out is the output tile itself; copy-in is the rest of the tile's
+    scratchpad footprint (:class:`_FootprintTerms`). Note the *total*
+    copy-in over all iterations may exceed the input tensor sizes —
+    contraction operands are re-streamed once per output stripe, which is
+    exactly why tile choice changes total data movement (Appendix A,
+    point 1).
     """
     terms = _FootprintTerms.of(kernel)
     out_bytes = tile.volume * terms.element_size

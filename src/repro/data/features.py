@@ -96,24 +96,17 @@ def node_feature_matrix(instructions: list[Instruction]) -> np.ndarray:
 
     Builds a single preallocated ``[n, NODE_FEATURE_DIM]`` float32 array
     and writes each instruction's features into its row — no per-node
-    Python lists, per-node array allocations, or ``np.stack``. Row values
-    are bitwise-identical to :func:`node_features` on each instruction.
+    Python lists, per-node array allocations, or ``np.stack``; a row does
+    not depend on the other instructions. Contents: output dims (padded,
+    +sum, +product), layout minor-to-major (padded, +sum, +product), log
+    bytes, dtype width, output flag, parameter flag, arity, convolution
+    window/striding/padding, reduction arity, contraction FLOPs,
+    transcendental flag and per-element cost.
     """
     out = np.zeros((len(instructions), NODE_FEATURE_DIM), dtype=np.float32)
     for i, inst in enumerate(instructions):
         _write_node_features(out[i], inst)
     return out
-
-
-def node_features(inst: Instruction) -> np.ndarray:
-    """Scalar feature vector for one instruction.
-
-    Contents: output dims (padded, +sum, +product), layout minor-to-major
-    (padded, +sum, +product), log bytes, dtype width, output flag, parameter
-    flag, arity, convolution window/striding/padding, reduction arity,
-    contraction FLOPs, transcendental flag and per-element cost.
-    """
-    return node_feature_matrix([inst])[0]
 
 
 def tile_features(tile: TileConfig) -> np.ndarray:

@@ -368,20 +368,6 @@ class ServingStats:
                 ),
             }
 
-    def register_into(self, registry) -> None:
-        """Contribute the flat serving snapshot to a telemetry registry.
-
-        Duck-typed (``register_collector``) so the evaluation layer keeps
-        zero imports on the serving package. The resilience counters
-        (``degraded``, ``deadline_expired``, ``overload_rejections``,
-        ``breaker_blocks``) become first-class counter-typed series
-        instead of dict entries consumers must dig out of nested
-        snapshots.
-        """
-        registry.register_collector(
-            "serving_stats", self.snapshot, counters=self._COUNTERS
-        )
-
     def snapshot(self) -> dict[str, float]:
         """Current metrics as a flat dict.
 

@@ -161,19 +161,6 @@ class Graph:
                     a[index[op], index[inst.id]] = 1.0
         return a
 
-    def subgraph(self, ids: Iterable[int], name: str | None = None) -> "Graph":
-        """Extract the induced subgraph over ``ids``.
-
-        Cross-boundary operands become fresh PARAMETER nodes, exactly like
-        XLA kernel extraction ("kernel's inputs are expressed by nodes with
-        the parameter opcode"). Node ids are renumbered densely in
-        topological order; outputs (nodes whose users are all outside, or
-        graph roots) get ``is_root=True``.
-        """
-        ids = set(ids)
-        members = [inst for inst in self.topological_order() if inst.id in ids]
-        return self.induced_subgraph(members, ids, self.users(), name)
-
     def induced_subgraph(
         self,
         members: Iterable[Instruction],
@@ -181,7 +168,14 @@ class Graph:
         users: dict[int, list[int]],
         name: str | None = None,
     ) -> "Graph":
-        """:meth:`subgraph` over views the caller already holds.
+        """The induced subgraph over ``members``, cut with graph-wide views
+        the caller already holds.
+
+        Cross-boundary operands become fresh PARAMETER nodes, exactly like
+        XLA kernel extraction ("kernel's inputs are expressed by nodes with
+        the parameter opcode"). Node ids are renumbered densely in
+        topological order; outputs (nodes whose users are all outside, or
+        graph roots) get ``is_root=True``.
 
         A caller that cuts many subgraphs out of one graph (kernel
         extraction) computes the graph-wide views once and passes them in,
@@ -230,23 +224,6 @@ class Graph:
             remap[inst.id] = next_id
             next_id += 1
         return sub
-
-    def clone(self, name: str | None = None) -> "Graph":
-        """Deep-enough copy (instructions are re-created; attrs copied)."""
-        g = Graph(name or self.name)
-        for inst in self.topological_order():
-            g.add(
-                Instruction(
-                    id=inst.id,
-                    opcode=inst.opcode,
-                    shape=inst.shape,
-                    operands=inst.operands,
-                    attrs=dict(inst.attrs),
-                    name=inst.name,
-                    is_root=inst.is_root,
-                )
-            )
-        return g
 
     def __str__(self) -> str:  # pragma: no cover - cosmetic
         lines = [f"graph {self.name} {{"]

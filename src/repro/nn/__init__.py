@@ -14,7 +14,7 @@ from .losses import log_mse_loss, pairwise_rank_loss
 from .optim import Adam, clip_global_norm
 from .rnn import LSTM, LSTMCell
 from .sparse import normalized_adjacency, segment_softmax, segment_sum, spmm
-from .tensor import Tensor, no_grad, ones, zeros
+from .tensor import Tensor, no_grad
 
 __all__ = [
     "MLP",
@@ -38,10 +38,8 @@ __all__ = [
     "log_mse_loss",
     "no_grad",
     "normalized_adjacency",
-    "ones",
     "pairwise_rank_loss",
     "segment_softmax",
     "segment_sum",
     "spmm",
-    "zeros",
 ]

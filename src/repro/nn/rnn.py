@@ -24,7 +24,7 @@ def lstm_final_state(
     a prefix that shrinks with ``t``; a row whose sequence has ended is
     written to the result (in input order) and dropped. When every row has
     the same length no row is ever dropped and every step sees the whole
-    batch. The cell is :class:`LSTMCell`'s: ``[x_t, h] @ weight`` split into
+    batch. Each step is one LSTM cell: ``[x_t, h] @ weight`` split into
     input, forget (bias 1), cell and output gates.
 
     Args:
@@ -92,10 +92,11 @@ def lstm_final_state_backward(saved: tuple, grad: np.ndarray) -> tuple[np.ndarra
         i, f, o = s[:, :hd], s[:, hd : 2 * hd], s[:, 3 * hd :]
         n = len(xh)
         dh_t = dh[:n]
-        # Every product runs in the order the chain rule over LSTMCell's
-        # tape ops multiplies, so equal-length batches get its bits: a
-        # sigmoid gate's is (a * s) * (1 - s), taken over the whole block,
-        # and the g columns are then overwritten with tanh's.
+        # Every product runs in the order the chain rule over a stepwise
+        # tape LSTM (a sigmoid or tanh node per gate) multiplies, so
+        # equal-length batches get its bits: a sigmoid gate's is
+        # (a * s) * (1 - s), taken over the whole block, and the g columns
+        # are then overwritten with tanh's.
         dc_t = dc[:n] + dh_t * o * (1.0 - tc * tc)
         a = np.concatenate([dc_t * g, dc_t * c_prev, dc_t * i, dh_t * tc], axis=-1)
         dz = a * s
@@ -112,24 +113,16 @@ def lstm_final_state_backward(saved: tuple, grad: np.ndarray) -> tuple[np.ndarra
 
 
 class LSTMCell(Module):
-    """Single LSTM step with fused gate projection."""
+    """The LSTM's fused gate projection, ``gates``: [x_t, h] → the four
+    gates' pre-activations. The step itself is :func:`lstm_final_state`;
+    this module holds the weight (checkpoint key
+    ``lstm.cell.gates.weight``)."""
 
     def __init__(self, input_dim: int, hidden_dim: int, rng: np.random.Generator | None = None) -> None:
         super().__init__()
         rng = rng or np.random.default_rng(0)
         self.hidden_dim = hidden_dim
         self.gates = Dense(input_dim + hidden_dim, 4 * hidden_dim, rng=rng)
-
-    def forward(self, x: Tensor, h: Tensor, c: Tensor) -> tuple[Tensor, Tensor]:
-        z = self.gates(Tensor.concat([x, h], axis=-1))
-        hd = self.hidden_dim
-        i = z[:, 0 * hd : 1 * hd].sigmoid()
-        f = (z[:, 1 * hd : 2 * hd] + 1.0).sigmoid()  # forget-gate bias of 1
-        g = z[:, 2 * hd : 3 * hd].tanh()
-        o = z[:, 3 * hd : 4 * hd].sigmoid()
-        c_next = f * c + i * g
-        h_next = o * c_next.tanh()
-        return h_next, c_next
 
 
 class LSTM(Module):

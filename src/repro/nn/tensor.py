@@ -80,8 +80,8 @@ def relu_inplace(y: np.ndarray) -> np.ndarray:
 
 
 def sigmoid_array(x: np.ndarray) -> np.ndarray:
-    """The logistic function: the forward of :meth:`Tensor.sigmoid`, of the
-    LSTM gates and of the tape-free inference path."""
+    """The logistic function: the forward of ``Dense``'s sigmoid activation,
+    of the LSTM gates and of the tape-free inference path."""
     return 1.0 / (1.0 + np.exp(-x))
 
 
@@ -345,31 +345,13 @@ class Tensor:
         a = self.data
         return self._make(np.log(a), (self,), lambda g: (g / a,))
 
-    def tanh(self) -> "Tensor":
-        out = np.tanh(self.data)
-        return self._make(out, (self,), lambda g: (g * (1.0 - out * out),))
-
-    def sigmoid(self) -> "Tensor":
-        out = sigmoid_array(self.data)
-        return self._make(out, (self,), lambda g: (g * out * (1.0 - out),))
-
     def relu(self) -> "Tensor":
         mask = self.data > 0
         return self._make(relu_array(self.data), (self,), lambda g: (g * mask,))
 
-    def sqrt(self) -> "Tensor":
-        out = np.sqrt(self.data)
-        return self._make(out, (self,), lambda g: (g * 0.5 / out,))
-
     def abs(self) -> "Tensor":
         sign = np.sign(self.data)
         return self._make(np.abs(self.data), (self,), lambda g: (g * sign,))
-
-    def clip(self, lo: float, hi: float) -> "Tensor":
-        mask = (self.data >= lo) & (self.data <= hi)
-        return self._make(
-            np.clip(self.data, lo, hi), (self,), lambda g: (g * mask,)
-        )
 
     def maximum(self, other) -> "Tensor":
         other = self._lift(other)
@@ -462,17 +444,6 @@ class Tensor:
         proto = tensors[0]
         return proto._make(out, tuple(tensors), backward)
 
-    @staticmethod
-    def stack(tensors: Sequence["Tensor"], axis: int = 0) -> "Tensor":
-        tensors = [Tensor._lift(t) for t in tensors]
-        out = np.stack([t.data for t in tensors], axis=axis)
-
-        def backward(g: np.ndarray):
-            slices = np.moveaxis(g, axis, 0)
-            return tuple(slices[i] for i in range(len(tensors)))
-
-        return tensors[0]._make(out, tuple(tensors), backward)
-
     # ------------------------------------------------------------- indexing
     def take_rows(self, indices: np.ndarray) -> "Tensor":
         """Gather rows (axis 0) at non-negative ``indices``; the gradient
@@ -501,24 +472,3 @@ class Tensor:
             return (out * (g - dot),)
 
         return self._make(out, (self,), backward)
-
-    def log_softmax(self, axis: int = -1) -> "Tensor":
-        x = self.data - self.data.max(axis=axis, keepdims=True)
-        lse = np.log(np.exp(x).sum(axis=axis, keepdims=True))
-        out = x - lse
-        soft = np.exp(out)
-
-        def backward(g: np.ndarray):
-            return (g - soft * g.sum(axis=axis, keepdims=True),)
-
-        return self._make(out, (self,), backward)
-
-
-def zeros(shape: tuple[int, ...], requires_grad: bool = False) -> Tensor:
-    """All-zeros tensor."""
-    return Tensor(np.zeros(shape, dtype=np.float32), requires_grad=requires_grad)
-
-
-def ones(shape: tuple[int, ...], requires_grad: bool = False) -> Tensor:
-    """All-ones tensor."""
-    return Tensor(np.ones(shape, dtype=np.float32), requires_grad=requires_grad)

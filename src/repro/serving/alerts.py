@@ -507,25 +507,6 @@ class AlertEngine:
             points = list(self._alerts[name].series)
         return [{"ts": ts, "value": value} for ts, value in points]
 
-    def render(self) -> str:
-        """ASCII alert board (``/alerts`` text format)."""
-        board = self.alerts()
-        lines = [
-            f"alerts: {board['firing']} firing, {board['pending']} pending "
-            f"({board['evaluations']} evaluations)"
-        ]
-        for row in board["alerts"]:
-            value = (
-                f"{row['last_value']:.4g}" if row["last_value"] is not None else "-"
-            )
-            exemplar = row["exemplar_trace_id"] or "-"
-            lines.append(
-                f"  [{row['state']:>8}] {row['name']:<24} "
-                f"severity={row['severity']:<8} value={value:<10} "
-                f"trace={exemplar}"
-            )
-        return "\n".join(lines)
-
     # ------------------------------------------------------------------ #
     # telemetry
     # ------------------------------------------------------------------ #

@@ -62,7 +62,7 @@ from ..compiler.kernels import Kernel
 from ..compiler.tiling import TileConfig
 from .faults import FaultInjector, FaultPlan
 from .journal import record_event
-from .placement import RebalancePlan, ShardMap, shard_of
+from .placement import RebalancePlan, ShardMap
 from .protocol import lru_touch
 from .registry import ModelRegistry
 from .resilience import CrashLoopBackoff
@@ -173,10 +173,8 @@ class Executor(ABC):
     #: Number of fingerprint shards (routing targets) this backend runs.
     num_shards: int = 1
 
-    #: The versioned fingerprint → shard assignment in force. ``None``
-    #: (e.g. a minimal test double) falls back to the legacy static
-    #: ``fingerprint % n`` routing.
-    shard_map: ShardMap | None = None
+    #: The versioned fingerprint → shard assignment in force.
+    shard_map: ShardMap
 
     #: Duck-typed ops journal, installed by the service; backends with a
     #: lifecycle worth recording (worker respawns, crash-loop
@@ -185,9 +183,7 @@ class Executor(ABC):
 
     def shard_for(self, shard_key: str) -> int:
         """The shard owning ``shard_key`` (stable digest-slice routing)."""
-        if self.shard_map is not None:
-            return self.shard_map.shard_for(shard_key)
-        return shard_of(shard_key, self.num_shards)
+        return self.shard_map.shard_for(shard_key)
 
     def apply_plan(self, plan: RebalancePlan) -> dict:
         """Act on a rebalance plan: re-place shards, swap the map.
@@ -203,8 +199,6 @@ class Executor(ABC):
         )
 
     def _check_plan(self, plan: RebalancePlan) -> ShardMap:
-        if self.shard_map is None:
-            raise ValueError("executor has no shard map to replace")
         if plan.new_map.version <= self.shard_map.version:
             raise ValueError(
                 f"stale rebalance plan: map version {plan.new_map.version} "

@@ -22,26 +22,24 @@ Endpoints:
 * ``GET /traces/recent`` — summaries of the newest retained traces
   (``?n=`` bounds the count, default 20).
 * ``GET /traces/<trace_id>`` — one assembled trace tree as JSON;
-  ``?format=text`` returns the ASCII rendering, ``?format=chrome`` the
-  Chrome trace-event document (load it straight into ``chrome://tracing``
-  or Perfetto).
+  ``?format=text`` returns the ASCII rendering.
 * ``GET /profile`` — the continuous profiler's report: per-stage
   exemplar-linked histograms, flame-style call-path table, interval
-  snapshots; ``?format=text`` for the ASCII table, ``?format=folded``
-  for folded-stack lines (flamegraph tooling input).
+  snapshots.
 * ``GET /alerts`` — the alert engine's board (firing/pending counts +
-  per-rule state); ``?format=text`` for the ASCII board.
+  per-rule state).
 * ``GET /events/recent`` — the newest ops-journal events (``?n=``
   bounds the count, default 50).
 * ``GET /probes`` — the synthetic prober's board: corpus size, route
   matrix coverage, per-route pass/fail, recent verdicts.
 * ``GET /incidents`` — auto-generated incident report summaries;
-  ``GET /incidents/<id>`` one full report (``?format=text`` for the
-  ASCII rendering).
+  ``GET /incidents/<id>`` one full report.
 
-``?n=`` on the ``/recent`` endpoints is bounds-checked (an integer in
-[1, 1000]); malformed or out-of-range values answer a typed ``400``
-instead of a fixed-size dump.
+Two routes take a ``?format=``: ``/metrics?format=json`` and
+``/traces/<id>?format=text``; every other body is JSON. Any other
+``format`` value, on any route, answers a typed ``400`` rather than a
+silent default, and so does a ``?n=`` on the ``/recent`` endpoints
+outside the integers [1, 1000].
 
 Trace endpoints answer ``503`` when the service has no tracer attached
 (tracing disabled is the zero-overhead default) and ``404`` for ids the
@@ -176,6 +174,14 @@ class MetricsGateway:
     #: gateway to serialize an unbounded dump.
     _MAX_N = 1000
 
+    @staticmethod
+    def _check_format(query: dict, accepted: tuple[str, ...]) -> str | None:
+        """The error for a ``?format=`` the route does not serve, else ``None``."""
+        fmt = _format(query)
+        if fmt and fmt not in accepted:
+            return f"format must be {' or '.join(accepted) or 'absent'}, got {fmt!r}"
+        return None
+
     @classmethod
     def _parse_n(cls, query: dict, default: int) -> tuple[int | None, str | None]:
         """Parse the ``?n=`` limit; ``(n, None)`` or ``(None, error)``."""
@@ -251,34 +257,24 @@ class MetricsGateway:
             return None
         if rest[0] == "recent":
             n, error = self._parse_n(query, default=20)
+            error = self._check_format(query, ()) or error
             if error is not None:
                 return 400, {"error": error}
             return 200, {"traces": tracer.recent(n)}
         trace_id = rest[0]
-        fmt = _format(query)
-        if fmt == "text":
+        if _format(query) == "text":
             rendered = tracer.render(trace_id)
             status = 404 if rendered.endswith("not retained") else 200
             return status, rendered + "\n"
-        if fmt == "chrome":
-            document = tracer.chrome_trace(trace_id)
-        else:
-            document = tracer.trace(trace_id)
+        document = tracer.trace(trace_id)
         if document is None:
             return 404, {"error": f"trace {trace_id} not retained"}
         return 200, document
 
     def _profile(self, profiler, rest, query):
-        fmt = _format(query)
-        if fmt == "text":
-            return 200, profiler.render() + "\n"
-        if fmt == "folded":
-            return 200, profiler.flame_folded() + "\n"
         return 200, profiler.profile()
 
     def _alerts(self, alerts, rest, query):
-        if _format(query) == "text":
-            return 200, alerts.render() + "\n"
         return 200, alerts.alerts()
 
     def _events(self, journal, rest, query):
@@ -296,10 +292,6 @@ class MetricsGateway:
         if len(rest) != 1:
             return None
         incident_id = rest[0]
-        if _format(query) == "text":
-            rendered = incidents.render(incident_id)
-            status = 404 if rendered.endswith("unknown") else 200
-            return status, rendered + "\n"
         report = incidents.report(incident_id)
         if report is None:
             return 404, {"error": f"incident {incident_id} not retained"}
@@ -307,23 +299,24 @@ class MetricsGateway:
 
     #: Route family → (the one path it answers, or ``None`` for every
     #: path under ``/<family>``; the service attribute it reads; the 503
-    #: message when that attribute is ``None``; the route). The families
-    #: are also the access-counter label — a fixed vocabulary, so label
+    #: message when that attribute is ``None``; the ``?format=`` values
+    #: it serves besides its default; the route). The families are also
+    #: the access-counter label — a fixed vocabulary, so label
     #: cardinality stays bounded no matter what paths clients probe.
     _ROUTES = {
-        "healthz": ("/healthz", "registry", "", _healthz),
-        "metrics": ("/metrics", "telemetry", "", _metrics),
-        "traces": (None, "tracer", "tracing is not enabled", _traces),
-        "profile": ("/profile", "profiler", "profiling is not enabled", _profile),
-        "alerts": ("/alerts", "alerts", "alerting is not enabled", _alerts),
+        "healthz": ("/healthz", "registry", "", (), _healthz),
+        "metrics": ("/metrics", "telemetry", "", ("json",), _metrics),
+        "traces": (None, "tracer", "tracing is not enabled", ("text",), _traces),
+        "profile": ("/profile", "profiler", "profiling is not enabled", (), _profile),
+        "alerts": ("/alerts", "alerts", "alerting is not enabled", (), _alerts),
         "events": (
-            "/events/recent", "journal", "ops journal is not enabled", _events
+            "/events/recent", "journal", "ops journal is not enabled", (), _events
         ),
         "probes": (
-            "/probes", "prober", "synthetic probing is not enabled", _probes
+            "/probes", "prober", "synthetic probing is not enabled", (), _probes
         ),
         "incidents": (
-            None, "incidents", "incident reporting is not enabled", _incidents
+            None, "incidents", "incident reporting is not enabled", (), _incidents
         ),
     }
 
@@ -338,13 +331,17 @@ class MetricsGateway:
             self._accesses[label] = self._accesses.get(label, 0) + 1
         answer = None
         if entry is not None:
-            path, attribute, absent, route = entry
+            path, attribute, absent, formats, route = entry
             if path is None or path == url.path:
                 component = getattr(self.service, attribute)
+                query = parse_qs(url.query)
+                error = self._check_format(query, formats)
                 if component is None:
                     answer = 503, {"error": absent}
+                elif error is not None:
+                    answer = 400, {"error": error}
                 else:
-                    answer = route(self, component, parts[1:], parse_qs(url.query))
+                    answer = route(self, component, parts[1:], query)
         if answer is None:
             answer = 404, {"error": f"no route for {url.path}"}
         return self._send(handler, *answer)

@@ -450,23 +450,6 @@ class IncidentReporter:
                     return entry
         return None
 
-    def render(self, incident_id: str) -> str:
-        """ASCII rendering of one report (ops-console view)."""
-        report = self.report(incident_id)
-        if report is None:
-            return f"incident {incident_id}: unknown"
-        rule = report["rule"]
-        lines = [
-            f"incident {report['id']} — rule {rule.get('name')!r} "
-            f"[{rule.get('severity')}] value={rule.get('value')}",
-            "suspected causes:",
-        ]
-        for cause in report["causes"]:
-            lines.append(
-                f"  {cause['rank']}. (score {cause['score']}) {cause['cause']}"
-            )
-        return "\n".join(lines)
-
     # ------------------------------------------------------------------ #
     # telemetry
     # ------------------------------------------------------------------ #

@@ -330,9 +330,7 @@ class PlacementController:
         try:
             for shard, entry in self.service.stats.shard_snapshot().items():
                 self._last_requests[int(shard)] = entry["requests"]
-            shard_map = self.service.shard_map
-            if shard_map is not None:
-                shard_map.snapshot_loads(reset=True)
+            self.service.shard_map.snapshot_loads(reset=True)
         except Exception:
             pass
         # Contribute the load/latency EWMAs and rebalance history to the
@@ -427,8 +425,6 @@ class PlacementController:
         """
         with self._lock:
             shard_map = self.service.shard_map
-            if shard_map is None:
-                return None
             interval_requests = self._ingest_locked(shard_map)
             target = self._target_shards_locked(shard_map.num_shards)
             if interval_requests >= self.config.min_interval_requests:

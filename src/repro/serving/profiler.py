@@ -49,7 +49,7 @@ __all__ = ["ContinuousProfiler", "STAGES"]
 
 #: The pipeline stage vocabulary (hook sites document themselves against
 #: this). Unknown stages are accepted — the vocabulary is a convention,
-#: not a schema — but these render first, in pipeline order.
+#: not a schema — but these are registered first, in pipeline order.
 STAGES = ("queue.wait", "batch.cut", "compose", "forward", "serialize")
 
 #: Stage-duration buckets, in seconds. Finer than the latency defaults at
@@ -248,46 +248,6 @@ class ContinuousProfiler:
             "flame": paths,
             "intervals": intervals,
         }
-
-    def flame_folded(self) -> str:
-        """The call-path table in Brendan-Gregg folded-stack text form
-        (``path count seconds`` per line) — pasteable into flamegraph
-        tooling."""
-        report = self.profile()
-        return "\n".join(
-            f"{row['path']} {row['count']} {row['seconds']:.6f}"
-            for row in report["flame"]
-        )
-
-    def render(self) -> str:
-        """ASCII profile table — the ops-console view (``/profile`` text
-        format)."""
-        report = self.profile()
-        lines = [
-            f"profile: {report['samples_recorded']} samples "
-            f"(1 in {report['sample_every']}), "
-            f"{report['total_seconds'] * 1e3:.2f} ms attributed"
-        ]
-        order = {stage: i for i, stage in enumerate(STAGES)}
-        for stage, entry in sorted(
-            report["stages"].items(),
-            key=lambda kv: order.get(kv[0], len(STAGES)),
-        ):
-            mean_ms = entry["mean_s"] * 1e3
-            exemplar = entry["worst_exemplar"] or entry["exemplar"] or "-"
-            lines.append(
-                f"  {stage:<12} {entry['fraction'] * 100:5.1f}%  "
-                f"n={int(entry['count']):<7} mean={mean_ms:8.3f}ms "
-                f"max={entry['max_s'] * 1e3:8.3f}ms  exemplar={exemplar}"
-            )
-        if report["flame"]:
-            lines.append("call paths:")
-            for row in report["flame"]:
-                lines.append(
-                    f"  {row['path']:<28} n={row['count']:<7} "
-                    f"{row['seconds'] * 1e3:.2f}ms"
-                )
-        return "\n".join(lines)
 
     # ------------------------------------------------------------------ #
     # telemetry

@@ -395,7 +395,7 @@ class CostModelService:
     # ------------------------------------------------------------------ #
 
     @property
-    def shard_map(self) -> ShardMap | None:
+    def shard_map(self) -> ShardMap:
         """The executor's versioned fingerprint → shard assignment."""
         return self.executor.shard_map
 
@@ -822,10 +822,7 @@ class CostModelService:
         }
 
     def _collect_placement(self) -> dict:
-        shard_map = self.shard_map
-        if shard_map is None:
-            return {}
-        return {"placement": shard_map.describe()}
+        return {"placement": self.shard_map.describe()}
 
     def _collect_slo(self) -> dict:
         """SLO burn-rate gauges from the serving latency window/EWMA."""

@@ -476,63 +476,6 @@ class Tracer:
             walk(root, "", i == len(roots) - 1)
         return "\n".join(lines)
 
-    def chrome_trace(self, trace_id: str) -> dict | None:
-        """The trace as a Chrome trace-event JSON document, or ``None``
-        for an unknown id.
-
-        The payload opens directly in ``chrome://tracing`` and Perfetto:
-        each process that contributed spans becomes a track (an ``M``
-        ``process_name`` metadata event), timed spans become complete
-        (``X``) events with microsecond ``ts``/``dur``, and zero-duration
-        marker spans become instant (``i``) events. Span/parent ids and
-        attrs ride in ``args`` so the original tree stays recoverable.
-        """
-        with self._lock:
-            spans = self._traces.get(trace_id)
-            if spans is None:
-                return None
-            snapshot = [span.to_dict() for span in spans]
-        snapshot.sort(key=lambda e: e["start"])
-        pids: dict[str, int] = {}
-        for entry in snapshot:
-            pids.setdefault(entry["process"], len(pids) + 1)
-        events: list[dict] = [
-            {
-                "ph": "M",
-                "name": "process_name",
-                "pid": pid,
-                "tid": 0,
-                "args": {"name": process},
-            }
-            for process, pid in pids.items()
-        ]
-        for entry in snapshot:
-            ts_us = entry["start"] * 1e6
-            dur_us = entry["duration_s"] * 1e6
-            args = {
-                "span_id": entry["span_id"],
-                "parent_id": entry["parent_id"],
-                "status": entry["status"],
-                **entry["attrs"],
-            }
-            base = {
-                "name": entry["name"],
-                "cat": entry["process"],
-                "pid": pids[entry["process"]],
-                "tid": 0,
-                "ts": ts_us,
-                "args": args,
-            }
-            if entry["status"] == "event" or dur_us <= 0.0:
-                events.append({**base, "ph": "i", "s": "t"})
-            else:
-                events.append({**base, "ph": "X", "dur": dur_us})
-        return {
-            "traceEvents": events,
-            "displayTimeUnit": "ms",
-            "otherData": {"trace_id": trace_id},
-        }
-
     def snapshot(self) -> dict:
         """Tracer accounting for the metrics registry."""
         with self._lock:

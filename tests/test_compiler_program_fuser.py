@@ -2,7 +2,7 @@
 
 The fuser shares program-wide views and unchanged group bodies between the
 configurations of a search. These tests pin that sharing as invisible: the
-kernels equal an oracle cut per group with the public ``Graph.subgraph``,
+kernels equal an oracle cut per group with :func:`oracles.subgraph`,
 the searches built on it return what they returned before it existed, and
 the graph-wide work it does is a constant per fuser.
 """
@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from oracles import subgraph
 from repro.autotuner import HardwareEvaluator, hardware_fusion_autotune, model_fusion_autotune
 from repro.compiler import (
     FusionConfig,
@@ -49,7 +50,7 @@ def cold_kernels(program, config, params=None):
     executing.sort(key=lambda ids: min(position[i] for i in ids))
     kernels = []
     for index, ids in enumerate(executing):
-        sub = graph.subgraph(ids, name=f"{graph.name}.k{index}")
+        sub = subgraph(graph, ids, name=f"{graph.name}.k{index}")
         kernels.append(Kernel(sub, classify_kernel(sub), program.name, index))
     return kernels
 

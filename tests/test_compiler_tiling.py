@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from oracles import tile_footprint_bytes
 from repro.compiler import (
     Kernel,
     TileConfig,
@@ -19,7 +20,6 @@ from repro.compiler import (
     default_tile,
     enumerate_tile_sizes,
     fuse_program,
-    tile_footprint_bytes,
 )
 from repro.compiler.tiling import _FootprintTerms, largest_tile, tile_transfer_bytes
 from repro.hlo import GraphBuilder, Shape

@@ -3,6 +3,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from oracles import node_features
 from repro.compiler import TileConfig, fuse_program
 from repro.data import (
     MAX_DIMS,
@@ -12,7 +13,6 @@ from repro.data import (
     FeatureScaler,
     encode_varlen,
     extract_kernel_features,
-    node_features,
     static_features,
     tile_features,
 )

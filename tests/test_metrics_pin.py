@@ -246,7 +246,9 @@ def scripted_dump(tmp: Path) -> dict:
         registry, profiler=profiler, journal=journal, alerts=engine, incidents=reporter
     )
     stats = service.stats
-    stats.register_into(registry)
+    registry.register_collector(
+        "serving_stats", lambda: service.stats.snapshot(), counters=ServingStats._COUNTERS
+    )
     registry.register_collector("slo", lambda: dict(slo))
     profiler.register_into(registry)
     journal.register_into(registry)
@@ -337,6 +339,8 @@ def scripted_dump(tmp: Path) -> dict:
             "/events/recent?n=1001", "/events/recent?n=x",
             "/healthz", "/healthz/", "/profile/", "/",
             "/traces/recent", "/traces/t-1", "/traces", "/probes",
+            "/healthz?format=json", "/events/recent?format=text",
+            "/incidents?format=json", "/probes?format=json",
         ]
         for path in paths:
             out = http_get(address, path)
@@ -439,7 +443,7 @@ def live_dump(tmp: Path) -> dict:
             address = gateway.address
             for path in ("/healthz", "/metrics?format=json", "/traces/recent",
                          "/traces/recent?n=1", f"/traces/{trace_id}",
-                         f"/traces/{trace_id}?format=chrome", "/profile", "/alerts",
+                         "/profile", "/alerts",
                          "/incidents", "/incidents/inc-1"):
                 label = path.replace(trace_id, "<id>")
                 dump[f"GET {label}"] = get_json(address, path, shape_only=True)
@@ -452,17 +456,24 @@ def live_dump(tmp: Path) -> dict:
             for path in ("/probes", "/traces/recent?n=0", "/traces/recent?n=1001",
                          "/traces/recent?n=abc", "/traces/t-unknown",
                          "/traces/t-unknown?format=chrome", "/incidents/inc-404",
-                         "/nope", "/traces", "/traces/a/b", "/metrics/"):
-                dump[f"GET {path}"] = get_json(address, path)
-            for path in ("/traces/t-unknown?format=text", "/incidents/inc-404?format=text"):
-                dump[f"GET {path}"] = http_get(address, path)
-            for path in (f"/traces/{trace_id}?format=text", "/profile?format=text",
+                         "/nope", "/traces", "/traces/a/b", "/metrics/",
+                         "/incidents/inc-404?format=text", "/profile?format=text",
                          "/profile?format=folded", "/alerts?format=text",
-                         "/incidents/inc-1?format=text", "/metrics"):
+                         "/incidents/inc-1?format=text", "/metrics?format=jsn",
+                         "/metrics?format=text", "/traces/recent?format=text",
+                         "/traces/recent?n=0&format=text"):
+                dump[f"GET {path}"] = get_json(address, path)
+            dump["GET /traces/<id>?format=chrome"] = get_json(
+                address, f"/traces/{trace_id}?format=chrome"
+            )
+            dump["GET /traces/t-unknown?format=text"] = http_get(
+                address, "/traces/t-unknown?format=text"
+            )
+            for path in (f"/traces/{trace_id}?format=text", "/metrics"):
                 out = http_get(address, path)
                 assert out.pop("body").endswith("\n")
                 dump[f"GET {path.replace(trace_id, '<id>')}"] = out
-            settle_gateway(service.telemetry, 31)
+            settle_gateway(service.telemetry, 35)
             dump["gateway.exposition"] = only(
                 parse_exposition(service.telemetry.prometheus(), _LIVE_SERIES),
                 "gateway",
@@ -477,7 +488,7 @@ def live_dump(tmp: Path) -> dict:
             assert prober.sweep()["failures"] == 0
             dump["probed GET /probes"] = get_json(address, "/probes", shape_only=True)
             dump["probed GET /healthz"] = get_json(address, "/healthz", shape_only=True)
-            settle_gateway(service.telemetry, 33)
+            settle_gateway(service.telemetry, 37)
             dump["probed.exposition"] = only(
                 parse_exposition(service.telemetry.prometheus(), _LIVE_SERIES),
                 "prober",

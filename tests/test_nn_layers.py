@@ -3,6 +3,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from oracles import sigmoid, tanh
 from repro.nn import (
     MLP,
     Adam,
@@ -89,7 +90,7 @@ def _tape_dense(layer, x):
         y = y + layer.bias
     if layer.activation is None:
         return y
-    return getattr(y, layer.activation)()
+    return {"relu": Tensor.relu, "tanh": tanh, "sigmoid": sigmoid}[layer.activation](y)
 
 
 class TestDenseAgainstTheCompositeTape:

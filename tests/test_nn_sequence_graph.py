@@ -4,6 +4,7 @@ import pytest
 import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
 
+from oracles import lstm_cell
 from repro.nn import (
     LSTM,
     LSTMCell,
@@ -21,15 +22,15 @@ rng = np.random.default_rng(3)
 
 
 def _tape_lstm(lstm, x, mask):
-    """The stepwise tape LSTM: ``LSTMCell`` looped over every time step of
-    the padded batch, (h, c) frozen by a mask blend after a row's end. The
-    one-node :class:`LSTM` is checked against it."""
+    """The stepwise tape LSTM: :func:`oracles.lstm_cell` looped over every
+    time step of the padded batch, (h, c) frozen by a mask blend after a
+    row's end. The one-node :class:`LSTM` is checked against it."""
     batch, time, _ = x.shape
     h = Tensor(np.zeros((batch, lstm.hidden_dim), dtype=np.float32))
     c = Tensor(np.zeros((batch, lstm.hidden_dim), dtype=np.float32))
     for t in range(time):
         xt = x[:, t, :]
-        h_new, c_new = lstm.cell(xt, h, c)
+        h_new, c_new = lstm_cell(lstm.cell, xt, h, c)
         step = Tensor(mask[:, t : t + 1].astype(np.float32))
         h = h_new * step + h * (1.0 - step)
         c = c_new * step + c * (1.0 - step)
@@ -80,7 +81,8 @@ def _grad(p):
 class TestLSTM:
     def test_cell_shapes(self):
         cell = LSTMCell(8, 16)
-        h, c = cell(
+        h, c = lstm_cell(
+            cell,
             Tensor(rng.normal(size=(4, 8))),
             Tensor(np.zeros((4, 16))),
             Tensor(np.zeros((4, 16))),

@@ -463,18 +463,16 @@ class TestContinuousProfiler:
         assert profiler.samples_recorded == 3
         assert profiler.samples_skipped == 6
 
-    def test_flame_paths_fold_into_flamegraph_lines(self):
+    def test_flame_table_rows_by_call_path(self):
         profiler = ContinuousProfiler()
         profiler.record_stage("forward", 0.020, path="request;forward;executor")
         profiler.record_stage("queue.wait", 0.001)
-        folded = profiler.flame_folded()
-        lines = dict(
-            (line.rsplit(" ", 2)[0], line) for line in folded.splitlines()
-        )
-        assert "request;forward;executor" in lines
-        assert "request;queue.wait" in lines
-        # Sorted by total seconds, descending.
-        assert folded.splitlines()[0].startswith("request;forward;executor")
+        rows = profiler.profile()["flame"]
+        # One row per call path, sorted by total seconds, descending.
+        assert [row["path"] for row in rows] == [
+            "request;forward;executor", "request;queue.wait"
+        ]
+        assert rows[0]["count"] == 1 and rows[0]["seconds"] == 0.020
 
     def test_interval_snapshots_roll_on_the_record_path(self):
         clock = FakeClock()
@@ -492,11 +490,10 @@ class TestContinuousProfiler:
         # Cumulative stats are unaffected by interval rolls.
         assert profiler.profile()["stages"]["forward"]["count"] == 5.0
 
-    def test_render_and_registry_contribution(self):
+    def test_registry_contribution(self):
         profiler = ContinuousProfiler()
         profiler.record_stage("forward", 0.020, trace_id="t-1")
-        text = profiler.render()
-        assert "forward" in text and "t-1" in text
+        assert profiler.profile()["stages"]["forward"]["worst_exemplar"] == "t-1"
         registry = TelemetryRegistry()
         profiler.register_into(registry)
         exposition = registry.prometheus()

@@ -62,6 +62,7 @@ from repro.serving import (
     ServiceConfig,
     ServiceEvaluator,
     SocketEvaluator,
+    ShardMap,
     SocketFrontend,
     TileScoresRequest,
     corrupt_bytes,
@@ -476,9 +477,9 @@ class ScriptedExecutor(Executor):
     infrastructure error, then serves zeros."""
 
     num_shards = 1
-    shard_map = None
 
     def __init__(self, fail_first=0):
+        self.shard_map = ShardMap.uniform(1)
         self.fail_first = fail_first
         self.calls = 0
 

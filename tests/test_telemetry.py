@@ -27,6 +27,7 @@ from repro.serving import (
     ContinuousProfiler,
     CostModelService,
     Histogram,
+    IncidentReporter,
     MetricsGateway,
     OpsJournal,
     ServiceConfig,
@@ -278,32 +279,6 @@ class TestTraceAssembly:
         )
         text = registry.prometheus()
         assert "repro_trace_ring_evicted_total 2" in text
-
-    def test_chrome_trace_export(self):
-        tracer = Tracer()
-        ctx = tracer.ingress(type("R", (), {"trace": None})())
-        with tracer.span(ctx, "stage") as stage:
-            tracer.event(stage, "marker")
-        tracer.finish(ctx)
-        document = tracer.chrome_trace(ctx.trace_id)
-        assert document["otherData"]["trace_id"] == ctx.trace_id
-        events = document["traceEvents"]
-        phases = [e["ph"] for e in events]
-        # One process_name metadata record, complete spans, an instant
-        # event for the zero-duration marker.
-        assert "M" in phases and "X" in phases and "i" in phases
-        complete = [e for e in events if e["ph"] == "X"]
-        assert {e["name"] for e in complete} == {"request", "stage"}
-        for event in complete:
-            # Timestamps/durations are microseconds.
-            assert event["ts"] >= 0 and event["dur"] > 0
-            assert event["args"]["span_id"]
-        # The document is directly JSON-serializable (chrome://tracing
-        # loads it as-is).
-        json.dumps(document)
-
-    def test_chrome_trace_unknown_id_is_none(self):
-        assert Tracer().chrome_trace("t-missing") is None
 
 
 # ---------------------------------------------------------------------- #
@@ -736,7 +711,59 @@ def _get(address, path):
         return resp.status, resp.headers.get("Content-Type", ""), resp.read()
 
 
+@pytest.fixture(scope="module")
+def ops_gateway(result_a, tmp_path_factory):
+    """A gateway over a service with every readout but the prober."""
+    journal = OpsJournal(tmp_path_factory.mktemp("ops") / "ops.jsonl")
+    service = CostModelService(
+        result_a,
+        ServiceConfig(replicas=1, result_cache_entries=0),
+        tracer=Tracer(sample_rate=1.0),
+        profiler=ContinuousProfiler(),
+        journal=journal,
+    )
+    service.attach_alerts(AlertEngine())
+    service.attach_incidents(IncidentReporter())
+    try:
+        with MetricsGateway(service) as gateway:
+            yield gateway
+    finally:
+        service.stop()
+        journal.close()
+
+
 class TestGateway:
+    @pytest.mark.parametrize(
+        "path, status",
+        [
+            ("/metrics?format=json", 200),
+            ("/metrics?format=jsn", 400),
+            ("/metrics?format=text", 400),
+            ("/traces/t-missing?format=text", 404),
+            ("/traces/t-missing?format=chrome", 400),
+            ("/traces/recent?format=text", 400),
+            ("/profile?format=text", 400),
+            ("/profile?format=folded", 400),
+            ("/alerts?format=text", 400),
+            ("/incidents?format=text", 400),
+            ("/incidents/inc-1?format=text", 400),
+            ("/events/recent?format=json", 400),
+            ("/healthz?format=json", 400),
+            ("/probes?format=text", 503),  # no prober: the 503 comes first
+        ],
+    )
+    def test_a_format_the_route_does_not_serve_is_a_typed_400(
+        self, ops_gateway, path, status
+    ):
+        try:
+            got, _, body = _get(ops_gateway.address, path)
+        except urllib.error.HTTPError as exc:
+            got, body = exc.code, exc.read()
+        assert got == status
+        if status == 400:
+            fmt = path.rsplit("format=", 1)[1]
+            assert f"got '{fmt}'" in json.loads(body)["error"]
+
     def test_endpoints_over_a_real_socket(self, corpus, result_a):
         records, _ = corpus
         tracer = Tracer(sample_rate=1.0)
@@ -798,8 +825,8 @@ class TestGateway:
             service.stop()
 
     def test_observability_endpoints(self, corpus, result_a, tmp_path):
-        """Chrome export, ``/profile``, ``/alerts``, ``/events/recent``,
-        and the per-endpoint access family — the active-observability
+        """``/profile``, ``/alerts``, ``/events/recent``, and the
+        per-endpoint access family — the active-observability
         surface over a real socket."""
         records, _ = corpus
         journal = OpsJournal(tmp_path / "ops.jsonl")
@@ -830,13 +857,6 @@ class TestGateway:
 
                 status, _, body = _get(gateway.address, "/traces/recent?n=1")
                 trace_id = json.loads(body)["traces"][0]["trace_id"]
-                status, _, body = _get(
-                    gateway.address, f"/traces/{trace_id}?format=chrome"
-                )
-                document = json.loads(body)
-                assert status == 200
-                assert document["otherData"]["trace_id"] == trace_id
-                assert any(e["ph"] == "X" for e in document["traceEvents"])
 
                 status, _, body = _get(gateway.address, "/profile")
                 profile = json.loads(body)
@@ -844,8 +864,8 @@ class TestGateway:
                 stages = profile["stages"]
                 assert stages["forward"]["count"] >= 1
                 assert stages["queue.wait"]["exemplar"] == trace_id
-                status, _, body = _get(gateway.address, "/profile?format=folded")
-                assert status == 200 and b"request;forward;executor" in body
+                paths = [row["path"] for row in profile["flame"]]
+                assert "request;forward;executor" in paths
 
                 status, _, body = _get(gateway.address, "/alerts")
                 board = json.loads(body)
