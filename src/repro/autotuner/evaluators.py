@@ -17,7 +17,12 @@ import numpy as np
 from ..compiler.kernels import Kernel
 from ..compiler.tiling import TileConfig, default_tile
 from ..data.batching import BatchItem, KernelCache, Scalers
-from ..data.features import KernelFeatures, extract_kernel_features, tile_features
+from ..data.features import (
+    TILE_FEATURE_DIM,
+    KernelFeatures,
+    extract_kernel_features,
+    tile_features,
+)
 from ..models.model import LearnedPerformanceModel
 from ..tpu.analytical import AnalyticalModel, CalibratedAnalyticalModel
 from ..tpu.simulator import TpuSimulator
@@ -49,6 +54,31 @@ class ProgramCostModel(Protocol):
     def program_runtimes_batched(self, programs: list[list[Kernel]]) -> np.ndarray: ...
 
 
+class _TileRows:
+    """One kernel's encoded tile rows (:func:`tile_features`), keyed by
+    ``dims``: one float32 block with a row per distinct ``dims`` seen, so a
+    memoised row costs a dict entry and its bytes in the block, not an
+    array of its own."""
+
+    __slots__ = ("index", "block")
+
+    def __init__(self) -> None:
+        self.index: dict[tuple[int, ...], int] = {}
+        self.block = np.empty((0, TILE_FEATURE_DIM), dtype=np.float32)
+
+    def rows(self, tiles: list[TileConfig]) -> list[np.ndarray]:
+        """The encoded row of each tile, in order (views into the block)."""
+        index = self.index
+        missing = {t.dims: t for t in tiles if t.dims not in index}
+        if missing:
+            start = len(self.block)
+            encoded = np.stack([tile_features(t) for t in missing.values()])
+            self.block = np.concatenate([self.block, encoded])
+            index.update(zip(missing, range(start, start + len(missing))))
+        block = self.block
+        return [block[index[t.dims]] for t in tiles]
+
+
 class HardwareEvaluator:
     """Executes (kernel, tile) pairs on the simulated TPU, with metering.
 
@@ -70,9 +100,16 @@ class HardwareEvaluator:
         return self.simulator.run(kernel, tile)
 
     def program_runtime(self, kernels: list[Kernel], tiles: list[TileConfig] | None = None) -> float:
-        """Measure a whole program (counts one evaluation per kernel)."""
+        """Measure a whole program (counts one evaluation per kernel).
+
+        Raises:
+            ValueError: ``tiles`` is not one tile per kernel (nothing is
+                measured or metered).
+        """
         if tiles is None:
             tiles = [default_tile(k) for k in kernels]
+        elif len(tiles) != len(kernels):
+            raise ValueError(f"{len(tiles)} tiles for {len(kernels)} kernels")
         return sum(self.kernel_runtime(k, t) for k, t in zip(kernels, tiles))
 
 
@@ -96,8 +133,9 @@ class LearnedEvaluator:
         scalers: the feature scalers fitted at training time.
 
     The autotuners revisit the same kernels constantly, so every query
-    reads through LRU-bounded caches: a fingerprint -> features memo and a
-    :class:`~repro.data.batching.KernelCache` (scaled features and
+    reads through LRU-bounded caches: a fingerprint -> features memo (which
+    also holds the kernel's encoded tile rows, evicted with its features)
+    and a :class:`~repro.data.batching.KernelCache` (scaled features and
     normalized adjacencies are computed once per distinct kernel, not once
     per query batch), plus, for kernel and program pricing, a fingerprint
     -> predicted-runtime memo. A batch composed through them is bitwise
@@ -134,7 +172,9 @@ class LearnedEvaluator:
         if self.max_cached_predictions is None:
             self.max_cached_predictions = 16 * self.max_cached_kernels
         self._memo_cap = self.max_cached_predictions
-        self._features_memo: "OrderedDict[str, KernelFeatures]" = OrderedDict()
+        # fingerprint -> (features, encoded tile rows by ``dims``): a
+        # kernel's tile rows are evicted together with its features.
+        self._features_memo: "OrderedDict[str, tuple[KernelFeatures, _TileRows]]" = OrderedDict()
         self.batch_cache = KernelCache(
             self.scalers,
             neighbor_cap=self.model.config.neighbor_cap,
@@ -183,21 +223,21 @@ class LearnedEvaluator:
             **{f"batch_{k}": v for k, v in batch.items()},
         }
 
-    def _features(self, kernel: Kernel) -> KernelFeatures:
-        """Extract kernel features, deduped by fingerprint."""
+    def _features(self, kernel: Kernel) -> tuple[KernelFeatures, _TileRows]:
+        """Kernel features and the kernel's tile-row memo, deduped by
+        fingerprint."""
         fp = kernel.fingerprint()
-        features = self._features_memo.get(fp)
-        if features is not None:
+        entry = self._features_memo.get(fp)
+        if entry is not None:
             self.feature_cache_hits += 1
             self._features_memo.move_to_end(fp)
-            return features
+            return entry
         self.feature_cache_misses += 1
-        features = extract_kernel_features(kernel)
-        self._features_memo[fp] = features
+        entry = self._features_memo[fp] = (extract_kernel_features(kernel), _TileRows())
         while len(self._features_memo) > self.max_cached_kernels:
             self._features_memo.popitem(last=False)
             self.feature_cache_evictions += 1
-        return features
+        return entry
 
     def _remember(self, fingerprint: str, value: float) -> None:
         """Record a per-kernel prediction, evicting oldest beyond the cap."""
@@ -237,10 +277,8 @@ class LearnedEvaluator:
         items: list[BatchItem] = []
         counts: list[int] = []
         for group_index, (kernel, tiles) in enumerate(groups):
-            features = self._features(kernel)
-            items.extend(
-                (features, tile_features(t), 0.0, group_index) for t in tiles
-            )
+            features, encoded = self._features(kernel)
+            items.extend((features, row, 0.0, group_index) for row in encoded.rows(tiles))
             counts.append(len(tiles))
         if not items:
             return [np.zeros(0, dtype=np.float32) for _ in groups]
@@ -279,7 +317,7 @@ class LearnedEvaluator:
                 unique[fp] = k
         if unique:
             missing = list(unique.values())
-            items = [(self._features(k), None, 0.0, i) for i, k in enumerate(missing)]
+            items = [(self._features(k)[0], None, 0.0, i) for i, k in enumerate(missing)]
             preds = self.model.predict_runtimes(self.batch_cache.assemble(items))
             for k, p in zip(missing, preds):
                 prices[k.fingerprint()] = float(p)

@@ -41,7 +41,12 @@ class SearchResult(Generic[S]):
 
 
 def _costs(cost_fn: CostFn, states: list[S]) -> list[float]:
-    return [float(c) for c in cost_fn(states)]
+    """``cost_fn(states)`` as floats; a cost list of another length raises
+    ``ValueError`` (every strategy zips it with ``states``)."""
+    costs = [float(c) for c in cost_fn(states)]
+    if len(costs) != len(states):
+        raise ValueError(f"cost_fn returned {len(costs)} costs for {len(states)} states")
+    return costs
 
 
 def random_search(

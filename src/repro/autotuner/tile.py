@@ -18,7 +18,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..compiler.kernels import Kernel
-from ..compiler.tiling import TileConfig, TilingParams, enumerate_tile_sizes, largest_tile
+from ..compiler.tiling import (
+    TileConfig,
+    TilingParams,
+    default_tile,
+    enumerate_tile_sizes,
+    largest_tile,
+)
 from .evaluators import HardwareEvaluator, TileScorer
 
 
@@ -88,12 +94,21 @@ def model_tile_autotune(
     chosen: list[TileConfig] = []
     total = 0.0
     default_total = 0.0  # default tiles are measured outside the budget
-    # Population-level scoring: one model forward per kernel's candidate set
-    # (and cached graph features for learned evaluators).
+    # Population-level scoring: one model forward per distinct kernel's
+    # candidate set (and cached graph features for learned evaluators). A
+    # kernel repeated in the program reuses the ranking of its fingerprint;
+    # hardware verification and the runtime sums stay per kernel.
+    ranked: dict[str, tuple[list[TileConfig], np.ndarray, TileConfig]] = {}
     for kernel in kernels:
-        candidates = enumerate_tile_sizes(kernel, tiling)
-        scores = np.asarray(model.score_tiles_batched(kernel, candidates))
-        order = np.argsort(scores, kind="stable")[: max(top_k, 1)]
+        fingerprint = kernel.fingerprint()
+        if fingerprint not in ranked:
+            candidates = enumerate_tile_sizes(kernel, tiling)
+            scores = np.asarray(model.score_tiles_batched(kernel, candidates))
+            order = np.argsort(scores, kind="stable")[: max(top_k, 1)]
+            # The default tile rides in the body's candidate memo.
+            default = default_tile(kernel) if tiling is None else largest_tile(candidates)
+            ranked[fingerprint] = (candidates, order, default)
+        candidates, order, default = ranked[fingerprint]
         if top_k <= 1:
             pick = candidates[int(order[0])]
         else:
@@ -101,7 +116,7 @@ def model_tile_autotune(
             pick = candidates[int(order[int(np.argmin(runtimes))])]
         chosen.append(pick)
         total += hardware.simulator.run(kernel, pick)
-        default_total += hardware.simulator.run(kernel, largest_tile(candidates))
+        default_total += hardware.simulator.run(kernel, default)
     return TileTuningResult(
         tiles=chosen,
         program_runtime=total,

@@ -227,12 +227,38 @@ def enumerate_tile_sizes(
     The candidates' footprints are tested in one vectorised pass
     (:meth:`_FootprintTerms.bytes_of_rows`); the first ``max_configs``
     that fit are kept, in candidate order.
+
+    Under the default :class:`TilingParams` (``params=None``) the list is
+    memoised per kernel body and shared by every :meth:`Kernel.shell` of
+    it; each call returns a fresh list. An explicit ``params`` always
+    enumerates.
     """
-    params = params or TilingParams()
+    if params is not None:
+        return _tile_configs(_candidate_dims(kernel, params))
+    memo = kernel._body_memo
+    entry = memo.get("tile_sizes")
+    if entry is not None:
+        return _tile_configs(entry[0])
+    dims = _candidate_dims(kernel, TilingParams())
+    tiles = _tile_configs(dims)
+    # Kept as one int array, not as TileConfigs: a fusion search enumerates
+    # each of its many bodies once, and objects held per body cost it more
+    # than rebuilding the list costs a search that asks again. The largest
+    # candidate rides along for :func:`default_tile`.
+    memo["tile_sizes"] = (dims, largest_tile(tiles))
+    return tiles
+
+
+def _tile_configs(dims: np.ndarray) -> list[TileConfig]:
+    return [TileConfig(tuple(row)) for row in dims.tolist()]
+
+
+def _candidate_dims(kernel: Kernel, params: TilingParams) -> np.ndarray:
+    """The candidates of :func:`enumerate_tile_sizes`, as [m, rank] int64 rows."""
     terms = _FootprintTerms.of(kernel)
     output = terms.output
     if not kernel.has_tile_options() or output.rank == 0:
-        return [TileConfig(tuple(output.dims))]
+        return np.asarray([output.dims], dtype=np.int64)
     budget = int(params.scratchpad_bytes * params.scratchpad_fraction)
 
     per_dim = [
@@ -254,10 +280,10 @@ def enumerate_tile_sizes(
             for _ in range(params.max_configs * 4)
         )
         combos = np.asarray(list(samples), dtype=np.int64)
-    fits = combos[terms.bytes_of_rows(combos) <= budget][: params.max_configs]
+    fits = combos[np.flatnonzero(terms.bytes_of_rows(combos) <= budget)[: params.max_configs]]
     if not len(fits):
-        return [_clamped_full_tile(terms, budget)]
-    return [TileConfig(tuple(dims)) for dims in fits.tolist()]
+        return np.asarray([_clamped_full_tile(terms, budget).dims], dtype=np.int64)
+    return fits
 
 
 def _clamped_full_tile(terms: _FootprintTerms, budget: int) -> TileConfig:
@@ -282,14 +308,14 @@ def default_tile(kernel: Kernel, params: TilingParams | None = None) -> TileConf
     that already holds the enumerated list uses :func:`largest_tile` on it.
 
     Under the default :class:`TilingParams` (``params=None``) the answer is
-    memoised per kernel body and shared by every :meth:`Kernel.shell` of
-    it, so pricing many fusion configs of one program enumerates each
-    distinct body once. An explicit ``params`` always enumerates.
+    read from the body's :func:`enumerate_tile_sizes` memo entry, shared by
+    every :meth:`Kernel.shell` of it, so pricing many fusion configs of one
+    program enumerates each distinct body once. An explicit ``params``
+    always enumerates.
     """
     if params is not None:
         return largest_tile(enumerate_tile_sizes(kernel, params))
     memo = kernel._body_memo
-    tile = memo.get("default_tile")
-    if tile is None:
-        tile = memo["default_tile"] = largest_tile(enumerate_tile_sizes(kernel))
-    return tile
+    if "tile_sizes" not in memo:
+        enumerate_tile_sizes(kernel)  # fills the body's entry
+    return memo["tile_sizes"][1]

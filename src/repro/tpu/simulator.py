@@ -274,7 +274,12 @@ class TpuSimulator:
 
         TPUs execute one kernel at a time with no inter-kernel caching, so
         program runtime is additive over kernels (paper Sec. 2.1).
+
+        Raises:
+            ValueError: ``tiles`` is not one tile per kernel.
         """
         if tiles is None:
             tiles = [default_tile(k) for k in kernels]
+        elif len(tiles) != len(kernels):
+            raise ValueError(f"{len(tiles)} tiles for {len(kernels)} kernels")
         return sum(self.run(k, t) for k, t in zip(kernels, tiles))

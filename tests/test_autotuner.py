@@ -17,9 +17,11 @@ from repro.autotuner import (
     simulated_annealing,
 )
 from repro.autotuner.fusion_tuner import _crossover
+from repro.autotuner.tile import TileTuningResult
 from repro.compiler import FusionConfig, default_tile, enumerate_tile_sizes, fuse_program
-from repro.data import build_fusion_dataset
-from repro.models import ModelConfig, TrainConfig, train_fusion_model
+from repro.compiler.tiling import largest_tile
+from repro.data import Scalers, build_fusion_dataset, build_tile_dataset
+from repro.models import LearnedPerformanceModel, ModelConfig, TrainConfig, train_fusion_model
 from repro.tpu import TpuSimulator
 from repro.workloads import sequence, vision
 
@@ -79,6 +81,29 @@ class TestSearchStrategies:
             generations=8,
         )
         assert res.best_cost < 1.0
+
+    @pytest.mark.parametrize("strategy", ["random", "annealing", "genetic"])
+    @pytest.mark.parametrize("misprice", [-1, 1])
+    def test_cost_list_of_another_length_raises(self, strategy, misprice):
+        """A ``cost_fn`` pricing more or fewer states than it was given is
+        an error, never a ``visited`` that silently drops states."""
+
+        def wrong(xs):
+            costs = self.costs(xs)
+            return costs[:-1] if misprice < 0 else costs + [0.0]
+
+        rng = np.random.default_rng(0)
+        with pytest.raises(ValueError, match="costs for"):
+            if strategy == "random":
+                random_search(lambda r: float(r.uniform(-10, 10)), wrong, 8, rng)
+            elif strategy == "annealing":
+                simulated_annealing([10.0, 4.0], wrong, lambda x, r: x + 0.1, 8, rng)
+            else:
+                genetic_search(
+                    sample=lambda r: float(r.uniform(-10, 10)), cost_fn=wrong,
+                    crossover=lambda a, b, r: (a + b) / 2, mutate=lambda x, r: x,
+                    rng=rng, population=4, generations=2,
+                )
 
 
 def _scalar_annealing(initial, cost_fn, neighbor_fn, steps, rng,
@@ -153,6 +178,14 @@ class TestEvaluators:
         assert hw.evaluations == 2
         hw.program_runtime(kernels[:3])
         assert hw.evaluations == 5
+
+    def test_hardware_program_runtime_rejects_mismatched_tiles(self, kernels):
+        """One tile for four kernels is an error: nothing is priced or
+        metered (a zip would price the first kernel alone)."""
+        hw = HardwareEvaluator(TpuSimulator())
+        with pytest.raises(ValueError, match="1 tiles for 4 kernels"):
+            hw.program_runtime(kernels[:4], [default_tile(kernels[0])])
+        assert hw.evaluations == 0
 
     def test_hardware_matches_simulator(self, kernels):
         sim = TpuSimulator()
@@ -242,6 +275,131 @@ class TestTileAutotuner:
             result = tune()
             assert len(calls) == len(kernels)
             assert result.default_runtime == expected_default
+
+
+class _CountingScorer:
+    """The analytical scorer, recording the fingerprint of every kernel it
+    is asked to score."""
+
+    def __init__(self) -> None:
+        self.inner = AnalyticalEvaluator()
+        self.seen: list[str] = []
+
+    def score_tiles_batched(self, kernel, tiles):
+        self.seen.append(kernel.fingerprint())
+        return self.inner.score_tiles_batched(kernel, tiles)
+
+
+def _per_kernel_tile_autotune(kernels, model, hardware, top_k):
+    """``model_tile_autotune`` as it was before it ranked each distinct
+    fingerprint once: one enumeration and one scoring per kernel. Kept as
+    the reference the deduplicated search must repeat bit for bit."""
+    chosen = []
+    total = 0.0
+    default_total = 0.0
+    for kernel in kernels:
+        candidates = enumerate_tile_sizes(kernel)
+        scores = np.asarray(model.score_tiles_batched(kernel, candidates))
+        order = np.argsort(scores, kind="stable")[: max(top_k, 1)]
+        if top_k <= 1:
+            pick = candidates[int(order[0])]
+        else:
+            runtimes = [hardware.kernel_runtime(kernel, candidates[int(i)]) for i in order]
+            pick = candidates[int(order[int(np.argmin(runtimes))])]
+        chosen.append(pick)
+        total += hardware.simulator.run(kernel, pick)
+        default_total += hardware.simulator.run(kernel, largest_tile(candidates))
+    return TileTuningResult(chosen, total, default_total, hardware.evaluations)
+
+
+class TestRepeatedKernels:
+    """A program that repeats kernels is ranked once per fingerprint; the
+    hardware verification, its meter and the runtime sums stay per kernel."""
+
+    @pytest.fixture(scope="class")
+    def programs(self, kernels):
+        p = vision.image_embed(0)
+        fused_again = [k for k in fuse_program(p.graph, program_name=p.name) if k.has_tile_options()]
+        a, b, c = kernels[:3]
+        shells = [
+            a, b, a.shell("shells.k2", 2), c, fused_again[1], b.shell("shells.k5", 5), fused_again[0], a
+        ]
+        transformer = sequence.transformer(1)
+        return {
+            "shells": shells,
+            "transformer_1": [
+                k for k in fuse_program(transformer.graph, program_name=transformer.name)
+                if k.has_tile_options()
+            ],
+        }
+
+    @pytest.mark.parametrize("name", ["shells", "transformer_1"])
+    @pytest.mark.parametrize("top_k", [1, 3])
+    def test_one_scoring_per_fingerprint_same_result(self, programs, name, top_k):
+        program = programs[name]
+        fingerprints = [k.fingerprint() for k in program]
+        assert len(set(fingerprints)) < len(fingerprints)
+        scorer = _CountingScorer()
+        got = model_tile_autotune(
+            program, scorer, HardwareEvaluator(rng=np.random.default_rng(0)), top_k=top_k
+        )
+        assert scorer.seen == list(dict.fromkeys(fingerprints))
+        expected = _per_kernel_tile_autotune(
+            program, AnalyticalEvaluator(), HardwareEvaluator(rng=np.random.default_rng(0)), top_k
+        )
+        assert got == expected
+        verified = 0 if top_k == 1 else sum(min(top_k, len(enumerate_tile_sizes(k))) for k in program)
+        assert got.hardware_evaluations == verified
+
+
+class TestTileRowMemo:
+    """Encoded tile rows are memoised beside their kernel's features."""
+
+    @pytest.fixture(scope="class")
+    def tile_model(self):
+        records = build_tile_dataset([vision.image_embed(0)], max_tiles_per_kernel=4, seed=0).records
+        model = LearnedPerformanceModel(ModelConfig.paper_best_tile(), seed=0)
+        model.eval()
+        return model, Scalers.fit_tile(records)
+
+    @pytest.fixture()
+    def groups(self, kernels):
+        return [(k, enumerate_tile_sizes(k)[:24]) for k in kernels[:4]]
+
+    def test_warm_scores_equal_fresh_scores(self, tile_model, groups):
+        warm = LearnedEvaluator(*tile_model)
+        warm.score_tile_groups([(k, tiles[::-1]) for k, tiles in groups])
+        for k, tiles in groups:
+            warm.score_tiles_batched(k, tiles[:5])
+        got = warm.score_tile_groups(groups)
+        expected = LearnedEvaluator(*tile_model).score_tile_groups(groups)
+        assert len(got) == len(expected)
+        for g, e in zip(got, expected):
+            np.testing.assert_array_equal(g, e)
+
+    def test_rows_are_evicted_with_their_features(self, tile_model, groups, monkeypatch):
+        from repro.autotuner import evaluators
+
+        encoded = []
+        original = evaluators.tile_features
+        monkeypatch.setattr(
+            evaluators, "tile_features", lambda t: encoded.append(t.dims) or original(t)
+        )
+        evaluator = LearnedEvaluator(*tile_model, max_cached_kernels=2)
+        (a, a_tiles), (b, b_tiles), (c, c_tiles) = groups[:3]
+        evaluator.score_tiles_batched(a, a_tiles + a_tiles[:3])
+        assert encoded == [t.dims for t in a_tiles]  # a repeated tile is encoded once
+        evaluator.score_tiles_batched(a, a_tiles)
+        evaluator.score_tiles_batched(b, b_tiles)
+        assert len(encoded) == len(a_tiles) + len(b_tiles)
+        evaluator.score_tiles_batched(c, c_tiles)  # evicts a: features and rows
+        assert list(evaluator._features_memo) == [b.fingerprint(), c.fingerprint()]
+        assert [len(rows.index) for _, rows in evaluator._features_memo.values()] == [
+            len(b_tiles), len(c_tiles)
+        ]
+        encoded.clear()
+        evaluator.score_tiles_batched(a, a_tiles)
+        assert encoded == [t.dims for t in a_tiles]
 
 
 class TestFusionAutotuner:

@@ -335,6 +335,56 @@ class TestDefaultTileMemo:
         assert enumerations == [None, small, small, small, TilingParams()]
 
 
+class TestCandidateMemo:
+    """Under default params the candidates are memoised per body; every
+    call hands out a fresh list."""
+
+    def test_fresh_equal_lists_across_calls_and_shells(self):
+        body = dense_kernel()
+        shells = [body.shell(f"g.k{i}", i) for i in range(2)]
+        lists = [enumerate_tile_sizes(k) for k in [shells[1], body, body, *shells]]
+        assert all(tiles == lists[0] for tiles in lists)
+        assert len({id(tiles) for tiles in lists}) == len(lists)
+        assert lists[0] == enumerate_tile_sizes(dense_kernel(), TilingParams())
+
+    def test_mutating_a_result_does_not_reach_the_memo(self):
+        body = dense_kernel()
+        expected = enumerate_tile_sizes(body)
+        got = enumerate_tile_sizes(body)
+        got.reverse()
+        got.append(TileConfig((1, 1)))
+        del got[0]
+        assert enumerate_tile_sizes(body) == expected
+        assert enumerate_tile_sizes(body.shell("g.k1", 1)) == expected
+        assert default_tile(body) == largest_tile(expected)
+
+    def test_default_tile_reads_the_same_entry(self):
+        body = dense_kernel()
+        tile = default_tile(body)
+        assert set(body._body_memo) == {"footprint_terms", "tile_sizes"}
+        enumerate_tile_sizes(body)
+        assert default_tile(body.shell("g.k1", 1)) is tile
+        assert set(body._body_memo) == {"footprint_terms", "tile_sizes"}
+
+    def test_explicit_params_bypass_the_memo(self, monkeypatch):
+        from repro.compiler import tiling
+
+        calls = []
+        original = tiling._candidate_dims
+        monkeypatch.setattr(
+            tiling, "_candidate_dims",
+            lambda kernel, params: calls.append(params) or original(kernel, params),
+        )
+        body = dense_kernel()
+        small = TilingParams(scratchpad_bytes=64 * 1024)
+        for _ in range(2):
+            enumerate_tile_sizes(body)
+            default_tile(body)
+            enumerate_tile_sizes(body, small)
+            enumerate_tile_sizes(body, TilingParams())
+        assert calls == [TilingParams(), small, TilingParams(), small, TilingParams()]
+
+
 class TestSubsampleSeed:
     PARAMS = TilingParams()
 

@@ -167,6 +167,12 @@ class TestSimulator:
         total = sim.run_program([k1, k2])
         assert total == pytest.approx(sim.run(k1) + sim.run(k2))
 
+    def test_program_runtime_rejects_mismatched_tiles(self):
+        sim = TpuSimulator()
+        k1, k2 = dense_kernel(), dense_kernel(m=128)
+        with pytest.raises(ValueError, match="1 tiles for 2 kernels"):
+            sim.run_program([k1, k2], [default_tile(k1)])
+
     def test_tiny_tiles_slower_than_default(self):
         sim = TpuSimulator(quirk_amplitude=0)
         k = dense_kernel()
