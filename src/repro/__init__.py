@@ -31,6 +31,9 @@ Subpackages
     request coalescing, replica sharding, and the service-backed
     evaluator client.
 
+Each subpackage is imported on first access, so ``import repro`` loads
+none of them and a process pays only for the ones it reaches.
+
 Quickstart
 ----------
 >>> from repro.workloads import random_split
@@ -43,21 +46,12 @@ Quickstart
 
 __version__ = "1.0.0"
 
-from . import (
-    autotuner,
-    compiler,
-    data,
-    evaluation,
-    hlo,
-    models,
-    nn,
-    serving,
-    tpu,
-    workloads,
-)
+import importlib
 
-__all__ = [
-    "__version__",
+#: Resolved by ``__getattr__`` on first access (PEP 562): a shard worker's
+#: ``import repro.serving.workers`` never loads ``evaluation`` or
+#: ``workloads``.
+_SUBPACKAGES = (
     "autotuner",
     "compiler",
     "data",
@@ -68,4 +62,16 @@ __all__ = [
     "serving",
     "tpu",
     "workloads",
-]
+)
+
+__all__ = ["__version__", *_SUBPACKAGES]
+
+
+def __getattr__(name: str):
+    if name not in _SUBPACKAGES:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return importlib.import_module(f"{__name__}.{name}")
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(__all__))

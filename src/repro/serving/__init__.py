@@ -72,223 +72,92 @@ business stats/SLO/feedback) and verifies the responses bitwise
 firing into a ranked, journaled root-cause report assembled from the
 journal window, profiler exemplars, per-shard z-scores, and probe
 verdicts (``/incidents``).
-"""
-from .alerts import (
-    Alert,
-    AlertEngine,
-    AnomalyRule,
-    BurnRateRule,
-    ThresholdRule,
-)
-from .client import EvaluatorClient, ServiceEvaluator, SocketEvaluator
-from .faults import (
-    FAULT_HOOKS,
-    FAULT_KINDS,
-    FaultInjector,
-    FaultPlan,
-    FaultRule,
-    corrupt_bytes,
-)
-from .feedback import (
-    FeedbackCollector,
-    FeedbackSample,
-    WindowSnapshot,
-    prediction_error,
-    request_key,
-    tile_measurement,
-)
-from .executors import (
-    CommandResult,
-    Executor,
-    InThreadExecutor,
-    ProcessShardExecutor,
-    ProgramCommand,
-    TileCommand,
-    WorkerDiedError,
-)
-from .frontend import Frontend, InProcessFrontend, SocketFrontend
-from .http_gateway import PROMETHEUS_CONTENT_TYPE, MetricsGateway
-from .incidents import IncidentReporter
-from .journal import OpsJournal
-from .placement import (
-    DEFAULT_BUCKETS,
-    BucketMove,
-    PlacementConfig,
-    PlacementController,
-    RebalancePlan,
-    ShardMap,
-    shard_of,
-)
-from .protocol import (
-    ERROR_DEADLINE_EXCEEDED,
-    ERROR_DISCONNECTED,
-    ERROR_OVERLOADED,
-    ERROR_UNAVAILABLE,
-    ERROR_WORKER_FAILURE,
-    NEED_KERNEL_PREFIX,
-    KernelRuntimeRequest,
-    ProgramRuntimesRequest,
-    Request,
-    Response,
-    TileScoresRequest,
-    UnknownKernelError,
-    WireError,
-    decode_request,
-    encode_request,
-    kernel_interner,
-    recv_frame,
-    send_frame,
-)
-from .prober import GoldenProbe, SyntheticProber
-from .profiler import ContinuousProfiler
-from .registry import ModelRegistry
-from .resilience import (
-    ANALYTICAL_VERSION,
-    AnalyticalFallback,
-    CircuitBreaker,
-    ConnectionLost,
-    CrashLoopBackoff,
-    DeadlineExceeded,
-    Overloaded,
-    RetryPolicy,
-    ServiceUnavailable,
-    ServingFault,
-    WorkerFailure,
-    fault_for,
-    idempotency_key,
-)
-from .rollout import (
-    CANARY,
-    IDLE,
-    PROMOTED,
-    ROLLED_BACK,
-    ROLLOUT_STATES,
-    SHADOW,
-    CanaryFraction,
-    FullActivation,
-    RolloutConfig,
-    RolloutController,
-    RolloutPolicy,
-    RolloutTransition,
-    ShadowScore,
-    regressed_checkpoint,
-    request_unit_hash,
-)
-from .scheduler import MicroBatcher, PendingRequest
-from .service import EXECUTOR_CHOICES, CostModelService, ResultCache, ServiceConfig
-from .telemetry import (
-    Histogram,
-    Span,
-    TelemetryRegistry,
-    TraceContext,
-    Tracer,
-    slo_burn_rate,
-    trace_unit_hash,
-)
 
-__all__ = [
-    "ANALYTICAL_VERSION",
-    "CANARY",
-    "DEFAULT_BUCKETS",
-    "ERROR_DEADLINE_EXCEEDED",
-    "ERROR_DISCONNECTED",
-    "ERROR_OVERLOADED",
-    "ERROR_UNAVAILABLE",
-    "ERROR_WORKER_FAILURE",
-    "EXECUTOR_CHOICES",
-    "FAULT_HOOKS",
-    "FAULT_KINDS",
-    "IDLE",
-    "NEED_KERNEL_PREFIX",
-    "PROMETHEUS_CONTENT_TYPE",
-    "PROMOTED",
-    "ROLLED_BACK",
-    "ROLLOUT_STATES",
-    "SHADOW",
-    "Alert",
-    "AlertEngine",
-    "AnalyticalFallback",
-    "AnomalyRule",
-    "BucketMove",
-    "BurnRateRule",
-    "CanaryFraction",
-    "CircuitBreaker",
-    "CommandResult",
-    "ConnectionLost",
-    "ContinuousProfiler",
-    "CostModelService",
-    "CrashLoopBackoff",
-    "DeadlineExceeded",
-    "EvaluatorClient",
-    "Executor",
-    "Histogram",
-    "IncidentReporter",
-    "FaultInjector",
-    "FaultPlan",
-    "FaultRule",
-    "FeedbackCollector",
-    "FeedbackSample",
-    "Frontend",
-    "FullActivation",
-    "GoldenProbe",
-    "InProcessFrontend",
-    "InThreadExecutor",
-    "KernelRuntimeRequest",
-    "MetricsGateway",
-    "MicroBatcher",
-    "ModelRegistry",
-    "OpsJournal",
-    "Overloaded",
-    "PendingRequest",
-    "PlacementConfig",
-    "PlacementController",
-    "ProcessShardExecutor",
-    "ProgramCommand",
-    "ProgramRuntimesRequest",
-    "RebalancePlan",
-    "Request",
-    "Response",
-    "ResultCache",
-    "RetryPolicy",
-    "RolloutConfig",
-    "ShardMap",
-    "RolloutController",
-    "RolloutPolicy",
-    "RolloutTransition",
-    "ServiceConfig",
-    "ServiceEvaluator",
-    "ServiceUnavailable",
-    "ServingFault",
-    "ShadowScore",
-    "SocketEvaluator",
-    "SocketFrontend",
-    "Span",
-    "SyntheticProber",
-    "TelemetryRegistry",
-    "ThresholdRule",
-    "TileCommand",
-    "TileScoresRequest",
-    "TraceContext",
-    "Tracer",
-    "UnknownKernelError",
-    "WindowSnapshot",
-    "WireError",
-    "WorkerDiedError",
-    "WorkerFailure",
-    "corrupt_bytes",
-    "decode_request",
-    "encode_request",
-    "fault_for",
-    "idempotency_key",
-    "kernel_interner",
-    "prediction_error",
-    "recv_frame",
-    "regressed_checkpoint",
-    "request_key",
-    "request_unit_hash",
-    "send_frame",
-    "shard_of",
-    "slo_burn_rate",
-    "tile_measurement",
-    "trace_unit_hash",
-]
+Every name above is resolved on first access (PEP 562): ``import
+repro.serving`` loads no submodule, and ``from repro.serving import X``
+loads the one that defines ``X``. A shard worker's boot, ``import
+repro.serving.workers``, so loads the model path and
+``serving.{workers, protocol, faults, telemetry}`` — not the service,
+the frontends (and their ``http.server``), the control plane or the
+observability stack.
+"""
+
+import importlib
+
+#: Every public name, by the submodule that defines it; ``__getattr__``
+#: imports it on first access and caches it in this module's globals.
+_EXPORTS = {
+    "alerts": (
+        "Alert", "AlertEngine", "AnomalyRule", "BurnRateRule", "ThresholdRule",
+    ),
+    "client": ("EvaluatorClient", "ServiceEvaluator", "SocketEvaluator"),
+    "executors": (
+        "CommandResult", "Executor", "InThreadExecutor",
+        "ProcessShardExecutor", "ProgramCommand", "TileCommand",
+        "WorkerDiedError",
+    ),
+    "faults": (
+        "FAULT_HOOKS", "FAULT_KINDS", "FaultInjector", "FaultPlan",
+        "FaultRule", "corrupt_bytes",
+    ),
+    "feedback": (
+        "FeedbackCollector", "FeedbackSample", "WindowSnapshot",
+        "prediction_error", "request_key", "tile_measurement",
+    ),
+    "frontend": ("Frontend", "InProcessFrontend", "SocketFrontend"),
+    "http_gateway": ("PROMETHEUS_CONTENT_TYPE", "MetricsGateway"),
+    "incidents": ("IncidentReporter",),
+    "journal": ("OpsJournal",),
+    "placement": (
+        "DEFAULT_BUCKETS", "BucketMove", "PlacementConfig",
+        "PlacementController", "RebalancePlan", "ShardMap", "shard_of",
+    ),
+    "prober": ("GoldenProbe", "SyntheticProber"),
+    "profiler": ("ContinuousProfiler",),
+    "protocol": (
+        "ERROR_DEADLINE_EXCEEDED", "ERROR_DISCONNECTED", "ERROR_OVERLOADED",
+        "ERROR_UNAVAILABLE", "ERROR_WORKER_FAILURE", "NEED_KERNEL_PREFIX",
+        "KernelRuntimeRequest", "ProgramRuntimesRequest", "Request",
+        "Response", "TileScoresRequest", "UnknownKernelError", "WireError",
+        "decode_request", "encode_request", "kernel_interner", "recv_frame",
+        "send_frame",
+    ),
+    "registry": ("ModelRegistry",),
+    "resilience": (
+        "ANALYTICAL_VERSION", "AnalyticalFallback", "CircuitBreaker",
+        "ConnectionLost", "CrashLoopBackoff", "DeadlineExceeded", "Overloaded",
+        "RetryPolicy", "ServiceUnavailable", "ServingFault", "WorkerFailure",
+        "fault_for", "idempotency_key",
+    ),
+    "rollout": (
+        "CANARY", "IDLE", "PROMOTED", "ROLLED_BACK", "ROLLOUT_STATES",
+        "SHADOW", "CanaryFraction", "FullActivation", "RolloutConfig",
+        "RolloutController", "RolloutPolicy", "RolloutTransition",
+        "ShadowScore", "regressed_checkpoint", "request_unit_hash",
+    ),
+    "scheduler": ("MicroBatcher", "PendingRequest"),
+    "service": (
+        "EXECUTOR_CHOICES", "CostModelService", "ResultCache", "ServiceConfig",
+    ),
+    "telemetry": (
+        "Histogram", "Span", "TelemetryRegistry", "TraceContext", "Tracer",
+        "slo_burn_rate", "trace_unit_hash",
+    ),
+}
+
+_SOURCE = {name: mod for mod, names in _EXPORTS.items() for name in names}
+
+__all__ = sorted(_SOURCE)
+
+
+def __getattr__(name: str):
+    module = _SOURCE.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{module}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(__all__))

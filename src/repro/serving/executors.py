@@ -424,13 +424,16 @@ class ProcessShardExecutor(Executor):
             workers, and ships the plan's ``worker.`` subset into each
             spawned worker. ``None`` (default) adds zero overhead.
 
-    Workers are lazy: nothing is spawned until the first :meth:`run`, so
-    constructing a service with this backend is cheap. :meth:`run` ships
-    the batch's version to any shard not holding it (including a freshly
-    respawned one) before that shard's slice, and the slice itself names
-    the version, so a worker cannot execute a command on another
-    checkpoint — the cross-process half of the hot-swap atomicity
-    guarantee.
+    Every shard's worker is spawned when the executor is built. A spawn
+    returns in milliseconds and the child boots (a fresh interpreter
+    importing the model path) on its own, so the workers boot alongside
+    each other and alongside whatever the caller builds next — the
+    service, a frontend, its clients — instead of one after another
+    inside the first batch. :meth:`run` ships the batch's version to any
+    shard not holding it (including a freshly respawned one) before that
+    shard's slice, and the slice itself names the version, so a worker
+    cannot execute a command on another checkpoint — the cross-process
+    half of the hot-swap atomicity guarantee.
 
     Dispatch is two-phase per batch: every involved shard's whole slice
     is written to its pipe first as one ``slice`` message (workers start
@@ -479,6 +482,14 @@ class ProcessShardExecutor(Executor):
         # held, so serving continues on the old placement meanwhile.
         self._migrate_lock = threading.Lock()
         self._closed = False
+        try:
+            for shard in self._shards:
+                with shard.lock:
+                    self._spawn_locked(shard)
+        except BaseException:
+            # A failed spawn must not leak the workers already started.
+            self.close()
+            raise
 
     # ------------------------------------------------------------------ #
     # worker lifecycle

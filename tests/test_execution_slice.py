@@ -11,7 +11,9 @@ Three pins on the execution layer (``serving/executors.py`` +
 * **one pipe message per shard per micro-batch** — counted on the shard's
   connection, healthy path and interning-miss path;
 * **the slice policy itself** (``workers.run_slice``) under generated
-  group counts and poisoned subsets, with a stub evaluator.
+  group counts and poisoned subsets, with a stub evaluator;
+* **worker boot** — every worker is spawned with the executor, so the
+  first batch spawns nothing, and ``close`` reaps workers still booting.
 """
 import numpy as np
 import pytest
@@ -181,6 +183,60 @@ def test_executors_agree_command_by_command(corpus, result_a, result_b):
             for results in (threaded, sharded)
         ]
         assert forwards[0] == forwards[1]
+
+
+# ---------------------------------------------------------------------- #
+# worker boot
+# ---------------------------------------------------------------------- #
+
+
+def test_workers_boot_with_the_executor(corpus, result_a):
+    """Both workers are alive before any ``run``; a first run touching one
+    shard spawns nothing and scores what a fresh evaluator scores."""
+    records, _ = corpus
+    registry = ModelRegistry()
+    version = registry.publish(result_a)
+    executor = ProcessShardExecutor(registry, shards=2)
+    try:
+        assert [s["alive"] for s in executor.shard_stats()] == [True, True]
+        pids = [s.process.pid for s in executor._shards]
+        commands = [
+            c for c in _commands(records, executor)
+            if isinstance(c, TileCommand) and c.shard == 1
+        ]
+        results = executor.run(version, commands)
+        assert [s.process.pid for s in executor._shards] == pids
+        assert executor.stats()["worker_restarts"] == 0
+        assert [s.commands for s in executor._shards] == [0, len(commands)]
+        for result, expected in zip(results, _direct(result_a, commands)):
+            assert result.error is None
+            assert result.value.dtype == expected.dtype
+            np.testing.assert_array_equal(result.value, expected)
+    finally:
+        executor.close()
+
+
+def test_close_right_after_construction_reaps_every_worker():
+    executor = ProcessShardExecutor(ModelRegistry(), shards=2)
+    processes = [s.process for s in executor._shards]
+    executor.close()
+    assert [p.is_alive() for p in processes] == [False, False]
+
+
+def test_a_failed_spawn_reaps_the_workers_already_started(monkeypatch):
+    spawn = ProcessShardExecutor._spawn_locked
+    started = []
+
+    def spawn_then_fail(self, shard):
+        if shard.index == 1:
+            raise OSError("no more processes")
+        spawn(self, shard)
+        started.append(shard.process)
+
+    monkeypatch.setattr(ProcessShardExecutor, "_spawn_locked", spawn_then_fail)
+    with pytest.raises(OSError, match="no more processes"):
+        ProcessShardExecutor(ModelRegistry(), shards=2)
+    assert len(started) == 1 and not started[0].is_alive()
 
 
 # ---------------------------------------------------------------------- #

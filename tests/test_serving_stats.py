@@ -202,9 +202,9 @@ class TestRespawnBreakdown:
                     record.kernel, enumerate_tile_sizes(record.kernel)[:4]
                 )
             before = service.metrics()["per_shard"]
-            victim = next(
-                s for s in service.executor._shards if s.process is not None
-            )
+            # Every worker boots with the executor: the victim is one that
+            # served, so the next pass through it must respawn it.
+            victim = next(s for s in service.executor._shards if s.commands > 0)
             os.kill(victim.process.pid, signal.SIGKILL)
             time.sleep(0.1)
             for record in records:
@@ -218,7 +218,7 @@ class TestRespawnBreakdown:
             }
             for entry in after.values():
                 assert required <= set(entry)
-                if entry["requests"] > 0:  # untouched shards stay unspawned
+                if entry["requests"] > 0:  # a shard that served is alive
                     assert entry["alive"]
             victim_entry = after[str(victim.index)]
             assert victim_entry["restarts"] >= 1
@@ -405,12 +405,20 @@ class TestConcurrentReaders:
         ).start()
         errors: list[BaseException] = []
         stop = threading.Event()
+        traffic = threading.Event()
+        scrapes = {"total": 0, "under_traffic": 0}
 
         def scrape() -> None:
             try:
                 while not stop.is_set():
+                    busy = traffic.is_set()
                     metrics = service.metrics()
                     assert "per_shard" in metrics and "per_version" in metrics
+                    scrapes["total"] += 1
+                    scrapes["under_traffic"] += busy and traffic.is_set()
+                    # Yield the GIL: a scraper that never sleeps can starve
+                    # the service and client threads for tens of seconds.
+                    time.sleep(0)
             except BaseException as exc:
                 errors.append(exc)
 
@@ -418,14 +426,18 @@ class TestConcurrentReaders:
             scraper = threading.Thread(target=scrape)
             scraper.start()
             client = ServiceEvaluator(service)
+            traffic.set()
             for _ in range(3):
                 for record in records:
                     client.score_tiles_batched(
                         record.kernel, enumerate_tile_sizes(record.kernel)[:4]
                     )
+            traffic.clear()
             stop.set()
             scraper.join()
             assert not errors
+            # The scraper really ran alongside the requests.
+            assert scrapes["under_traffic"] >= 1, scrapes
             assert service.metrics()["requests"] >= 3 * len(records)
         finally:
             stop.set()
