@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..compiler.fusion import FusionConfig, FusionParams, ProgramFuser
+from ..compiler.fusion import FusionConfig, ProgramFuser
 from ..hlo.graph import Program
 from .evaluators import HardwareEvaluator, ProgramCostModel
 from .search import genetic_search, random_search, simulated_annealing
@@ -71,7 +71,6 @@ def hardware_fusion_autotune(
     program: Program,
     hardware: HardwareEvaluator,
     budget: int = 50,
-    params: FusionParams | None = None,
     seed: int = 0,
     start: FusionConfig | None = None,
 ) -> FusionTuningResult:
@@ -81,14 +80,13 @@ def hardware_fusion_autotune(
         program: program to tune.
         hardware: metered hardware evaluator.
         budget: number of whole-program hardware evaluations allowed.
-        params: fusion legality knobs.
         seed: SA randomness.
         start: starting configuration; default = compiler heuristic (the
             paper also reports starts from a random configuration).
     """
     # One fuser for every fuse of the search: program-wide views are
     # derived once and a move re-extracts only the groups it changed.
-    fuser = ProgramFuser(program.graph, params, program.name)
+    fuser = ProgramFuser(program.graph, program.name)
     rng = np.random.default_rng(seed)
     default = fuser.default_config()
     initial = start if start is not None else default
@@ -117,7 +115,6 @@ def model_fusion_autotune(
     hardware: HardwareEvaluator,
     model_budget: int = 400,
     hardware_budget: int = 5,
-    params: FusionParams | None = None,
     seed: int = 0,
     start: FusionConfig | None = None,
     chains: int = 1,
@@ -147,7 +144,7 @@ def model_fusion_autotune(
     """
     # One fuser for every fuse of the search (model pricing and hardware
     # verification alike): see hardware_fusion_autotune.
-    fuser = ProgramFuser(program.graph, params, program.name)
+    fuser = ProgramFuser(program.graph, program.name)
     rng = np.random.default_rng(seed)
     default = fuser.default_config()
     initial = start if start is not None else default

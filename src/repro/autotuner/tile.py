@@ -18,13 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..compiler.kernels import Kernel
-from ..compiler.tiling import (
-    TileConfig,
-    TilingParams,
-    default_tile,
-    enumerate_tile_sizes,
-    largest_tile,
-)
+from ..compiler.tiling import TileConfig, default_tile, enumerate_tile_sizes
 from .evaluators import HardwareEvaluator, TileScorer
 
 
@@ -54,19 +48,18 @@ class TileTuningResult:
 def exhaustive_tile_autotune(
     kernels: list[Kernel],
     hardware: HardwareEvaluator,
-    tiling: TilingParams | None = None,
 ) -> TileTuningResult:
     """Evaluate all candidate tiles of every kernel on hardware."""
     chosen: list[TileConfig] = []
     total = 0.0
     default_total = 0.0  # default tiles are measured outside the budget
     for kernel in kernels:
-        candidates = enumerate_tile_sizes(kernel, tiling)
+        candidates = enumerate_tile_sizes(kernel)
         runtimes = [hardware.kernel_runtime(kernel, t) for t in candidates]
         best = int(np.argmin(runtimes))
         chosen.append(candidates[best])
         total += hardware.simulator.run(kernel, candidates[best])
-        default_total += hardware.simulator.run(kernel, largest_tile(candidates))
+        default_total += hardware.simulator.run(kernel, default_tile(kernel))
     return TileTuningResult(
         tiles=chosen,
         program_runtime=total,
@@ -80,7 +73,6 @@ def model_tile_autotune(
     model: TileScorer,
     hardware: HardwareEvaluator,
     top_k: int = 10,
-    tiling: TilingParams | None = None,
 ) -> TileTuningResult:
     """Model-guided tuning: the model ranks, hardware verifies the top k.
 
@@ -102,12 +94,11 @@ def model_tile_autotune(
     for kernel in kernels:
         fingerprint = kernel.fingerprint()
         if fingerprint not in ranked:
-            candidates = enumerate_tile_sizes(kernel, tiling)
+            candidates = enumerate_tile_sizes(kernel)
             scores = np.asarray(model.score_tiles_batched(kernel, candidates))
             order = np.argsort(scores, kind="stable")[: max(top_k, 1)]
             # The default tile rides in the body's candidate memo.
-            default = default_tile(kernel) if tiling is None else largest_tile(candidates)
-            ranked[fingerprint] = (candidates, order, default)
+            ranked[fingerprint] = (candidates, order, default_tile(kernel))
         candidates, order, default = ranked[fingerprint]
         if top_k <= 1:
             pick = candidates[int(order[0])]

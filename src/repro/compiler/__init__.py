@@ -8,7 +8,6 @@ the optional performance features of the learned model.
 from .analysis import StaticAnalysis, analyze, instruction_flops, operational_intensity
 from .fusion import (
     FusionConfig,
-    FusionParams,
     ProgramFuser,
     default_fusion,
     fuse_program,
@@ -30,7 +29,6 @@ from .scheduling import (
 )
 from .tiling import (
     TileConfig,
-    TilingParams,
     candidate_block_sizes,
     default_tile,
     enumerate_tile_sizes,
@@ -39,13 +37,11 @@ from .tiling import (
 __all__ = [
     "KERNEL_KINDS",
     "FusionConfig",
-    "FusionParams",
     "Kernel",
     "ProgramFuser",
     "ScheduleResult",
     "StaticAnalysis",
     "TileConfig",
-    "TilingParams",
     "analyze",
     "best_output_layout",
     "candidate_block_sizes",

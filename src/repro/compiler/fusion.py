@@ -29,27 +29,14 @@ from ..hlo.graph import Graph
 from ..hlo.instruction import Instruction
 from ..hlo.opcodes import OpCategory, Opcode, opcode_info
 from .kernels import Kernel, classify_kernel
+from .tiling import SCRATCHPAD_BYTES
 
 
-@dataclass(frozen=True)
-class FusionParams:
-    """Legality and heuristic knobs for the fusion pass.
-
-    Attributes:
-        max_ops_per_kernel: cap on non-leaf ops in one kernel.
-        max_contractions_per_kernel: MXU ops allowed per kernel (XLA fuses
-            elementwise ops into a conv/dot kernel but never two MXU ops).
-        scratchpad_bytes: scratchpad capacity; a group whose parameter +
-            output footprint exceeds a fraction of it will not be fused
-            further by the default heuristic.
-        min_saved_bytes: default heuristic fuses an edge only if it saves at
-            least this much HBM traffic.
-    """
-
-    max_ops_per_kernel: int = 64
-    max_contractions_per_kernel: int = 1
-    scratchpad_bytes: int = 16 * 1024 * 1024
-    min_saved_bytes: int = 0
+#: Cap on non-leaf ops in one kernel.
+MAX_OPS_PER_KERNEL = 64
+#: MXU ops allowed per kernel (XLA fuses elementwise ops into a conv/dot
+#: kernel but never two MXU ops).
+MAX_CONTRACTIONS_PER_KERNEL = 1
 
 
 def fusible_edges(graph: Graph) -> list[tuple[int, int]]:
@@ -124,23 +111,21 @@ class _UnionFind:
     and contraction count are plain lists, copied from the fuser's once
     per configuration. With ``members`` (the instruction id of each index)
     it also keeps each root's member ids, so a caller can read one group
-    without scanning the program.
+    without scanning the program. Legality is :data:`MAX_OPS_PER_KERNEL`
+    and :data:`MAX_CONTRACTIONS_PER_KERNEL`.
     """
 
-    __slots__ = ("parent", "size", "contractions", "max_ops", "max_contractions", "members")
+    __slots__ = ("parent", "size", "contractions", "members")
 
     def __init__(
         self,
         sizes: list[int],
         contractions: list[int],
-        params: FusionParams,
         members: list[int] | None = None,
     ) -> None:
         self.parent = list(range(len(sizes)))
         self.size = sizes.copy()
         self.contractions = contractions.copy()
-        self.max_ops = params.max_ops_per_kernel
-        self.max_contractions = params.max_contractions_per_kernel
         self.members = None if members is None else [[i] for i in members]
 
     def find(self, x: int) -> int:
@@ -161,8 +146,8 @@ class _UnionFind:
     def can_union(self, ra: int, rb: int) -> bool:
         """Whether the groups rooted at ``ra`` and ``rb`` may merge."""
         return ra == rb or (
-            self.size[ra] + self.size[rb] <= self.max_ops
-            and self.contractions[ra] + self.contractions[rb] <= self.max_contractions
+            self.size[ra] + self.size[rb] <= MAX_OPS_PER_KERNEL
+            and self.contractions[ra] + self.contractions[rb] <= MAX_CONTRACTIONS_PER_KERNEL
         )
 
     def union(self, a: int, b: int) -> None:
@@ -205,18 +190,11 @@ class ProgramFuser:
 
     Args:
         graph: whole-program graph.
-        params: legality knobs.
         program_name: recorded on kernels; defaults to the graph's name.
     """
 
-    def __init__(
-        self,
-        graph: Graph,
-        params: FusionParams | None = None,
-        program_name: str = "",
-    ) -> None:
+    def __init__(self, graph: Graph, program_name: str = "") -> None:
         self.graph = graph
-        self.params = params or FusionParams()
         self.program_name = program_name or graph.name
         self._order = graph.topological_order()
         self._users = graph.users()
@@ -261,7 +239,7 @@ class ProgramFuser:
             raise ValueError(
                 f"config has {len(config.decisions)} decisions for {len(self.edges)} edges"
             )
-        uf = _UnionFind(self._sizes, self._contractions, self.params)
+        uf = _UnionFind(self._sizes, self._contractions)
         union = uf.union
         for producer, consumer in compress(self._edge_pairs, config.decisions):
             union(producer, consumer)
@@ -275,11 +253,10 @@ class ProgramFuser:
 
     def default_config(self) -> FusionConfig:
         """The compiler's greedy heuristic (see :func:`default_fusion`)."""
-        params = self.params
         index = self._index
         edge_index = {e: k for k, e in enumerate(self.edges)}
         decisions = [False] * len(self.edges)
-        uf = _UnionFind(self._sizes, self._contractions, params, members=self._ids)
+        uf = _UnionFind(self._sizes, self._contractions, members=self._ids)
         users = self._users
         for inst in reversed(self._order):
             info = opcode_info(inst.opcode)
@@ -292,16 +269,13 @@ class ProgramFuser:
             roots = {uf.find(index[u]) for u in consumer_ids}
             if len(roots) != 1:
                 continue
-            saved = inst.shape.byte_size
-            if saved < params.min_saved_bytes:
-                continue
             producer, target = index[inst.id], index[consumer_ids[0]]
             ra, rb = uf.find(producer), uf.find(target)
             if not uf.can_union(ra, rb):
                 continue
             # Scratchpad footprint guard: group inputs + outputs must fit.
             merged = uf.members[ra] if ra == rb else uf.members[ra] + uf.members[rb]
-            if self._footprint(merged) > params.scratchpad_bytes:
+            if self._footprint(merged) > SCRATCHPAD_BYTES:
                 continue
             uf.union(producer, target)
             for u in consumer_ids:
@@ -372,26 +346,22 @@ class ProgramFuser:
         return self.extract(self.groups(config))
 
 
-def default_fusion(
-    graph: Graph,
-    params: FusionParams | None = None,
-) -> FusionConfig:
+def default_fusion(graph: Graph) -> FusionConfig:
     """The compiler's greedy priority-based fusion heuristic.
 
     Walks producers in reverse topological order and fuses a producer into
     its consumers when (a) all the producer's users can land in the same
-    group, (b) legality holds, and (c) the estimated HBM traffic saved (the
-    producer's output no longer round-trips through HBM) beats
-    ``min_saved_bytes``. This mirrors XLA's "will it save memory access
-    time" estimate (Sec. 2.3).
+    group, so its output no longer round-trips through HBM, (b) legality
+    holds, and (c) the merged group's boundary tensors fit the scratchpad
+    (:data:`~repro.compiler.tiling.SCRATCHPAD_BYTES`). This mirrors XLA's
+    "will it save memory access time" estimate (Sec. 2.3).
     """
-    return ProgramFuser(graph, params).default_config()
+    return ProgramFuser(graph).default_config()
 
 
 def fuse_program(
     graph: Graph,
     config: FusionConfig | None = None,
-    params: FusionParams | None = None,
     program_name: str = "",
 ) -> list[Kernel]:
     """Fuse and extract kernels in one step — the one-shot form.
@@ -405,7 +375,6 @@ def fuse_program(
     Args:
         graph: whole-program graph.
         config: fusion configuration; defaults to :func:`default_fusion`.
-        params: legality knobs.
         program_name: recorded on kernels.
     """
-    return ProgramFuser(graph, params, program_name).fuse(config)
+    return ProgramFuser(graph, program_name).fuse(config)

@@ -21,6 +21,9 @@ from ..hlo.opcodes import OpCategory, Opcode, opcode_info
 #: Functional units an instruction can issue to.
 UNITS = ("mxu", "vpu", "trans", "perm")
 
+#: Elements a vector op processes per cycle (the VPU lane count).
+VECTOR_LANES = 128.0
+
 
 def functional_unit(inst: Instruction) -> str:
     """The functional unit an instruction executes on."""
@@ -34,10 +37,10 @@ def functional_unit(inst: Instruction) -> str:
     return "vpu"
 
 
-def instruction_cycles(inst: Instruction, elements_per_cycle: float = 128.0) -> float:
+def instruction_cycles(inst: Instruction) -> float:
     """Issue cycles one instruction occupies on its unit (per full tensor).
 
-    Vector ops process ``elements_per_cycle`` lanes per cycle; MXU ops are
+    Vector ops process :data:`VECTOR_LANES` elements per cycle; MXU ops are
     charged by their FLOP count against a 128x128 systolic array; leaf nodes
     are free (they are materialized by the memory system, priced separately).
     """
@@ -49,9 +52,9 @@ def instruction_cycles(inst: Instruction, elements_per_cycle: float = 128.0) -> 
         flops = float(inst.attr("flops", 2.0 * n))
         return flops / (2.0 * 128.0 * 128.0)
     if info.category is OpCategory.DATA_MOVEMENT:
-        return n / (2.0 * elements_per_cycle)
+        return n / (2.0 * VECTOR_LANES)
     weight = max(info.flops_per_element, 1.0)
-    return weight * n / elements_per_cycle
+    return weight * n / VECTOR_LANES
 
 
 @dataclass(frozen=True)
@@ -73,26 +76,26 @@ class ScheduleResult:
     issue_stall_cycles: float
 
 
-def critical_path(graph: Graph, scale: float = 1.0) -> float:
+def critical_path(graph: Graph) -> float:
     """Dependence-constrained lower bound on schedule length (cycles)."""
     longest: dict[int, float] = {}
     for inst in graph.topological_order():
-        cost = instruction_cycles(inst) * scale
+        cost = instruction_cycles(inst)
         start = max((longest[o] for o in inst.operands), default=0.0)
         longest[inst.id] = start + cost
     return max(longest.values(), default=0.0)
 
 
-def list_schedule(graph: Graph, scale: float = 1.0) -> ScheduleResult:
+def list_schedule(graph: Graph) -> ScheduleResult:
     """Greedy critical-path-priority list scheduling with unit contention.
 
     Each functional unit executes one instruction at a time; ready
-    instructions are prioritized by their remaining critical path. ``scale``
-    multiplies every instruction's cycle estimate (used to schedule a single
-    tile iteration rather than the whole tensor).
+    instructions are prioritized by their remaining critical path. The
+    schedule covers the whole tensor; its length scales linearly with the
+    tile fraction, which callers apply to the result.
     """
     order = graph.topological_order()
-    cycles = {inst.id: instruction_cycles(inst) * scale for inst in order}
+    cycles = {inst.id: instruction_cycles(inst) for inst in order}
 
     # Remaining critical path (to any sink) for priorities.
     users = graph.users()

@@ -8,7 +8,9 @@ tile sizes of a kernel exactly like the paper "queried the compiler for a
 list of valid tile sizes" — validity is a scratchpad-footprint constraint.
 
 Real kernels expose between 2 and 500,000 valid tile sizes; enumeration is
-therefore capped with deterministic coverage-preserving subsampling.
+therefore capped with deterministic coverage-preserving subsampling. The
+compiler has one configuration: the scratchpad and the caps are the module
+constants below.
 """
 from __future__ import annotations
 
@@ -45,23 +47,17 @@ class TileConfig:
         return int(it) if output.dims else 1
 
 
-@dataclass(frozen=True)
-class TilingParams:
-    """Knobs for tile enumeration.
-
-    Attributes:
-        scratchpad_bytes: on-chip memory capacity.
-        scratchpad_fraction: fraction of scratchpad one tile's working set
-            may occupy (double-buffering for compute/transfer overlap means
-            a tile must fit in roughly half the scratchpad).
-        max_candidates_per_dim: cap on distinct block sizes tried per dim.
-        max_configs: hard cap on the returned configuration count.
-    """
-
-    scratchpad_bytes: int = 16 * 1024 * 1024
-    scratchpad_fraction: float = 0.5
-    max_candidates_per_dim: int = 12
-    max_configs: int = 512
+#: On-chip scratchpad capacity of one TPU core (also the fusion pass's
+#: footprint guard).
+SCRATCHPAD_BYTES = 16 * 1024 * 1024
+#: Share of the scratchpad one tile's working set may occupy
+#: (double-buffering for compute/transfer overlap means a tile must fit in
+#: roughly half the scratchpad).
+SCRATCHPAD_FRACTION = 0.5
+#: Cap on distinct block sizes tried per output dimension.
+MAX_CANDIDATES_PER_DIM = 12
+#: Hard cap on the number of tile sizes one kernel enumerates.
+MAX_CONFIGS = 512
 
 
 def candidate_block_sizes(dim: int, cap: int) -> list[int]:
@@ -215,31 +211,24 @@ def tile_transfer_bytes(kernel: Kernel, tile: TileConfig) -> tuple[int, int]:
     return max(in_bytes, 0), out_bytes
 
 
-def enumerate_tile_sizes(
-    kernel: Kernel,
-    params: TilingParams | None = None,
-) -> list[TileConfig]:
+def enumerate_tile_sizes(kernel: Kernel) -> list[TileConfig]:
     """All valid tile sizes of a kernel (capped, deterministic).
 
     Returns at least one configuration (the full-output tile is clamped into
     validity by halving its largest dimension until it fits). Kernels
     without tile options (data formatting) get the single trivial config.
     The candidates' footprints are tested in one vectorised pass
-    (:meth:`_FootprintTerms.bytes_of_rows`); the first ``max_configs``
+    (:meth:`_FootprintTerms.bytes_of_rows`); the first :data:`MAX_CONFIGS`
     that fit are kept, in candidate order.
 
-    Under the default :class:`TilingParams` (``params=None``) the list is
-    memoised per kernel body and shared by every :meth:`Kernel.shell` of
-    it; each call returns a fresh list. An explicit ``params`` always
-    enumerates.
+    The list is memoised per kernel body and shared by every
+    :meth:`Kernel.shell` of it; each call returns a fresh list.
     """
-    if params is not None:
-        return _tile_configs(_candidate_dims(kernel, params))
     memo = kernel._body_memo
     entry = memo.get("tile_sizes")
     if entry is not None:
         return _tile_configs(entry[0])
-    dims = _candidate_dims(kernel, TilingParams())
+    dims = _candidate_dims(kernel)
     tiles = _tile_configs(dims)
     # Kept as one int array, not as TileConfigs: a fusion search enumerates
     # each of its many bodies once, and objects held per body cost it more
@@ -253,19 +242,16 @@ def _tile_configs(dims: np.ndarray) -> list[TileConfig]:
     return [TileConfig(tuple(row)) for row in dims.tolist()]
 
 
-def _candidate_dims(kernel: Kernel, params: TilingParams) -> np.ndarray:
+def _candidate_dims(kernel: Kernel) -> np.ndarray:
     """The candidates of :func:`enumerate_tile_sizes`, as [m, rank] int64 rows."""
     terms = _FootprintTerms.of(kernel)
     output = terms.output
     if not kernel.has_tile_options() or output.rank == 0:
         return np.asarray([output.dims], dtype=np.int64)
-    budget = int(params.scratchpad_bytes * params.scratchpad_fraction)
-
-    per_dim = [
-        candidate_block_sizes(d, params.max_candidates_per_dim) for d in output.dims
-    ]
+    budget = int(SCRATCHPAD_BYTES * SCRATCHPAD_FRACTION)
+    per_dim = [candidate_block_sizes(d, MAX_CANDIDATES_PER_DIM) for d in output.dims]
     total = math.prod(len(c) for c in per_dim)
-    if total <= params.max_configs * 4:
+    if total <= MAX_CONFIGS * 4:
         # The whole cross product, last dimension fastest.
         grids = np.meshgrid(*[np.asarray(c, dtype=np.int64) for c in per_dim], indexing="ij")
         combos = np.stack(grids, axis=-1).reshape(-1, output.rank)
@@ -277,10 +263,10 @@ def _candidate_dims(kernel: Kernel, params: TilingParams) -> np.ndarray:
         rng = np.random.default_rng(int(kernel.fingerprint()[:8], 16))
         samples = dict.fromkeys(
             tuple(c[rng.integers(0, len(c))] for c in per_dim)
-            for _ in range(params.max_configs * 4)
+            for _ in range(MAX_CONFIGS * 4)
         )
         combos = np.asarray(list(samples), dtype=np.int64)
-    fits = combos[np.flatnonzero(terms.bytes_of_rows(combos) <= budget)[: params.max_configs]]
+    fits = combos[np.flatnonzero(terms.bytes_of_rows(combos) <= budget)[:MAX_CONFIGS]]
     if not len(fits):
         return np.asarray([_clamped_full_tile(terms, budget).dims], dtype=np.int64)
     return fits
@@ -300,21 +286,15 @@ def largest_tile(options: list[TileConfig]) -> TileConfig:
     return max(options, key=lambda t: (t.volume, t.dims))
 
 
-def default_tile(kernel: Kernel, params: TilingParams | None = None) -> TileConfig:
+def default_tile(kernel: Kernel) -> TileConfig:
     """A reasonable default tile: the largest valid one by volume.
 
     This stands in for the compiler's pre-model default; the analytical or
-    learned model then picks among :func:`enumerate_tile_sizes`. A caller
-    that already holds the enumerated list uses :func:`largest_tile` on it.
-
-    Under the default :class:`TilingParams` (``params=None``) the answer is
-    read from the body's :func:`enumerate_tile_sizes` memo entry, shared by
-    every :meth:`Kernel.shell` of it, so pricing many fusion configs of one
-    program enumerates each distinct body once. An explicit ``params``
-    always enumerates.
+    learned model then picks among :func:`enumerate_tile_sizes`. The answer
+    is read from the body's :func:`enumerate_tile_sizes` memo entry, shared
+    by every :meth:`Kernel.shell` of it, so pricing many fusion configs of
+    one program enumerates each distinct body once.
     """
-    if params is not None:
-        return largest_tile(enumerate_tile_sizes(kernel, params))
     memo = kernel._body_memo
     if "tile_sizes" not in memo:
         enumerate_tile_sizes(kernel)  # fills the body's entry

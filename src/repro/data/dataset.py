@@ -15,17 +15,15 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..compiler.fusion import FusionConfig, FusionParams, ProgramFuser, fuse_program
+from ..compiler.fusion import FusionConfig, ProgramFuser, fuse_program
 from ..compiler.kernels import Kernel
-from ..compiler.tiling import (
-    TileConfig,
-    TilingParams,
-    default_tile,
-    enumerate_tile_sizes,
-)
+from ..compiler.tiling import TileConfig, default_tile, enumerate_tile_sizes
 from ..hlo.graph import Program
 from ..tpu.simulator import TpuSimulator
 from .features import KernelFeatures, extract_kernel_features, tile_features
+
+#: Cap on the kernels one fusion configuration adds to the fusion dataset.
+MAX_KERNELS_PER_CONFIG = 32
 
 
 @dataclass
@@ -109,7 +107,6 @@ def build_tile_dataset(
     simulator: TpuSimulator | None = None,
     max_kernels_per_program: int = 24,
     max_tiles_per_kernel: int = 32,
-    tiling: TilingParams | None = None,
     seed: int = 0,
     measure_noise: float = 0.02,
 ) -> TileSizeDataset:
@@ -123,7 +120,6 @@ def build_tile_dataset(
     """
     sim = simulator or TpuSimulator()
     rng = np.random.default_rng(seed)
-    tiling = tiling or TilingParams()
     ds = TileSizeDataset()
     for program in programs:
         kernels = fuse_program(program.graph, program_name=program.name)
@@ -132,7 +128,7 @@ def build_tile_dataset(
             idx = np.linspace(0, len(kernels) - 1, max_kernels_per_program)
             kernels = [kernels[int(i)] for i in idx.round()]
         for kernel in kernels:
-            tiles = enumerate_tile_sizes(kernel, tiling)
+            tiles = enumerate_tile_sizes(kernel)
             if len(tiles) < 2:
                 continue
             if len(tiles) > max_tiles_per_kernel:
@@ -164,8 +160,6 @@ def build_fusion_dataset(
     programs: list[Program],
     simulator: TpuSimulator | None = None,
     configs_per_program: int = 8,
-    max_kernels_per_config: int = 32,
-    fusion_params: FusionParams | None = None,
     seed: int = 0,
     measure_noise: float = 0.02,
 ) -> FusionDataset:
@@ -174,15 +168,16 @@ def build_fusion_dataset(
     For every program, the default configuration plus ``configs_per_program``
     random configurations are expanded into kernels; kernels are globally
     deduplicated by fingerprint (the paper reports 208M samples "after
-    duplicate elimination") and measured at their default tile size.
+    duplicate elimination") and measured at their default tile size. A
+    configuration contributes at most :data:`MAX_KERNELS_PER_CONFIG`
+    kernels, evenly spaced over its kernel sequence.
     """
     sim = simulator or TpuSimulator()
     rng = np.random.default_rng(seed)
-    params = fusion_params or FusionParams()
     ds = FusionDataset()
     seen: set[str] = set()
     for program in programs:
-        fuser = ProgramFuser(program.graph, params, program.name)
+        fuser = ProgramFuser(program.graph, program.name)
         num_edges = len(fuser.edges)
         configs: list[FusionConfig | None] = [None]  # None = default heuristic
         for _ in range(configs_per_program):
@@ -191,8 +186,8 @@ def build_fusion_dataset(
             )
         for config in configs:
             kernels = fuser.fuse(config)
-            if len(kernels) > max_kernels_per_config:
-                idx = np.linspace(0, len(kernels) - 1, max_kernels_per_config)
+            if len(kernels) > MAX_KERNELS_PER_CONFIG:
+                idx = np.linspace(0, len(kernels) - 1, MAX_KERNELS_PER_CONFIG)
                 kernels = [kernels[int(i)] for i in idx.round()]
             for kernel in kernels:
                 fp = kernel.fingerprint()

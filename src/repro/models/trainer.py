@@ -29,6 +29,9 @@ from ..nn.tensor import Tensor
 from .config import ModelConfig, TrainConfig
 from .model import LearnedPerformanceModel
 
+#: Records (or tile samples) per forward of the ``predict_*`` helpers.
+PREDICT_CHUNK = 64
+
 
 @dataclass
 class TrainResult:
@@ -275,14 +278,13 @@ def predict_tile_scores(
     model: LearnedPerformanceModel,
     scalers: Scalers,
     record: TileRecord,
-    chunk: int = 64,
 ) -> np.ndarray:
     """Rank scores for every tile sample of one kernel (lower = faster)."""
     scores = []
     n = record.num_samples
     cache = KernelCache(scalers, neighbor_cap=model.config.neighbor_cap)
-    for lo in range(0, n, chunk):
-        hi = min(lo + chunk, n)
+    for lo in range(0, n, PREDICT_CHUNK):
+        hi = min(lo + PREDICT_CHUNK, n)
         items = [
             (record.features, record.tile_feats[t], float(record.runtimes[t]), 0)
             for t in range(lo, hi)
@@ -295,13 +297,12 @@ def predict_fusion_runtimes(
     model: LearnedPerformanceModel,
     scalers: Scalers,
     records: list[FusionRecord],
-    chunk: int = 64,
 ) -> np.ndarray:
     """Absolute runtime predictions (seconds) for fusion records."""
     out = []
     cache = KernelCache(scalers, neighbor_cap=model.config.neighbor_cap)
-    for lo in range(0, len(records), chunk):
-        batch_records = records[lo : lo + chunk]
+    for lo in range(0, len(records), PREDICT_CHUNK):
+        batch_records = records[lo : lo + PREDICT_CHUNK]
         items = [(r.features, None, r.runtime, i) for i, r in enumerate(batch_records)]
         out.append(model.predict_runtimes(cache.assemble(items)))
     return np.concatenate(out)

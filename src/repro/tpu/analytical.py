@@ -74,7 +74,7 @@ class AnalyticalModel:
     def _unit_critical_path(self, kernel: Kernel) -> float:
         fp = kernel.fingerprint()
         if fp not in self._cp_cache:
-            self._cp_cache[fp] = critical_path(kernel.graph, scale=1.0)
+            self._cp_cache[fp] = critical_path(kernel.graph)
         return self._cp_cache[fp]
 
     # ------------------------------------------------------------- estimates

@@ -100,7 +100,7 @@ class TpuSimulator:
         fp = kernel.fingerprint()
         hit = self._sched_cache.get(fp)
         if hit is None:
-            sched = list_schedule(kernel.graph, scale=1.0)
+            sched = list_schedule(kernel.graph)
             hit = (sched.length_cycles, live_tensor_peak(kernel.graph))
             self._sched_cache[fp] = hit
         return hit

@@ -2,9 +2,10 @@
 
 Parameters approximate one core of TPU v2 and v3 at the level of detail the
 cost models need: clock, HBM bandwidth, number of 128x128 systolic-array
-matrix units, vector lanes, scratchpad capacity and vector register file
-size. TPU v3 has higher memory bandwidth and twice as many matrix units as
-v2 (paper Sec. 2.1), which is exactly how the two specs below differ.
+matrix units, vector lanes and vector register file size (the scratchpad
+capacity is the compiler's, ``repro.compiler.tiling.SCRATCHPAD_BYTES``).
+TPU v3 has higher memory bandwidth and twice as many matrix units as v2
+(paper Sec. 2.1), which is exactly how the two specs below differ.
 """
 from __future__ import annotations
 
@@ -22,7 +23,6 @@ class TpuTarget:
         mxu_count: number of 128x128 systolic matrix units.
         vector_lanes: VPU lane count (elements per vector issue).
         sublanes: vector register sublane count (second-minor granularity).
-        scratchpad_bytes: software-managed on-chip memory capacity.
         vector_registers: architectural 2D vector registers available to the
             register allocator (drives the spill model).
         transfer_latency_ns: fixed DMA setup latency per tile transfer.
@@ -34,7 +34,6 @@ class TpuTarget:
     mxu_count: int
     vector_lanes: int = 128
     sublanes: int = 8
-    scratchpad_bytes: int = 16 * 1024 * 1024
     vector_registers: int = 64
     transfer_latency_ns: float = 500.0
 

@@ -258,9 +258,9 @@ class TestTileAutotuner:
 
         calls = []
 
-        def counting(kernel, params=None, _original=tiling.enumerate_tile_sizes):
+        def counting(kernel, _original=tiling.enumerate_tile_sizes):
             calls.append(kernel)
-            return _original(kernel, params)
+            return _original(kernel)
 
         expected_default = sum(TpuSimulator().run(k, default_tile(k)) for k in kernels)
         monkeypatch.setattr(tiling, "enumerate_tile_sizes", counting)

@@ -1,15 +1,18 @@
 """Tests for the fusion configuration space and default heuristic."""
+from typing import NamedTuple
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.compiler import (
     FusionConfig,
-    FusionParams,
     ProgramFuser,
     default_fusion,
     fuse_program,
     fusible_edges,
+    fusion,
 )
 from repro.hlo import GraphBuilder, OpCategory, Opcode, opcode_info
 from repro.workloads import build_corpus, vision
@@ -21,6 +24,24 @@ def mlp_graph():
     y = b.dense(x, 32)
     b.dense(y, 4, activation="tanh")
     return b.build()
+
+
+class Limits(NamedTuple):
+    """The fusion pass's legality constants, as explicit values."""
+
+    max_ops: int = 64
+    max_contractions: int = 1
+    scratchpad_bytes: int = 16 * 1024 * 1024
+
+
+def fusion_limits(limits):
+    """Set the fusion constants to ``limits`` for the block's duration."""
+    return mock.patch.multiple(
+        fusion,
+        MAX_OPS_PER_KERNEL=limits.max_ops,
+        MAX_CONTRACTIONS_PER_KERNEL=limits.max_contractions,
+        SCRATCHPAD_BYTES=limits.scratchpad_bytes,
+    )
 
 
 class TestFusibleEdges:
@@ -92,19 +113,18 @@ class TestFuserGroups:
     def test_contraction_cap_enforced(self):
         g = mlp_graph()
         edges = fusible_edges(g)
-        params = FusionParams(max_contractions_per_kernel=1)
-        groups = ProgramFuser(g, params).groups(FusionConfig.all(len(edges)))
+        groups = ProgramFuser(g).groups(FusionConfig.all(len(edges)))
         from repro.hlo import is_contraction
 
         for grp in groups:
             n = sum(1 for i in grp if is_contraction(g.get(i).opcode))
-            assert n <= 1
+            assert n <= fusion.MAX_CONTRACTIONS_PER_KERNEL == 1
 
     def test_size_cap_enforced(self):
         g = mlp_graph()
         edges = fusible_edges(g)
-        params = FusionParams(max_ops_per_kernel=3)
-        groups = ProgramFuser(g, params).groups(FusionConfig.all(len(edges)))
+        with fusion_limits(Limits(max_ops=3)):
+            groups = ProgramFuser(g).groups(FusionConfig.all(len(edges)))
         for grp in groups:
             non_leaf = [
                 i
@@ -173,11 +193,11 @@ class _ReferenceUnionFind:
     """The fuser's original union-find over instruction ids (dicts, path
     compression): the reference :class:`ProgramFuser` must equal."""
 
-    def __init__(self, sizes, contractions, params):
+    def __init__(self, sizes, contractions, limits):
         self.parent = {i: i for i in sizes}
         self.size = dict(sizes)
         self.contractions = dict(contractions)
-        self.params = params
+        self.limits = limits
 
     def find(self, x):
         root = x
@@ -191,12 +211,9 @@ class _ReferenceUnionFind:
         ra, rb = self.find(a), self.find(b)
         if ra == rb:
             return True
-        if self.size[ra] + self.size[rb] > self.params.max_ops_per_kernel:
+        if self.size[ra] + self.size[rb] > self.limits.max_ops:
             return False
-        return (
-            self.contractions[ra] + self.contractions[rb]
-            <= self.params.max_contractions_per_kernel
-        )
+        return self.contractions[ra] + self.contractions[rb] <= self.limits.max_contractions
 
     def union(self, a, b):
         if not self.can_union(a, b):
@@ -217,20 +234,20 @@ class _ReferenceUnionFind:
         return [by_root[k] for k in sorted(by_root)]
 
 
-def _reference_union_find(graph, params):
+def _reference_union_find(graph, limits):
     leaves = {i.id for i in graph if i.opcode in (Opcode.PARAMETER, Opcode.CONSTANT)}
     sizes = {i: int(i not in leaves) for i in graph.instructions}
     contractions = {
         i: int(opcode_info(inst.opcode).category is OpCategory.CONTRACTION)
         for i, inst in graph.instructions.items()
     }
-    return _ReferenceUnionFind(sizes, contractions, params)
+    return _ReferenceUnionFind(sizes, contractions, limits)
 
 
-def reference_groups(graph, config, params):
+def reference_groups(graph, config, limits):
     """Groups of ``config`` as the dict union-find formed them."""
     users = graph.users()
-    uf = _reference_union_find(graph, params)
+    uf = _reference_union_find(graph, limits)
     for (producer, consumer), fuse in zip(fusible_edges(graph), config.decisions):
         if fuse:
             uf.union(producer, consumer)
@@ -255,13 +272,13 @@ def _reference_footprint(graph, users, uf, a, b):
     return footprint
 
 
-def reference_default_config(graph, params):
+def reference_default_config(graph, limits):
     """The greedy heuristic over the dict union-find and a whole-program
     footprint scan per candidate."""
     edges = fusible_edges(graph)
     edge_index = {e: k for k, e in enumerate(edges)}
     decisions = [False] * len(edges)
-    uf = _reference_union_find(graph, params)
+    uf = _reference_union_find(graph, limits)
     users = graph.users()
     for inst in reversed(graph.topological_order()):
         if not opcode_info(inst.opcode).fusible or inst.opcode is Opcode.CONSTANT:
@@ -271,12 +288,10 @@ def reference_default_config(graph, params):
             continue
         if len({uf.find(u) for u in consumer_ids}) != 1:
             continue
-        if inst.shape.byte_size < params.min_saved_bytes:
-            continue
         target = consumer_ids[0]
         if not uf.can_union(inst.id, target):
             continue
-        if _reference_footprint(graph, users, uf, inst.id, target) > params.scratchpad_bytes:
+        if _reference_footprint(graph, users, uf, inst.id, target) > limits.scratchpad_bytes:
             continue
         uf.union(inst.id, target)
         for u in consumer_ids:
@@ -294,12 +309,11 @@ def reference_programs():
     return programs
 
 
-fusion_params = st.builds(
-    FusionParams,
-    max_ops_per_kernel=st.sampled_from([1, 2, 3, 5, 8, 64]),
-    max_contractions_per_kernel=st.integers(0, 2),
+limit_sets = st.builds(
+    Limits,
+    max_ops=st.sampled_from([1, 2, 3, 5, 8, 64]),
+    max_contractions=st.integers(0, 2),
     scratchpad_bytes=st.sampled_from([1 << 12, 1 << 16, 1 << 20, 16 * 1024 * 1024]),
-    min_saved_bytes=st.sampled_from([0, 1024, 1 << 16]),
 )
 
 
@@ -309,18 +323,19 @@ class TestFuserEqualsReferenceUnionFind:
     (which reject unions) included."""
 
     @settings(max_examples=25, deadline=None)
-    @given(data=st.data(), params=fusion_params)
-    def test_groups_and_default_config(self, reference_programs, data, params):
+    @given(data=st.data(), limits=limit_sets)
+    def test_groups_and_default_config(self, reference_programs, data, limits):
         program = data.draw(st.sampled_from(reference_programs), label="program")
         graph = program.graph
-        fuser = ProgramFuser(graph, params)
-        default = fuser.default_config()
-        assert default == reference_default_config(graph, params)
-        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
-        configs = [default, FusionConfig.all(len(fuser.edges))] + [
-            FusionConfig.random(len(fuser.edges), rng, p=p) for p in (0.2, 0.5, 0.9)
-        ]
-        for config in configs:
-            got, want = fuser.groups(config), reference_groups(graph, config, params)
-            assert got == want
-            assert [list(g) for g in got] == [list(g) for g in want]  # iteration order too
+        with fusion_limits(limits):
+            fuser = ProgramFuser(graph)
+            default = fuser.default_config()
+            assert default == reference_default_config(graph, limits)
+            rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+            configs = [default, FusionConfig.all(len(fuser.edges))] + [
+                FusionConfig.random(len(fuser.edges), rng, p=p) for p in (0.2, 0.5, 0.9)
+            ]
+            for config in configs:
+                got, want = fuser.groups(config), reference_groups(graph, config, limits)
+                assert got == want
+                assert [list(g) for g in got] == [list(g) for g in want]  # iteration order too

@@ -14,12 +14,12 @@ from oracles import subgraph
 from repro.autotuner import HardwareEvaluator, hardware_fusion_autotune, model_fusion_autotune
 from repro.compiler import (
     FusionConfig,
-    FusionParams,
     Kernel,
     ProgramFuser,
     classify_kernel,
     default_fusion,
     fuse_program,
+    fusion,
 )
 from repro.hlo import Graph, Opcode
 from repro.tpu import TpuSimulator
@@ -38,13 +38,13 @@ def sampled(corpus):
     return [p for p in by_size[::6] if len(p.graph) <= 262]
 
 
-def cold_kernels(program, config, params=None):
+def cold_kernels(program, config):
     """Oracle: every group cut out of the program graph from scratch."""
     graph = program.graph
     position = {inst.id: k for k, inst in enumerate(graph.topological_order())}
     leaves = (Opcode.PARAMETER, Opcode.CONSTANT)
     executing = [
-        ids for ids in ProgramFuser(graph, params).groups(config)
+        ids for ids in ProgramFuser(graph).groups(config)
         if any(graph.get(i).opcode not in leaves for i in ids)
     ]
     executing.sort(key=lambda ids: min(position[i] for i in ids))
@@ -80,12 +80,12 @@ class TestFuserEqualsCold:
             else:
                 config = config.mutate(rng, num_flips=int(rng.integers(1, 4)))
 
-    def test_legality_params_reach_the_fuser(self, corpus):
+    def test_legality_params_reach_the_fuser(self, corpus, monkeypatch):
+        monkeypatch.setattr(fusion, "MAX_OPS_PER_KERNEL", 3)
         program = corpus["char2feats_0"]
-        params = FusionParams(max_ops_per_kernel=3)
-        fuser = ProgramFuser(program.graph, params, program.name)
+        fuser = ProgramFuser(program.graph, program.name)
         config = FusionConfig.all(len(fuser.edges))
-        assert_same_kernels(fuser.fuse(config), cold_kernels(program, config, params))
+        assert_same_kernels(fuser.fuse(config), cold_kernels(program, config))
         leaves = (Opcode.PARAMETER, Opcode.CONSTANT)
         for k in fuser.fuse(config):
             assert sum(i.opcode not in leaves for i in k.graph) <= 3
@@ -230,9 +230,9 @@ class TestDefaultTilePerBody:
         bodies = []  # the instruction dicts themselves, so no id is reused
         original = tiling.enumerate_tile_sizes
 
-        def counting(kernel, params=None):
+        def counting(kernel):
             bodies.append(kernel.graph.instructions)
-            return original(kernel, params)
+            return original(kernel)
 
         monkeypatch.setattr(tiling, "enumerate_tile_sizes", counting)
         hardware = HardwareEvaluator(TpuSimulator())

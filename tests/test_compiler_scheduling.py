@@ -13,18 +13,18 @@ from repro.compiler import (
 from repro.hlo import GraphBuilder
 
 
-def wide_graph(width=4):
+def wide_graph(width=4, n=1024):
     """One parameter feeding `width` independent tanh ops."""
     b = GraphBuilder("wide")
-    x = b.parameter((1024,))
+    x = b.parameter((n,))
     for _ in range(width):
         b.tanh(x)
     return b.build()
 
 
-def chain(depth=4):
+def chain(depth=4, n=1024):
     b = GraphBuilder("chain")
-    x = b.parameter((1024,))
+    x = b.parameter((n,))
     for _ in range(depth):
         x = b.tanh(x)
     return b.build()
@@ -78,6 +78,7 @@ class TestSchedules:
         g = chain(5)
         r = list_schedule(g)
         assert r.length_cycles == pytest.approx(r.critical_path_cycles)
+        assert critical_path(g) == pytest.approx(r.critical_path_cycles)
         assert r.issue_stall_cycles == pytest.approx(0.0)
 
     def test_wide_graph_serializes_on_one_unit(self):
@@ -88,14 +89,17 @@ class TestSchedules:
         assert r.length_cycles > r.critical_path_cycles
 
     def test_schedule_scales_linearly(self):
-        g = chain(4)
-        r1 = list_schedule(g, scale=1.0)
-        r2 = list_schedule(g, scale=0.25)
-        assert r2.length_cycles == pytest.approx(0.25 * r1.length_cycles)
+        """The simulator schedules a kernel's whole tensor and charges each
+        tile its share, which holds because the makespan is linear in the
+        element count."""
+        pairs = [(chain(4, n=4096), chain(4, n=1024)), (wide_graph(4), wide_graph(4, n=256))]
+        for whole, quarter in pairs:
+            r1, r2 = list_schedule(whole), list_schedule(quarter)
+            assert r2.length_cycles == pytest.approx(0.25 * r1.length_cycles)
+            assert r2.critical_path_cycles == pytest.approx(0.25 * r1.critical_path_cycles)
 
     def test_critical_path_scales_linearly(self):
-        g = chain(4)
-        assert critical_path(g, 0.5) == pytest.approx(0.5 * critical_path(g, 1.0))
+        assert critical_path(chain(4, n=512)) == pytest.approx(0.5 * critical_path(chain(4)))
 
     def test_empty_ish_graph(self):
         b = GraphBuilder("g")

@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -15,15 +16,16 @@ from oracles import tile_footprint_bytes
 from repro.compiler import (
     Kernel,
     TileConfig,
-    TilingParams,
     candidate_block_sizes,
     default_tile,
     enumerate_tile_sizes,
     fuse_program,
+    tiling,
 )
 from repro.compiler.tiling import _FootprintTerms, largest_tile, tile_transfer_bytes
+from repro.data import build_tile_dataset
 from repro.hlo import GraphBuilder, Shape
-from repro.workloads import build_corpus
+from repro.workloads import build_corpus, vision
 
 
 def dense_kernel(m=64, k=32, n=128):
@@ -33,6 +35,23 @@ def dense_kernel(m=64, k=32, n=128):
     b.dot(x, w)
     g = b.build()
     return Kernel(graph=g, kind="other")
+
+
+def tiling_limits(scratchpad_bytes=16 * 1024 * 1024, cap=12, max_configs=512):
+    """Set the tiling constants for the block's duration (the defaults are
+    the shipped values). Enumerate only fresh bodies inside: the body memo
+    keeps what was enumerated under the limits in force."""
+    return mock.patch.multiple(
+        tiling,
+        SCRATCHPAD_BYTES=scratchpad_bytes,
+        MAX_CANDIDATES_PER_DIM=cap,
+        MAX_CONFIGS=max_configs,
+    )
+
+
+def fresh(kernel):
+    """A kernel over the same graph with a body memo of its own."""
+    return Kernel(kernel.graph, kernel.kind, kernel.program_name, kernel.index)
 
 
 class TestTileConfig:
@@ -75,22 +94,21 @@ class TestCandidates:
 class TestEnumeration:
     def test_all_enumerated_tiles_fit_budget(self):
         k = dense_kernel()
-        params = TilingParams()
-        budget = int(params.scratchpad_bytes * params.scratchpad_fraction)
-        for t in enumerate_tile_sizes(k, params):
+        budget = int(tiling.SCRATCHPAD_BYTES * tiling.SCRATCHPAD_FRACTION)
+        for t in enumerate_tile_sizes(k):
             assert tile_footprint_bytes(k, t) <= budget
 
     def test_at_least_one_config(self):
         # A huge kernel still yields a (clamped) config.
         k = dense_kernel(m=4096, k=2048, n=4096)
-        params = TilingParams(scratchpad_bytes=64 * 1024)
-        configs = enumerate_tile_sizes(k, params)
+        with tiling_limits(scratchpad_bytes=64 * 1024):
+            configs = enumerate_tile_sizes(k)
         assert configs
 
     def test_max_configs_cap(self):
         k = dense_kernel(m=512, k=64, n=512)
-        params = TilingParams(max_configs=16)
-        assert len(enumerate_tile_sizes(k, params)) <= 16
+        with tiling_limits(max_configs=16):
+            assert len(enumerate_tile_sizes(k)) <= 16
 
     def test_tile_rank_matches_output(self):
         k = dense_kernel()
@@ -133,9 +151,8 @@ class TestFootprintAndTransfer:
 
     def test_default_tile_is_valid_and_maximal(self):
         k = dense_kernel()
-        params = TilingParams()
-        tiles = enumerate_tile_sizes(k, params)
-        d = default_tile(k, params)
+        tiles = enumerate_tile_sizes(k)
+        d = default_tile(k)
         assert d in tiles
         assert d.volume == max(t.volume for t in tiles)
 
@@ -144,7 +161,9 @@ class TestFootprintAndTransfer:
     def test_iterations_times_volume_covers_output(self, m, n):
         k = dense_kernel(m=m, k=16, n=n)
         out = k.primary_output().shape
-        for t in enumerate_tile_sizes(k, TilingParams(max_configs=8)):
+        with tiling_limits(max_configs=8):
+            tiles = enumerate_tile_sizes(k)
+        for t in tiles:
             assert t.iterations(out) * t.volume >= out.num_elements
 
 
@@ -168,21 +187,22 @@ def footprint_by_graph_walk(kernel, tile):
     return total
 
 
-def enumerate_by_loop(kernel, params):
+def enumerate_by_loop(kernel, scratchpad_bytes, cap, max_configs):
     """Reference: enumeration as one loop over the candidates, testing each
-    footprint by the graph walk and stopping at ``max_configs`` fits."""
+    footprint by the graph walk (against half the scratchpad) and stopping
+    at ``max_configs`` fits."""
     output = kernel.primary_output().shape
     if not kernel.has_tile_options() or output.rank == 0:
         return [TileConfig(tuple(output.dims))]
-    budget = int(params.scratchpad_bytes * params.scratchpad_fraction)
-    per_dim = [candidate_block_sizes(d, params.max_candidates_per_dim) for d in output.dims]
-    if math.prod(len(c) for c in per_dim) <= params.max_configs * 4:
+    budget = int(scratchpad_bytes * 0.5)
+    per_dim = [candidate_block_sizes(d, cap) for d in output.dims]
+    if math.prod(len(c) for c in per_dim) <= max_configs * 4:
         combos = itertools.product(*per_dim)
     else:
         rng = np.random.default_rng(int(kernel.fingerprint()[:8], 16))
         combos = (
             tuple(c[rng.integers(0, len(c))] for c in per_dim)
-            for _ in range(params.max_configs * 4)
+            for _ in range(max_configs * 4)
         )
     configs, seen = [], set()
     for dims in combos:
@@ -191,7 +211,7 @@ def enumerate_by_loop(kernel, params):
         seen.add(dims)
         if footprint_by_graph_walk(kernel, TileConfig(dims)) <= budget:
             configs.append(TileConfig(dims))
-        if len(configs) >= params.max_configs:
+        if len(configs) >= max_configs:
             break
     if not configs:
         dims = list(output.dims)
@@ -245,8 +265,8 @@ class TestHoistedFootprint:
 
     def test_clamped_full_tile_fits_where_possible(self):
         k = dense_kernel(m=4096, k=2048, n=4096)
-        params = TilingParams(scratchpad_bytes=64 * 1024)
-        (tile,) = enumerate_tile_sizes(k, params)
+        with tiling_limits(scratchpad_bytes=64 * 1024):
+            (tile,) = enumerate_tile_sizes(k)
         assert max(tile.dims) == 1 or footprint_by_graph_walk(k, tile) <= 32 * 1024
 
     def test_corpus_enumeration_unchanged(self, corpus_kernels):
@@ -260,20 +280,22 @@ class TestHoistedFootprint:
         assert h.hexdigest() == "a326aebd7aba37055428b775e5804ef51a467f57afd746321f13279cfdae96b2"
 
     @pytest.mark.parametrize("params", [
-        TilingParams(),
-        TilingParams(max_configs=8),
-        TilingParams(scratchpad_bytes=256 * 1024, max_candidates_per_dim=6),
-        TilingParams(scratchpad_bytes=4 * 1024, max_configs=16),
+        (16 * 1024 * 1024, 12, 512),
+        (16 * 1024 * 1024, 12, 8),
+        (256 * 1024, 6, 512),
+        (4 * 1024, 12, 16),
     ])
     def test_vectorised_test_equals_the_loop(self, corpus_kernels, params):
         """One vectorised footprint pass keeps the loop's tiles, in its
         order: the cap, the subsample branch (``wide_kernel``, and every
         rank-3 kernel under ``max_configs=8``) and the clamped fallback."""
-        kernels = [k for _, k in corpus_kernels[::7]] + [
+        kernels = [fresh(k) for _, k in corpus_kernels[::7]] + [
             dense_kernel(), wide_kernel(), dense_kernel(m=4096, k=2048, n=4096)
         ]
         for k in kernels:
-            assert enumerate_tile_sizes(k, params) == enumerate_by_loop(k, params)
+            with tiling_limits(*params):
+                tiles = enumerate_tile_sizes(k)
+            assert tiles == enumerate_by_loop(k, *params)
 
     def test_row_footprints_equal_the_scalar_ones(self, corpus_kernels):
         """``bytes_of_rows`` truncates like ``int`` on every candidate,
@@ -302,13 +324,11 @@ class TestHoistedFootprint:
 class TestDefaultTileMemo:
     @pytest.fixture
     def enumerations(self, monkeypatch):
-        from repro.compiler import tiling
-
         calls = []
         original = tiling.enumerate_tile_sizes
         monkeypatch.setattr(
             tiling, "enumerate_tile_sizes",
-            lambda kernel, params=None: calls.append(params) or original(kernel, params),
+            lambda kernel: calls.append(kernel) or original(kernel),
         )
         return calls
 
@@ -317,27 +337,16 @@ class TestDefaultTileMemo:
         shells = [body.shell(f"g.k{i}", i) for i in range(3)]
         first = default_tile(shells[1])  # whichever shell asks first
         assert all(default_tile(k) is first for k in [body, *shells])
-        assert enumerations == [None]
+        assert enumerations == [shells[1]]
         assert first == largest_tile(enumerate_tile_sizes(body))
         # Another body, even an equal one, has its own memo.
         assert default_tile(dense_kernel()) == first
         assert len(enumerations) == 2
 
-    def test_explicit_params_bypass_the_memo(self, enumerations):
-        k = dense_kernel()
-        small = TilingParams(scratchpad_bytes=64 * 1024)
-        wide = default_tile(k)
-        for _ in range(2):
-            assert default_tile(k, small) == largest_tile(enumerate_tile_sizes(k, small))
-        assert default_tile(k, small) != wide
-        assert default_tile(k, TilingParams()) == wide  # equal to the default, still enumerated
-        assert default_tile(k) is wide  # and the memo holds the default answer only
-        assert enumerations == [None, small, small, small, TilingParams()]
-
 
 class TestCandidateMemo:
-    """Under default params the candidates are memoised per body; every
-    call hands out a fresh list."""
+    """The candidates are memoised per body; every call hands out a fresh
+    list."""
 
     def test_fresh_equal_lists_across_calls_and_shells(self):
         body = dense_kernel()
@@ -345,7 +354,7 @@ class TestCandidateMemo:
         lists = [enumerate_tile_sizes(k) for k in [shells[1], body, body, *shells]]
         assert all(tiles == lists[0] for tiles in lists)
         assert len({id(tiles) for tiles in lists}) == len(lists)
-        assert lists[0] == enumerate_tile_sizes(dense_kernel(), TilingParams())
+        assert lists[0] == enumerate_tile_sizes(dense_kernel())  # another body, enumerated
 
     def test_mutating_a_result_does_not_reach_the_memo(self):
         body = dense_kernel()
@@ -366,37 +375,41 @@ class TestCandidateMemo:
         assert default_tile(body.shell("g.k1", 1)) is tile
         assert set(body._body_memo) == {"footprint_terms", "tile_sizes"}
 
-    def test_explicit_params_bypass_the_memo(self, monkeypatch):
-        from repro.compiler import tiling
+    def test_dataset_build_and_searches_enumerate_each_body_once(self, monkeypatch):
+        """Building a tile dataset fills the body memo that
+        ``default_tile`` and a tile search then read."""
+        from repro.autotuner import AnalyticalEvaluator, HardwareEvaluator, model_tile_autotune
+        from repro.tpu import TpuSimulator
 
-        calls = []
+        bodies = []  # the body memos themselves, so no id is reused
         original = tiling._candidate_dims
         monkeypatch.setattr(
             tiling, "_candidate_dims",
-            lambda kernel, params: calls.append(params) or original(kernel, params),
+            lambda kernel: bodies.append(kernel._body_memo) or original(kernel),
         )
-        body = dense_kernel()
-        small = TilingParams(scratchpad_bytes=64 * 1024)
-        for _ in range(2):
-            enumerate_tile_sizes(body)
-            default_tile(body)
-            enumerate_tile_sizes(body, small)
-            enumerate_tile_sizes(body, TilingParams())
-        assert calls == [TilingParams(), small, TilingParams(), small, TilingParams()]
+        records = build_tile_dataset(
+            [vision.alexnet(0)], max_kernels_per_program=6, max_tiles_per_kernel=4, seed=0
+        ).records
+        kernels = [r.kernel for r in records]
+        assert len(records) >= 2 and len(bodies) >= len(records)
+        enumerated = len(bodies)
+        for kernel in kernels:
+            default_tile(kernel)
+        model_tile_autotune(
+            kernels, AnalyticalEvaluator(), HardwareEvaluator(TpuSimulator()), top_k=2
+        )
+        assert len(bodies) == enumerated
+        assert len({id(memo) for memo in bodies}) == len(bodies)
 
 
 class TestSubsampleSeed:
-    PARAMS = TilingParams()
-
     def candidate_product(self, kernel):
         dims = kernel.primary_output().shape.dims
-        return math.prod(
-            len(candidate_block_sizes(d, self.PARAMS.max_candidates_per_dim)) for d in dims
-        )
+        return math.prod(len(candidate_block_sizes(d, tiling.MAX_CANDIDATES_PER_DIM)) for d in dims)
 
     def test_same_tiles_under_any_hash_seed(self):
         """``hash(str)`` is salted per interpreter; the subsample must not be."""
-        assert self.candidate_product(wide_kernel()) == 3969 > 4 * self.PARAMS.max_configs
+        assert self.candidate_product(wide_kernel()) == 3969 > 4 * tiling.MAX_CONFIGS
         script = (
             "from repro.compiler import Kernel, enumerate_tile_sizes\n"
             "from repro.hlo import GraphBuilder\n"
@@ -425,4 +438,4 @@ class TestSubsampleSeed:
         """So the seed fix moves no fixture, dataset or benchmark input."""
         tileable = [k for _, k in corpus_kernels if k.has_tile_options()]
         assert len(tileable) > 1900
-        assert max(self.candidate_product(k) for k in tileable) <= 4 * self.PARAMS.max_configs
+        assert max(self.candidate_product(k) for k in tileable) <= 4 * tiling.MAX_CONFIGS

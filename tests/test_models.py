@@ -10,6 +10,7 @@ from repro.models import (
     predict_tile_scores,
     train_tile_model,
 )
+from repro.models import trainer
 from repro.workloads import vision
 
 
@@ -150,6 +151,19 @@ class TestTraining:
         r = tile_ds.records[0]
         scores = predict_tile_scores(res.model, res.scalers, r)
         assert scores.shape == (r.num_samples,)
+
+    def test_predict_tile_scores_do_not_depend_on_the_chunk(self, tile_ds, monkeypatch):
+        """Scores are per sample: cutting a kernel's samples into forwards
+        of ``PREDICT_CHUNK`` moves none of them."""
+        cfg = ModelConfig(task="tile", reduction="column-wise", **SMALL)
+        res = train_tile_model(tile_ds.records, cfg, TrainConfig(steps=5, log_every=5))
+        r = max(tile_ds.records, key=lambda rec: rec.num_samples)
+        whole = predict_tile_scores(res.model, res.scalers, r)
+        monkeypatch.setattr(trainer, "PREDICT_CHUNK", 4)
+        assert r.num_samples > 4
+        np.testing.assert_allclose(
+            predict_tile_scores(res.model, res.scalers, r), whole, rtol=1e-6
+        )
 
     def test_state_dict_roundtrip_preserves_predictions(self, tile_ds, batch):
         cfg = ModelConfig(task="tile", **SMALL)
