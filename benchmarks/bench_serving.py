@@ -236,7 +236,6 @@ def fixture(programs: tuple[str, ...], config: ModelConfig) -> tuple[TrainResult
         seed=0,
     )
     model = LearnedPerformanceModel(config, seed=0)
-    model.eval()
     result = TrainResult(model=model, scalers=Scalers.fit_tile(dataset.records), loss_history=[])
     pool = []
     for record in dataset.records:

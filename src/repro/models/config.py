@@ -12,6 +12,20 @@ Every ablation axis of the paper is a field here:
 * ``tile_placement``: tile size appended to node features (Fig. 3 option 1)
   or to the kernel embedding (option 2, the 'Move tile-size' ablation);
 * ``loss``: pairwise rank (hinge/logistic) vs MSE (Table 3 'MSE loss').
+
+The widths (``opcode_embedding_dim``, ``hidden_dim``, ``gnn_layers``,
+``lstm_hidden``) and the neighbor cap are fields too. Every other
+hyperparameter of App. B Table 5 is fixed, as in the paper, and is a
+module constant next to the code that reads it:
+
+* ``models.model.NODE_FINAL_LAYERS``: feedforward layers after the GNN;
+* ``nn.attention.ENCODER_LAYERS`` / ``HEADS`` / ``FF_MULTIPLIER``: the
+  Transformer reduction's blocks, attention heads and feed-forward width;
+* ``nn.graph_layers.GAT_HEADS``: the GAT layer's attention heads;
+* ``nn.layers.LAYER_NORM_EPS`` and ``nn.optim.BETA1`` / ``BETA2`` /
+  ``EPS``: the layer-norm and Adam constants.
+
+No layer has a bias or dropout, and a module has no train/eval mode.
 """
 from __future__ import annotations
 
@@ -41,7 +55,6 @@ class ModelConfig:
     opcode_embedding_dim: int = 32
     hidden_dim: int = 64
     gnn_layers: int = 3
-    node_final_layers: int = 2
     directed: bool = True
     neighbor_cap: int = 20
 
@@ -49,12 +62,7 @@ class ModelConfig:
     static_placement: str = "node"
     tile_placement: str = "node"
 
-    transformer_layers: int = 1
-    transformer_heads: int = 4
-    gat_heads: int = 2
     lstm_hidden: int = 64
-
-    dropout: float = 0.0
 
     def __post_init__(self) -> None:
         if self.task not in ("tile", "fusion"):
@@ -69,8 +77,6 @@ class ModelConfig:
             raise ValueError(f"bad static_placement {self.static_placement!r}")
         if self.tile_placement not in PLACEMENT_CHOICES:
             raise ValueError(f"bad tile_placement {self.tile_placement!r}")
-        if self.task == "fusion" and self.loss == "mse":
-            pass  # fusion always uses MSE in the paper; ranks also allowed
         if self.hidden_dim <= 0 or self.opcode_embedding_dim <= 0:
             raise ValueError("dims must be positive")
 

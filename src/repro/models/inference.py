@@ -1,10 +1,10 @@
 """Tape-free forward of the learned performance model.
 
 :func:`forward` computes exactly what
-:meth:`~repro.models.model.LearnedPerformanceModel.forward` computes in eval
-mode under ``no_grad()`` — same scores, same dtype, bitwise — but on plain
-``ndarray``s: no :class:`~repro.nn.tensor.Tensor` per intermediate, no
-backward closure per op, no mode flip on the module. It is what
+:meth:`~repro.models.model.LearnedPerformanceModel.forward` computes under
+``no_grad()`` — same scores, same dtype, bitwise — but on plain
+``ndarray``s: no :class:`~repro.nn.tensor.Tensor` per intermediate and no
+backward closure per op. It is what
 ``LearnedPerformanceModel.predict`` runs; the tape ``forward`` stays for
 training and as the oracle the tests compare this module against.
 
@@ -27,8 +27,7 @@ through its own nodes on both paths), the segment sum
 (``nn.tensor.relu_array``). What is restated here — layer norm, the GAT
 hop, attention, the reductions' glue — is checked against the tape by
 ``tests/test_models_inference.py``. Python scalars the tape lifts to float32
-tensors are float32 constants here. Dropout is the identity in eval mode and
-does not appear.
+tensors are float32 constants here.
 """
 from __future__ import annotations
 
@@ -36,6 +35,9 @@ import math
 
 import numpy as np
 
+from ..nn.attention import HEADS
+from ..nn.graph_layers import GAT_HEADS
+from ..nn.layers import LAYER_NORM_EPS
 from ..nn.rnn import lstm_final_state
 from ..nn.tensor import relu_array, scatter_add_rows
 
@@ -50,7 +52,7 @@ def _mean_last(x: np.ndarray) -> np.ndarray:
 def _layer_norm(layer, x: np.ndarray) -> np.ndarray:
     centered = x - _mean_last(x)
     var = _mean_last(centered * centered)
-    inv = (var + np.float32(layer.eps)) ** -0.5
+    inv = (var + np.float32(LAYER_NORM_EPS)) ** -0.5
     return centered * inv * layer.gain.data + layer.shift.data
 
 
@@ -74,10 +76,10 @@ def _gat(layer, x: np.ndarray, edges: np.ndarray, num_nodes: int) -> np.ndarray:
     scores = layer.attn_src.apply(x)[src] + layer.attn_dst.apply(x)[dst]
     scores = np.maximum(scores, scores * _LEAKY_SLOPE)
     alpha = _segment_softmax(scores, dst, num_nodes)
-    src_h = h[src].reshape(len(edges), layer.heads, layer.head_dim)
-    weighted = src_h * alpha.reshape(len(edges), layer.heads, 1)
+    src_h = h[src].reshape(len(edges), GAT_HEADS, layer.head_dim)
+    weighted = src_h * alpha.reshape(len(edges), GAT_HEADS, 1)
     agg = scatter_add_rows(
-        dst, weighted.reshape(len(edges), layer.heads * layer.head_dim), num_nodes
+        dst, weighted.reshape(len(edges), GAT_HEADS * layer.head_dim), num_nodes
     )
     return relu_array(agg)
 
@@ -94,7 +96,7 @@ def _attention(attn, x: np.ndarray, mask: np.ndarray) -> np.ndarray:
     batch, time, _ = x.shape
 
     def split(y: np.ndarray) -> np.ndarray:  # [b, t, d] -> [b, h, t, hd]
-        return y.reshape(batch, time, attn.heads, attn.head_dim).transpose(0, 2, 1, 3)
+        return y.reshape(batch, time, HEADS, attn.head_dim).transpose(0, 2, 1, 3)
 
     q = split(attn.wq.apply(x))
     k = split(attn.wk.apply(x))
@@ -127,8 +129,8 @@ def forward(model, batch) -> np.ndarray:
     """Scores of ``model`` on ``batch``: float32 [batch], a fresh array.
 
     Args:
-        model: a :class:`~repro.models.model.LearnedPerformanceModel`; its
-            ``training`` flag is neither read nor written.
+        model: a :class:`~repro.models.model.LearnedPerformanceModel`;
+            nothing on it is written.
         batch: a :class:`~repro.data.batching.GraphBatch`.
     """
     cfg = model.config

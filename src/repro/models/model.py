@@ -18,12 +18,16 @@ from ..data.features import NODE_FEATURE_DIM, STATIC_FEATURE_DIM, TILE_FEATURE_D
 from ..hlo.opcodes import NUM_OPCODES
 from ..nn.attention import TransformerEncoder
 from ..nn.graph_layers import GATLayer, GraphSAGELayer
-from ..nn.layers import Dense, Dropout, Embedding, MLP, Module
+from ..nn.layers import Dense, Embedding, MLP, Module
 from ..nn.rnn import LSTM
 from ..nn.sparse import segment_sum
 from ..nn.tensor import Tensor
 from . import inference
 from .config import ModelConfig
+
+#: Feedforward layers between the GNN and the reduction (the "node final
+#: layers" of Fig. 3).
+NODE_FINAL_LAYERS = 2
 
 
 class LearnedPerformanceModel(Module):
@@ -55,17 +59,11 @@ class LearnedPerformanceModel(Module):
                 for _ in range(config.gnn_layers)
             ]
         elif config.gnn == "gat":
-            self.gnn_layers = [
-                GATLayer(h, h, heads=config.gat_heads, rng=rng)
-                for _ in range(config.gnn_layers)
-            ]
+            self.gnn_layers = [GATLayer(h, h, rng=rng) for _ in range(config.gnn_layers)]
         else:
             self.gnn_layers = []
 
-        self.node_final = MLP(
-            [h] * (config.node_final_layers + 1), final_activation="relu", rng=rng
-        )
-        self.dropout = Dropout(config.dropout, rng=rng)
+        self.node_final = MLP([h] * (NODE_FINAL_LAYERS + 1), final_activation="relu", rng=rng)
 
         kernel_extra = 0
         if config.task == "tile" and config.tile_placement == "kernel":
@@ -86,13 +84,7 @@ class LearnedPerformanceModel(Module):
                 self.lstm = LSTM(h, config.lstm_hidden, rng=rng)
                 emb_dim = config.lstm_hidden
             elif config.reduction == "transformer":
-                self.encoder = TransformerEncoder(
-                    h,
-                    layers=config.transformer_layers,
-                    heads=config.transformer_heads,
-                    dropout=config.dropout,
-                    rng=rng,
-                )
+                self.encoder = TransformerEncoder(h, rng=rng)
                 emb_dim = h
             else:  # pragma: no cover - guarded by ModelConfig
                 raise AssertionError(config.reduction)
@@ -153,7 +145,6 @@ class LearnedPerformanceModel(Module):
         x = self.input_proj(self._node_inputs(batch))
         x = self._run_gnn(x, batch)
         x = self.node_final(x)
-        x = self.dropout(x)
 
         extras = self._kernel_extras(batch)
         gids = batch.context.graph_ids
@@ -186,14 +177,14 @@ class LearnedPerformanceModel(Module):
 
     # ------------------------------------------------------------- inference
     def predict(self, batch: GraphBatch) -> np.ndarray:
-        """Raw scores: :meth:`forward` in eval mode under ``no_grad()``,
-        bitwise, computed tape-free on plain arrays.
+        """Raw scores: :meth:`forward` under ``no_grad()``, bitwise,
+        computed tape-free on plain arrays.
 
         Runs :func:`repro.models.inference.forward`; it builds no
-        :class:`Tensor` and neither reads nor writes ``self.training``, so
-        it is safe beside a training thread on the same module. Parameters
-        are read at call time: optimizer steps and ``load_state_dict`` show
-        in the next call.
+        :class:`Tensor` and writes nothing on the module, so it is safe
+        beside a training thread on the same module. Parameters are read at
+        call time: optimizer steps and ``load_state_dict`` show in the next
+        call.
         """
         return inference.forward(self, batch)
 

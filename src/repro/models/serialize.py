@@ -30,8 +30,10 @@ import numpy as np
 
 from ..data.batching import Scalers
 from ..data.features import FeatureScaler
+from ..nn.attention import ENCODER_LAYERS, HEADS
+from ..nn.graph_layers import GAT_HEADS
 from .config import ModelConfig
-from .model import LearnedPerformanceModel
+from .model import NODE_FINAL_LAYERS, LearnedPerformanceModel
 from .trainer import TrainResult
 
 
@@ -40,6 +42,16 @@ BLOB_MAGIC = b"RPRMDL\x01"
 
 #: Envelope layout after the magic: payload length (u64 BE) + SHA-256 digest.
 _BLOB_HEADER = struct.Struct(">Q32s")
+
+#: ``ModelConfig`` fields that checkpoints written before they became
+#: constants still carry, with the one value this build can load.
+_RETIRED_FIELDS = {
+    "node_final_layers": NODE_FINAL_LAYERS,
+    "transformer_layers": ENCODER_LAYERS,
+    "transformer_heads": HEADS,
+    "gat_heads": GAT_HEADS,
+    "dropout": 0.0,
+}
 
 
 class ModelBlobError(ValueError):
@@ -103,10 +115,26 @@ def _payload(result: TrainResult) -> dict[str, np.ndarray]:
     return payload
 
 
+def _config_from_json(fields: dict) -> ModelConfig:
+    """The :class:`ModelConfig` a checkpoint's config JSON describes.
+
+    A retired field at this build's value is dropped. At any other value
+    the checkpoint is a different architecture (a head count changes no
+    parameter shape, so it would load and score wrong) and is refused.
+    """
+    for name, value in _RETIRED_FIELDS.items():
+        stored = fields.pop(name, value)
+        if stored != value:
+            raise ModelBlobError(
+                f"model blob has retired config field {name}={stored!r}; "
+                f"this build loads only {name}={value!r}"
+            )
+    return ModelConfig(**fields)
+
+
 def _from_archive(archive) -> TrainResult:
     """Rebuild a :class:`TrainResult` from a loaded npz archive."""
-    config_json = bytes(archive["config"]).decode()
-    config = ModelConfig(**json.loads(config_json))
+    config = _config_from_json(json.loads(bytes(archive["config"]).decode()))
     model = LearnedPerformanceModel(config)
     state = {
         name[len("param/"):]: archive[name]
@@ -125,7 +153,6 @@ def _from_archive(archive) -> TrainResult:
             {"lo": archive["scaler/static/lo"], "hi": archive["scaler/static/hi"]}
         ),
     )
-    model.eval()
     return TrainResult(model=model, scalers=scalers, loss_history=[])
 
 
@@ -155,5 +182,7 @@ def load_model_bytes(data: bytes) -> TrainResult:
     try:
         with np.load(io.BytesIO(payload)) as archive:
             return _from_archive(archive)
+    except ModelBlobError:
+        raise
     except Exception as exc:
         raise ModelBlobError(f"undecodable model blob: {exc}") from exc

@@ -38,7 +38,7 @@ class TrainResult:
     """Artifacts of one training run.
 
     Attributes:
-        model: the trained model (in eval-ready state).
+        model: the trained model.
         scalers: feature scalers fitted on the training set (must be reused
             at evaluation time).
         loss_history: (step, loss) samples.
@@ -153,7 +153,6 @@ def _run_loop(
             history.append((step, float(loss.item())))
             if verbose:
                 print(f"  step {step:>6}  loss {loss.item():.4f}  lr {opt.lr:.2e}")
-    model.eval()
     return TrainResult(model=model, scalers=scalers, loss_history=history)
 
 
@@ -189,7 +188,6 @@ def fine_tune(
         sampler = FusionBatchSampler(
             records, batch_size=train.batch_size, seed=train.seed  # type: ignore[arg-type]
         )
-    result.model.train()
     tuned = _run_loop(result.model, config, train, result.scalers, sampler.draw_items, False)
     return TrainResult(
         model=tuned.model,

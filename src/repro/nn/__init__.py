@@ -4,7 +4,6 @@ from .graph_layers import BatchedGraphContext, GATLayer, GraphSAGELayer
 from .layers import (
     MLP,
     Dense,
-    Dropout,
     Embedding,
     LayerNorm,
     Module,
@@ -21,7 +20,6 @@ __all__ = [
     "Adam",
     "BatchedGraphContext",
     "Dense",
-    "Dropout",
     "Embedding",
     "GATLayer",
     "GraphSAGELayer",

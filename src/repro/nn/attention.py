@@ -5,26 +5,31 @@ import math
 
 import numpy as np
 
-from .layers import Dense, Dropout, LayerNorm, Module
+from .layers import Dense, LayerNorm, Module
 from .tensor import Tensor
+
+#: Attention heads per layer (paper App. B fixes 4).
+HEADS = 4
+#: Feed-forward width of an encoder block, as a multiple of the model width.
+FF_MULTIPLIER = 2
+#: Encoder blocks of :class:`TransformerEncoder`.
+ENCODER_LAYERS = 1
 
 
 class MultiHeadAttention(Module):
-    """Masked multi-head self-attention.
+    """Masked multi-head self-attention over :data:`HEADS` heads.
 
     Args:
         dim: model width (split across heads).
-        heads: attention head count (paper App. B fixes 4).
     """
 
-    def __init__(self, dim: int, heads: int = 4, rng: np.random.Generator | None = None) -> None:
+    def __init__(self, dim: int, rng: np.random.Generator | None = None) -> None:
         super().__init__()
-        if dim % heads != 0:
-            raise ValueError(f"dim {dim} not divisible by heads {heads}")
+        if dim % HEADS != 0:
+            raise ValueError(f"dim {dim} not divisible by heads {HEADS}")
         rng = rng or np.random.default_rng(0)
         self.dim = dim
-        self.heads = heads
-        self.head_dim = dim // heads
+        self.head_dim = dim // HEADS
         self.wq = Dense(dim, dim, rng=rng)
         self.wk = Dense(dim, dim, rng=rng)
         self.wv = Dense(dim, dim, rng=rng)
@@ -32,7 +37,7 @@ class MultiHeadAttention(Module):
 
     def _split(self, x: Tensor, batch: int, time: int) -> Tensor:
         # [b, t, d] -> [b, h, t, hd]
-        return x.reshape(batch, time, self.heads, self.head_dim).transpose(0, 2, 1, 3)
+        return x.reshape(batch, time, HEADS, self.head_dim).transpose(0, 2, 1, 3)
 
     def forward(self, x: Tensor, mask: np.ndarray) -> Tensor:
         """Attend over padded node sequences.
@@ -56,30 +61,22 @@ class MultiHeadAttention(Module):
 class TransformerEncoderLayer(Module):
     """Pre-norm Transformer encoder block."""
 
-    def __init__(
-        self,
-        dim: int,
-        heads: int = 4,
-        ff_multiplier: int = 2,
-        dropout: float = 0.0,
-        rng: np.random.Generator | None = None,
-    ) -> None:
+    def __init__(self, dim: int, rng: np.random.Generator | None = None) -> None:
         super().__init__()
         rng = rng or np.random.default_rng(0)
         self.norm1 = LayerNorm(dim)
-        self.attn = MultiHeadAttention(dim, heads, rng=rng)
+        self.attn = MultiHeadAttention(dim, rng=rng)
         self.norm2 = LayerNorm(dim)
-        self.ff1 = Dense(dim, dim * ff_multiplier, activation="relu", rng=rng)
-        self.ff2 = Dense(dim * ff_multiplier, dim, rng=rng)
-        self.drop = Dropout(dropout, rng=rng)
+        self.ff1 = Dense(dim, dim * FF_MULTIPLIER, activation="relu", rng=rng)
+        self.ff2 = Dense(dim * FF_MULTIPLIER, dim, rng=rng)
 
     def forward(self, x: Tensor, mask: np.ndarray) -> Tensor:
-        x = x + self.drop(self.attn(self.norm1(x), mask))
-        return x + self.drop(self.ff2(self.ff1(self.norm2(x))))
+        x = x + self.attn(self.norm1(x), mask)
+        return x + self.ff2(self.ff1(self.norm2(x)))
 
 
 class TransformerEncoder(Module):
-    """Stack of encoder layers + masked-sum pooling.
+    """Stack of :data:`ENCODER_LAYERS` encoder blocks + masked-sum pooling.
 
     The paper's Transformer reduction applies an encoder to node embeddings
     and reduces with a sum (App. B: "Transformer reduction: sum"). A final
@@ -88,20 +85,10 @@ class TransformerEncoder(Module):
     dominates the prediction head's early training.
     """
 
-    def __init__(
-        self,
-        dim: int,
-        layers: int = 1,
-        heads: int = 4,
-        dropout: float = 0.0,
-        rng: np.random.Generator | None = None,
-    ) -> None:
+    def __init__(self, dim: int, rng: np.random.Generator | None = None) -> None:
         super().__init__()
         rng = rng or np.random.default_rng(0)
-        self.blocks = [
-            TransformerEncoderLayer(dim, heads, dropout=dropout, rng=rng)
-            for _ in range(layers)
-        ]
+        self.blocks = [TransformerEncoderLayer(dim, rng=rng) for _ in range(ENCODER_LAYERS)]
         self.final_norm = LayerNorm(dim)
 
     def forward(self, x: Tensor, mask: np.ndarray) -> Tensor:

@@ -39,6 +39,9 @@ if TYPE_CHECKING:
 
 _L2_EPS = np.float32(1e-12)  # the per-row L2 step's epsilon
 
+#: Attention heads of :class:`GATLayer`.
+GAT_HEADS = 2
+
 
 def graphsage_hop(
     x: np.ndarray,
@@ -186,21 +189,24 @@ class GraphSAGELayer(Module):
         in_dim / out_dim: embedding widths.
         directed: if True, incoming and outgoing neighborhoods get separate
             aggregator networks (the paper's edge-direction ablation knob).
-        l2_norm: apply the L2 normalization of the GraphSAGE equation.
     """
+
+    #: The L2 normalization of the GraphSAGE equation. No configuration
+    #: turns it off; the recorded training fingerprint
+    #: ``undirected_no_l2_column_wise`` clears it on each layer to pin the
+    #: un-normalised hop's bits.
+    l2_norm = True
 
     def __init__(
         self,
         in_dim: int,
         out_dim: int,
         directed: bool = True,
-        l2_norm: bool = True,
         rng: np.random.Generator | None = None,
     ) -> None:
         super().__init__()
         rng = rng or np.random.default_rng(0)
         self.directed = directed
-        self.l2_norm = l2_norm
         self.agg_in = Dense(in_dim, in_dim, activation="relu", rng=rng)
         self.agg_out = (
             Dense(in_dim, in_dim, activation="relu", rng=rng) if directed else None
@@ -243,28 +249,23 @@ class GraphSAGELayer(Module):
 
 
 class GATLayer(Module):
-    """Graph attention layer with multiple heads over the edge list.
+    """Graph attention layer with :data:`GAT_HEADS` heads over the edge list.
 
     Attention coefficients are computed per edge and normalized with a
     per-destination segment softmax, then used to weight source features.
     """
 
     def __init__(
-        self,
-        in_dim: int,
-        out_dim: int,
-        heads: int = 2,
-        rng: np.random.Generator | None = None,
+        self, in_dim: int, out_dim: int, rng: np.random.Generator | None = None
     ) -> None:
         super().__init__()
-        if out_dim % heads != 0:
-            raise ValueError(f"out_dim {out_dim} not divisible by heads {heads}")
+        if out_dim % GAT_HEADS != 0:
+            raise ValueError(f"out_dim {out_dim} not divisible by heads {GAT_HEADS}")
         rng = rng or np.random.default_rng(0)
-        self.heads = heads
-        self.head_dim = out_dim // heads
+        self.head_dim = out_dim // GAT_HEADS
         self.proj = Dense(in_dim, out_dim, rng=rng)
-        self.attn_src = Dense(in_dim, heads, rng=rng)
-        self.attn_dst = Dense(in_dim, heads, rng=rng)
+        self.attn_src = Dense(in_dim, GAT_HEADS, rng=rng)
+        self.attn_dst = Dense(in_dim, GAT_HEADS, rng=rng)
 
     def forward(self, x: Tensor, edges: np.ndarray, num_nodes: int) -> Tensor:
         """One attention hop.
@@ -288,10 +289,10 @@ class GATLayer(Module):
         # LeakyReLU(0.2) as in the GAT paper.
         scores = scores.maximum(scores * 0.2)
         alpha = segment_softmax(scores, dst, num_nodes)  # [e, heads]
-        src_h = h.take_rows(src).reshape(len(edges), self.heads, self.head_dim)
-        weighted = src_h * alpha.reshape(len(edges), self.heads, 1)
+        src_h = h.take_rows(src).reshape(len(edges), GAT_HEADS, self.head_dim)
+        weighted = src_h * alpha.reshape(len(edges), GAT_HEADS, 1)
         agg = segment_sum(
-            weighted.reshape(len(edges), self.heads * self.head_dim), dst, num_nodes
+            weighted.reshape(len(edges), GAT_HEADS * self.head_dim), dst, num_nodes
         )
         return agg.relu()
 

@@ -5,7 +5,10 @@ import math
 
 import numpy as np
 
-from .tensor import Tensor, relu_inplace, sigmoid_array
+from .tensor import Tensor, relu_inplace
+
+#: :class:`LayerNorm`'s variance epsilon.
+LAYER_NORM_EPS = 1e-5
 
 
 class Module:
@@ -14,7 +17,6 @@ class Module:
     def __init__(self) -> None:
         self._params: dict[str, Tensor] = {}
         self._modules: dict[str, Module] = {}
-        self.training = True
 
     def __setattr__(self, name: str, value) -> None:
         if isinstance(value, Tensor) and value.requires_grad:
@@ -41,16 +43,6 @@ class Module:
         for name, m in self._modules.items():
             out.extend(m.named_parameters(prefix=f"{prefix}{name}."))
         return out
-
-    def train(self, mode: bool = True) -> "Module":
-        """Set training mode recursively (affects dropout)."""
-        self.training = mode
-        for m in self._modules.values():
-            m.train(mode)
-        return self
-
-    def eval(self) -> "Module":
-        return self.train(False)
 
     def num_parameters(self) -> int:
         """Total scalar parameter count."""
@@ -91,23 +83,12 @@ def glorot(rng: np.random.Generator, fan_in: int, fan_out: int, shape=None) -> T
     return Tensor(rng.uniform(-limit, limit, size=shape), requires_grad=True)
 
 
-def dense(
-    x: np.ndarray,
-    weight: np.ndarray,
-    bias: np.ndarray | None = None,
-    activation: str | None = None,
-) -> np.ndarray:
-    """``activation(x @ weight + bias)`` on plain arrays: the forward of
+def dense(x: np.ndarray, weight: np.ndarray, activation: str | None = None) -> np.ndarray:
+    """``activation(x @ weight)`` on plain arrays: the forward of
     :class:`Dense` on the tape and on the inference path."""
-    y = x @ weight  # fresh, so the bias and relu write over it
-    if bias is not None:
-        y += bias
+    y = x @ weight  # fresh, so the relu writes over it
     if activation == "relu":
         return relu_inplace(y)
-    if activation == "tanh":
-        return np.tanh(y)
-    if activation == "sigmoid":
-        return sigmoid_array(y)
     return y
 
 
@@ -118,31 +99,27 @@ def dense_backward(
     y: np.ndarray,
     activation: str | None,
     want_x: bool = True,
-) -> tuple[np.ndarray | None, np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray | None, np.ndarray]:
     """Gradients of :func:`dense` for the output ``y`` it returned.
 
-    Every product is the one the chain rule over the separate matmul, bias
-    and activation tape ops computes, in the same order, so the bits are
-    theirs. The weight and bias gradients come back unreduced (for a 3-D
-    ``x``, one [dim, out] slice per batch row; the bias gradient is
-    ``grad`` itself): ``Tensor._dispatch`` sums them to the parameter's
-    shape exactly as it summed the separate ops' contributions.
+    Every product is the one the chain rule over the separate matmul and
+    activation tape ops computes, in the same order, so the bits are
+    theirs. The weight gradient comes back unreduced (for a 3-D ``x``, one
+    [dim, out] slice per batch row): ``Tensor._dispatch`` sums it to the
+    parameter's shape exactly as it summed the separate ops' contributions.
 
     Returns:
-        ``(dx, dweight, dbias)``; ``dx`` is ``None`` unless ``want_x``.
+        ``(dx, dweight)``; ``dx`` is ``None`` unless ``want_x``.
     """
     if activation == "relu":
         grad = grad * (y > 0)  # y > 0 exactly where the pre-activation is
-    elif activation == "tanh":
-        grad = grad * (1.0 - y * y)
-    elif activation == "sigmoid":
-        grad = grad * y * (1.0 - y)
     dx = grad @ np.swapaxes(weight, -1, -2) if want_x else None
-    return dx, np.swapaxes(x, -1, -2) @ grad, grad
+    return dx, np.swapaxes(x, -1, -2) @ grad
 
 
 class Dense(Module):
-    """Affine layer ``x @ W + b`` with optional activation.
+    """Linear layer ``x @ W`` with an optional ReLU, and no bias (the
+    paper's fixed hyperparameters, App. B, use no per-layer biases).
 
     One tape node: the forward is :func:`dense`, which ``predict`` calls
     too, and the backward is :func:`dense_backward`. Inputs are 2-D or
@@ -150,9 +127,7 @@ class Dense(Module):
 
     Args:
         in_features / out_features: matrix dimensions.
-        activation: None, "relu", "tanh" or "sigmoid".
-        bias: include a bias vector (paper App. B uses no per-layer biases
-            in the fixed hyperparameters; the default follows that).
+        activation: None or "relu".
         rng: parameter-initialization generator.
     """
 
@@ -161,33 +136,25 @@ class Dense(Module):
         in_features: int,
         out_features: int,
         activation: str | None = None,
-        bias: bool = False,
         rng: np.random.Generator | None = None,
     ) -> None:
         super().__init__()
         rng = rng or np.random.default_rng(0)
         self.weight = glorot(rng, in_features, out_features)
-        self.bias = (
-            Tensor(np.zeros(out_features, dtype=np.float32), requires_grad=True)
-            if bias
-            else None
-        )
-        if activation not in (None, "relu", "tanh", "sigmoid"):
+        if activation not in (None, "relu"):
             raise ValueError(f"unknown activation {activation!r}")
         self.activation = activation
 
     def forward(self, x: Tensor) -> Tensor:
-        parents = (x, self.weight) if self.bias is None else (x, self.weight, self.bias)
         x_data, weight, activation, want_x = x.data, self.weight.data, self.activation, x.requires_grad
         y = self.apply(x_data)
         return x._make(
-            y, parents, lambda g: dense_backward(g, x_data, weight, y, activation, want_x)
+            y, (x, self.weight), lambda g: dense_backward(g, x_data, weight, y, activation, want_x)
         )
 
     def apply(self, x: np.ndarray) -> np.ndarray:
         """The forward on a plain array (what ``predict`` runs)."""
-        bias = None if self.bias is None else self.bias.data
-        return dense(x, self.weight.data, bias, self.activation)
+        return dense(x, self.weight.data, self.activation)
 
 
 class MLP(Module):
@@ -242,33 +209,15 @@ class Embedding(Module):
 class LayerNorm(Module):
     """Layer normalization over the last axis."""
 
-    def __init__(self, dim: int, eps: float = 1e-5) -> None:
+    def __init__(self, dim: int) -> None:
         super().__init__()
         self.gain = Tensor(np.ones(dim, dtype=np.float32), requires_grad=True)
         self.shift = Tensor(np.zeros(dim, dtype=np.float32), requires_grad=True)
-        self.eps = eps
 
     def forward(self, x: Tensor) -> Tensor:
         mu = x.mean(axis=-1, keepdims=True)
         centered = x - mu
         var = (centered * centered).mean(axis=-1, keepdims=True)
-        inv = (var + self.eps) ** -0.5
+        inv = (var + LAYER_NORM_EPS) ** -0.5
         return centered * inv * self.gain + self.shift
 
-
-class Dropout(Module):
-    """Inverted dropout; identity in eval mode."""
-
-    def __init__(self, rate: float, rng: np.random.Generator | None = None) -> None:
-        super().__init__()
-        if not 0.0 <= rate < 1.0:
-            raise ValueError(f"dropout rate {rate} outside [0, 1)")
-        self.rate = rate
-        self.rng = rng or np.random.default_rng(0)
-
-    def forward(self, x: Tensor) -> Tensor:
-        if not self.training or self.rate == 0.0:
-            return x
-        keep = 1.0 - self.rate
-        mask = (self.rng.random(x.shape) < keep).astype(np.float32) / keep
-        return x * Tensor(mask)

@@ -1,8 +1,9 @@
 """The optimizer: Adam with learning-rate decay, and gradient clipping.
 
 The paper's training hyperparameters (App. B) include a learning rate, an
-exponential learning-rate decay, an optional gradient-norm clip, and
-dropout; the optimizer surface here mirrors those knobs.
+exponential learning-rate decay and an optional gradient-norm clip; those
+are the optimizer's arguments (``TrainConfig`` sets them). Adam's moment
+decays and epsilon are fixed: :data:`BETA1`, :data:`BETA2`, :data:`EPS`.
 """
 from __future__ import annotations
 
@@ -11,6 +12,9 @@ import math
 import numpy as np
 
 from .tensor import Tensor
+
+#: Adam's first- and second-moment decay rates and denominator epsilon.
+BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
 
 
 def clip_global_norm(params: list[Tensor], max_norm: float) -> float:
@@ -43,9 +47,6 @@ class Adam:
         self,
         params: list[Tensor],
         lr: float = 1e-3,
-        beta1: float = 0.9,
-        beta2: float = 0.999,
-        eps: float = 1e-8,
         *,
         decay: float = 1.0,
         decay_every: int = 1000,
@@ -57,7 +58,6 @@ class Adam:
         self.decay = decay
         self.decay_every = decay_every
         self.step_count = 0
-        self.beta1, self.beta2, self.eps = beta1, beta2, eps
         self.m = [np.zeros_like(p.data) for p in self.params]
         self.v = [np.zeros_like(p.data) for p in self.params]
 
@@ -73,7 +73,7 @@ class Adam:
     def step(self) -> None:
         self.step_count += 1
         t = self.step_count
-        b1, b2 = self.beta1, self.beta2
+        b1, b2 = BETA1, BETA2
         # A Python float, so parameters stay float32: a NumPy double-precision
         # scalar would promote every parameter it multiplies.
         step_size = self.lr * math.sqrt(1.0 - b2**t) / (1.0 - b1**t)
@@ -85,4 +85,4 @@ class Adam:
             m += (1.0 - b1) * g
             v *= b2
             v += (1.0 - b2) * (g * g)
-            p.data = p.data - step_size * m / (np.sqrt(v) + self.eps)
+            p.data = p.data - step_size * m / (np.sqrt(v) + EPS)

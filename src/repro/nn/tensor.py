@@ -80,8 +80,8 @@ def relu_inplace(y: np.ndarray) -> np.ndarray:
 
 
 def sigmoid_array(x: np.ndarray) -> np.ndarray:
-    """The logistic function: the forward of ``Dense``'s sigmoid activation,
-    of the LSTM gates and of the tape-free inference path."""
+    """The logistic function: the forward of the LSTM gates, on the tape
+    and on the tape-free inference path."""
     return 1.0 / (1.0 + np.exp(-x))
 
 
@@ -346,20 +346,22 @@ class Tensor:
         return self._make(np.log(a), (self,), lambda g: (g / a,))
 
     def relu(self) -> "Tensor":
-        mask = self.data > 0
-        return self._make(relu_array(self.data), (self,), lambda g: (g * mask,))
+        a = self.data
+        return self._make(relu_array(a), (self,), lambda g: (g * (a > 0),))
 
     def abs(self) -> "Tensor":
-        sign = np.sign(self.data)
-        return self._make(np.abs(self.data), (self,), lambda g: (g * sign,))
+        a = self.data
+        return self._make(np.abs(a), (self,), lambda g: (g * np.sign(a),))
 
     def maximum(self, other) -> "Tensor":
         other = self._lift(other)
         a, b = self.data, other.data
-        mask = a >= b
-        return self._make(
-            np.maximum(a, b), (self, other), lambda g: (g * mask, g * ~mask)
-        )
+
+        def backward(g: np.ndarray):
+            mask = a >= b
+            return g * mask, g * ~mask
+
+        return self._make(np.maximum(a, b), (self, other), backward)
 
     # ------------------------------------------------------------ reductions
     def sum(self, axis=None, keepdims: bool = False) -> "Tensor":
@@ -407,9 +409,8 @@ class Tensor:
             axes = tuple(axes[0])
         if not axes:
             axes = tuple(range(self.ndim))[::-1]
-        inv = np.argsort(axes)
         return self._make(
-            self.data.transpose(axes), (self,), lambda g: (g.transpose(inv),)
+            self.data.transpose(axes), (self,), lambda g: (g.transpose(np.argsort(axes)),)
         )
 
     @property
@@ -435,10 +436,9 @@ class Tensor:
         tensors = [Tensor._lift(t) for t in tensors]
         datas = [t.data for t in tensors]
         out = np.concatenate(datas, axis=axis)
-        sizes = [d.shape[axis] for d in datas]
-        splits = np.cumsum(sizes)[:-1]
 
         def backward(g: np.ndarray):
+            splits = np.cumsum([d.shape[axis] for d in datas])[:-1]
             return tuple(np.split(g, splits, axis=axis))
 
         proto = tensors[0]

@@ -83,7 +83,6 @@ def regressed_checkpoint(result):
         head = bad.model.node_head
     for param in head.parameters():
         param.data *= -1.0
-    bad.model.eval()
     return bad
 
 

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..compiler.kernels import Kernel
-from ..compiler.scheduling import list_schedule, live_tensor_peak
+from ..compiler.scheduling import VECTOR_LANES, list_schedule, live_tensor_peak
 from ..compiler.tiling import TileConfig, default_tile, tile_transfer_bytes
 from .specs import TpuTarget, TPU_V2
 
@@ -132,8 +132,7 @@ class TpuSimulator:
             return 1.0
         order = output.layout.minor_to_major
         minor = tile.dims[order[0]]
-        lanes = self.target.vector_lanes
-        util = minor / (np.ceil(minor / lanes) * lanes)
+        util = minor / (np.ceil(minor / VECTOR_LANES) * VECTOR_LANES)
         if len(order) > 1:
             second = tile.dims[order[1]]
             sub = self.target.sublanes
@@ -179,8 +178,7 @@ class TpuSimulator:
         full = output.dims[minor_idx]
         if minor >= full:
             return 1.0  # whole rows stream contiguously
-        lanes = self.target.vector_lanes
-        eff = minor / (np.ceil(minor / lanes) * lanes)
+        eff = minor / (np.ceil(minor / VECTOR_LANES) * VECTOR_LANES)
         # Padding wastes bandwidth sub-linearly (the DMA engine coalesces
         # neighbouring rows); sqrt softens the raw ratio, floored so tiny
         # tiles stay clearly costly without being absurd.

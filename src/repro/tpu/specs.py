@@ -2,8 +2,9 @@
 
 Parameters approximate one core of TPU v2 and v3 at the level of detail the
 cost models need: clock, HBM bandwidth, number of 128x128 systolic-array
-matrix units, vector lanes and vector register file size (the scratchpad
-capacity is the compiler's, ``repro.compiler.tiling.SCRATCHPAD_BYTES``).
+matrix units and vector register file size (the scratchpad capacity is
+the compiler's, ``repro.compiler.tiling.SCRATCHPAD_BYTES``, and so is the
+VPU lane count, ``repro.compiler.scheduling.VECTOR_LANES``).
 TPU v3 has higher memory bandwidth and twice as many matrix units as v2
 (paper Sec. 2.1), which is exactly how the two specs below differ.
 """
@@ -21,7 +22,6 @@ class TpuTarget:
         clock_ghz: core clock in GHz.
         hbm_bandwidth_gbps: nominal HBM bandwidth in GB/s.
         mxu_count: number of 128x128 systolic matrix units.
-        vector_lanes: VPU lane count (elements per vector issue).
         sublanes: vector register sublane count (second-minor granularity).
         vector_registers: architectural 2D vector registers available to the
             register allocator (drives the spill model).
@@ -32,7 +32,6 @@ class TpuTarget:
     clock_ghz: float
     hbm_bandwidth_gbps: float
     mxu_count: int
-    vector_lanes: int = 128
     sublanes: int = 8
     vector_registers: int = 64
     transfer_latency_ns: float = 500.0

@@ -359,7 +359,6 @@ class TestTileRowMemo:
     def tile_model(self):
         records = build_tile_dataset([vision.image_embed(0)], max_tiles_per_kernel=4, seed=0).records
         model = LearnedPerformanceModel(ModelConfig.paper_best_tile(), seed=0)
-        model.eval()
         return model, Scalers.fit_tile(records)
 
     @pytest.fixture()

@@ -52,7 +52,6 @@ def _result(corpus, seed):
     model = LearnedPerformanceModel(
         ModelConfig(task="tile", reduction="column-wise", **SMALL), seed=seed
     )
-    model.eval()
     return TrainResult(model=model, scalers=corpus[1], loss_history=[])
 
 

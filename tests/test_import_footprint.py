@@ -151,13 +151,11 @@ from repro.workloads import vision
 records = build_tile_dataset([vision.alexnet(0)], max_tiles_per_kernel=4, seed=0).records
 scalers = Scalers.fit_tile(records)
 model = LearnedPerformanceModel(ModelConfig.paper_best_tile(), seed=0)
-model.eval()
 record = records[0]
 scores = LearnedEvaluator(model, scalers).score_tiles_batched(
     record.kernel, enumerate_tile_sizes(record.kernel)[:8]
 )
 assert np.isfinite(scores).all()
-model.train()
 batch = KernelCache(scalers).assemble(
     [(r.features, r.tile_feats[0], r.runtimes[0], k) for k, r in enumerate(records[:4])]
 )

@@ -107,7 +107,6 @@ class TestModelPersistence:
         train_ds, _, res = tile_setup
         clone = LearnedPerformanceModel(res.model.config, seed=123)
         clone.load_state_dict(res.model.state_dict())
-        clone.eval()
         r = train_ds.records[0]
         a = predict_tile_scores(res.model, res.scalers, r)
         b = predict_tile_scores(clone, res.scalers, r)

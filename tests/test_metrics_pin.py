@@ -381,7 +381,6 @@ def build_model():
     model = LearnedPerformanceModel(
         ModelConfig(task="tile", reduction="column-wise", **SMALL), seed=0
     )
-    model.eval()
     return ds.records, TrainResult(model=model, scalers=scalers, loss_history=[])
 
 

@@ -10,6 +10,7 @@ import itertools
 import sys
 import threading
 import time
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -33,13 +34,12 @@ from repro.models import (
     save_model_bytes,
     train_tile_model,
 )
-from repro.nn import Adam, Module, Tensor, no_grad
+from repro.models import model as model_module
+from repro.nn import Adam, Tensor, no_grad
 from repro.nn.rnn import LSTM, lstm_final_state
 from repro.workloads import vision
 
-SMALL = dict(
-    hidden_dim=16, opcode_embedding_dim=8, lstm_hidden=12, gnn_layers=2, node_final_layers=1
-)
+SMALL = dict(hidden_dim=16, opcode_embedding_dim=8, lstm_hidden=12, gnn_layers=2)
 GNNS = ("graphsage", "gat", "none")
 REDUCTIONS = ("per-node", "column-wise", "lstm", "transformer")
 #: directed × tile_placement × static_placement × use_static_features
@@ -72,15 +72,15 @@ def make_batch(rng, sizes, rows, edge_density=0.3, kernel_of_row=None):
     )
 
 
+def small_models():
+    """With ``SMALL``: the models are built with one node final layer, not two."""
+    return mock.patch.object(model_module, "NODE_FINAL_LAYERS", 1)
+
+
 def tape_reference(model, batch):
-    """The oracle: the training ``forward``, eval mode, no tape."""
-    was_training = model.training
-    model.eval()
-    try:
-        with no_grad():
-            return model.forward(batch).numpy()
-    finally:
-        model.train(was_training)
+    """The oracle: the training ``forward``, no tape."""
+    with no_grad():
+        return model.forward(batch).numpy()
 
 
 def assert_bitwise(got, expected):
@@ -121,6 +121,7 @@ class TestPredictEqualsTapeForward:
     @pytest.mark.parametrize("task", ("tile", "fusion"))
     @pytest.mark.parametrize("reduction", REDUCTIONS)
     @pytest.mark.parametrize("gnn", GNNS)
+    @small_models()
     def test_every_config_combination(self, batches, gnn, reduction, task):
         for directed, tile_placement, static_placement, use_static in VARIANTS:
             cfg = ModelConfig(
@@ -131,7 +132,6 @@ class TestPredictEqualsTapeForward:
                 tile_placement=tile_placement,
                 static_placement=static_placement,
                 use_static_features=use_static,
-                dropout=0.3,  # must not show: predict is the eval forward
                 **SMALL,
             )
             model = LearnedPerformanceModel(cfg, seed=1)
@@ -166,6 +166,7 @@ class TestPredictEqualsTapeForward:
         data=st.data(),
     )
     @settings(max_examples=60, deadline=None)
+    @small_models()
     def test_generated_batch_shapes(
         self, sizes, rows, edge_density, gnn, reduction, task, variant, data
     ):
@@ -255,6 +256,7 @@ class TestPackedLstm:
         data=st.data(),
     )
     @settings(max_examples=40, deadline=None)
+    @small_models()
     def test_generated_mixed_batches_match_the_tape(self, sizes, rows, stepped, data):
         kernel_of_row = data.draw(
             st.lists(st.integers(0, len(sizes) - 1), min_size=rows, max_size=rows)
@@ -272,6 +274,7 @@ class TestPackedLstm:
         data=st.data(),
     )
     @settings(max_examples=25, deadline=None)
+    @small_models()
     def test_a_row_scores_the_same_whatever_it_is_batched_with(self, sizes, stepped, data):
         """Alone, among other kernels, or with the rows reordered."""
         rng = np.random.default_rng(data.draw(st.integers(0, 2**16)))
@@ -292,6 +295,7 @@ class TestPackedLstm:
             assert_close(model.predict(assemble_batch([item])), together[i : i + 1])
 
 
+@small_models()
 class TestPredictReadsLiveWeights:
     def test_reflects_optimizer_step_and_load_state_dict(self, batches):
         batch = batches[1]
@@ -323,15 +327,16 @@ class TestParametersStayFloat32:
             [vision.image_embed(0)], max_kernels_per_program=3, max_tiles_per_kernel=4, seed=0
         )
         cfg = ModelConfig.paper_best_tile().with_overrides(**SMALL)
-        result = train_tile_model(ds.records, cfg, TrainConfig(steps=50, log_every=25))
-        model = result.model
-        assert_float32(model)  # after 50 Adam steps
+        with small_models():
+            result = train_tile_model(ds.records, cfg, TrainConfig(steps=50, log_every=25))
+            model = result.model
+            assert_float32(model)  # after 50 Adam steps
 
-        result = fine_tune(result, ds.records, TrainConfig(steps=5, log_every=5))
-        assert_float32(result.model)
+            result = fine_tune(result, ds.records, TrainConfig(steps=5, log_every=5))
+            assert_float32(result.model)
 
-        state = result.model.state_dict()
-        loaded = load_model_bytes(save_model_bytes(result)).model.state_dict()
+            state = result.model.state_dict()
+            loaded = load_model_bytes(save_model_bytes(result)).model.state_dict()
         assert list(loaded) == list(state)
         for name, array in state.items():
             assert_bitwise(loaded[name], array)
@@ -374,32 +379,23 @@ class TestParametersStayFloat32:
 
 
 class TestPredictBesideTraining:
-    def test_predict_never_writes_the_training_flag(self, batches, monkeypatch):
-        """A ``predict`` racing a training ``forward`` on one module must not
-        switch that thread's dropout off: the mode flag is never written."""
+    @small_models()
+    def test_predict_racing_training_returns_the_expected_bits(self, batches):
+        """A ``predict`` racing a training forward + backward on the same
+        module returns the bits it returns alone."""
         batch = batches[1]
-        model = LearnedPerformanceModel(ModelConfig(task="tile", dropout=0.5, **SMALL))
-        model.train()
+        model = LearnedPerformanceModel(ModelConfig(task="tile", **SMALL))
         expected = tape_reference(model, batch)
 
-        mode_writes = []
-        real_train = Module.train
-
-        def recording_train(self, mode=True):
-            mode_writes.append(mode)
-            return real_train(self, mode)
-
-        monkeypatch.setattr(Module, "train", recording_train)
-
         stop = threading.Event()
-        observed_eval = []
-        dropped = []
+        backwards = []
 
         def training_thread():
             while not stop.is_set():
-                out = model.forward(batch).numpy()
-                observed_eval.append(not (model.training and model.dropout.training))
-                dropped.append(not np.array_equal(out, expected))
+                model.forward(batch).sum().backward()
+                backwards.append(all(p.grad is not None for p in model.parameters()))
+                for p in model.parameters():
+                    p.zero_grad()
 
         predictions = []
         switch_interval = sys.getswitchinterval()
@@ -409,7 +405,7 @@ class TestPredictBesideTraining:
         deadline = time.monotonic() + 20.0
         try:
             # Until both sides have run often enough to have interleaved.
-            while (len(predictions) < 60 or len(dropped) < 10) and time.monotonic() < deadline:
+            while (len(predictions) < 60 or len(backwards) < 10) and time.monotonic() < deadline:
                 predictions.append(model.predict(batch))
         finally:
             stop.set()
@@ -417,9 +413,7 @@ class TestPredictBesideTraining:
             sys.setswitchinterval(switch_interval)
         assert not worker.is_alive()
 
-        assert mode_writes == []
-        assert len(predictions) >= 60 and len(dropped) >= 10
-        assert all(dropped)  # dropout stayed on in every training forward
-        assert not any(observed_eval)
+        assert len(predictions) >= 60 and len(backwards) >= 10
+        assert all(backwards)  # the training thread kept recording its tape
         for got in predictions:
             assert_bitwise(got, expected)

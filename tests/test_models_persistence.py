@@ -1,5 +1,6 @@
 """Tests for model save/load and fine-tuning."""
 import io
+import json
 import zipfile
 
 import numpy as np
@@ -7,9 +8,11 @@ import pytest
 
 from repro.data import build_fusion_dataset, build_tile_dataset
 from repro.models import (
+    LearnedPerformanceModel,
     ModelBlobError,
     ModelConfig,
     TrainConfig,
+    TrainResult,
     fine_tune,
     load_model_bytes,
     predict_fusion_runtimes,
@@ -68,18 +71,11 @@ class TestSaveLoad:
             rtol=1e-3, atol=1e-6,
         )
 
-    def test_loaded_model_in_eval_mode(self, tile_result, tmp_path):
-        _, res = tile_result
-        path = tmp_path / "m.npz"
-        path.write_bytes(save_model_bytes(res))
-        assert not load_model_bytes(path.read_bytes()).model.training
-
     def test_bytes_roundtrip_no_disk(self, tile_result):
         ds, res = tile_result
         blob = save_model_bytes(res)
         loaded = load_model_bytes(blob)
         assert loaded.model.config == res.model.config
-        assert not loaded.model.training
         for name, arr in res.model.state_dict().items():
             np.testing.assert_allclose(
                 arr, loaded.model.state_dict()[name], rtol=1e-5, atol=1e-8
@@ -154,6 +150,75 @@ class TestPayloadFormat:
         from_old = load_model_bytes(old_blob)
         _assert_same_checkpoint(res, from_old)
         _assert_same_checkpoint(load_model_bytes(save_model_bytes(res)), from_old)
+
+
+#: The ``ModelConfig`` fields that became constants, at the values every
+#: checkpoint written while they were fields stored.
+RETIRED_FIELDS = dict(
+    node_final_layers=2, transformer_layers=1, transformer_heads=4, gat_heads=2, dropout=0.0
+)
+
+
+def _sealed_with_config_fields(res, **fields) -> bytes:
+    """``res`` sealed with ``fields`` added to its config JSON."""
+    payload = serialize._payload(res)
+    config = json.loads(bytes(payload["config"]).decode())
+    payload["config"] = np.frombuffer(json.dumps({**config, **fields}).encode(), dtype=np.uint8)
+    buffer = io.BytesIO()
+    np.savez(buffer, **payload)
+    return serialize._seal_blob(buffer.getvalue())
+
+
+class TestRetiredConfigFields:
+    @pytest.fixture(scope="class")
+    def results(self, tile_result, fusion_result):
+        """A trained tile model, and paper-best fusion and GAT models (the
+        head counts shape no parameter)."""
+        (tile_ds, tile), (fusion_ds, fusion) = tile_result, fusion_result
+        models = {
+            "tile": tile,
+            "fusion_transformer": TrainResult(
+                LearnedPerformanceModel(ModelConfig.paper_best_fusion(), seed=1), fusion.scalers
+            ),
+            "gat": TrainResult(
+                LearnedPerformanceModel(ModelConfig(gnn="gat", **SMALL), seed=2), tile.scalers
+            ),
+        }
+        return tile_ds, fusion_ds, models
+
+    def test_old_checkpoints_load_and_score_bitwise(self, results):
+        tile_ds, fusion_ds, models = results
+        for name, res in models.items():
+            fresh = load_model_bytes(save_model_bytes(res))
+            old = load_model_bytes(_sealed_with_config_fields(res, **RETIRED_FIELDS))
+            assert old.model.config == fresh.model.config == res.model.config
+            _assert_same_checkpoint(fresh, old)
+            if res.model.config.task == "tile":
+                got = predict_tile_scores(old.model, old.scalers, tile_ds.records[0])
+                want = predict_tile_scores(fresh.model, fresh.scalers, tile_ds.records[0])
+            else:
+                got = predict_fusion_runtimes(old.model, old.scalers, fusion_ds.records[:4])
+                want = predict_fusion_runtimes(fresh.model, fresh.scalers, fusion_ds.records[:4])
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), name
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("node_final_layers", 1),
+            ("transformer_layers", 2),
+            ("transformer_heads", 2),
+            ("gat_heads", 4),
+            ("dropout", 0.1),
+        ],
+    )
+    def test_another_value_fails_typed_naming_the_field(self, results, field, value):
+        _, _, models = results
+        blob = _sealed_with_config_fields(
+            models["fusion_transformer"], **{**RETIRED_FIELDS, field: value}
+        )
+        validate_model_blob(blob)  # the envelope is intact
+        with pytest.raises(ModelBlobError, match=f"{field}={value!r}"):
+            load_model_bytes(blob)
 
 
 class TestFineTune:

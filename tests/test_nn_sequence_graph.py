@@ -1,4 +1,6 @@
 """Tests for LSTM, Transformer and GNN layers (masking and invariances)."""
+from unittest import mock
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -16,6 +18,7 @@ from repro.nn import (
     TransformerEncoder,
     no_grad,
 )
+from repro.nn import attention
 from repro.nn.graph_layers import GraphOperators
 
 rng = np.random.default_rng(3)
@@ -197,17 +200,17 @@ class TestLstmAgainstTheStepwiseTape:
 
 class TestAttention:
     def test_mha_shapes(self):
-        mha = MultiHeadAttention(16, heads=4)
+        mha = MultiHeadAttention(16)
         x = Tensor(rng.normal(size=(2, 5, 16)))
         out = mha(x, np.ones((2, 5), dtype=bool))
         assert out.shape == (2, 5, 16)
 
     def test_dim_head_divisibility(self):
         with pytest.raises(ValueError):
-            MultiHeadAttention(10, heads=4)
+            MultiHeadAttention(10)
 
     def test_padding_does_not_affect_valid_positions(self):
-        enc = TransformerEncoder(8, layers=1, heads=2)
+        enc = TransformerEncoder(8)
         x = rng.normal(size=(1, 6, 8)).astype(np.float32)
         mask = np.zeros((1, 6), dtype=bool)
         mask[0, :4] = True
@@ -219,7 +222,7 @@ class TestAttention:
 
     def test_masked_sum_pooling(self):
         """Pooling is the masked sum followed by the final LayerNorm."""
-        enc = TransformerEncoder(8, layers=0)
+        enc = pooling_only(8)
         x = rng.normal(size=(1, 3, 8)).astype(np.float32)
         mask = np.array([[True, True, False]])
         out = enc(Tensor(x), mask).numpy()
@@ -228,7 +231,7 @@ class TestAttention:
         np.testing.assert_allclose(out[0], expected, rtol=1e-4, atol=1e-5)
 
     def test_pooling_ignores_masked_positions(self):
-        enc = TransformerEncoder(8, layers=0)
+        enc = pooling_only(8)
         x = rng.normal(size=(1, 3, 8)).astype(np.float32)
         mask = np.array([[True, True, False]])
         out1 = enc(Tensor(x), mask).numpy()
@@ -236,6 +239,13 @@ class TestAttention:
         x2[0, 2] = 123.0
         out2 = enc(Tensor(x2), mask).numpy()
         np.testing.assert_allclose(out1, out2, rtol=1e-6)
+
+
+def pooling_only(dim):
+    """A :class:`TransformerEncoder` built with no encoder block: its
+    masked-sum pooling and final LayerNorm alone."""
+    with mock.patch.object(attention, "ENCODER_LAYERS", 0):
+        return TransformerEncoder(dim)
 
 
 def random_contexts(sizes, seed=0):
@@ -341,9 +351,8 @@ class TestGraphSageHopAgainstTheCompositeTape:
         upstream[r.random(upstream.shape) < 0.2] = -0.0
         runs = []
         for hop in (GraphSAGELayer.__call__, _tape_graphsage):
-            layer = GraphSAGELayer(
-                in_dim, out_dim, directed=directed, l2_norm=l2_norm, rng=np.random.default_rng(seed)
-            )
+            layer = GraphSAGELayer(in_dim, out_dim, directed=directed, rng=np.random.default_rng(seed))
+            layer.l2_norm = l2_norm  # only the recorded no-L2 fingerprint clears it
             x = Tensor(x_data, requires_grad=True)
             out = hop(layer, x, adj_in, adj_out)
             (out * Tensor(upstream)).sum().backward()
@@ -361,22 +370,22 @@ class TestGraphSageHopAgainstTheCompositeTape:
 class TestGAT:
     def test_output_shape(self):
         ctx = BatchedGraphContext(random_contexts([5, 4]))
-        layer = GATLayer(8, 8, heads=2)
+        layer = GATLayer(8, 8)
         out = layer(Tensor(rng.normal(size=(9, 8))), ctx.edges, ctx.num_nodes)
         assert out.shape == (9, 8)
 
     def test_head_divisibility(self):
         with pytest.raises(ValueError):
-            GATLayer(8, 9, heads=2)
+            GATLayer(8, 9)
 
     def test_no_edges_fallback(self):
-        layer = GATLayer(4, 4, heads=2)
+        layer = GATLayer(4, 4)
         out = layer(Tensor(rng.normal(size=(3, 4))), np.zeros((0, 2), dtype=np.int64), 3)
         assert out.shape == (3, 4)
 
     def test_gradients_flow(self):
         ctx = BatchedGraphContext(random_contexts([6]))
-        layer = GATLayer(8, 8, heads=2)
+        layer = GATLayer(8, 8)
         x = Tensor(rng.normal(size=(6, 8)), requires_grad=True)
         layer(x, ctx.edges, ctx.num_nodes).sum().backward()
         assert x.grad is not None

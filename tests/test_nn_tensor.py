@@ -203,6 +203,33 @@ class TestEngine:
             y = x * 2.0
         assert not y.requires_grad
 
+    def test_no_grad_keeps_no_backward_state(self, monkeypatch):
+        """An op off the tape computes nothing only its backward reads:
+        transpose's inverse permutation, concat's split points, abs's sign."""
+        calls = []
+
+        def counted(name):
+            real = getattr(np, name)
+
+            def wrapper(*args, **kwargs):
+                calls.append(name)
+                return real(*args, **kwargs)
+
+            return wrapper
+
+        for name in ("argsort", "cumsum", "sign"):
+            monkeypatch.setattr(np, name, counted(name))
+        x = Tensor(np.arange(6.0).reshape(2, 3) - 2.0, requires_grad=True)
+        with no_grad():
+            x.transpose(1, 0)
+            Tensor.concat([x, x], axis=1)
+            x.abs()
+            x.relu()
+            x.maximum(x * 0.5)
+        assert calls == []
+        x.transpose(1, 0).sum().backward()
+        assert calls == ["argsort"]
+
     def test_no_grad_is_thread_local(self):
         # A serving thread under no_grad() must not disable the tape for a
         # concurrently training thread (the train-while-serving workflow).

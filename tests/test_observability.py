@@ -61,7 +61,6 @@ def result_a(corpus):
     _, scalers = corpus
     cfg = ModelConfig(task="tile", reduction="column-wise", **SMALL)
     model = LearnedPerformanceModel(cfg, seed=0)
-    model.eval()
     return TrainResult(model=model, scalers=scalers, loss_history=[])
 
 

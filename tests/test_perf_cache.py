@@ -170,7 +170,6 @@ class TestBatchedTileScoring:
     @pytest.fixture(scope="class")
     def evaluator(self, tile_records, scalers):
         model = LearnedPerformanceModel(ModelConfig.paper_best_tile(), seed=0)
-        model.eval()
         return LearnedEvaluator(model, scalers)
 
     def test_matches_cold_path_bitwise(self, tile_records, scalers, evaluator):
@@ -214,31 +213,11 @@ class TestBatchedTileScoring:
         assert evaluator.feature_cache_misses == before + 1
         assert evaluator.feature_cache_hits >= 1
 
-    def test_predict_preserves_eval_mode(self, tile_records, scalers, evaluator):
-        kernel = tile_records[0].kernel
-        tiles = enumerate_tile_sizes(kernel)[:2]
-        assert not evaluator.model.training
-        evaluator.score_tiles_batched(kernel, tiles)
-        assert not evaluator.model.training
-        # A model left in train mode stays there, sub-modules included, and
-        # is still scored by the eval forward: its dropout does not show.
-        model = LearnedPerformanceModel(
-            ModelConfig.paper_best_tile().with_overrides(dropout=0.5), seed=0
-        )
-        in_training = LearnedEvaluator(model, scalers)
-        model.eval()
-        expected = in_training.score_tiles_batched(kernel, tiles)
-        model.train()
-        got = in_training.score_tiles_batched(kernel, tiles)
-        assert model.training and model.dropout.training
-        np.testing.assert_array_equal(got, expected)
-
 
 class TestBatchedProgramScoring:
     def test_matches_sequential_program_runtime(self, fusion_records):
         scalers = Scalers.fit_fusion(fusion_records)
         model = LearnedPerformanceModel(ModelConfig.paper_best_fusion(), seed=0)
-        model.eval()
         kernels = [r.kernel for r in fusion_records[:4]]
         programs = [kernels[:2], kernels[2:], kernels]
         sequential = LearnedEvaluator(model, scalers)
@@ -255,7 +234,6 @@ class TestPredictionMemoIsLru:
     @pytest.fixture()
     def evaluator(self, fusion_records):
         model = LearnedPerformanceModel(ModelConfig.paper_best_fusion(), seed=0)
-        model.eval()
         return LearnedEvaluator(
             model, Scalers.fit_fusion(fusion_records), max_cached_predictions=2
         )
@@ -324,7 +302,6 @@ class TestNoSciPyConstructorsOnTheCachedPath:
     ):
         config = ModelConfig.paper_best_tile().with_overrides(**overrides)
         model = LearnedPerformanceModel(config, seed=0)
-        model.eval()
         sampler = TileBatchSampler(tile_records, kernels_per_batch=3, tiles_per_kernel=2, seed=1)
         items = sampler.draw_items()
         batch = KernelCache(scalers).assemble(items)

@@ -57,7 +57,6 @@ def _result(corpus, seed=0):
     _, scalers = corpus
     cfg = ModelConfig(task="tile", reduction="column-wise", **SMALL)
     model = LearnedPerformanceModel(cfg, seed=seed)
-    model.eval()
     return TrainResult(model=model, scalers=scalers, loss_history=[])
 
 
@@ -640,7 +639,6 @@ class TestEndToEndControllerOnService:
         scalers = Scalers.fit_tile(records)
         cfg = ModelConfig(task="tile", reduction="column-wise", **SMALL)
         model = LearnedPerformanceModel(cfg, seed=0)
-        model.eval()
         result = TrainResult(model=model, scalers=scalers, loss_history=[])
         service = CostModelService(
             result, ServiceConfig(replicas=4, result_cache_entries=0)

@@ -56,7 +56,6 @@ def _result(corpus, seed=0):
     _, scalers = corpus
     cfg = ModelConfig(task="tile", reduction="column-wise", **SMALL)
     model = LearnedPerformanceModel(cfg, seed=seed)
-    model.eval()
     return TrainResult(model=model, scalers=scalers, loss_history=[])
 
 
@@ -306,7 +305,6 @@ class TestServiceEquivalence:
         records = build_fusion_dataset([program], configs_per_program=2, seed=0).records
         cfg = ModelConfig(task="fusion", reduction="column-wise", **SMALL)
         model = LearnedPerformanceModel(cfg, seed=0)
-        model.eval()
         result = TrainResult(model=model, scalers=Scalers.fit_fusion(records), loss_history=[])
 
         def tune(learned):

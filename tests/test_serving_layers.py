@@ -73,7 +73,6 @@ def _result(corpus, seed=0):
     _, scalers = corpus
     cfg = ModelConfig(task="tile", reduction="column-wise", **SMALL)
     model = LearnedPerformanceModel(cfg, seed=seed)
-    model.eval()
     return TrainResult(model=model, scalers=scalers, loss_history=[])
 
 
