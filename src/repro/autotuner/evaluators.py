@@ -27,6 +27,11 @@ from ..models.model import LearnedPerformanceModel
 from ..tpu.analytical import AnalyticalModel, CalibratedAnalyticalModel
 from ..tpu.simulator import TpuSimulator
 
+#: The fingerprint -> predicted-runtime memo of a :class:`LearnedEvaluator`
+#: holds this many entries per cached kernel: entries are tiny relative to
+#: precompute entries, but re-pricing an evicted kernel costs a forward.
+PREDICTIONS_PER_KERNEL = 16
+
 
 @runtime_checkable
 class TileScorer(Protocol):
@@ -155,10 +160,6 @@ class LearnedEvaluator:
     #: caches would grow with the search budget; LRU-evicted kernels are
     #: recomputed on next sight.
     max_cached_kernels: int = 1024
-    #: Bound on the fingerprint -> predicted-runtime memo; ``None`` means
-    #: 16x ``max_cached_kernels`` (entries are tiny relative to precompute
-    #: entries, but re-pricing an evicted kernel costs a model forward).
-    max_cached_predictions: int | None = None
     #: This evaluator's own :class:`~repro.data.batching.KernelCache`
     #: (entries are keyed by the feature objects of its feature memo, so
     #: no two evaluators could share one).
@@ -169,9 +170,7 @@ class LearnedEvaluator:
         # kernel stream is open-ended, so bound it too — at a multiple of
         # the precompute caches since re-pricing costs a model forward.
         self._memo: "OrderedDict[str, float]" = OrderedDict()
-        if self.max_cached_predictions is None:
-            self.max_cached_predictions = 16 * self.max_cached_kernels
-        self._memo_cap = self.max_cached_predictions
+        self._memo_cap = PREDICTIONS_PER_KERNEL * self.max_cached_kernels
         # fingerprint -> (features, encoded tile rows by ``dims``): a
         # kernel's tile rows are evicted together with its features.
         self._features_memo: "OrderedDict[str, tuple[KernelFeatures, _TileRows]]" = OrderedDict()

@@ -32,6 +32,9 @@ from .features import (
 #: One raw batch item: (features, tile_vector_or_None, target_seconds, group_id).
 BatchItem = tuple[KernelFeatures, "np.ndarray | None", float, int]
 
+#: Bound on a :class:`KernelCache`'s memo of composed batch contexts (LRU).
+MAX_CONTEXTS = 64
+
 
 @dataclass
 class GraphBatch:
@@ -217,7 +220,7 @@ class KernelCache:
 
     Composed :class:`~repro.nn.graph_layers.BatchedGraphContext` objects
     are additionally memoized per kernel-composition tuple (LRU, bounded
-    by ``max_contexts``), so repeated batches over the same kernels — the
+    by :data:`MAX_CONTEXTS`), so repeated batches over the same kernels — the
     autotuner scoring one kernel under many tiles, epoch plans bucketing
     identical draws — skip even the index arithmetic. A composed context
     stacks each batch-level operator the first time the model reads it, so
@@ -240,12 +243,10 @@ class KernelCache:
         self,
         scalers: Scalers | None = None,
         neighbor_cap: int | None = 20,
-        max_contexts: int = 64,
         max_entries: int | None = None,
     ) -> None:
         self.scalers = scalers
         self.neighbor_cap = neighbor_cap
-        self.max_contexts = max_contexts
         self.max_entries = max_entries
         self._entries: OrderedDict[int, KernelCacheEntry] = OrderedDict()
         # Memo values carry their entry tuple so a hit can be validated by
@@ -320,7 +321,7 @@ class KernelCache:
         context = BatchedGraphContext.compose([e.operators for e in entries])
         pad_index, pad_mask = _pad_views(context.sizes)
         self._contexts[key] = (tuple(entries), context, pad_index, pad_mask)
-        while len(self._contexts) > self.max_contexts:
+        while len(self._contexts) > MAX_CONTEXTS:
             self._contexts.popitem(last=False)
             self.context_evictions += 1
         return context, pad_index, pad_mask

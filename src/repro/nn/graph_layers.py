@@ -48,23 +48,21 @@ def graphsage_hop(
     adj_in: CSR,
     adj_out: CSR,
     weights: list[np.ndarray],
-    l2_norm: bool,
     record: bool = False,
 ) -> tuple[np.ndarray, tuple | None]:
     """One GraphSAGE hop on plain arrays.
 
     ``u = relu(concat(x, adj_in @ relu(x @ w_in), adj_out @ relu(x @ w_out))
-    @ w_update)``, then ``u * (sum(u * u) + eps) ** -0.5`` per row when
-    ``l2_norm``. Each array op is the one the composite tape (``Dense`` →
-    ``spmm`` → ``concat`` → ``Dense`` → L2 step) ran, on the same
-    shapes, so the bits are the same.
+    @ w_update)``, then ``u * (sum(u * u) + eps) ** -0.5`` per row (the L2
+    step of the GraphSAGE equation). Each array op is the one the
+    composite tape (``Dense`` → ``spmm`` → ``concat`` → ``Dense`` → L2
+    step) ran, on the same shapes, so the bits are the same.
 
     Args:
         x: [n, dim] node embeddings.
         adj_in / adj_out: [n, n] CSR mean-aggregation operators.
         weights: ``[w_in, w_out, w_update]`` directed; ``[w_in, w_update]``
             undirected, which has no ``adj_out`` term.
-        l2_norm: normalise each output row.
         record: keep what :func:`graphsage_hop_backward` needs.
 
     Returns:
@@ -87,12 +85,10 @@ def graphsage_hop(
     u = relu_inplace(h @ w_update)
     if not record:
         del h
-    out, scale, sq_eps = u, None, None
-    if l2_norm:
-        sq_eps = (u * u).sum(axis=-1, keepdims=True) + _L2_EPS
-        scale = sq_eps**-0.5
-        # The backward keeps u, so only a forward alone scales it in place.
-        out = u * scale if record else np.multiply(u, scale, out=u)
+    sq_eps = (u * u).sum(axis=-1, keepdims=True) + _L2_EPS
+    scale = sq_eps**-0.5
+    # The backward keeps u, so only a forward alone scales it in place.
+    out = u * scale if record else np.multiply(u, scale, out=u)
     return out, ((x, branches, h, w_update, u, scale, sq_eps) if record else None)
 
 
@@ -113,13 +109,12 @@ def graphsage_hop_backward(saved: tuple, grad: np.ndarray) -> tuple[np.ndarray, 
         dw_update)`` directed.
     """
     x, branches, h, w_update, u, scale, sq_eps = saved
-    if scale is not None:
-        # out = u * scale, scale = (sum(u * u) + eps) ** -0.5: u gets
-        # grad * scale from the product, then the u * u term twice.
-        dscale = (grad * u).sum(axis=1, keepdims=True)
-        dsq = (dscale * -0.5) * sq_eps**-1.5
-        twice = dsq * u
-        grad = (grad * scale + twice) + twice
+    # out = u * scale, scale = (sum(u * u) + eps) ** -0.5: u gets
+    # grad * scale from the product, then the u * u term twice.
+    dscale = (grad * u).sum(axis=1, keepdims=True)
+    dsq = (dscale * -0.5) * sq_eps**-1.5
+    twice = dsq * u
+    grad = (grad * scale + twice) + twice
     dpre = grad * (u > 0)
     dh = dpre @ w_update.T
     dw_update = h.T @ dpre
@@ -191,12 +186,6 @@ class GraphSAGELayer(Module):
             aggregator networks (the paper's edge-direction ablation knob).
     """
 
-    #: The L2 normalization of the GraphSAGE equation. No configuration
-    #: turns it off; the recorded training fingerprint
-    #: ``undirected_no_l2_column_wise`` clears it on each layer to pin the
-    #: un-normalised hop's bits.
-    l2_norm = True
-
     def __init__(
         self,
         in_dim: int,
@@ -232,7 +221,6 @@ class GraphSAGELayer(Module):
             adj_in,
             adj_out,
             [w.data for w in weights],
-            self.l2_norm,
             record=recording(x, *weights),
         )
         return x._make(out, (x, *weights), lambda g: graphsage_hop_backward(saved, g))
@@ -240,7 +228,7 @@ class GraphSAGELayer(Module):
     def apply(self, x: np.ndarray, adj_in: CSR, adj_out: CSR) -> np.ndarray:
         """The hop on a plain array (what ``predict`` runs)."""
         weights = [w.data for w in self._weights()]
-        return graphsage_hop(x, adj_in, adj_out, weights, self.l2_norm)[0]
+        return graphsage_hop(x, adj_in, adj_out, weights)[0]
 
     def _weights(self) -> list[Tensor]:
         if self.directed:

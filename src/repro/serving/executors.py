@@ -247,15 +247,19 @@ class InThreadExecutor(Executor):
 
     Args:
         registry: source of checkpoints (the service shares its own).
-        replicas: shard count — evaluators per live version.
-        max_cached_kernels: per-shard precompute/feature memo bound.
+        replicas: shard count — evaluators per live version
+            (``ServiceConfig.replicas``).
+        max_cached_kernels: per-shard precompute/feature memo bound
+            (``ServiceConfig.max_cached_kernels``).
+        shard_map: the routing table; ``None`` = uniform over
+            ``replicas``.
     """
 
     def __init__(
         self,
         registry: ModelRegistry,
-        replicas: int = 1,
-        max_cached_kernels: int = 1024,
+        replicas: int,
+        max_cached_kernels: int,
         shard_map: ShardMap | None = None,
     ) -> None:
         if replicas < 1:
@@ -408,13 +412,16 @@ class ProcessShardExecutor(Executor):
 
     Args:
         registry: source of checkpoint blobs shipped to workers.
-        shards: worker process count.
-        max_cached_kernels: per-worker evaluator cache / interning bound.
+        shards: worker process count (``ServiceConfig.replicas``).
+        max_cached_kernels: per-worker evaluator cache / interning bound
+            (``ServiceConfig.max_cached_kernels``).
         request_timeout_s: the dispatch watchdog — per-message reply
             deadline before a worker is declared *hung* and
-            killed/respawned. Pipe reads always use this bounded poll
-            (never a blocking ``recv``), so a stopped-but-alive worker
-            can stall one batch for at most this long, not forever.
+            killed/respawned (``ServiceConfig.dispatch_timeout_s``). Pipe
+            reads always use this bounded poll (never a blocking
+            ``recv``), so a stopped-but-alive worker can stall one batch
+            for at most this long, not forever.
+        shard_map: the routing table; ``None`` = uniform over ``shards``.
         fault_injector: optional chaos harness
             (:class:`~repro.serving.faults.FaultInjector`). Fires
             ``executor.dispatch`` parent-side per shard per batch (kill =
@@ -455,9 +462,9 @@ class ProcessShardExecutor(Executor):
     def __init__(
         self,
         registry: ModelRegistry,
-        shards: int = 2,
-        max_cached_kernels: int = 1024,
-        request_timeout_s: float = 30.0,
+        shards: int,
+        max_cached_kernels: int,
+        request_timeout_s: float,
         shard_map: ShardMap | None = None,
         fault_injector: FaultInjector | None = None,
     ) -> None:

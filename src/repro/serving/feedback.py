@@ -125,6 +125,11 @@ class WindowSnapshot:
 
 _EMPTY_WINDOW = WindowSnapshot(count=0, mean_error=0.0, max_error=0.0, total=0)
 
+#: Bound on the keys with un-joined predictions held for a future
+#: measurement, and on the retained measurements (LRU by key — measurements
+#: that never arrive must not grow memory).
+MAX_PENDING_KEYS = 4096
+
 
 class FeedbackCollector:
     """Thread-safe join of served predictions with measured runtimes.
@@ -132,9 +137,6 @@ class FeedbackCollector:
     Args:
         window: per-version error ring-buffer length (the rollout
             controller reads windowed means, so stale traffic ages out).
-        max_pending: bound on un-joined predictions held for a future
-            measurement (LRU by key — measurements that never arrive
-            must not grow memory).
         retain_samples: bound on the joined-sample training buffer.
 
     The join is **symmetric in arrival order**: predictions waiting for a
@@ -157,13 +159,11 @@ class FeedbackCollector:
     def __init__(
         self,
         window: int = 256,
-        max_pending: int = 4096,
         retain_samples: int = 1024,
     ) -> None:
         if window < 1:
             raise ValueError("window must be >= 1")
         self.window = window
-        self.max_pending = max_pending
         self._lock = threading.Lock()
         #: key -> list of (version, predicted, request, shadow) awaiting joins.
         self._pending: OrderedDict[tuple, list] = OrderedDict()
@@ -234,7 +234,7 @@ class FeedbackCollector:
                 del entries[0]
                 self.dropped_pending += 1
             self._pending.move_to_end(key)
-            while len(self._pending) > self.max_pending:
+            while len(self._pending) > MAX_PENDING_KEYS:
                 _, dropped = self._pending.popitem(last=False)
                 self.dropped_pending += len(dropped)
 
@@ -251,7 +251,7 @@ class FeedbackCollector:
             self.measurements += 1
             self._measured[key] = measured
             self._measured.move_to_end(key)
-            while len(self._measured) > self.max_pending:
+            while len(self._measured) > MAX_PENDING_KEYS:
                 self._measured.popitem(last=False)
             if not entries:
                 self.unmatched_measurements += 1

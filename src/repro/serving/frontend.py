@@ -126,7 +126,6 @@ class SocketFrontend(Frontend):
         service: the scheduler core to feed.
         host: bind address (default loopback).
         port: bind port; 0 picks a free one (read :attr:`address`).
-        max_interned_kernels: per-connection kernel-interner bound.
         fault_injector: optional chaos injector; its ``frontend.recv``
             rules apply to inbound socket reads (``drop`` severs the
             connection, ``corrupt`` flips a byte so framing fails and
@@ -154,11 +153,9 @@ class SocketFrontend(Frontend):
         service: CostModelService,
         host: str = "127.0.0.1",
         port: int = 0,
-        max_interned_kernels: int = 4096,
         fault_injector: FaultInjector | None = None,
     ) -> None:
         super().__init__(service)
-        self.max_interned_kernels = max_interned_kernels
         self._faults = fault_injector
         self._listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
         self._listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
@@ -277,11 +274,7 @@ class SocketFrontend(Frontend):
         tracer = self.service.tracer
         recv_at = time.time() if tracer is not None else 0.0
         try:
-            request = decode_request(
-                body,
-                interner=connection.interner,
-                max_interned=self.max_interned_kernels,
-            )
+            request = decode_request(body, interner=connection.interner)
         except UnknownKernelError as exc:
             # Interner miss on a fingerprint-only reference: ask the
             # client to retry with the kernel attached (the pipe-executor

@@ -26,7 +26,7 @@ its own post-mortems) and served read-only from the gateway at
 Everything here is best-effort and bounded: a missing component
 (no profiler, no prober, no journal) just leaves its section empty, an
 exception while assembling evidence degrades the report rather than the
-alert path, and the report ring keeps at most ``max_reports`` entries.
+alert path, and the report ring keeps at most :data:`MAX_REPORTS` entries.
 The reporter follows the stack's ``None``-hook discipline — a service
 without one behaves exactly as before.
 """
@@ -40,6 +40,12 @@ from math import sqrt
 from .journal import record_event
 
 __all__ = ["IncidentReporter"]
+
+#: Bound on the retained report ring.
+MAX_REPORTS = 32
+
+#: Journal events around the first breach that each report captures.
+JOURNAL_WINDOW = 40
 
 #: Journal kinds that describe *operator-visible state changes* — the
 #: events worth blaming. Probe failures are handled separately (they
@@ -83,9 +89,6 @@ class IncidentReporter:
     """Turns alert firings into ranked, self-contained incident reports.
 
     Args:
-        max_reports: bound on the retained report ring.
-        journal_window: how many journal events around the first breach
-            each report captures.
         clock: injectable time source (report timestamps only — the
             evidence carries its own).
 
@@ -95,20 +98,12 @@ class IncidentReporter:
     Reports can also be forced for drills via :meth:`open_incident`.
     """
 
-    def __init__(
-        self,
-        max_reports: int = 32,
-        journal_window: int = 40,
-        clock=time.time,
-    ) -> None:
-        if max_reports < 1:
-            raise ValueError("max_reports must be >= 1")
-        self.journal_window = journal_window
+    def __init__(self, clock=time.time) -> None:
         self._clock = clock
         self._service = None
         self._engine = None
         self._lock = threading.Lock()
-        self._reports: deque[dict] = deque(maxlen=max_reports)
+        self._reports: deque[dict] = deque(maxlen=MAX_REPORTS)
         self._counter = 0
         self.opened = 0
 
@@ -188,7 +183,7 @@ class IncidentReporter:
             return []
         # Newest-first from the in-memory tail; the report stores it
         # oldest-first, the way a post-mortem reads.
-        return list(reversed(self._service.journal.recent(self.journal_window)))
+        return list(reversed(self._service.journal.recent(JOURNAL_WINDOW)))
 
     def _profile_evidence(self) -> dict:
         if self._service is None or self._service.profiler is None:

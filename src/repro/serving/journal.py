@@ -50,6 +50,9 @@ from pathlib import Path
 
 __all__ = ["OpsJournal", "record_event"]
 
+#: Bound on the in-memory tail :meth:`OpsJournal.recent` serves.
+RECENT_EVENTS = 256
+
 
 def record_event(journal, kind: str, trace_id: str | None = None, **fields) -> dict | None:
     """Record one event in ``journal`` if one is attached; returns the
@@ -83,9 +86,9 @@ class OpsJournal:
             stack actually has.
         clock: wall-clock source for the ``ts`` field (tests inject a
             fake for deterministic timelines).
-        recent_events: bound on the in-memory tail served by
-            :meth:`recent` (the gateway's ``/events/recent``) without
-            touching disk.
+
+    :meth:`recent` (the gateway's ``/events/recent``) serves the last
+    :data:`RECENT_EVENTS` records from memory, without touching disk.
 
     Thread-safe: one lock serializes append + rotate. Reopening an
     existing path resumes the ``seq`` numbering after the last valid
@@ -100,7 +103,6 @@ class OpsJournal:
         max_files: int = 4,
         fsync: bool = False,
         clock=time.time,
-        recent_events: int = 256,
     ) -> None:
         if max_bytes < 0:
             raise ValueError("max_bytes must be >= 0 (0 = no rotation)")
@@ -112,7 +114,7 @@ class OpsJournal:
         self.fsync = fsync
         self._clock = clock
         self._lock = threading.Lock()
-        self._recent: deque[dict] = deque(maxlen=max(recent_events, 1))
+        self._recent: deque[dict] = deque(maxlen=RECENT_EVENTS)
         self._file = None
         self._size = 0
         self._seq = 0

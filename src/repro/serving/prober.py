@@ -54,6 +54,20 @@ from .protocol import TileScoresRequest
 
 __all__ = ["GoldenProbe", "SyntheticProber"]
 
+#: Sweep cadence of :meth:`SyntheticProber.start` and
+#: :meth:`SyntheticProber.maybe_sweep`; for another cadence, call
+#: :meth:`SyntheticProber.sweep` from your own loop.
+PROBE_INTERVAL_S = 1.0
+
+#: Per-probe response wait.
+PROBE_TIMEOUT_S = 30.0
+
+#: The ``allclose`` tolerance a probe is held to when coalescing or fusion
+#: changed its batch shape (float32 BLAS rounding); a regressed or corrupt
+#: checkpoint moves scores orders of magnitude past it.
+PROBE_RTOL = 1e-3
+PROBE_ATOL = 1e-6
+
 
 @dataclass(frozen=True)
 class GoldenProbe:
@@ -79,18 +93,13 @@ class SyntheticProber:
             tiles)`` pairs). Pick kernels whose fingerprints cover every
             executor shard — :meth:`coverage` reports gaps after
             :meth:`bind`.
-        interval_s: sweep cadence for :meth:`start` / :meth:`maybe_sweep`.
-        timeout_s: per-probe response wait.
-        rtol / atol: the ``allclose`` tolerance used when coalescing or
-            fusion changed the probe's batch shape (float32 BLAS
-            rounding); a regressed or corrupt checkpoint moves scores
-            orders of magnitude past it.
         clock: injectable wall clock — the schedule and every verdict
             timestamp are deterministic under a fake clock.
         journal: optional ops journal; defaults to the bound service's.
 
     The prober is *pulled* (call :meth:`sweep` from an ops loop) or
-    self-scheduled (:meth:`start` a daemon thread at ``interval_s``).
+    self-scheduled (:meth:`start` a daemon thread every
+    :data:`PROBE_INTERVAL_S`).
     """
 
     #: Bound on the retained verdict ring (:meth:`recent`).
@@ -99,10 +108,6 @@ class SyntheticProber:
     def __init__(
         self,
         corpus,
-        interval_s: float = 1.0,
-        timeout_s: float = 30.0,
-        rtol: float = 1e-3,
-        atol: float = 1e-6,
         clock=time.time,
         journal=None,
     ) -> None:
@@ -115,13 +120,7 @@ class SyntheticProber:
                 probes.append(GoldenProbe(kernel=kernel, tiles=tuple(tiles)))
         if not probes:
             raise ValueError("the probe corpus is empty")
-        if interval_s <= 0:
-            raise ValueError("interval_s must be > 0")
         self.corpus: tuple[GoldenProbe, ...] = tuple(probes)
-        self.interval_s = interval_s
-        self.timeout_s = timeout_s
-        self.rtol = rtol
-        self.atol = atol
         self._clock = clock
         self.journal = journal
         self._service = None
@@ -166,7 +165,7 @@ class SyntheticProber:
         """
         from .client import SocketEvaluator
 
-        client = SocketEvaluator(address, timeout_s=self.timeout_s)
+        client = SocketEvaluator(address, timeout_s=PROBE_TIMEOUT_S)
         self._sockets.append(client)
         self._frontends[name] = client._call_once
 
@@ -175,7 +174,7 @@ class SyntheticProber:
         future = service.submit(request)
         if not service.is_running:
             service.flush()
-        return future.result(timeout=self.timeout_s)
+        return future.result(timeout=PROBE_TIMEOUT_S)
 
     # ------------------------------------------------------------------ #
     # references (the known answers)
@@ -283,7 +282,7 @@ class SyntheticProber:
         with self._lock:
             self.sweeps += 1
             self.last_sweep = summary
-            self._next_due = started + self.interval_s
+            self._next_due = started + PROBE_INTERVAL_S
         record_event(
             self.journal,
             "probe.sweep",
@@ -324,7 +323,7 @@ class SyntheticProber:
                     ):
                         exact = True
                     elif value.shape == reference.shape and np.allclose(
-                        value, reference, rtol=self.rtol, atol=self.atol
+                        value, reference, rtol=PROBE_RTOL, atol=PROBE_ATOL
                     ):
                         exact = False
                     else:
@@ -408,10 +407,9 @@ class SyntheticProber:
         """Sweep iff due — the pulled-schedule entry point."""
         return self.sweep() if self.due() else None
 
-    def start(self, interval_s: float | None = None) -> "SyntheticProber":
-        """Sweep continuously on a daemon thread; idempotent."""
-        if interval_s is not None:
-            self.interval_s = interval_s
+    def start(self) -> "SyntheticProber":
+        """Sweep every :data:`PROBE_INTERVAL_S` on a daemon thread;
+        idempotent."""
         if self._thread is not None and self._thread.is_alive():
             return self
         self._stop.clear()
@@ -422,7 +420,7 @@ class SyntheticProber:
                     self.sweep()
                 except Exception:
                     pass
-                self._stop.wait(self.interval_s)
+                self._stop.wait(PROBE_INTERVAL_S)
 
         self._thread = threading.Thread(
             target=_loop, name="synthetic-prober", daemon=True
@@ -489,7 +487,7 @@ class SyntheticProber:
         return {
             "corpus": len(self.corpus),
             "frontends": list(self._frontends),
-            "interval_s": self.interval_s,
+            "interval_s": PROBE_INTERVAL_S,
             "probes": probes,
             "failures": failures,
             "sweeps": sweeps,

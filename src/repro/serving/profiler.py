@@ -32,10 +32,10 @@ Overhead discipline:
 * Components hold ``profiler = None`` by default; every hook site is a
   single ``is not None`` check, so the unprofiled stack is bitwise
   identical to a build without this module (the fault-injector rule).
-* The record path is a deterministic 1-in-``sample_every`` counter
-  stride followed by a handful of dict updates under one lock — no
-  allocation beyond the exemplar string, no syscalls, no clock reads
-  beyond the one the caller already made to time the stage.
+* The record path records every sample: a handful of dict updates under
+  one lock — no allocation beyond the exemplar string, no syscalls, no
+  clock reads beyond the one the caller already made to time the stage
+  and the interval-pacing one.
 """
 from __future__ import annotations
 
@@ -59,6 +59,13 @@ STAGE_BUCKETS = (
     0.0001, 0.00025, 0.0005, 0.001, 0.0025, 0.005, 0.01,
     0.025, 0.05, 0.1, 0.25, 0.5, 1.0, 2.5, 5.0,
 )
+
+#: Seconds between two interval snapshots, checked on the record path (no
+#: background thread).
+SNAPSHOT_INTERVAL_S = 30.0
+
+#: Ring bound on retained interval snapshots.
+MAX_SNAPSHOTS = 60
 
 #: Hot-path shortcut: the default flame path per known stage, so the
 #: common record_stage call doesn't build an f-string per sample.
@@ -98,17 +105,12 @@ class _StageStats(Histogram):
 class ContinuousProfiler:
     """Low-overhead continuous profiler over the pipeline stage vocabulary.
 
+    Every sample is recorded (the per-sample cost is a few dict updates).
+    An aggregated interval snapshot (per stage count/seconds deltas) is
+    pushed into a ring of :data:`MAX_SNAPSHOTS` once
+    :data:`SNAPSHOT_INTERVAL_S` has passed since the last one.
+
     Args:
-        sample_every: deterministic counter stride — record every N-th
-            sample per stage-independent global counter (1 = record all,
-            the default; the per-sample cost is a few dict updates, so
-            full sampling is the intended production setting and the
-            stride exists for extreme-throughput deployments).
-        snapshot_interval_s: push an aggregated interval snapshot (per
-            stage count/seconds deltas) into the ring when this much
-            time has passed since the last one. Checked on the record
-            path — no background thread.
-        max_snapshots: ring bound on retained interval snapshots.
         clock: wall-clock source (injectable for deterministic tests);
             used for interval pacing and snapshot timestamps only —
             stage durations are timed by the caller.
@@ -117,34 +119,18 @@ class ContinuousProfiler:
     of one service, like the tracer.
     """
 
-    def __init__(
-        self,
-        sample_every: int = 1,
-        snapshot_interval_s: float = 30.0,
-        max_snapshots: int = 60,
-        clock=time.time,
-    ) -> None:
-        if sample_every < 1:
-            raise ValueError("sample_every must be >= 1")
-        if snapshot_interval_s <= 0:
-            raise ValueError("snapshot_interval_s must be > 0")
-        if max_snapshots < 1:
-            raise ValueError("max_snapshots must be >= 1")
-        self.sample_every = sample_every
-        self.snapshot_interval_s = snapshot_interval_s
+    def __init__(self, clock=time.time) -> None:
         self._clock = clock
         self._lock = threading.Lock()
         self._stages: "OrderedDict[str, _StageStats]" = OrderedDict(
             (stage, _StageStats()) for stage in STAGES
         )
         self._paths: "OrderedDict[str, tuple[int, float]]" = OrderedDict()
-        self._snapshots: deque[dict] = deque(maxlen=max_snapshots)
+        self._snapshots: deque[dict] = deque(maxlen=MAX_SNAPSHOTS)
         self._interval_start = clock()
         self._interval_counts: dict[str, int] = {}
         self._interval_seconds: dict[str, float] = {}
-        self._n = 0
         self.samples_recorded = 0
-        self.samples_skipped = 0
 
     # ------------------------------------------------------------------ #
     # record path (the hot path — keep it boring)
@@ -167,10 +153,6 @@ class ContinuousProfiler:
         if duration_s < 0.0:
             duration_s = 0.0
         with self._lock:
-            self._n += 1
-            if self.sample_every > 1 and self._n % self.sample_every:
-                self.samples_skipped += 1
-                return
             self.samples_recorded += 1
             stats = self._stages.get(stage)
             if stats is None:
@@ -189,7 +171,7 @@ class ContinuousProfiler:
                 self._interval_seconds.get(stage, 0.0) + duration_s
             )
             now = self._clock()
-            if now - self._interval_start >= self.snapshot_interval_s:
+            if now - self._interval_start >= SNAPSHOT_INTERVAL_S:
                 self._roll_interval_locked(now)
 
     def _roll_interval_locked(self, now: float) -> None:
@@ -235,14 +217,15 @@ class ContinuousProfiler:
             )
             intervals = list(self._snapshots)
             recorded = self.samples_recorded
-            skipped = self.samples_skipped
         total = sum(entry["sum"] for entry in stages.values())
         for entry in stages.values():
             entry["fraction"] = entry["sum"] / total if total > 0 else 0.0
+        # Every sample is recorded: the report keeps the stride (1) and
+        # skip count (0) keys its readers index.
         return {
-            "sample_every": self.sample_every,
+            "sample_every": 1,
             "samples_recorded": recorded,
-            "samples_skipped": skipped,
+            "samples_skipped": 0,
             "total_seconds": total,
             "stages": stages,
             "flame": paths,
@@ -268,7 +251,7 @@ class ContinuousProfiler:
             }
             return {
                 "profiler_samples": float(self.samples_recorded),
-                "profiler_samples_skipped": float(self.samples_skipped),
+                "profiler_samples_skipped": 0.0,
                 "profiler_stage": per_stage,
             }
 

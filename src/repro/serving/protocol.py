@@ -88,7 +88,8 @@ _FRAME = struct.Struct(">QI")
 #: lengths from a corrupted stream, far above any real message.
 MAX_FRAME_BYTES = 256 * 1024 * 1024
 
-#: Default bound on a receiver's fingerprint -> kernel interning map.
+#: Bound on a receiver's fingerprint -> kernel interning map (one per
+#: socket connection).
 MAX_INTERNED_KERNELS = 4096
 
 
@@ -106,7 +107,7 @@ def _kernel_to_wire(kernel: Kernel, known) -> dict:
     return {"fingerprint": fingerprint, **kernel.to_dict()}
 
 
-def _kernel_from_wire(entry: dict, interner, max_interned: int) -> Kernel:
+def _kernel_from_wire(entry: dict, interner) -> Kernel:
     """Resolve a wire entry against ``interner`` (fingerprint -> Kernel).
 
     Full entries are integrity-checked (declared fingerprint must match
@@ -126,7 +127,7 @@ def _kernel_from_wire(entry: dict, interner, max_interned: int) -> Kernel:
             f"rebuilt {kernel.fingerprint()!r}"
         )
     if interner is not None:
-        lru_touch(interner, fingerprint, kernel, max_interned)
+        lru_touch(interner, fingerprint, kernel, MAX_INTERNED_KERNELS)
     return kernel
 
 
@@ -218,9 +219,9 @@ class TileScoresRequest:
         )
 
     @classmethod
-    def _from_payload(cls, payload, interner, max_interned) -> "TileScoresRequest":
+    def _from_payload(cls, payload, interner) -> "TileScoresRequest":
         return cls(
-            kernel=_kernel_from_wire(payload["kernel"], interner, max_interned),
+            kernel=_kernel_from_wire(payload["kernel"], interner),
             tiles=tuple(TileConfig(dims=tuple(d)) for d in payload["tiles"]),
             # .get(): frames from a pre-deadline/pre-tracing peer still
             # decode.
@@ -258,9 +259,9 @@ class KernelRuntimeRequest:
         )
 
     @classmethod
-    def _from_payload(cls, payload, interner, max_interned) -> "KernelRuntimeRequest":
+    def _from_payload(cls, payload, interner) -> "KernelRuntimeRequest":
         return cls(
-            kernel=_kernel_from_wire(payload["kernel"], interner, max_interned),
+            kernel=_kernel_from_wire(payload["kernel"], interner),
             deadline_s=payload.get("deadline_s"),
             trace=TraceContext.from_wire(payload.get("trace")),
             synthetic=bool(payload.get("synthetic", False)),
@@ -310,11 +311,11 @@ class ProgramRuntimesRequest:
         )
 
     @classmethod
-    def _from_payload(cls, payload, interner, max_interned) -> "ProgramRuntimesRequest":
+    def _from_payload(cls, payload, interner) -> "ProgramRuntimesRequest":
         return cls(
             programs=tuple(
                 tuple(
-                    _kernel_from_wire(k, interner, max_interned) for k in kernels
+                    _kernel_from_wire(k, interner) for k in kernels
                 )
                 for kernels in payload["programs"]
             ),
@@ -353,16 +354,13 @@ def encode_request(request: Request, known=None) -> bytes:
     return to_bytes(known=known)
 
 
-def decode_request(
-    data: bytes,
-    interner=None,
-    max_interned: int = MAX_INTERNED_KERNELS,
-) -> Request:
+def decode_request(data: bytes, interner=None) -> Request:
     """Rebuild a request from :func:`encode_request` bytes.
 
     ``interner`` is the receiving peer's fingerprint -> kernel LRU map
     (one per connection; see :func:`kernel_interner`): full kernels are
-    interned into it, fingerprint-only references resolved from it.
+    interned into it (at most :data:`MAX_INTERNED_KERNELS`, least recently
+    used out first), fingerprint-only references resolved from it.
 
     Raises:
         UnknownKernelError: a reference missed the interner (the caller
@@ -372,7 +370,7 @@ def decode_request(
     try:
         payload = json.loads(data.decode())
         cls = _REQUEST_TYPES[payload["type"]]
-        return cls._from_payload(payload, interner, max_interned)
+        return cls._from_payload(payload, interner)
     except WireError:
         raise
     except Exception as exc:

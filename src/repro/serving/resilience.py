@@ -147,15 +147,19 @@ def idempotency_key(request: Request) -> str:
     return hashlib.sha256(material.encode()).hexdigest()[:16]
 
 
+#: Geometric growth of a retry backoff from one retry to the next.
+BACKOFF_MULTIPLIER = 2.0
+
+
 @dataclass(frozen=True)
 class RetryPolicy:
     """Client-side retry schedule: exponential backoff, deterministic jitter.
 
     Attributes:
         max_attempts: total tries including the first.
-        base_backoff_s: backoff before the first retry (then doubled).
+        base_backoff_s: backoff before the first retry (then multiplied
+            by :data:`BACKOFF_MULTIPLIER` per retry).
         max_backoff_s: cap on any single backoff.
-        multiplier: geometric growth factor between retries.
     """
 
     #: Wire error codes worth retrying — transient transport/capacity
@@ -171,7 +175,6 @@ class RetryPolicy:
     max_attempts: int = 4
     base_backoff_s: float = 0.02
     max_backoff_s: float = 1.0
-    multiplier: float = 2.0
 
     def backoff_s(self, retry: int, key: str) -> float:
         """Backoff before the ``retry``-th retry (0-based) of request ``key``.
@@ -181,7 +184,7 @@ class RetryPolicy:
         exactly reproducible while distinct requests still spread out.
         """
         cap = min(
-            self.base_backoff_s * self.multiplier**retry, self.max_backoff_s
+            self.base_backoff_s * BACKOFF_MULTIPLIER**retry, self.max_backoff_s
         )
         digest = hashlib.sha256(f"{key}:{retry}".encode()).digest()
         unit = int.from_bytes(digest[:8], "big") / 2**64
@@ -206,8 +209,10 @@ class CircuitBreaker:
     closes the breaker; a failed one reopens it for another ``reset_s``.
 
     Args:
-        failure_threshold: consecutive failures that open the breaker.
-        reset_s: open-state dwell before a half-open probe is allowed.
+        failure_threshold: consecutive failures that open the breaker
+            (the service passes ``ServiceConfig.breaker_failure_threshold``).
+        reset_s: open-state dwell before a half-open probe is allowed
+            (``ServiceConfig.breaker_reset_s``).
         clock: injectable time source (tests drive it manually).
         on_transition: optional ``fn(from_state, to_state)`` invoked
             *outside* the breaker lock on every state change (the ops
@@ -217,8 +222,8 @@ class CircuitBreaker:
 
     def __init__(
         self,
-        failure_threshold: int = 5,
-        reset_s: float = 2.0,
+        failure_threshold: int,
+        reset_s: float,
         clock=time.monotonic,
         on_transition=None,
     ) -> None:
@@ -349,27 +354,29 @@ class CircuitBreaker:
 # ---------------------------------------------------------------------- #
 
 
+#: Suppression window after the second consecutive worker failure; each
+#: further failure doubles it.
+CRASH_BACKOFF_BASE_S = 0.05
+
+#: Cap on one crash-loop suppression window.
+CRASH_BACKOFF_MAX_S = 5.0
+
+
 class CrashLoopBackoff:
     """Exponential respawn suppression for a crash-looping worker.
 
     The *first* failure is free — a lone worker death respawns
     immediately, preserving the executor's seamless single-kill recovery.
     From the second consecutive failure on, each one doubles the
-    suppression window (capped); while the window is live,
+    suppression window (from :data:`CRASH_BACKOFF_BASE_S`, capped at
+    :data:`CRASH_BACKOFF_MAX_S`); while the window is live,
     :meth:`remaining` is positive and the executor refuses to respawn —
     the shard fails fast (and the service degrades) instead of burning a
     core on spawn/crash cycles. One successful round-trip resets the
     backoff to zero.
     """
 
-    def __init__(
-        self,
-        base_s: float = 0.05,
-        max_s: float = 5.0,
-        clock=time.monotonic,
-    ) -> None:
-        self.base_s = base_s
-        self.max_s = max_s
+    def __init__(self, clock=time.monotonic) -> None:
         self._clock = clock
         self._lock = threading.Lock()
         self.failures = 0
@@ -384,7 +391,8 @@ class CrashLoopBackoff:
                 self._until = None
                 return 0.0
             window = min(
-                self.base_s * (2.0 ** (self.failures - 2)), self.max_s
+                CRASH_BACKOFF_BASE_S * (2.0 ** (self.failures - 2)),
+                CRASH_BACKOFF_MAX_S,
             )
             self._until = self._clock() + window
             return window
@@ -422,8 +430,8 @@ class AnalyticalFallback:
     caller then falls back to a typed error instead.
     """
 
-    def __init__(self, model: AnalyticalModel | None = None) -> None:
-        self.model = model or AnalyticalModel()
+    def __init__(self) -> None:
+        self.model = AnalyticalModel()
         self._lock = threading.Lock()
         self.answers = 0
         self.failures = 0

@@ -61,10 +61,10 @@ class PendingRequest:
     always agree — a canary batch is version-pure by construction.
 
     ``expires_at`` (perf_counter time) is the request's deadline, stamped
-    at submission from its ``deadline_s`` (or the batcher's default);
-    the service sheds requests past it before dispatch with a typed
-    ``deadline_exceeded`` instead of spending a forward on an answer the
-    client has stopped waiting for.
+    at submission from its own ``deadline_s`` (``None``: it never
+    expires); the service sheds requests past it before dispatch with a
+    typed ``deadline_exceeded`` instead of spending a forward on an
+    answer the client has stopped waiting for.
 
     ``shard`` is stamped when the service places the request in a
     coalesced command group; a request that never reaches one (malformed,
@@ -102,6 +102,10 @@ class PendingRequest:
 class MicroBatcher:
     """Thread-safe request queue with size/age batch-cut policy.
 
+    Only the service builds one, from its
+    :class:`~repro.serving.service.ServiceConfig` fields of the same
+    names; there is no default copy of them here.
+
     Args:
         max_batch_size: cut a batch as soon as this many requests queue up.
         flush_interval_s: cut a batch once the oldest pending request has
@@ -118,9 +122,6 @@ class MicroBatcher:
             immediately with a typed :class:`~.resilience.Overloaded`
             instead of queueing unboundedly (0 = unbounded, the
             pre-resilience behavior).
-        default_deadline_s: deadline stamped on requests that carry none
-            of their own (``None`` = no default; such requests never
-            expire).
     """
 
     #: Smoothing weight of the inter-arrival gap EMAs. The first observed
@@ -150,11 +151,10 @@ class MicroBatcher:
 
     def __init__(
         self,
-        max_batch_size: int = 64,
-        flush_interval_s: float = 0.002,
-        adaptive_flush: bool = False,
-        max_pending: int = 0,
-        default_deadline_s: float | None = None,
+        max_batch_size: int,
+        flush_interval_s: float,
+        adaptive_flush: bool,
+        max_pending: int,
     ) -> None:
         if max_batch_size < 1:
             raise ValueError("max_batch_size must be >= 1")
@@ -166,7 +166,6 @@ class MicroBatcher:
         self.flush_interval_s = flush_interval_s
         self.adaptive_flush = adaptive_flush
         self.max_pending = max_pending
-        self.default_deadline_s = default_deadline_s
         self._gap_ema: float | None = None
         self._burst_gap_ema: float | None = None
         self._pressure_ema = 0.0
@@ -203,8 +202,6 @@ class MicroBatcher:
             request=request, enqueued_at=time.perf_counter(), caller=caller
         )
         deadline = request.deadline_s
-        if deadline is None:
-            deadline = self.default_deadline_s
         if deadline is not None:
             pending.expires_at = pending.enqueued_at + deadline
         with self._nonempty:

@@ -126,9 +126,10 @@ class ResultCache:
 
     Keys are ``(model_version, request.cache_key())`` so a hot swap never
     serves a stale checkpoint's result. Counters feed the serving metrics.
+    ``max_entries`` is the service's ``result_cache_entries`` (0 disables).
     """
 
-    def __init__(self, max_entries: int = 4096) -> None:
+    def __init__(self, max_entries: int) -> None:
         self.max_entries = max_entries
         self._lock = threading.Lock()
         self._entries: OrderedDict[tuple, object] = OrderedDict()
@@ -175,7 +176,13 @@ class ResultCache:
 
 @dataclass(frozen=True)
 class ServiceConfig:
-    """Serving knobs.
+    """Serving knobs: the one place each serving default is written.
+
+    The classes only the service builds (:class:`MicroBatcher`,
+    :class:`ResultCache`, :class:`CircuitBreaker`, both executors and the
+    shard worker) take these values from it and have no defaults of their
+    own. A request's deadline is its own ``deadline_s`` (none = it never
+    expires).
 
     Attributes:
         max_batch_size: micro-batch cut size (1 = naive per-request path).
@@ -203,10 +210,6 @@ class ServiceConfig:
             the staged version's evidence window; sampled hits are
             re-scored off the response path to keep it filling. 0
             (default) disables.
-        default_deadline_s: deadline stamped on requests that carry none
-            of their own; requests past their deadline are shed before
-            dispatch with a typed ``deadline_exceeded`` response.
-            ``None`` (default) = no implicit deadline.
         max_pending: admission-control bound on the scheduler queue;
             submissions beyond it raise a typed
             :class:`~.resilience.Overloaded` (0 = unbounded).
@@ -237,7 +240,6 @@ class ServiceConfig:
     max_cached_kernels: int = 1024
     result_cache_entries: int = 4096
     shadow_cache_hit_fraction: float = 0.0
-    default_deadline_s: float | None = None
     max_pending: int = 0
     dispatch_timeout_s: float = 30.0
     breaker_failure_threshold: int = 5
@@ -333,7 +335,6 @@ class CostModelService:
             flush_interval_s=self.config.flush_interval_s,
             adaptive_flush=self.config.adaptive_flush,
             max_pending=self.config.max_pending,
-            default_deadline_s=self.config.default_deadline_s,
         )
         if profiler is not None:
             self.scheduler.profiler = profiler
@@ -693,7 +694,8 @@ class CostModelService:
         registry version, the in-process probe route, shard lookup) and
         registers its ``prober_*`` telemetry family. The prober stays
         *pulled* — call ``prober.sweep()`` from the ops loop (or
-        ``prober.start()`` it on its own cadence).
+        ``prober.start()`` it, every
+        :data:`~repro.serving.prober.PROBE_INTERVAL_S`).
         """
         prober.bind(self)
         prober.register_into(self.telemetry)

@@ -68,14 +68,20 @@ __all__ = [
 # ---------------------------------------------------------------------- #
 
 
-def trace_unit_hash(trace_id: str, salt: str = "") -> float:
+#: Salt of the trace-sampling hash. Every tracer samples the same subset
+#: of the id space, so a trace id samples alike in every process.
+TRACE_SALT = ""
+
+
+def trace_unit_hash(trace_id: str) -> float:
     """Deterministic hash of a trace id into ``[0, 1)``.
 
     The sampling decision is this value compared against the sample
-    rate — a pure function of the id, so it is identical on every
-    tracer instance, thread, and process (no RNG, no shared state).
+    rate — a pure function of the id (and :data:`TRACE_SALT`), so it is
+    identical on every tracer instance, thread, and process (no RNG, no
+    shared state).
     """
-    digest = hashlib.sha256(f"{salt}:{trace_id}".encode()).digest()
+    digest = hashlib.sha256(f"{TRACE_SALT}:{trace_id}".encode()).digest()
     return int.from_bytes(digest[:8], "big") / 2**64
 
 
@@ -161,8 +167,6 @@ class Tracer:
             deterministic per id.
         max_traces: ring-buffer bound on retained traces; starting a new
             trace beyond it evicts the oldest.
-        salt: sampling-hash salt (distinct tracers can sample distinct
-            subsets of the same id space).
 
     Thread-safe; shared by the frontends, the scheduler core, and the
     executor result path of one service. Worker subprocesses never hold
@@ -175,7 +179,6 @@ class Tracer:
         self,
         sample_rate: float = 1.0,
         max_traces: int = 256,
-        salt: str = "",
     ) -> None:
         if not 0.0 <= sample_rate <= 1.0:
             raise ValueError("sample_rate must be in [0, 1]")
@@ -183,7 +186,6 @@ class Tracer:
             raise ValueError("max_traces must be >= 1")
         self.sample_rate = sample_rate
         self.max_traces = max_traces
-        self.salt = salt
         self._lock = threading.Lock()
         self._traces: "OrderedDict[str, list[Span]]" = OrderedDict()
         self._ids = itertools.count(1)
@@ -206,7 +208,7 @@ class Tracer:
             return True
         if self.sample_rate <= 0.0:
             return False
-        return trace_unit_hash(trace_id, self.salt) < self.sample_rate
+        return trace_unit_hash(trace_id) < self.sample_rate
 
     def ingress(
         self,

@@ -170,21 +170,17 @@ def run_slice(
     return outcomes
 
 
-def shard_worker(
-    conn,
-    max_cached_kernels: int = 1024,
-    shard_index: int = 0,
-    fault_plan=None,
-) -> None:
+def shard_worker(conn, max_cached_kernels: int, shard_index: int, fault_plan) -> None:
     """Serve shard requests on ``conn`` until EOF or an ``exit`` message.
 
     Args:
         conn: child end of a ``multiprocessing.Pipe``.
         max_cached_kernels: evaluator cache bound, and the bound on the
-            fingerprint -> kernel interning map.
+            fingerprint -> kernel interning map (the executor's, which is
+            the service's).
         shard_index: this worker's shard number (fault-rule targeting).
-        fault_plan: optional :class:`~repro.serving.faults.FaultPlan`
-            restricted to ``worker.`` hooks; a fresh injector is built
+        fault_plan: a :class:`~repro.serving.faults.FaultPlan` restricted
+            to ``worker.`` hooks, or ``None``; a fresh injector is built
             per process (counters restart with each respawn — exact
             cross-respawn fault counts belong on the parent-side hooks).
     """

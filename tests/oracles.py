@@ -11,7 +11,9 @@ oracle it is:
   fuses over a whole padded batch;
 * :func:`subgraph` and :func:`clone` over ``Graph``;
 * :func:`tile_footprint_bytes` for one tile, and :func:`node_features`
-  for one instruction, whose batched forms the library runs.
+  for one instruction, whose batched forms the library runs;
+* :func:`service_batcher`, the micro-batcher a ``CostModelService``
+  builds from its ``ServiceConfig``, without the model a service needs.
 
 Test modules import it by name (``from oracles import ...``): pytest puts
 this directory on ``sys.path`` for the test files in it.
@@ -137,3 +139,17 @@ def tile_footprint_bytes(kernel: Kernel, tile: TileConfig) -> int:
 def node_features(inst: Instruction) -> np.ndarray:
     """The scalar feature vector of one instruction."""
     return node_feature_matrix([inst])[0]
+
+
+def service_batcher(**settings):
+    """The ``MicroBatcher`` of a service built with ``ServiceConfig(**settings)``
+    (the batcher has no default settings of its own)."""
+    from repro.serving import MicroBatcher, ServiceConfig
+
+    config = ServiceConfig(**settings)
+    return MicroBatcher(
+        max_batch_size=config.max_batch_size,
+        flush_interval_s=config.flush_interval_s,
+        adaptive_flush=config.adaptive_flush,
+        max_pending=config.max_pending,
+    )

@@ -39,6 +39,25 @@ from repro.workloads import vision
 
 SMALL = dict(hidden_dim=16, opcode_embedding_dim=8, gnn_layers=2, lstm_hidden=16)
 
+#: The settings a service passes its executor (the executors have none of
+#: their own).
+SETTINGS = ServiceConfig()
+
+
+def in_thread_executor(registry, replicas):
+    return InThreadExecutor(
+        registry, replicas=replicas, max_cached_kernels=SETTINGS.max_cached_kernels
+    )
+
+
+def process_executor(registry, shards):
+    return ProcessShardExecutor(
+        registry,
+        shards=shards,
+        max_cached_kernels=SETTINGS.max_cached_kernels,
+        request_timeout_s=SETTINGS.dispatch_timeout_s,
+    )
+
 
 @pytest.fixture(scope="module")
 def corpus():
@@ -138,8 +157,8 @@ def test_executors_agree_command_by_command(corpus, result_a, result_b):
     registry = ModelRegistry()
     version = registry.publish(result_a)
     other = registry.stage(result_b)
-    in_thread = InThreadExecutor(registry, replicas=2)
-    process = ProcessShardExecutor(registry, shards=2)
+    in_thread = in_thread_executor(registry, replicas=2)
+    process = process_executor(registry, shards=2)
     try:
         commands = _commands(records, in_thread)
         assert all(
@@ -195,7 +214,7 @@ def test_workers_boot_with_the_executor(corpus, result_a):
     records, _ = corpus
     registry = ModelRegistry()
     version = registry.publish(result_a)
-    executor = ProcessShardExecutor(registry, shards=2)
+    executor = process_executor(registry, shards=2)
     try:
         assert [s["alive"] for s in executor.shard_stats()] == [True, True]
         pids = [s.process.pid for s in executor._shards]
@@ -216,7 +235,7 @@ def test_workers_boot_with_the_executor(corpus, result_a):
 
 
 def test_close_right_after_construction_reaps_every_worker():
-    executor = ProcessShardExecutor(ModelRegistry(), shards=2)
+    executor = process_executor(ModelRegistry(), shards=2)
     processes = [s.process for s in executor._shards]
     executor.close()
     assert [p.is_alive() for p in processes] == [False, False]
@@ -234,7 +253,7 @@ def test_a_failed_spawn_reaps_the_workers_already_started(monkeypatch):
 
     monkeypatch.setattr(ProcessShardExecutor, "_spawn_locked", spawn_then_fail)
     with pytest.raises(OSError, match="no more processes"):
-        ProcessShardExecutor(ModelRegistry(), shards=2)
+        process_executor(ModelRegistry(), shards=2)
     assert len(started) == 1 and not started[0].is_alive()
 
 
@@ -331,7 +350,7 @@ def test_alternating_warm_versions_cost_one_message_per_batch(corpus, result_a, 
     records, _ = corpus
     registry = ModelRegistry()
     versions = [registry.publish(result_a), registry.stage(result_b)]
-    executor = ProcessShardExecutor(registry, shards=1)
+    executor = process_executor(registry, shards=1)
     commands = _tile_commands(records)
     try:
         warm = {v: executor.run(v, commands) for v in versions}  # spawn, load both
@@ -409,7 +428,10 @@ class _Pipe:
             workers, "LearnedEvaluator", SimpleNamespace(from_checkpoint_bytes=build)
         )
         self.conn, child = multiprocessing.Pipe()
-        self.thread = threading.Thread(target=workers.shard_worker, args=(child,))
+        self.thread = threading.Thread(
+            target=workers.shard_worker,
+            args=(child, SETTINGS.max_cached_kernels, 0, None),
+        )
         self.thread.start()
 
     def ask(self, *message):
@@ -452,7 +474,7 @@ def test_in_thread_stats_are_the_sum_of_the_replicas(corpus, result_a):
     records, _ = corpus
     registry = ModelRegistry()
     version = registry.publish(result_a)
-    executor = InThreadExecutor(registry, replicas=2)
+    executor = in_thread_executor(registry, replicas=2)
     commands = [c for i, c in enumerate(_commands(records, executor)) if i != 1]
     for _ in range(2):
         assert all(r.error is None for r in executor.run(version, commands))

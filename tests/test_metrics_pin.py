@@ -31,6 +31,7 @@ import time
 import urllib.error
 import urllib.request
 from pathlib import Path
+from unittest import mock
 
 import pytest
 
@@ -218,10 +219,14 @@ class StubService:
         return self.board
 
 
+@mock.patch("repro.serving.profiler.SNAPSHOT_INTERVAL_S", 10.0)
+@mock.patch("repro.serving.profiler.MAX_SNAPSHOTS", 2)
+@mock.patch("repro.serving.incidents.MAX_REPORTS", 4)
+@mock.patch("repro.serving.incidents.JOURNAL_WINDOW", 6)
 def scripted_dump(tmp: Path) -> dict:
     clock = FakeClock(1000.0)
     registry = TelemetryRegistry()
-    profiler = ContinuousProfiler(snapshot_interval_s=10.0, max_snapshots=2, clock=clock)
+    profiler = ContinuousProfiler(clock=clock)
     journal = OpsJournal(tmp / "scripted.jsonl", clock=clock)
     slo = {"slo_burn_rate": 0.5, "slo_window_samples": 1.0}
     engine = AlertEngine(
@@ -241,7 +246,7 @@ def scripted_dump(tmp: Path) -> dict:
         journal=journal,
         exemplar=lambda: "t-scripted-exemplar",
     )
-    reporter = IncidentReporter(max_reports=4, journal_window=6, clock=clock)
+    reporter = IncidentReporter(clock=clock)
     service = StubService(
         registry, profiler=profiler, journal=journal, alerts=engine, incidents=reporter
     )

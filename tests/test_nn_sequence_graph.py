@@ -57,8 +57,6 @@ def _tape_graphsage(layer, x, adj_in, adj_out):
     branches = [(adj_in, layer.agg_in)] + ([(adj_out, layer.agg_out)] if layer.directed else [])
     messages = [_tape_spmm(adj, (x @ dense.weight).relu()) for adj, dense in branches]
     h = (Tensor.concat([x, *messages], axis=-1) @ layer.update.weight).relu()
-    if not layer.l2_norm:
-        return h
     return h * (((h * h).sum(axis=-1, keepdims=True) + 1e-12) ** -0.5)
 
 
@@ -322,8 +320,8 @@ class TestGraphSAGE:
 
 class TestGraphSageHopAgainstTheCompositeTape:
     """The one-node hop against :func:`_tape_graphsage`, bit for bit: the
-    output, ``x.grad`` and every weight's gradient, directed or not, with
-    and without the L2 step, on batches of random graphs with isolated
+    output, ``x.grad`` and every weight's gradient, directed or not, on
+    batches of random graphs with isolated
     nodes and neighbor lists the cap truncates."""
 
     @given(
@@ -331,12 +329,11 @@ class TestGraphSageHopAgainstTheCompositeTape:
         density=st.sampled_from((0.0, 0.15, 0.5, 0.95)),
         cap=st.sampled_from((1, 3, 20, None)),
         directed=st.booleans(),
-        l2_norm=st.booleans(),
         dims=st.tuples(st.integers(1, 7), st.integers(1, 7)),
         seed=st.integers(0, 2**16),
     )
     @settings(max_examples=80, deadline=None)
-    def test_matches_the_composite_tape(self, sizes, density, cap, directed, l2_norm, dims, seed):
+    def test_matches_the_composite_tape(self, sizes, density, cap, directed, dims, seed):
         r = np.random.default_rng(seed)
         ctx = BatchedGraphContext.compose(
             [
@@ -352,7 +349,6 @@ class TestGraphSageHopAgainstTheCompositeTape:
         runs = []
         for hop in (GraphSAGELayer.__call__, _tape_graphsage):
             layer = GraphSAGELayer(in_dim, out_dim, directed=directed, rng=np.random.default_rng(seed))
-            layer.l2_norm = l2_norm  # only the recorded no-L2 fingerprint clears it
             x = Tensor(x_data, requires_grad=True)
             out = hop(layer, x, adj_in, adj_out)
             (out * Tensor(upstream)).sum().backward()

@@ -13,6 +13,7 @@ import threading
 import time
 import urllib.error
 import urllib.request
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -166,8 +167,9 @@ class TestJournalCrashSafety:
             assert kinds == ["placement.rebalance", "placement.rebalance"]
             assert journal.invalid_lines_skipped == 2
 
+    @mock.patch("repro.serving.journal.RECENT_EVENTS", 4)
     def test_recent_serves_newest_first_without_disk(self, tmp_path):
-        with OpsJournal(tmp_path / "ops.jsonl", recent_events=4) as journal:
+        with OpsJournal(tmp_path / "ops.jsonl") as journal:
             for i in range(10):
                 journal.record("alert.transition", n=i)
             tail = journal.recent(3)
@@ -455,13 +457,6 @@ class TestContinuousProfiler:
         assert buckets["0.1"] == 2.0  # cumulative: includes the fast one
         assert buckets["5.0"] == 2.0
 
-    def test_sampling_stride_records_every_nth(self):
-        profiler = ContinuousProfiler(sample_every=3)
-        for _ in range(9):
-            profiler.record_stage("forward", 0.001)
-        assert profiler.samples_recorded == 3
-        assert profiler.samples_skipped == 6
-
     def test_flame_table_rows_by_call_path(self):
         profiler = ContinuousProfiler()
         profiler.record_stage("forward", 0.020, path="request;forward;executor")
@@ -473,11 +468,11 @@ class TestContinuousProfiler:
         ]
         assert rows[0]["count"] == 1 and rows[0]["seconds"] == 0.020
 
+    @mock.patch("repro.serving.profiler.SNAPSHOT_INTERVAL_S", 10.0)
+    @mock.patch("repro.serving.profiler.MAX_SNAPSHOTS", 3)
     def test_interval_snapshots_roll_on_the_record_path(self):
         clock = FakeClock()
-        profiler = ContinuousProfiler(
-            snapshot_interval_s=10.0, max_snapshots=3, clock=clock
-        )
+        profiler = ContinuousProfiler(clock=clock)
         for round_n in range(5):
             profiler.record_stage("forward", 0.010)
             clock.advance(10.0)
@@ -716,6 +711,7 @@ class TestSyntheticProber:
         )
         assert Response.from_bytes(probe.to_bytes()).synthetic is True
 
+    @mock.patch("repro.serving.prober.PROBE_INTERVAL_S", 10.0)
     def test_schedule_is_deterministic_under_injected_clock(self, corpus, result_a):
         records, _ = corpus
         clock = FakeClock(100.0)
@@ -723,9 +719,7 @@ class TestSyntheticProber:
             result_a, ServiceConfig(replicas=1, result_cache_entries=0)
         ).start()
         try:
-            prober = SyntheticProber(
-                _golden_probes(records, count=1), interval_s=10.0, clock=clock
-            )
+            prober = SyntheticProber(_golden_probes(records, count=1), clock=clock)
             service.attach_prober(prober)
             assert prober.due()
             assert prober.maybe_sweep() is not None
@@ -903,8 +897,9 @@ class TestIncidentReporter:
         assert engine.evaluate({"x": 1.0}) != []  # pending -> firing
         assert len(reporter.reports()) == 1
 
+    @mock.patch("repro.serving.incidents.MAX_REPORTS", 2)
     def test_report_ring_is_bounded(self):
-        reporter = IncidentReporter(max_reports=2)
+        reporter = IncidentReporter()
         for i in range(3):
             reporter.open_incident(
                 {"name": f"r{i}", "to": "firing", "severity": "warning"}

@@ -4,6 +4,8 @@ The contract under test is *exact* equivalence: the cached/composed fast
 paths must be bitwise-identical to the cold reference paths — features,
 adjacency operators (dense, through SciPy), pad views, and model scores.
 """
+from unittest import mock
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -140,8 +142,9 @@ class TestKernelCacheMetering:
         assert cache.context_hits == 1
         assert b1.context is b2.context  # shared, not rebuilt
 
+    @mock.patch("repro.data.batching.MAX_CONTEXTS", 2)
     def test_context_memo_bounded(self, tile_records, scalers):
-        cache = KernelCache(scalers, max_contexts=2)
+        cache = KernelCache(scalers)
         for r in tile_records[:5]:
             cache.assemble([(r.features, r.tile_feats[0], 0.0, 0)])
         assert len(cache._contexts) <= 2
@@ -234,9 +237,10 @@ class TestPredictionMemoIsLru:
     @pytest.fixture()
     def evaluator(self, fusion_records):
         model = LearnedPerformanceModel(ModelConfig.paper_best_fusion(), seed=0)
-        return LearnedEvaluator(
-            model, Scalers.fit_fusion(fusion_records), max_cached_predictions=2
-        )
+        with mock.patch("repro.autotuner.evaluators.PREDICTIONS_PER_KERNEL", 2):
+            yield LearnedEvaluator(
+                model, Scalers.fit_fusion(fusion_records), max_cached_kernels=1
+            )
 
     @pytest.fixture()
     def kernels(self, fusion_records):

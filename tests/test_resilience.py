@@ -26,9 +26,11 @@ import socket as socketlib
 import struct
 import threading
 import time
+from unittest import mock
 
 import numpy as np
 import pytest
+from oracles import service_batcher
 
 from repro.autotuner import LearnedEvaluator
 from repro.compiler import enumerate_tile_sizes
@@ -53,7 +55,6 @@ from repro.serving import (
     FaultPlan,
     FaultRule,
     KernelRuntimeRequest,
-    MicroBatcher,
     ModelRegistry,
     Overloaded,
     ProgramRuntimesRequest,
@@ -240,10 +241,9 @@ class TestFaultHarness:
 
 
 class TestRetryPolicy:
+    @mock.patch("repro.serving.resilience.BACKOFF_MULTIPLIER", 2.0)
     def test_backoff_grows_and_caps(self):
-        policy = RetryPolicy(
-            base_backoff_s=0.1, max_backoff_s=0.5, multiplier=2.0
-        )
+        policy = RetryPolicy(base_backoff_s=0.1, max_backoff_s=0.5)
         backoffs = [policy.backoff_s(i, "key") for i in range(6)]
         caps = [0.1, 0.2, 0.4, 0.5, 0.5, 0.5]
         for value, cap in zip(backoffs, caps):
@@ -317,15 +317,19 @@ class TestCircuitBreaker:
 
 
 class TestCrashLoopBackoff:
+    @mock.patch("repro.serving.resilience.CRASH_BACKOFF_BASE_S", 0.5)
+    @mock.patch("repro.serving.resilience.CRASH_BACKOFF_MAX_S", 4.0)
     def test_first_failure_is_free(self):
         clock = FakeClock()
-        backoff = CrashLoopBackoff(base_s=0.5, max_s=4.0, clock=clock)
+        backoff = CrashLoopBackoff(clock=clock)
         assert backoff.record_failure() == 0.0
         assert backoff.remaining() == 0.0
 
+    @mock.patch("repro.serving.resilience.CRASH_BACKOFF_BASE_S", 0.5)
+    @mock.patch("repro.serving.resilience.CRASH_BACKOFF_MAX_S", 4.0)
     def test_window_doubles_then_caps(self):
         clock = FakeClock()
-        backoff = CrashLoopBackoff(base_s=0.5, max_s=4.0, clock=clock)
+        backoff = CrashLoopBackoff(clock=clock)
         backoff.record_failure()
         assert backoff.record_failure() == pytest.approx(0.5)
         assert backoff.remaining() == pytest.approx(0.5)
@@ -336,9 +340,10 @@ class TestCrashLoopBackoff:
         assert backoff.record_failure() == pytest.approx(4.0)
         assert backoff.record_failure() == pytest.approx(4.0)  # capped
 
+    @mock.patch("repro.serving.resilience.CRASH_BACKOFF_BASE_S", 0.5)
     def test_success_resets(self):
         clock = FakeClock()
-        backoff = CrashLoopBackoff(base_s=0.5, clock=clock)
+        backoff = CrashLoopBackoff(clock=clock)
         backoff.record_failure()
         backoff.record_failure()
         backoff.record_success()
@@ -444,7 +449,7 @@ class TestResilienceOnTheWire:
 
 class TestSchedulerResilience:
     def test_max_pending_sheds_typed(self, corpus):
-        batcher = MicroBatcher(max_batch_size=8, max_pending=2)
+        batcher = service_batcher(max_batch_size=8, max_pending=2, adaptive_flush=False)
         batcher.submit(_tile_request(corpus, index=0))
         batcher.submit(_tile_request(corpus, index=1))
         with pytest.raises(Overloaded):
@@ -453,17 +458,13 @@ class TestSchedulerResilience:
         batcher.drain()
         batcher.submit(_tile_request(corpus, index=2))  # room again
 
-    def test_expires_at_stamped_from_request_and_default(self, corpus):
-        batcher = MicroBatcher(default_deadline_s=5.0)
+    def test_expires_at_stamped_from_the_request(self, corpus):
+        batcher = service_batcher()
         batcher.submit(_tile_request(corpus, deadline_s=0.5))
         batcher.submit(_tile_request(corpus, index=1))
-        own, default = batcher.drain()
+        own, unbounded = batcher.drain()
         assert own.expires_at == pytest.approx(own.enqueued_at + 0.5)
-        assert default.expires_at == pytest.approx(default.enqueued_at + 5.0)
-        unbounded = MicroBatcher()
-        unbounded.submit(_tile_request(corpus))
-        (pending,) = unbounded.drain()
-        assert pending.expires_at is None
+        assert unbounded.expires_at is None
 
 
 # ---------------------------------------------------------------------- #

@@ -11,6 +11,8 @@ The load-bearing canary invariants:
   bitwise-identical to a no-rollout service;
 * all three policies work on both executors.
 """
+from unittest import mock
+
 import numpy as np
 import pytest
 
@@ -216,8 +218,9 @@ class TestFeedbackCollector:
         assert collector.record_measurement(("missing",), 1.0) == 0
         assert collector.snapshot()["unmatched_measurements"] == 1.0
 
+    @mock.patch("repro.serving.feedback.MAX_PENDING_KEYS", 4)
     def test_pending_is_bounded(self):
-        collector = FeedbackCollector(max_pending=4)
+        collector = FeedbackCollector()
         for i in range(10):
             collector.record_prediction("v1", ("k", i), 1.0)
         snap = collector.snapshot()
@@ -474,7 +477,7 @@ class TestCanaryServing:
         records, _ = corpus
         registry = _canary_registry(result_a, result_bad)
         policy = CanaryFraction("bad", 0.5)
-        spy = _RecordingExecutor(registry, replicas=1)
+        spy = _RecordingExecutor(registry, replicas=1, max_cached_kernels=1024)
         service = CostModelService(
             registry,
             ServiceConfig(max_batch_size=64, result_cache_entries=0),

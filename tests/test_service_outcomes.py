@@ -73,7 +73,10 @@ class ScriptedExecutor(InThreadExecutor):
     """The real in-thread backend with a switchable failure mode."""
 
     def __init__(self, registry, mode="ok"):
-        super().__init__(registry)
+        config = ServiceConfig()
+        super().__init__(
+            registry, replicas=config.replicas, max_cached_kernels=config.max_cached_kernels
+        )
         self.mode = mode
 
     def run(self, version, commands):

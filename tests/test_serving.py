@@ -10,9 +10,11 @@ The two load-bearing guarantees:
   two checkpoints inside one response.
 """
 import threading
+from unittest import mock
 
 import numpy as np
 import pytest
+from oracles import service_batcher
 
 from repro.autotuner import (
     HardwareEvaluator,
@@ -28,10 +30,12 @@ from repro.evaluation import ServingStats, latency_percentiles
 from repro.models import LearnedPerformanceModel, ModelConfig
 from repro.models.trainer import TrainResult
 from repro.serving import (
+    CircuitBreaker,
     CostModelService,
     KernelRuntimeRequest,
     MicroBatcher,
     ModelRegistry,
+    ProcessShardExecutor,
     ProgramRuntimesRequest,
     ResultCache,
     ServiceConfig,
@@ -74,9 +78,29 @@ def sync_service(result, **kwargs) -> CostModelService:
     return CostModelService(result, ServiceConfig(**kwargs))
 
 
+class TestServiceSettings:
+    """Each serving default is written once, in ``ServiceConfig``: the
+    classes only the service builds take its settings and have none of
+    their own."""
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: MicroBatcher(),
+            lambda: ResultCache(),
+            lambda: CircuitBreaker(),
+            lambda: ProcessShardExecutor(ModelRegistry()),
+        ],
+        ids=["MicroBatcher", "ResultCache", "CircuitBreaker", "ProcessShardExecutor"],
+    )
+    def test_building_without_the_service_settings_fails(self, build):
+        with pytest.raises(TypeError):
+            build()
+
+
 class TestMicroBatcher:
     def test_cuts_at_max_batch_size(self):
-        mb = MicroBatcher(max_batch_size=3, flush_interval_s=10.0)
+        mb = service_batcher(max_batch_size=3, flush_interval_s=10.0, adaptive_flush=False)
         for _ in range(5):
             mb.submit(KernelRuntimeRequest(kernel=None))
         batch = mb.next_batch(timeout=0.1)
@@ -84,17 +108,17 @@ class TestMicroBatcher:
         assert len(mb) == 2
 
     def test_flush_interval_cuts_partial_batch(self):
-        mb = MicroBatcher(max_batch_size=100, flush_interval_s=0.01)
+        mb = service_batcher(max_batch_size=100, flush_interval_s=0.01, adaptive_flush=False)
         mb.submit(KernelRuntimeRequest(kernel=None))
         batch = mb.next_batch(timeout=1.0)
         assert len(batch) == 1
 
     def test_timeout_returns_empty(self):
-        mb = MicroBatcher()
+        mb = service_batcher(adaptive_flush=False)
         assert mb.next_batch(timeout=0.01) == []
 
     def test_close_refuses_new_and_drains(self):
-        mb = MicroBatcher(max_batch_size=100, flush_interval_s=10.0)
+        mb = service_batcher(max_batch_size=100, flush_interval_s=10.0, adaptive_flush=False)
         mb.submit(KernelRuntimeRequest(kernel=None))
         mb.close()
         assert len(mb.next_batch(timeout=0.1)) == 1  # closed cuts immediately
@@ -103,7 +127,7 @@ class TestMicroBatcher:
             mb.submit(KernelRuntimeRequest(kernel=None))
 
     def test_preserves_arrival_order(self):
-        mb = MicroBatcher(max_batch_size=4, flush_interval_s=10.0)
+        mb = service_batcher(max_batch_size=4, flush_interval_s=10.0, adaptive_flush=False)
         reqs = [KernelRuntimeRequest(kernel=i) for i in range(4)]
         for r in reqs:
             mb.submit(r)
@@ -512,7 +536,7 @@ class TestServiceLifecycleAndErrors:
         records, _ = corpus
         from repro.serving import InThreadExecutor
 
-        executor = InThreadExecutor(ModelRegistry(), replicas=3)
+        executor = InThreadExecutor(ModelRegistry(), replicas=3, max_cached_kernels=1024)
         for record in records:
             fp = record.kernel.fingerprint()
             assert executor.shard_for(fp) == executor.shard_for(fp)
@@ -540,11 +564,10 @@ class TestStatsSurfaces:
         cache.entry(records[1].features)
         assert cache.stats()["evictions"] == 1
 
+    @mock.patch("repro.autotuner.evaluators.PREDICTIONS_PER_KERNEL", 1)
     def test_configurable_prediction_memo_bound(self, corpus, result_a):
         records, scalers = corpus
-        evaluator = LearnedEvaluator(
-            result_a.model, scalers, max_cached_predictions=1
-        )
+        evaluator = LearnedEvaluator(result_a.model, scalers, max_cached_kernels=1)
         evaluator.kernel_runtime(records[0].kernel)
         evaluator.kernel_runtime(records[1].kernel)
         assert evaluator.stats()["prediction_entries"] == 1

@@ -17,10 +17,12 @@ The load-bearing guarantees on top of ``test_serving.py``:
 import os
 import signal
 import time
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from oracles import service_batcher
 
 from repro.autotuner import LearnedEvaluator
 from repro.compiler import enumerate_tile_sizes
@@ -38,7 +40,6 @@ from repro.models.trainer import TrainResult
 from repro.serving import (
     CostModelService,
     KernelRuntimeRequest,
-    MicroBatcher,
     ModelRegistry,
     ProcessShardExecutor,
     ProgramRuntimesRequest,
@@ -293,27 +294,27 @@ class TestAdaptiveFlush:
     """The batch-cut rule, driven with explicit timestamps: no wall clock."""
 
     def test_fixed_mode_keeps_configured_interval(self):
-        mb = MicroBatcher(flush_interval_s=0.005, adaptive_flush=False)
+        mb = service_batcher(flush_interval_s=0.005, adaptive_flush=False)
         for _ in range(4):
             mb.submit(KernelRuntimeRequest(kernel=None))
         assert mb.effective_flush_interval() == 0.005
 
     def test_sparse_arrivals_collapse_interval_to_zero(self):
-        mb = MicroBatcher(flush_interval_s=0.002, adaptive_flush=True)
+        mb = service_batcher(flush_interval_s=0.002, adaptive_flush=True)
         for at in (0.0, 0.01, 0.02, 0.03):  # gaps of 10 ms >> 2 ms window
             mb.observe_arrival(at, joins_pending=False)
         assert mb.arrival_gap_ema_s > mb.flush_interval_s
         assert mb.effective_flush_interval() == 0.0
 
     def test_dense_arrivals_keep_full_interval(self):
-        mb = MicroBatcher(flush_interval_s=0.05, adaptive_flush=True)
+        mb = service_batcher(flush_interval_s=0.05, adaptive_flush=True)
         for _ in range(8):
             mb.submit(KernelRuntimeRequest(kernel=None))  # back-to-back
         assert mb.arrival_gap_ema_s < mb.flush_interval_s
         assert mb.effective_flush_interval() == 0.05
 
     def test_sparse_then_dense_recovers_batching(self):
-        mb = MicroBatcher(flush_interval_s=0.05, adaptive_flush=True)
+        mb = service_batcher(flush_interval_s=0.05, adaptive_flush=True)
         mb._GAP_EMA_ALPHA = 0.5
         _arrive(mb, (0.0, 0.08))
         assert mb.effective_flush_interval() == 0.0
@@ -321,7 +322,7 @@ class TestAdaptiveFlush:
         assert mb.effective_flush_interval() == 0.05
 
     def test_adaptive_sparse_batch_cuts_immediately(self):
-        mb = MicroBatcher(max_batch_size=100, flush_interval_s=0.05, adaptive_flush=True)
+        mb = service_batcher(max_batch_size=100, flush_interval_s=0.05, adaptive_flush=True)
         for at in (0.0, 0.08, 0.16):  # EMA gap 80 ms >= 50 ms window: sparse
             mb.observe_arrival(at, joins_pending=False)
         # A lone synchronous client: zero wait, whenever it is asked.
@@ -336,7 +337,7 @@ class TestAdaptiveFlush:
         assert elapsed < 0.04
 
     def test_burst_then_silence_cuts_after_the_quiet_gap(self):
-        mb = MicroBatcher(flush_interval_s=0.002, adaptive_flush=True)
+        mb = service_batcher(flush_interval_s=0.002, adaptive_flush=True)
         burst = [20e-6 * i for i in range(16)]  # a client window refilling
         _arrive(mb, burst)
         last = burst[-1]
@@ -347,7 +348,7 @@ class TestAdaptiveFlush:
         assert last + quiet < mb.flush_interval_s / 4  # long before the window
 
     def test_evenly_spaced_dense_arrivals_keep_the_full_window(self):
-        mb = MicroBatcher(max_batch_size=100, flush_interval_s=0.002, adaptive_flush=True)
+        mb = service_batcher(max_batch_size=100, flush_interval_s=0.002, adaptive_flush=True)
         times = [1e-4 * i for i in range(20)]  # every 0.1 ms, through the window
         for i, at in enumerate(times):
             mb.observe_arrival(at, joins_pending=i > 0)
@@ -357,7 +358,7 @@ class TestAdaptiveFlush:
         assert mb.cut_wait(now=0.002, oldest=0.0, last=times[-1]) <= 0  # aged
 
     def test_lone_synchronous_client_never_learns_a_burst_gap(self):
-        mb = MicroBatcher(flush_interval_s=0.002, adaptive_flush=True)
+        mb = service_batcher(flush_interval_s=0.002, adaptive_flush=True)
         for i in range(10):  # each request finds the queue empty
             at = 0.005 * i
             mb.observe_arrival(at, joins_pending=False)
@@ -367,7 +368,7 @@ class TestAdaptiveFlush:
 
     def test_inter_burst_gap_does_not_poison_the_burst_estimate(self):
         # Window of 1 s, so the 50 ms between bursts is not "sparse".
-        mb = MicroBatcher(flush_interval_s=1.0, adaptive_flush=True)
+        mb = service_batcher(flush_interval_s=1.0, adaptive_flush=True)
         quiet = mb._QUIET_GAPS * 20e-6
         for burst in range(5):
             begin = 0.05 * burst
@@ -380,14 +381,14 @@ class TestAdaptiveFlush:
         assert mb.arrival_gap_ema_s > 10 * 20e-6  # the overall EMA did see it
 
     def test_window_is_the_upper_bound(self):
-        mb = MicroBatcher(flush_interval_s=0.002, adaptive_flush=True)
+        mb = service_batcher(flush_interval_s=0.002, adaptive_flush=True)
         _arrive(mb, (0.0, 0.001, 0.002), first_joins=True)  # 1 ms burst gaps
         # Quiet would be due 4 ms after the last arrival; aged comes first.
         wait = mb.cut_wait(now=0.0025, oldest=0.0015, last=0.0025)
         assert wait == pytest.approx(0.001)
 
     def test_fixed_mode_has_no_quiet_cut(self):
-        mb = MicroBatcher(flush_interval_s=0.002, adaptive_flush=False)
+        mb = service_batcher(flush_interval_s=0.002, adaptive_flush=False)
         _arrive(mb, [20e-6 * i for i in range(16)])
         assert mb.cut_wait(now=0.001, oldest=0.0, last=0.0003) == pytest.approx(0.001)
 
@@ -403,13 +404,13 @@ class TestCompleteCut:
     driven with explicit caller lists: no wall clock."""
 
     def test_no_attached_caller_never_completes(self):
-        mb = MicroBatcher(flush_interval_s=5.0, adaptive_flush=True)
+        mb = service_batcher(flush_interval_s=5.0, adaptive_flush=True)
         assert not mb.complete([])
         assert not mb.complete([None, None])
         assert not mb.complete(["a", "b"])  # tokens nobody attached
 
     def test_due_once_every_attached_caller_is_pending(self):
-        mb = MicroBatcher(flush_interval_s=5.0, adaptive_flush=True)
+        mb = service_batcher(flush_interval_s=5.0, adaptive_flush=True)
         mb.attach_caller("a")
         mb.attach_caller("b")
         assert not mb.complete(["a"])
@@ -418,18 +419,18 @@ class TestCompleteCut:
         assert mb.complete(["b", None, "a"])
 
     def test_anonymous_requests_never_complete_the_set(self):
-        mb = MicroBatcher(flush_interval_s=5.0, adaptive_flush=True)
+        mb = service_batcher(flush_interval_s=5.0, adaptive_flush=True)
         mb.attach_caller("a")
         assert not mb.complete([None] * 8)
 
     def test_a_pipelining_caller_does_not_stand_in_for_an_idle_one(self):
-        mb = MicroBatcher(flush_interval_s=5.0, adaptive_flush=True)
+        mb = service_batcher(flush_interval_s=5.0, adaptive_flush=True)
         mb.attach_caller("a")
         mb.attach_caller("b")
         assert not mb.complete(["a", "a", "a"])
 
     def test_detach_leaves_the_rest_complete(self):
-        mb = MicroBatcher(flush_interval_s=5.0, adaptive_flush=True)
+        mb = service_batcher(flush_interval_s=5.0, adaptive_flush=True)
         for token in ("a", "b"):
             mb.attach_caller(token)
         mb.detach_caller("b")
@@ -439,14 +440,14 @@ class TestCompleteCut:
         assert not mb.complete(["a"])  # nobody attached: the rule is off
 
     def test_fixed_mode_ignores_callers(self):
-        mb = MicroBatcher(flush_interval_s=0.3, adaptive_flush=False)
+        mb = service_batcher(flush_interval_s=0.3, adaptive_flush=False)
         mb.attach_caller("a")
         assert not mb.complete(["a"])
 
     def test_detach_wakes_a_blocked_next_batch(self):
         import threading
 
-        mb = MicroBatcher(flush_interval_s=5.0, adaptive_flush=True)
+        mb = service_batcher(flush_interval_s=5.0, adaptive_flush=True)
         mb.attach_caller("a")
         mb.attach_caller("idle")
         mb.submit(KernelRuntimeRequest(kernel=None), caller="a")
@@ -469,7 +470,7 @@ class TestCompleteCut:
         import sys
         import threading
 
-        mb = MicroBatcher(max_batch_size=8, flush_interval_s=0.002, adaptive_flush=True)
+        mb = service_batcher(max_batch_size=8, flush_interval_s=0.002, adaptive_flush=True)
 
         def caller(token: int) -> None:
             mb.attach_caller(token)
@@ -513,8 +514,8 @@ class TestCompleteCut:
         arrivals: the clocked rules read the same, fixed mode decides the
         same, and under ``adaptive_flush`` a batch is complete exactly when
         every attached caller has a request pending."""
-        mb = MicroBatcher(flush_interval_s=0.002, adaptive_flush=adaptive)
-        twin = MicroBatcher(flush_interval_s=0.002, adaptive_flush=adaptive)
+        mb = service_batcher(flush_interval_s=0.002, adaptive_flush=adaptive)
+        twin = service_batcher(flush_interval_s=0.002, adaptive_flush=adaptive)
         attached: set[int] = set()
         pending: list[tuple[float, int | None]] = []  # (arrival, caller)
         now = 0.0
@@ -898,7 +899,9 @@ class TestProcessShardExecutor:
 
     def test_executor_requires_valid_shards(self):
         with pytest.raises(ValueError):
-            ProcessShardExecutor(ModelRegistry(), shards=0)
+            ProcessShardExecutor(
+                ModelRegistry(), shards=0, max_cached_kernels=1024, request_timeout_s=30.0
+            )
 
 
 # ---------------------------------------------------------------------- #
@@ -996,6 +999,7 @@ class TestSocketFrontend:
             with pytest.raises(RuntimeError):
                 response.unwrap()
 
+    @mock.patch("repro.serving.protocol.MAX_INTERNED_KERNELS", 1)
     def test_kernel_interning_miss_retry_is_transparent(self, corpus, result_a):
         """A server that evicts interned kernels answers ``need_kernel``;
         the client resends in full and results stay bitwise-identical."""
@@ -1005,7 +1009,7 @@ class TestSocketFrontend:
             result_a, ServiceConfig(result_cache_entries=0)
         ).start()
         try:
-            with SocketFrontend(service, max_interned_kernels=1) as frontend:
+            with SocketFrontend(service) as frontend:
                 with SocketEvaluator(frontend.address) as remote:
                     workload = [
                         (r.kernel, enumerate_tile_sizes(r.kernel)[:4])

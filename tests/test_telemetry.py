@@ -14,6 +14,7 @@ import threading
 import time
 import urllib.error
 import urllib.request
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -41,6 +42,7 @@ from repro.serving import (
     slo_burn_rate,
     trace_unit_hash,
 )
+from repro.serving import telemetry
 from repro.serving.http_gateway import PROMETHEUS_CONTENT_TYPE
 from repro.serving.profiler import STAGE_BUCKETS, _StageStats
 from repro.serving.protocol import TileScoresRequest
@@ -139,7 +141,8 @@ class TestSampling:
     def test_salt_changes_the_subset(self):
         ids = [f"t-{i}" for i in range(256)]
         plain = {i for i in ids if trace_unit_hash(i) < 0.5}
-        salted = {i for i in ids if trace_unit_hash(i, salt="x") < 0.5}
+        with mock.patch.object(telemetry, "TRACE_SALT", "x"):
+            salted = {i for i in ids if trace_unit_hash(i) < 0.5}
         assert plain != salted
 
     def test_verdict_is_identical_across_tracer_instances(self):
