@@ -281,7 +281,7 @@ def eval_tile_split(
     s = split(split_name)
     ds = tile_data(split_name, "test", target=target)
     by_prog = ds.by_program()
-    ana = AnalyticalModel()
+    ana = AnalyticalModel(target)
     rows = []
     for display, program in s.test_names.items():
         recs = by_prog.get(program.name, [])

@@ -24,7 +24,7 @@ from ..data.features import (
     tile_features,
 )
 from ..models.model import LearnedPerformanceModel
-from ..tpu.analytical import AnalyticalModel, CalibratedAnalyticalModel
+from ..tpu.analytical import AnalyticalModel
 from ..tpu.simulator import TpuSimulator
 
 #: The fingerprint -> predicted-runtime memo of a :class:`LearnedEvaluator`
@@ -119,10 +119,11 @@ class HardwareEvaluator:
 
 
 class AnalyticalEvaluator:
-    """Prices tiles with the hand-tuned analytical model (free, no meter)."""
+    """Prices tiles with the hand-tuned TPU v2 analytical model (free, no
+    meter)."""
 
-    def __init__(self, model: AnalyticalModel | CalibratedAnalyticalModel | None = None) -> None:
-        self.model = model or AnalyticalModel()
+    def __init__(self) -> None:
+        self.model = AnalyticalModel()
 
     def score_tiles_batched(self, kernel: Kernel, tiles: list[TileConfig]) -> np.ndarray:
         """Estimated runtimes (ranking scores) for candidate tiles."""

@@ -21,6 +21,11 @@ S = TypeVar("S")
 #: Population scorer: prices a list of states in one call (lower is better).
 CostFn = Callable[[list[S]], "Sequence[float] | np.ndarray"]
 
+#: Cooling endpoints of :func:`simulated_annealing` (temperatures are in
+#: units of each chain's initial cost).
+INITIAL_TEMPERATURE = 1.0
+FINAL_TEMPERATURE = 1e-3
+
 
 @dataclass
 class SearchResult(Generic[S]):
@@ -73,10 +78,10 @@ def simulated_annealing(
     neighbor_fn: Callable[[S, np.random.Generator], S],
     steps: int,
     rng: np.random.Generator,
-    initial_temperature: float = 1.0,
-    final_temperature: float = 1e-3,
 ) -> SearchResult[S]:
-    """Simulated annealing with geometric cooling, one chain per initial state.
+    """Simulated annealing with geometric cooling from
+    :data:`INITIAL_TEMPERATURE` to :data:`FINAL_TEMPERATURE`, one chain per
+    initial state.
 
     A chain cannot batch within itself (each acceptance gates the next
     proposal), so ``len(initials)`` independent chains step in lockstep
@@ -91,7 +96,6 @@ def simulated_annealing(
         neighbor_fn: proposal distribution.
         steps: proposals *per chain* (evaluation budget).
         rng: randomness source (shared; consumed chain by chain per step).
-        initial_temperature / final_temperature: cooling endpoints.
     """
     if not initials:
         raise ValueError("simulated_annealing needs at least one chain")
@@ -103,8 +107,8 @@ def simulated_annealing(
     result.visited.extend(zip(current, current_costs))
     if steps <= 0:
         return result
-    alpha = (final_temperature / initial_temperature) ** (1.0 / steps)
-    temp = initial_temperature
+    alpha = (FINAL_TEMPERATURE / INITIAL_TEMPERATURE) ** (1.0 / steps)
+    temp = INITIAL_TEMPERATURE
     for step in range(steps):
         proposals = [neighbor_fn(s, rng) for s in current]
         costs = _costs(cost_fn, proposals)

@@ -19,17 +19,17 @@ from ..hlo.instruction import Instruction
 from ..hlo.shapes import Layout
 from .kernels import Kernel
 
+#: Most candidate layouts :func:`enumerate_output_layouts` returns.
+MAX_LAYOUTS = 6
 
-def enumerate_output_layouts(kernel: Kernel, cap: int = 6) -> list[Layout]:
+
+def enumerate_output_layouts(kernel: Kernel) -> list[Layout]:
     """Candidate physical layouts for the kernel's primary output.
 
     All permutations for rank <= 3; for higher ranks, rotations of the
     default minor-to-major order (full enumeration would be rank! and real
-    compilers only consider a handful). The default layout is always first.
-
-    Args:
-        kernel: the kernel whose output is being laid out.
-        cap: maximum number of candidates returned.
+    compilers only consider a handful), at most :data:`MAX_LAYOUTS` of
+    them. The default layout is always first.
     """
     rank = kernel.primary_output().shape.rank
     if rank <= 1:
@@ -46,7 +46,7 @@ def enumerate_output_layouts(kernel: Kernel, cap: int = 6) -> list[Layout]:
         for shift in range(1, rank):
             rotated = base[shift:] + base[:shift]
             candidates.append(Layout(rotated))
-    return candidates[:cap]
+    return candidates[:MAX_LAYOUTS]
 
 
 def with_output_layout(kernel: Kernel, layout: Layout) -> Kernel:
@@ -84,7 +84,7 @@ def with_output_layout(kernel: Kernel, layout: Layout) -> Kernel:
     )
 
 
-def best_output_layout(kernel: Kernel, cost_fn, cap: int = 6) -> tuple[Layout, float]:
+def best_output_layout(kernel: Kernel, cost_fn) -> tuple[Layout, float]:
     """Pick the output layout minimizing ``cost_fn(kernel_variant)``.
 
     Args:
@@ -92,13 +92,12 @@ def best_output_layout(kernel: Kernel, cost_fn, cap: int = 6) -> tuple[Layout, f
         cost_fn: maps a kernel variant to a scalar cost — typically
             ``lambda k: simulator.run(k, default_tile(k))`` or a learned
             evaluator's prediction.
-        cap: layout candidates considered.
 
     Returns:
         (best layout, its cost).
     """
     best: tuple[Layout, float] | None = None
-    for layout in enumerate_output_layouts(kernel, cap):
+    for layout in enumerate_output_layouts(kernel):
         variant = with_output_layout(kernel, layout)
         cost = float(cost_fn(variant))
         if best is None or cost < best[1]:

@@ -3,11 +3,12 @@
 Tile-size dataset: each program is compiled with the default fusion
 heuristic; every kernel is expanded into (kernel, tile) samples over its
 valid tile sizes, measured on the (simulated) TPU as the minimum of three
-noisy runs.
+noisy runs (:meth:`~repro.tpu.simulator.TpuSimulator.measure`).
 
 Fusion dataset: each program is expanded under many random fusion
 configurations; the resulting kernels are deduplicated by content
-fingerprint and measured at their default tile size.
+fingerprint and measured on the TPU v2 simulator at their default tile
+size.
 """
 from __future__ import annotations
 
@@ -108,7 +109,6 @@ def build_tile_dataset(
     max_kernels_per_program: int = 24,
     max_tiles_per_kernel: int = 32,
     seed: int = 0,
-    measure_noise: float = 0.02,
 ) -> TileSizeDataset:
     """Generate the tile-size dataset.
 
@@ -136,11 +136,7 @@ def build_tile_dataset(
                 pick.sort()
                 tiles = [tiles[i] for i in pick]
             runtimes = np.asarray(
-                [
-                    sim.measure(kernel, t, rng=rng, noise_sigma=measure_noise)
-                    for t in tiles
-                ],
-                dtype=np.float64,
+                [sim.measure(kernel, t, rng=rng) for t in tiles], dtype=np.float64
             )
             ds.records.append(
                 TileRecord(
@@ -158,10 +154,8 @@ def build_tile_dataset(
 
 def build_fusion_dataset(
     programs: list[Program],
-    simulator: TpuSimulator | None = None,
     configs_per_program: int = 8,
     seed: int = 0,
-    measure_noise: float = 0.02,
 ) -> FusionDataset:
     """Generate the fusion dataset with random-search fusion configurations.
 
@@ -172,7 +166,7 @@ def build_fusion_dataset(
     configuration contributes at most :data:`MAX_KERNELS_PER_CONFIG`
     kernels, evenly spaced over its kernel sequence.
     """
-    sim = simulator or TpuSimulator()
+    sim = TpuSimulator()
     rng = np.random.default_rng(seed)
     ds = FusionDataset()
     seen: set[str] = set()
@@ -194,9 +188,7 @@ def build_fusion_dataset(
                 if fp in seen:
                     continue
                 seen.add(fp)
-                runtime = sim.measure(
-                    kernel, default_tile(kernel), rng=rng, noise_sigma=measure_noise
-                )
+                runtime = sim.measure(kernel, default_tile(kernel), rng=rng)
                 ds.records.append(
                     FusionRecord(
                         kernel=kernel,

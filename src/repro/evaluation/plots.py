@@ -7,11 +7,13 @@ from __future__ import annotations
 
 from typing import Sequence
 
+#: Character width of the longest bar.
+BAR_WIDTH = 40
+
 
 def bar_chart(
     labels: Sequence[str],
     series: dict[str, Sequence[float]],
-    width: int = 40,
     title: str | None = None,
     baseline: float | None = 1.0,
     fmt: str = "{:.2f}",
@@ -21,7 +23,6 @@ def bar_chart(
     Args:
         labels: one label per group (e.g. program names).
         series: series name -> one value per group (e.g. strategy -> speedups).
-        width: character width of the longest bar.
         title: optional heading.
         baseline: draw a tick at this value (e.g. speedup 1.0); None to skip.
         fmt: value format.
@@ -46,10 +47,10 @@ def bar_chart(
         lines.append(f"{label}")
         for name, values in series.items():
             v = values[gi]
-            n = max(0, int(round(v / vmax * width)))
+            n = max(0, int(round(v / vmax * BAR_WIDTH)))
             bar = "#" * n
             if baseline is not None and 0 < baseline <= vmax:
-                tick = int(round(baseline / vmax * width))
+                tick = int(round(baseline / vmax * BAR_WIDTH))
                 if tick < len(bar):
                     bar = bar[:tick] + "|" + bar[tick + 1 :]
                 elif tick >= len(bar):

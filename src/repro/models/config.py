@@ -115,7 +115,7 @@ class TrainConfig:
     learning_rate: float = 1e-3
     lr_decay: float = 0.98
     lr_decay_every: int = 500
-    grad_clip: float | None = 5.0
+    grad_clip: float = 5.0
     kernels_per_batch: int = 8
     tiles_per_kernel: int = 4
     batch_size: int = 32  # fusion task

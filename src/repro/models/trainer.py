@@ -56,6 +56,24 @@ def _loss_fn(config: ModelConfig, pred: Tensor, targets: np.ndarray, groups: np.
     return pairwise_rank_loss(pred, targets, groups, phi=phi)
 
 
+def _sampler(
+    config: ModelConfig,
+    train: TrainConfig,
+    records: list[TileRecord] | list[FusionRecord],
+) -> TileBatchSampler | FusionBatchSampler:
+    """The batch sampler for ``config.task``, seeded with ``train.seed``."""
+    if config.task == "tile":
+        return TileBatchSampler(
+            records,  # type: ignore[arg-type]
+            kernels_per_batch=train.kernels_per_batch,
+            tiles_per_kernel=train.tiles_per_kernel,
+            seed=train.seed,
+        )
+    return FusionBatchSampler(
+        records, batch_size=train.batch_size, seed=train.seed  # type: ignore[arg-type]
+    )
+
+
 def train_tile_model(
     records: list[TileRecord],
     config: ModelConfig | None = None,
@@ -75,12 +93,7 @@ def train_tile_model(
         raise ValueError("train_tile_model requires a task='tile' config")
     train = train or TrainConfig()
     scalers = Scalers.fit_tile(records)
-    sampler = TileBatchSampler(
-        records,
-        kernels_per_batch=train.kernels_per_batch,
-        tiles_per_kernel=train.tiles_per_kernel,
-        seed=train.seed,
-    )
+    sampler = _sampler(config, train, records)
     model = LearnedPerformanceModel(config, seed=train.seed)
     return _run_loop(model, config, train, scalers, sampler.draw_items, verbose)
 
@@ -97,7 +110,7 @@ def train_fusion_model(
         raise ValueError("train_fusion_model requires a task='fusion' config")
     train = train or TrainConfig()
     scalers = Scalers.fit_fusion(records)
-    sampler = FusionBatchSampler(records, batch_size=train.batch_size, seed=train.seed)
+    sampler = _sampler(config, train, records)
     model = LearnedPerformanceModel(config, seed=train.seed)
     return _run_loop(model, config, train, scalers, sampler.draw_items, verbose)
 
@@ -146,8 +159,7 @@ def _run_loop(
         loss = _loss_fn(config, pred, batch.targets, batch.group_ids)
         opt.zero_grad()
         loss.backward()
-        if train.grad_clip is not None:
-            clip_global_norm(opt.params, train.grad_clip)
+        clip_global_norm(opt.params, train.grad_clip)
         opt.step()
         if step % train.log_every == 0 or step == train.steps - 1:
             history.append((step, float(loss.item())))
@@ -177,17 +189,7 @@ def fine_tune(
     """
     config = result.model.config
     train = train or TrainConfig(steps=300)
-    if config.task == "tile":
-        sampler = TileBatchSampler(
-            records,  # type: ignore[arg-type]
-            kernels_per_batch=train.kernels_per_batch,
-            tiles_per_kernel=train.tiles_per_kernel,
-            seed=train.seed,
-        )
-    else:
-        sampler = FusionBatchSampler(
-            records, batch_size=train.batch_size, seed=train.seed  # type: ignore[arg-type]
-        )
+    sampler = _sampler(config, train, records)
     tuned = _run_loop(result.model, config, train, result.scalers, sampler.draw_items, False)
     return TrainResult(
         model=tuned.model,

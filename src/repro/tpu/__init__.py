@@ -6,10 +6,9 @@ from .analytical import (
     calibrate_kind_scales,
 )
 from .simulator import SimBreakdown, TpuSimulator
-from .specs import TARGETS, TPU_V2, TPU_V3, TpuTarget, get_target
+from .specs import TPU_V2, TPU_V3, TpuTarget
 
 __all__ = [
-    "TARGETS",
     "TPU_V2",
     "TPU_V3",
     "AnalyticalBreakdown",
@@ -19,5 +18,4 @@ __all__ = [
     "TpuSimulator",
     "TpuTarget",
     "calibrate_kind_scales",
-    "get_target",
 ]

@@ -127,14 +127,6 @@ class AnalyticalModel:
             )
         return self.breakdown(kernel, tile).total
 
-    def best_tile(self, kernel: Kernel, tiles: list[TileConfig]) -> TileConfig:
-        """The tile size this model would select (minimum estimate)."""
-        return min(tiles, key=lambda t: self.estimate(kernel, t))
-
-    def rank_tiles(self, kernel: Kernel, tiles: list[TileConfig]) -> list[TileConfig]:
-        """Tiles sorted from best to worst estimated runtime."""
-        return sorted(tiles, key=lambda t: self.estimate(kernel, t))
-
 
 def calibrate_kind_scales(
     kernels: list[Kernel],

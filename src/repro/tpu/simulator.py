@@ -21,6 +21,10 @@ paper lists as *missing* from the analytical model (Appendix A):
 Runtimes are deterministic given (kernel, tile, target); measurement noise
 is added only by :meth:`TpuSimulator.measure`, which mimics the paper's
 "minimum runtime from three runs" protocol.
+
+The parts of the core that TPU v2 and v3 share are module constants here
+(:data:`SUBLANES`, :data:`VECTOR_REGISTERS`, :data:`TRANSFER_LATENCY_NS`);
+a :class:`~repro.tpu.specs.TpuTarget` holds only what differs.
 """
 from __future__ import annotations
 
@@ -33,6 +37,19 @@ from ..compiler.kernels import Kernel
 from ..compiler.scheduling import VECTOR_LANES, list_schedule, live_tensor_peak
 from ..compiler.tiling import TileConfig, default_tile, tile_transfer_bytes
 from .specs import TpuTarget, TPU_V2
+
+#: Vector register sublane count (second-minor tiling granularity).
+SUBLANES = 8
+#: Architectural 2D vector registers available to the register allocator
+#: (drives the spill model).
+VECTOR_REGISTERS = 64
+#: Fixed DMA setup latency per tile transfer, in nanoseconds.
+TRANSFER_LATENCY_NS = 500.0
+#: Noisy executions per :meth:`TpuSimulator.measure` ("the minimum runtime
+#: from three runs", paper Sec. 4).
+MEASURE_RUNS = 3
+#: Log-normal sigma of one execution's measurement noise.
+MEASURE_NOISE_SIGMA = 0.02
 
 
 @dataclass(frozen=True)
@@ -115,7 +132,7 @@ class TpuSimulator:
         """
         if transfer_bytes <= 0:
             return self.target.hbm_bandwidth_bps
-        latency_s = self.target.transfer_latency_ns * 1e-9
+        latency_s = TRANSFER_LATENCY_NS * 1e-9
         ideal_t = transfer_bytes / self.target.hbm_bandwidth_bps
         return transfer_bytes / (ideal_t + latency_s)
 
@@ -135,8 +152,7 @@ class TpuSimulator:
         util = minor / (np.ceil(minor / VECTOR_LANES) * VECTOR_LANES)
         if len(order) > 1:
             second = tile.dims[order[1]]
-            sub = self.target.sublanes
-            util *= second / (np.ceil(second / sub) * sub)
+            util *= second / (np.ceil(second / SUBLANES) * SUBLANES)
         return float(max(util, 0.05))
 
     def _quirk(self, kernel: Kernel, tile: TileConfig) -> float:
@@ -205,7 +221,7 @@ class TpuSimulator:
         compute = unit_cycles * tile_fraction / clock_hz / util / self.target.mxu_count
 
         # (5) register spills.
-        excess = max(0, peak - self.target.vector_registers)
+        excess = max(0, peak - VECTOR_REGISTERS)
         compute *= 1.0 + self.SPILL_PENALTY * excess
 
         loop = self.LOOP_OVERHEAD_CYCLES / clock_hz
@@ -249,18 +265,17 @@ class TpuSimulator:
         kernel: Kernel,
         tile: TileConfig | None = None,
         rng: np.random.Generator | None = None,
-        runs: int = 3,
-        noise_sigma: float = 0.02,
     ) -> float:
-        """Measured runtime: minimum of ``runs`` noisy executions.
+        """Measured runtime: minimum of :data:`MEASURE_RUNS` noisy executions.
 
         Mirrors the paper's data-collection protocol ("the runtime target
-        for each sample is the minimum runtime from three runs").
+        for each sample is the minimum runtime from three runs"). Without
+        an ``rng`` the reading is noise-free (:meth:`run`).
         """
         base = self.run(kernel, tile)
-        if rng is None or runs <= 0 or noise_sigma <= 0:
+        if rng is None:
             return base
-        noise = rng.lognormal(mean=0.0, sigma=noise_sigma, size=runs)
+        noise = rng.lognormal(mean=0.0, sigma=MEASURE_NOISE_SIGMA, size=MEASURE_RUNS)
         return float(base * noise.min())
 
     def run_program(

@@ -1,4 +1,6 @@
 """Tests for search strategies, evaluators, and the tile/fusion autotuners."""
+import inspect
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -17,6 +19,7 @@ from repro.autotuner import (
     simulated_annealing,
 )
 from repro.autotuner.fusion_tuner import _crossover
+from repro.autotuner.search import FINAL_TEMPERATURE, INITIAL_TEMPERATURE
 from repro.autotuner.tile import TileTuningResult
 from repro.compiler import FusionConfig, default_tile, enumerate_tile_sizes, fuse_program
 from repro.compiler.tiling import largest_tile
@@ -139,6 +142,11 @@ def _scalar_annealing(initial, cost_fn, neighbor_fn, steps, rng,
 class TestOneChainAnnealing:
     """One chain of the population annealer is the scalar annealer: same
     states visited, same acceptances, same best, bit for bit."""
+
+    def test_reference_cools_between_the_module_constants(self):
+        defaults = inspect.signature(_scalar_annealing).parameters
+        assert defaults["initial_temperature"].default == INITIAL_TEMPERATURE
+        assert defaults["final_temperature"].default == FINAL_TEMPERATURE
 
     @settings(max_examples=60, deadline=None)
     @given(

@@ -1,4 +1,6 @@
 """Additional dataset-structure tests: record containers and provenance."""
+from unittest import mock
+
 import numpy as np
 import pytest
 
@@ -15,6 +17,11 @@ from repro.data import (
 from repro.compiler import TileConfig, fuse_program
 from repro.tpu import TPU_V3, TpuSimulator
 from repro.workloads import vision
+
+
+def measure_noise(sigma):
+    """Measurement noise of every simulated execution, for one ``with``."""
+    return mock.patch("repro.tpu.simulator.MEASURE_NOISE_SIGMA", sigma)
 
 
 @pytest.fixture(scope="module")
@@ -54,10 +61,10 @@ class TestSimulatorTargetPlumbing:
         """Datasets built against the v3 simulator have (mostly) faster
         targets than v2 for the same kernels."""
         p = vision.image_embed(0)
-        kwargs = dict(max_kernels_per_program=4, max_tiles_per_kernel=4, seed=0,
-                      measure_noise=0.0)
-        v2 = build_tile_dataset([p], simulator=TpuSimulator(), **kwargs)
-        v3 = build_tile_dataset([p], simulator=TpuSimulator(TPU_V3), **kwargs)
+        kwargs = dict(max_kernels_per_program=4, max_tiles_per_kernel=4, seed=0)
+        with measure_noise(0.0):
+            v2 = build_tile_dataset([p], simulator=TpuSimulator(), **kwargs)
+            v3 = build_tile_dataset([p], simulator=TpuSimulator(TPU_V3), **kwargs)
         v2_all = np.concatenate([r.runtimes for r in v2.records])
         v3_all = np.concatenate([r.runtimes for r in v3.records])
         assert v3_all.mean() < v2_all.mean()
@@ -65,18 +72,21 @@ class TestSimulatorTargetPlumbing:
     def test_zero_noise_matches_simulator_exactly(self):
         p = vision.image_embed(0)
         sim = TpuSimulator()
-        ds = build_tile_dataset(
-            [p], simulator=sim, max_kernels_per_program=3,
-            max_tiles_per_kernel=4, seed=1, measure_noise=0.0,
-        )
+        with measure_noise(0.0):
+            ds = build_tile_dataset(
+                [p], simulator=sim, max_kernels_per_program=3,
+                max_tiles_per_kernel=4, seed=1,
+            )
         for rec in ds.records:
             expected = [sim.run(rec.kernel, t) for t in rec.tiles]
             np.testing.assert_allclose(rec.runtimes, expected, rtol=1e-12)
 
     def test_fusion_noise_perturbs_measurements_boundedly(self):
         p = vision.image_embed(0)
-        clean = build_fusion_dataset([p], configs_per_program=0, seed=1, measure_noise=0.0)
-        noisy = build_fusion_dataset([p], configs_per_program=0, seed=1, measure_noise=0.05)
+        with measure_noise(0.0):
+            clean = build_fusion_dataset([p], configs_per_program=0, seed=1)
+        with measure_noise(0.05):
+            noisy = build_fusion_dataset([p], configs_per_program=0, seed=1)
         by_fp = {r.kernel.fingerprint(): r.runtime for r in clean.records}
         pairs = [
             (by_fp[r.kernel.fingerprint()], r.runtime)

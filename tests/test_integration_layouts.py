@@ -5,6 +5,8 @@ in principle distinguish layout variants of a kernel; this test checks the
 plumbing end to end (features differ, predictions differ, and the layout
 pass can be driven by a learned evaluator's tile scores).
 """
+from unittest import mock
+
 import numpy as np
 import pytest
 
@@ -65,9 +67,10 @@ class TestLayoutModelIntegration:
     def test_learned_evaluator_scores_layout_variants(self, tile_model):
         ev = LearnedEvaluator(tile_model.model, tile_model.scalers)
         k = skinny_kernel()
-        layout, cost = best_output_layout(
-            k, lambda kk: float(ev.score_tiles_batched(kk, [default_tile(kk)])[0]), cap=2
-        )
+        with mock.patch("repro.compiler.layouts.MAX_LAYOUTS", 2):
+            layout, cost = best_output_layout(
+                k, lambda kk: float(ev.score_tiles_batched(kk, [default_tile(kk)])[0])
+            )
         assert np.isfinite(cost)
         assert layout in (Layout((1, 0)), Layout((0, 1)))
 

@@ -2,7 +2,14 @@
 import numpy as np
 import pytest
 
-from repro.data import Scalers, TileBatchSampler, assemble_batch, build_tile_dataset
+from repro.data import (
+    FusionBatchSampler,
+    Scalers,
+    TileBatchSampler,
+    assemble_batch,
+    build_fusion_dataset,
+    build_tile_dataset,
+)
 from repro.models import (
     LearnedPerformanceModel,
     ModelConfig,
@@ -142,6 +149,34 @@ class TestTraining:
     def test_task_mismatch_rejected(self, tile_ds):
         with pytest.raises(ValueError):
             train_tile_model(tile_ds.records, ModelConfig(task="fusion", loss="mse"))
+
+    def test_sampler_follows_the_config_task(self, tile_ds):
+        """Training and fine-tuning draw from the sampler ``config.task``
+        names, sized by the train config and seeded with its seed."""
+        train = TrainConfig(kernels_per_batch=3, tiles_per_kernel=2, batch_size=5, seed=4)
+        fusion_records = build_fusion_dataset(
+            [vision.image_embed(0)], configs_per_program=0, seed=1
+        ).records
+        cases = [
+            (
+                ModelConfig(task="tile"),
+                tile_ds.records,
+                TileBatchSampler(tile_ds.records, kernels_per_batch=3, tiles_per_kernel=2, seed=4),
+            ),
+            (
+                ModelConfig(task="fusion", loss="mse"),
+                fusion_records,
+                FusionBatchSampler(fusion_records, batch_size=5, seed=4),
+            ),
+        ]
+        for config, records, direct in cases:
+            built = trainer._sampler(config, train, records)
+            assert type(built) is type(direct)
+            for _ in range(3):
+                got, want = built.draw_items(), direct.draw_items()
+                assert [(id(f), r, g) for f, _, r, g in got] == [
+                    (id(f), r, g) for f, _, r, g in want
+                ]
 
     def test_predict_tile_scores_shape(self, tile_ds):
         cfg = ModelConfig(task="tile", reduction="column-wise", **SMALL)
