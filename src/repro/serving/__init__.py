@@ -117,10 +117,9 @@ _EXPORTS = {
     "protocol": (
         "ERROR_DEADLINE_EXCEEDED", "ERROR_DISCONNECTED", "ERROR_OVERLOADED",
         "ERROR_UNAVAILABLE", "ERROR_WORKER_FAILURE", "NEED_KERNEL_PREFIX",
-        "KernelRuntimeRequest", "ProgramRuntimesRequest", "Request",
-        "Response", "TileScoresRequest", "UnknownKernelError", "WireError",
-        "decode_request", "encode_request", "kernel_interner", "recv_frame",
-        "send_frame",
+        "ProgramRuntimesRequest", "Request", "Response", "TileScoresRequest",
+        "UnknownKernelError", "WireError", "decode_request", "encode_request",
+        "kernel_interner", "recv_frame", "send_frame",
     ),
     "registry": ("ModelRegistry",),
     "resilience": (

@@ -8,7 +8,8 @@ Both clients speak the same protocol as
 and ``model_fusion_autotune`` run against a shared service unchanged —
 point N tuner threads or processes at one service and their queries
 coalesce into the same micro-batches. A tile query travels as a
-``TileScoresRequest``.
+``TileScoresRequest``; every runtime query, ``kernel_runtime`` included
+(a one-kernel program), travels as a ``ProgramRuntimesRequest``.
 
 * :class:`ServiceEvaluator` — the in-process path: submits straight into
   the service's scheduler. Against a service without a worker thread it
@@ -35,7 +36,6 @@ from ..compiler.kernels import Kernel
 from ..compiler.tiling import TileConfig
 from .protocol import (
     NEED_KERNEL_PREFIX,
-    KernelRuntimeRequest,
     ProgramRuntimesRequest,
     Request,
     Response,
@@ -175,10 +175,10 @@ class EvaluatorClient:
         return np.asarray(response.unwrap())
 
     def kernel_runtime(self, kernel: Kernel, tile: TileConfig | None = None) -> float:
-        """Predicted absolute runtime in seconds (``tile`` ignored, as in
+        """Predicted absolute runtime in seconds: the runtime of the
+        one-kernel program (``tile`` ignored, as in
         :class:`~repro.autotuner.LearnedEvaluator`)."""
-        response = self._call(KernelRuntimeRequest(kernel=kernel))
-        return float(response.unwrap())
+        return self.program_runtime([kernel])
 
     def program_runtime(self, kernels: list[Kernel]) -> float:
         """Predicted program runtime (one-program population query)."""

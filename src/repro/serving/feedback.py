@@ -17,10 +17,11 @@ workloads arrive (Sec. 7.1), which presupposes a deployment loop that
   (:func:`repro.models.trainer.fine_tune_on_feedback`).
 
 Errors are normalized to [0, 1] so windows of different request kinds
-are comparable: scalar predictions score a capped relative error,
-vector predictions (tile scores vs. measured tile runtimes) score the
-discordant-pair fraction — rank quality is what the tile model is *for*
-(the paper evaluates it with Kendall's tau for the same reason).
+are comparable: single predictions (a one-program runtime) score a
+capped relative error, vector predictions (tile scores vs. measured tile
+runtimes) score the discordant-pair fraction — rank quality is what the
+tile model is *for* (the paper evaluates it with Kendall's tau for the
+same reason).
 """
 from __future__ import annotations
 
@@ -34,17 +35,26 @@ from .protocol import Request, TileScoresRequest
 
 
 def request_key(request: Request) -> tuple:
-    """Stable join key for one request (prediction side = measurement side).
+    """Stable identity of one request (prediction side = measurement side).
 
-    Prefers the protocol's ``cache_key`` (kernel fingerprint + tile dims,
-    stable across processes); program-population requests, whose cache key
-    is ``None`` by design, fall back to their fingerprint sequence.
+    The one definition of a request's identity: the feedback join, the
+    retry key (:func:`~repro.serving.resilience.idempotency_key`) and the
+    rollout split (:func:`~repro.serving.rollout.request_unit_hash`) all
+    derive from it. Prefers the protocol's ``cache_key`` (kernel
+    fingerprint + tile dims, stable across processes); program-population
+    requests, whose cache key is ``None`` by design, fall back to their
+    fingerprints grouped per program — ``((a, b), (c,))`` and
+    ``((a,), (b, c))`` price different programs, so they keep different
+    keys.
     """
     try:
         key = request.cache_key()
         if key is not None:
             return key
-        return ("programs", tuple(request.fingerprints()))
+        return (
+            "programs",
+            tuple(tuple(k.fingerprint() for k in p) for p in request.programs),
+        )
     except Exception:
         return ("opaque", repr(request))
 
@@ -57,8 +67,9 @@ def prediction_error(predicted, measured) -> float:
       a random pair the hardware separates. 0 = perfect ranking, ~0.5 =
       random, ~1 = anti-correlated. Ranking is the deployed contract of
       the tile model, so ranking error is what rollouts gate on.
-    * scalars (kernel/program runtimes): relative absolute error, capped
-      at 1 so one wild prediction cannot dominate a window mean.
+    * single values (one kernel's or program's runtime): relative
+      absolute error, capped at 1 so one wild prediction cannot dominate
+      a window mean.
     """
     pred = np.asarray(predicted, dtype=np.float64).reshape(-1)
     meas = np.asarray(measured, dtype=np.float64).reshape(-1)

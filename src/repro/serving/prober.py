@@ -54,9 +54,8 @@ from .protocol import TileScoresRequest
 
 __all__ = ["GoldenProbe", "SyntheticProber"]
 
-#: Sweep cadence of :meth:`SyntheticProber.start` and
-#: :meth:`SyntheticProber.maybe_sweep`; for another cadence, call
-#: :meth:`SyntheticProber.sweep` from your own loop.
+#: Sweep cadence of :meth:`SyntheticProber.start`; for another cadence,
+#: call :meth:`SyntheticProber.sweep` from your own loop.
 PROBE_INTERVAL_S = 1.0
 
 #: Per-probe response wait.
@@ -93,8 +92,8 @@ class SyntheticProber:
             tiles)`` pairs). Pick kernels whose fingerprints cover every
             executor shard — :meth:`coverage` reports gaps after
             :meth:`bind`.
-        clock: injectable wall clock — the schedule and every verdict
-            timestamp are deterministic under a fake clock.
+        clock: injectable wall clock — every verdict timestamp is
+            deterministic under a fake clock.
         journal: optional ops journal; defaults to the bound service's.
 
     The prober is *pulled* (call :meth:`sweep` from an ops loop) or
@@ -136,7 +135,6 @@ class SyntheticProber:
         self.failures = 0
         self.sweeps = 0
         self.last_sweep: dict | None = None
-        self._next_due: float | None = None
         self._thread: threading.Thread | None = None
         self._stop = threading.Event()
 
@@ -282,7 +280,6 @@ class SyntheticProber:
         with self._lock:
             self.sweeps += 1
             self.last_sweep = summary
-            self._next_due = started + PROBE_INTERVAL_S
         record_event(
             self.journal,
             "probe.sweep",
@@ -397,15 +394,6 @@ class SyntheticProber:
     # ------------------------------------------------------------------ #
     # schedule
     # ------------------------------------------------------------------ #
-
-    def due(self) -> bool:
-        """True when the deterministic schedule calls for a sweep."""
-        with self._lock:
-            return self._next_due is None or self._clock() >= self._next_due
-
-    def maybe_sweep(self) -> dict | None:
-        """Sweep iff due — the pulled-schedule entry point."""
-        return self.sweep() if self.due() else None
 
     def start(self) -> "SyntheticProber":
         """Sweep every :data:`PROBE_INTERVAL_S` on a daemon thread;

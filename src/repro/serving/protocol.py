@@ -1,14 +1,14 @@
 """Typed request/response protocol for the cost-model service.
 
 The paper's deployment mode is a model trained offline and queried at
-compile time; the service speaks exactly the three query shapes that
-compile-time clients (tile autotuners, fusion tuners, benchmark drivers)
-issue:
+compile time; the service speaks exactly the two query shapes of the
+paper's two tasks, as compile-time clients (tile autotuners, fusion
+tuners, benchmark drivers) issue them:
 
 * :class:`TileScoresRequest` — rank candidate tiles of one kernel;
-* :class:`KernelRuntimeRequest` — predict one kernel's absolute runtime;
 * :class:`ProgramRuntimesRequest` — price a population of candidate
-  programs (fusion-search populations).
+  programs (fusion-search populations); one kernel's absolute runtime
+  is the one-program, one-kernel population.
 
 Requests are plain frozen dataclasses so they can cross a transport
 boundary (the in-process frontend passes them by reference; the socket
@@ -232,43 +232,6 @@ class TileScoresRequest:
 
 
 @dataclass(frozen=True)
-class KernelRuntimeRequest:
-    """Predict one kernel's absolute runtime in seconds."""
-
-    kernel: Kernel
-    deadline_s: float | None = None
-    trace: TraceContext | None = None
-    synthetic: bool = False
-
-    def shard_key(self) -> str:
-        return self.kernel.fingerprint()
-
-    def cache_key(self) -> tuple:
-        return ("kernel", self.kernel.fingerprint())
-
-    def fingerprints(self) -> list[str]:
-        return [self.kernel.fingerprint()]
-
-    def to_bytes(self, known=None) -> bytes:
-        return _pack_request(
-            "kernel_runtime",
-            kernel=_kernel_to_wire(self.kernel, known),
-            deadline_s=self.deadline_s,
-            **_trace_field(self.trace),
-            **_synthetic_field(self.synthetic),
-        )
-
-    @classmethod
-    def _from_payload(cls, payload, interner) -> "KernelRuntimeRequest":
-        return cls(
-            kernel=_kernel_from_wire(payload["kernel"], interner),
-            deadline_s=payload.get("deadline_s"),
-            trace=TraceContext.from_wire(payload.get("trace")),
-            synthetic=bool(payload.get("synthetic", False)),
-        )
-
-
-@dataclass(frozen=True)
 class ProgramRuntimesRequest:
     """Predict total runtimes for many candidate programs at once.
 
@@ -325,11 +288,10 @@ class ProgramRuntimesRequest:
         )
 
 
-Request = TileScoresRequest | KernelRuntimeRequest | ProgramRuntimesRequest
+Request = TileScoresRequest | ProgramRuntimesRequest
 
 _REQUEST_TYPES = {
     "tile_scores": TileScoresRequest,
-    "kernel_runtime": KernelRuntimeRequest,
     "program_runtimes": ProgramRuntimesRequest,
 }
 
@@ -382,8 +344,8 @@ class Response:
     """Result of one request.
 
     Attributes:
-        value: ``np.ndarray`` of scores/runtimes (tile and program
-            requests) or a float (kernel-runtime requests).
+        value: ``np.ndarray`` of tile scores or program runtimes (one
+            per tile / program the request sent), or ``None`` on failure.
         model_version: registry version of the checkpoint that produced
             ``value`` — one version per response, always (hot swaps apply
             between batches, never inside one). Under a canary rollout
@@ -415,7 +377,7 @@ class Response:
             feedback joins, and the result cache.
     """
 
-    value: np.ndarray | float | None
+    value: np.ndarray | None
     model_version: str
     batch_size: int = 1
     cache_hit: bool = False
@@ -428,7 +390,7 @@ class Response:
     trace_id: str | None = None
     synthetic: bool = False
 
-    def unwrap(self) -> np.ndarray | float:
+    def unwrap(self) -> np.ndarray:
         """The value, raising ``RuntimeError`` if the request failed."""
         if self.error is not None:
             raise RuntimeError(f"cost-model request failed: {self.error}")
@@ -444,13 +406,10 @@ class Response:
         """
         if self.value is None:
             kind, dtype, shape, payload = "none", None, None, b""
-        elif isinstance(self.value, np.ndarray):
+        else:
             arr = np.ascontiguousarray(self.value)
             kind, dtype, shape = "array", arr.dtype.str, list(arr.shape)
             payload = arr.tobytes()
-        else:
-            kind, dtype, shape = "scalar", "<f8", None
-            payload = struct.pack("<d", float(self.value))
         header = json.dumps(
             {
                 "kind": kind,
@@ -484,8 +443,6 @@ class Response:
             kind = header["kind"]
             if kind == "none":
                 value = None
-            elif kind == "scalar":
-                value = float(struct.unpack("<d", payload)[0])
             elif kind == "array":
                 value = np.frombuffer(payload, dtype=np.dtype(header["dtype"]))
                 value = value.reshape(header["shape"])

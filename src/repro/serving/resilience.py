@@ -39,13 +39,13 @@ import numpy as np
 
 from ..compiler.tiling import default_tile
 from ..tpu.analytical import AnalyticalModel
+from .feedback import request_key
 from .protocol import (
     ERROR_DEADLINE_EXCEEDED,
     ERROR_DISCONNECTED,
     ERROR_OVERLOADED,
     ERROR_UNAVAILABLE,
     ERROR_WORKER_FAILURE,
-    KernelRuntimeRequest,
     ProgramRuntimesRequest,
     Request,
     Response,
@@ -139,12 +139,7 @@ def idempotency_key(request: Request) -> str:
     the deterministic retry jitter so equal-content clients back off on
     different schedules.
     """
-    cache_key = getattr(request, "cache_key", lambda: None)()
-    if cache_key is not None:
-        material = repr(cache_key)
-    else:
-        material = f"{type(request).__name__}:{','.join(request.fingerprints())}"
-    return hashlib.sha256(material.encode()).hexdigest()[:16]
+    return hashlib.sha256(repr(request_key(request)).encode()).hexdigest()[:16]
 
 
 #: Geometric growth of a retry backoff from one retry to the next.
@@ -436,7 +431,7 @@ class AnalyticalFallback:
         self.answers = 0
         self.failures = 0
 
-    def answer(self, request: Request) -> np.ndarray | float:
+    def answer(self, request: Request) -> np.ndarray:
         try:
             value = self._answer(request)
         except Exception:
@@ -447,15 +442,12 @@ class AnalyticalFallback:
             self.answers += 1
         return value
 
-    def _answer(self, request: Request) -> np.ndarray | float:
+    def _answer(self, request: Request) -> np.ndarray:
         if isinstance(request, TileScoresRequest):
             return np.asarray(
                 [self.model.estimate(request.kernel, t) for t in request.tiles],
                 dtype=np.float64,
             )
-        if isinstance(request, KernelRuntimeRequest):
-            kernel = request.kernel
-            return float(self.model.estimate(kernel, default_tile(kernel)))
         if isinstance(request, ProgramRuntimesRequest):
             return np.asarray(
                 [self._program(kernels) for kernels in request.programs],

@@ -43,10 +43,9 @@ future, and the version / shadow / deadline / shard stamped on the way):
    * tile-score requests for the *same kernel* are merged into one
      command (their candidate lists concatenated), and a shard's tile
      commands share one ``score_tile_groups`` forward;
-   * kernel-runtime requests are merged into one
-     ``program_runtimes_batched`` call over single-kernel programs;
-   * program-population requests are merged into one
-     ``program_runtimes_batched`` call over the concatenated populations.
+   * program-population requests (a kernel's runtime is a one-kernel
+     program) are merged into one ``program_runtimes_batched`` call over
+     the concatenated populations.
 
    A shard's commands are its **slice** of the micro-batch — one slice
    per shard, executed by one function on both executors
@@ -100,7 +99,6 @@ from .protocol import (
     ERROR_DEADLINE_EXCEEDED,
     ERROR_UNAVAILABLE,
     ERROR_WORKER_FAILURE,
-    KernelRuntimeRequest,
     ProgramRuntimesRequest,
     Request,
     Response,
@@ -1061,7 +1059,6 @@ class CostModelService:
         alone, not take their co-batched neighbours down.
         """
         tile_groups: dict[tuple[int, str], list[PendingRequest]] = {}
-        runtime_groups: dict[int, list[PendingRequest]] = {}
         program_groups: dict[int, list[PendingRequest]] = {}
         for pending in batch:
             request = pending.request
@@ -1070,8 +1067,6 @@ class CostModelService:
                 if isinstance(request, TileScoresRequest):
                     key = (shard, request.kernel.fingerprint())
                     tile_groups.setdefault(key, []).append(pending)
-                elif isinstance(request, KernelRuntimeRequest):
-                    runtime_groups.setdefault(shard, []).append(pending)
                 elif isinstance(request, ProgramRuntimesRequest):
                     program_groups.setdefault(shard, []).append(pending)
                 else:
@@ -1094,14 +1089,6 @@ class CostModelService:
                 TileCommand(shard=shard, kernel=group[0].request.kernel, tiles=merged)
             )
             groups.append(("tiles", group))
-        for shard, group in runtime_groups.items():
-            commands.append(
-                ProgramCommand(
-                    shard=shard,
-                    programs=tuple((p.request.kernel,) for p in group),
-                )
-            )
-            groups.append(("runtimes", group))
         for shard, group in program_groups.items():
             merged_programs = tuple(
                 tuple(kernels) for p in group for kernels in p.request.programs
@@ -1114,18 +1101,13 @@ class CostModelService:
     def _split(kind: str, group: list[PendingRequest], value):
         """Slice one coalesced result back per request, in group order.
 
-        Yields ``(pending, value)``: one float per request of a
-        ``runtimes`` group, otherwise the request's own contiguous slice
+        Yields ``(pending, value)``: the request's own contiguous slice
         of the score vector (as long as the tiles / programs it sent).
         The response path and shadow scoring share it, so a shadow
         prediction always lines up with the response it shadows.
         """
         offset = 0
         for pending in group:
-            if kind == "runtimes":
-                yield pending, float(value[offset])
-                offset += 1
-                continue
             request = pending.request
             n = len(request.tiles if kind == "tiles" else request.programs)
             yield pending, np.asarray(value[offset:offset + n])

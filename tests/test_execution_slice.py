@@ -27,7 +27,6 @@ from repro.models import LearnedPerformanceModel, ModelConfig
 from repro.models.trainer import TrainResult
 from repro.serving import (
     CostModelService,
-    KernelRuntimeRequest,
     ModelRegistry,
     ProcessShardExecutor,
     ProgramRuntimesRequest,
@@ -283,8 +282,9 @@ class _CountingConn:
 
 
 def _mixed_batch(service, records):
-    """Three tile requests, one kernel-runtime request and one program
-    population: at the parent, one ``tile_batch`` + two ``programs``."""
+    """Three tile requests, one kernel runtime (a one-kernel program) and
+    one program population: one tile command per kernel and one program
+    command per shard, a shard's slice still one pipe message."""
     kernels = [r.kernel for r in records]
     futures = [
         service.submit(
@@ -292,7 +292,9 @@ def _mixed_batch(service, records):
         )
         for k in kernels[:3]
     ]
-    futures.append(service.submit(KernelRuntimeRequest(kernel=kernels[3])))
+    futures.append(
+        service.submit(ProgramRuntimesRequest(programs=((kernels[3],),)))
+    )
     futures.append(
         service.submit(
             ProgramRuntimesRequest(

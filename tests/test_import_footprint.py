@@ -122,7 +122,7 @@ def test_public_names_are_the_same_set():
     import repro.serving
 
     assert len(repro.__all__) == len(set(repro.__all__)) == 11
-    assert len(repro.serving.__all__) == len(set(repro.serving.__all__)) == 104
+    assert len(repro.serving.__all__) == len(set(repro.serving.__all__)) == 103
     assert set(repro.serving.__all__) >= {
         "CostModelService", "ProcessShardExecutor", "SocketFrontend",
         "ModelRegistry", "MetricsGateway", "ServiceConfig",

@@ -711,26 +711,6 @@ class TestSyntheticProber:
         )
         assert Response.from_bytes(probe.to_bytes()).synthetic is True
 
-    @mock.patch("repro.serving.prober.PROBE_INTERVAL_S", 10.0)
-    def test_schedule_is_deterministic_under_injected_clock(self, corpus, result_a):
-        records, _ = corpus
-        clock = FakeClock(100.0)
-        service = CostModelService(
-            result_a, ServiceConfig(replicas=1, result_cache_entries=0)
-        ).start()
-        try:
-            prober = SyntheticProber(_golden_probes(records, count=1), clock=clock)
-            service.attach_prober(prober)
-            assert prober.due()
-            assert prober.maybe_sweep() is not None
-            assert prober.maybe_sweep() is None  # not due again yet
-            clock.advance(9.9)
-            assert not prober.due()
-            clock.advance(0.2)
-            assert prober.maybe_sweep() is not None
-        finally:
-            service.stop()
-
     def test_silent_corruption_is_caught_journaled_and_clears_on_recovery(
         self, corpus, result_a, tmp_path
     ):

@@ -33,7 +33,7 @@ import pytest
 from oracles import service_batcher
 
 from repro.autotuner import LearnedEvaluator
-from repro.compiler import enumerate_tile_sizes
+from repro.compiler import default_tile, enumerate_tile_sizes
 from repro.data import Scalers, build_tile_dataset
 from repro.models import LearnedPerformanceModel, ModelConfig
 from repro.models.trainer import TrainResult
@@ -54,7 +54,6 @@ from repro.serving import (
     FaultInjector,
     FaultPlan,
     FaultRule,
-    KernelRuntimeRequest,
     ModelRegistry,
     Overloaded,
     ProgramRuntimesRequest,
@@ -72,6 +71,7 @@ from repro.serving import (
     idempotency_key,
 )
 from repro.serving.protocol import frame_bytes
+from repro.tpu import AnalyticalModel
 from repro.workloads import vision
 
 SMALL = dict(hidden_dim=16, opcode_embedding_dim=8, gnn_layers=2, lstm_hidden=16)
@@ -364,8 +364,10 @@ class TestAnalyticalFallback:
         scores = fallback.answer(tile_req)
         assert scores.shape == (len(tile_req.tiles),)
         assert np.all(np.isfinite(scores)) and np.all(scores > 0)
-        runtime = fallback.answer(KernelRuntimeRequest(kernel=records[0].kernel))
-        assert isinstance(runtime, float) and runtime > 0
+        kernel = records[0].kernel
+        runtime = fallback.answer(ProgramRuntimesRequest(programs=((kernel,),)))
+        assert runtime.shape == (1,)
+        assert runtime[0] == AnalyticalModel().estimate(kernel, default_tile(kernel))
         programs = ProgramRuntimesRequest(
             programs=(tuple(r.kernel for r in records[:3]),)
         )
@@ -411,14 +413,14 @@ class TestResilienceOnTheWire:
         decoded = Response.from_bytes(response.to_bytes())
         assert decoded.error_code == ERROR_DEADLINE_EXCEEDED
         degraded = Response(
-            value=1.5, model_version=ANALYTICAL_VERSION, degraded=True
+            value=np.array([1.5]), model_version=ANALYTICAL_VERSION, degraded=True
         )
         assert Response.from_bytes(degraded.to_bytes()).degraded is True
 
     def test_pre_resilience_header_still_decodes(self):
         """Frames from an older peer (no error_code/degraded keys) decode
         with the new fields defaulted."""
-        blob = Response(value=2.0, model_version="v1").to_bytes()
+        blob = Response(value=np.array([2.0]), model_version="v1").to_bytes()
         (header_len,) = struct.unpack_from(">I", blob, 0)
         header = json.loads(blob[4:4 + header_len].decode())
         del header["error_code"], header["degraded"]
@@ -426,7 +428,7 @@ class TestResilienceOnTheWire:
         rebuilt = struct.pack(">I", len(old)) + old + blob[4 + header_len:]
         decoded = Response.from_bytes(rebuilt)
         assert decoded.error_code is None and decoded.degraded is False
-        assert decoded.value == 2.0
+        np.testing.assert_array_equal(decoded.value, [2.0])
 
     def test_fault_for_maps_codes(self):
         shed = Response(
@@ -552,9 +554,17 @@ class TestServiceResilience:
             service.flush()
             assert again.result(timeout=5).degraded is True
             assert not again.result(timeout=5).cache_hit
+            # A kernel runtime (a one-kernel program) degrades to the
+            # analytical estimate at the kernel's default tile.
+            kernel = request.kernel
+            client = ServiceEvaluator(service)
+            assert client.kernel_runtime(kernel) == AnalyticalModel().estimate(
+                kernel, default_tile(kernel)
+            )
+            assert client.degraded_responses == 1
             metrics = service.metrics()
-            assert metrics["degraded"] >= 2.0
-            assert metrics["fallback_answers"] >= 2.0
+            assert metrics["degraded"] >= 3.0
+            assert metrics["fallback_answers"] >= 3.0
         finally:
             service.stop()
 

@@ -408,9 +408,9 @@ class TestResponseRolloutTags:
 
         header = json.dumps(
             {
-                "kind": "scalar",
+                "kind": "array",
                 "dtype": "<f8",
-                "shape": None,
+                "shape": [1],
                 "model_version": "v1",
                 "batch_size": 1,
                 "cache_hit": False,
@@ -422,7 +422,7 @@ class TestResponseRolloutTags:
         decoded = Response.from_bytes(data)
         assert decoded.canary is False
         assert decoded.shadowed_by is None
-        assert decoded.value == 1.5
+        np.testing.assert_array_equal(decoded.value, [1.5])
 
 
 # ---------------------------------------------------------------------- #

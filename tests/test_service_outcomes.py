@@ -33,7 +33,6 @@ from repro.serving import (
     CostModelService,
     FeedbackCollector,
     InThreadExecutor,
-    KernelRuntimeRequest,
     ModelRegistry,
     ProgramRuntimesRequest,
     ServiceConfig,
@@ -510,11 +509,11 @@ def test_shadow_predictions_equal_response_values(corpus, result):
         TileScoresRequest(kernel=kernels[0], tiles=tuple(tiles[:3])),
         TileScoresRequest(kernel=kernels[0], tiles=tuple(tiles[3:4])),
         TileScoresRequest(kernel=kernels[0], tiles=tuple(tiles[4:6])),
-        # ...one runtimes group...
-        KernelRuntimeRequest(kernel=kernels[1]),
-        KernelRuntimeRequest(kernel=kernels[2]),
-        KernelRuntimeRequest(kernel=kernels[3]),
-        # ...and one programs group of unequal populations.
+        # ...and one programs group of unequal populations, kernel
+        # runtimes (one-kernel programs) included.
+        ProgramRuntimesRequest(programs=((kernels[1],),)),
+        ProgramRuntimesRequest(programs=((kernels[2],),)),
+        ProgramRuntimesRequest(programs=((kernels[3],),)),
         ProgramRuntimesRequest(programs=((kernels[0], kernels[1]),)),
         ProgramRuntimesRequest(
             programs=((kernels[2],), (kernels[1], kernels[3]), (kernels[0],))
@@ -545,15 +544,12 @@ def test_shadow_predictions_equal_response_values(corpus, result):
         assert response.shadowed_by == "staged"
         shadow = shadows[id(request)]
         assert type(shadow) is type(response.value)
-        if isinstance(request, KernelRuntimeRequest):
-            assert shadow == response.value
-        else:
-            expected_len = len(
-                request.tiles
-                if isinstance(request, TileScoresRequest)
-                else request.programs
-            )
-            assert shadow.shape == response.value.shape == (expected_len,)
-            np.testing.assert_array_equal(shadow, response.value)
+        expected_len = len(
+            request.tiles
+            if isinstance(request, TileScoresRequest)
+            else request.programs
+        )
+        assert shadow.shape == response.value.shape == (expected_len,)
+        np.testing.assert_array_equal(shadow, response.value)
     assert responses[-1].error is None
     assert responses[-1].synthetic and responses[-1].shadowed_by is None

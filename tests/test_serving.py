@@ -9,6 +9,7 @@ The two load-bearing guarantees:
 * **hot-swap atomicity** — a registry activation mid-stream never mixes
   two checkpoints inside one response.
 """
+import hashlib
 import threading
 from unittest import mock
 
@@ -32,7 +33,7 @@ from repro.models.trainer import TrainResult
 from repro.serving import (
     CircuitBreaker,
     CostModelService,
-    KernelRuntimeRequest,
+    FeedbackCollector,
     MicroBatcher,
     ModelRegistry,
     ProcessShardExecutor,
@@ -41,6 +42,9 @@ from repro.serving import (
     ServiceConfig,
     ServiceEvaluator,
     TileScoresRequest,
+    idempotency_key,
+    request_key,
+    request_unit_hash,
 )
 from repro.workloads import vision
 
@@ -102,14 +106,14 @@ class TestMicroBatcher:
     def test_cuts_at_max_batch_size(self):
         mb = service_batcher(max_batch_size=3, flush_interval_s=10.0, adaptive_flush=False)
         for _ in range(5):
-            mb.submit(KernelRuntimeRequest(kernel=None))
+            mb.submit(ProgramRuntimesRequest(programs=((None,),)))
         batch = mb.next_batch(timeout=0.1)
         assert len(batch) == 3
         assert len(mb) == 2
 
     def test_flush_interval_cuts_partial_batch(self):
         mb = service_batcher(max_batch_size=100, flush_interval_s=0.01, adaptive_flush=False)
-        mb.submit(KernelRuntimeRequest(kernel=None))
+        mb.submit(ProgramRuntimesRequest(programs=((None,),)))
         batch = mb.next_batch(timeout=1.0)
         assert len(batch) == 1
 
@@ -119,16 +123,16 @@ class TestMicroBatcher:
 
     def test_close_refuses_new_and_drains(self):
         mb = service_batcher(max_batch_size=100, flush_interval_s=10.0, adaptive_flush=False)
-        mb.submit(KernelRuntimeRequest(kernel=None))
+        mb.submit(ProgramRuntimesRequest(programs=((None,),)))
         mb.close()
         assert len(mb.next_batch(timeout=0.1)) == 1  # closed cuts immediately
         assert mb.next_batch(timeout=0.1) == []
         with pytest.raises(RuntimeError):
-            mb.submit(KernelRuntimeRequest(kernel=None))
+            mb.submit(ProgramRuntimesRequest(programs=((None,),)))
 
     def test_preserves_arrival_order(self):
         mb = service_batcher(max_batch_size=4, flush_interval_s=10.0, adaptive_flush=False)
-        reqs = [KernelRuntimeRequest(kernel=i) for i in range(4)]
+        reqs = [ProgramRuntimesRequest(programs=((i,),)) for i in range(4)]
         for r in reqs:
             mb.submit(r)
         batch = mb.next_batch(timeout=0.1)
@@ -228,16 +232,40 @@ class TestServiceEquivalence:
         merged = direct.score_tiles_batched(kernel, tiles)
         np.testing.assert_array_equal(np.concatenate([r1.unwrap(), r2.unwrap()]), merged)
 
-    def test_kernel_runtimes_match_direct_batched_call(self, corpus, result_a):
+    @pytest.mark.parametrize("executor", ["thread", "process"])
+    def test_kernel_runtimes_match_direct_batched_call(
+        self, corpus, result_a, executor
+    ):
+        # A kernel runtime is a one-kernel program: one request per kernel
+        # shares one program forward, and the client's ``kernel_runtime``
+        # answers the direct one-kernel population bitwise on either
+        # executor (one shard keeps the direct call's batch shape).
         records, scalers = corpus
         kernels = [r.kernel for r in records[:4]]
-        service = sync_service(result_a, max_batch_size=8, result_cache_entries=0)
-        futures = [service.submit(KernelRuntimeRequest(kernel=k)) for k in kernels]
-        service.flush()
-        served = np.asarray([f.result(timeout=5).unwrap() for f in futures])
-        direct = LearnedEvaluator(result_a.model, scalers)
-        reference = direct.program_runtimes_batched([[k] for k in kernels])
-        np.testing.assert_array_equal(served, reference)
+        service = sync_service(
+            result_a, executor=executor, replicas=1, max_batch_size=8,
+            result_cache_entries=0,
+        )
+        try:
+            futures = [
+                service.submit(ProgramRuntimesRequest(programs=((k,),)))
+                for k in kernels
+            ]
+            service.flush()
+            responses = [f.result(timeout=60) for f in futures]
+            assert {r.batch_size for r in responses} == {len(kernels)}
+            served = np.concatenate([r.unwrap() for r in responses])
+            direct = LearnedEvaluator(result_a.model, scalers)
+            reference = direct.program_runtimes_batched([[k] for k in kernels])
+            np.testing.assert_array_equal(served, reference)
+            client = ServiceEvaluator(service, timeout_s=60.0)
+            fresh = LearnedEvaluator(result_a.model, scalers)
+            kernel = records[5].kernel
+            assert client.kernel_runtime(kernel) == (
+                fresh.program_runtimes_batched([[kernel]])[0]
+            )
+        finally:
+            service.stop()
 
     def test_program_runtimes_match_direct(self, corpus, result_a):
         records, scalers = corpus
@@ -485,7 +513,7 @@ class TestHotSwap:
         config = ServiceConfig(max_batch_size=2, flush_interval_s=0.0005, result_cache_entries=0)
         with CostModelService(registry, config) as service:
             futures = [
-                service.submit(KernelRuntimeRequest(kernel=r.kernel))
+                service.submit(ProgramRuntimesRequest(programs=((r.kernel,),)))
                 for r in records
             ]
             registry.activate("v2")
@@ -522,7 +550,7 @@ class TestServiceLifecycleAndErrors:
         service = CostModelService(result_a, ServiceConfig(result_cache_entries=0))
         service.start()
         futures = [
-            service.submit(KernelRuntimeRequest(kernel=r.kernel)) for r in records[:4]
+            service.submit(ProgramRuntimesRequest(programs=((r.kernel,),))) for r in records[:4]
         ]
         service.stop()
         assert all(f.result(timeout=5).error is None for f in futures)
@@ -594,14 +622,16 @@ class TestStatsSurfaces:
         records, _ = corpus
         service = sync_service(result_a)
         client = ServiceEvaluator(service)
-        client.kernel_runtime(records[0].kernel)
-        client.kernel_runtime(records[0].kernel)  # result-cache hit
+        kernel = records[0].kernel
+        tiles = enumerate_tile_sizes(kernel)[:4]
+        client.score_tiles_batched(kernel, tiles)
+        client.score_tiles_batched(kernel, tiles)  # result-cache hit
         metrics = service.metrics()
         assert metrics["requests"] == 2
         assert metrics["cache_hit_rate"] == pytest.approx(0.5)
         assert metrics["result_cache_hits"] == 1
         assert metrics["active_version"] == "v1"
-        assert metrics["evaluator_prediction_misses"] == 1
+        assert metrics["evaluator_feature_misses"] == 1
 
 
 class TestProtocolKeys:
@@ -619,3 +649,38 @@ class TestProtocolKeys:
         request = ProgramRuntimesRequest(programs=((records[0].kernel,),))
         assert request.cache_key() is None
         assert request.shard_key() == records[0].kernel.fingerprint()
+
+    def test_program_keys_keep_program_boundaries(self, corpus):
+        # ((a, b), (c,)) and ((a,), (b, c)) price different programs: the
+        # request identity (feedback join, retry key, rollout split) must
+        # not flatten them into one fingerprint sequence.
+        records, _ = corpus
+        by_fingerprint = {r.kernel.fingerprint(): r.kernel for r in records}
+        a, b, c = list(by_fingerprint.values())[:3]
+        first = ProgramRuntimesRequest(programs=((a, b), (c,)))
+        second = ProgramRuntimesRequest(programs=((a,), (b, c)))
+        assert request_key(first) != request_key(second)
+        assert idempotency_key(first) != idempotency_key(second)
+        assert request_unit_hash(first) != request_unit_hash(second)
+        feedback = FeedbackCollector()
+        feedback.record_prediction(
+            "v1", request_key(first), np.array([2.0, 1.0]), request=first
+        )
+        assert feedback.record_measurement(
+            request_key(second), np.array([1.0, 2.0])
+        ) == 0
+        assert feedback.joined == 0
+        assert feedback.record_measurement(
+            request_key(first), np.array([2.0, 1.0])
+        ) == 1
+
+    def test_tile_identity_is_its_cache_key(self, corpus):
+        records, _ = corpus
+        kernel = records[0].kernel
+        request = TileScoresRequest(
+            kernel=kernel, tiles=tuple(enumerate_tile_sizes(kernel)[:2])
+        )
+        assert request_key(request) == request.cache_key()
+        assert idempotency_key(request) == hashlib.sha256(
+            repr(request.cache_key()).encode()
+        ).hexdigest()[:16]

@@ -14,8 +14,10 @@ The load-bearing guarantees on top of ``test_serving.py``:
   typed ``ModelBlobError``, and registry disk spill round-trips blobs
   byte-identically.
 """
+import json
 import os
 import signal
+import struct
 import time
 from unittest import mock
 
@@ -39,7 +41,6 @@ from repro.models import (
 from repro.models.trainer import TrainResult
 from repro.serving import (
     CostModelService,
-    KernelRuntimeRequest,
     ModelRegistry,
     ProcessShardExecutor,
     ProgramRuntimesRequest,
@@ -123,12 +124,33 @@ class TestWireProtocol:
         assert decoded.cache_key() == request.cache_key()
         assert decoded.shard_key() == request.shard_key()
 
-    def test_kernel_runtime_request_roundtrip(self, corpus):
+    def test_retired_kernel_runtime_and_scalar_frames_raise_wire_error(
+        self, corpus
+    ):
+        # A kernel runtime travels as a one-kernel program; a peer still
+        # speaking the retired request tag or scalar value kind gets the
+        # typed error any unknown tag or kind gets.
         records, _ = corpus
-        request = KernelRuntimeRequest(kernel=records[1].kernel)
-        decoded = decode_request(encode_request(request))
-        assert isinstance(decoded, KernelRuntimeRequest)
-        assert decoded.cache_key() == request.cache_key()
+        kernel = records[1].kernel
+        request = json.dumps(
+            {
+                "type": "kernel_runtime",
+                "kernel": {"fingerprint": kernel.fingerprint(), **kernel.to_dict()},
+                "deadline_s": None,
+            }
+        ).encode()
+        with pytest.raises(WireError):
+            decode_request(request)
+        header = json.dumps(
+            {
+                "kind": "scalar", "dtype": "<f8", "shape": None,
+                "model_version": "v1", "batch_size": 1, "cache_hit": False,
+                "latency_s": 0.0, "error": None,
+            }
+        ).encode()
+        scalar = struct.pack(">I", len(header)) + header + struct.pack("<d", 1.5)
+        with pytest.raises(WireError):
+            Response.from_bytes(scalar)
 
     def test_program_request_roundtrip(self, corpus):
         records, _ = corpus
@@ -162,9 +184,7 @@ class TestWireProtocol:
         assert decoded.model_version == "v9"
         assert decoded.batch_size == 4
 
-    def test_response_scalar_and_error_roundtrip(self):
-        scalar = Response(value=3.25e-7, model_version="v1")
-        assert Response.from_bytes(scalar.to_bytes()).value == 3.25e-7
+    def test_response_error_roundtrip(self):
         failed = Response(value=None, model_version="v1", error="boom")
         decoded = Response.from_bytes(failed.to_bytes())
         assert decoded.error == "boom" and decoded.value is None
@@ -296,7 +316,7 @@ class TestAdaptiveFlush:
     def test_fixed_mode_keeps_configured_interval(self):
         mb = service_batcher(flush_interval_s=0.005, adaptive_flush=False)
         for _ in range(4):
-            mb.submit(KernelRuntimeRequest(kernel=None))
+            mb.submit(ProgramRuntimesRequest(programs=((None,),)))
         assert mb.effective_flush_interval() == 0.005
 
     def test_sparse_arrivals_collapse_interval_to_zero(self):
@@ -309,7 +329,7 @@ class TestAdaptiveFlush:
     def test_dense_arrivals_keep_full_interval(self):
         mb = service_batcher(flush_interval_s=0.05, adaptive_flush=True)
         for _ in range(8):
-            mb.submit(KernelRuntimeRequest(kernel=None))  # back-to-back
+            mb.submit(ProgramRuntimesRequest(programs=((None,),)))  # back-to-back
         assert mb.arrival_gap_ema_s < mb.flush_interval_s
         assert mb.effective_flush_interval() == 0.05
 
@@ -329,7 +349,7 @@ class TestAdaptiveFlush:
         assert mb.cut_wait(now=0.24, oldest=0.24, last=0.24) <= 0
         # ... and through the real queue: a fixed 50 ms window would hold
         # this lone request for the full window.
-        mb.submit(KernelRuntimeRequest(kernel=None))
+        mb.submit(ProgramRuntimesRequest(programs=((None,),)))
         start = time.perf_counter()
         batch = mb.next_batch(timeout=5.0)
         elapsed = time.perf_counter() - start
@@ -450,7 +470,7 @@ class TestCompleteCut:
         mb = service_batcher(flush_interval_s=5.0, adaptive_flush=True)
         mb.attach_caller("a")
         mb.attach_caller("idle")
-        mb.submit(KernelRuntimeRequest(kernel=None), caller="a")
+        mb.submit(ProgramRuntimesRequest(programs=((None,),)), caller="a")
         # The first request of a fresh batcher waits out the 5 s window
         # unless the idle caller leaving completes the set.
         timer = threading.Timer(0.1, mb.detach_caller, args=("idle",))
@@ -475,7 +495,7 @@ class TestCompleteCut:
         def caller(token: int) -> None:
             mb.attach_caller(token)
             for _ in range(50):
-                mb.submit(KernelRuntimeRequest(kernel=None), caller=token)
+                mb.submit(ProgramRuntimesRequest(programs=((None,),)), caller=token)
             mb.detach_caller(token)
 
         threads = [threading.Thread(target=caller, args=(i,)) for i in range(6)]
@@ -597,13 +617,14 @@ class TestProcessShardExecutor:
         try:
             kernels = [r.kernel for r in records[:4]]
             futures = [
-                service.submit(KernelRuntimeRequest(kernel=k)) for k in kernels
+                service.submit(ProgramRuntimesRequest(programs=((k,),))) for k in kernels
             ]
             service.flush()
-            served = np.asarray([f.result(timeout=60).unwrap() for f in futures])
+            served = np.concatenate([f.result(timeout=60).unwrap() for f in futures])
             reference = direct.program_runtimes_batched([[k] for k in kernels])
             np.testing.assert_array_equal(served, reference)
             client = ServiceEvaluator(service, timeout_s=60.0)
+            assert client.kernel_runtime(kernels[0]) == reference[0]
             programs = [
                 [r.kernel for r in records[:3]], [r.kernel for r in records[3:5]]
             ]
@@ -938,19 +959,29 @@ class TestSocketFrontend:
                 np.testing.assert_array_equal(via_socket, reference)
                 assert via_socket.dtype == reference.dtype
 
-    def test_all_request_kinds_over_socket(self, corpus, result_a, socket_setup):
+    @pytest.mark.parametrize("executor", ["thread", "process"])
+    def test_all_request_kinds_over_socket(self, corpus, result_a, executor):
         records, scalers = corpus
-        _, frontend = socket_setup
         direct = LearnedEvaluator(result_a.model, scalers)
-        with SocketEvaluator(frontend.address) as remote:
-            runtime = remote.kernel_runtime(records[0].kernel)
-            assert runtime == direct.kernel_runtime(records[0].kernel)
-            programs = [[r.kernel for r in records[:3]]]
-            np.testing.assert_array_equal(
-                remote.program_runtimes_batched(programs),
-                direct.program_runtimes_batched(programs),
-            )
-            assert remote.model_version == "v1"
+        service = CostModelService(
+            result_a, ServiceConfig(executor=executor, result_cache_entries=0)
+        ).start()
+        frontend = SocketFrontend(service)
+        try:
+            with SocketEvaluator(frontend.address) as remote:
+                kernel = records[0].kernel
+                runtime = remote.kernel_runtime(kernel)
+                assert runtime == direct.program_runtimes_batched([[kernel]])[0]
+                assert remote.last_response.value.shape == (1,)
+                programs = [[r.kernel for r in records[:3]]]
+                np.testing.assert_array_equal(
+                    remote.program_runtimes_batched(programs),
+                    direct.program_runtimes_batched(programs),
+                )
+                assert remote.model_version == "v1"
+        finally:
+            frontend.close()
+            service.stop()
 
     def test_concurrent_socket_clients(self, corpus, result_a, socket_setup):
         import threading
