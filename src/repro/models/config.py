@@ -80,6 +80,19 @@ class ModelConfig:
         if self.hidden_dim <= 0 or self.opcode_embedding_dim <= 0:
             raise ValueError("dims must be positive")
 
+    def feature_blocks(self, where: str) -> tuple[str, ...]:
+        """The kernel-level feature blocks placed at ``where``: ``"node"``
+        (appended to every node's input, Fig. 3 option 1) or ``"kernel"``
+        (to the kernel embedding, option 2). Each is a
+        :class:`~repro.data.batching.GraphBatch` field, ``"tile_feats"``
+        before ``"static_feats"``."""
+        blocks = []
+        if self.task == "tile" and self.tile_placement == where:
+            blocks.append("tile_feats")
+        if self.use_static_features and self.static_placement == where:
+            blocks.append("static_feats")
+        return tuple(blocks)
+
     def with_overrides(self, **kwargs) -> "ModelConfig":
         """Functional update (used heavily by the ablation benchmarks)."""
         return replace(self, **kwargs)

@@ -21,13 +21,15 @@ from ..nn.graph_layers import GATLayer, GraphSAGELayer
 from ..nn.layers import Dense, Embedding, MLP, Module
 from ..nn.rnn import LSTM
 from ..nn.sparse import segment_sum
-from ..nn.tensor import Tensor
-from . import inference
+from ..nn.tensor import Tensor, scatter_add_rows
 from .config import ModelConfig
 
 #: Feedforward layers between the GNN and the reduction (the "node final
 #: layers" of Fig. 3).
 NODE_FINAL_LAYERS = 2
+
+#: Width of each feature block :meth:`ModelConfig.feature_blocks` names.
+_BLOCK_DIMS = {"tile_feats": TILE_FEATURE_DIM, "static_feats": STATIC_FEATURE_DIM}
 
 
 class LearnedPerformanceModel(Module):
@@ -47,10 +49,7 @@ class LearnedPerformanceModel(Module):
         self.opcode_embedding = Embedding(NUM_OPCODES, config.opcode_embedding_dim, rng=rng)
 
         node_in = config.opcode_embedding_dim + NODE_FEATURE_DIM
-        if config.task == "tile" and config.tile_placement == "node":
-            node_in += TILE_FEATURE_DIM
-        if config.use_static_features and config.static_placement == "node":
-            node_in += STATIC_FEATURE_DIM
+        node_in += sum(_BLOCK_DIMS[name] for name in config.feature_blocks("node"))
         self.input_proj = Dense(node_in, h, activation="relu", rng=rng)
 
         if config.gnn == "graphsage":
@@ -65,13 +64,7 @@ class LearnedPerformanceModel(Module):
 
         self.node_final = MLP([h] * (NODE_FINAL_LAYERS + 1), final_activation="relu", rng=rng)
 
-        kernel_extra = 0
-        if config.task == "tile" and config.tile_placement == "kernel":
-            kernel_extra += TILE_FEATURE_DIM
-        if config.use_static_features and config.static_placement == "kernel":
-            kernel_extra += STATIC_FEATURE_DIM
-        self._kernel_extra = kernel_extra
-
+        kernel_extra = sum(_BLOCK_DIMS[name] for name in config.feature_blocks("kernel"))
         if config.reduction == "per-node":
             self.node_head = Dense(h, 1, rng=rng)
             self.kernel_correction = (
@@ -90,85 +83,56 @@ class LearnedPerformanceModel(Module):
                 raise AssertionError(config.reduction)
             self.head = Dense(emb_dim + kernel_extra, 1, rng=rng)
 
-    # ---------------------------------------------------------------- pieces
-    def _node_inputs(self, batch: GraphBatch) -> Tensor:
-        """Assemble per-node input vectors (option-1 kernel features repeat
-        across every node of their kernel)."""
-        cfg = self.config
-        parts = [
-            self.opcode_embedding(batch.opcodes),
-            Tensor(batch.node_feats),
-        ]
-        gids = batch.context.graph_ids
-        if cfg.task == "tile" and cfg.tile_placement == "node":
-            parts.append(Tensor(batch.tile_feats[gids]))
-        if cfg.use_static_features and cfg.static_placement == "node":
-            parts.append(Tensor(batch.static_feats[gids]))
-        return Tensor.concat(parts, axis=-1)
-
-    def _kernel_extras(self, batch: GraphBatch) -> Tensor | None:
-        """Kernel-embedding-level feature block (option 2), if configured."""
-        cfg = self.config
-        parts = []
-        if cfg.task == "tile" and cfg.tile_placement == "kernel":
-            parts.append(Tensor(batch.tile_feats))
-        if cfg.use_static_features and cfg.static_placement == "kernel":
-            parts.append(Tensor(batch.static_feats))
-        if not parts:
-            return None
-        return Tensor.concat(parts, axis=-1)
-
-    def _run_gnn(self, x: Tensor, batch: GraphBatch) -> Tensor:
-        cfg = self.config
+    def _gnn_operands(self, batch: GraphBatch) -> tuple:
+        """What each GNN hop takes after the node embeddings. Read only when
+        there is a hop: a composed context stacks an operator on first read."""
         ctx = batch.context
-        for layer in self.gnn_layers:
-            if cfg.gnn == "graphsage":
-                if cfg.directed:
-                    x = layer(x, ctx.adj_in, ctx.adj_out)
-                else:
-                    x = layer(x, ctx.adj_sym, ctx.adj_sym)
-            else:  # gat
-                x = layer(x, ctx.edges, ctx.num_nodes)
-        return x
-
-    def _padded_view(self, nodes: Tensor, batch: GraphBatch) -> Tensor:
-        """Gather node embeddings into [batch, max_nodes, h] (topological
-        order within each kernel, as the paper's sequence reductions use)."""
-        b, t = batch.pad_index.shape
-        flat = nodes.take_rows(batch.pad_index.reshape(-1))
-        return flat.reshape(b, t, nodes.shape[-1])
+        if not self.gnn_layers:
+            return ()
+        if self.config.gnn == "gat":
+            return ctx.edges, ctx.num_nodes
+        if self.config.directed:
+            return ctx.adj_in, ctx.adj_out
+        return ctx.adj_sym, ctx.adj_sym
 
     # --------------------------------------------------------------- forward
     def forward(self, batch: GraphBatch) -> Tensor:
         """Predict one scalar per kernel in the batch: [batch]."""
         cfg = self.config
-        x = self.input_proj(self._node_inputs(batch))
-        x = self._run_gnn(x, batch)
-        x = self.node_final(x)
-
-        extras = self._kernel_extras(batch)
         gids = batch.context.graph_ids
         nb = batch.context.num_graphs
 
+        # Option-1 kernel features repeat across every node of their kernel.
+        parts = [self.opcode_embedding(batch.opcodes), Tensor(batch.node_feats)]
+        parts += [Tensor(getattr(batch, name)[gids]) for name in cfg.feature_blocks("node")]
+        x = self.input_proj(Tensor.concat(parts, axis=-1))
+        operands = self._gnn_operands(batch)
+        for layer in self.gnn_layers:
+            x = layer(x, *operands)
+        x = self.node_final(x)
+
+        extras = [Tensor(getattr(batch, name)) for name in cfg.feature_blocks("kernel")]
+        extras = Tensor.concat(extras, axis=-1) if extras else None
+
         if cfg.reduction == "per-node":
-            per_node = self.node_head(x)  # [n, 1]
-            pred = segment_sum(per_node, gids, nb).reshape(nb)
-            if extras is not None and self.kernel_correction is not None:
+            pred = segment_sum(self.node_head(x), gids, nb).reshape(nb)
+            if extras is not None:
                 pred = pred + self.kernel_correction(extras).reshape(nb)
             return pred
 
+        # The sequence reductions read the node embeddings as [batch,
+        # max_nodes, h], topologically ordered within each kernel (pad rows
+        # repeat node 0; every consumer masks them).
+        b, t = batch.pad_index.shape
+        padded = x.take_rows(batch.pad_index.reshape(-1)).reshape(b, t, x.shape[-1])
         if cfg.reduction == "column-wise":
             counts = np.bincount(gids, minlength=nb).astype(np.float32)
             mean = segment_sum(x, gids, nb) * Tensor(1.0 / counts[:, None])
-            padded = self._padded_view(x, batch)
             neg_inf = np.where(batch.pad_mask[:, :, None], 0.0, -1e30).astype(np.float32)
-            mx = (padded + Tensor(neg_inf)).max(axis=1)
-            kernel_emb = Tensor.concat([mean, mx], axis=-1)
+            kernel_emb = Tensor.concat([mean, (padded + Tensor(neg_inf)).max(axis=1)], axis=-1)
         elif cfg.reduction == "lstm":
-            padded = self._padded_view(x, batch)
             kernel_emb = self.lstm(padded, batch.pad_mask)
         else:  # transformer
-            padded = self._padded_view(x, batch)
             kernel_emb = self.encoder(padded, batch.pad_mask)
 
         if extras is not None:
@@ -177,16 +141,55 @@ class LearnedPerformanceModel(Module):
 
     # ------------------------------------------------------------- inference
     def predict(self, batch: GraphBatch) -> np.ndarray:
-        """Raw scores: :meth:`forward` under ``no_grad()``, bitwise,
-        computed tape-free on plain arrays.
+        """Raw scores: :meth:`forward` under ``no_grad()``, bitwise, as a
+        fresh float32 [batch] array computed on plain arrays.
 
-        Runs :func:`repro.models.inference.forward`; it builds no
-        :class:`Tensor` and writes nothing on the module, so it is safe
-        beside a training thread on the same module. Parameters are read at
-        call time: optimizer steps and ``load_state_dict`` show in the next
-        call.
+        Every layer's ``apply`` runs its ``forward``'s array ops on the same
+        shapes in the same order (so the bits are the same), and no
+        :class:`Tensor` or backward closure is built. Keep it so when
+        editing either side: a matmul, reduction or transcendental on
+        another shape, dtype or layout may round differently; only exactly
+        rounded elementwise arithmetic and data movement may be reordered. Nothing on the module
+        is written, so it is safe beside a training thread on the same
+        module; parameters are read at call time, so optimizer steps and
+        ``load_state_dict`` show in the next call.
         """
-        return inference.forward(self, batch)
+        cfg = self.config
+        gids = batch.context.graph_ids
+        nb = batch.context.num_graphs
+
+        parts = [self.opcode_embedding.apply(batch.opcodes), batch.node_feats]
+        parts += [getattr(batch, name)[gids] for name in cfg.feature_blocks("node")]
+        x = self.input_proj.apply(np.concatenate(parts, axis=-1, dtype=np.float32))
+        operands = self._gnn_operands(batch)
+        for layer in self.gnn_layers:
+            x = layer.apply(x, *operands)
+        x = self.node_final.apply(x)
+
+        extras = [getattr(batch, name) for name in cfg.feature_blocks("kernel")]
+
+        if cfg.reduction == "per-node":
+            pred = scatter_add_rows(gids, self.node_head.apply(x), nb).reshape(nb)
+            if extras:
+                kernel_feats = np.concatenate(extras, axis=-1, dtype=np.float32)
+                pred = pred + self.kernel_correction.apply(kernel_feats).reshape(nb)
+            return pred
+
+        b, t = batch.pad_index.shape
+        padded = x[batch.pad_index.reshape(-1)].reshape(b, t, x.shape[-1])
+        if cfg.reduction == "column-wise":
+            counts = np.bincount(gids, minlength=nb).astype(np.float32)
+            mean = scatter_add_rows(gids, x, nb) * (1.0 / counts[:, None])
+            floor = np.where(batch.pad_mask[:, :, None], 0.0, -1e30).astype(np.float32)
+            kernel_emb = np.concatenate([mean, (padded + floor).max(axis=1)], axis=-1)
+        elif cfg.reduction == "lstm":
+            kernel_emb = self.lstm.apply(padded, batch.pad_mask)
+        else:  # transformer
+            kernel_emb = self.encoder.apply(padded, batch.pad_mask)
+
+        if extras:
+            kernel_emb = np.concatenate([kernel_emb, *extras], axis=-1, dtype=np.float32)
+        return self.head.apply(kernel_emb).reshape(nb)
 
     def predict_runtimes(self, batch: GraphBatch) -> np.ndarray:
         """Absolute runtimes in seconds (fusion task: exp of log output)."""

@@ -6,7 +6,7 @@ import math
 import numpy as np
 
 from .layers import Dense, LayerNorm, Module
-from .tensor import Tensor
+from .tensor import Tensor, softmax_array
 
 #: Attention heads per layer (paper App. B fixes 4).
 HEADS = 4
@@ -57,6 +57,23 @@ class MultiHeadAttention(Module):
         merged = ctx.transpose(0, 2, 1, 3).reshape(batch, time, self.dim)
         return self.wo(merged)
 
+    def apply(self, x: np.ndarray, mask: np.ndarray) -> np.ndarray:
+        """:meth:`forward`'s ops on a plain array, bitwise (what ``predict``
+        runs)."""
+        batch, time, _ = x.shape
+
+        def split(y: np.ndarray) -> np.ndarray:  # [b, t, d] -> [b, h, t, hd]
+            return y.reshape(batch, time, HEADS, self.head_dim).transpose(0, 2, 1, 3)
+
+        q = split(self.wq.apply(x))
+        k = split(self.wk.apply(x))
+        v = split(self.wv.apply(x))
+        scores = (q @ k.transpose(0, 1, 3, 2)) * np.float32(1.0 / math.sqrt(self.head_dim))
+        attn_mask = mask[:, None, None, :] & mask[:, None, :, None]
+        attn = softmax_array(scores, -1, np.broadcast_to(attn_mask, scores.shape))
+        merged = (attn @ v).transpose(0, 2, 1, 3).reshape(batch, time, self.dim)
+        return self.wo.apply(merged)
+
 
 class TransformerEncoderLayer(Module):
     """Pre-norm Transformer encoder block."""
@@ -73,6 +90,11 @@ class TransformerEncoderLayer(Module):
     def forward(self, x: Tensor, mask: np.ndarray) -> Tensor:
         x = x + self.attn(self.norm1(x), mask)
         return x + self.ff2(self.ff1(self.norm2(x)))
+
+    def apply(self, x: np.ndarray, mask: np.ndarray) -> np.ndarray:
+        """The block on a plain array (what ``predict`` runs)."""
+        x = x + self.attn.apply(self.norm1.apply(x), mask)
+        return x + self.ff2.apply(self.ff1.apply(self.norm2.apply(x)))
 
 
 class TransformerEncoder(Module):
@@ -97,3 +119,10 @@ class TransformerEncoder(Module):
             x = block(x, mask)
         m = Tensor(mask[:, :, None].astype(np.float32))
         return self.final_norm((x * m).sum(axis=1))
+
+    def apply(self, x: np.ndarray, mask: np.ndarray) -> np.ndarray:
+        """Encode and pool on a plain array (what ``predict`` runs)."""
+        for block in self.blocks:
+            x = block.apply(x, mask)
+        pooled = (x * mask[:, :, None].astype(np.float32)).sum(axis=1)
+        return self.final_norm.apply(pooled)

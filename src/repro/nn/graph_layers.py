@@ -15,7 +15,9 @@ direction), and the 'Undirected' ablation shares them.
 
 A hop is one function on plain arrays, :func:`graphsage_hop`: the tape's
 :class:`GraphSAGELayer` records it as a single node whose backward is
-:func:`graphsage_hop_backward`, and ``models.inference`` calls it directly.
+:func:`graphsage_hop_backward`, and :meth:`GraphSAGELayer.apply` (what
+``predict`` runs) calls it directly. :class:`GATLayer` records its hop as
+several tape ops; its ``apply`` runs the same array ops.
 """
 from __future__ import annotations
 
@@ -29,15 +31,17 @@ from .sparse import (
     mean_aggregation_csr,
     normalized_adjacency,
     segment_softmax,
+    segment_softmax_array,
     segment_sum,
     stack_csr,
 )
-from .tensor import Tensor, recording, relu_inplace
+from .tensor import Tensor, recording, relu_array, relu_inplace, scatter_add_rows
 
 if TYPE_CHECKING:
     import scipy.sparse as sp
 
 _L2_EPS = np.float32(1e-12)  # the per-row L2 step's epsilon
+_LEAKY_SLOPE = np.float32(0.2)  # GATLayer's LeakyReLU
 
 #: Attention heads of :class:`GATLayer`.
 GAT_HEADS = 2
@@ -275,7 +279,7 @@ class GATLayer(Module):
         a_dst = self.attn_dst(x)
         scores = a_src.take_rows(src) + a_dst.take_rows(dst)  # [e, heads]
         # LeakyReLU(0.2) as in the GAT paper.
-        scores = scores.maximum(scores * 0.2)
+        scores = scores.maximum(scores * _LEAKY_SLOPE)
         alpha = segment_softmax(scores, dst, num_nodes)  # [e, heads]
         src_h = h.take_rows(src).reshape(len(edges), GAT_HEADS, self.head_dim)
         weighted = src_h * alpha.reshape(len(edges), GAT_HEADS, 1)
@@ -283,6 +287,23 @@ class GATLayer(Module):
             weighted.reshape(len(edges), GAT_HEADS * self.head_dim), dst, num_nodes
         )
         return agg.relu()
+
+    def apply(self, x: np.ndarray, edges: np.ndarray, num_nodes: int) -> np.ndarray:
+        """:meth:`forward`'s ops on a plain array, bitwise (what ``predict``
+        runs)."""
+        h = self.proj.apply(x)
+        if len(edges) == 0:
+            return relu_array(h)
+        src, dst = edges[:, 0], edges[:, 1]
+        scores = self.attn_src.apply(x)[src] + self.attn_dst.apply(x)[dst]
+        scores = np.maximum(scores, scores * _LEAKY_SLOPE)
+        alpha = segment_softmax_array(scores, dst, num_nodes)
+        src_h = h[src].reshape(len(edges), GAT_HEADS, self.head_dim)
+        weighted = src_h * alpha.reshape(len(edges), GAT_HEADS, 1)
+        agg = scatter_add_rows(
+            dst, weighted.reshape(len(edges), GAT_HEADS * self.head_dim), num_nodes
+        )
+        return relu_array(agg)
 
 
 class BatchedGraphContext:

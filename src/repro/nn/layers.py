@@ -184,6 +184,12 @@ class MLP(Module):
             x = layer(x)
         return x
 
+    def apply(self, x: np.ndarray) -> np.ndarray:
+        """The forward on a plain array (what ``predict`` runs)."""
+        for layer in self.layers:
+            x = layer.apply(x)
+        return x
+
 
 class Embedding(Module):
     """Lookup table mapping integer ids to dense vectors.
@@ -205,6 +211,10 @@ class Embedding(Module):
     def forward(self, ids: np.ndarray) -> Tensor:
         return self.table.take_rows(np.asarray(ids, dtype=np.int64))
 
+    def apply(self, ids: np.ndarray) -> np.ndarray:
+        """The lookup on plain arrays (what ``predict`` runs)."""
+        return self.table.data[np.asarray(ids, dtype=np.int64)]
+
 
 class LayerNorm(Module):
     """Layer normalization over the last axis."""
@@ -220,4 +230,13 @@ class LayerNorm(Module):
         var = (centered * centered).mean(axis=-1, keepdims=True)
         inv = (var + LAYER_NORM_EPS) ** -0.5
         return centered * inv * self.gain + self.shift
+
+    def apply(self, x: np.ndarray) -> np.ndarray:
+        """:meth:`forward`'s ops on a plain array, bitwise (what ``predict``
+        runs): each mean is the tape's sum times a float32 ``1 / n``."""
+        scale = np.float32(1.0 / x.shape[-1])
+        centered = x - x.sum(axis=-1, keepdims=True) * scale
+        var = (centered * centered).sum(axis=-1, keepdims=True) * scale
+        inv = (var + np.float32(LAYER_NORM_EPS)) ** -0.5
+        return centered * inv * self.gain.data + self.shift.data
 

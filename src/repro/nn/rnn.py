@@ -2,9 +2,9 @@
 
 :func:`lstm_final_state` is the reduction's one implementation: the tape's
 :class:`LSTM` records it as a single node whose backward is
-:func:`lstm_final_state_backward`, and ``models.inference`` calls it
-directly, so ``predict`` and the training forward run the same arithmetic
-on the same shapes and agree bit for bit on every batch.
+:func:`lstm_final_state_backward`, and :meth:`LSTM.apply` (what ``predict``
+runs) calls it directly, so ``predict`` and the training forward run the
+same arithmetic on the same shapes and agree bit for bit on every batch.
 """
 from __future__ import annotations
 
@@ -156,3 +156,7 @@ class LSTM(Module):
             weight.data, x.data, mask, record=recording(x, weight)
         )
         return x._make(h, (x, weight), lambda g: lstm_final_state_backward(saved, g))
+
+    def apply(self, x: np.ndarray, mask: np.ndarray) -> np.ndarray:
+        """The forward on a plain array (what ``predict`` runs)."""
+        return lstm_final_state(self.cell.gates.weight.data, x, mask)[0]

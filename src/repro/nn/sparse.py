@@ -49,8 +49,11 @@ def segment_sum(x: Tensor, segment_ids: np.ndarray, num_segments: int) -> Tensor
     return x._make(out, (x,), lambda g: (g[ids],))
 
 
-def segment_softmax(scores: Tensor, segment_ids: np.ndarray, num_segments: int) -> Tensor:
-    """Softmax over variable-size segments (per-destination attention).
+def segment_softmax_array(
+    scores: np.ndarray, segment_ids: np.ndarray, num_segments: int
+) -> np.ndarray:
+    """Softmax over variable-size segments on plain arrays: the forward of
+    :func:`segment_softmax` and of ``GATLayer.apply``.
 
     Args:
         scores: [n] or [n, h] per-edge scores.
@@ -61,15 +64,21 @@ def segment_softmax(scores: Tensor, segment_ids: np.ndarray, num_segments: int) 
         Normalized weights with the same shape as ``scores``.
     """
     ids = np.asarray(segment_ids)
-    data = scores.data
+    shape = (num_segments,) + scores.shape[1:]
     # Stabilize per segment.
-    seg_max = np.full((num_segments,) + data.shape[1:], -np.inf, dtype=np.float32)
-    np.maximum.at(seg_max, ids, data)
-    shifted = data - seg_max[ids]
-    e = np.exp(shifted)
-    denom = np.zeros((num_segments,) + data.shape[1:], dtype=np.float32)
+    seg_max = np.full(shape, -np.inf, dtype=np.float32)
+    np.maximum.at(seg_max, ids, scores)
+    e = np.exp(scores - seg_max[ids])
+    denom = np.zeros(shape, dtype=np.float32)
     np.add.at(denom, ids, e)
-    out = e / np.maximum(denom[ids], 1e-30)
+    return e / np.maximum(denom[ids], 1e-30)
+
+
+def segment_softmax(scores: Tensor, segment_ids: np.ndarray, num_segments: int) -> Tensor:
+    """Differentiable :func:`segment_softmax_array` (per-destination attention)."""
+    ids = np.asarray(segment_ids)
+    data = scores.data
+    out = segment_softmax_array(data, ids, num_segments)
 
     def backward(g: np.ndarray):
         # d softmax: out * (g - sum_seg(g * out)).

@@ -85,6 +85,18 @@ def sigmoid_array(x: np.ndarray) -> np.ndarray:
     return 1.0 / (1.0 + np.exp(-x))
 
 
+def softmax_array(x: np.ndarray, axis: int, mask: np.ndarray | None) -> np.ndarray:
+    """Softmax of ``x`` along ``axis``, 0 where ``mask`` is False: the
+    forward of :meth:`Tensor.softmax` and of ``MultiHeadAttention.apply``."""
+    if mask is not None:
+        x = np.where(mask, x, -1e30)
+    x = x - x.max(axis=axis, keepdims=True)
+    e = np.exp(x)
+    if mask is not None:
+        e = np.where(mask, e, 0.0)
+    return e / np.maximum(e.sum(axis=axis, keepdims=True), 1e-30)
+
+
 def scatter_add_rows(index: np.ndarray, values: np.ndarray, num_rows: int) -> np.ndarray:
     """``np.add.at(zeros, index, values)`` into ``num_rows`` rows, bit for
     bit, as one sparse product.
@@ -457,15 +469,7 @@ class Tensor:
     # -------------------------------------------------------------- softmax
     def softmax(self, axis: int = -1, mask: np.ndarray | None = None) -> "Tensor":
         """Softmax along ``axis``; positions where ``mask`` is False get 0."""
-        x = self.data
-        if mask is not None:
-            x = np.where(mask, x, -1e30)
-        x = x - x.max(axis=axis, keepdims=True)
-        e = np.exp(x)
-        if mask is not None:
-            e = np.where(mask, e, 0.0)
-        denom = e.sum(axis=axis, keepdims=True)
-        out = e / np.maximum(denom, 1e-30)
+        out = softmax_array(self.data, axis, mask)
 
         def backward(g: np.ndarray):
             dot = (g * out).sum(axis=axis, keepdims=True)

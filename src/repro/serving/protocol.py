@@ -403,9 +403,16 @@ class Response:
         The value crosses as its own buffer bytes with a dtype/shape tag,
         never through a decimal text round-trip — what makes socket-served
         scores byte-identical to in-process ones.
+
+        Raises:
+            TypeError: ``value`` is neither ``None`` nor an ``np.ndarray``.
         """
         if self.value is None:
             kind, dtype, shape, payload = "none", None, None, b""
+        elif not isinstance(self.value, np.ndarray):
+            raise TypeError(
+                f"Response value must be an np.ndarray or None, not {type(self.value).__name__}"
+            )
         else:
             arr = np.ascontiguousarray(self.value)
             kind, dtype, shape = "array", arr.dtype.str, list(arr.shape)

@@ -161,8 +161,11 @@ class TpuSimulator:
         Composed of a per-kernel component and a smaller per-tile-bucket
         component, so it perturbs both absolute runtimes (hurting the
         analytical fusion baseline) and within-kernel tile rankings
-        (hurting the analytical tile baseline) — while remaining a pure
-        function of the inputs that a learned model can fit.
+        (hurting the analytical tile baseline). It is a pure function of
+        the inputs, but each component is drawn from a SHA-256 of the
+        kernel fingerprint: a learned model can fit it only on kernels
+        seen in training, and on any other kernel it is noise no model
+        can predict.
         """
         if self.quirk_amplitude <= 0:
             return 1.0

@@ -1,7 +1,8 @@
 """The inference contract: ``predict`` ≡ tape ``forward`` (eval, no_grad), bitwise.
 
-``repro.models.inference`` re-implements the forward pass on plain arrays;
-the autograd ``forward`` is the oracle. Every comparison of the two is
+``LearnedPerformanceModel.predict`` runs the forward pass on plain arrays
+through each layer's ``apply`` and builds no ``Tensor``; the autograd
+``forward`` is the oracle. Every comparison of the two is
 exact — same dtype, same shape, ``np.array_equal`` — for every reduction
 and every batch. Only one row scored in two different batches is compared
 by tolerance: a matmul over a different row count may round differently.
@@ -319,6 +320,32 @@ class TestPredictReadsLiveWeights:
         expected = first.copy()
         first[:] = 0.0  # a caller scribbling on its result
         assert_bitwise(model.predict(batches[1]), expected)
+
+
+def _no_tensor(*args, **kwargs):
+    raise AssertionError("predict built a Tensor")
+
+
+class TestPredictIsTapeFree:
+    @pytest.mark.parametrize("task", ("tile", "fusion"))
+    @pytest.mark.parametrize("reduction", REDUCTIONS)
+    @pytest.mark.parametrize("gnn", GNNS)
+    @small_models()
+    def test_predict_builds_no_tensor(self, batches, gnn, reduction, task):
+        """Every task × GNN × reduction, directed and undirected, with the
+        kernel-level features at the nodes and at the kernel embedding."""
+        for variant in (
+            {},
+            {"directed": False},
+            {"tile_placement": "kernel", "static_placement": "kernel"},
+        ):
+            cfg = ModelConfig(task=task, gnn=gnn, reduction=reduction, **SMALL, **variant)
+            model = LearnedPerformanceModel(cfg, seed=1)
+            expected = [tape_reference(model, batch) for batch in batches]
+            with mock.patch.object(Tensor, "__init__", _no_tensor):
+                got = [model.predict(batch) for batch in batches]
+            for g, e in zip(got, expected):
+                assert_bitwise(g, e)
 
 
 class TestParametersStayFloat32:

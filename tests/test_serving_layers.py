@@ -184,6 +184,11 @@ class TestWireProtocol:
         assert decoded.model_version == "v9"
         assert decoded.batch_size == 4
 
+    @pytest.mark.parametrize("value", (1.5, [2.0], np.float32(3.0)))
+    def test_response_value_must_be_an_array_or_none(self, value):
+        with pytest.raises(TypeError, match="value"):
+            Response(value=value, model_version="v1").to_bytes()
+
     def test_response_error_roundtrip(self):
         failed = Response(value=None, model_version="v1", error="boom")
         decoded = Response.from_bytes(failed.to_bytes())
