@@ -224,22 +224,26 @@ def enumerate_tile_sizes(kernel: Kernel) -> list[TileConfig]:
     The list is memoised per kernel body and shared by every
     :meth:`Kernel.shell` of it; each call returns a fresh list.
     """
+    return [TileConfig(tuple(row)) for row in _body_entry(kernel)[0].tolist()]
+
+
+def _body_entry(kernel: Kernel) -> tuple[np.ndarray, TileConfig]:
+    """The body's ``(candidate dims, largest tile)`` memo entry, filled once.
+
+    Kept as one int array, not as TileConfigs: a fusion search enumerates
+    each of its many bodies once, and objects held per body cost it more
+    than rebuilding the list costs a search that asks again. The largest
+    candidate rides along for :func:`default_tile`.
+    """
     memo = kernel._body_memo
     entry = memo.get("tile_sizes")
-    if entry is not None:
-        return _tile_configs(entry[0])
-    dims = _candidate_dims(kernel)
-    tiles = _tile_configs(dims)
-    # Kept as one int array, not as TileConfigs: a fusion search enumerates
-    # each of its many bodies once, and objects held per body cost it more
-    # than rebuilding the list costs a search that asks again. The largest
-    # candidate rides along for :func:`default_tile`.
-    memo["tile_sizes"] = (dims, largest_tile(tiles))
-    return tiles
-
-
-def _tile_configs(dims: np.ndarray) -> list[TileConfig]:
-    return [TileConfig(tuple(row)) for row in dims.tolist()]
+    if entry is None:
+        dims = _candidate_dims(kernel)
+        # The largest candidate by (volume, dims): lexsort's last key is its
+        # primary one, so the last index is the maximum.
+        order = np.lexsort((*dims.T[::-1], dims.prod(axis=1)))
+        entry = memo["tile_sizes"] = (dims, TileConfig(tuple(dims[order[-1]].tolist())))
+    return entry
 
 
 def _candidate_dims(kernel: Kernel) -> np.ndarray:
@@ -281,11 +285,6 @@ def _clamped_full_tile(terms: _FootprintTerms, budget: int) -> TileConfig:
     return TileConfig(tuple(dims))
 
 
-def largest_tile(options: list[TileConfig]) -> TileConfig:
-    """The compiler-default pick among enumerated tiles: largest by volume."""
-    return max(options, key=lambda t: (t.volume, t.dims))
-
-
 def default_tile(kernel: Kernel) -> TileConfig:
     """A reasonable default tile: the largest valid one by volume.
 
@@ -293,9 +292,7 @@ def default_tile(kernel: Kernel) -> TileConfig:
     learned model then picks among :func:`enumerate_tile_sizes`. The answer
     is read from the body's :func:`enumerate_tile_sizes` memo entry, shared
     by every :meth:`Kernel.shell` of it, so pricing many fusion configs of
-    one program enumerates each distinct body once.
+    one program enumerates each distinct body once, and builds no
+    :class:`TileConfig` list.
     """
-    memo = kernel._body_memo
-    if "tile_sizes" not in memo:
-        enumerate_tile_sizes(kernel)  # fills the body's entry
-    return memo["tile_sizes"][1]
+    return _body_entry(kernel)[1]

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Collection, Iterable, Iterator
+from typing import Callable, Collection, Iterable, Iterator
 
 import numpy as np
 
@@ -233,9 +233,13 @@ class Graph:
         return "\n".join(lines)
 
 
-@dataclass
 class Program:
     """A named whole tensor program: one computation graph plus metadata.
+
+    ``Program(name, graph, family)`` holds a graph built by the caller. A
+    program made by :meth:`deferred` knows its name and family up front and
+    generates its graph when :attr:`graph` is first read, then keeps it, so
+    grouping or splitting programs by name and family builds no graph.
 
     Attributes:
         name: program name (e.g. ``resnet_v1_50``).
@@ -244,10 +248,32 @@ class Program:
         graph: the (unfused) computation graph of primitive operations.
     """
 
-    name: str
-    graph: Graph
-    family: str = ""
+    def __init__(self, name: str, graph: Graph, family: str = "") -> None:
+        self.name = name
+        self.family = family or name
+        self._graph: Graph | None = graph
+        self._build: Callable[[], Program] | None = None
 
-    def __post_init__(self) -> None:
-        if not self.family:
-            self.family = self.name
+    @classmethod
+    def deferred(cls, name: str, family: str, build: Callable[[], Program]) -> Program:
+        """A program whose graph is ``build().graph``, generated on first read."""
+        program = cls.__new__(cls)
+        program.name, program.family = name, family
+        program._graph, program._build = None, build
+        return program
+
+    @property
+    def graph(self) -> Graph:
+        if self._graph is None:
+            self._graph = self._build().graph
+        return self._graph
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.name, self.graph, self.family) == (other.name, other.graph, other.family)
+
+    __hash__ = None  # type: ignore[assignment]
+
+    def __repr__(self) -> str:
+        return f"Program(name={self.name!r}, family={self.family!r})"

@@ -69,8 +69,7 @@ def segment_softmax_array(
     seg_max = np.full(shape, -np.inf, dtype=np.float32)
     np.maximum.at(seg_max, ids, scores)
     e = np.exp(scores - seg_max[ids])
-    denom = np.zeros(shape, dtype=np.float32)
-    np.add.at(denom, ids, e)
+    denom = scatter_add_rows(ids, e, num_segments)
     return e / np.maximum(denom[ids], 1e-30)
 
 
@@ -82,8 +81,7 @@ def segment_softmax(scores: Tensor, segment_ids: np.ndarray, num_segments: int) 
 
     def backward(g: np.ndarray):
         # d softmax: out * (g - sum_seg(g * out)).
-        dot = np.zeros((num_segments,) + data.shape[1:], dtype=np.float32)
-        np.add.at(dot, ids, g * out)
+        dot = scatter_add_rows(ids, g * out, num_segments)
         return (out * (g - dot[ids]),)
 
     return scores._make(out, (scores,), backward)

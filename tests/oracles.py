@@ -12,6 +12,8 @@ oracle it is:
 * :func:`subgraph` and :func:`clone` over ``Graph``;
 * :func:`tile_footprint_bytes` for one tile, and :func:`node_features`
   for one instruction, whose batched forms the library runs;
+* :func:`largest_tile` over a ``TileConfig`` list, which ``default_tile``
+  takes on the body's int candidate array;
 * :func:`service_batcher`, the micro-batcher a ``CostModelService``
   builds from its ``ServiceConfig``, without the model a service needs.
 
@@ -134,6 +136,12 @@ def tile_footprint_bytes(kernel: Kernel, tile: TileConfig) -> int:
     """Scratchpad bytes one iteration of ``tile`` keeps live: the output
     tile plus, per kernel input, the slice one output tile needs."""
     return _FootprintTerms.of(kernel).bytes(tile.dims)
+
+
+def largest_tile(options: list[TileConfig]) -> TileConfig:
+    """The compiler-default pick among enumerated tiles: largest by volume,
+    ties broken by the larger dims."""
+    return max(options, key=lambda t: (t.volume, t.dims))
 
 
 def node_features(inst: Instruction) -> np.ndarray:

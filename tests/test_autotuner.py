@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from oracles import largest_tile
 from repro.autotuner import (
     AnalyticalEvaluator,
     HardwareEvaluator,
@@ -22,7 +23,6 @@ from repro.autotuner.fusion_tuner import _crossover
 from repro.autotuner.search import FINAL_TEMPERATURE, INITIAL_TEMPERATURE
 from repro.autotuner.tile import TileTuningResult
 from repro.compiler import FusionConfig, default_tile, enumerate_tile_sizes, fuse_program
-from repro.compiler.tiling import largest_tile
 from repro.data import Scalers, build_fusion_dataset, build_tile_dataset
 from repro.models import LearnedPerformanceModel, ModelConfig, TrainConfig, train_fusion_model
 from repro.tpu import TpuSimulator

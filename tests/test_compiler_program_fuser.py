@@ -228,13 +228,13 @@ class TestDefaultTilePerBody:
         from repro.compiler import tiling
 
         bodies = []  # the instruction dicts themselves, so no id is reused
-        original = tiling.enumerate_tile_sizes
+        original = tiling._candidate_dims
 
         def counting(kernel):
             bodies.append(kernel.graph.instructions)
             return original(kernel)
 
-        monkeypatch.setattr(tiling, "enumerate_tile_sizes", counting)
+        monkeypatch.setattr(tiling, "_candidate_dims", counting)
         hardware = HardwareEvaluator(TpuSimulator())
         result = model_fusion_autotune(
             corpus["char2feats_0"], _FingerprintBentTruth(), hardware,

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import tile_footprint_bytes
+from oracles import largest_tile, tile_footprint_bytes
 from repro.compiler import (
     Kernel,
     TileConfig,
@@ -22,7 +22,7 @@ from repro.compiler import (
     fuse_program,
     tiling,
 )
-from repro.compiler.tiling import _FootprintTerms, largest_tile, tile_transfer_bytes
+from repro.compiler.tiling import _FootprintTerms, tile_transfer_bytes
 from repro.data import build_tile_dataset
 from repro.hlo import GraphBuilder, Shape
 from repro.workloads import build_corpus, vision
@@ -325,9 +325,9 @@ class TestDefaultTileMemo:
     @pytest.fixture
     def enumerations(self, monkeypatch):
         calls = []
-        original = tiling.enumerate_tile_sizes
+        original = tiling._candidate_dims
         monkeypatch.setattr(
-            tiling, "enumerate_tile_sizes",
+            tiling, "_candidate_dims",
             lambda kernel: calls.append(kernel) or original(kernel),
         )
         return calls
@@ -342,6 +342,14 @@ class TestDefaultTileMemo:
         # Another body, even an equal one, has its own memo.
         assert default_tile(dense_kernel()) == first
         assert len(enumerations) == 2
+
+    def test_largest_candidate_on_every_corpus_kernel(self, corpus_kernels):
+        """The maximum taken on the int rows is ``largest_tile`` of the
+        enumerated list, with Python ``int`` dims."""
+        for _, kernel in corpus_kernels:
+            tile = default_tile(kernel)
+            assert tile == largest_tile(enumerate_tile_sizes(kernel))
+            assert all(type(d) is int for d in tile.dims)
 
 
 class TestCandidateMemo:

@@ -158,6 +158,14 @@ class TestProgram:
         p2 = Program("net_1", chain_graph(2), family="net")
         assert p2.family == "net"
 
+    def test_compares_by_fields_and_is_unhashable(self):
+        g = chain_graph(2)
+        assert Program("net", g) == Program("net", chain_graph(2), family="net")
+        assert Program("net", g) != Program("net", chain_graph(3))
+        assert Program("net", g).graph is g
+        with pytest.raises(TypeError):
+            hash(Program("net", g))
+
 
 @st.composite
 def random_dag(draw):

@@ -14,7 +14,7 @@ from repro.nn import (
 )
 
 from repro.nn.graph_layers import BatchedGraphContext, GraphOperators
-from repro.nn.sparse import mean_aggregation_csr, stack_csr
+from repro.nn.sparse import mean_aggregation_csr, segment_softmax_array, stack_csr
 
 rng = np.random.default_rng(7)
 
@@ -119,6 +119,51 @@ class TestSegmentSoftmax:
         ids = np.array([0, 0, 1, 1])
         out = segment_softmax(scores, ids, 2).numpy()
         np.testing.assert_allclose(out[:2].sum(axis=0), [1.0, 1.0], rtol=1e-5)
+
+
+def _add_at_segment_softmax(scores, ids, num_segments, g):
+    """``segment_softmax``'s forward and backward with ``np.add.at``
+    scatter-adds: the bitwise oracle of the ``scatter_add_rows`` forms."""
+    shape = (num_segments,) + scores.shape[1:]
+    seg_max = np.full(shape, -np.inf, dtype=np.float32)
+    np.maximum.at(seg_max, ids, scores)
+    e = np.exp(scores - seg_max[ids])
+    denom = np.zeros(shape, dtype=np.float32)
+    np.add.at(denom, ids, e)
+    out = e / np.maximum(denom[ids], 1e-30)
+    dot = np.zeros(shape, dtype=np.float32)
+    np.add.at(dot, ids, g * out)
+    return out, out * (g - dot[ids])
+
+
+class TestSegmentSoftmaxScatter:
+    @settings(max_examples=120, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(0, 40),
+        heads=st.sampled_from([None, 1, 4]),
+        empty=st.integers(0, 3),
+    )
+    def test_bitwise_the_add_at_forms(self, seed, n, heads, empty):
+        """``[n]`` and ``[n, heads]`` scores, signed zeros in the scores and
+        the upstream gradient, and segments no edge reaches."""
+        gen = np.random.default_rng(seed)
+        shape = (n,) if heads is None else (n, heads)
+        num_segments = (n // 3 + 1) + empty
+        ids = gen.integers(0, num_segments - empty, size=n)
+        scores = gen.normal(size=shape).astype(np.float32)
+        g = gen.normal(size=shape).astype(np.float32)
+        for arr in (scores, g):
+            arr[gen.random(shape) < 0.2] = -0.0
+            arr[gen.random(shape) < 0.1] = 0.0
+        want_out, want_grad = _add_at_segment_softmax(scores, ids, num_segments, g)
+        got = segment_softmax_array(scores, ids, num_segments)
+        x = Tensor(scores, requires_grad=True)
+        segment_softmax(x, ids, num_segments).backward(g)
+        for want, have in ((want_out, got), (want_grad, x.grad)):
+            assert have.dtype == want.dtype == np.float32
+            assert have.shape == want.shape
+            assert have.tobytes() == want.tobytes()
 
 
 class TestNormalizedAdjacency:

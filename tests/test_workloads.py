@@ -1,4 +1,6 @@
 """Tests for the workload corpus and splits."""
+from unittest import mock
+
 import pytest
 
 from repro.hlo import Opcode
@@ -61,6 +63,44 @@ class TestCorpus:
 
     def test_family_spec_counts_total(self):
         assert sum(c for _, c in FAMILY_SPEC) == 104
+
+
+class TestLazyCorpus:
+    """``build_corpus`` builds no graph; each is generated on first read."""
+
+    @staticmethod
+    def counting_spec(calls):
+        def counted(generator):
+            def generate(variant):
+                calls.append((generator.__name__, variant))
+                return generator(variant)
+
+            generate.__name__ = generator.__name__
+            return generate
+
+        return [(counted(generator), count) for generator, count in FAMILY_SPEC]
+
+    def test_building_the_corpus_calls_no_generator(self):
+        calls = []
+        with mock.patch("repro.workloads.corpus.FAMILY_SPEC", self.counting_spec(calls)):
+            corpus = build_corpus()
+            random_split(corpus)
+            manual_split(corpus)
+            assert len(corpus) == 104 and calls == []
+            assert corpus[5].graph is corpus[5].graph
+        assert calls == [("resnet_v1", 5)]
+
+    def test_name_and_family_before_building_match_the_built_program(self):
+        corpus = build_corpus()
+        before = [(p.name, p.family) for p in corpus]
+        by_generator = [generator(v) for generator, count in FAMILY_SPEC for v in range(count)]
+        assert before == [(p.name, p.family) for p in by_generator]
+
+    def test_graph_is_built_once_and_kept(self):
+        program = build_corpus()[0]
+        graph = program.graph
+        assert program.graph is graph
+        assert len(graph) == len(vision.resnet_v1(0).graph)
 
 
 class TestGenerators:
