@@ -21,7 +21,7 @@ from ..nn.graph_layers import GATLayer, GraphSAGELayer
 from ..nn.layers import Dense, Embedding, MLP, Module
 from ..nn.rnn import LSTM
 from ..nn.sparse import segment_sum
-from ..nn.tensor import Tensor, scatter_add_rows
+from ..nn.tensor import Tensor, concat, take_rows
 from .config import ModelConfig
 
 #: Feedforward layers between the GNN and the reduction (the "node final
@@ -97,22 +97,46 @@ class LearnedPerformanceModel(Module):
 
     # --------------------------------------------------------------- forward
     def forward(self, batch: GraphBatch) -> Tensor:
-        """Predict one scalar per kernel in the batch: [batch]."""
+        """Predict one scalar per kernel in the batch, on the tape: [batch]."""
+        return self._forward(batch, tape=True)
+
+    def predict(self, batch: GraphBatch) -> np.ndarray:
+        """Raw scores: :meth:`forward` under ``no_grad()``, bitwise, as a
+        fresh float32 [batch] array computed on plain arrays.
+
+        It is the same forward with every batch constant a plain array, so
+        each layer runs the array ops its tape ops compute, on the same
+        shapes in the same order, and no :class:`Tensor` or backward
+        closure is built. Nothing on the module is written, so it is safe
+        beside a training thread on the same module; parameters are read at
+        call time, so optimizer steps and ``load_state_dict`` show in the
+        next call.
+        """
+        return self._forward(batch, tape=False)
+
+    def _forward(self, batch: GraphBatch, tape: bool):
+        """The model's one forward: a :class:`Tensor` with ``tape``, else a
+        plain array. A layer records only when its input is a Tensor, so on
+        the tape every batch constant enters as one: a constant left a
+        plain array would run the layer it reaches untaped, and that
+        layer's weight would stop training."""
         cfg = self.config
         gids = batch.context.graph_ids
         nb = batch.context.num_graphs
+        const = Tensor if tape else np.asarray
+        embed = self.opcode_embedding if tape else self.opcode_embedding.apply
 
         # Option-1 kernel features repeat across every node of their kernel.
-        parts = [self.opcode_embedding(batch.opcodes), Tensor(batch.node_feats)]
-        parts += [Tensor(getattr(batch, name)[gids]) for name in cfg.feature_blocks("node")]
-        x = self.input_proj(Tensor.concat(parts, axis=-1))
+        parts = [embed(batch.opcodes), const(batch.node_feats)]
+        parts += [const(getattr(batch, name)[gids]) for name in cfg.feature_blocks("node")]
+        x = self.input_proj(concat(parts, axis=-1))
         operands = self._gnn_operands(batch)
         for layer in self.gnn_layers:
             x = layer(x, *operands)
         x = self.node_final(x)
 
-        extras = [Tensor(getattr(batch, name)) for name in cfg.feature_blocks("kernel")]
-        extras = Tensor.concat(extras, axis=-1) if extras else None
+        extras = [const(getattr(batch, name)) for name in cfg.feature_blocks("kernel")]
+        extras = concat(extras, axis=-1) if extras else None
 
         if cfg.reduction == "per-node":
             pred = segment_sum(self.node_head(x), gids, nb).reshape(nb)
@@ -124,72 +148,20 @@ class LearnedPerformanceModel(Module):
         # max_nodes, h], topologically ordered within each kernel (pad rows
         # repeat node 0; every consumer masks them).
         b, t = batch.pad_index.shape
-        padded = x.take_rows(batch.pad_index.reshape(-1)).reshape(b, t, x.shape[-1])
+        padded = take_rows(x, batch.pad_index.reshape(-1)).reshape(b, t, x.shape[-1])
         if cfg.reduction == "column-wise":
             counts = np.bincount(gids, minlength=nb).astype(np.float32)
-            mean = segment_sum(x, gids, nb) * Tensor(1.0 / counts[:, None])
+            mean = segment_sum(x, gids, nb) * (1.0 / counts[:, None])
             neg_inf = np.where(batch.pad_mask[:, :, None], 0.0, -1e30).astype(np.float32)
-            kernel_emb = Tensor.concat([mean, (padded + Tensor(neg_inf)).max(axis=1)], axis=-1)
+            kernel_emb = concat([mean, (padded + neg_inf).max(axis=1)], axis=-1)
         elif cfg.reduction == "lstm":
             kernel_emb = self.lstm(padded, batch.pad_mask)
         else:  # transformer
             kernel_emb = self.encoder(padded, batch.pad_mask)
 
         if extras is not None:
-            kernel_emb = Tensor.concat([kernel_emb, extras], axis=-1)
+            kernel_emb = concat([kernel_emb, extras], axis=-1)
         return self.head(kernel_emb).reshape(nb)
-
-    # ------------------------------------------------------------- inference
-    def predict(self, batch: GraphBatch) -> np.ndarray:
-        """Raw scores: :meth:`forward` under ``no_grad()``, bitwise, as a
-        fresh float32 [batch] array computed on plain arrays.
-
-        Every layer's ``apply`` runs its ``forward``'s array ops on the same
-        shapes in the same order (so the bits are the same), and no
-        :class:`Tensor` or backward closure is built. Keep it so when
-        editing either side: a matmul, reduction or transcendental on
-        another shape, dtype or layout may round differently; only exactly
-        rounded elementwise arithmetic and data movement may be reordered. Nothing on the module
-        is written, so it is safe beside a training thread on the same
-        module; parameters are read at call time, so optimizer steps and
-        ``load_state_dict`` show in the next call.
-        """
-        cfg = self.config
-        gids = batch.context.graph_ids
-        nb = batch.context.num_graphs
-
-        parts = [self.opcode_embedding.apply(batch.opcodes), batch.node_feats]
-        parts += [getattr(batch, name)[gids] for name in cfg.feature_blocks("node")]
-        x = self.input_proj.apply(np.concatenate(parts, axis=-1, dtype=np.float32))
-        operands = self._gnn_operands(batch)
-        for layer in self.gnn_layers:
-            x = layer.apply(x, *operands)
-        x = self.node_final.apply(x)
-
-        extras = [getattr(batch, name) for name in cfg.feature_blocks("kernel")]
-
-        if cfg.reduction == "per-node":
-            pred = scatter_add_rows(gids, self.node_head.apply(x), nb).reshape(nb)
-            if extras:
-                kernel_feats = np.concatenate(extras, axis=-1, dtype=np.float32)
-                pred = pred + self.kernel_correction.apply(kernel_feats).reshape(nb)
-            return pred
-
-        b, t = batch.pad_index.shape
-        padded = x[batch.pad_index.reshape(-1)].reshape(b, t, x.shape[-1])
-        if cfg.reduction == "column-wise":
-            counts = np.bincount(gids, minlength=nb).astype(np.float32)
-            mean = scatter_add_rows(gids, x, nb) * (1.0 / counts[:, None])
-            floor = np.where(batch.pad_mask[:, :, None], 0.0, -1e30).astype(np.float32)
-            kernel_emb = np.concatenate([mean, (padded + floor).max(axis=1)], axis=-1)
-        elif cfg.reduction == "lstm":
-            kernel_emb = self.lstm.apply(padded, batch.pad_mask)
-        else:  # transformer
-            kernel_emb = self.encoder.apply(padded, batch.pad_mask)
-
-        if extras:
-            kernel_emb = np.concatenate([kernel_emb, *extras], axis=-1, dtype=np.float32)
-        return self.head.apply(kernel_emb).reshape(nb)
 
     def predict_runtimes(self, batch: GraphBatch) -> np.ndarray:
         """Absolute runtimes in seconds (fusion task: exp of log output)."""

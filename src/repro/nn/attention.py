@@ -1,4 +1,8 @@
-"""Multi-head attention and Transformer encoder (paper's global reduction)."""
+"""Multi-head attention and Transformer encoder (paper's global reduction).
+
+Each forward takes a :class:`~repro.nn.tensor.Tensor` (the tape) or a plain
+array (inference), and runs the same ops on either.
+"""
 from __future__ import annotations
 
 import math
@@ -6,7 +10,7 @@ import math
 import numpy as np
 
 from .layers import Dense, LayerNorm, Module
-from .tensor import Tensor, softmax_array
+from .tensor import softmax
 
 #: Attention heads per layer (paper App. B fixes 4).
 HEADS = 4
@@ -35,11 +39,11 @@ class MultiHeadAttention(Module):
         self.wv = Dense(dim, dim, rng=rng)
         self.wo = Dense(dim, dim, rng=rng)
 
-    def _split(self, x: Tensor, batch: int, time: int) -> Tensor:
+    def _split(self, x, batch: int, time: int):
         # [b, t, d] -> [b, h, t, hd]
         return x.reshape(batch, time, HEADS, self.head_dim).transpose(0, 2, 1, 3)
 
-    def forward(self, x: Tensor, mask: np.ndarray) -> Tensor:
+    def forward(self, x, mask: np.ndarray):
         """Attend over padded node sequences.
 
         Args:
@@ -50,29 +54,12 @@ class MultiHeadAttention(Module):
         q = self._split(self.wq(x), batch, time)
         k = self._split(self.wk(x), batch, time)
         v = self._split(self.wv(x), batch, time)
-        scores = (q @ k.transpose(0, 1, 3, 2)) * (1.0 / math.sqrt(self.head_dim))
+        scores = (q @ k.transpose(0, 1, 3, 2)) * np.float32(1.0 / math.sqrt(self.head_dim))
         attn_mask = mask[:, None, None, :] & mask[:, None, :, None]
-        attn = scores.softmax(axis=-1, mask=np.broadcast_to(attn_mask, scores.shape))
+        attn = softmax(scores, axis=-1, mask=np.broadcast_to(attn_mask, scores.shape))
         ctx = attn @ v  # [b, h, t, hd]
         merged = ctx.transpose(0, 2, 1, 3).reshape(batch, time, self.dim)
         return self.wo(merged)
-
-    def apply(self, x: np.ndarray, mask: np.ndarray) -> np.ndarray:
-        """:meth:`forward`'s ops on a plain array, bitwise (what ``predict``
-        runs)."""
-        batch, time, _ = x.shape
-
-        def split(y: np.ndarray) -> np.ndarray:  # [b, t, d] -> [b, h, t, hd]
-            return y.reshape(batch, time, HEADS, self.head_dim).transpose(0, 2, 1, 3)
-
-        q = split(self.wq.apply(x))
-        k = split(self.wk.apply(x))
-        v = split(self.wv.apply(x))
-        scores = (q @ k.transpose(0, 1, 3, 2)) * np.float32(1.0 / math.sqrt(self.head_dim))
-        attn_mask = mask[:, None, None, :] & mask[:, None, :, None]
-        attn = softmax_array(scores, -1, np.broadcast_to(attn_mask, scores.shape))
-        merged = (attn @ v).transpose(0, 2, 1, 3).reshape(batch, time, self.dim)
-        return self.wo.apply(merged)
 
 
 class TransformerEncoderLayer(Module):
@@ -87,14 +74,9 @@ class TransformerEncoderLayer(Module):
         self.ff1 = Dense(dim, dim * FF_MULTIPLIER, activation="relu", rng=rng)
         self.ff2 = Dense(dim * FF_MULTIPLIER, dim, rng=rng)
 
-    def forward(self, x: Tensor, mask: np.ndarray) -> Tensor:
+    def forward(self, x, mask: np.ndarray):
         x = x + self.attn(self.norm1(x), mask)
         return x + self.ff2(self.ff1(self.norm2(x)))
-
-    def apply(self, x: np.ndarray, mask: np.ndarray) -> np.ndarray:
-        """The block on a plain array (what ``predict`` runs)."""
-        x = x + self.attn.apply(self.norm1.apply(x), mask)
-        return x + self.ff2.apply(self.ff1.apply(self.norm2.apply(x)))
 
 
 class TransformerEncoder(Module):
@@ -113,16 +95,8 @@ class TransformerEncoder(Module):
         self.blocks = [TransformerEncoderLayer(dim, rng=rng) for _ in range(ENCODER_LAYERS)]
         self.final_norm = LayerNorm(dim)
 
-    def forward(self, x: Tensor, mask: np.ndarray) -> Tensor:
+    def forward(self, x, mask: np.ndarray):
         """Encode and pool: [batch, time, dim] -> [batch, dim]."""
         for block in self.blocks:
             x = block(x, mask)
-        m = Tensor(mask[:, :, None].astype(np.float32))
-        return self.final_norm((x * m).sum(axis=1))
-
-    def apply(self, x: np.ndarray, mask: np.ndarray) -> np.ndarray:
-        """Encode and pool on a plain array (what ``predict`` runs)."""
-        for block in self.blocks:
-            x = block.apply(x, mask)
-        pooled = (x * mask[:, :, None].astype(np.float32)).sum(axis=1)
-        return self.final_norm.apply(pooled)
+        return self.final_norm((x * mask[:, :, None].astype(np.float32)).sum(axis=1))

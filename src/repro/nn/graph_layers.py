@@ -13,11 +13,11 @@ with the aggregation direction(s) selectable: the paper's 'vanilla' model
 distinguishes incoming from outgoing edges (separate feedforward nets per
 direction), and the 'Undirected' ablation shares them.
 
-A hop is one function on plain arrays, :func:`graphsage_hop`: the tape's
-:class:`GraphSAGELayer` records it as a single node whose backward is
-:func:`graphsage_hop_backward`, and :meth:`GraphSAGELayer.apply` (what
-``predict`` runs) calls it directly. :class:`GATLayer` records its hop as
-several tape ops; its ``apply`` runs the same array ops.
+A hop is one function on plain arrays, :func:`graphsage_hop`: on a
+:class:`~repro.nn.tensor.Tensor`, :class:`GraphSAGELayer` records it as a
+single tape node whose backward is :func:`graphsage_hop_backward`, and on a
+plain array it calls it directly. :class:`GATLayer` records its hop as
+several tape ops, and runs the array ops those compute on a plain array.
 """
 from __future__ import annotations
 
@@ -31,11 +31,10 @@ from .sparse import (
     mean_aggregation_csr,
     normalized_adjacency,
     segment_softmax,
-    segment_softmax_array,
     segment_sum,
     stack_csr,
 )
-from .tensor import Tensor, recording, relu_array, relu_inplace, scatter_add_rows
+from .tensor import Tensor, maximum, recording, relu, relu_inplace, take_rows
 
 if TYPE_CHECKING:
     import scipy.sparse as sp
@@ -179,10 +178,11 @@ class GraphOperators:
 class GraphSAGELayer(Module):
     """One GraphSAGE hop with mean aggregation.
 
-    One tape node: the forward is :func:`graphsage_hop` over the weights of
-    ``agg_in`` / ``agg_out`` / ``update`` (bias-free ReLU ``Dense`` layers),
-    which ``predict`` calls too, and the backward is
-    :func:`graphsage_hop_backward`.
+    On a :class:`Tensor`, one tape node: the forward is :func:`graphsage_hop`
+    over the weights of ``agg_in`` / ``agg_out`` / ``update`` (bias-free
+    ReLU ``Dense`` layers), and the backward is
+    :func:`graphsage_hop_backward`. A plain array goes to
+    :func:`graphsage_hop` itself.
 
     Args:
         in_dim / out_dim: embedding widths.
@@ -207,19 +207,19 @@ class GraphSAGELayer(Module):
         concat_dim = in_dim * (3 if directed else 2)
         self.update = Dense(concat_dim, out_dim, activation="relu", rng=rng)
 
-    def forward(
-        self, x: Tensor, adj_in: CSR, adj_out: CSR
-    ) -> Tensor:
+    def forward(self, x, adj_in: CSR, adj_out: CSR):
         """One message-passing hop.
 
         Args:
-            x: [n, in_dim] node embeddings.
+            x: [n, in_dim] node embeddings, a Tensor or a plain array.
             adj_in: normalized aggregation operator over incoming edges.
             adj_out: same for outgoing edges (used when directed; the
                 undirected variant receives the symmetrized operator in
                 ``adj_in`` and ignores ``adj_out``).
         """
         weights = self._weights()
+        if not isinstance(x, Tensor):
+            return graphsage_hop(x, adj_in, adj_out, [w.data for w in weights])[0]
         out, saved = graphsage_hop(
             x.data,
             adj_in,
@@ -228,11 +228,6 @@ class GraphSAGELayer(Module):
             record=recording(x, *weights),
         )
         return x._make(out, (x, *weights), lambda g: graphsage_hop_backward(saved, g))
-
-    def apply(self, x: np.ndarray, adj_in: CSR, adj_out: CSR) -> np.ndarray:
-        """The hop on a plain array (what ``predict`` runs)."""
-        weights = [w.data for w in self._weights()]
-        return graphsage_hop(x, adj_in, adj_out, weights)[0]
 
     def _weights(self) -> list[Tensor]:
         if self.directed:
@@ -259,11 +254,11 @@ class GATLayer(Module):
         self.attn_src = Dense(in_dim, GAT_HEADS, rng=rng)
         self.attn_dst = Dense(in_dim, GAT_HEADS, rng=rng)
 
-    def forward(self, x: Tensor, edges: np.ndarray, num_nodes: int) -> Tensor:
+    def forward(self, x, edges: np.ndarray, num_nodes: int):
         """One attention hop.
 
         Args:
-            x: [n, in_dim] node embeddings.
+            x: [n, in_dim] node embeddings, a Tensor or a plain array.
             edges: [e, 2] int array of (src, dst) pairs (both directions
                 should be present for undirected attention).
             num_nodes: n.
@@ -271,39 +266,22 @@ class GATLayer(Module):
         Returns:
             [n, out_dim] embeddings (heads concatenated).
         """
-        if len(edges) == 0:
-            return self.proj(x).relu()
-        src, dst = edges[:, 0], edges[:, 1]
         h = self.proj(x)  # [n, heads*hd]
+        if len(edges) == 0:
+            return relu(h)
+        src, dst = edges[:, 0], edges[:, 1]
         a_src = self.attn_src(x)  # [n, heads]
         a_dst = self.attn_dst(x)
-        scores = a_src.take_rows(src) + a_dst.take_rows(dst)  # [e, heads]
+        scores = take_rows(a_src, src) + take_rows(a_dst, dst)  # [e, heads]
         # LeakyReLU(0.2) as in the GAT paper.
-        scores = scores.maximum(scores * _LEAKY_SLOPE)
+        scores = maximum(scores, scores * _LEAKY_SLOPE)
         alpha = segment_softmax(scores, dst, num_nodes)  # [e, heads]
-        src_h = h.take_rows(src).reshape(len(edges), GAT_HEADS, self.head_dim)
+        src_h = take_rows(h, src).reshape(len(edges), GAT_HEADS, self.head_dim)
         weighted = src_h * alpha.reshape(len(edges), GAT_HEADS, 1)
         agg = segment_sum(
             weighted.reshape(len(edges), GAT_HEADS * self.head_dim), dst, num_nodes
         )
-        return agg.relu()
-
-    def apply(self, x: np.ndarray, edges: np.ndarray, num_nodes: int) -> np.ndarray:
-        """:meth:`forward`'s ops on a plain array, bitwise (what ``predict``
-        runs)."""
-        h = self.proj.apply(x)
-        if len(edges) == 0:
-            return relu_array(h)
-        src, dst = edges[:, 0], edges[:, 1]
-        scores = self.attn_src.apply(x)[src] + self.attn_dst.apply(x)[dst]
-        scores = np.maximum(scores, scores * _LEAKY_SLOPE)
-        alpha = segment_softmax_array(scores, dst, num_nodes)
-        src_h = h[src].reshape(len(edges), GAT_HEADS, self.head_dim)
-        weighted = src_h * alpha.reshape(len(edges), GAT_HEADS, 1)
-        agg = scatter_add_rows(
-            dst, weighted.reshape(len(edges), GAT_HEADS * self.head_dim), num_nodes
-        )
-        return relu_array(agg)
+        return relu(agg)
 
 
 class BatchedGraphContext:

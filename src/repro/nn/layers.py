@@ -69,6 +69,13 @@ class Module:
                 )
             p.data = arr.copy()
 
+    def __init_subclass__(cls, **kwargs) -> None:
+        super().__init_subclass__(**kwargs)
+        # Calling a module is its forward, with no frame in between: an
+        # inference forward calls a dozen small layers.
+        if "forward" in cls.__dict__:
+            cls.__call__ = cls.forward
+
     def __call__(self, *args, **kwargs):
         return self.forward(*args, **kwargs)
 
@@ -85,7 +92,7 @@ def glorot(rng: np.random.Generator, fan_in: int, fan_out: int, shape=None) -> T
 
 def dense(x: np.ndarray, weight: np.ndarray, activation: str | None = None) -> np.ndarray:
     """``activation(x @ weight)`` on plain arrays: the forward of
-    :class:`Dense` on the tape and on the inference path."""
+    :class:`Dense`."""
     y = x @ weight  # fresh, so the relu writes over it
     if activation == "relu":
         return relu_inplace(y)
@@ -121,9 +128,9 @@ class Dense(Module):
     """Linear layer ``x @ W`` with an optional ReLU, and no bias (the
     paper's fixed hyperparameters, App. B, use no per-layer biases).
 
-    One tape node: the forward is :func:`dense`, which ``predict`` calls
-    too, and the backward is :func:`dense_backward`. Inputs are 2-D or
-    batched (``[..., in_features]``).
+    On a :class:`Tensor`, one tape node: the forward is :func:`dense` and
+    the backward is :func:`dense_backward`. A plain array goes to
+    :func:`dense` itself. Inputs are 2-D or batched (``[..., in_features]``).
 
     Args:
         in_features / out_features: matrix dimensions.
@@ -145,16 +152,14 @@ class Dense(Module):
             raise ValueError(f"unknown activation {activation!r}")
         self.activation = activation
 
-    def forward(self, x: Tensor) -> Tensor:
+    def forward(self, x):
+        if not isinstance(x, Tensor):
+            return dense(x, self.weight.data, self.activation)
         x_data, weight, activation, want_x = x.data, self.weight.data, self.activation, x.requires_grad
-        y = self.apply(x_data)
+        y = dense(x_data, weight, activation)
         return x._make(
             y, (x, self.weight), lambda g: dense_backward(g, x_data, weight, y, activation, want_x)
         )
-
-    def apply(self, x: np.ndarray) -> np.ndarray:
-        """The forward on a plain array (what ``predict`` runs)."""
-        return dense(x, self.weight.data, self.activation)
 
 
 class MLP(Module):
@@ -179,15 +184,9 @@ class MLP(Module):
             layers.append(Dense(widths[i], widths[i + 1], activation=act, rng=rng))
         self.layers = layers
 
-    def forward(self, x: Tensor) -> Tensor:
+    def forward(self, x):
         for layer in self.layers:
             x = layer(x)
-        return x
-
-    def apply(self, x: np.ndarray) -> np.ndarray:
-        """The forward on a plain array (what ``predict`` runs)."""
-        for layer in self.layers:
-            x = layer.apply(x)
         return x
 
 
@@ -195,7 +194,8 @@ class Embedding(Module):
     """Lookup table mapping integer ids to dense vectors.
 
     Used for the opcode embedding (paper: opcode ids are mapped to a
-    256-dimensional embedding vector learned jointly).
+    256-dimensional embedding vector learned jointly). Integer ids cannot
+    say which run they are in, so the array lookup is :meth:`apply`.
     """
 
     def __init__(
@@ -212,7 +212,7 @@ class Embedding(Module):
         return self.table.take_rows(np.asarray(ids, dtype=np.int64))
 
     def apply(self, ids: np.ndarray) -> np.ndarray:
-        """The lookup on plain arrays (what ``predict`` runs)."""
+        """The lookup as a plain array, building no :class:`Tensor`."""
         return self.table.data[np.asarray(ids, dtype=np.int64)]
 
 
@@ -224,19 +224,15 @@ class LayerNorm(Module):
         self.gain = Tensor(np.ones(dim, dtype=np.float32), requires_grad=True)
         self.shift = Tensor(np.zeros(dim, dtype=np.float32), requires_grad=True)
 
-    def forward(self, x: Tensor) -> Tensor:
-        mu = x.mean(axis=-1, keepdims=True)
-        centered = x - mu
-        var = (centered * centered).mean(axis=-1, keepdims=True)
-        inv = (var + LAYER_NORM_EPS) ** -0.5
-        return centered * inv * self.gain + self.shift
-
-    def apply(self, x: np.ndarray) -> np.ndarray:
-        """:meth:`forward`'s ops on a plain array, bitwise (what ``predict``
-        runs): each mean is the tape's sum times a float32 ``1 / n``."""
+    def forward(self, x):
+        """Normalize ``x`` (a :class:`Tensor` or a plain array). Each mean is
+        a sum times a float32 ``1 / n``, as :meth:`Tensor.mean` forms it."""
+        gain, shift = self.gain, self.shift
+        if not isinstance(x, Tensor):
+            gain, shift = gain.data, shift.data
         scale = np.float32(1.0 / x.shape[-1])
         centered = x - x.sum(axis=-1, keepdims=True) * scale
         var = (centered * centered).sum(axis=-1, keepdims=True) * scale
         inv = (var + np.float32(LAYER_NORM_EPS)) ** -0.5
-        return centered * inv * self.gain.data + self.shift.data
+        return centered * inv * gain + shift
 

@@ -1,10 +1,10 @@
 """LSTM sequence modules (kernel-embedding reduction option 2 in the paper).
 
-:func:`lstm_final_state` is the reduction's one implementation: the tape's
-:class:`LSTM` records it as a single node whose backward is
-:func:`lstm_final_state_backward`, and :meth:`LSTM.apply` (what ``predict``
-runs) calls it directly, so ``predict`` and the training forward run the
-same arithmetic on the same shapes and agree bit for bit on every batch.
+:func:`lstm_final_state` is the reduction's one implementation: on a
+:class:`~repro.nn.tensor.Tensor`, :class:`LSTM` records it as a single tape
+node whose backward is :func:`lstm_final_state_backward`, and on a plain
+array it calls it directly, so inference and training run the same
+arithmetic on the same shapes and agree bit for bit on every batch.
 """
 from __future__ import annotations
 
@@ -140,11 +140,11 @@ class LSTM(Module):
         self.cell = LSTMCell(input_dim, hidden_dim, rng=rng)
         self.hidden_dim = hidden_dim
 
-    def forward(self, x: Tensor, mask: np.ndarray) -> Tensor:
+    def forward(self, x, mask: np.ndarray):
         """Run over a padded batch.
 
         Args:
-            x: [batch, time, dim] padded inputs.
+            x: [batch, time, dim] padded inputs, a Tensor or a plain array.
             mask: [batch, time] boolean; True where a real element exists
                 (a prefix of each row).
 
@@ -152,11 +152,9 @@ class LSTM(Module):
             [batch, hidden] final hidden state of each sequence.
         """
         weight = self.cell.gates.weight
+        if not isinstance(x, Tensor):
+            return lstm_final_state(weight.data, x, mask)[0]
         h, saved = lstm_final_state(
             weight.data, x.data, mask, record=recording(x, weight)
         )
         return x._make(h, (x, weight), lambda g: lstm_final_state_backward(saved, g))
-
-    def apply(self, x: np.ndarray, mask: np.ndarray) -> np.ndarray:
-        """The forward on a plain array (what ``predict`` runs)."""
-        return lstm_final_state(self.cell.gates.weight.data, x, mask)[0]

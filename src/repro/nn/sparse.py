@@ -13,7 +13,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .csr import CSR, index_dtype
-from .tensor import Tensor, scatter_add_rows
+from .tensor import Tensor, scatter_add_rows, scatter_by, scatter_matrix
 
 if TYPE_CHECKING:
     import scipy.sparse as sp
@@ -33,18 +33,21 @@ def spmm(matrix: CSR, x: Tensor) -> Tensor:
     return x._make(np.asarray(out, dtype=np.float32), (x,), lambda g: (matrix.T @ g,))
 
 
-def segment_sum(x: Tensor, segment_ids: np.ndarray, num_segments: int) -> Tensor:
+def segment_sum(x, segment_ids: np.ndarray, num_segments: int):
     """Sum rows of ``x`` into ``num_segments`` buckets.
 
     Args:
-        x: [n, d] values.
+        x: [n, d] values, a Tensor or a plain array.
         segment_ids: [n] bucket index per row.
         num_segments: number of output rows.
 
     Returns:
-        [num_segments, d]; gradient gathers back per row.
+        [num_segments, d], of ``x``'s kind; a Tensor's gradient gathers
+        back per row.
     """
     ids = np.asarray(segment_ids)
+    if not isinstance(x, Tensor):
+        return scatter_add_rows(ids, x, num_segments)
     out = scatter_add_rows(ids, x.data, num_segments)
     return x._make(out, (x,), lambda g: (g[ids],))
 
@@ -53,7 +56,7 @@ def segment_softmax_array(
     scores: np.ndarray, segment_ids: np.ndarray, num_segments: int
 ) -> np.ndarray:
     """Softmax over variable-size segments on plain arrays: the forward of
-    :func:`segment_softmax` and of ``GATLayer.apply``.
+    :func:`segment_softmax`.
 
     Args:
         scores: [n] or [n, h] per-edge scores.
@@ -63,25 +66,36 @@ def segment_softmax_array(
     Returns:
         Normalized weights with the same shape as ``scores``.
     """
-    ids = np.asarray(segment_ids)
+    return _segment_softmax(scores, np.asarray(segment_ids), num_segments)[0]
+
+
+def _segment_softmax(
+    scores: np.ndarray, ids: np.ndarray, num_segments: int
+) -> tuple[np.ndarray, CSR]:
+    """:func:`segment_softmax_array`, and the :func:`scatter_matrix` of
+    ``ids`` its denominators were summed through (the backward sums through
+    it again)."""
     shape = (num_segments,) + scores.shape[1:]
     # Stabilize per segment.
     seg_max = np.full(shape, -np.inf, dtype=np.float32)
     np.maximum.at(seg_max, ids, scores)
     e = np.exp(scores - seg_max[ids])
-    denom = scatter_add_rows(ids, e, num_segments)
-    return e / np.maximum(denom[ids], 1e-30)
+    rows = scatter_matrix(ids, num_segments, e.dtype)
+    denom = scatter_by(rows, e)
+    return e / np.maximum(denom[ids], 1e-30), rows
 
 
-def segment_softmax(scores: Tensor, segment_ids: np.ndarray, num_segments: int) -> Tensor:
-    """Differentiable :func:`segment_softmax_array` (per-destination attention)."""
+def segment_softmax(scores, segment_ids: np.ndarray, num_segments: int):
+    """Per-destination attention: :func:`segment_softmax_array` on a plain
+    array, its tape op on a Tensor."""
     ids = np.asarray(segment_ids)
-    data = scores.data
-    out = segment_softmax_array(data, ids, num_segments)
+    if not isinstance(scores, Tensor):
+        return segment_softmax_array(scores, ids, num_segments)
+    out, rows = _segment_softmax(scores.data, ids, num_segments)
 
     def backward(g: np.ndarray):
         # d softmax: out * (g - sum_seg(g * out)).
-        dot = scatter_add_rows(ids, g * out, num_segments)
+        dot = scatter_by(rows, g * out)
         return (out * (g - dot[ids]),)
 
     return scores._make(out, (scores,), backward)

@@ -62,8 +62,8 @@ def relu_array(x: np.ndarray) -> np.ndarray:
     array, at a tenth of the cost on a large array. Adding +0.0 turns -0.0
     into the +0.0 ``where`` writes and quiets a signalling NaN (which
     ``fmax`` would return) while changing nothing else; ``fmax`` then drops
-    every NaN as ``NaN > 0`` does. The forward of :meth:`Tensor.relu` and
-    of the tape-free inference path."""
+    every NaN as ``NaN > 0`` does. The forward of :meth:`Tensor.relu`, and
+    what :func:`relu` runs on a plain array."""
     y = x + _ZERO
     np.fmax(y, _ZERO, out=y)
     return y
@@ -80,14 +80,15 @@ def relu_inplace(y: np.ndarray) -> np.ndarray:
 
 
 def sigmoid_array(x: np.ndarray) -> np.ndarray:
-    """The logistic function: the forward of the LSTM gates, on the tape
-    and on the tape-free inference path."""
+    """The logistic function: the forward of the LSTM gates
+    (:func:`~repro.nn.rnn.lstm_final_state`)."""
     return 1.0 / (1.0 + np.exp(-x))
 
 
 def softmax_array(x: np.ndarray, axis: int, mask: np.ndarray | None) -> np.ndarray:
     """Softmax of ``x`` along ``axis``, 0 where ``mask`` is False: the
-    forward of :meth:`Tensor.softmax` and of ``MultiHeadAttention.apply``."""
+    forward of :meth:`Tensor.softmax`, and what :func:`softmax` runs on a
+    plain array."""
     if mask is not None:
         x = np.where(mask, x, -1e30)
     x = x - x.max(axis=axis, keepdims=True)
@@ -108,8 +109,7 @@ def scatter_add_rows(index: np.ndarray, values: np.ndarray, num_rows: int) -> np
     same additions in the same order (it accumulates each output row left
     to right from zero, and ``1.0 * v`` is exact) — without ``ufunc.at``'s
     per-element cost. The backward of :meth:`Tensor.take_rows` and
-    ``Tensor.__getitem__``, and the forward of ``segment_sum`` on both the
-    tape and the inference path.
+    ``Tensor.__getitem__``, and the forward of ``segment_sum``.
 
     Args:
         index: non-negative row numbers, any shape.
@@ -120,9 +120,17 @@ def scatter_add_rows(index: np.ndarray, values: np.ndarray, num_rows: int) -> np
         A fresh ``[num_rows, *trailing]`` array of ``values``' dtype.
     """
     index = np.asarray(index)
-    trailing = values.shape[index.ndim :]
     rows = scatter_matrix(index.reshape(-1), num_rows, values.dtype)
-    return (rows @ values.reshape(index.size, math.prod(trailing))).reshape(num_rows, *trailing)
+    return scatter_by(rows, values.reshape(index.size, *values.shape[index.ndim :]))
+
+
+def scatter_by(rows: CSR, values: np.ndarray) -> np.ndarray:
+    """``rows @ values`` over ``values``' first axis, whatever its trailing
+    shape: :func:`scatter_add_rows` through a :func:`scatter_matrix`
+    already built, for a caller that scatters by the same index twice."""
+    trailing = values.shape[1:]
+    flat = values.reshape(len(values), math.prod(trailing))
+    return (rows @ flat).reshape(rows.shape[0], *trailing)
 
 
 def scatter_matrix(index: np.ndarray, num_rows: int, dtype: np.dtype) -> CSR:
@@ -476,3 +484,39 @@ class Tensor:
             return (out * (g - dot),)
 
         return self._make(out, (self,), backward)
+
+
+# ---------------------------------------------------------------------------
+# Ops written once for both runs of a layer's forward: a Tensor records the
+# tape op, a plain array runs the array op that tape op computes (the same
+# bits), building no Tensor.
+
+
+def relu(x):
+    """:meth:`Tensor.relu` on a Tensor, :func:`relu_array` on an array."""
+    return x.relu() if isinstance(x, Tensor) else relu_array(x)
+
+
+def maximum(a, b):
+    """:meth:`Tensor.maximum` when ``a`` is a Tensor, else ``np.maximum``."""
+    return a.maximum(b) if isinstance(a, Tensor) else np.maximum(a, b)
+
+
+def take_rows(x, indices: np.ndarray):
+    """:meth:`Tensor.take_rows` on a Tensor, ``x[indices]`` on an array."""
+    return x.take_rows(indices) if isinstance(x, Tensor) else x[np.asarray(indices)]
+
+
+def softmax(x, axis: int = -1, mask: np.ndarray | None = None):
+    """:meth:`Tensor.softmax` on a Tensor, :func:`softmax_array` on an array."""
+    if isinstance(x, Tensor):
+        return x.softmax(axis=axis, mask=mask)
+    return softmax_array(x, axis, mask)
+
+
+def concat(parts: Sequence, axis: int = 0):
+    """:meth:`Tensor.concat` if any part is a Tensor, else a float32
+    ``np.concatenate``."""
+    if any(isinstance(p, Tensor) for p in parts):
+        return Tensor.concat(parts, axis=axis)
+    return np.concatenate(parts, axis=axis, dtype=np.float32)

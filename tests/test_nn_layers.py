@@ -109,7 +109,7 @@ class TestDenseAgainstTheCompositeTape:
             if b is not None:
                 assert a.dtype == b.dtype == np.float32 and a.shape == b.shape
                 assert a.tobytes() == b.tobytes()
-        assert layer.apply(x_data).tobytes() == want[0].tobytes()  # predict's path
+        assert layer(x_data).tobytes() == want[0].tobytes()  # predict's path
 
 
 class TestEmbedding:

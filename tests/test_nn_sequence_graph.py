@@ -358,7 +358,7 @@ class TestGraphSageHopAgainstTheCompositeTape:
         for a, b in zip(got, want):
             _same_bits(a, b)
         # predict's path runs the same function.
-        _same_bits(layer.apply(x_data, adj_in, adj_out), want[0])
+        _same_bits(layer(x_data, adj_in, adj_out), want[0])
         with no_grad():
             _same_bits(layer(Tensor(x_data), adj_in, adj_out).numpy(), want[0])
 
