@@ -21,7 +21,7 @@ from ..nn.graph_layers import GATLayer, GraphSAGELayer
 from ..nn.layers import Dense, Embedding, MLP, Module
 from ..nn.rnn import LSTM
 from ..nn.sparse import segment_sum
-from ..nn.tensor import Tensor, concat, take_rows
+from ..nn.tensor import Tensor, array_run, concat, take_rows
 from .config import ModelConfig
 
 #: Feedforward layers between the GNN and the reduction (the "node final
@@ -97,45 +97,24 @@ class LearnedPerformanceModel(Module):
 
     # --------------------------------------------------------------- forward
     def forward(self, batch: GraphBatch) -> Tensor:
-        """Predict one scalar per kernel in the batch, on the tape: [batch]."""
-        return self._forward(batch, tape=True)
-
-    def predict(self, batch: GraphBatch) -> np.ndarray:
-        """Raw scores: :meth:`forward` under ``no_grad()``, bitwise, as a
-        fresh float32 [batch] array computed on plain arrays.
-
-        It is the same forward with every batch constant a plain array, so
-        each layer runs the array ops its tape ops compute, on the same
-        shapes in the same order, and no :class:`Tensor` or backward
-        closure is built. Nothing on the module is written, so it is safe
-        beside a training thread on the same module; parameters are read at
-        call time, so optimizer steps and ``load_state_dict`` show in the
-        next call.
-        """
-        return self._forward(batch, tape=False)
-
-    def _forward(self, batch: GraphBatch, tape: bool):
-        """The model's one forward: a :class:`Tensor` with ``tape``, else a
-        plain array. A layer records only when its input is a Tensor, so on
-        the tape every batch constant enters as one: a constant left a
-        plain array would run the layer it reaches untaped, and that
-        layer's weight would stop training."""
+        """Predict one scalar per kernel in the batch: [batch], a
+        :class:`Tensor` on the tape, a plain array under
+        :func:`~repro.nn.tensor.array_run`. On the tape each batch constant
+        enters through :func:`~repro.nn.tensor.concat` or Tensor arithmetic,
+        which lift it to a constant Tensor."""
         cfg = self.config
         gids = batch.context.graph_ids
         nb = batch.context.num_graphs
-        const = Tensor if tape else np.asarray
-        embed = self.opcode_embedding if tape else self.opcode_embedding.apply
-
         # Option-1 kernel features repeat across every node of their kernel.
-        parts = [embed(batch.opcodes), const(batch.node_feats)]
-        parts += [const(getattr(batch, name)[gids]) for name in cfg.feature_blocks("node")]
+        parts = [self.opcode_embedding(batch.opcodes), batch.node_feats]
+        parts += [getattr(batch, name)[gids] for name in cfg.feature_blocks("node")]
         x = self.input_proj(concat(parts, axis=-1))
         operands = self._gnn_operands(batch)
         for layer in self.gnn_layers:
             x = layer(x, *operands)
         x = self.node_final(x)
 
-        extras = [const(getattr(batch, name)) for name in cfg.feature_blocks("kernel")]
+        extras = [getattr(batch, name) for name in cfg.feature_blocks("kernel")]
         extras = concat(extras, axis=-1) if extras else None
 
         if cfg.reduction == "per-node":
@@ -162,6 +141,21 @@ class LearnedPerformanceModel(Module):
         if extras is not None:
             kernel_emb = concat([kernel_emb, extras], axis=-1)
         return self.head(kernel_emb).reshape(nb)
+
+    def predict(self, batch: GraphBatch) -> np.ndarray:
+        """Raw scores: :meth:`forward` under ``no_grad()``, bitwise, as a
+        fresh float32 [batch] array computed on plain arrays.
+
+        It is :meth:`forward` under :func:`~repro.nn.tensor.array_run`, so
+        each layer runs the array ops its tape ops compute, on the same
+        shapes in the same order, and no :class:`Tensor` or backward
+        closure is built. Nothing on the module is written, so it is safe
+        beside a training thread on the same module; parameters are read at
+        call time, so optimizer steps and ``load_state_dict`` show in the
+        next call.
+        """
+        with array_run():
+            return self.forward(batch)
 
     def predict_runtimes(self, batch: GraphBatch) -> np.ndarray:
         """Absolute runtimes in seconds (fusion task: exp of log output)."""

@@ -13,7 +13,7 @@ from .losses import log_mse_loss, pairwise_rank_loss
 from .optim import Adam, clip_global_norm
 from .rnn import LSTM, LSTMCell
 from .sparse import normalized_adjacency, segment_softmax, segment_sum, spmm
-from .tensor import Tensor, no_grad
+from .tensor import Tensor, array_run, no_grad
 
 __all__ = [
     "MLP",
@@ -31,6 +31,7 @@ __all__ = [
     "Tensor",
     "TransformerEncoder",
     "TransformerEncoderLayer",
+    "array_run",
     "clip_global_norm",
     "glorot",
     "log_mse_loss",

@@ -1,7 +1,7 @@
 """Multi-head attention and Transformer encoder (paper's global reduction).
 
-Each forward takes a :class:`~repro.nn.tensor.Tensor` (the tape) or a plain
-array (inference), and runs the same ops on either.
+Each forward runs the same ops on the tape and, on plain arrays, under
+:func:`~repro.nn.tensor.array_run` (inference).
 """
 from __future__ import annotations
 

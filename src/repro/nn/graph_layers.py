@@ -13,11 +13,12 @@ with the aggregation direction(s) selectable: the paper's 'vanilla' model
 distinguishes incoming from outgoing edges (separate feedforward nets per
 direction), and the 'Undirected' ablation shares them.
 
-A hop is one function on plain arrays, :func:`graphsage_hop`: on a
-:class:`~repro.nn.tensor.Tensor`, :class:`GraphSAGELayer` records it as a
-single tape node whose backward is :func:`graphsage_hop_backward`, and on a
-plain array it calls it directly. :class:`GATLayer` records its hop as
-several tape ops, and runs the array ops those compute on a plain array.
+A hop is one function on plain arrays, :func:`graphsage_hop`: on the tape,
+:class:`GraphSAGELayer` records it as a single node whose backward is
+:func:`graphsage_hop_backward`, and under
+:func:`~repro.nn.tensor.array_run` it calls it directly. :class:`GATLayer`
+records its hop as several tape ops, and runs the array ops those compute
+under ``array_run``.
 """
 from __future__ import annotations
 
@@ -34,7 +35,7 @@ from .sparse import (
     segment_sum,
     stack_csr,
 )
-from .tensor import Tensor, maximum, recording, relu, relu_inplace, take_rows
+from .tensor import Tensor, _run, maximum, recording, relu, relu_inplace, take_rows
 
 if TYPE_CHECKING:
     import scipy.sparse as sp
@@ -178,10 +179,10 @@ class GraphOperators:
 class GraphSAGELayer(Module):
     """One GraphSAGE hop with mean aggregation.
 
-    On a :class:`Tensor`, one tape node: the forward is :func:`graphsage_hop`
-    over the weights of ``agg_in`` / ``agg_out`` / ``update`` (bias-free
-    ReLU ``Dense`` layers), and the backward is
-    :func:`graphsage_hop_backward`. A plain array goes to
+    On the tape, one node: the forward is :func:`graphsage_hop` over the
+    weights of ``agg_in`` / ``agg_out`` / ``update`` (bias-free ReLU
+    ``Dense`` layers), and the backward is :func:`graphsage_hop_backward`.
+    Under :func:`~repro.nn.tensor.array_run` a plain array goes to
     :func:`graphsage_hop` itself.
 
     Args:
@@ -211,14 +212,14 @@ class GraphSAGELayer(Module):
         """One message-passing hop.
 
         Args:
-            x: [n, in_dim] node embeddings, a Tensor or a plain array.
+            x: [n, in_dim] node embeddings (a plain array under ``array_run``).
             adj_in: normalized aggregation operator over incoming edges.
             adj_out: same for outgoing edges (used when directed; the
                 undirected variant receives the symmetrized operator in
                 ``adj_in`` and ignores ``adj_out``).
         """
         weights = self._weights()
-        if not isinstance(x, Tensor):
+        if _run.arrays:
             return graphsage_hop(x, adj_in, adj_out, [w.data for w in weights])[0]
         out, saved = graphsage_hop(
             x.data,
@@ -258,7 +259,7 @@ class GATLayer(Module):
         """One attention hop.
 
         Args:
-            x: [n, in_dim] node embeddings, a Tensor or a plain array.
+            x: [n, in_dim] node embeddings (a plain array under ``array_run``).
             edges: [e, 2] int array of (src, dst) pairs (both directions
                 should be present for undirected attention).
             num_nodes: n.

@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 
-from .tensor import Tensor, relu_inplace
+from .tensor import Tensor, _run, relu_inplace
 
 #: :class:`LayerNorm`'s variance epsilon.
 LAYER_NORM_EPS = 1e-5
@@ -128,9 +128,10 @@ class Dense(Module):
     """Linear layer ``x @ W`` with an optional ReLU, and no bias (the
     paper's fixed hyperparameters, App. B, use no per-layer biases).
 
-    On a :class:`Tensor`, one tape node: the forward is :func:`dense` and
-    the backward is :func:`dense_backward`. A plain array goes to
-    :func:`dense` itself. Inputs are 2-D or batched (``[..., in_features]``).
+    On the tape, one node: the forward is :func:`dense` and the backward is
+    :func:`dense_backward`. Under :func:`~repro.nn.tensor.array_run` a
+    plain array goes to :func:`dense` itself. Inputs are 2-D or batched
+    (``[..., in_features]``).
 
     Args:
         in_features / out_features: matrix dimensions.
@@ -153,7 +154,7 @@ class Dense(Module):
         self.activation = activation
 
     def forward(self, x):
-        if not isinstance(x, Tensor):
+        if _run.arrays:
             return dense(x, self.weight.data, self.activation)
         x_data, weight, activation, want_x = x.data, self.weight.data, self.activation, x.requires_grad
         y = dense(x_data, weight, activation)
@@ -194,8 +195,8 @@ class Embedding(Module):
     """Lookup table mapping integer ids to dense vectors.
 
     Used for the opcode embedding (paper: opcode ids are mapped to a
-    256-dimensional embedding vector learned jointly). Integer ids cannot
-    say which run they are in, so the array lookup is :meth:`apply`.
+    256-dimensional embedding vector learned jointly). Under
+    :func:`~repro.nn.tensor.array_run` the lookup is a plain array.
     """
 
     def __init__(
@@ -208,12 +209,9 @@ class Embedding(Module):
             rng.normal(0.0, scale, size=(num_embeddings, dim)), requires_grad=True
         )
 
-    def forward(self, ids: np.ndarray) -> Tensor:
-        return self.table.take_rows(np.asarray(ids, dtype=np.int64))
-
-    def apply(self, ids: np.ndarray) -> np.ndarray:
-        """The lookup as a plain array, building no :class:`Tensor`."""
-        return self.table.data[np.asarray(ids, dtype=np.int64)]
+    def forward(self, ids: np.ndarray):
+        ids = np.asarray(ids, dtype=np.int64)
+        return self.table.data[ids] if _run.arrays else self.table.take_rows(ids)
 
 
 class LayerNorm(Module):
@@ -225,10 +223,11 @@ class LayerNorm(Module):
         self.shift = Tensor(np.zeros(dim, dtype=np.float32), requires_grad=True)
 
     def forward(self, x):
-        """Normalize ``x`` (a :class:`Tensor` or a plain array). Each mean is
-        a sum times a float32 ``1 / n``, as :meth:`Tensor.mean` forms it."""
+        """Normalize ``x`` (a plain array under
+        :func:`~repro.nn.tensor.array_run`). Each mean is a sum times a
+        float32 ``1 / n``, as :meth:`Tensor.mean` forms it."""
         gain, shift = self.gain, self.shift
-        if not isinstance(x, Tensor):
+        if _run.arrays:
             gain, shift = gain.data, shift.data
         scale = np.float32(1.0 / x.shape[-1])
         centered = x - x.sum(axis=-1, keepdims=True) * scale

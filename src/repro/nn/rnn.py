@@ -1,17 +1,18 @@
 """LSTM sequence modules (kernel-embedding reduction option 2 in the paper).
 
-:func:`lstm_final_state` is the reduction's one implementation: on a
-:class:`~repro.nn.tensor.Tensor`, :class:`LSTM` records it as a single tape
-node whose backward is :func:`lstm_final_state_backward`, and on a plain
-array it calls it directly, so inference and training run the same
-arithmetic on the same shapes and agree bit for bit on every batch.
+:func:`lstm_final_state` is the reduction's one implementation: on the tape,
+:class:`LSTM` records it as a single node whose backward is
+:func:`lstm_final_state_backward`, and under
+:func:`~repro.nn.tensor.array_run` it calls it directly, so inference and
+training run the same arithmetic on the same shapes and agree bit for bit
+on every batch.
 """
 from __future__ import annotations
 
 import numpy as np
 
 from .layers import Dense, Module
-from .tensor import Tensor, recording, sigmoid_array
+from .tensor import _run, recording, sigmoid_array
 
 
 def lstm_final_state(
@@ -144,7 +145,8 @@ class LSTM(Module):
         """Run over a padded batch.
 
         Args:
-            x: [batch, time, dim] padded inputs, a Tensor or a plain array.
+            x: [batch, time, dim] padded inputs (a plain array under
+                ``array_run``).
             mask: [batch, time] boolean; True where a real element exists
                 (a prefix of each row).
 
@@ -152,7 +154,7 @@ class LSTM(Module):
             [batch, hidden] final hidden state of each sequence.
         """
         weight = self.cell.gates.weight
-        if not isinstance(x, Tensor):
+        if _run.arrays:
             return lstm_final_state(weight.data, x, mask)[0]
         h, saved = lstm_final_state(
             weight.data, x.data, mask, record=recording(x, weight)

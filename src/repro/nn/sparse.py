@@ -13,7 +13,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .csr import CSR, index_dtype
-from .tensor import Tensor, scatter_add_rows, scatter_by, scatter_matrix
+from .tensor import Tensor, _run, scatter_add_rows, scatter_by, scatter_matrix
 
 if TYPE_CHECKING:
     import scipy.sparse as sp
@@ -37,44 +37,28 @@ def segment_sum(x, segment_ids: np.ndarray, num_segments: int):
     """Sum rows of ``x`` into ``num_segments`` buckets.
 
     Args:
-        x: [n, d] values, a Tensor or a plain array.
+        x: [n, d] values (a plain array under
+            :func:`~repro.nn.tensor.array_run`).
         segment_ids: [n] bucket index per row.
         num_segments: number of output rows.
 
     Returns:
-        [num_segments, d], of ``x``'s kind; a Tensor's gradient gathers
-        back per row.
+        [num_segments, d], of ``x``'s kind; on the tape the gradient
+        gathers back per row.
     """
     ids = np.asarray(segment_ids)
-    if not isinstance(x, Tensor):
+    if _run.arrays:
         return scatter_add_rows(ids, x, num_segments)
     out = scatter_add_rows(ids, x.data, num_segments)
     return x._make(out, (x,), lambda g: (g[ids],))
 
 
-def segment_softmax_array(
-    scores: np.ndarray, segment_ids: np.ndarray, num_segments: int
-) -> np.ndarray:
-    """Softmax over variable-size segments on plain arrays: the forward of
-    :func:`segment_softmax`.
-
-    Args:
-        scores: [n] or [n, h] per-edge scores.
-        segment_ids: [n] destination node of each edge.
-        num_segments: node count.
-
-    Returns:
-        Normalized weights with the same shape as ``scores``.
-    """
-    return _segment_softmax(scores, np.asarray(segment_ids), num_segments)[0]
-
-
 def _segment_softmax(
     scores: np.ndarray, ids: np.ndarray, num_segments: int
 ) -> tuple[np.ndarray, CSR]:
-    """:func:`segment_softmax_array`, and the :func:`scatter_matrix` of
-    ``ids`` its denominators were summed through (the backward sums through
-    it again)."""
+    """The forward of :func:`segment_softmax` on plain arrays, and the
+    :func:`scatter_matrix` of ``ids`` its denominators were summed through
+    (the backward sums through it again)."""
     shape = (num_segments,) + scores.shape[1:]
     # Stabilize per segment.
     seg_max = np.full(shape, -np.inf, dtype=np.float32)
@@ -86,11 +70,20 @@ def _segment_softmax(
 
 
 def segment_softmax(scores, segment_ids: np.ndarray, num_segments: int):
-    """Per-destination attention: :func:`segment_softmax_array` on a plain
-    array, its tape op on a Tensor."""
+    """Softmax over variable-size segments (per-destination attention): a
+    tape op, or a plain array under :func:`~repro.nn.tensor.array_run`.
+
+    Args:
+        scores: [n] or [n, h] per-edge scores.
+        segment_ids: [n] destination node of each edge.
+        num_segments: node count.
+
+    Returns:
+        Normalized weights with the same shape as ``scores``.
+    """
     ids = np.asarray(segment_ids)
-    if not isinstance(scores, Tensor):
-        return segment_softmax_array(scores, ids, num_segments)
+    if _run.arrays:
+        return _segment_softmax(scores, ids, num_segments)[0]
     out, rows = _segment_softmax(scores.data, ids, num_segments)
 
     def backward(g: np.ndarray):

@@ -21,29 +21,46 @@ import numpy as np
 
 from .csr import CSR, index_dtype
 
-# Thread-local so a serving thread running inference under no_grad() never
-# turns off tape recording for a training loop on another thread (the
-# train-while-serving flow of the hot-swap workflow).
-_grad_state = threading.local()
+
+class _RunState(threading.local):
+    """How this thread runs a forward. ``grad`` (False under
+    :func:`no_grad`) says whether ops record the tape; ``arrays`` (True
+    under :func:`array_run`) says whether each layer and dispatching op runs
+    on plain arrays instead. Per-thread, so a serving thread's inference
+    never changes how a training loop on another thread runs (the
+    train-while-serving flow of the hot-swap workflow); the class attributes
+    are every thread's defaults."""
+
+    grad = True
+    arrays = False
 
 
-def _grad_enabled() -> bool:
-    return getattr(_grad_state, "enabled", True)
+_run = _RunState()
 
 
 @contextlib.contextmanager
-def no_grad():
-    """Context manager disabling tape recording (inference / evaluation).
-
-    The flag is per-thread: disabling gradients on one thread leaves
-    concurrent training on other threads unaffected.
-    """
-    prev = _grad_enabled()
-    _grad_state.enabled = False
+def _running(flag: str, value: bool):
+    prev = getattr(_run, flag)
+    setattr(_run, flag, value)
     try:
         yield
     finally:
-        _grad_state.enabled = prev
+        setattr(_run, flag, prev)
+
+
+def no_grad():
+    """Context manager disabling tape recording (inference / evaluation) on
+    this thread."""
+    return _running("grad", False)
+
+
+def array_run():
+    """Context manager running every forward on this thread on plain
+    float32 arrays: each layer and dispatching op runs the array ops its
+    tape ops compute, the same bits, and builds no :class:`Tensor`. Outside
+    it a forward records the tape, and a plain array that reaches a
+    hand-written tape node raises instead of running untaped."""
+    return _running("arrays", True)
 
 
 def recording(*tensors: "Tensor") -> bool:
@@ -51,7 +68,7 @@ def recording(*tensors: "Tensor") -> bool:
     on this thread and one of them requires a gradient. An op whose
     backward needs state its forward would otherwise drop keeps that state
     only when this holds."""
-    return _grad_enabled() and any(t.requires_grad for t in tensors)
+    return _run.grad and any(t.requires_grad for t in tensors)
 
 
 _ZERO = np.float32(0.0)
@@ -182,7 +199,7 @@ class Tensor:
         if arr.dtype.kind not in "iu":
             arr = arr.astype(np.float32, copy=False)
         self.data: np.ndarray = arr
-        self.requires_grad = bool(requires_grad) and _grad_enabled()
+        self.requires_grad = bool(requires_grad) and _run.grad
         self.grad: np.ndarray | None = None
         self._backward: Callable[[np.ndarray], None] | None = None
         self._parents: tuple[Tensor, ...] = ()
@@ -487,36 +504,37 @@ class Tensor:
 
 
 # ---------------------------------------------------------------------------
-# Ops written once for both runs of a layer's forward: a Tensor records the
-# tape op, a plain array runs the array op that tape op computes (the same
-# bits), building no Tensor.
+# Ops written once for both runs of a layer's forward: on the tape they
+# record the tape op, under array_run() they run the array op that tape op
+# computes (the same bits), building no Tensor.
 
 
 def relu(x):
-    """:meth:`Tensor.relu` on a Tensor, :func:`relu_array` on an array."""
-    return x.relu() if isinstance(x, Tensor) else relu_array(x)
+    """:meth:`Tensor.relu`, or :func:`relu_array` under :func:`array_run`."""
+    return relu_array(x) if _run.arrays else x.relu()
 
 
 def maximum(a, b):
-    """:meth:`Tensor.maximum` when ``a`` is a Tensor, else ``np.maximum``."""
-    return a.maximum(b) if isinstance(a, Tensor) else np.maximum(a, b)
+    """:meth:`Tensor.maximum`, or ``np.maximum`` under :func:`array_run`."""
+    return np.maximum(a, b) if _run.arrays else a.maximum(b)
 
 
 def take_rows(x, indices: np.ndarray):
-    """:meth:`Tensor.take_rows` on a Tensor, ``x[indices]`` on an array."""
-    return x.take_rows(indices) if isinstance(x, Tensor) else x[np.asarray(indices)]
+    """:meth:`Tensor.take_rows`, or ``x[indices]`` under :func:`array_run`."""
+    return x[np.asarray(indices)] if _run.arrays else x.take_rows(indices)
 
 
 def softmax(x, axis: int = -1, mask: np.ndarray | None = None):
-    """:meth:`Tensor.softmax` on a Tensor, :func:`softmax_array` on an array."""
-    if isinstance(x, Tensor):
-        return x.softmax(axis=axis, mask=mask)
-    return softmax_array(x, axis, mask)
+    """:meth:`Tensor.softmax`, or :func:`softmax_array` under
+    :func:`array_run`."""
+    if _run.arrays:
+        return softmax_array(x, axis, mask)
+    return x.softmax(axis=axis, mask=mask)
 
 
 def concat(parts: Sequence, axis: int = 0):
-    """:meth:`Tensor.concat` if any part is a Tensor, else a float32
-    ``np.concatenate``."""
-    if any(isinstance(p, Tensor) for p in parts):
-        return Tensor.concat(parts, axis=axis)
-    return np.concatenate(parts, axis=axis, dtype=np.float32)
+    """:meth:`Tensor.concat` (which lifts a plain array part to a constant
+    Tensor), or a float32 ``np.concatenate`` under :func:`array_run`."""
+    if _run.arrays:
+        return np.concatenate(parts, axis=axis, dtype=np.float32)
+    return Tensor.concat(parts, axis=axis)

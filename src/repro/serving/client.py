@@ -109,14 +109,9 @@ class EvaluatorClient:
 
     def _stamp(self, request: Request) -> Request:
         """Apply the client's default deadline to an unstamped request."""
-        if self.deadline_s is None:
+        if self.deadline_s is None or request.deadline_s is not None:
             return request
-        if getattr(request, "deadline_s", None) is not None:
-            return request
-        try:
-            return dataclasses.replace(request, deadline_s=self.deadline_s)
-        except TypeError:
-            return request  # foreign request-like object: pass through
+        return dataclasses.replace(request, deadline_s=self.deadline_s)
 
     def _call(self, request: Request) -> Response:
         request = self._stamp(request)

@@ -1,7 +1,7 @@
 """The inference contract: ``predict`` ≡ tape ``forward`` (eval, no_grad), bitwise.
 
-``LearnedPerformanceModel.predict`` runs the forward pass on plain arrays
-through each layer's ``apply`` and builds no ``Tensor``; the autograd
+``LearnedPerformanceModel.predict`` is ``forward`` inside ``array_run()``:
+every layer runs on plain arrays and no ``Tensor`` is built; the autograd
 ``forward`` is the oracle. Every comparison of the two is
 exact — same dtype, same shape, ``np.array_equal`` — for every reduction
 and every batch. Only one row scored in two different batches is compared

@@ -1,11 +1,21 @@
 """Gradient-correctness and semantics tests for the autodiff engine."""
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
 from oracles import clip, log_softmax, ones, sigmoid, sqrt, stack, tanh, zeros
-from repro.nn import Tensor, no_grad, segment_sum
+from repro.data import assemble_batch
+from repro.data.features import (
+    NODE_FEATURE_DIM,
+    STATIC_FEATURE_DIM,
+    TILE_FEATURE_DIM,
+    KernelFeatures,
+)
+from repro.models import LearnedPerformanceModel, ModelConfig
+from repro.nn import Tensor, array_run, no_grad, segment_sum
 from repro.nn.tensor import relu_array, relu_inplace, scatter_add_rows
 
 #: float32 bit patterns: NaNs (quiet, signalling, negative), ±0, ±inf,
@@ -15,6 +25,22 @@ SPECIAL_BITS = [
     0xFF800000, 0x00000001, 0x007FFFFF, 0x80000001, 0x807FFFFF, 0x3F800000,
     0xBF800000,
 ]
+
+
+def _small_model_and_batch():
+    """A small GraphSAGE model and a two-kernel batch to run it on."""
+    gen = np.random.default_rng(5)
+    items = []
+    for group, n in enumerate((3, 4)):
+        kernel = KernelFeatures(
+            gen.integers(0, 8, n).astype(np.int64),
+            gen.random((n, NODE_FEATURE_DIM)).astype(np.float32),
+            np.triu(np.ones((n, n), dtype=np.float32), k=1),
+            gen.random(STATIC_FEATURE_DIM).astype(np.float32),
+        )
+        items.append((kernel, gen.random(TILE_FEATURE_DIM).astype(np.float32), 0.0, group))
+    cfg = ModelConfig(hidden_dim=8, opcode_embedding_dim=4, lstm_hidden=6, gnn_layers=1)
+    return LearnedPerformanceModel(cfg, seed=0), assemble_batch(items)
 
 
 def numeric_grad(f, x: np.ndarray, eps: float = 1e-3) -> np.ndarray:
@@ -255,6 +281,37 @@ class TestEngine:
         finally:
             release.set()
             worker.join()
+
+    def test_array_run_is_thread_local(self):
+        # A serving thread's predict must not take a concurrently training
+        # thread's forward off the tape.
+        import threading
+
+        model, batch = _small_model_and_batch()
+        inside = threading.Event()
+        release = threading.Event()
+
+        def infer():
+            with array_run():
+                inside.set()
+                release.wait(timeout=5)
+
+        worker = threading.Thread(target=infer)
+        worker.start()
+        try:
+            assert inside.wait(timeout=5)
+            assert isinstance(model(batch), Tensor)
+        finally:
+            release.set()
+            worker.join()
+
+    def test_an_exception_in_predict_leaves_the_tape_on(self):
+        model, batch = _small_model_and_batch()
+        with mock.patch.object(model, "_gnn_operands", side_effect=RuntimeError("boom")):
+            with pytest.raises(RuntimeError, match="boom"):
+                model.predict(batch)
+        out = model(batch)
+        assert isinstance(out, Tensor) and out.requires_grad
 
     def test_detach(self):
         x = Tensor(np.ones(3), requires_grad=True)

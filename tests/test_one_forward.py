@@ -1,9 +1,10 @@
 """One forward per layer, run two ways.
 
-Each layer's ``forward`` records the tape on a :class:`Tensor` and runs the
+Each layer's ``forward`` records the tape, and under ``array_run()`` runs the
 array ops those tape ops compute on a plain float32 array, building no
 ``Tensor``. The array run must equal the tape's values byte for byte; the
-tape run must keep every parameter it reads training.
+tape run must keep every parameter it reads training, and a plain array
+that reaches a tape node must raise rather than run untaped.
 """
 import itertools
 from unittest import mock
@@ -33,6 +34,9 @@ from repro.nn import (
     Tensor,
     TransformerEncoder,
     TransformerEncoderLayer,
+    array_run,
+    segment_softmax,
+    segment_sum,
 )
 from repro.nn.sparse import mean_aggregation_csr
 
@@ -102,7 +106,7 @@ class TestArrayRunIsTheTape:
     def test_layer_on_an_array_is_its_tape_byte_for_byte(self, kind, seed, n, dim):
         layer, x, operands = _case(kind, np.random.default_rng(seed), n, dim)
         want = layer(Tensor(x), *operands).data
-        with mock.patch.object(Tensor, "__init__", _no_tensor):
+        with mock.patch.object(Tensor, "__init__", _no_tensor), array_run():
             got = layer(x, *operands)
         assert type(got) is np.ndarray
         assert got.dtype == want.dtype == np.float32
@@ -163,3 +167,42 @@ class TestTapeTrainsEveryParameterItReads:
                 model(batch).sum().backward()
                 untrained = [name for name, p in model.named_parameters() if p.grad is None]
                 assert not untrained, (cfg, untrained)
+
+
+def _tape_node_case(kind):
+    """``(call, x)``: ``call(x)`` runs one hand-written tape node of ``kind``
+    on a plain array ``x``."""
+    rng = np.random.default_rng(3)
+    x = rng.normal(size=(5, 4)).astype(np.float32)
+    ids = np.array([0, 2, 2, 1, 0])
+    if kind == "Dense":
+        return Dense(4, 3, activation="relu", rng=rng), x
+    if kind == "GraphSAGELayer":
+        adj = mean_aggregation_csr(rng.random((5, 5)) < 0.4, 2)
+        layer = GraphSAGELayer(4, 4, rng=rng)
+        return (lambda x: layer(x, adj, adj)), x
+    if kind == "LSTM":
+        layer, mask = LSTM(4, 3, rng=rng), _prefix_mask(rng, 2, 5)
+        return (lambda x: layer(x, mask)), rng.normal(size=(2, 5, 4)).astype(np.float32)
+    if kind == "segment_sum":
+        return (lambda x: segment_sum(x, ids, 3)), x
+    assert kind == "segment_softmax"
+    return (lambda x: segment_softmax(x, ids, 3)), x
+
+
+class TestAnArrayOnTheTapeRaises:
+    """Outside ``array_run()`` a plain array reaching a hand-written tape
+    node raises: it never runs the node untaped, which would leave the
+    weights it reads without a gradient."""
+
+    @pytest.mark.parametrize(
+        "kind", ("Dense", "GraphSAGELayer", "LSTM", "segment_sum", "segment_softmax")
+    )
+    def test_raises_outside_array_run_and_runs_inside(self, kind):
+        call, x = _tape_node_case(kind)
+        with pytest.raises(AttributeError):
+            call(x)
+        with array_run():
+            got = call(x)
+        assert type(got) is np.ndarray
+        assert got.tobytes() == call(Tensor(x)).data.tobytes()
