@@ -81,25 +81,21 @@ class Scalers:
     @staticmethod
     def fit_tile(records: list[TileRecord]) -> "Scalers":
         """Fit all scalers from tile-task training records."""
-        node_rows = np.concatenate([r.features.node_feats for r in records], axis=0)
-        tile_rows = np.concatenate([r.tile_feats for r in records], axis=0)
-        static_rows = np.stack([r.features.static_feats for r in records])
-        return Scalers(
-            node=FeatureScaler().fit(node_rows),
-            tile=FeatureScaler().fit(tile_rows),
-            static=FeatureScaler().fit(static_rows),
-        )
+        return Scalers._fit(records, np.concatenate([r.tile_feats for r in records], axis=0))
 
     @staticmethod
     def fit_fusion(records: list[FusionRecord]) -> "Scalers":
         """Fit scalers from fusion-task training records (tile block gets a
         degenerate unit scaler; the fusion task has no tile features)."""
+        return Scalers._fit(records, np.zeros((2, TILE_FEATURE_DIM), dtype=np.float32))
+
+    @staticmethod
+    def _fit(records: list[TileRecord] | list[FusionRecord], tile_rows: np.ndarray) -> "Scalers":
         node_rows = np.concatenate([r.features.node_feats for r in records], axis=0)
         static_rows = np.stack([r.features.static_feats for r in records])
-        tile_sc = FeatureScaler().fit(np.zeros((2, TILE_FEATURE_DIM), dtype=np.float32))
         return Scalers(
             node=FeatureScaler().fit(node_rows),
-            tile=tile_sc,
+            tile=FeatureScaler().fit(tile_rows),
             static=FeatureScaler().fit(static_rows),
         )
 
@@ -171,11 +167,9 @@ class KernelCacheEntry:
     row, and the three pre-normalized single-graph adjacency operators
     (built from the dense adjacency by index arithmetic, see
     :class:`~repro.nn.graph_layers.GraphOperators`).
-    The strong reference to ``features`` pins the object (and therefore its
-    ``id()``, which keys the cache) for the lifetime of the entry.
     """
 
-    __slots__ = ("features", "opcodes", "node_feats", "static_feats", "operators")
+    __slots__ = ("opcodes", "node_feats", "static_feats", "operators")
 
     def __init__(
         self,
@@ -183,7 +177,6 @@ class KernelCacheEntry:
         scalers: Scalers | None,
         neighbor_cap: int | None,
     ) -> None:
-        self.features = features
         self.opcodes = features.opcodes
         node_feats = features.node_feats
         static_row = features.static_feats[None, :]
@@ -209,6 +202,11 @@ class KernelCache:
     after SciPy's O(1) format checks); ``assemble_batch`` keeps the SciPy
     normalization as the reference.
 
+    Entries are keyed by the :class:`~repro.data.features.KernelFeatures`
+    object itself (features hash by identity), and composed contexts by
+    the tuple of entries they stack, so a key is never a different object
+    than the one its value was built from.
+
     Cache invariants — an entry is valid only for the exact configuration
     the cache was constructed with. Invalidate (i.e. build a fresh cache)
     whenever:
@@ -216,17 +214,18 @@ class KernelCache:
     * the ``scalers`` are refit or replaced (entries store *scaled* rows);
     * ``neighbor_cap`` changes (normalized operators bake the truncation);
     * a cached :class:`~repro.data.features.KernelFeatures` object is
-      mutated in place (entries alias its arrays and key on its ``id``).
+      mutated in place (entries alias its arrays).
 
     Composed :class:`~repro.nn.graph_layers.BatchedGraphContext` objects
     are additionally memoized per kernel-composition tuple (LRU, bounded
     by :data:`MAX_CONTEXTS`), so repeated batches over the same kernels — the
-    autotuner scoring one kernel under many tiles, epoch plans bucketing
-    identical draws — skip even the index arithmetic. A composed context
-    stacks each batch-level operator the first time the model reads it, so
-    a memoized context carries only the operators its model uses.
+    autotuner scoring one kernel under many tiles, a training run drawing
+    the same kernels again — skip even the index arithmetic. A composed
+    context stacks each batch-level operator the first time the model
+    reads it, so a memoized context carries only the operators its model
+    uses.
 
-    Entries pin real memory (scaled features + three CSR operators per
+    Entries hold real memory (scaled features + three CSR operators per
     kernel): pass ``max_entries`` to bound the entry store with LRU
     eviction when the kernel population is open-ended (e.g. an evaluator
     fed ever-new fused kernels), or leave it ``None`` when it is finite
@@ -248,18 +247,10 @@ class KernelCache:
         self.scalers = scalers
         self.neighbor_cap = neighbor_cap
         self.max_entries = max_entries
-        self._entries: OrderedDict[int, KernelCacheEntry] = OrderedDict()
-        # Memo values carry their entry tuple so a hit can be validated by
-        # identity — entry eviction means an id() can be reused by a new
-        # entry, and an id-keyed hit alone could then serve a stale context.
+        self._entries: OrderedDict[KernelFeatures, KernelCacheEntry] = OrderedDict()
         self._contexts: OrderedDict[
-            tuple[int, ...],
-            tuple[
-                tuple[KernelCacheEntry, ...],
-                BatchedGraphContext,
-                np.ndarray,
-                np.ndarray,
-            ],
+            tuple[KernelCacheEntry, ...],
+            tuple[BatchedGraphContext, np.ndarray, np.ndarray],
         ] = OrderedDict()
         self.hits = 0
         self.misses = 0
@@ -291,15 +282,14 @@ class KernelCache:
 
     def entry(self, features: KernelFeatures) -> KernelCacheEntry:
         """The cached entry for one kernel, computing it on first sight."""
-        key = id(features)
-        cached = self._entries.get(key)
-        if cached is not None and cached.features is features:
+        cached = self._entries.get(features)
+        if cached is not None:
             self.hits += 1
-            self._entries.move_to_end(key)
+            self._entries.move_to_end(features)
             return cached
         self.misses += 1
         entry = KernelCacheEntry(features, self.scalers, self.neighbor_cap)
-        self._entries[key] = entry
+        self._entries[features] = entry
         if self.max_entries is not None:
             while len(self._entries) > self.max_entries:
                 self._entries.popitem(last=False)
@@ -307,20 +297,17 @@ class KernelCache:
         return entry
 
     def _context(
-        self, entries: list[KernelCacheEntry]
+        self, entries: tuple[KernelCacheEntry, ...]
     ) -> tuple[BatchedGraphContext, np.ndarray, np.ndarray]:
-        key = tuple(id(e) for e in entries)
-        cached = self._contexts.get(key)
-        if cached is not None and all(
-            a is b for a, b in zip(cached[0], entries)
-        ):
+        cached = self._contexts.get(entries)
+        if cached is not None:
             self.context_hits += 1
-            self._contexts.move_to_end(key)
-            return cached[1], cached[2], cached[3]
+            self._contexts.move_to_end(entries)
+            return cached
         self.context_misses += 1
         context = BatchedGraphContext.compose([e.operators for e in entries])
         pad_index, pad_mask = _pad_views(context.sizes)
-        self._contexts[key] = (tuple(entries), context, pad_index, pad_mask)
+        self._contexts[entries] = (context, pad_index, pad_mask)
         while len(self._contexts) > MAX_CONTEXTS:
             self._contexts.popitem(last=False)
             self.context_evictions += 1
@@ -330,7 +317,7 @@ class KernelCache:
         """Compose a batch; bitwise-equal to ``assemble_batch`` on ``items``."""
         if not items:
             raise ValueError("cannot assemble an empty batch")
-        entries = [self.entry(f) for f, _, _, _ in items]
+        entries = tuple(self.entry(f) for f, _, _, _ in items)
         context, pad_index, pad_mask = self._context(entries)
         opcodes = np.concatenate([e.opcodes for e in entries])
         node_feats = np.concatenate([e.node_feats for e in entries], axis=0)
@@ -358,14 +345,27 @@ class KernelCache:
         )
 
 
-def _family_buckets(families: list[str]) -> dict[str, list[int]]:
-    buckets: dict[str, list[int]] = {}
-    for i, fam in enumerate(families):
-        buckets.setdefault(fam, []).append(i)
-    return buckets
+class _FamilySampler:
+    """Family-balanced draw over records: a family uniformly, then a record
+    within it (the records, the rng and the family buckets it keeps)."""
+
+    def __init__(self, records: list[TileRecord] | list[FusionRecord], seed: int) -> None:
+        if not records:
+            raise ValueError("no records to sample from")
+        self.records = records
+        self.rng = np.random.default_rng(seed)
+        self.buckets: dict[str, list[int]] = {}
+        for i, r in enumerate(records):
+            self.buckets.setdefault(r.family, []).append(i)
+        self.family_names = sorted(self.buckets)
+
+    def _draw_record(self):
+        fam = self.family_names[self.rng.integers(0, len(self.family_names))]
+        bucket = self.buckets[fam]
+        return self.records[bucket[self.rng.integers(0, len(bucket))]]
 
 
-class TileBatchSampler:
+class TileBatchSampler(_FamilySampler):
     """Family-balanced sampler of (kernel, tile-group) batches.
 
     Each draw picks ``kernels_per_batch`` kernels (families sampled
@@ -377,27 +377,19 @@ class TileBatchSampler:
     def __init__(
         self,
         records: list[TileRecord],
-        kernels_per_batch: int = 8,
-        tiles_per_kernel: int = 4,
-        seed: int = 0,
+        kernels_per_batch: int,
+        tiles_per_kernel: int,
+        seed: int,
     ) -> None:
-        if not records:
-            raise ValueError("no tile records to sample from")
-        self.records = records
+        super().__init__(records, seed)
         self.kernels_per_batch = kernels_per_batch
         self.tiles_per_kernel = tiles_per_kernel
-        self.rng = np.random.default_rng(seed)
-        self.buckets = _family_buckets([r.family for r in records])
-        self.family_names = sorted(self.buckets)
 
     def draw_items(self) -> list[BatchItem]:
         """Raw batch items for :func:`assemble_batch`."""
         items: list[BatchItem] = []
         for group in range(self.kernels_per_batch):
-            fam = self.family_names[self.rng.integers(0, len(self.family_names))]
-            rec = self.records[
-                self.buckets[fam][self.rng.integers(0, len(self.buckets[fam]))]
-            ]
+            rec = self._draw_record()
             count = min(self.tiles_per_kernel, rec.num_samples)
             pick = self.rng.choice(rec.num_samples, size=count, replace=False)
             for t in pick:
@@ -407,30 +399,17 @@ class TileBatchSampler:
         return items
 
 
-class FusionBatchSampler:
+class FusionBatchSampler(_FamilySampler):
     """Family-balanced sampler over fusion records (one kernel per item)."""
 
-    def __init__(
-        self,
-        records: list[FusionRecord],
-        batch_size: int = 32,
-        seed: int = 0,
-    ) -> None:
-        if not records:
-            raise ValueError("no fusion records to sample from")
-        self.records = records
+    def __init__(self, records: list[FusionRecord], batch_size: int, seed: int) -> None:
+        super().__init__(records, seed)
         self.batch_size = batch_size
-        self.rng = np.random.default_rng(seed)
-        self.buckets = _family_buckets([r.family for r in records])
-        self.family_names = sorted(self.buckets)
 
     def draw_items(self) -> list[BatchItem]:
         """Raw batch items for :func:`assemble_batch`."""
         items: list[BatchItem] = []
         for i in range(self.batch_size):
-            fam = self.family_names[self.rng.integers(0, len(self.family_names))]
-            rec = self.records[
-                self.buckets[fam][self.rng.integers(0, len(self.buckets[fam]))]
-            ]
+            rec = self._draw_record()
             items.append((rec.features, None, rec.runtime, i))
         return items

@@ -13,6 +13,7 @@ size.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Generic, TypeVar
 
 import numpy as np
 
@@ -65,11 +66,25 @@ class FusionRecord:
     family: str
 
 
-@dataclass
-class TileSizeDataset:
-    """Tile-size dataset over a list of programs."""
+_Record = TypeVar("_Record", TileRecord, FusionRecord)
 
-    records: list[TileRecord] = field(default_factory=list)
+
+@dataclass
+class _Dataset(Generic[_Record]):
+    """The records of one task, grouped by program on demand."""
+
+    records: list[_Record] = field(default_factory=list)
+
+    def by_program(self) -> dict[str, list[_Record]]:
+        out: dict[str, list[_Record]] = {}
+        for r in self.records:
+            out.setdefault(r.program, []).append(r)
+        return out
+
+
+@dataclass
+class TileSizeDataset(_Dataset[TileRecord]):
+    """Tile-size dataset over a list of programs."""
 
     @property
     def num_kernels(self) -> int:
@@ -79,28 +94,14 @@ class TileSizeDataset:
     def num_samples(self) -> int:
         return sum(r.num_samples for r in self.records)
 
-    def by_program(self) -> dict[str, list[TileRecord]]:
-        out: dict[str, list[TileRecord]] = {}
-        for r in self.records:
-            out.setdefault(r.program, []).append(r)
-        return out
-
 
 @dataclass
-class FusionDataset:
+class FusionDataset(_Dataset[FusionRecord]):
     """Fusion dataset over a list of programs."""
-
-    records: list[FusionRecord] = field(default_factory=list)
 
     @property
     def num_samples(self) -> int:
         return len(self.records)
-
-    def by_program(self) -> dict[str, list[FusionRecord]]:
-        out: dict[str, list[FusionRecord]] = {}
-        for r in self.records:
-            out.setdefault(r.program, []).append(r)
-        return out
 
 
 def build_tile_dataset(

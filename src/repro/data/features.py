@@ -124,9 +124,11 @@ def static_features(analysis: StaticAnalysis) -> np.ndarray:
     )
 
 
-@dataclass
+@dataclass(eq=False)
 class KernelFeatures:
     """Extracted features of one kernel (tile-independent parts).
+
+    Compares and hashes by identity, so one object can key a cache.
 
     Attributes:
         opcodes: [n] integer opcode per node (topological order).

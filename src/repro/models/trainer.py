@@ -1,23 +1,22 @@
 """Training loop for the learned performance model.
 
-The hot loop runs off a *precompiled step plan*: all batch draws for the
-run are materialized up front (cheap — item tuples hold references into the
-record set), every unique kernel is precomputed once into a
-:class:`~repro.data.batching.KernelCache`, and each step then composes its
-batch by index arithmetic over cached blocks. Per-step cost is reduced to
-the batch composition plus the model's sparse matmuls; numerics are
-bitwise-identical to assembling each batch from scratch (the cache's
+Each step draws a family-balanced batch, composes it through a
+:class:`~repro.data.batching.KernelCache` (every unique kernel is
+precomputed once, on first sight), and takes one optimizer step. Numerics
+are bitwise-identical to assembling each batch from scratch (the cache's
 composition invariant).
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
 from ..data.batching import (
     BatchItem,
     FusionBatchSampler,
+    GraphBatch,
     KernelCache,
     Scalers,
     TileBatchSampler,
@@ -88,14 +87,7 @@ def train_tile_model(
         train: optimization settings.
         verbose: print loss every ``train.log_every`` steps.
     """
-    config = config or ModelConfig.paper_best_tile()
-    if config.task != "tile":
-        raise ValueError("train_tile_model requires a task='tile' config")
-    train = train or TrainConfig()
-    scalers = Scalers.fit_tile(records)
-    sampler = _sampler(config, train, records)
-    model = LearnedPerformanceModel(config, seed=train.seed)
-    return _run_loop(model, config, train, scalers, sampler.draw_items, verbose)
+    return _train("tile", records, config or ModelConfig.paper_best_tile(), train, verbose)
 
 
 def train_fusion_model(
@@ -105,44 +97,33 @@ def train_fusion_model(
     verbose: bool = False,
 ) -> TrainResult:
     """Train a fusion (absolute runtime) model on fusion records."""
-    config = config or ModelConfig.paper_best_fusion()
-    if config.task != "fusion":
-        raise ValueError("train_fusion_model requires a task='fusion' config")
+    return _train("fusion", records, config or ModelConfig.paper_best_fusion(), train, verbose)
+
+
+def _train(
+    task: str,
+    records: list[TileRecord] | list[FusionRecord],
+    config: ModelConfig,
+    train: TrainConfig | None,
+    verbose: bool,
+) -> TrainResult:
+    if config.task != task:
+        raise ValueError(f"train_{task}_model requires a task='{task}' config")
     train = train or TrainConfig()
-    scalers = Scalers.fit_fusion(records)
-    sampler = _sampler(config, train, records)
+    scalers = Scalers.fit_tile(records) if task == "tile" else Scalers.fit_fusion(records)
     model = LearnedPerformanceModel(config, seed=train.seed)
-    return _run_loop(model, config, train, scalers, sampler.draw_items, verbose)
-
-
-def compile_step_plan(draw_items, steps: int) -> list[list[BatchItem]]:
-    """Materialize every batch draw of a run up front.
-
-    Drawing consumes the sampler's rng in the same order as drawing inside
-    the loop would, so the plan changes nothing numerically. The plan (item
-    tuples hold references into the record set, not copies) lets
-    ``warm_cache`` precompute every kernel the run will touch before step 0
-    — per-step work then reduces to index-arithmetic batch composition plus
-    the model's sparse matmuls, with no first-sight normalization spikes.
-    """
-    return [draw_items() for _ in range(steps)]
-
-
-def warm_cache(cache: KernelCache, plan: list[list[BatchItem]]) -> None:
-    """Precompute cache entries for every kernel appearing in ``plan``."""
-    for items in plan:
-        for features, _, _, _ in items:
-            cache.entry(features)
+    return _run_loop(model, train, scalers, records, verbose)
 
 
 def _run_loop(
     model: LearnedPerformanceModel,
-    config: ModelConfig,
     train: TrainConfig,
     scalers: Scalers,
-    draw_items,
+    records: list[TileRecord] | list[FusionRecord],
     verbose: bool,
 ) -> TrainResult:
+    config = model.config
+    sampler = _sampler(config, train, records)
     opt = Adam(
         model.parameters(),
         lr=train.learning_rate,
@@ -151,10 +132,8 @@ def _run_loop(
     )
     history: list[tuple[int, float]] = []
     cache = KernelCache(scalers, neighbor_cap=config.neighbor_cap)
-    plan = compile_step_plan(draw_items, train.steps)
-    warm_cache(cache, plan)
-    for step, items in enumerate(plan):
-        batch = cache.assemble(items)
+    for step in range(train.steps):
+        batch = cache.assemble(sampler.draw_items())
         pred = model(batch)
         loss = _loss_fn(config, pred, batch.targets, batch.group_ids)
         opt.zero_grad()
@@ -187,10 +166,8 @@ def fine_tune(
         records: new tile or fusion records matching the model's task.
         train: optimization settings; defaults to a short schedule.
     """
-    config = result.model.config
     train = train or TrainConfig(steps=300)
-    sampler = _sampler(config, train, records)
-    tuned = _run_loop(result.model, config, train, result.scalers, sampler.draw_items, False)
+    tuned = _run_loop(result.model, train, result.scalers, records, False)
     return TrainResult(
         model=tuned.model,
         scalers=result.scalers,
@@ -210,7 +187,7 @@ def feedback_to_tile_records(samples) -> list[TileRecord]:
     kernel queried many times contributes one record with its union of
     measured tiles — exactly the shape :func:`fine_tune` consumes.
 
-    Non-tile samples (kernel/program-runtime traffic) are skipped.
+    Non-tile samples (program-runtime traffic) are skipped.
     """
     from ..compiler.tiling import TileConfig
     from ..data.dataset import TileRecord
@@ -280,17 +257,11 @@ def predict_tile_scores(
     record: TileRecord,
 ) -> np.ndarray:
     """Rank scores for every tile sample of one kernel (lower = faster)."""
-    scores = []
-    n = record.num_samples
-    cache = KernelCache(scalers, neighbor_cap=model.config.neighbor_cap)
-    for lo in range(0, n, PREDICT_CHUNK):
-        hi = min(lo + PREDICT_CHUNK, n)
-        items = [
-            (record.features, record.tile_feats[t], float(record.runtimes[t]), 0)
-            for t in range(lo, hi)
-        ]
-        scores.append(model.predict(cache.assemble(items)))
-    return np.concatenate(scores)
+    items = [
+        (record.features, tile, float(runtime), 0)
+        for tile, runtime in zip(record.tile_feats, record.runtimes)
+    ]
+    return _predict_chunked(model, scalers, items, model.predict)
 
 
 def predict_fusion_runtimes(
@@ -299,10 +270,21 @@ def predict_fusion_runtimes(
     records: list[FusionRecord],
 ) -> np.ndarray:
     """Absolute runtime predictions (seconds) for fusion records."""
-    out = []
+    items = [(r.features, None, r.runtime, i) for i, r in enumerate(records)]
+    return _predict_chunked(model, scalers, items, model.predict_runtimes)
+
+
+def _predict_chunked(
+    model: LearnedPerformanceModel,
+    scalers: Scalers,
+    items: list[BatchItem],
+    predict: Callable[[GraphBatch], np.ndarray],
+) -> np.ndarray:
+    """``predict`` over ``items``, :data:`PREDICT_CHUNK` per forward."""
     cache = KernelCache(scalers, neighbor_cap=model.config.neighbor_cap)
-    for lo in range(0, len(records), PREDICT_CHUNK):
-        batch_records = records[lo : lo + PREDICT_CHUNK]
-        items = [(r.features, None, r.runtime, i) for i, r in enumerate(batch_records)]
-        out.append(model.predict_runtimes(cache.assemble(items)))
-    return np.concatenate(out)
+    return np.concatenate(
+        [
+            predict(cache.assemble(items[lo : lo + PREDICT_CHUNK]))
+            for lo in range(0, len(items), PREDICT_CHUNK)
+        ]
+    )

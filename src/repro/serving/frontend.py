@@ -279,30 +279,12 @@ class SocketFrontend(Frontend):
             # Interner miss on a fingerprint-only reference: ask the
             # client to retry with the kernel attached (the pipe-executor
             # miss/retry contract, over TCP).
-            self._send(
-                connection,
-                request_id,
-                Response(
-                    value=None,
-                    model_version=self.service.registry.active_version or "",
-                    error=f"{NEED_KERNEL_PREFIX} {exc.fingerprint}",
-                ),
-                deadline_s=1.0,  # IO thread: never stall other peers' ingress
-            )
+            self._refuse(connection, request_id, f"{NEED_KERNEL_PREFIX} {exc.fingerprint}")
             return
         except WireError as exc:
             with self._lock:
                 self.decode_errors += 1
-            self._send(
-                connection,
-                request_id,
-                Response(
-                    value=None,
-                    model_version=self.service.registry.active_version or "",
-                    error=f"bad request: {exc}",
-                ),
-                deadline_s=1.0,
-            )
+            self._refuse(connection, request_id, f"bad request: {exc}")
             return
         if tracer is not None:
             # Open (or adopt, for client-stamped contexts) the trace
@@ -330,31 +312,13 @@ class SocketFrontend(Frontend):
         except Overloaded as exc:
             # Admission control shed the request at the door: a typed,
             # retryable answer the client can back off on.
-            self._send(
-                connection,
-                request_id,
-                Response(
-                    value=None,
-                    model_version=self.service.registry.active_version or "",
-                    error=str(exc),
-                    error_code=ERROR_OVERLOADED,
-                ),
-                deadline_s=1.0,
-            )
+            self._refuse(connection, request_id, str(exc), ERROR_OVERLOADED)
             return
         except Exception as exc:
             # A stopped service (closed scheduler) must answer, not kill
             # the IO thread and silently hang every connected client.
-            self._send(
-                connection,
-                request_id,
-                Response(
-                    value=None,
-                    model_version=self.service.registry.active_version or "",
-                    error=f"service unavailable: {exc}",
-                    error_code=ERROR_UNAVAILABLE,
-                ),
-                deadline_s=1.0,
+            self._refuse(
+                connection, request_id, f"service unavailable: {exc}", ERROR_UNAVAILABLE
             )
             return
         with connection.inflight_lock:
@@ -370,6 +334,26 @@ class SocketFrontend(Frontend):
     # ------------------------------------------------------------------ #
     # egress
     # ------------------------------------------------------------------ #
+
+    def _refuse(
+        self,
+        connection: _Connection,
+        request_id: int,
+        error: str,
+        code: str | None = None,
+    ) -> None:
+        """Answer one frame with an error instead of a value."""
+        self._send(
+            connection,
+            request_id,
+            Response(
+                value=None,
+                model_version=self.service.registry.active_version or "",
+                error=error,
+                error_code=code,
+            ),
+            deadline_s=1.0,  # IO thread: never stall other peers' ingress
+        )
 
     def _send(
         self,

@@ -148,6 +148,6 @@ class TestSamplers:
 
     def test_empty_records_rejected(self):
         with pytest.raises(ValueError):
-            TileBatchSampler([])
+            TileBatchSampler([], kernels_per_batch=8, tiles_per_kernel=4, seed=0)
         with pytest.raises(ValueError):
-            FusionBatchSampler([])
+            FusionBatchSampler([], batch_size=32, seed=0)

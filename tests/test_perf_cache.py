@@ -19,6 +19,7 @@ from repro.autotuner import (
 from repro.compiler import enumerate_tile_sizes
 from repro.data import (
     KernelCache,
+    KernelFeatures,
     Scalers,
     TileBatchSampler,
     assemble_batch,
@@ -167,6 +168,39 @@ class TestKernelCacheMetering:
         cache.assemble([(r.features, r.tile_feats[0], 0.0, 0)])
         cache.clear()
         assert len(cache) == 0
+
+
+class TestKernelCacheIdentityKeys:
+    """Entries key on the features object and contexts on the entries, so
+    an object built after another is dropped is never served the dropped
+    one's entry or context, even where it reuses the dropped ``id()``."""
+
+    @pytest.mark.parametrize("max_entries", [1, None])
+    def test_a_new_object_after_a_drop_is_a_miss(self, tile_records, scalers, max_entries):
+        def copy(f):
+            return KernelFeatures(
+                f.opcodes.copy(), f.node_feats.copy(), f.adjacency.copy(), f.static_feats.copy()
+            )
+
+        source, other = tile_records[0], tile_records[1]
+        cache = KernelCache(scalers, max_entries=max_entries)
+        a = copy(source.features)
+        contexts = [cache.assemble([(a, source.tile_feats[0], 0.0, 0)]).context]
+        for _ in range(8):
+            # B evicts A's entry when max_entries=1; A's context stays memoised.
+            cache.assemble([(other.features, other.tile_feats[0], 0.0, 0)])
+            del a
+            c = copy(source.features)  # content equal to A's, often at A's id()
+            items = [(c, source.tile_feats[0], 0.0, 0)]
+            misses, context_misses = cache.misses, cache.context_misses
+            batch = cache.assemble(items)
+            assert cache.misses == misses + 1
+            assert cache.context_misses == context_misses + 1
+            assert all(batch.context is not old for old in contexts)
+            assert_batches_identical(assemble_batch(items, scalers), batch)
+            contexts.append(batch.context)
+            a = c
+            del c
 
 
 class TestBatchedTileScoring:
